@@ -1,7 +1,7 @@
 // Benchmarks regenerating each of the paper's tables and figures (one bench
 // per experiment — `go test -bench Figure6` re-times the GPT-3 XL/2.7B
-// scaling study), plus ablation benches for the design decisions DESIGN.md
-// calls out. Custom metrics report the quantity the paper plots (seconds of
+// scaling study), plus ablation benches for the paper's §III design
+// decisions. Custom metrics report the quantity the paper plots (seconds of
 // simulated batch time, bytes of state, elements communicated) alongside the
 // harness's own ns/op.
 package samo_test
@@ -87,7 +87,7 @@ func BenchmarkTable2Throughput(b *testing.B) {
 	b.ReportMetric(rows[len(rows)-1].SAMO, "samo-%peak@2048")
 }
 
-// --- Ablation benches (design decisions from DESIGN.md) ---------------------
+// --- Ablation benches (the paper's §III design decisions) -------------------
 
 // BenchmarkAblationSharedIndex quantifies §III-B decision 1: all compressed
 // states of a layer share ONE index tensor. Paying the index once costs 4fφ;

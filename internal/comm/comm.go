@@ -22,42 +22,44 @@ import (
 	"time"
 )
 
-// bufPool recycles collective chunk buffers. Buffers are handed from
-// sender to receiver zero-copy; the receiver returns them here after
-// folding the payload in, so steady-state collectives allocate nothing.
-// The pool is shared across the ranks of ONE Fabric (buffers migrate
-// between that fabric's goroutines by design) but scoped to the Fabric,
-// not the process: experiment sweeps create many fabrics with many
-// distinct buffer sizes, and a process-wide pool retained every one of
-// them forever. A fabric's pool dies with the fabric.
+// Pool recycles buffers in power-of-two capacity classes. It backs both
+// halves of a collective's data path: the fabric's float32 chunk buffers,
+// handed from sender to receiver zero-copy and returned here after the
+// receiver folds the payload in, and the TCP transport's wire byte buffers —
+// so steady-state collectives and framing allocate nothing.
 //
-// Buffers live in power-of-two capacity classes and are reused for any
-// request the capacity covers (getBuf reslices), so nearly-equal sizes —
-// ring chunk boundaries differ by one element across ranks — share
-// buffers instead of each pinning their own. Total retained capacity is
-// bounded; Put drops buffers beyond the bound and lets the GC take them.
-type bufPool struct {
-	mu       sync.Mutex
-	byClass  [bufClasses][][]float32
-	retained int64 // total float32 capacity currently pooled
+// A pool is scoped to its owner (one Fabric, one tcp.Transport), not the
+// process: experiment sweeps create many fabrics with many distinct buffer
+// sizes, and a process-wide pool retained every one of them forever. A
+// fabric's pool is shared across that fabric's ranks (buffers migrate
+// between its goroutines by design) and dies with it.
+//
+// Buffers are reused for any request the class capacity covers (Get
+// reslices), so nearly-equal sizes — ring chunk boundaries differ by one
+// element across ranks — share buffers instead of each pinning their own.
+// Total retained capacity is bounded by Max; Put drops buffers beyond the
+// bound and lets the GC take them.
+type Pool[T any] struct {
+	// Max bounds the retained capacity, in elements; set before first use.
+	// An EMPTY class may retain one buffer past the bound — a chunk bigger
+	// than the whole budget must still round-trip through the pool, or
+	// every ring step of a large model would allocate.
+	Max int64
+
+	mu sync.Mutex
+	// Class i holds buffers with cap 2^i; 64 classes cover every
+	// representable capacity (class = ceil-log2, at most 63 for an int).
+	byClass  [64][][]T
+	retained int64 // total element capacity currently pooled
 }
 
-const (
-	// bufClasses covers every representable capacity (class = ceil-log2,
-	// at most 63 for an int length); class i holds buffers with cap in
-	// (2^(i-1), 2^i].
-	bufClasses = 64
-	// maxPoolFloats bounds a fabric pool's retained capacity (4 MiB of
-	// float32s). A G-rank ring collective keeps at most a few chunks in
-	// flight per rank, so steady state sits far below the bound; the bound
-	// only bites when a sweep pushes many distinct large sizes through one
-	// fabric. An EMPTY class may retain one buffer past the bound — a
-	// chunk bigger than the whole budget must still round-trip through
-	// the pool, or every ring step of a large model would allocate.
-	maxPoolFloats = 1 << 20
-)
+// maxPoolFloats bounds a fabric pool's retained capacity (4 MiB of
+// float32s). A G-rank ring collective keeps at most a few chunks in flight
+// per rank, so steady state sits far below the bound; the bound only bites
+// when a sweep pushes many distinct large sizes through one fabric.
+const maxPoolFloats = 1 << 20
 
-// bufClass returns the class index whose buffers can hold n floats:
+// bufClass returns the class index whose buffers can hold n elements:
 // ceil(log2(n)).
 func bufClass(n int) int {
 	if n <= 1 {
@@ -66,7 +68,8 @@ func bufClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-func (p *bufPool) get(n int) []float32 {
+// Get returns a buffer of length n (nil for 0), pooled if its class has one.
+func (p *Pool[T]) Get(n int) []T {
 	if n == 0 {
 		return nil
 	}
@@ -82,11 +85,12 @@ func (p *bufPool) get(n int) []float32 {
 	p.mu.Unlock()
 	// Allocate the full class capacity so the buffer is reusable for every
 	// size in its class.
-	b := make([]float32, 1<<c)
+	b := make([]T, 1<<c)
 	return b[:n]
 }
 
-func (p *bufPool) put(b []float32) {
+// Put returns a buffer obtained from Get.
+func (p *Pool[T]) Put(b []T) {
 	if cap(b) == 0 {
 		return
 	}
@@ -95,7 +99,7 @@ func (p *bufPool) put(b []float32) {
 		return // not class-aligned (foreign buffer): don't pool it
 	}
 	p.mu.Lock()
-	if len(p.byClass[c]) > 0 && p.retained+int64(cap(b)) > maxPoolFloats {
+	if len(p.byClass[c]) > 0 && p.retained+int64(cap(b)) > p.Max {
 		p.mu.Unlock() // over budget and class already served: drop for GC
 		return
 	}
@@ -104,13 +108,24 @@ func (p *bufPool) put(b []float32) {
 	p.mu.Unlock()
 }
 
-// PooledBytes returns the bytes currently retained by the fabric's
-// collective buffer pool (bounded by design; see bufPool).
-func (f *Fabric) PooledBytes() int64 {
-	f.bufs.mu.Lock()
-	defer f.bufs.mu.Unlock()
-	return f.bufs.retained * 4
+// Retained returns the element capacity currently pooled.
+func (p *Pool[T]) Retained() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.retained
 }
+
+// Drain releases every pooled buffer to the GC.
+func (p *Pool[T]) Drain() {
+	p.mu.Lock()
+	p.byClass = [64][][]T{}
+	p.retained = 0
+	p.mu.Unlock()
+}
+
+// PooledBytes returns the bytes currently retained by the fabric's
+// collective buffer pool (bounded by design; see Pool).
+func (f *Fabric) PooledBytes() int64 { return f.bufs.Retained() * 4 }
 
 // Tag classifies data-plane messages so the engine can dispatch them.
 type Tag int
@@ -159,7 +174,7 @@ type Fabric struct {
 	tr     Transport
 	remote bool // any rank not local to this process
 	stats  []Stats
-	bufs   bufPool
+	bufs   Pool[float32]
 
 	// Poison state: one-way, first error wins (fault.go).
 	poisonOnce sync.Once
@@ -199,6 +214,7 @@ func NewFabricOver(tr Transport) *Fabric {
 	}
 	f := &Fabric{n: n,
 		tr:       tr,
+		bufs:     Pool[float32]{Max: maxPoolFloats},
 		stats:    make([]Stats, n),
 		poisonCh: make(chan struct{}),
 	}
@@ -528,7 +544,7 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		sendChunk := (pos - s + g) % g
 		recvChunk := (pos - s - 1 + g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opAllReduce+s, out); err != nil {
 			return err
@@ -542,14 +558,14 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		for i := range in {
 			buf[lo+i] += in[i]
 		}
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	// All-gather: circulate the finished chunks.
 	for s := 0; s < g-1; s++ {
 		sendChunk := (pos + 1 - s + g) % g
 		recvChunk := (pos - s + g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opAllReduce+1000+s, out); err != nil {
 			return err
@@ -561,7 +577,7 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		lo, hi = bounds[recvChunk], bounds[recvChunk+1]
 		rk.f.stats[rk.r].CollElements.Add(int64(hi - lo))
 		copy(buf[lo:hi], in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return nil
 }
@@ -600,10 +616,10 @@ func (rk *Rank) allReduceOrdered(group []int, buf []float32) error {
 			for j := range buf {
 				buf[j] += in[j]
 			}
-			rk.f.bufs.put(in)
+			rk.f.bufs.Put(in)
 		}
 	} else {
-		out := rk.f.bufs.get(len(buf))
+		out := rk.f.bufs.Get(len(buf))
 		copy(out, buf)
 		if err := rk.sendColl(root, opGather+pos, out); err != nil {
 			return err
@@ -643,7 +659,7 @@ func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
 			if i == rootPos {
 				continue
 			}
-			out := rk.f.bufs.get(len(buf))
+			out := rk.f.bufs.Get(len(buf))
 			copy(out, buf)
 			if err := rk.sendColl(g, opBcast+i, out); err != nil {
 				return err
@@ -656,7 +672,7 @@ func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
 		}
 		rk.f.stats[rk.r].CollElements.Add(int64(len(in)))
 		copy(buf, in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return nil
 }
@@ -691,7 +707,7 @@ func (rk *Rank) reduceScatter(group []int, buf []float32) ([]float32, error) {
 		sendChunk := (pos - s - 1 + 2*g) % g
 		recvChunk := (pos - s - 2 + 2*g) % g
 		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.get(hi - lo)
+		out := rk.f.bufs.Get(hi - lo)
 		copy(out, buf[lo:hi])
 		if err := rk.sendColl(next, opRS+s, out); err != nil {
 			return nil, err
@@ -705,7 +721,7 @@ func (rk *Rank) reduceScatter(group []int, buf []float32) ([]float32, error) {
 		for i := range in {
 			buf[lo+i] += in[i]
 		}
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	own := pos
 	lo, hi := bounds[own], bounds[own+1]
@@ -742,7 +758,7 @@ func (rk *Rank) allGather(group []int, chunk []float32, total int) ([]float32, e
 	cur := pos
 	for s := 0; s < g-1; s++ {
 		clo, chi := bounds[cur], bounds[cur+1]
-		out := rk.f.bufs.get(chi - clo)
+		out := rk.f.bufs.Get(chi - clo)
 		copy(out, full[clo:chi])
 		if err := rk.sendColl(next, opAG+s, out); err != nil {
 			return nil, err
@@ -755,7 +771,7 @@ func (rk *Rank) allGather(group []int, chunk []float32, total int) ([]float32, e
 		clo, chi = bounds[cur], bounds[cur+1]
 		rk.f.stats[rk.r].CollElements.Add(int64(chi - clo))
 		copy(full[clo:chi], in)
-		rk.f.bufs.put(in)
+		rk.f.bufs.Put(in)
 	}
 	return full, nil
 }

@@ -338,25 +338,41 @@ func TestBufferPoolBoundedAcrossFabrics(t *testing.T) {
 }
 
 func TestBufferPoolCapacityReuse(t *testing.T) {
+	// One pool type, two instantiations: the fabric's float pool and the
+	// TCP transport's wire byte pool, each with its own bound.
+	t.Run("float32", func(t *testing.T) { testPoolCapacityReuse[float32](t, maxPoolFloats) })
+	t.Run("byte", func(t *testing.T) { testPoolCapacityReuse[byte](t, 8<<20) })
+}
+
+func testPoolCapacityReuse[T any](t *testing.T, max int64) {
 	// Nearly-equal sizes must share buffers (power-of-two classes), not
 	// each pin their own: after cycling sizes 1000..1007 the pool holds at
 	// most one 1024-class buffer, where the old exact-size map kept eight.
-	var p bufPool
+	p := Pool[T]{Max: max}
 	for sz := 1000; sz < 1008; sz++ {
-		b := p.get(sz)
+		b := p.Get(sz)
 		if len(b) != sz {
-			t.Fatalf("get(%d) returned len %d", sz, len(b))
+			t.Fatalf("Get(%d) returned len %d", sz, len(b))
 		}
-		p.put(b)
+		p.Put(b)
 	}
-	if p.retained != 1024 {
-		t.Fatalf("pool retains %d floats after same-class cycling, want 1024", p.retained)
+	if p.Retained() != 1024 {
+		t.Fatalf("pool retains %d elements after same-class cycling, want 1024", p.Retained())
 	}
 	// And the retained buffer satisfies any size in its class without
 	// allocating a new one.
-	b := p.get(1024)
-	if p.retained != 0 {
-		t.Fatalf("pool retains %d floats after get, want 0", p.retained)
+	b := p.Get(1024)
+	if p.Retained() != 0 {
+		t.Fatalf("pool retains %d elements after Get, want 0", p.Retained())
 	}
-	p.put(b)
+	p.Put(b)
+	// The bound is per instance: a second buffer of a served class is
+	// dropped once it would exceed Max, while an EMPTY class may retain one
+	// buffer past it (a chunk bigger than the budget must still recycle).
+	p.Max = 1024
+	p.Put(make([]T, 1024))
+	p.Put(make([]T, 4096))
+	if p.Retained() != 1024+4096 {
+		t.Fatalf("pool retains %d elements, want %d", p.Retained(), 1024+4096)
+	}
 }

@@ -146,11 +146,11 @@ func (f *Fabric) Done() <-chan struct{} { return f.poisonCh }
 // capacity-class pool — wire transports decode incoming collective
 // payloads into it, and the receiving collective returns it via the same
 // pool, so steady-state receives recycle rather than allocate.
-func (f *Fabric) WireBuf(n int) []float32 { return f.bufs.get(n) }
+func (f *Fabric) WireBuf(n int) []float32 { return f.bufs.Get(n) }
 
 // RecycleWireBuf returns a pooled buffer after a wire transport has
 // serialized it (the remote-send analogue of the receiver's fold-and-put).
-func (f *Fabric) RecycleWireBuf(b []float32) { f.bufs.put(b) }
+func (f *Fabric) RecycleWireBuf(b []float32) { f.bufs.Put(b) }
 
 // Deadline returns the configured blocking-receive deadline (0 = off).
 // Wire transports mirror it onto socket write deadlines so a peer that

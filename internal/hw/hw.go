@@ -1,7 +1,7 @@
 // Package hw models the hardware of the paper's testbed — ORNL Summit — and
 // the GPU kernel timings the evaluation depends on. Nothing here executes on
-// a GPU; these are calibrated analytical models (see DESIGN.md's
-// substitution table). Two kinds of numbers matter:
+// a GPU; these are calibrated analytical models. Two kinds of numbers
+// matter:
 //
 //   - machine constants, taken directly from §V: 6 NVIDIA V100s per node,
 //     50 GB/s NVLink within a node, 12.5 GB/s between nodes, 125 Tflop/s

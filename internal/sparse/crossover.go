@@ -2,11 +2,11 @@ package sparse
 
 import (
 	"fmt"
-	"math/bits"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/sparse-dl/samo/internal/autotune"
 )
 
 // Sparse/dense execution crossover. The sparsity literature's consistent
@@ -14,18 +14,31 @@ import (
 // beat dense ones only above a density-dependent threshold: below it, the
 // dense kernel's register blocking and contiguous streaming outweigh the
 // flop savings. Which side of the threshold a layer sits on depends on the
-// machine, the product shape AND the pattern density, so — following the
-// GEMM autotuner in internal/tensor/autotune.go — the decision is probed at
-// runtime per (shape bucket, density band) and frozen.
+// machine, the product shape AND the pattern density, so the decision is
+// probed at runtime per (op, shape bucket, density band) and frozen — by
+// internal/autotune, the machine this file shares with the GEMM blocking
+// tuner in internal/tensor. What stays here is crossover-specific: the two
+// choices, the bucket key with its density band, the forced modes and the
+// on-disk record.
 //
 // Unlike the GEMM candidates, the two execution paths are NOT bitwise
-// identical (they sum different terms in different orders), so a frozen
-// bucket never re-probes: flipping the winner mid-training would perturb
-// results. The probe phase itself is a deterministic alternation (choice by
-// call count, not timing), so two runs diverge only after their freezes —
-// and per-path results remain bitwise-identical at every worker count.
-// Runs that need a machine-independent path can pin one with SetXover
-// ("sparse"/"dense") or the SAMO_SPARSE_XOVER environment variable.
+// identical (they sum different terms in different orders), so this table
+// is built with reprobe period 0: a frozen bucket never re-probes, because
+// flipping the winner mid-training would perturb results. The probe phase
+// itself is a deterministic alternation (choice by call count, not timing),
+// so two runs diverge only after their freezes — and per-path results remain
+// bitwise-identical at every worker count.
+//
+// Frozen decisions persist to the file SAMO_SPARSE_XOVER_TABLE names
+// ("off" disables; default sparse_xover.json next to gemm_tune.json), because
+// a serving process is the worst-hit consumer of a cold table: every probe
+// run on the losing path is a full-latency request. Pre-seeding decisions
+// changes numerics relative to a cold run that would have frozen
+// differently; that is the point — persistence extends the never-re-probe
+// stability across processes, so a trained-then-served model keeps the
+// training run's execution paths. Runs that need a machine-independent path
+// pin one with SetXover ("sparse"/"dense") or the SAMO_SPARSE_XOVER
+// environment variable, which bypasses the table entirely.
 
 // XoverChoice is one execution path of a sparse-or-dense product.
 type XoverChoice uint8
@@ -43,10 +56,6 @@ func (c XoverChoice) String() string {
 	}
 	return "sparse"
 }
-
-// xoverProbeRuns is how many timed samples each path gets before a bucket
-// freezes; minima are compared, as in the GEMM tuner (noise only adds).
-const xoverProbeRuns = 3
 
 // XoverOp identifies which product of a sparse layer a decision is for.
 // Forward and input-gradient products tune in separate buckets even at
@@ -72,88 +81,71 @@ type xoverKey struct {
 	mb, kb, nb, db uint8
 }
 
-func xoverLog2(n int) uint8 {
-	if n <= 1 {
-		return 0
-	}
-	return uint8(bits.Len(uint(n - 1)))
-}
-
 // densityBand returns ceil(log2(full/nnz)) clamped to a byte: band 0 is
 // fully dense, each further band halves the density.
 func densityBand(nnz, full int) uint8 {
 	if nnz <= 0 || full <= nnz {
 		return 0
 	}
-	return xoverLog2((full + nnz - 1) / nnz)
+	return autotune.Log2Bucket((full + nnz - 1) / nnz)
 }
 
-// XoverEntry is one bucket's probe state. chosen is -1 while probing and
-// the winning XoverChoice afterwards; steady-state reads are one atomic
-// load.
-type XoverEntry struct {
-	chosen atomic.Int32
-
-	mu   sync.Mutex
-	best [2]float64 // min ns per unit of work per path
-	recs [2]int
-	runs [2]int
-}
+// XoverEntry is one bucket's probe state: an autotune.Entry whose candidate
+// indices are XoverChoices.
+type XoverEntry autotune.Entry
 
 // Decided returns the frozen choice, or (_, false) while probing.
 func (e *XoverEntry) Decided() (XoverChoice, bool) {
-	if c := e.chosen.Load(); c >= 0 {
+	if c := (*autotune.Entry)(e).Chosen(); c >= 0 {
 		return XoverChoice(c), true
 	}
 	return XoverSparse, false
 }
 
-// nextProbe picks the least-probed path — a deterministic alternation.
-func (e *XoverEntry) nextProbe() XoverChoice {
-	e.mu.Lock()
-	c := XoverSparse
-	if e.runs[XoverDense] < e.runs[XoverSparse] {
-		c = XoverDense
-	}
-	e.runs[c]++
-	e.mu.Unlock()
-	return c
-}
-
 // Record stores one probe timing, normalized by the product's nominal work
-// (the dense-equivalent m·k·n — both paths must share a unit, and a log2
-// bucket spans shapes differing ~8x in it), and freezes the winner once
-// both paths have xoverProbeRuns samples.
+// (the dense-equivalent m·k·n — both paths must share a unit), and freezes
+// the winner once both paths have autotune.ProbeRuns samples.
 func (e *XoverEntry) Record(c XoverChoice, d time.Duration, work int) {
-	if d < 1 {
-		d = 1
-	}
-	if work < 1 {
-		work = 1
-	}
-	v := float64(d) / float64(work)
-	e.mu.Lock()
-	if e.recs[c] == 0 || v < e.best[c] {
-		e.best[c] = v
-	}
-	e.recs[c]++
-	if e.chosen.Load() < 0 && e.recs[XoverSparse] >= xoverProbeRuns && e.recs[XoverDense] >= xoverProbeRuns {
-		win := XoverSparse
-		if e.best[XoverDense] < e.best[XoverSparse] {
-			win = XoverDense
-		}
-		e.chosen.Store(int32(win))
-		// A freeze in this process is the one event worth persisting;
-		// disk-loaded entries arrive already frozen and never reach here.
-		xoverDirty.Store(true)
-		scheduleXoverSave()
-	}
-	e.mu.Unlock()
+	(*autotune.Entry)(e).Record(int(c), d, work)
 }
 
-var xoverTable struct {
-	mu sync.RWMutex
-	m  map[xoverKey]*XoverEntry
+// xoverRecord is the persisted form of one decided bucket.
+type xoverRecord struct {
+	Op     uint8  `json:"op"`
+	MB     uint8  `json:"mb"`
+	KB     uint8  `json:"kb"`
+	NB     uint8  `json:"nb"`
+	DB     uint8  `json:"db"`
+	Choice string `json:"choice"` // "sparse" or "dense"
+}
+
+var xoverTable = autotune.New(autotune.Spec[xoverKey, xoverRecord]{
+	Env:  "SAMO_SPARSE_XOVER_TABLE",
+	File: "sparse_xover.json",
+	Description: "SAMO sparse/dense crossover decisions, keyed by (op, ceil-log2 shape, density band). " +
+		"Machine-specific; regenerate after hardware changes.",
+	Cands:        func(xoverKey) int { return 2 },
+	ReprobeEvery: 0,
+	Encode: func(k xoverKey, chosen int) xoverRecord {
+		return xoverRecord{Op: uint8(k.op), MB: k.mb, KB: k.kb, NB: k.nb, DB: k.db,
+			Choice: XoverChoice(chosen).String()}
+	},
+	// Records with an op or choice this build does not know are skipped.
+	Decode: func(r xoverRecord) (xoverKey, int, bool) {
+		c, ok := parseXoverChoice(r.Choice)
+		return xoverKey{XoverOp(r.Op), r.MB, r.KB, r.NB, r.DB}, int(c), ok && XoverOp(r.Op) <= XoverOpBackward
+	},
+})
+
+// parseXoverChoice is String's inverse: the one spelling of a path shared by
+// SetXover modes, SAMO_SPARSE_XOVER and persisted records.
+func parseXoverChoice(s string) (XoverChoice, bool) {
+	for _, c := range []XoverChoice{XoverSparse, XoverDense} {
+		if s == c.String() {
+			return c, true
+		}
+	}
+	return 0, false
 }
 
 // xoverForce: -1 probes per bucket (auto); otherwise every decision returns
@@ -161,12 +153,10 @@ var xoverTable struct {
 var xoverForce atomic.Int32
 
 func init() {
+	xoverTable.Startup()
 	xoverForce.Store(-1)
-	switch os.Getenv("SAMO_SPARSE_XOVER") {
-	case "sparse":
-		xoverForce.Store(int32(XoverSparse))
-	case "dense":
-		xoverForce.Store(int32(XoverDense))
+	if c, ok := parseXoverChoice(os.Getenv("SAMO_SPARSE_XOVER")); ok {
+		xoverForce.Store(int32(c))
 	}
 }
 
@@ -175,36 +165,34 @@ func init() {
 // tests and benchmarks can scope the override. SAMO_SPARSE_XOVER sets the
 // initial mode.
 func SetXover(mode string) (prev string, err error) {
-	switch p := xoverForce.Load(); {
-	case p == int32(XoverSparse):
-		prev = "sparse"
-	case p == int32(XoverDense):
-		prev = "dense"
-	default:
-		prev = "auto"
+	prev = "auto"
+	if p := xoverForce.Load(); p >= 0 {
+		prev = XoverChoice(p).String()
 	}
-	switch mode {
-	case "auto":
+	if c, ok := parseXoverChoice(mode); ok {
+		xoverForce.Store(int32(c))
+	} else if mode == "auto" {
 		xoverForce.Store(-1)
-	case "sparse":
-		xoverForce.Store(int32(XoverSparse))
-	case "dense":
-		xoverForce.Store(int32(XoverDense))
-	default:
+	} else {
 		return prev, fmt.Errorf("sparse: SetXover(%q): want auto, sparse or dense", mode)
 	}
 	return prev, nil
 }
 
-// ResetXover clears all frozen decisions (tests and benchmarks re-probing)
-// and drops any pending persistence — decisions that no longer exist must
-// not be flushed over the on-disk table.
-func ResetXover() {
-	xoverTable.mu.Lock()
-	xoverTable.m = nil
-	xoverTable.mu.Unlock()
-	xoverDirty.Store(false)
-}
+// ResetXover clears all frozen decisions (tests and benchmarks re-probing).
+func ResetXover() { xoverTable.Reset() }
+
+// SaveXoverTable writes every decided bucket to path as JSON.
+func SaveXoverTable(path string) error { return xoverTable.Save(path) }
+
+// LoadXoverTable pre-seeds the crossover from a file written by
+// SaveXoverTable: matching buckets skip the probe phase and are frozen to
+// the recorded winner.
+func LoadXoverTable(path string) error { return xoverTable.Load(path) }
+
+// FlushXoverTable synchronously persists decisions frozen in this process —
+// the cmds' exit-path companion to tensor.FlushTuneTable.
+func FlushXoverTable() error { return xoverTable.Flush() }
 
 // XoverDecide resolves the execution path for one sparse-vs-dense product
 // of shape (m,k,n) whose sparse operand stores nnz of full elements. It
@@ -219,24 +207,8 @@ func XoverDecide(op XoverOp, m, k, n, nnz, full int) (e *XoverEntry, c XoverChoi
 	if nnz <= 0 {
 		return nil, XoverSparse, false
 	}
-	key := xoverKey{op, xoverLog2(m), xoverLog2(k), xoverLog2(n), densityBand(nnz, full)}
-	xoverTable.mu.RLock()
-	e = xoverTable.m[key]
-	xoverTable.mu.RUnlock()
-	if e == nil {
-		xoverTable.mu.Lock()
-		if e = xoverTable.m[key]; e == nil {
-			if xoverTable.m == nil {
-				xoverTable.m = make(map[xoverKey]*XoverEntry)
-			}
-			e = &XoverEntry{}
-			e.chosen.Store(-1)
-			xoverTable.m[key] = e
-		}
-		xoverTable.mu.Unlock()
-	}
-	if c, ok := e.Decided(); ok {
-		return e, c, false
-	}
-	return e, e.nextProbe(), true
+	b := autotune.Log2Bucket
+	ae := xoverTable.For(xoverKey{op, b(m), b(k), b(n), densityBand(nnz, full)})
+	idx, probe := ae.Next()
+	return (*XoverEntry)(ae), XoverChoice(idx), probe
 }

@@ -3,6 +3,8 @@ package sparse
 import (
 	"testing"
 	"time"
+
+	"github.com/sparse-dl/samo/internal/autotune"
 )
 
 // TestDensityBands pins the band layout the crossover keys on: the
@@ -43,7 +45,7 @@ func TestXoverProbeAndFreeze(t *testing.T) {
 	}
 	var first *XoverEntry
 	counts := map[XoverChoice]int{}
-	for i := 0; i < 2*xoverProbeRuns; i++ {
+	for i := 0; i < 2*autotune.ProbeRuns; i++ {
 		e, c, probe := XoverDecide(XoverOpForward, 64, 128, 128, 1638, 128*128)
 		if !probe {
 			t.Fatalf("call %d: expected a probe while undecided", i)
@@ -61,7 +63,7 @@ func TestXoverProbeAndFreeze(t *testing.T) {
 		}
 		e.Record(c, d, 64*128*128)
 	}
-	if counts[XoverSparse] != xoverProbeRuns || counts[XoverDense] != xoverProbeRuns {
+	if counts[XoverSparse] != autotune.ProbeRuns || counts[XoverDense] != autotune.ProbeRuns {
 		t.Fatalf("probe alternation uneven: %v", counts)
 	}
 	if c, ok := first.Decided(); !ok || c != XoverSparse {

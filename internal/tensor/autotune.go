@@ -1,40 +1,23 @@
 package tensor
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"math/bits"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "github.com/sparse-dl/samo/internal/autotune"
 
 // GEMM autotuner: a per-shape table of blocking parameters for the shared-
-// pack v2 kernel. Buckets are keyed by (op variant, ceil-log2(m, k, n)):
-// the forward product and the two transposed backward products (MatMulT,
-// TMatMul) tune independently, because their packing costs differ even at
-// identical shapes. Training reuses the same handful of GEMM shapes every
-// microbatch, so the table stays tiny and every steady-state lookup is a
-// read-locked map hit with no allocation. The first few calls on a new
-// bucket each time one candidate blocking (the probe does the real
-// multiplication, so no work is wasted); once every candidate has enough
-// samples the winner is frozen into the entry and all later calls take it
-// branch-free.
+// pack v2 kernel, one of the two clients of internal/autotune (which owns
+// the probe → freeze → persist machine; the sparse/dense crossover in
+// internal/sparse is the other). This file keeps what is GEMM-specific: the
+// candidate blockings, the bucket key and the on-disk record. Buckets are
+// keyed by (op variant, ceil-log2(m, k, n)): the forward product and the
+// two transposed backward products (MatMulT, TMatMul) tune independently,
+// because their packing costs differ even at identical shapes. Training
+// reuses the same handful of GEMM shapes every microbatch, so the table
+// stays tiny.
 //
-// Decisions persist by default: whenever a bucket first freezes, a
-// background goroutine writes the table to TunePath() — SAMO_GEMM_TUNE if
-// set, else <user cache dir>/samo/gemm_tune.json — and init pre-loads that
-// file, so later processes skip the probe phase for every bucket a
-// long-enough earlier run managed to save (best-effort: a process exiting
-// within the save's short coalescing window loses that write and simply
-// re-probes next time). SAMO_GEMM_TUNE=off disables persistence;
-// SaveTuneTable and LoadTuneTable remain for explicit control. Loading a
-// stale or foreign table is always safe: every candidate is
-// bitwise-identical, so the worst case is a suboptimal blocking until
-// drift probes correct it.
+// Decisions persist to TunePath() — SAMO_GEMM_TUNE if set ("off" disables),
+// else <user cache dir>/samo/gemm_tune.json. Loading a stale or foreign
+// table is always safe: every candidate is bitwise-identical, so the worst
+// case is a suboptimal blocking until drift probes correct it — which is
+// also why this table, unlike the crossover's, may re-probe after freezing.
 
 // tuneCand is one candidate blocking: pack=true runs the BLIS-style shared
 // panel pipeline with kc×nc packed panels; pack=false runs the direct-B
@@ -85,10 +68,6 @@ var tuneCandsT = [...]tuneCand{
 	{kc: 512, nc: 256, pack: true, strip: true},
 }
 
-// maxTuneCands sizes the per-entry probe-state arrays to the largest
-// candidate set across variants.
-const maxTuneCands = max(len(tuneCands), len(tuneCandsT))
-
 // tuneCandsFor returns the candidate set a variant probes.
 func tuneCandsFor(v gemmVariant) []tuneCand {
 	if v == gemmNN {
@@ -96,12 +75,6 @@ func tuneCandsFor(v gemmVariant) []tuneCand {
 	}
 	return tuneCandsT[:]
 }
-
-// tuneProbeRuns is how many timed samples each candidate gets before the
-// entry decides. The minimum over samples is compared (minimum, not mean:
-// scheduling noise only ever adds time); three samples make a noise burst
-// have to hit the same candidate three times to bias the choice.
-const tuneProbeRuns = 3
 
 // tuneKey buckets a GEMM dispatch by op variant and ceil(log2) of each
 // dimension: shapes within a power of two share blocking, which keeps the
@@ -114,163 +87,15 @@ type tuneKey struct {
 	mb, kb, nb uint8
 }
 
-func log2Bucket(n int) uint8 {
-	if n <= 1 {
-		return 0
-	}
-	return uint8(bits.Len(uint(n - 1)))
-}
-
-func makeTuneKey(v gemmVariant, m, k, n int) tuneKey {
-	return tuneKey{uint8(v), log2Bucket(m), log2Bucket(k), log2Bucket(n)}
-}
-
-// tuneEntry is the per-bucket probe state. chosen is -1 while probing and
-// the winning candidate index afterwards; reads are a single atomic load.
-//
-// Freezing is not final: probe timings are wall-clock around parallel.Run,
-// whose helping-wait can execute other goroutines' queued chunks inside
-// the timed region, so under concurrent training (many ranks probing the
-// same buckets at startup) every initial sample of a candidate can be
-// contaminated and a slower blocking frozen. Every tuneReprobeEvery-th
-// call on a decided bucket therefore re-times one candidate round-robin;
-// minima only improve, so one clean sample of the truly fastest candidate
-// eventually corrects the choice. Switching is always safe: every
-// candidate produces bitwise-identical output.
-type tuneEntry struct {
-	chosen atomic.Int32
-	calls  atomic.Int64 // post-freeze call counter driving re-probes
-
-	// cands is the variant's candidate set (tuneCandsFor), fixed at entry
-	// creation; chosen and the probe state below index into it.
-	cands []tuneCand
-
-	mu   sync.Mutex
-	best [maxTuneCands]float64 // min ns per flop over recorded samples
-	recs [maxTuneCands]int     // samples recorded (freeze gate)
-	runs [maxTuneCands]int     // probes handed out (round-robin gate)
-}
-
 // tuneReprobeEvery is the period of post-freeze drift probes (one timed
-// call in 512 keeps the correction overhead unmeasurable).
+// call in 512 keeps the correction overhead unmeasurable). Switching is
+// always safe here: every candidate produces bitwise-identical output.
 const tuneReprobeEvery = 512
-
-// nextProbe picks the least-sampled candidate for the next timed call.
-func (e *tuneEntry) nextProbe() int {
-	e.mu.Lock()
-	idx := 0
-	for i := 1; i < len(e.cands); i++ {
-		if e.runs[i] < e.runs[idx] {
-			idx = i
-		}
-	}
-	e.runs[idx]++
-	e.mu.Unlock()
-	return idx
-}
-
-// record stores a probe timing for a call of `work` = m·k·n flops-ish and
-// freezes the winner once every candidate has tuneProbeRuns samples.
-// Timings are compared per unit of work, not raw: a log2 bucket spans up
-// to 2x per dimension, so two shapes in one bucket can differ ~8x in work
-// and a raw-duration comparison would crown whichever candidate happened
-// to be timed on the smallest shape.
-func (e *tuneEntry) record(idx int, d time.Duration, work int) {
-	if d < 1 {
-		d = 1 // coarse clocks can report 0 on tiny shapes; 0 must still count as a sample
-	}
-	if work < 1 {
-		work = 1
-	}
-	v := float64(d) / float64(work)
-	e.mu.Lock()
-	if e.recs[idx] == 0 || v < e.best[idx] {
-		e.best[idx] = v
-	}
-	e.recs[idx]++
-	done := true
-	for i := range e.cands {
-		if e.recs[i] < tuneProbeRuns {
-			done = false
-			break
-		}
-	}
-	if done {
-		// (Re-)evaluate the winner: the initial freeze, and any later
-		// drift probe whose cleaner sample moved a minimum.
-		win := 0
-		for i := 1; i < len(e.cands); i++ {
-			if e.best[i] < e.best[win] {
-				win = i
-			}
-		}
-		// The initial freeze marks the table dirty for the background
-		// saver. Later drift-probe corrections update the in-process
-		// choice but are deliberately NOT persisted: a winner flip can
-		// happen at any point of a training run, and waking the saver
-		// then would put filesystem work (and its allocations) inside
-		// the steady state the zero-alloc contracts pin. The corrected
-		// choice is bitwise-identical anyway; the next process simply
-		// starts from the previously saved winner.
-		if e.chosen.Swap(int32(win)) == -1 {
-			tuneDirty.Store(true)
-			scheduleTuneSave()
-		}
-	}
-	e.mu.Unlock()
-}
-
-var tuneTable struct {
-	mu sync.RWMutex
-	m  map[tuneKey]*tuneEntry
-}
-
-// tuneDirty is set whenever a bucket freezes in THIS process — i.e. the
-// in-memory table holds a decision the file may lack. Buckets pre-seeded
-// from disk do not set it, so a process that probed nothing new never
-// rewrites the file (FlushTuneTable would otherwise rename its possibly
-// stale startup copy over decisions a concurrent process just saved).
-var tuneDirty atomic.Bool
-
-// tuneFor returns the (existing or new) entry for a (variant, shape)
-// bucket. The fast path is a read-locked map hit — no allocation, no
-// contention in steady state.
-func tuneFor(v gemmVariant, m, k, n int) *tuneEntry {
-	key := makeTuneKey(v, m, k, n)
-	tuneTable.mu.RLock()
-	e := tuneTable.m[key]
-	tuneTable.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	tuneTable.mu.Lock()
-	if e = tuneTable.m[key]; e == nil {
-		if tuneTable.m == nil {
-			tuneTable.m = make(map[tuneKey]*tuneEntry)
-		}
-		e = &tuneEntry{cands: tuneCandsFor(v)}
-		e.chosen.Store(-1)
-		tuneTable.m[key] = e
-	}
-	tuneTable.mu.Unlock()
-	return e
-}
-
-// ResetTuneTable clears all autotuning decisions (tests, and benchmarks
-// that want to re-probe on a new machine), including the dirty flag — the
-// discarded decisions are no longer worth flushing.
-func ResetTuneTable() {
-	tuneTable.mu.Lock()
-	tuneTable.m = nil
-	tuneDirty.Store(false)
-	tuneTable.mu.Unlock()
-}
 
 // tuneRecord is the persisted form of one decided bucket. V is the GEMM
 // variant (0 forward, 1 MatMulT, 2 TMatMul); it is omitted when zero, so
 // tables written before the variant key existed load unchanged as
-// forward-product entries, and records with a variant this build does not
-// know are skipped on load.
+// forward-product entries.
 type tuneRecord struct {
 	V     uint8 `json:"variant,omitempty"`
 	MB    uint8 `json:"mb"`
@@ -283,239 +108,59 @@ type tuneRecord struct {
 	MC    int   `json:"mc,omitempty"`
 }
 
-type tuneFile struct {
-	Description string       `json:"description"`
-	Entries     []tuneRecord `json:"entries"`
-}
-
-// SaveTuneTable writes every decided bucket to path as JSON (written to a
-// temp file and renamed, so concurrent readers never observe a partial
-// table). Undecided buckets (still probing) are skipped.
-func SaveTuneTable(path string) error {
-	var f tuneFile
-	f.Description = "SAMO GEMM autotuner decisions, keyed by ceil(log2) shape buckets. " +
-		"Machine-specific; regenerate after hardware changes."
-	tuneTable.mu.RLock()
-	for k, e := range tuneTable.m {
-		idx := e.chosen.Load()
-		if idx < 0 {
-			continue
-		}
-		c := e.cands[idx]
-		f.Entries = append(f.Entries, tuneRecord{
-			V: k.v, MB: k.mb, KB: k.kb, NB: k.nb,
-			KC: c.kc, NC: c.nc, Pack: c.pack, Strip: c.strip, MC: c.mc})
-	}
-	tuneTable.mu.RUnlock()
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	// Unique temp name: the debounced background saver and a synchronous
-	// FlushTuneTable can run concurrently, and two writers interleaving on
-	// one shared temp file could rename a corrupt table into place.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".gemm_tune-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// TunePath resolves where autotuner decisions persist: the file named by
-// SAMO_GEMM_TUNE if set ("off" disables persistence entirely and returns
-// ""), else gemm_tune.json under a samo directory in the user cache dir.
-// Resolved on every call so tests can redirect it with a scoped setenv.
-func TunePath() string {
-	switch p := os.Getenv("SAMO_GEMM_TUNE"); p {
-	case "off":
-		return ""
-	case "":
-		dir, err := os.UserCacheDir()
-		if err != nil {
-			return ""
-		}
-		return filepath.Join(dir, "samo", "gemm_tune.json")
-	default:
-		return p
-	}
-}
-
-// tuneSave is the background persistence machinery: record() marks the
-// table dirty whenever a bucket's winner changes, and a single lazily
-// started saver goroutine debounces the startup freeze burst into one
-// atomic write of TunePath(). Callers never allocate (a channel send on a
-// buffered channel), which keeps the drift-probe path inside the training
-// steps' zero-allocation contract. Persistence is best-effort: a save that
-// loses the process race, fails to write, or is cut off by process exit
-// inside the coalescing window (Go has no exit hook) just means the next
-// run re-probes the affected buckets.
-var tuneSave struct {
-	once sync.Once
-	kick chan struct{}
-}
-
-func scheduleTuneSave() {
-	// With persistence disabled (SAMO_GEMM_TUNE=off) the freeze path stays
-	// completely inert — no saver goroutine, no channel — so tests pinning
-	// process-wide allocation counts can opt out hermetically.
-	if TunePath() == "" {
-		return
-	}
-	tuneSave.once.Do(func() {
-		tuneSave.kick = make(chan struct{}, 1)
-		go tuneSaverLoop()
-	})
-	select {
-	case tuneSave.kick <- struct{}{}:
-	default:
-	}
-}
-
-func tuneSaverLoop() {
-	for range tuneSave.kick {
-		// Brief coalescing window: at startup several hot buckets freeze
-		// within a few steps of each other and one write covers them. Kept
-		// short because the process gives no exit hook — a run that ends
-		// inside this window loses the save (see the best-effort caveat on
-		// tuneSave); later freezes re-kick and rewrite, so long-lived
-		// trainers always persist their full table.
-		time.Sleep(20 * time.Millisecond)
-		select {
-		case <-tuneSave.kick:
-		default:
-		}
-		path := TunePath()
-		if path == "" {
-			continue
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			continue
-		}
-		_ = SaveTuneTable(path)
-	}
-}
-
-// LoadTuneTable pre-seeds the autotuner from a file written by
-// SaveTuneTable: matching buckets skip the probe phase. Records whose
-// blocking is not among the current candidates are ignored (the candidate
-// set may have changed between versions).
-func LoadTuneTable(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var f tuneFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("tensor: tune table %s: %w: %w", path, errTuneTableParse, err)
-	}
-	tuneTable.mu.Lock()
-	if tuneTable.m == nil {
-		tuneTable.m = make(map[tuneKey]*tuneEntry)
-	}
-	for _, r := range f.Entries {
+var tuneTable = autotune.New(autotune.Spec[tuneKey, tuneRecord]{
+	Env:  "SAMO_GEMM_TUNE",
+	File: "gemm_tune.json",
+	Description: "SAMO GEMM autotuner decisions, keyed by ceil(log2) shape buckets. " +
+		"Machine-specific; regenerate after hardware changes.",
+	Cands:        func(k tuneKey) int { return len(tuneCandsFor(gemmVariant(k.v))) },
+	ReprobeEvery: tuneReprobeEvery,
+	Encode: func(k tuneKey, chosen int) tuneRecord {
+		c := tuneCandsFor(gemmVariant(k.v))[chosen]
+		return tuneRecord{V: k.v, MB: k.mb, KB: k.kb, NB: k.nb,
+			KC: c.kc, NC: c.nc, Pack: c.pack, Strip: c.strip, MC: c.mc}
+	},
+	// A record resolves against the CURRENT candidate set: one written by a
+	// build with variants this one lacks, or whose blocking is no longer a
+	// candidate, is skipped (the set may change between versions).
+	Decode: func(r tuneRecord) (tuneKey, int, bool) {
+		k := tuneKey{r.V, r.MB, r.KB, r.NB}
 		if gemmVariant(r.V) >= gemmVariants {
-			continue // written by a build with variants this one lacks
+			return k, 0, false
 		}
-		cands := tuneCandsFor(gemmVariant(r.V))
-		for i, c := range cands {
-			if c.kc == r.KC && c.nc == r.NC && c.pack == r.Pack &&
-				c.strip == r.Strip && c.mc == r.MC {
-				e := &tuneEntry{cands: cands}
-				e.chosen.Store(int32(i))
-				tuneTable.m[tuneKey{r.V, r.MB, r.KB, r.NB}] = e
-				break
+		for i, c := range tuneCandsFor(gemmVariant(r.V)) {
+			if c == (tuneCand{kc: r.KC, nc: r.NC, pack: r.Pack, strip: r.Strip, mc: r.MC}) {
+				return k, i, true
 			}
 		}
-	}
-	tuneTable.mu.Unlock()
-	return nil
+		return k, 0, false
+	},
+})
+
+func init() { tuneTable.Startup() }
+
+// tuneFor returns the probe state of a (variant, shape) bucket.
+func tuneFor(v gemmVariant, m, k, n int) *autotune.Entry {
+	b := autotune.Log2Bucket
+	return tuneTable.For(tuneKey{uint8(v), b(m), b(k), b(n)})
 }
 
-// FlushTuneTable synchronously persists the current autotuner decisions to
-// TunePath(), creating the directory as needed. The debounced background
-// saver (scheduleTuneSave) coalesces the startup freeze burst but gives no
-// guarantee for short-lived processes — Go has no exit hook, so a process
-// that exits inside the coalescing window loses every freeze it made. The
-// cmds therefore call this from their run() exits. It is a no-op (nil)
-// when persistence is disabled or when this process has frozen nothing new
-// since startup (tuneDirty): a table holding only disk-loaded decisions
-// must not be renamed over the file — it may be a stale copy of decisions
-// a concurrent process has since extended — and an undecided table must
-// not clobber a previous run's save when the init pre-load failed.
-func FlushTuneTable() error {
-	path := TunePath()
-	if path == "" {
-		return nil
-	}
-	if !tuneDirty.Swap(false) {
-		return nil
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		tuneDirty.Store(true) // still unsaved; a later flush should retry
-		return err
-	}
-	if err := SaveTuneTable(path); err != nil {
-		tuneDirty.Store(true)
-		return err
-	}
-	return nil
-}
+// ResetTuneTable clears all autotuning decisions (tests, and benchmarks
+// that want to re-probe on a new machine).
+func ResetTuneTable() { tuneTable.Reset() }
 
-// errTuneTableParse marks a tune table that exists but does not parse —
-// the one load failure worth quarantining at startup (I/O errors are
-// transient and the file may be fine on the next run).
-var errTuneTableParse = errors.New("unparseable tune table")
+// TunePath resolves where autotuner decisions persist ("" when
+// SAMO_GEMM_TUNE=off).
+func TunePath() string { return tuneTable.Path() }
 
-// startupLoadTuneTable is the init-time pre-load with graceful degradation:
-// a corrupt table is quarantined (renamed to <path>.corrupt) so a damaged
-// cache is moved out of the way once and can never wedge startup again —
-// the probe phase rebuilds the table and the next save rewrites the file.
-// A missing file just re-probes (first run on a machine); other errors are
-// reported only when the operator pointed SAMO_GEMM_TUNE at the file,
-// because silently re-probing is exactly what the variable was set to
-// avoid. Returns the warning to log, or "" when there is nothing to say.
-func startupLoadTuneTable(path string, explicit bool) string {
-	err := LoadTuneTable(path)
-	switch {
-	case err == nil || os.IsNotExist(err):
-		return ""
-	case errors.Is(err, errTuneTableParse):
-		quarantine := path + ".corrupt"
-		if rerr := os.Rename(path, quarantine); rerr != nil {
-			return fmt.Sprintf("tensor: ignoring corrupt tune table (quarantine failed: %v): %v", rerr, err)
-		}
-		return fmt.Sprintf("tensor: quarantined corrupt tune table to %s; re-probing (%v)", quarantine, err)
-	case explicit:
-		return fmt.Sprintf("tensor: SAMO_GEMM_TUNE not loaded: %v", err)
-	default:
-		return ""
-	}
-}
+// SaveTuneTable writes every decided bucket to path as JSON.
+func SaveTuneTable(path string) error { return tuneTable.Save(path) }
 
-func init() {
-	explicit := os.Getenv("SAMO_GEMM_TUNE") != ""
-	path := TunePath()
-	if path == "" {
-		return
-	}
-	if msg := startupLoadTuneTable(path, explicit); msg != "" {
-		fmt.Fprintf(os.Stderr, "%s\n", msg)
-	}
-}
+// LoadTuneTable pre-seeds the autotuner from a file written by
+// SaveTuneTable: matching buckets skip the probe phase.
+func LoadTuneTable(path string) error { return tuneTable.Load(path) }
+
+// FlushTuneTable synchronously persists decisions frozen in this process to
+// TunePath(); the cmds call it from their run() exits because the
+// background saver gives no guarantee for short-lived processes.
+func FlushTuneTable() error { return tuneTable.Flush() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/sparse-dl/samo/internal/autotune"
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
@@ -12,7 +13,7 @@ import (
 // steady-state kernel rather than the probe phase.
 func warmAutotune(v gemmVariant, m, k, n int, call func()) {
 	e := tuneFor(v, m, k, n)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
+	for i := 0; i < 4*len(tuneCandsFor(v))*autotune.ProbeRuns && e.Chosen() < 0; i++ {
 		call()
 	}
 }

@@ -155,19 +155,18 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 // candidate blocking (the probe performs the real product, so no work is
 // thrown away). Every tuneReprobeEvery-th call on a frozen bucket re-times
 // one candidate round-robin, so contaminated startup probes self-correct
-// (see tuneEntry).
+// (see internal/autotune).
 func gemmTuned(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool) {
 	e := tuneFor(v, m, k, n)
-	if idx := int(e.chosen.Load()); idx >= 0 {
-		if e.calls.Add(1)%tuneReprobeEvery != 0 {
-			gemmV2(v, c, a, b, m, k, n, accumulate, e.cands[idx])
-			return
-		}
+	idx, probe := e.Next()
+	cand := tuneCandsFor(v)[idx]
+	if !probe {
+		gemmV2(v, c, a, b, m, k, n, accumulate, cand)
+		return
 	}
-	probe := e.nextProbe()
 	t0 := time.Now()
-	gemmV2(v, c, a, b, m, k, n, accumulate, e.cands[probe])
-	e.record(probe, time.Since(t0), m*k*n)
+	gemmV2(v, c, a, b, m, k, n, accumulate, cand)
+	e.Record(idx, time.Since(t0), m*k*n)
 }
 
 // gemmV2Job carries the shared-pack pipeline's per-panel state to the pool

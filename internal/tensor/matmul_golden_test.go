@@ -282,38 +282,6 @@ func TestMatMulSharedPanelRace(t *testing.T) {
 	}
 }
 
-// TestTuneTablePersistence round-trips autotuner decisions through the
-// JSON table: a loaded table must skip probing and reproduce the same
-// blocking choice.
-func TestTuneTablePersistence(t *testing.T) {
-	ResetTuneTable()
-	defer ResetTuneTable()
-	a, b, c := New(24, 200), New(200, 48), New(24, 48)
-	rng := NewRNG(49)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNN, 24, 200, 48)
-	for i := 0; i < 4*len(tuneCands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemm(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	chosen := e.chosen.Load()
-	path := t.TempDir() + "/tune.json"
-	if err := SaveTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	e2 := tuneFor(gemmNN, 24, 200, 48)
-	if got := e2.chosen.Load(); got != chosen {
-		t.Fatalf("reloaded choice %d, want %d", got, chosen)
-	}
-}
-
 func TestMatMulIntoZeroAlloc(t *testing.T) {
 	// Hermetic allocation counting: AllocsPerRun tallies process-wide
 	// mallocs, so a background tune-table save (triggered whenever a GEMM

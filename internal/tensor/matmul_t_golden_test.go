@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"os"
 	"testing"
-	"time"
 )
 
 // TestGEMMTransposedCandidatesGolden pins every transposed-variant autotune
@@ -176,105 +174,5 @@ func TestGemmPackATTiledGolden(t *testing.T) {
 		}
 		j.a, j.pa = nil, nil
 		gemmV2JobFree.Put(j)
-	}
-}
-
-// TestTransposedTunePersistence round-trips a transposed-variant decision
-// through the JSON table: the variant key must survive save/load, and a
-// loaded bucket must skip probing with the same choice.
-func TestTransposedTunePersistence(t *testing.T) {
-	ResetTuneTable()
-	defer ResetTuneTable()
-	a, b, c := New(24, 200), New(48, 200), New(24, 48)
-	rng := NewRNG(54)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNT, 24, 200, 48)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemmT(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	chosen := e.chosen.Load()
-	path := t.TempDir() + "/tune.json"
-	if err := SaveTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	e2 := tuneFor(gemmNT, 24, 200, 48)
-	if got := e2.chosen.Load(); got != chosen {
-		t.Fatalf("reloaded choice %d, want %d", got, chosen)
-	}
-	// The forward bucket at the same shape must be unaffected: variants
-	// tune independently.
-	if got := tuneFor(gemmNN, 24, 200, 48).chosen.Load(); got != -1 {
-		t.Fatalf("forward bucket pre-decided to %d by a transposed record", got)
-	}
-}
-
-// TestFlushTuneTable pins the synchronous flush the cmds call at exit: the
-// debounced background saver can lose every freeze when a short-lived
-// process exits inside its coalescing window, so FlushTuneTable must write
-// the file immediately — but only once something has actually decided (an
-// undecided table must not clobber an earlier run's file).
-func TestFlushTuneTable(t *testing.T) {
-	path := t.TempDir() + "/tune.json"
-	t.Setenv("SAMO_GEMM_TUNE", path)
-	ResetTuneTable()
-	defer ResetTuneTable()
-
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("flush of an undecided table wrote a file")
-	}
-
-	a, b, c := New(24, 200), New(200, 48), New(24, 48)
-	rng := NewRNG(55)
-	fillSeq(a, rng)
-	fillSeq(b, rng)
-	e := tuneFor(gemmNN, 24, 200, 48)
-	for i := 0; i < 4*len(e.cands)*tuneProbeRuns && e.chosen.Load() < 0; i++ {
-		gemm(c.data, a.data, b.data, 24, 200, 48, false)
-	}
-	if e.chosen.Load() < 0 {
-		t.Fatal("autotuner did not decide after probe budget")
-	}
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("flush did not write the tune table: %v", err)
-	}
-	// Let the background saver's pending kick (from the freeze above)
-	// land before asserting on file absence below — its debounce window
-	// is 20ms and it would otherwise recreate the file we remove.
-	time.Sleep(150 * time.Millisecond)
-
-	// The flushed file must round-trip.
-	chosen := e.chosen.Load()
-	ResetTuneTable()
-	if err := LoadTuneTable(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := tuneFor(gemmNN, 24, 200, 48).chosen.Load(); got != chosen {
-		t.Fatalf("flushed table reloaded choice %d, want %d", got, chosen)
-	}
-	// A table holding only disk-loaded decisions is not dirty: flushing
-	// again must not rewrite the file (it could rename a stale startup
-	// copy over a concurrent process's newer save).
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := FlushTuneTable(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("flush of a loaded-but-unchanged table rewrote the file")
 	}
 }

@@ -43,15 +43,6 @@ func Scale(t *Tensor, a float32) {
 	}
 }
 
-// Axpy computes dst += a*src elementwise.
-func Axpy(dst, src *Tensor, a float32) {
-	binCheck(dst, src)
-	d, s := dst.data, src.data
-	for i := range d {
-		d[i] += a * s[i]
-	}
-}
-
 func binCheck(dst, src *Tensor) {
 	if len(dst.data) != len(src.data) {
 		panic(fmt.Sprintf("tensor: elementwise op on %d vs %d elements", len(dst.data), len(src.data)))
@@ -71,17 +62,6 @@ func AddBias(t, bias *Tensor) {
 			row[j] += b[j]
 		}
 	}
-}
-
-// SumRows accumulates the rows of an (m,n) tensor into a length-n vector
-// (the bias-gradient reduction).
-func SumRows(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SumRows requires rank 2")
-	}
-	out := New(t.shape[1])
-	SumRowsInto(out, t, true)
-	return out
 }
 
 // SumRowsInto accumulates the rows of an (m,n) tensor into a length-n dst
@@ -186,18 +166,9 @@ func GELUInPlace(t *Tensor) {
 	}
 }
 
-// GELU applies the tanh-approximate Gaussian error linear unit in place and
-// returns the pre-activation values needed by GELUBackward.
-func GELU(t *Tensor) *Tensor {
-	pre := t.Clone()
-	for i, x := range t.data {
-		t.data[i] = geluScalar(x)
-	}
-	return pre
-}
-
-// GELUWithPre applies GELU to t in place after copying the pre-activations
-// into the caller-provided tensor (the allocation-free form of GELU).
+// GELUWithPre applies the tanh-approximate Gaussian error linear unit to t
+// in place after copying the pre-activations GELUBackward needs into the
+// caller-provided tensor.
 func GELUWithPre(t, pre *Tensor) {
 	binCheck(t, pre)
 	copy(pre.data, t.data)

@@ -44,14 +44,8 @@
 // column strips and sweep them with eight register accumulators per C row
 // — by timing the first few real calls on each bucket; every candidate
 // produces bitwise-identical output at every worker count, so the choice
-// can never perturb training. Decisions persist by default under the user
-// cache dir (samo/gemm_tune.json) via a debounced background save and are
-// pre-loaded at startup; the persisted records carry the variant (omitted
-// for the forward product, so older tables load unchanged; records from
-// unknown future variants are skipped). SAMO_GEMM_TUNE overrides the path
-// ("off" disables); SaveTuneTable/LoadTuneTable give explicit control,
-// and FlushTuneTable persists synchronously for short-lived processes
-// that would exit inside the background saver's coalescing window.
+// can never perturb training. The tuner is one of the two clients of the
+// shared autotuning component described under "Autotuning" below.
 //
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
@@ -79,21 +73,41 @@
 // FuzzSpMMTInto/FuzzSDDMMInto targets).
 //
 // Because sparse kernels only win above a density-dependent threshold, a
-// density-aware crossover — an autotuner keyed by (shape bucket, density
-// band) — times sparse against dense-masked execution on the first calls
-// of each bucket and freezes the winner, so low-sparsity layers fall back
-// to the dense GEMM and never regress; a frozen bucket never re-probes
-// (the two paths differ in summation order, so flipping mid-training would
-// perturb results). SAMO_SPARSE_XOVER=sparse|dense pins the path
-// process-wide; scripts/bench.sh gates the ≥90%-sparsity points of the
-// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP. Like the GEMM blockings,
-// frozen crossover decisions persist under the user cache dir
-// (samo/sparse_xover.json, next to gemm_tune.json; SAMO_SPARSE_XOVER_TABLE
-// overrides the path, "off" disables) via the same debounced background
-// save, startup pre-load and corrupt-file quarantine — so a serving
+// density-aware crossover — the second autotuning client, keyed by (op,
+// shape bucket, density band) — times sparse against dense-masked
+// execution on the first calls of each bucket and freezes the winner, so
+// low-sparsity layers fall back to the dense GEMM and never regress.
+// SAMO_SPARSE_XOVER=sparse|dense pins the path process-wide and bypasses
+// the table; scripts/bench.sh gates the ≥90%-sparsity points of the
+// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
+//
+// # Autotuning
+//
+// Both runtime decisions above — the GEMM blocking and the sparse/dense
+// path — are made by one component (internal/autotune) with two clients.
+// A table maps a bucket key to a few candidates; the first calls on a new
+// bucket each time one candidate on the caller's real work (round-robin,
+// by call count), and once every candidate has three samples the lowest
+// minimum time per unit of work is frozen. A frozen lookup is one
+// read-locked map hit and one atomic load, allocation-free. Only the GEMM
+// table may re-probe after freezing (one timed call in 512, so a startup
+// sample contaminated by concurrent ranks self-corrects): its candidates
+// are bitwise-identical, so a flip cannot change results. The crossover's
+// two paths sum in different orders, so its buckets stay frozen — flipping
+// mid-training would perturb results.
+//
+// Frozen decisions persist under the user cache dir — samo/gemm_tune.json
+// and samo/sparse_xover.json — via a debounced background save, and are
+// pre-loaded at startup (a corrupt file is quarantined to <file>.corrupt
+// and re-probed), so a later process skips the probe phase and a serving
 // process inherits its training run's execution paths instead of spending
-// its first requests probing; FlushXoverTable persists synchronously at
-// cmd exit.
+// its first requests probing. SAMO_GEMM_TUNE and SAMO_SPARSE_XOVER_TABLE
+// override the respective path ("off" disables). GEMM records carry the
+// op variant (omitted for the forward product, so older tables load
+// unchanged); records either table does not recognise are skipped.
+// SaveTuneTable/LoadTuneTable give explicit control, and FlushTuneTable /
+// FlushXoverTable persist synchronously for short-lived processes that
+// would exit inside the background saver's coalescing window.
 //
 // # Serving
 //
