@@ -157,20 +157,6 @@ type Batch struct {
 	Samples    int
 }
 
-// shard returns data-parallel shard d of gdata. The worker's hot path
-// slices through its arena instead (zero-alloc); this allocating form is
-// kept for tests and external callers.
-func (b Batch) shard(d, gdata int) Batch {
-	per := b.Samples / gdata
-	lo, hi := d*per, (d+1)*per
-	return Batch{
-		Input:      b.Input.Slice(lo*b.SampleRows, hi*b.SampleRows),
-		Targets:    b.Targets[lo*b.SampleRows : hi*b.SampleRows],
-		SampleRows: b.SampleRows,
-		Samples:    per,
-	}
-}
-
 // Builder constructs a fresh, deterministically initialized model. It is
 // called once per rank; every invocation must produce identical parameters
 // (use a fixed RNG seed), mirroring how every GPU loads the same checkpoint.
@@ -832,13 +818,4 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	w.shardTargets = nil
 	w.arena.Reset()
 	return w.batchLoss, nil
-}
-
-// Evaluate runs a forward-only pass over the batch on a single rank layout
-// (no parallelism needed for evaluation at test scale) and returns the mean
-// loss. Provided for symmetry with core.Trainer.EvalLoss.
-func Evaluate(model *nn.Model, b Batch) float64 {
-	y, _ := model.Forward(b.Input, false)
-	loss, _ := nn.CrossEntropy(y, b.Targets)
-	return loss
 }

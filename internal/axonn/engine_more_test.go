@@ -6,7 +6,6 @@ import (
 
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/nn"
-	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 func TestSingleRankDegenerateConfigMatchesSerial(t *testing.T) {
@@ -115,21 +114,5 @@ func TestLossScaleRecoveryDuringTraining(t *testing.T) {
 	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
 		t.Errorf("training did not recover after overflow: %g -> %g",
 			res.Losses[0], res.Losses[len(res.Losses)-1])
-	}
-}
-
-func TestShardSlicing(t *testing.T) {
-	b := Batch{
-		Input:      tensor.FromSlice([]float32{0, 1, 2, 3, 4, 5, 6, 7}, 8, 1),
-		Targets:    []int{0, 1, 2, 3, 4, 5, 6, 7},
-		SampleRows: 2, // 4 samples × 2 rows
-		Samples:    4,
-	}
-	s1 := b.shard(1, 2)
-	if s1.Samples != 2 || s1.Input.Dim(0) != 4 {
-		t.Fatalf("shard geometry: %+v", s1)
-	}
-	if s1.Input.At(0, 0) != 4 || s1.Targets[0] != 4 {
-		t.Errorf("shard 1 should start at sample 2 (row 4): %v", s1.Input.Data())
 	}
 }

@@ -204,24 +204,12 @@ func TestGPTPipelineTrains(t *testing.T) {
 
 func TestOverflowConsensusSkipsEverywhere(t *testing.T) {
 	// Force an overflow via a huge loss scale: the step must be skipped on
-	// every rank (parameters unchanged and identical across a fresh build).
+	// every rank.
 	batches := makeBatches(1, 8, 800)
-	build := mlpBuilder(37)
-
-	// Reference parameters before training.
-	ref := build()
-	var refParams []*tensor.Tensor
-	for _, p := range ref.Params() {
-		c := p.Value.Clone()
-		tensor.QuantizeInPlace(c)
-		refParams = append(refParams, c)
-	}
-
-	res := trainWithScale(t, build, batches, 1e30)
+	res := trainWithScale(t, mlpBuilder(37), batches, 1e30)
 	if res.SkippedSteps != 1 {
 		t.Errorf("skipped steps = %d, want 1", res.SkippedSteps)
 	}
-	_ = refParams
 }
 
 // trainWithScale runs one batch with a custom initial loss scale. A scale

@@ -101,9 +101,6 @@ func New(opts Options) (*Manager, error) {
 	return &Manager{opts: opts}, nil
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.opts.Dir }
-
 func (m *Manager) dataName(step, shard int) string {
 	return fmt.Sprintf("ckpt-%010d-s%03d.samo", step, shard)
 }

@@ -84,7 +84,7 @@ func TestCorruptLatestFallsBackWithWarning(t *testing.T) {
 	saveStep(t, m, 1, 2)
 	saveStep(t, m, 2, 2)
 	// Bit-flip the newest step's shard-0 data file.
-	path := filepath.Join(m.Dir(), m.dataName(2, 0))
+	path := filepath.Join(m.opts.Dir, m.dataName(2, 0))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestKillPointTruncationAlwaysLeavesLoadable(t *testing.T) {
 	m := newMgr(t, 1, 3)
 	saveStep(t, m, 1, 1)
 	saveStep(t, m, 2, 1)
-	path := filepath.Join(m.Dir(), m.dataName(2, 0))
+	path := filepath.Join(m.opts.Dir, m.dataName(2, 0))
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestCorruptManifestSkipped(t *testing.T) {
 	m := newMgr(t, 1, 2)
 	saveStep(t, m, 1, 1)
 	saveStep(t, m, 2, 1)
-	path := filepath.Join(m.Dir(), m.manifestName(2, 0))
+	path := filepath.Join(m.opts.Dir, m.manifestName(2, 0))
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestLoadRefusesFingerprintMismatch(t *testing.T) {
 func TestLoadRefusesTagMismatch(t *testing.T) {
 	m := newMgr(t, 1, 2)
 	saveStep(t, m, 1, 1)
-	other, err := New(Options{Dir: m.Dir(), Shards: 1, Keep: 2, Tag: "different-cfg"})
+	other, err := New(Options{Dir: m.opts.Dir, Shards: 1, Keep: 2, Tag: "different-cfg"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +204,14 @@ func TestPruneRetention(t *testing.T) {
 		saveStep(t, m, step, 2)
 	}
 	// Temp debris from an interrupted save must also be cleared.
-	debris := filepath.Join(m.Dir(), "ckpt-0000000099-s000.samo.tmp-123")
+	debris := filepath.Join(m.opts.Dir, "ckpt-0000000099-s000.samo.tmp-123")
 	if err := os.WriteFile(debris, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Prune(); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(m.Dir())
+	ents, err := os.ReadDir(m.opts.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

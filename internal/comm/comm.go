@@ -5,8 +5,8 @@
 //   - asynchronous point-to-point messaging with a per-rank inbox (AxoNN's
 //     message-driven scheduling reads whatever activation/gradient arrives
 //     next, §II-E), used by inter-layer parallelism;
-//   - ring-based collectives (all-reduce, reduce-scatter, all-gather,
-//     broadcast, barrier) used by data parallelism.
+//   - collectives (ring all-reduce, rank-ordered all-reduce, broadcast)
+//     used by data parallelism.
 //
 // The default transport is the in-process channel mesh (LocalTransport);
 // internal/comm/tcp supplies a multi-process wire transport with identical
@@ -134,7 +134,6 @@ type Tag int
 const (
 	TagActivation Tag = iota // forward activations, stage i -> i+1
 	TagGradient              // backward gradients, stage i+1 -> i
-	TagControl               // engine control messages
 )
 
 // Message is one point-to-point payload. MB identifies the microbatch it
@@ -327,10 +326,9 @@ type Rank struct {
 	r       int
 	pending map[pendKey]*pendQueue
 	seq     int
-	step    int       // current engine step (BeginStep), for failure attribution
-	ops     int       // collective entries so far, for CrashAtOp fault points
-	scratch []float32 // reusable single-element buffer (barriers, flags)
-	bounds  []int     // reusable chunk-boundary scratch for ring collectives
+	step    int   // current engine step (BeginStep), for failure attribution
+	ops     int   // collective entries so far, for CrashAtOp fault points
+	bounds  []int // reusable chunk-boundary scratch for ring collectives
 
 	// Async collective lane (async.go). The worker goroutine executes
 	// queued operations serially, reusing this Rank's matching state —
@@ -355,9 +353,6 @@ func (rk *Rank) chunkBounds(n, g int) []int {
 
 // ID returns this rank's index.
 func (rk *Rank) ID() int { return rk.r }
-
-// Size returns the fabric size.
-func (rk *Rank) Size() int { return rk.f.n }
 
 // Send delivers a data-plane message asynchronously. The data slice is
 // handed over; the sender must not modify it afterwards (zero-copy, like a
@@ -407,11 +402,6 @@ func (rk *Rank) Send(to int, tag Tag, mb int, data []float32, shape ...int) erro
 func (rk *Rank) deliver(to int, msg Message) error {
 	return rk.f.tr.SendData(to, msg)
 }
-
-// Inbox returns the data-plane receive channel: the heart of message-driven
-// scheduling. The engine blocks on it and processes whatever arrives.
-// Prefer Recv, which also unwinds on fabric poison and deadline.
-func (rk *Rank) Inbox() <-chan Message { return rk.f.tr.DataCh(rk.r) }
 
 // Recv blocks for the next data-plane message. It returns the poison error
 // as soon as the fabric dies (messages already queued are not drained), and
@@ -504,9 +494,6 @@ const (
 	opAllReduce = 1 << 20
 	opGather    = 2 << 20
 	opBcast     = 3 << 20
-	opBarrier   = 4 << 20
-	opRS        = 5 << 20
-	opAG        = 6 << 20
 )
 
 // AllReduce sums buf across the group in place using the bandwidth-optimal
@@ -677,123 +664,8 @@ func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
 	return nil
 }
 
-// ReduceScatter sums buf across the group and leaves each rank with its
-// owned chunk in out (chunk boundaries from chunkBounds). buf is clobbered.
-func (rk *Rank) ReduceScatter(group []int, buf []float32) ([]float32, error) {
-	start := time.Now()
-	out, err := rk.reduceScatter(group, buf)
-	rk.f.stats[rk.r].ExposedCollNanos.Add(time.Since(start).Nanoseconds())
-	return out, err
-}
-
-func (rk *Rank) reduceScatter(group []int, buf []float32) ([]float32, error) {
-	if err := rk.enterColl(); err != nil {
-		return nil, err
-	}
-	g := len(group)
-	pos := rk.groupPos(group)
-	bounds := rk.chunkBounds(len(buf), g)
-	if g == 1 {
-		out := make([]float32, len(buf))
-		copy(out, buf)
-		return out, nil
-	}
-	next := group[(pos+1)%g]
-	prev := group[(pos-1+g)%g]
-	rk.f.stats[rk.r].CollOps.Add(1)
-	// Chunk schedule chosen so rank at position p finishes owning chunk p
-	// (matching AllGather's convention): send (p−s−1), receive (p−s−2).
-	for s := 0; s < g-1; s++ {
-		sendChunk := (pos - s - 1 + 2*g) % g
-		recvChunk := (pos - s - 2 + 2*g) % g
-		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.Get(hi - lo)
-		copy(out, buf[lo:hi])
-		if err := rk.sendColl(next, opRS+s, out); err != nil {
-			return nil, err
-		}
-		in, err := rk.recvColl(prev, opRS+s)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi = bounds[recvChunk], bounds[recvChunk+1]
-		rk.f.stats[rk.r].CollElements.Add(int64(hi - lo))
-		for i := range in {
-			buf[lo+i] += in[i]
-		}
-		rk.f.bufs.Put(in)
-	}
-	own := pos
-	lo, hi := bounds[own], bounds[own+1]
-	out := make([]float32, hi-lo)
-	copy(out, buf[lo:hi])
-	return out, nil
-}
-
-// AllGather concatenates each rank's chunk into full (length = total);
-// chunk sizes must follow chunkBounds(total, G).
-func (rk *Rank) AllGather(group []int, chunk []float32, total int) ([]float32, error) {
-	start := time.Now()
-	full, err := rk.allGather(group, chunk, total)
-	rk.f.stats[rk.r].ExposedCollNanos.Add(time.Since(start).Nanoseconds())
-	return full, err
-}
-
-func (rk *Rank) allGather(group []int, chunk []float32, total int) ([]float32, error) {
-	if err := rk.enterColl(); err != nil {
-		return nil, err
-	}
-	g := len(group)
-	pos := rk.groupPos(group)
-	full := make([]float32, total)
-	bounds := rk.chunkBounds(total, g)
-	lo := bounds[pos]
-	copy(full[lo:lo+len(chunk)], chunk)
-	if g == 1 {
-		return full, nil
-	}
-	next := group[(pos+1)%g]
-	prev := group[(pos-1+g)%g]
-	rk.f.stats[rk.r].CollOps.Add(1)
-	cur := pos
-	for s := 0; s < g-1; s++ {
-		clo, chi := bounds[cur], bounds[cur+1]
-		out := rk.f.bufs.Get(chi - clo)
-		copy(out, full[clo:chi])
-		if err := rk.sendColl(next, opAG+s, out); err != nil {
-			return nil, err
-		}
-		in, err := rk.recvColl(prev, opAG+s)
-		if err != nil {
-			return nil, err
-		}
-		cur = (cur - 1 + g) % g
-		clo, chi = bounds[cur], bounds[cur+1]
-		rk.f.stats[rk.r].CollElements.Add(int64(chi - clo))
-		copy(full[clo:chi], in)
-		rk.f.bufs.Put(in)
-	}
-	return full, nil
-}
-
-// Barrier blocks until every rank of the group has entered it (or the
-// fabric dies, in which case it unwinds with the poison error).
-func (rk *Rank) Barrier(group []int) error {
-	if rk.scratch == nil {
-		rk.scratch = make([]float32, 1)
-	}
-	rk.scratch[0] = 1
-	return rk.AllReduceOrdered(group, rk.scratch)
-}
-
-// chunkBounds splits n elements into g nearly equal contiguous chunks,
-// returning g+1 boundaries.
-func chunkBounds(n, g int) []int {
-	b := make([]int, g+1)
-	fillChunkBounds(b, n, g)
-	return b
-}
-
+// fillChunkBounds splits n elements into g nearly equal contiguous chunks,
+// writing the g+1 boundaries into b.
 func fillChunkBounds(b []int, n, g int) {
 	b[0] = 0
 	base, rem := n/g, n%g

@@ -68,33 +68,35 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 	// error as its abort signal, so a nil-error no-op would mask a failure).
 	f := NewFabric(3)
 	waitAll(t, f, func(rk *Rank) {
+		defer rk.CloseAsync()
 		if err := rk.AllReduce(group(3), nil); err != nil {
 			t.Errorf("rank %d: healthy zero-length AllReduce: %v", rk.ID(), err)
 		}
 		if err := rk.AllReduceOrdered(group(3), []float32{}); err != nil {
 			t.Errorf("rank %d: healthy zero-length ordered reduce: %v", rk.ID(), err)
 		}
-		if _, err := rk.ReduceScatter(group(3), nil); err != nil {
-			t.Errorf("rank %d: healthy zero-length ReduceScatter: %v", rk.ID(), err)
+		if err := rk.Broadcast(group(3), 2, nil); err != nil {
+			t.Errorf("rank %d: healthy zero-length Broadcast: %v", rk.ID(), err)
 		}
-		if _, err := rk.AllGather(group(3), nil, 0); err != nil {
-			t.Errorf("rank %d: healthy zero-length AllGather: %v", rk.ID(), err)
+		if err := rk.AllReduceAsync(group(3), nil).Wait(); err != nil {
+			t.Errorf("rank %d: healthy zero-length async AllReduce: %v", rk.ID(), err)
 		}
 	})
 	want := &RankFailedError{Rank: 1, Step: 0}
 	f.Poison(want)
 	waitAll(t, f, func(rk *Rank) {
+		defer rk.CloseAsync()
 		if err := rk.AllReduce(group(3), nil); !errors.Is(err, want) {
 			t.Errorf("rank %d: poisoned zero-length AllReduce: %v", rk.ID(), err)
 		}
-		if err := rk.Barrier(group(3)); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned Barrier: %v", rk.ID(), err)
+		if err := rk.AllReduceOrdered(group(3), []float32{1}); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned one-element ordered reduce: %v", rk.ID(), err)
 		}
-		if _, err := rk.ReduceScatter(group(3), nil); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned zero-length ReduceScatter: %v", rk.ID(), err)
+		if err := rk.Broadcast(group(3), 2, nil); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned zero-length Broadcast: %v", rk.ID(), err)
 		}
-		if _, err := rk.AllGather(group(3), nil, 0); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned zero-length AllGather: %v", rk.ID(), err)
+		if err := rk.AllReduceAsync(group(3), nil).Wait(); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned zero-length async AllReduce: %v", rk.ID(), err)
 		}
 	})
 }

@@ -213,8 +213,9 @@ func TestChaosStalledSocket(t *testing.T) {
 }
 
 // TestChaosAbortDuringBarrier drops an endpoint while the others wait in
-// a barrier (the all-to-one-to-all pattern most sensitive to a missing
-// peer): both survivors must unwind typed.
+// a barrier — a one-element ordered all-reduce, the all-to-one-to-all
+// pattern most sensitive to a missing peer: both survivors must unwind
+// typed.
 func TestChaosAbortDuringBarrier(t *testing.T) {
 	_, ranks, trs := loopbackFabrics(t, 3)
 	group := []int{0, 1, 2}
@@ -225,7 +226,7 @@ func TestChaosAbortDuringBarrier(t *testing.T) {
 			return errors.New("aborted")
 		}
 		for {
-			if err := rk.Barrier(group); err != nil {
+			if err := rk.AllReduceOrdered(group, []float32{1}); err != nil {
 				return err
 			}
 		}

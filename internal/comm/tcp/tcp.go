@@ -308,7 +308,7 @@ func readHandshake(c net.Conn) (int, error) {
 }
 
 // procBounds splits n ranks into nproc contiguous blocks (same arithmetic
-// as the fabric's chunkBounds, so rank->process mapping is deterministic).
+// as the fabric's ring chunks, so rank->process mapping is deterministic).
 func procBounds(n, nproc int) []int {
 	b := make([]int, nproc+1)
 	base, rem := n/nproc, n%nproc

@@ -17,8 +17,8 @@ package comm
 //     path (RankFailedError) and socket write timeouts onto the
 //     DeadlineError backstop.
 //
-// The collective algorithms (ring all-reduce, reduce-scatter, all-gather,
-// ordered reductions) run ABOVE the transport and are therefore identical
+// The collective algorithms (ring all-reduce, ordered reductions,
+// broadcast) run ABOVE the transport and are therefore identical
 // on both — the conformance suite pins their results bitwise-equal across
 // transports at every group size.
 
@@ -159,10 +159,6 @@ func (f *Fabric) Deadline() int64 { return f.deadlineNs.Load() }
 
 // IsLocal reports whether rank r lives in this process.
 func (f *Fabric) IsLocal(r int) bool { return f.tr.IsLocal(r) }
-
-// RemotePeers reports whether any rank of this fabric lives in another
-// process (true only for transport-backed multi-process fabrics).
-func (f *Fabric) RemotePeers() bool { return f.remote }
 
 // RemotePeers reports whether this rank's fabric spans processes.
 func (rk *Rank) RemotePeers() bool { return rk.f.remote }

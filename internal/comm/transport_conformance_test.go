@@ -125,12 +125,11 @@ func bitsOf(buf []float32) []uint32 {
 // collectives under test.
 type collResult struct {
 	allReduce []uint32
-	rsChunk   []uint32
-	allGather []uint32
+	broadcast []uint32
 	ordered   []uint32
 }
 
-// runCollectives executes AllReduce, ReduceScatter+AllGather, and
+// runCollectives executes AllReduce, Broadcast (from the last rank) and
 // AllReduceOrdered on deterministic inputs and records the result bits.
 func runCollectives(t *testing.T, m *mesh, n, sz int) []collResult {
 	t.Helper()
@@ -144,17 +143,11 @@ func runCollectives(t *testing.T, m *mesh, n, sz int) []collResult {
 		}
 		out[r].allReduce = bitsOf(ar)
 
-		rs := testInput(r, sz)
-		chunk, err := rk.ReduceScatter(group, rs)
-		if err != nil {
+		bc := testInput(r, sz)
+		if err := rk.Broadcast(group, n-1, bc); err != nil {
 			return err
 		}
-		out[r].rsChunk = bitsOf(chunk)
-		full, err := rk.AllGather(group, chunk, sz)
-		if err != nil {
-			return err
-		}
-		out[r].allGather = bitsOf(full)
+		out[r].broadcast = bitsOf(bc)
 
 		ord := testInput(r, sz)
 		if err := rk.AllReduceOrdered(group, ord); err != nil {
@@ -171,11 +164,11 @@ func runCollectives(t *testing.T, m *mesh, n, sz int) []collResult {
 	return out
 }
 
-// TestConformanceCollectivesBitwise pins AllReduce, ReduceScatter,
-// AllGather and AllReduceOrdered results bitwise-identical across the two
-// transports at worker counts 1, 4 and 8 — float32 framing on the wire
-// must be bit-preserving, and the collective schedules must not depend on
-// the transport underneath.
+// TestConformanceCollectivesBitwise pins AllReduce, Broadcast and
+// AllReduceOrdered results bitwise-identical across the two transports at
+// worker counts 1, 4 and 8 — float32 framing on the wire must be
+// bit-preserving, and the collective schedules must not depend on the
+// transport underneath.
 func TestConformanceCollectivesBitwise(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		for _, sz := range []int{1, 5, 1024, 4099} {
@@ -201,8 +194,7 @@ func TestConformanceCollectivesBitwise(t *testing.T) {
 						}
 					}
 					check("allreduce", want[r].allReduce, got[r].allReduce)
-					check("reducescatter", want[r].rsChunk, got[r].rsChunk)
-					check("allgather", want[r].allGather, got[r].allGather)
+					check("broadcast", want[r].broadcast, got[r].broadcast)
 					check("ordered", want[r].ordered, got[r].ordered)
 				}
 			})

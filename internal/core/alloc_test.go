@@ -119,18 +119,18 @@ func TestConv2DForwardBackwardZeroAlloc(t *testing.T) {
 }
 
 // TestTunePersistenceRoundTripAllocFree pins the default-path autotune
-// persistence: decisions frozen during training save to TunePath() and load
-// back, and neither the loaded table nor the save machinery adds
-// allocations to the training step.
+// persistence: decisions frozen during training save to SAMO_GEMM_TUNE's
+// path and load back, and neither the loaded table nor the save machinery
+// adds allocations to the training step.
 func TestTunePersistenceRoundTripAllocFree(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", t.TempDir()+"/gemm_tune.json")
+	path := t.TempDir() + "/gemm_tune.json"
+	t.Setenv("SAMO_GEMM_TUNE", path)
 	_, ms, _ := buildTestSetup(SAMO, 0.75, 9)
 	tr := NewTrainer(ms)
 	x, targets := makeBatch(16, 8, 4, 8)
 	for i := 0; i < 60; i++ {
 		tr.TrainStep(x, targets) // enough calls for the hot buckets to freeze
 	}
-	path := tensor.TunePath()
 	if err := tensor.SaveTuneTable(path); err != nil {
 		t.Fatalf("SaveTuneTable(%s): %v", path, err)
 	}

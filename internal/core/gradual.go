@@ -142,12 +142,6 @@ func NewGradualPruner(ms *ModelState, sched prune.Schedule) (*GradualPruner, err
 	return gp, nil
 }
 
-// Targets reports how many parameters the schedule shrinks.
-func (gp *GradualPruner) Targets() int { return len(gp.targets) }
-
-// Schedule returns the bound schedule.
-func (gp *GradualPruner) Schedule() prune.Schedule { return gp.sched }
-
 // MaybePrune runs a prune event if step is one, returning whether any
 // pattern shrank. Every event is a pure function of (step, θ32), so all
 // data-parallel replicas shrink identically.

@@ -28,7 +28,7 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gp.Targets() == 0 {
+	if len(gp.targets) == 0 {
 		t.Fatal("no shrink targets on a pruned SAMO state")
 	}
 	fp := ms.Fingerprint()
@@ -201,7 +201,7 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gp.Targets() == 0 {
+	if len(gp.targets) == 0 {
 		t.Fatal("no pattern-layer targets after Sparsify")
 	}
 	var sls []*nn.SparseLinear
@@ -212,7 +212,7 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 	}
 	prev := make([]int, len(sls))
 	for i, sl := range sls {
-		prev[i] = sl.NNZ()
+		prev[i] = sl.W.NNZ()
 	}
 	tr := NewTrainer(ms)
 	shrinks := 0
@@ -223,10 +223,10 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 			shrinks++
 		}
 		for i, sl := range sls {
-			if sl.NNZ() > prev[i] {
-				t.Fatalf("step %d: layer %d NNZ grew %d -> %d", step, i, prev[i], sl.NNZ())
+			if sl.W.NNZ() > prev[i] {
+				t.Fatalf("step %d: layer %d NNZ grew %d -> %d", step, i, prev[i], sl.W.NNZ())
 			}
-			prev[i] = sl.NNZ()
+			prev[i] = sl.W.NNZ()
 		}
 	}
 	if shrinks < 3 {
@@ -234,8 +234,8 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 	}
 	for _, sl := range sls {
 		full := sl.PatternFullLen()
-		if want := full - int(0.9*float64(full)); sl.NNZ() != want {
-			t.Errorf("layer NNZ %d, want %d at 90%% sparsity", sl.NNZ(), want)
+		if want := full - int(0.9*float64(full)); sl.W.NNZ() != want {
+			t.Errorf("layer NNZ %d, want %d at 90%% sparsity", sl.W.NNZ(), want)
 		}
 	}
 	// Training still learns on the shrunk patterns.

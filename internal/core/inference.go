@@ -237,9 +237,6 @@ func NewInferencer(st *InferenceState) *Inferencer {
 	return &Inferencer{state: st, a: tensor.NewArena(), b: tensor.NewArena()}
 }
 
-// State returns the wrapped InferenceState.
-func (inf *Inferencer) State() *InferenceState { return inf.state }
-
 // Forward runs one forward-only pass. The returned tensor is owned by the
 // Inferencer's arenas and is valid only until the next Forward call — copy
 // out anything that must survive (the serving engine copies each request's

@@ -52,12 +52,6 @@ func SAMOModelStateBytes(phi int64, p float64) int64 {
 	return int64(math.Round(24*f*float64(phi))) + 2*phi
 }
 
-// SavingsBytes returns M_default − M_SAMO = (24p − 6)φ (eq. 5). Negative for
-// p < 0.25: below the break-even sparsity SAMO costs memory.
-func SavingsBytes(phi int64, p float64) int64 {
-	return DefaultModelStateBytes(phi) - SAMOModelStateBytes(phi, p)
-}
-
 // SavingsPercent returns the relative saving 100·(24p−6)/20, the y-axis of
 // the paper's Figure 2.
 func SavingsPercent(p float64) float64 {

@@ -75,7 +75,7 @@ func TestCheckpointRestoresScalerAndCounters(t *testing.T) {
 	if ms2.Scaler.Scale != ms.Scaler.Scale {
 		t.Errorf("scaler scale %g != %g", ms2.Scaler.Scale, ms.Scaler.Scale)
 	}
-	if ms2.Steps() != ms.Steps() || ms2.SkippedSteps() != ms.SkippedSteps() {
+	if ms2.steps != ms.steps || ms2.SkippedSteps() != ms.SkippedSteps() {
 		t.Error("step counters not restored")
 	}
 }

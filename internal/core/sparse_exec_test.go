@@ -176,7 +176,7 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 		ix.Compress(comp, denseVal)
 		// Scatter the sparse values back through the (in,out) order.
 		got := make([]float32, ix.NNZ())
-		deq := sl.DenseEquivalent()
+		deq := tensor.Transpose(sl.W.Dense()) // the (in, out) dense weight
 		ix.Compress(got, deq.Data())
 		for i := range comp {
 			if d := math.Abs(float64(comp[i] - got[i])); d > 2e-2 {
@@ -197,7 +197,7 @@ func TestSparseExecMemoryLedger(t *testing.T) {
 	var meta int64
 	for _, l := range sm.Layers {
 		if sl, ok := l.(*nn.SparseLinear); ok {
-			nnz += int64(sl.NNZ())
+			nnz += int64(sl.W.NNZ())
 			biases += int64(sl.B.Value.Len())
 			meta += sl.Wv.MetaBytes
 		}

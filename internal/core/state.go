@@ -219,14 +219,6 @@ func (ms *ModelState) captureParam(p *nn.Param) {
 	p.Grad.Zero()
 }
 
-// CaptureAll captures every parameter's gradient (the non-pipelined path,
-// equivalent to running the hook over all layers).
-func (ms *ModelState) CaptureAll() {
-	for _, st := range ms.states {
-		ms.captureParam(st.p)
-	}
-}
-
 // ReduceBuffers exposes the captured fp16 gradient payload for data-parallel
 // all-reduce, one buffer per size-bounded bucket in backward order (the order
 // gradients become final — see planBuckets). Under SAMO these hold the
@@ -237,15 +229,6 @@ func (ms *ModelState) CaptureAll() {
 // returned slice is owned by the state and reused across calls (do not
 // modify its structure).
 func (ms *ModelState) ReduceBuffers() [][]float32 { return ms.reduceBufs }
-
-// GradElements returns the total element count of the all-reduce payload.
-func (ms *ModelState) GradElements() int64 {
-	var n int64
-	for _, st := range ms.states {
-		n += int64(len(st.grad16))
-	}
-	return n
-}
 
 // Overflow scans the captured fp16 gradients for Inf/NaN — the per-step
 // overflow check behind dynamic loss scaling. Large gradient vectors scan
@@ -317,9 +300,6 @@ func (ms *ModelState) StepGiven(overflow bool) bool {
 	ms.steps++
 	return true
 }
-
-// Steps returns how many optimizer steps were applied.
-func (ms *ModelState) Steps() int { return ms.steps }
 
 // SkippedSteps returns how many steps were skipped due to fp16 overflow.
 func (ms *ModelState) SkippedSteps() int { return ms.skipped }

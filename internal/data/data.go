@@ -76,9 +76,6 @@ func SynthText(name string, vocab, n int, seed uint64) *Corpus {
 	return &Corpus{Name: name, Vocab: vocab, tokens: tokens}
 }
 
-// Len returns the token count.
-func (c *Corpus) Len() int { return len(c.tokens) }
-
 // Tokens returns the raw stream (not to be modified).
 func (c *Corpus) Tokens() []int { return c.tokens }
 

@@ -27,8 +27,8 @@ func TestSynthTextDeterministic(t *testing.T) {
 
 func TestSynthTextTokenRange(t *testing.T) {
 	c := SynthText("t", 32, 5000, 7)
-	if c.Len() != 5000 {
-		t.Errorf("Len = %d", c.Len())
+	if n := len(c.Tokens()); n != 5000 {
+		t.Errorf("%d tokens, want 5000", n)
 	}
 	for _, tok := range c.Tokens() {
 		if tok < 0 || tok >= 32 {

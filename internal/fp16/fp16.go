@@ -1,7 +1,7 @@
-// Package fp16 implements IEEE 754 binary16 (half precision) conversion and
-// slice helpers. SAMO stores the dense parameter tensor θ16 and the compressed
-// gradient tensor ∇θ16 in half precision, exactly as mixed-precision training
-// does on V100-class hardware; this package is the software stand-in for that
+// Package fp16 implements IEEE 754 binary16 (half precision) conversion.
+// SAMO stores the dense parameter tensor θ16 and the compressed gradient
+// tensor ∇θ16 in half precision, exactly as mixed-precision training does on
+// V100-class hardware; this package is the software stand-in for that
 // storage format.
 //
 // Conversions use round-to-nearest-even, which matches the behaviour of
@@ -10,39 +10,21 @@
 // fp16 inputs feed fp32 accumulators in tensor cores) — only storage is 16-bit.
 package fp16
 
-import (
-	"math"
-	"sync/atomic"
-
-	"github.com/sparse-dl/samo/internal/parallel"
-)
-
-// convGrain is the minimum elements per parallel chunk for the slice
-// converters; conversions are a few ALU ops per element, so small slices
-// are not worth dispatching.
-const convGrain = 8192
+import "math"
 
 // Bits is a raw IEEE 754 binary16 value.
 type Bits uint16
 
 const (
-	signMask     = 0x8000
-	expMask      = 0x7C00
-	fracMask     = 0x03FF
-	expBias      = 15
-	maxExp       = 0x1F
-	fracBits     = 10
-	f32FracBits  = 23
-	f32ExpBias   = 127
-	f32InfBits   = 0x7F800000
-	maxFiniteF32 = 65504.0 // largest finite fp16 value
-)
-
-// PosInf and NegInf are the half-precision infinities.
-const (
-	PosInf Bits = 0x7C00
-	NegInf Bits = 0xFC00
-	NaN    Bits = 0x7E00
+	signMask    = 0x8000
+	expMask     = 0x7C00
+	fracMask    = 0x03FF
+	expBias     = 15
+	maxExp      = 0x1F
+	fracBits    = 10
+	f32FracBits = 23
+	f32ExpBias  = 127
+	f32InfBits  = 0x7F800000
 )
 
 // FromFloat32 converts a float32 to binary16 with round-to-nearest-even.
@@ -139,87 +121,3 @@ func ToFloat32(h Bits) float32 {
 // Round simulates a float32 value being stored to half precision and read
 // back. It is the quantization applied to every θ16 element.
 func Round(f float32) float32 { return ToFloat32(FromFloat32(f)) }
-
-// IsInf reports whether h is ±infinity.
-func IsInf(h Bits) bool { return h&0x7FFF == expMask }
-
-// IsNaN reports whether h is a NaN.
-func IsNaN(h Bits) bool { return h&expMask == expMask && h&fracMask != 0 }
-
-// IsFinite reports whether h is neither infinity nor NaN.
-func IsFinite(h Bits) bool { return h&expMask != expMask }
-
-// MaxFinite returns the largest finite half-precision value as a float32.
-func MaxFinite() float32 { return maxFiniteF32 }
-
-// convJob carries a slice conversion's arguments to the worker pool;
-// recycled so the converters stay allocation-free (they back Half storage
-// on mixed-precision paths).
-type convJob struct {
-	dst []Bits
-	src []float32
-	ov  atomic.Int64
-}
-
-var convJobFree parallel.Pool[convJob]
-
-func fromChunk(ctx any, lo, hi int) {
-	j := ctx.(*convJob)
-	local := 0
-	for i := lo; i < hi; i++ {
-		h := FromFloat32(j.src[i])
-		j.dst[i] = h
-		if IsInf(h) || IsNaN(h) {
-			local++
-		}
-	}
-	if local > 0 {
-		j.ov.Add(int64(local))
-	}
-}
-
-func toChunk(ctx any, lo, hi int) {
-	j := ctx.(*convJob)
-	for i := lo; i < hi; i++ {
-		j.src[i] = ToFloat32(j.dst[i])
-	}
-}
-
-// FromSlice converts src into dst, which must have len(src) capacity.
-// It returns the number of elements that overflowed to infinity, which the
-// dynamic loss scaler uses to detect an overflowed step. Large slices are
-// converted in parallel on the shared worker pool; the call is
-// allocation-free (pooled job descriptors, no closures).
-func FromSlice(dst []Bits, src []float32) (overflows int) {
-	_ = dst[len(src)-1]
-	j := convJobFree.Get()
-	j.dst, j.src = dst, src
-	j.ov.Store(0)
-	parallel.Run(len(src), convGrain, j, fromChunk)
-	overflows = int(j.ov.Load())
-	j.dst, j.src = nil, nil
-	convJobFree.Put(j)
-	return overflows
-}
-
-// ToSlice converts src into dst, which must have len(src) capacity. Large
-// slices are converted in parallel on the shared worker pool;
-// allocation-free like FromSlice.
-func ToSlice(dst []float32, src []Bits) {
-	_ = dst[len(src)-1]
-	j := convJobFree.Get()
-	j.dst, j.src = src, dst
-	parallel.Run(len(src), convGrain, j, toChunk)
-	j.dst, j.src = nil, nil
-	convJobFree.Put(j)
-}
-
-// AnyNonFinite reports whether any element of s is infinity or NaN.
-func AnyNonFinite(s []Bits) bool {
-	for _, h := range s {
-		if !IsFinite(h) {
-			return true
-		}
-	}
-	return false
-}

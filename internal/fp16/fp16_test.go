@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// The half-precision special values and predicates the conversions are
+// checked against.
+const (
+	PosInf Bits = 0x7C00
+	NegInf Bits = 0xFC00
+	NaN    Bits = 0x7E00
+)
+
+// IsInf reports whether h is ±infinity.
+func IsInf(h Bits) bool { return h&0x7FFF == expMask }
+
+// IsNaN reports whether h is a NaN.
+func IsNaN(h Bits) bool { return h&expMask == expMask && h&fracMask != 0 }
+
 func TestRoundTripExactValues(t *testing.T) {
 	// Every value exactly representable in fp16 must survive a round trip.
 	cases := []float32{0, 1, -1, 0.5, -0.5, 2, 1024, 65504, -65504, 0.25,
@@ -156,28 +170,6 @@ func TestExhaustiveBitsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceConversions(t *testing.T) {
-	src := []float32{1, 2.5, -3, 70000, 0}
-	dst := make([]Bits, len(src))
-	overflows := FromSlice(dst, src)
-	if overflows != 1 {
-		t.Errorf("overflows = %d, want 1", overflows)
-	}
-	back := make([]float32, len(src))
-	ToSlice(back, dst)
-	for i, f := range []float32{1, 2.5, -3, float32(math.Inf(1)), 0} {
-		if back[i] != f {
-			t.Errorf("back[%d] = %g, want %g", i, back[i], f)
-		}
-	}
-	if !AnyNonFinite(dst) {
-		t.Error("AnyNonFinite should report the infinity")
-	}
-	if AnyNonFinite(dst[:3]) {
-		t.Error("AnyNonFinite reported false positive")
-	}
-}
-
 func TestSignPreservation(t *testing.T) {
 	f := func(f float32) bool {
 		if math.IsNaN(float64(f)) {
@@ -202,7 +194,9 @@ func BenchmarkFromFloat32(b *testing.B) {
 	dst := make([]Bits, len(src))
 	b.SetBytes(int64(len(src) * 4))
 	for i := 0; i < b.N; i++ {
-		FromSlice(dst, src)
+		for j, f := range src {
+			dst[j] = FromFloat32(f)
+		}
 	}
 }
 
@@ -214,6 +208,8 @@ func BenchmarkToFloat32(b *testing.B) {
 	dst := make([]float32, len(src))
 	b.SetBytes(int64(len(src) * 2))
 	for i := 0; i < b.N; i++ {
-		ToSlice(dst, src)
+		for j, h := range src {
+			dst[j] = ToFloat32(h)
+		}
 	}
 }

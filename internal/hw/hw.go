@@ -85,11 +85,6 @@ func (m Machine) AllReduceTime(bytes int64, g int) float64 {
 	return steps*lat + 2*float64(g-1)/float64(g)*float64(bytes)/bw
 }
 
-// ComputeTime converts a flop count into seconds at training efficiency.
-func (m Machine) ComputeTime(flops float64) float64 {
-	return flops / (m.PeakHalfFlops * m.TrainEfficiency)
-}
-
 // MemBoundTime returns the time for an operation that moves bytes through
 // HBM (gathers/scatters, elementwise kernels).
 func (m Machine) MemBoundTime(bytes float64) float64 {

@@ -49,9 +49,9 @@ var attnCaches parallel.Pool[attnCache]
 
 // attnJob carries one attention pass's state to the worker pool. Forward
 // and backward both fan out over (batch, head) pairs through parallel.Run
-// with a pooled job instead of parallel.For with a closure — the per-head
-// loops run once per microbatch, and a closure there was one of the last
-// per-step allocations on the GPT path.
+// with a pooled job instead of a closure — the per-head loops run once per
+// microbatch, and a closure there was one of the last per-step allocations
+// on the GPT path.
 type attnJob struct {
 	qd, probs, hd, dqd []float32
 	T, H, dh, d        int

@@ -129,10 +129,6 @@ func BuildVGG(name string, plan []int, inC, dim, classes int, rng *tensor.RNG) *
 	return m
 }
 
-// SmallVGGPlan is a 6-conv VGG-style plan for 32×32 inputs used by tests and
-// examples (-1 = max-pool).
-var SmallVGGPlan = []int{16, 16, -1, 32, 32, -1, 64, 64, -1}
-
 // BuildWideResNet constructs a runnable WideResNet for (inC, dim, dim)
 // inputs: an initial conv, three groups of n residual blocks with widths
 // 16k/32k/64k, global average pooling and a linear classifier.

@@ -371,7 +371,7 @@ func TestTinyGPTForwardShapes(t *testing.T) {
 
 func TestVGGAndWRNForwardShapes(t *testing.T) {
 	rng := tensor.NewRNG(71)
-	vgg := BuildVGG("vgg-s", SmallVGGPlan, 3, 16, 10, rng)
+	vgg := BuildVGG("vgg-s", []int{16, 16, -1, 32, 32, -1, 64, 64, -1}, 3, 16, 10, rng)
 	x := randInput([]int{2, 3, 16, 16}, 72)
 	y, _ := vgg.Forward(x, false)
 	if y.Dim(0) != 2 || y.Dim(1) != 10 {

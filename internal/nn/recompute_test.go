@@ -106,3 +106,30 @@ func TestRecomputeEvalMode(t *testing.T) {
 		t.Error("bad output")
 	}
 }
+
+// CacheBytes estimates the activation bytes a cache value pins, for
+// comparing checkpointed against full caching. It understands the cache
+// types of this package; unknown types report 0.
+func CacheBytes(cache any) int64 {
+	switch c := cache.(type) {
+	case nil:
+		return 0
+	case *recomputeCache:
+		return 4 * int64(c.x.Len())
+	case *linearCache:
+		return 4 * int64(c.x.Len())
+	case *lnCache:
+		return 4 * (int64(c.xhat.Len()) + int64(len(c.invStd)))
+	case *attnCache:
+		return 4 * (int64(c.x.Len()) + int64(c.qkv.Len()) + int64(c.probs.Len()) + int64(c.heads.Len()))
+	case *blockCache:
+		return CacheBytes(c.cLN1) + CacheBytes(c.cAttn) + CacheBytes(c.cLN2) +
+			CacheBytes(c.cFC1) + CacheBytes(c.cGELU) + CacheBytes(c.cFC2)
+	case *convCache:
+		return 4 * int64(c.cols.Len())
+	case *tensor.Tensor: // ReLU mask / GELU pre-activations
+		return 4 * int64(c.Len())
+	default:
+		return 0
+	}
+}

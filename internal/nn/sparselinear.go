@@ -354,21 +354,3 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	l.Wv.MetaBytes = 4 * int64(len(l.W.RowPtr)+len(l.W.ColIdx)+
 		len(l.Wt.RowPtr)+len(l.Wt.ColIdx)+len(l.wtPerm))
 }
-
-// GradVals exposes the pattern-aligned weight gradient (W's CSR order).
-func (l *SparseLinear) GradVals() []float32 { return l.Wv.Grad.Data() }
-
-// NNZ returns the surviving weight count.
-func (l *SparseLinear) NNZ() int { return l.W.NNZ() }
-
-// WeightBytes reports the sparse weight storage: values plus both patterns
-// and the refresh permutation (what replaces the dense 4·in·out weight).
-func (l *SparseLinear) WeightBytes() int64 {
-	return int64(len(l.W.Val))*4 + l.Wv.MetaBytes
-}
-
-// DenseEquivalent materializes the (in, out) dense weight for verification
-// against nn.Linear.
-func (l *SparseLinear) DenseEquivalent() *tensor.Tensor {
-	return tensor.Transpose(l.W.Dense())
-}

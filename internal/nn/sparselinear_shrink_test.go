@@ -16,7 +16,7 @@ var _ PatternLayer = (*SparseLinear)(nil)
 // same parameter values — and the same backing arrays as before the shrink.
 func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 	_, sl, _ := sparsePair(12, 9, 0.5, 31)
-	nnz := sl.NNZ()
+	nnz := sl.W.NNZ()
 	keep := make([]bool, nnz)
 	for i := range keep {
 		keep[i] = i%3 != 0 // drop every third stored position
@@ -81,7 +81,7 @@ func TestShrinkPatternRefreshesTransposeCache(t *testing.T) {
 	_, c := sl.Forward(nil, x, true)
 	sl.Backward(nil, c, gy)
 
-	keep := make([]bool, sl.NNZ())
+	keep := make([]bool, sl.W.NNZ())
 	for i := range keep {
 		keep[i] = i%2 == 0
 	}
@@ -113,9 +113,9 @@ func TestShrinkPatternRefreshesTransposeCache(t *testing.T) {
 func TestShrinkPatternToEmpty(t *testing.T) {
 	_, sl, _ := sparsePair(6, 5, 0.5, 51)
 	sl.Exec = ExecSparse
-	sl.ShrinkPattern(make([]bool, sl.NNZ()))
-	if sl.NNZ() != 0 {
-		t.Fatalf("NNZ = %d after full shrink", sl.NNZ())
+	sl.ShrinkPattern(make([]bool, sl.W.NNZ()))
+	if sl.W.NNZ() != 0 {
+		t.Fatalf("NNZ = %d after full shrink", sl.W.NNZ())
 	}
 	if ids := sl.PatternIDs(); len(ids) != 0 {
 		t.Fatalf("PatternIDs = %v, want empty", ids)

@@ -63,7 +63,7 @@ func TestSparseLinearMatchesMaskedDense(t *testing.T) {
 			gradDense := tensor.New(9, 12)
 			for i := 0; i < 9; i++ {
 				for p := sl.W.RowPtr[i]; p < sl.W.RowPtr[i+1]; p++ {
-					gradDense.Set(sl.GradVals()[p], i, int(sl.W.ColIdx[p]))
+					gradDense.Set(sl.Wv.Grad.Data()[p], i, int(sl.W.ColIdx[p]))
 				}
 			}
 			back := tensor.Transpose(gradDense) // (in, out)
@@ -208,7 +208,7 @@ func TestSparseLinearCrossoverProbesAndFreezes(t *testing.T) {
 		_, c := sl.Forward(nil, x, true)
 		sl.Backward(nil, c, gy)
 	}
-	e, _, probe := sparse.XoverDecide(sparse.XoverOpForward, 16, 32, 24, sl.NNZ(), 32*24)
+	e, _, probe := sparse.XoverDecide(sparse.XoverOpForward, 16, 32, 24, sl.W.NNZ(), 32*24)
 	if probe {
 		t.Fatal("forward bucket still probing after 64 calls")
 	}

@@ -242,9 +242,6 @@ func (ls *LossScaler) Update(overflowed bool) bool {
 	return true
 }
 
-// SkippedSteps returns how many steps were dropped due to overflow.
-func (ls *LossScaler) SkippedSteps() int { return ls.skipped }
-
 // Snapshot returns the scaler's full mutable state for checkpointing.
 func (ls *LossScaler) Snapshot() (scale float64, goodSteps, skipped int) {
 	return ls.Scale, ls.goodSteps, ls.skipped

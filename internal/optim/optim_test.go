@@ -118,7 +118,7 @@ func TestLossScalerHalvesOnOverflow(t *testing.T) {
 	if ls.Scale != s0/2 {
 		t.Errorf("scale %g, want %g", ls.Scale, s0/2)
 	}
-	if ls.SkippedSteps() != 1 {
+	if ls.skipped != 1 {
 		t.Error("skip not counted")
 	}
 }

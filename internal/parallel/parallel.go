@@ -1,7 +1,7 @@
 // Package parallel provides the persistent worker pool that executes every
-// CPU kernel in the repository — dense GEMMs, im2col, fp16 conversions, and
-// the sparse compress/expand and SpMM/SDDMM hot paths all partition their
-// iteration spaces through For or Run.
+// CPU kernel in the repository — dense GEMMs, im2col, and the sparse
+// compress/expand and SpMM/SDDMM hot paths all partition their iteration
+// spaces through Run.
 //
 // The pool replaces the seed's per-call goroutine spawning: workers are
 // started once (lazily, on first use) and fed fixed-size task descriptors
@@ -22,7 +22,7 @@ import (
 	"sync/atomic"
 )
 
-// maxWorkers bounds the parallelism of a single For/Run call. It is atomic
+// maxWorkers bounds the parallelism of a single Run call. It is atomic
 // so tests (and callers tuning mid-run) can flip it while kernels are in
 // flight on other goroutines without a data race.
 var maxWorkers atomic.Int64
@@ -169,19 +169,4 @@ func Run(n, grain int, ctx any, fn func(ctx any, lo, hi int)) {
 		}
 	}
 	pendingFree.Put(pending)
-}
-
-// forCtx adapts For's closure to Run's top-level-function shape.
-func forCtx(ctx any, lo, hi int) { (*(ctx.(*func(lo, hi int))))(lo, hi) }
-
-// For runs fn(lo, hi) over a static partition of [0, n), like Run, but with
-// the convenience of a closure. The closure escapes into the pool, so For
-// allocates per call — it is the prototyping form. Run IS the
-// context-carrying variant: kernels with zero-allocation contracts define
-// a job struct recycled through a Pool, pass it as ctx with a top-level
-// fn, and allocate nothing (see gemmV2Job, ixJob, attnJob, im2colJob for
-// the pattern). As of PR 2 every hot-path kernel in the repository uses
-// Run; For remains for tests and one-off tools.
-func For(n, grain int, fn func(lo, hi int)) {
-	Run(n, grain, &fn, forCtx)
 }

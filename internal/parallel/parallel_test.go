@@ -7,11 +7,13 @@ import (
 	"testing"
 )
 
+// TestForCoversRange: Run's static partition visits every index of [0, n)
+// exactly once.
 func TestForCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 1000, 4096} {
 		var hits atomic.Int64
 		seen := make([]int32, n)
-		For(n, 1, func(lo, hi int) {
+		Run(n, 1, nil, func(_ any, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 				hits.Add(1)
@@ -61,9 +63,9 @@ func TestSetWorkers(t *testing.T) {
 // worker count.
 func TestNestedRun(t *testing.T) {
 	var total atomic.Int64
-	For(32, 1, func(lo, hi int) {
+	Run(32, 1, nil, func(_ any, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			For(64, 1, func(l, h int) {
+			Run(64, 1, nil, func(_ any, l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -101,7 +103,7 @@ func TestPoolRaceStress(t *testing.T) {
 			defer wg.Done()
 			buf := make([]int64, 512)
 			for it := 0; it < iters; it++ {
-				For(len(buf), 16, func(lo, hi int) {
+				Run(len(buf), 16, nil, func(_ any, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						buf[i] = int64(seed + it + i)
 					}

@@ -37,9 +37,6 @@ func NewEarlyBird(sparsity float64) *EarlyBird {
 	return &EarlyBird{Sparsity: sparsity, Epsilon: 0.1, Window: 5, PerLayer: true}
 }
 
-// Epochs returns how many epochs have been observed.
-func (eb *EarlyBird) Epochs() int { return eb.epochs }
-
 // Observe records the mask induced by the current parameters and reports
 // whether the ticket has converged. Once converged, further Observe calls
 // are no-ops returning true.

@@ -182,52 +182,6 @@ func Random(layers []Layer, sparsity float64, seed uint64) *Result {
 	return resultFromMasks(layers, masks)
 }
 
-// BlockStructured prunes contiguous blocks of the given size by aggregate
-// magnitude, the structured variant (Gray et al., Chen et al.) that real
-// block-sparse kernels need. Block boundaries follow the 1-D view.
-func BlockStructured(layers []Layer, sparsity float64, blockSize int) *Result {
-	checkSparsity(sparsity)
-	if blockSize < 1 {
-		panic("prune: blockSize must be >= 1")
-	}
-	masks := make([]*sparse.Mask, len(layers))
-	for li, l := range layers {
-		n := len(l.Values)
-		nBlocks := (n + blockSize - 1) / blockSize
-		type entry struct {
-			block int
-			mag   float64
-		}
-		entries := make([]entry, nBlocks)
-		for b := 0; b < nBlocks; b++ {
-			var s float64
-			for i := b * blockSize; i < (b+1)*blockSize && i < n; i++ {
-				v := float64(l.Values[i])
-				if v < 0 {
-					v = -v
-				}
-				s += v
-			}
-			entries[b] = entry{block: b, mag: s}
-		}
-		sort.Slice(entries, func(a, b int) bool {
-			if entries[a].mag != entries[b].mag {
-				return entries[a].mag < entries[b].mag
-			}
-			return entries[a].block < entries[b].block
-		})
-		m := sparse.FullMask(n)
-		toPrune := int(sparsity * float64(nBlocks))
-		for _, e := range entries[:toPrune] {
-			for i := e.block * blockSize; i < (e.block+1)*blockSize && i < n; i++ {
-				m.Clear(i)
-			}
-		}
-		masks[li] = m
-	}
-	return resultFromMasks(layers, masks)
-}
-
 func resultFromMasks(layers []Layer, masks []*sparse.Mask) *Result {
 	r := &Result{Indices: make(map[string]*sparse.Index, len(layers))}
 	for li, l := range layers {

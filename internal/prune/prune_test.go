@@ -89,26 +89,6 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 }
 
-func TestBlockStructuredAlignment(t *testing.T) {
-	layers := makeLayers([]int{256}, 4)
-	r := BlockStructured(layers, 0.75, 16)
-	ids := r.Indices["a"].IDs()
-	// Every surviving block must be fully present: indices come in complete
-	// runs of 16 aligned to block boundaries.
-	blocks := map[int32]int{}
-	for _, id := range ids {
-		blocks[id/16]++
-	}
-	for b, cnt := range blocks {
-		if cnt != 16 {
-			t.Errorf("block %d has %d survivors, want 16", b, cnt)
-		}
-	}
-	if len(blocks) != 4 { // 16 blocks, 75% pruned -> 4 kept
-		t.Errorf("%d blocks kept, want 4", len(blocks))
-	}
-}
-
 func TestSparsityProperty(t *testing.T) {
 	// Achieved sparsity tracks requested sparsity for all algorithms.
 	f := func(s8 uint8, seed uint64) bool {
@@ -181,8 +161,8 @@ func TestEarlyBirdConvergence(t *testing.T) {
 	if got := eb.Ticket().Sparsity(); math.Abs(got-0.9) > 0.01 {
 		t.Errorf("ticket sparsity %g", got)
 	}
-	if eb.Epochs() < eb.Window {
-		t.Errorf("converged after %d epochs, before window filled", eb.Epochs())
+	if eb.epochs < eb.Window {
+		t.Errorf("converged after %d epochs, before window filled", eb.epochs)
 	}
 }
 

@@ -3,7 +3,6 @@ package sparse
 import (
 	"testing"
 
-	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -39,26 +38,13 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { ix.Expand(dense, comp) }); a != 0 {
 		t.Fatalf("Expand allocates %.1f per call, want 0", a)
 	}
-
-	// The fp16 twins sit on the same per-layer gradient path (∇θ16) and
-	// carry the same contract.
-	denseH := make([]fp16.Bits, n)
-	compH := make([]fp16.Bits, ix.NNZ())
-	ix.CompressHalf(compH, denseH)
-	ix.ExpandHalf(denseH, compH)
-	if a := testing.AllocsPerRun(50, func() { ix.CompressHalf(compH, denseH) }); a != 0 {
-		t.Fatalf("CompressHalf allocates %.1f per call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { ix.ExpandHalf(denseH, compH) }); a != 0 {
-		t.Fatalf("ExpandHalf allocates %.1f per call, want 0", a)
-	}
 }
 
-// TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMInto,
-// the transposed SpMMTInto, SDDMMInto and the cached-transpose Gather
-// refresh — at zero steady-state allocations: since PR 5 they sit on the
-// pruned FC layers' per-microbatch hot path, under the same contract as the
-// dense GEMM family (pooled jobs, caller buffers).
+// TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMTInto
+// against the pattern and its cached transpose, SDDMMInto and the
+// cached-transpose Gather refresh — at zero steady-state allocations: since
+// PR 5 they sit on the pruned FC layers' per-microbatch hot path, under the
+// same contract as the dense GEMM family (pooled jobs, caller buffers).
 func TestSparseKernelsZeroAlloc(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestCompressExpandZeroAlloc
 
@@ -66,17 +52,15 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	wt, perm := w.TransposePerm()
 	x := randDense(64, 96, 6)   // forward operand (batch, in)
 	dy := randDense(64, 128, 7) // gradient operand (batch, out)
-	xT := tensor.Transpose(x)   // (in, batch) for SpMM/SDDMM
+	xT := tensor.Transpose(x)   // (in, batch) for SDDMM
 	dyT := tensor.Transpose(dy) // (out, batch)
 	y := tensor.New(64, 128)    // SpMMT output
 	dx := tensor.New(64, 96)    // transposed SpMMT output
-	yT := tensor.New(128, 64)   // SpMM output
 	grad := make([]float32, w.NNZ())
 
 	// Warm the job free lists and the worker pool.
 	w.SpMMTInto(y, x)
 	wt.SpMMTInto(dx, dy)
-	w.SpMMInto(yT, xT)
 	w.SDDMMInto(grad, dyT, xT, true)
 	Gather(wt.Val, w.Val, perm)
 
@@ -85,9 +69,6 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, func() { wt.SpMMTInto(dx, dy) }); a != 0 {
 		t.Errorf("transposed SpMMTInto allocates %.1f per call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { w.SpMMInto(yT, xT) }); a != 0 {
-		t.Errorf("SpMMInto allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() { w.SDDMMInto(grad, dyT, xT, true) }); a != 0 {
 		t.Errorf("SDDMMInto allocates %.1f per call, want 0", a)

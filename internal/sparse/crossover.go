@@ -44,7 +44,7 @@ import (
 type XoverChoice uint8
 
 const (
-	// XoverSparse runs the CSR kernel (SpMMT/SpMM).
+	// XoverSparse runs the CSR kernel (SpMMT).
 	XoverSparse XoverChoice = iota
 	// XoverDense runs the dense GEMM against a masked-dense materialization.
 	XoverDense

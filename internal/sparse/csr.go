@@ -18,27 +18,6 @@ type CSR struct {
 	Val        []float32
 }
 
-// CSRFromDense builds a CSR matrix from a dense (rows, cols) tensor,
-// dropping exact zeros.
-func CSRFromDense(t *tensor.Tensor) *CSR {
-	if t.Rank() != 2 {
-		panic("sparse: CSRFromDense requires rank 2")
-	}
-	rows, cols := t.Dim(0), t.Dim(1)
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
-	d := t.Data()
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if v := d[i*cols+j]; v != 0 {
-				m.ColIdx = append(m.ColIdx, int32(j))
-				m.Val = append(m.Val, v)
-			}
-		}
-		m.RowPtr[i+1] = int32(len(m.Val))
-	}
-	return m
-}
-
 // CSRFromIndex builds a CSR matrix over a rows×cols view from a shared
 // linearized index and the matching compressed values.
 func CSRFromIndex(ix *Index, values []float32, rows, cols int) *CSR {
@@ -63,8 +42,8 @@ func CSRFromIndex(ix *Index, values []float32, rows, cols int) *CSR {
 // CSRFromDenseIndexed builds a CSR over the (rows, cols) view of a dense
 // 1-D layer holding exactly the indexed entries — the canonical bridge from
 // a pruning index to executable sparse state (stored zeros at indexed
-// positions are kept, unlike CSRFromDense: the pattern is the index, not
-// the values). Shared by prune.Result.MaterializeCSR and nn.SparseLinear.
+// positions are kept: the pattern is the index, not the values). Shared by
+// prune.Result.MaterializeCSR and nn.SparseLinear.
 func CSRFromDenseIndexed(ix *Index, dense []float32, rows, cols int) *CSR {
 	vals := make([]float32, ix.NNZ())
 	ix.Compress(vals, dense)
@@ -73,12 +52,6 @@ func CSRFromDenseIndexed(ix *Index, dense []float32, rows, cols int) *CSR {
 
 // NNZ returns the number of stored non-zeros.
 func (m *CSR) NNZ() int { return len(m.Val) }
-
-// Bytes returns the storage footprint (values + column indices + row
-// pointers).
-func (m *CSR) Bytes() int64 {
-	return int64(len(m.Val))*4 + int64(len(m.ColIdx))*4 + int64(len(m.RowPtr))*4
-}
 
 // Dense materializes the matrix as a dense tensor.
 func (m *CSR) Dense() *tensor.Tensor {
@@ -117,7 +90,7 @@ type csrJob struct {
 	m          *CSR
 	a, b       []float32
 	out        []float32
-	n, k       int
+	k          int
 	accumulate bool
 }
 
@@ -128,24 +101,6 @@ func getCSRJob() *csrJob { return csrJobFree.Get() }
 func putCSRJob(j *csrJob) {
 	j.m, j.a, j.b, j.out = nil, nil, nil, nil
 	csrJobFree.Put(j)
-}
-
-func spmmChunk(ctx any, lo, hi int) {
-	g := ctx.(*csrJob)
-	m, bd, cd, n := g.m, g.b, g.out, g.n
-	for i := lo; i < hi; i++ {
-		ci := cd[i*n : (i+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			v := m.Val[p]
-			bk := bd[int(m.ColIdx[p])*n : int(m.ColIdx[p])*n+n]
-			for j := range bk {
-				ci[j] += v * bk[j]
-			}
-		}
-	}
 }
 
 func sddmmChunk(ctx any, lo, hi int) {
@@ -190,60 +145,22 @@ func spmmtChunk(ctx any, lo, hi int) {
 	}
 }
 
-// SpMM computes C = S·B for sparse S (m,k) and dense B (k,n) — the kernel a
-// fully connected layer's forward pass would use under sparse compute
-// (weights sparse, activations dense).
-func (m *CSR) SpMM(b *tensor.Tensor) *tensor.Tensor {
-	m.spmmCheck(b)
-	c := tensor.New(m.Rows, b.Dim(1))
-	m.SpMMInto(c, b)
-	return c
-}
-
-func (m *CSR) spmmCheck(b *tensor.Tensor) {
-	if b.Rank() != 2 || b.Dim(0) != m.Cols {
-		panic(fmt.Sprintf("sparse: SpMM dims (%d,%d)x%v", m.Rows, m.Cols, b.Shape()))
-	}
-}
-
-// SpMMInto computes C = S·B into a caller-provided (rows, n) tensor,
-// avoiding the per-call allocation. Parallel over output rows: each worker
-// owns disjoint C rows.
-func (m *CSR) SpMMInto(c, b *tensor.Tensor) {
-	m.spmmCheck(b)
-	n := b.Dim(1)
-	if c.Len() != m.Rows*n {
-		panic(fmt.Sprintf("sparse: SpMMInto output has %d elements, want %d", c.Len(), m.Rows*n))
-	}
-	j := getCSRJob()
-	j.m, j.b, j.out, j.n = m, b.Data(), c.Data(), n
-	parallel.Run(m.Rows, csrRowGrain(m.Rows, m.NNZ()*n), j, spmmChunk)
-	putCSRJob(j)
-}
-
-// SpMMT computes C = B·Sᵀ for dense B (n, k) and sparse S (rows, k) — the
-// transposed-CSR SpMM. It is the product a sparse FC layer's forward and
-// input-gradient passes both take: with the weight stored (out, in), the
-// forward is x·Wᵀ against W itself and the input gradient is dy·(Wᵀ)ᵀ
-// against the cached Transpose(). Unlike SpMM it needs no transposed dense
-// operands: each output element gathers one B row against one S row.
-func (m *CSR) SpMMT(b *tensor.Tensor) *tensor.Tensor {
-	m.spmmtCheck(b)
-	c := tensor.New(b.Dim(0), m.Rows)
-	m.SpMMTInto(c, b)
-	return c
-}
-
 func (m *CSR) spmmtCheck(b *tensor.Tensor) {
 	if b.Rank() != 2 || b.Dim(1) != m.Cols {
 		panic(fmt.Sprintf("sparse: SpMMT dims %vx(%d,%d)ᵀ", b.Shape(), m.Rows, m.Cols))
 	}
 }
 
-// SpMMTInto computes C = B·Sᵀ into a caller-provided (n, rows) tensor
-// without allocating. Parallel over C rows (the batch dimension): every
-// output element is a gather-dot with a single owner and the CSR's fixed p
-// order, so the result is bitwise-identical at every worker count.
+// SpMMTInto computes C = B·Sᵀ for dense B (n, k) and sparse S (rows, k) —
+// the transposed-CSR SpMM — into a caller-provided (n, rows) tensor without
+// allocating. It is the product a sparse FC layer's forward and
+// input-gradient passes both take: with the weight stored (out, in), the
+// forward is x·Wᵀ against W itself and the input gradient is dy·(Wᵀ)ᵀ
+// against the cached Transpose(). It needs no transposed dense operands:
+// each output element gathers one B row against one S row. Parallel over C
+// rows (the batch dimension): every output element is a gather-dot with a
+// single owner and the CSR's fixed p order, so the result is
+// bitwise-identical at every worker count.
 func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
 	m.spmmtCheck(b)
 	n := b.Dim(0)
@@ -256,32 +173,20 @@ func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
 	putCSRJob(j)
 }
 
-// SDDMM computes the sampled dense-dense matrix multiplication
-// out[i,j] = (A·Bᵀ)[i,j] for (i,j) in the sparsity pattern of m, with A
-// (rows,k) and B (cols,k). This is the kernel the backward pass of a sparse
-// FC layer needs (weight-gradient restricted to the unpruned pattern).
-func (m *CSR) SDDMM(a, b *tensor.Tensor) *CSR {
-	m.sddmmCheck(a, b)
-	out := &CSR{Rows: m.Rows, Cols: m.Cols,
-		RowPtr: append([]int32(nil), m.RowPtr...),
-		ColIdx: append([]int32(nil), m.ColIdx...),
-		Val:    make([]float32, len(m.Val))}
-	m.SDDMMInto(out.Val, a, b, false)
-	return out
-}
-
 func (m *CSR) sddmmCheck(a, b *tensor.Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 || a.Dim(0) != m.Rows || b.Dim(0) != m.Cols || a.Dim(1) != b.Dim(1) {
 		panic("sparse: SDDMM shape mismatch")
 	}
 }
 
-// SDDMMInto computes the sampled product into a caller-provided value
-// slice aligned with m's pattern (len = NNZ), avoiding the fresh CSR and
-// value allocations of SDDMM; with accumulate it adds into dstVal (the
-// gradient-accumulation form a pipelined backward pass needs). Parallel
-// over rows: each row's value range [RowPtr[i], RowPtr[i+1]) is disjoint,
-// so workers write disjoint slices.
+// SDDMMInto computes the sampled dense-dense matrix multiplication
+// out[i,j] = (A·Bᵀ)[i,j] for (i,j) in the sparsity pattern of m, with A
+// (rows,k) and B (cols,k) — the kernel the backward pass of a sparse FC layer
+// needs (weight gradient restricted to the unpruned pattern) — into a
+// caller-provided value slice aligned with m's pattern (len = NNZ); with
+// accumulate it adds into dstVal (the gradient-accumulation form a
+// pipelined backward pass needs). Parallel over rows: each row's value range
+// [RowPtr[i], RowPtr[i+1]) is disjoint, so workers write disjoint slices.
 func (m *CSR) SDDMMInto(dstVal []float32, a, b *tensor.Tensor, accumulate bool) {
 	m.sddmmCheck(a, b)
 	if len(dstVal) != m.NNZ() {

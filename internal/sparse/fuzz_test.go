@@ -49,44 +49,6 @@ func maxAbsDiffSlice(a, b []float32) float64 {
 	return m
 }
 
-// FuzzSpMMInto checks C = S·B against the dense reference S_dense·B and
-// pins the parallel dispatch bitwise at several worker counts.
-func FuzzSpMMInto(f *testing.F) {
-	f.Add(uint16(0), uint16(8), uint16(8), uint8(128), uint64(1))  // no rows
-	f.Add(uint16(8), uint16(0), uint16(8), uint8(128), uint64(2))  // k=0
-	f.Add(uint16(8), uint16(8), uint16(0), uint8(128), uint64(3))  // n=0
-	f.Add(uint16(7), uint16(9), uint16(5), uint8(0), uint64(4))    // zero nnz
-	f.Add(uint16(9), uint16(7), uint16(3), uint8(255), uint64(5))  // fully dense
-	f.Add(uint16(1), uint16(129), uint16(1), uint8(25), uint64(6)) // single row/col
-	f.Add(uint16(64), uint16(48), uint16(32), uint8(25), uint64(7))
-	f.Add(uint16(130), uint16(65), uint16(17), uint8(12), uint64(8)) // crosses row grain
-	f.Add(uint16(130), uint16(65), uint16(17), uint8(0), uint64(9))  // empty pattern, many rows
-	f.Add(uint16(0), uint16(0), uint16(0), uint8(0), uint64(10))     // empty pattern, empty dims
-	f.Fuzz(func(t *testing.T, rr, cr, nr uint16, density uint8, seed uint64) {
-		rows, cols, n := int(rr%144), int(cr%144), int(nr%48)
-		m, dense := fuzzCSR(rows, cols, density, seed)
-		b := randDense(cols, n, seed+1)
-		want := tensor.MatMul(dense, b)
-
-		got := tensor.New(rows, n)
-		got.Fill(42) // Into must fully overwrite
-		m.SpMMInto(got, b)
-		if d := tensor.MaxAbsDiff(got, want); d > fuzzTol(cols) {
-			t.Fatalf("SpMMInto(%dx%dx%d, %d nnz) differs from dense by %g", rows, cols, n, m.NNZ(), d)
-		}
-
-		defer tensor.SetWorkers(tensor.SetWorkers(1))
-		ref := got.Clone()
-		for _, w := range []int{2, 3, 8} {
-			tensor.SetWorkers(w)
-			m.SpMMInto(got, b)
-			if i, ok := bitwiseEqualSlice(got.Data(), ref.Data()); !ok {
-				t.Fatalf("workers=%d: SpMMInto differs from 1-worker result at %d", w, i)
-			}
-		}
-	})
-}
-
 // FuzzSpMMTInto checks the transposed-CSR SpMM C = B·Sᵀ — the sparse FC
 // forward/input-gradient product — against tensor.MatMulT(B, S_dense).
 func FuzzSpMMTInto(f *testing.F) {

@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 
-	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
@@ -173,87 +172,7 @@ func Gather(dst, src []float32, ids []int32) {
 	putIxJob(j)
 }
 
-// ixHalfJob is the fp16 twin of ixJob: the half-precision gather/scatter
-// sits on the same per-layer, per-microbatch gradient path as the float32
-// one (∇θ16 is the tensor SAMO compresses most often), so it runs on the
-// worker pool with pooled dispatch too.
-type ixHalfJob struct {
-	ids        []int32
-	dst, dense []fp16.Bits
-}
-
-var ixHalfJobFree parallel.Pool[ixHalfJob]
-
-func compressHalfChunk(ctx any, lo, hi int) {
-	j := ctx.(*ixHalfJob)
-	ids, dst, dense := j.ids, j.dst, j.dense
-	for i := lo; i < hi; i++ {
-		dst[i] = dense[ids[i]]
-	}
-}
-
-func zeroHalfChunk(ctx any, lo, hi int) {
-	d := ctx.(*ixHalfJob).dense
-	for i := lo; i < hi; i++ {
-		d[i] = 0
-	}
-}
-
-func expandHalfChunk(ctx any, lo, hi int) {
-	j := ctx.(*ixHalfJob)
-	ids, dst, dense := j.ids, j.dst, j.dense
-	for i := lo; i < hi; i++ {
-		dense[ids[i]] = dst[i]
-	}
-}
-
-// CompressHalf gathers unpruned elements of a dense half-precision view.
-// Parallel (disjoint dst ranges) and allocation-free, exactly like the
-// float32 Compress.
-func (ix *Index) CompressHalf(dst, dense []fp16.Bits) {
-	if len(dense) != ix.full || len(dst) != len(ix.ids) {
-		panic("sparse: CompressHalf size mismatch")
-	}
-	j := ixHalfJobFree.Get()
-	j.ids, j.dst, j.dense = ix.ids, dst, dense
-	parallel.Run(len(ix.ids), ixGrain, j, compressHalfChunk)
-	j.ids, j.dst, j.dense = nil, nil, nil
-	ixHalfJobFree.Put(j)
-}
-
-// ExpandHalf scatters compressed half-precision values into a dense view,
-// zero-filling pruned positions. Both phases are parallel (ids are unique,
-// so scatter writes are disjoint) and allocation-free.
-func (ix *Index) ExpandHalf(dense, compressed []fp16.Bits) {
-	if len(dense) != ix.full || len(compressed) != len(ix.ids) {
-		panic("sparse: ExpandHalf size mismatch")
-	}
-	j := ixHalfJobFree.Get()
-	j.ids, j.dst, j.dense = ix.ids, compressed, dense
-	parallel.Run(len(dense), ixGrain, j, zeroHalfChunk)
-	parallel.Run(len(ix.ids), ixGrain, j, expandHalfChunk)
-	j.ids, j.dst, j.dense = nil, nil, nil
-	ixHalfJobFree.Put(j)
-}
-
 // Mask reconstructs the boolean mask this index describes.
 func (ix *Index) Mask() *Mask {
 	return FromIndices(ix.full, ix.ids)
-}
-
-// Coords2D converts the linearized ids back to (row, col) coordinates of a
-// rows×cols matrix view — needed when building CSR matrices for sparse
-// compute baselines. It is the inverse of the 1-D linearization and exists
-// to demonstrate (and test) that linearization loses no information.
-func (ix *Index) Coords2D(rows, cols int) (r, c []int32) {
-	if rows*cols != ix.full {
-		panic(fmt.Sprintf("sparse: Coords2D %dx%d != %d", rows, cols, ix.full))
-	}
-	r = make([]int32, len(ix.ids))
-	c = make([]int32, len(ix.ids))
-	for i, id := range ix.ids {
-		r[i] = id / int32(cols)
-		c[i] = id % int32(cols)
-	}
-	return r, c
 }

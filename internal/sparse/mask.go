@@ -78,14 +78,6 @@ func popcount(x uint64) int {
 	return n
 }
 
-// Sparsity returns the pruned fraction p = 1 - count/n.
-func (m *Mask) Sparsity() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return 1 - float64(m.Count())/float64(m.n)
-}
-
 // Indices returns the sorted linearized indices of unpruned elements as
 // int32 — the paper's `ind` tensor (32-bit suffices for the largest models
 // in existence, as the paper notes).
@@ -126,13 +118,6 @@ func HammingDistance(a, b *Mask) float64 {
 		d += popcount(a.bits[i] ^ b.bits[i])
 	}
 	return float64(d) / float64(a.n)
-}
-
-// Clone returns a deep copy of the mask.
-func (m *Mask) Clone() *Mask {
-	b := make([]uint64, len(m.bits))
-	copy(b, m.bits)
-	return &Mask{n: m.n, bits: b}
 }
 
 // FromIndices builds a mask over n elements with the given unpruned indices.

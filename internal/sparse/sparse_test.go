@@ -4,13 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 func TestMaskBasics(t *testing.T) {
 	m := NewMask(130)
-	if m.Count() != 0 || m.Sparsity() != 1 {
+	if m.Count() != 0 {
 		t.Fatal("fresh mask should be all pruned")
 	}
 	m.Set(0)
@@ -38,9 +37,6 @@ func TestFullMask(t *testing.T) {
 		if m.Count() != n {
 			t.Errorf("FullMask(%d).Count() = %d", n, m.Count())
 		}
-		if n > 0 && m.Sparsity() != 0 {
-			t.Errorf("FullMask(%d) sparsity %g", n, m.Sparsity())
-		}
 	}
 }
 
@@ -62,7 +58,7 @@ func TestHammingDistance(t *testing.T) {
 	if d := HammingDistance(a, b); d != 0.02 {
 		t.Errorf("HammingDistance = %g, want 0.02", d)
 	}
-	if HammingDistance(a, a.Clone()) != 0 {
+	if HammingDistance(a, FromIndices(100, []int32{1, 2, 3})) != 0 {
 		t.Error("self distance nonzero")
 	}
 }
@@ -76,7 +72,7 @@ func TestIndexRoundTripProperty(t *testing.T) {
 		rng := tensor.NewRNG(seed)
 		m := NewMask(len(vals))
 		for i := range vals {
-			if rng.Float32() < 0.3 {
+			if rng.Float64() < 0.3 {
 				m.Set(i)
 			}
 		}
@@ -116,41 +112,10 @@ func TestCompressExpandIdentityOnSupport(t *testing.T) {
 	}
 }
 
-func TestIndexHalfPath(t *testing.T) {
-	ix := IndexFromSlice([]int32{1, 2, 5}, 6)
-	dense := make([]fp16.Bits, 6)
-	for i := range dense {
-		dense[i] = fp16.FromFloat32(float32(i + 1))
-	}
-	comp := make([]fp16.Bits, 3)
-	ix.CompressHalf(comp, dense)
-	out := make([]fp16.Bits, 6)
-	ix.ExpandHalf(out, comp)
-	for i := range out {
-		want := float32(0)
-		if i == 1 || i == 2 || i == 5 {
-			want = float32(i + 1)
-		}
-		if fp16.ToFloat32(out[i]) != want {
-			t.Fatalf("half path: idx %d = %g want %g", i, fp16.ToFloat32(out[i]), want)
-		}
-	}
-}
-
 func TestIndexBytes(t *testing.T) {
 	ix := IndexFromSlice([]int32{0, 5, 9}, 10)
 	if ix.Bytes() != 12 {
 		t.Errorf("Bytes = %d, want 12", ix.Bytes())
-	}
-}
-
-func TestCoords2DInverseOfLinearization(t *testing.T) {
-	// The paper's example: non-zeros of a 2x2 tensor at [(0,0),(1,1)] are
-	// linearized to [0,3].
-	ix := IndexFromSlice([]int32{0, 3}, 4)
-	r, c := ix.Coords2D(2, 2)
-	if r[0] != 0 || c[0] != 0 || r[1] != 1 || c[1] != 1 {
-		t.Errorf("Coords2D: r=%v c=%v", r, c)
 	}
 }
 
@@ -178,24 +143,33 @@ func randSparseTensor(rows, cols int, sparsity float64, seed uint64) *tensor.Ten
 	return t
 }
 
+// CSRFromDense builds a CSR matrix from a dense (rows, cols) tensor,
+// dropping exact zeros: the from-scratch construction the index-driven
+// builders and the kernels' operands are checked against.
+func CSRFromDense(t *tensor.Tensor) *CSR {
+	if t.Rank() != 2 {
+		panic("sparse: CSRFromDense requires rank 2")
+	}
+	rows, cols := t.Dim(0), t.Dim(1)
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+	d := t.Data()
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if v := d[i*cols+j]; v != 0 {
+				m.ColIdx = append(m.ColIdx, int32(j))
+				m.Val = append(m.Val, v)
+			}
+		}
+		m.RowPtr[i+1] = int32(len(m.Val))
+	}
+	return m
+}
+
 func TestCSRDenseRoundTrip(t *testing.T) {
 	a := randSparseTensor(13, 17, 0.9, 1)
 	m := CSRFromDense(a)
 	if d := tensor.MaxAbsDiff(m.Dense(), a); d != 0 {
 		t.Errorf("CSR round trip diff %g", d)
-	}
-}
-
-func TestSpMMEqualsDenseMatMul(t *testing.T) {
-	// CSR spMM must equal dense GEMM on the same (zero-filled) matrix —
-	// the correctness condition behind Figure 1's apples-to-apples timing.
-	a := randSparseTensor(24, 31, 0.85, 2)
-	b := tensor.New(31, 9)
-	tensor.FillNormal(b, 1, tensor.NewRNG(3))
-	got := CSRFromDense(a).SpMM(b)
-	want := tensor.MatMul(a, b)
-	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
-		t.Errorf("SpMM diff %g", d)
 	}
 }
 
@@ -206,7 +180,9 @@ func TestSDDMMEqualsMaskedDense(t *testing.T) {
 	b := tensor.New(10, 6)
 	tensor.FillNormal(a, 1, tensor.NewRNG(5))
 	tensor.FillNormal(b, 1, tensor.NewRNG(6))
-	got := m.SDDMM(a, b).Dense()
+	sampled := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]float32, m.NNZ())}
+	m.SDDMMInto(sampled.Val, a, b, false)
+	got := sampled.Dense()
 	full := tensor.MatMulT(a, b)
 	// Mask the dense product to the pattern.
 	for i := 0; i < 12; i++ {
@@ -245,15 +221,6 @@ func TestCSRTranspose(t *testing.T) {
 	want := tensor.Transpose(a)
 	if d := tensor.MaxAbsDiff(got, want); d != 0 {
 		t.Errorf("Transpose diff %g", d)
-	}
-}
-
-func TestCSRBytesAccounting(t *testing.T) {
-	a := randSparseTensor(10, 10, 0.9, 9)
-	m := CSRFromDense(a)
-	want := int64(m.NNZ()*8 + 11*4)
-	if m.Bytes() != want {
-		t.Errorf("Bytes = %d, want %d", m.Bytes(), want)
 	}
 }
 

@@ -35,7 +35,7 @@ type tuneCand struct {
 	mc     int
 }
 
-// tuneCands are the probe candidates. The first entry is the v1 default
+// tuneCands are the probe candidates. The first entry is the default
 // blocking (kc·nc·4 = 128 KiB, L2-resident); the next two trade panel
 // height against width (taller panels amortize the sweep's C row traffic
 // over more k, wider panels cut the number of j0 passes over A); the
@@ -148,10 +148,6 @@ func tuneFor(v gemmVariant, m, k, n int) *autotune.Entry {
 // ResetTuneTable clears all autotuning decisions (tests, and benchmarks
 // that want to re-probe on a new machine).
 func ResetTuneTable() { tuneTable.Reset() }
-
-// TunePath resolves where autotuner decisions persist ("" when
-// SAMO_GEMM_TUNE=off).
-func TunePath() string { return tuneTable.Path() }
 
 // SaveTuneTable writes every decided bucket to path as JSON.
 func SaveTuneTable(path string) error { return tuneTable.Save(path) }

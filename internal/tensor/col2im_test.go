@@ -40,6 +40,37 @@ func bitwiseEqual(a, b *Tensor) (int, bool) {
 	return -1, true
 }
 
+// col2imSerial is the seed scatter kernel: the reference the parallel
+// gather is pinned to (bitwise) and benchmarked against.
+func col2imSerial(dst, src []float32, s ConvSpec, n int) {
+	oh, ow := s.OutH(), s.OutW()
+	k := s.Kernel
+	rowLen := s.InC * k * k
+	for r := 0; r < n*oh*ow; r++ {
+		img := r / (oh * ow)
+		rem := r % (oh * ow)
+		oy := rem / ow
+		ox := rem % ow
+		base := r * rowLen
+		for c := 0; c < s.InC; c++ {
+			chanOff := (img*s.InC + c) * s.InH * s.InW
+			for ky := 0; ky < k; ky++ {
+				iy := oy*s.Stride + ky - s.Pad
+				if iy < 0 || iy >= s.InH {
+					continue
+				}
+				rowOff := base + (c*k+ky)*k
+				for kx := 0; kx < k; kx++ {
+					ix := ox*s.Stride + kx - s.Pad
+					if ix >= 0 && ix < s.InW {
+						dst[chanOff+iy*s.InW+ix] += src[rowOff+kx]
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCol2ImParallelBitwiseDeterminism pins the parallel gather kernel to
 // the serial scatter reference BITWISE at every worker count the training
 // stack uses — the same contract the GEMM autotuner candidates carry: the
@@ -53,39 +84,17 @@ func TestCol2ImParallelBitwiseDeterminism(t *testing.T) {
 			col2imSerial(ref.Data(), cols.Data(), tc.s, tc.n)
 			for _, w := range []int{1, 2, 3, 4, 8, 16} {
 				SetWorkers(w)
+				// The destination's contents are unspecified: garbage must
+				// be overwritten, not accumulated into.
 				out := New(tc.n, tc.s.InC, tc.s.InH, tc.s.InW)
-				Col2ImInto(out, cols, tc.s, tc.n)
+				fillSeq(out, NewRNG(7))
+				Col2ImZeroInto(out, cols, tc.s, tc.n)
 				if i, ok := bitwiseEqual(out, ref); !ok {
-					t.Fatalf("workers=%d: Col2ImInto differs from serial at flat index %d: %g vs %g",
+					t.Fatalf("workers=%d: Col2ImZeroInto differs from serial at flat index %d: %g vs %g",
 						w, i, out.Data()[i], ref.Data()[i])
-				}
-				// The zeroing variant must overwrite garbage and still match.
-				dirty := New(tc.n, tc.s.InC, tc.s.InH, tc.s.InW)
-				fillSeq(dirty, NewRNG(7))
-				Col2ImZeroInto(dirty, cols, tc.s, tc.n)
-				if i, ok := bitwiseEqual(dirty, ref); !ok {
-					t.Fatalf("workers=%d: Col2ImZeroInto differs from serial at flat index %d",
-						w, i)
 				}
 			}
 		})
-	}
-}
-
-// TestCol2ImAccumulates pins the documented accumulate semantics: a
-// non-zero destination gains the scatter on top of its contents, in the
-// serial kernel's exact order.
-func TestCol2ImAccumulates(t *testing.T) {
-	s := ConvSpec{InC: 3, OutC: 4, Kernel: 3, Stride: 1, Pad: 1, InH: 9, InW: 7}
-	cols := col2imCols(s, 2, 55)
-	seed := New(2, s.InC, s.InH, s.InW)
-	fillSeq(seed, NewRNG(56))
-	want := seed.Clone()
-	col2imSerial(want.Data(), cols.Data(), s, 2)
-	got := seed.Clone()
-	Col2ImInto(got, cols, s, 2)
-	if i, ok := bitwiseEqual(got, want); !ok {
-		t.Fatalf("accumulating Col2ImInto differs from serial at flat index %d", i)
 	}
 }
 
@@ -107,16 +116,16 @@ func TestCol2ImShapeValidation(t *testing.T) {
 	s := ConvSpec{InC: 3, OutC: 2, Kernel: 3, Stride: 1, Pad: 1, InH: 8, InW: 6}
 	const n = 2
 	cols := col2imCols(s, n, 77)
-	Col2ImInto(New(n, s.InC, s.InH, s.InW), cols, s, n) // correct shape passes
+	Col2ImZeroInto(New(n, s.InC, s.InH, s.InW), cols, s, n) // correct shape passes
 
 	mustPanic(t, "NHWC-permuted output", func() {
-		Col2ImInto(New(n, s.InH, s.InW, s.InC), cols, s, n) // same Len, wrong dims
+		Col2ImZeroInto(New(n, s.InH, s.InW, s.InC), cols, s, n) // same Len, wrong dims
 	})
 	mustPanic(t, "flat rank-1 output", func() {
-		Col2ImInto(New(n*s.InC*s.InH*s.InW), cols, s, n)
+		Col2ImZeroInto(New(n*s.InC*s.InH*s.InW), cols, s, n)
 	})
 	mustPanic(t, "wrong batch", func() {
-		Col2ImInto(New(n+1, s.InC, s.InH, s.InW), cols, s, n)
+		Col2ImZeroInto(New(n+1, s.InC, s.InH, s.InW), cols, s, n)
 	})
 	mustPanic(t, "mis-shaped cols", func() {
 		Col2ImZeroInto(New(n, s.InC, s.InH, s.InW), New(4, 4), s, n)
@@ -139,9 +148,6 @@ func TestCol2ImIntoZeroAlloc(t *testing.T) {
 	Col2ImZeroInto(out, cols, s, 2) // warm job pool and workers
 	if a := testing.AllocsPerRun(50, func() { Col2ImZeroInto(out, cols, s, 2) }); a != 0 {
 		t.Errorf("Col2ImZeroInto allocates %.1f per call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { Col2ImInto(out, cols, s, 2) }); a != 0 {
-		t.Errorf("Col2ImInto allocates %.1f per call, want 0", a)
 	}
 }
 

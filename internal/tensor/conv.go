@@ -23,20 +23,11 @@ func (s ConvSpec) OutH() int { return (s.InH+2*s.Pad-s.Kernel)/s.Stride + 1 }
 // OutW returns the output width.
 func (s ConvSpec) OutW() int { return (s.InW+2*s.Pad-s.Kernel)/s.Stride + 1 }
 
-// Im2Col lowers an NCHW input (n, inC, inH, inW) to a matrix of shape
-// (n·outH·outW, inC·k·k) so convolution becomes a single dense GEMM against
-// the (inC·k·k, outC) weight matrix — the standard cuDNN-style lowering that
-// lets the forward pass reuse the dense kernel SAMO depends on.
-func Im2Col(in *Tensor, s ConvSpec) *Tensor {
-	n := in.shape[0]
-	oh, ow := s.OutH(), s.OutW()
-	cols := New(n*oh*ow, s.InC*s.Kernel*s.Kernel)
-	Im2ColInto(cols, in, s)
-	return cols
-}
-
-// Im2ColInto lowers in into an existing (n·outH·outW, inC·k·k) cols tensor
-// without allocating the output.
+// Im2ColInto lowers an NCHW input (n, inC, inH, inW) into an existing cols
+// matrix of shape (n·outH·outW, inC·k·k) so convolution becomes a single
+// dense GEMM against the (inC·k·k, outC) weight matrix — the standard
+// cuDNN-style lowering that lets the forward pass reuse the dense kernel
+// SAMO depends on. It does not allocate.
 func Im2ColInto(cols, in *Tensor, s ConvSpec) {
 	if in.Rank() != 4 {
 		panic("tensor: Im2Col requires NCHW rank-4 input")
@@ -107,15 +98,6 @@ func im2colChunk(ctx any, lo, hi int) {
 	}
 }
 
-// Col2Im scatter-adds a column matrix (as produced by Im2Col) back into an
-// NCHW gradient tensor of shape (n, inC, inH, inW) — the backward of the
-// lowering.
-func Col2Im(cols *Tensor, s ConvSpec, n int) *Tensor {
-	out := New(n, s.InC, s.InH, s.InW)
-	Col2ImInto(out, cols, s, n)
-	return out
-}
-
 // col2imCheck validates both operands of the backward lowering. The output
 // is checked dimension by dimension, not just by element count: an NHWC-
 // permuted tensor has the same length as the NCHW gradient and a length-only
@@ -133,19 +115,14 @@ func col2imCheck(out, cols *Tensor, s ConvSpec, n int) {
 	}
 }
 
-// Col2ImInto scatter-adds a column matrix into an existing zeroed (or
-// accumulating) NCHW gradient tensor without allocating. The kernel runs in
-// parallel on the worker pool and is bitwise-identical to the serial scatter
-// at any worker count (see col2imChunk).
-func Col2ImInto(out, cols *Tensor, s ConvSpec, n int) {
-	col2imCheck(out, cols, s, n)
-	col2imRun(out.data, cols.data, s, n, false)
-}
-
-// Col2ImZeroInto is Col2ImInto for a destination with unspecified contents:
-// each worker zeroes the output rows it owns before gathering into them, so
-// callers (the conv backward) skip the separate serial zeroing pass over the
-// input-gradient tensor.
+// Col2ImZeroInto scatter-adds a column matrix (as produced by Im2ColInto)
+// back into an existing NCHW gradient tensor of shape (n, inC, inH, inW) —
+// the backward of the lowering — without allocating. The destination's
+// contents are unspecified on entry: each worker zeroes the output rows it
+// owns before gathering into them, so callers (the conv backward) skip a
+// separate serial zeroing pass. The kernel runs in parallel on the worker
+// pool and is bitwise-identical to the serial scatter at any worker count
+// (see col2imChunk).
 func Col2ImZeroInto(out, cols *Tensor, s ConvSpec, n int) {
 	col2imCheck(out, cols, s, n)
 	col2imRun(out.data, cols.data, s, n, true)
@@ -238,53 +215,11 @@ func col2imChunk(ctx any, lo, hi int) {
 	}
 }
 
-// col2imSerial is the seed scatter kernel, kept as the reference the
-// parallel gather is pinned (bitwise) and benchmarked against.
-func col2imSerial(dst, src []float32, s ConvSpec, n int) {
-	oh, ow := s.OutH(), s.OutW()
-	k := s.Kernel
-	rowLen := s.InC * k * k
-	for r := 0; r < n*oh*ow; r++ {
-		img := r / (oh * ow)
-		rem := r % (oh * ow)
-		oy := rem / ow
-		ox := rem % ow
-		base := r * rowLen
-		for c := 0; c < s.InC; c++ {
-			chanOff := (img*s.InC + c) * s.InH * s.InW
-			for ky := 0; ky < k; ky++ {
-				iy := oy*s.Stride + ky - s.Pad
-				if iy < 0 || iy >= s.InH {
-					continue
-				}
-				rowOff := base + (c*k+ky)*k
-				for kx := 0; kx < k; kx++ {
-					ix := ox*s.Stride + kx - s.Pad
-					if ix >= 0 && ix < s.InW {
-						dst[chanOff+iy*s.InW+ix] += src[rowOff+kx]
-					}
-				}
-			}
-		}
-	}
-}
-
-// MaxPool2x2 performs 2×2 max pooling with stride 2 on an NCHW tensor,
-// returning the pooled tensor and the flat argmax indices for backward.
-func MaxPool2x2(in *Tensor) (*Tensor, []int32) {
-	if in.Rank() != 4 {
-		panic("tensor: MaxPool2x2 requires NCHW input")
-	}
-	n, c, h, w := in.shape[0], in.shape[1], in.shape[2], in.shape[3]
-	out := New(n, c, h/2, w/2)
-	arg := make([]int32, out.Len())
-	MaxPool2x2Into(out, arg, in)
-	return out, arg
-}
-
-// MaxPool2x2Into pools into an existing output tensor and argmax slice
-// (len = out.Len()) without allocating. A nil arg skips argmax tracking —
-// the forward-only form for inference, where no backward will scatter.
+// MaxPool2x2Into performs 2×2 max pooling with stride 2 on an NCHW tensor
+// into an existing output tensor, recording the flat argmax indices for the
+// backward in arg (len = out.Len()), without allocating. A nil arg skips
+// argmax tracking — the forward-only form for inference, where no backward
+// will scatter.
 func MaxPool2x2Into(out *Tensor, arg []int32, in *Tensor) {
 	if in.Rank() != 4 {
 		panic("tensor: MaxPool2x2 requires NCHW input")
@@ -318,14 +253,6 @@ func MaxPool2x2Into(out *Tensor, arg []int32, in *Tensor) {
 			}
 		}
 	}
-}
-
-// MaxPool2x2Backward scatters grad back through the argmax indices into a
-// tensor with the given input shape.
-func MaxPool2x2Backward(grad *Tensor, arg []int32, inShape []int) *Tensor {
-	out := New(inShape...)
-	MaxPool2x2BackwardInto(out, grad, arg)
-	return out
 }
 
 // MaxPool2x2BackwardInto scatter-adds grad through the argmax indices into

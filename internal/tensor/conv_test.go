@@ -46,7 +46,8 @@ func TestIm2ColGEMMEqualsDirectConv(t *testing.T) {
 	for _, s := range specs {
 		in := randTensor([]int{2, s.InC, s.InH, s.InW}, 11)
 		w := randTensor([]int{s.OutC, s.InC, s.Kernel, s.Kernel}, 12)
-		cols := Im2Col(in, s)
+		cols := New(2*s.OutH()*s.OutW(), s.InC*s.Kernel*s.Kernel)
+		Im2ColInto(cols, in, s)
 		wmat := w.Reshape(s.OutC, -1) // (outC, inC·k·k)
 		out := MatMulT(cols, wmat)    // (n·oh·ow, outC)
 		want := naiveConv2d(in, w, s)
@@ -71,10 +72,12 @@ func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 	// backward lowering (they are adjoint linear maps).
 	s := ConvSpec{InC: 3, OutC: 1, Kernel: 3, Stride: 2, Pad: 1, InH: 7, InW: 6}
 	x := randTensor([]int{2, s.InC, s.InH, s.InW}, 21)
-	cols := Im2Col(x, s)
+	cols := New(2*s.OutH()*s.OutW(), s.InC*s.Kernel*s.Kernel)
+	Im2ColInto(cols, x, s)
 	y := randTensor(cols.Shape(), 22)
 	lhs := Dot(cols, y)
-	back := Col2Im(y, s, 2)
+	back := New(2, s.InC, s.InH, s.InW)
+	Col2ImZeroInto(back, y, s, 2)
 	rhs := Dot(x, back)
 	if math.Abs(lhs-rhs) > 1e-2*math.Abs(lhs) {
 		t.Errorf("adjoint identity violated: %g vs %g", lhs, rhs)
@@ -88,7 +91,8 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 1, 2, 3,
 		1, 1, 4, 1,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2x2(in)
+	out, arg := New(1, 1, 2, 2), make([]int32, 4)
+	MaxPool2x2Into(out, arg, in)
 	want := []float32{4, 8, 9, 4}
 	for i, w := range want {
 		if out.Data()[i] != w {
@@ -96,7 +100,8 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		}
 	}
 	grad := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	back := MaxPool2x2Backward(grad, arg, in.Shape())
+	back := New(in.Shape()...)
+	MaxPool2x2BackwardInto(back, grad, arg)
 	// Gradient flows only to the argmax positions.
 	if back.At(0, 0, 1, 1) != 1 || back.At(0, 0, 1, 3) != 2 ||
 		back.At(0, 0, 2, 0) != 3 || back.At(0, 0, 3, 2) != 4 {
@@ -147,49 +152,6 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	rng := NewRNG(9)
-	p := rng.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestHalfTensorRoundTrip(t *testing.T) {
-	a := randTensor([]int{4, 5}, 31)
-	h, ov := HalfFromTensor(a)
-	if ov != 0 {
-		t.Fatalf("unexpected overflows: %d", ov)
-	}
-	if h.Bytes() != 40 {
-		t.Errorf("Bytes = %d, want 40", h.Bytes())
-	}
-	b := h.Float32()
-	if d := MaxAbsDiff(a, b); d > 1e-2 {
-		t.Errorf("half round trip diff %g", d)
-	}
-	// Values already on the fp16 grid survive exactly.
-	QuantizeInPlace(a)
-	h.StoreFrom(a)
-	c := New(4, 5)
-	h.LoadInto(c)
-	if MaxAbsDiff(a, c) != 0 {
-		t.Error("fp16-grid values must round trip exactly")
-	}
-}
-
-func TestHalfOverflowCount(t *testing.T) {
-	a := FromSlice([]float32{1e9, 2, 3, -1e9}, 4)
-	_, ov := HalfFromTensor(a)
-	if ov != 2 {
-		t.Errorf("overflow count = %d, want 2", ov)
-	}
-}
-
 func BenchmarkMatMul256(b *testing.B) {
 	x := randTensor([]int{256, 256}, 1)
 	y := randTensor([]int{256, 256}, 2)
@@ -204,8 +166,9 @@ func BenchmarkMatMul256(b *testing.B) {
 func BenchmarkIm2Col(b *testing.B) {
 	s := ConvSpec{InC: 16, OutC: 16, Kernel: 3, Stride: 1, Pad: 1, InH: 32, InW: 32}
 	in := randTensor([]int{4, 16, 32, 32}, 3)
+	cols := New(4*s.OutH()*s.OutW(), s.InC*s.Kernel*s.Kernel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(in, s)
+		Im2ColInto(cols, in, s)
 	}
 }

@@ -183,7 +183,8 @@ func seedTransposedCorpus(f *testing.F) {
 
 // FuzzCol2ImAdjoint checks the defining property of the backward lowering —
 // <Im2Col(x), y> == <x, Col2Im(y)> for adjoint linear maps — over random
-// kernel/stride/pad geometry, and pins the parallel Col2Im gather bitwise
+// kernel/stride/pad geometry, through the forms the conv layers call
+// (Im2ColInto, Col2ImZeroInto), and pins the parallel Col2Im gather bitwise
 // to the serial scatter at several worker counts on every fuzzed geometry.
 func FuzzCol2ImAdjoint(f *testing.F) {
 	// Seeded degenerate corpus: 1×1 kernels, stride > kernel (gap rows),
@@ -208,12 +209,14 @@ func FuzzCol2ImAdjoint(f *testing.F) {
 		rng := NewRNG(seed | 1)
 		x := New(n, inC, inH, inW)
 		fillSeq(x, rng)
-		cols := Im2Col(x, s)
+		cols := New(n*s.OutH()*s.OutW(), inC*k*k)
+		Im2ColInto(cols, x, s)
 		y := New(cols.Dim(0), cols.Dim(1))
 		fillSeq(y, rng)
 
 		lhs := Dot(cols, y)
-		back := Col2Im(y, s, n)
+		back := New(n, inC, inH, inW)
+		Col2ImZeroInto(back, y, s, n)
 		rhs := Dot(x, back)
 		if scale := math.Abs(lhs) + math.Abs(rhs) + 1; math.Abs(lhs-rhs) > 1e-4*scale {
 			t.Fatalf("adjoint identity violated for %+v n=%d: <Im2Col(x),y>=%g vs <x,Col2Im(y)>=%g",
@@ -225,8 +228,8 @@ func FuzzCol2ImAdjoint(f *testing.F) {
 		defer SetWorkers(SetWorkers(0))
 		for _, w := range []int{1, 2, 3, 8} {
 			SetWorkers(w)
-			out := New(n, inC, inH, inW)
-			Col2ImInto(out, y, s, n)
+			out := x.Clone() // stale contents the gather must overwrite
+			Col2ImZeroInto(out, y, s, n)
 			if i, ok := bitwiseEqual(out, ref); !ok {
 				t.Fatalf("workers=%d %+v: parallel Col2Im differs from serial at index %d", w, s, i)
 			}

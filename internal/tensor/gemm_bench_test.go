@@ -20,10 +20,9 @@ func warmAutotune(v gemmVariant, m, k, n int, call func()) {
 
 // BenchmarkGEMM times the dense kernel at the paper's Figure 1 FC shapes
 // (batch 576, square weights): "seed" is the saxpy kernel the repository
-// started with, "packed" the per-worker-packing v1 micro-kernel, and
-// "shared" the autotuned shared-pack v2 pipeline that dispatch now uses.
-// The seed/packed and seed/shared ratios are the kernel-path speedups
-// recorded in BENCH_kernels.json (scripts/bench.sh gates on them).
+// started with and "shared" the autotuned shared-pack pipeline that
+// dispatch now uses. The seed/shared ratio is the kernel-path speedup
+// recorded in BENCH_kernels.json (scripts/bench.sh gates on it).
 func BenchmarkGEMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{128, 256, 512, 1024} {
@@ -32,22 +31,18 @@ func BenchmarkGEMM(b *testing.B) {
 		fillSeq(a, rng)
 		fillSeq(w, rng)
 		flops := 2 * float64(batch) * float64(dim) * float64(dim)
-		run := func(fn func(ctx any, lo, hi int)) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					j := getGemmJob()
-					j.c, j.a, j.b = c.data, a.data, w.data
-					j.m, j.k, j.n = batch, dim, dim
-					j.accumulate = false
-					parallel.Run(batch, gemmGrain, j, fn)
-					putGemmJob(j)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		b.Run(fmt.Sprintf("seed/%d", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := getGemmJob()
+				j.c, j.a, j.b = c.data, a.data, w.data
+				j.m, j.k, j.n = batch, dim, dim
+				j.accumulate = false
+				parallel.Run(batch, gemmGrain, j, gemmSaxpyChunk)
+				putGemmJob(j)
 			}
-		}
-		b.Run(fmt.Sprintf("seed/%d", dim), run(gemmSaxpyChunk))
-		b.Run(fmt.Sprintf("packed/%d", dim), run(gemmPackedChunk))
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
 			warmAutotune(gemmNN, batch, dim, dim, func() {
 				gemm(c.data, a.data, w.data, batch, dim, dim, false)
@@ -59,51 +54,6 @@ func BenchmarkGEMM(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
-	}
-}
-
-// BenchmarkGEMMSmallM times the small-m regime — the Figure-1 FC backward
-// shapes where each worker owns only a few C rows, so v1's per-worker
-// panel packing is almost pure overhead: the panel is swept too few times
-// to amortize the pack traffic. The shared-pack dispatcher autotunes these
-// buckets to the direct-B (pack-free) or shared-pack kernel, which is
-// where the >1.1x win over packed v1 comes from.
-func BenchmarkGEMMSmallM(b *testing.B) {
-	for _, m := range []int{4, 8, 16} {
-		for _, dim := range []int{512, 1024} {
-			a, w, c := New(m, dim), New(dim, dim), New(m, dim)
-			rng := NewRNG(11)
-			fillSeq(a, rng)
-			fillSeq(w, rng)
-			flops := 2 * float64(m) * float64(dim) * float64(dim)
-			run := func(fn func(ctx any, lo, hi int)) func(b *testing.B) {
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						j := getGemmJob()
-						j.c, j.a, j.b = c.data, a.data, w.data
-						j.m, j.k, j.n = m, dim, dim
-						j.accumulate = false
-						parallel.Run(m, gemmGrain, j, fn)
-						putGemmJob(j)
-					}
-					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-				}
-			}
-			b.Run(fmt.Sprintf("seed/%dx%d", m, dim), run(gemmSaxpyChunk))
-			b.Run(fmt.Sprintf("packed/%dx%d", m, dim), run(gemmPackedChunk))
-			b.Run(fmt.Sprintf("shared/%dx%d", m, dim), func(b *testing.B) {
-				warmAutotune(gemmNN, m, dim, dim, func() {
-					gemm(c.data, a.data, w.data, m, dim, dim, false)
-				})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					gemm(c.data, a.data, w.data, m, dim, dim, false)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
-		}
 	}
 }
 

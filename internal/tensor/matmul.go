@@ -8,17 +8,13 @@ import (
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// GEMM blocking parameters. The default v1 blocking packs a kc×nc panel of
-// B contiguously (kc·nc·4 = 128 KiB, L2-resident) and sweeps it with a
-// 4-row, 2-k-unrolled register micro-kernel; the v2 shared-pack pipeline
-// autotunes (kc, nc) per shape bucket (see autotune.go) with these values
-// as the first candidate.
+// GEMM blocking parameters. The shared-pack pipeline autotunes its (kc, nc)
+// panel blocking per shape bucket (see autotune.go); these are the fixed
+// ones.
 const (
-	gemmKC = 256 // k-dimension block (panel height), v1 default
-	gemmNC = 128 // n-dimension block (panel width), v1 default
-	gemmMR = 4   // micro-kernel rows (A rows per strip)
-	// gemmGrain is the minimum C rows per parallel chunk for the v1 and
-	// saxpy kernels (each chunk re-packs panels, so chunks must be big).
+	gemmMR = 4 // micro-kernel rows (A rows per strip)
+	// gemmGrain is the minimum C rows per parallel chunk for the saxpy and
+	// 4×4 tiled kernels (a chunk streams all of B, so chunks must be big).
 	gemmGrain = 8
 	// gemmPackGrain is the minimum panel rows per worker in the v2
 	// cooperative pack: a row copy is ~nc·4 bytes of pure memcpy, so
@@ -196,10 +192,10 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // gemmV2 computes C (+)= A·B with the BLIS-style shared-pack pipeline: for
 // each kc×nc panel of B the workers first pack it cooperatively — ONCE per
 // call, into one process-pooled buffer — then all sweep their disjoint C
-// row ranges over it. The v1 kernel packed every panel once per *worker*,
-// which is pure duplicated memory traffic as soon as a call fans out; the
-// shared pack removes it, which is exactly the win when rows-per-worker is
-// small (the Figure-1 FC backward shapes). Candidates with pack=false skip
+// row ranges over it. Packing a panel once per *worker* instead is pure
+// duplicated memory traffic as soon as a call fans out; the shared pack
+// removes it, which is exactly the win when rows-per-worker is small (the
+// Figure-1 FC backward shapes). Candidates with pack=false skip
 // packing entirely and read B in place — for very small m a panel is swept
 // too few times for the pack traffic to amortize at all.
 //
@@ -561,41 +557,6 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 			}
 		}
 	}
-}
-
-// gemmPackedChunk computes C rows [lo,hi) with the packed micro-kernel:
-// for each kc×nc panel of B, pack it contiguously, then sweep 4-row strips
-// of A with a 2-k-unrolled fused-axpy kernel. B is loaded once per 4 C rows
-// (the seed's saxpy loaded it once per row) and the packed panel streams
-// from one contiguous block, which is where the speedup comes from.
-func gemmPackedChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmJob)
-	c, a, b := g.c, g.a, g.b
-	k, n := g.k, g.n
-	if !g.accumulate {
-		zeroSlice(c[lo*n : hi*n])
-	}
-	pb := getPackBuf()
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := min(k0+gemmKC, k)
-		kcur := k1 - k0
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			j1 := min(j0+gemmNC, n)
-			ncur := j1 - j0
-			// Pack the B panel: rows become adjacent (stride ncur, not n).
-			for kk := 0; kk < kcur; kk++ {
-				copy(pb[kk*ncur:kk*ncur+ncur], b[(k0+kk)*n+j0:(k0+kk)*n+j1])
-			}
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				gemmMicro4(c, a, pb, i*k+k0, k, 0, ncur, i, n, kcur, j0, ncur)
-			}
-			for ; i < hi; i++ {
-				gemmMicro1(c, a, pb, i*k+k0, k, 0, ncur, i, n, kcur, j0, ncur)
-			}
-		}
-	}
-	putPackBuf(pb)
 }
 
 // gemmMicro4 updates C rows i..i+3, cols [j0,j0+ncur) from kcur rows of B

@@ -17,15 +17,6 @@ func Add(dst, src *Tensor) {
 	}
 }
 
-// Sub computes dst -= src elementwise.
-func Sub(dst, src *Tensor) {
-	binCheck(dst, src)
-	d, s := dst.data, src.data
-	for i := range d {
-		d[i] -= s[i]
-	}
-}
-
 // Mul computes dst *= src elementwise (Hadamard product).
 func Mul(dst, src *Tensor) {
 	binCheck(dst, src)
@@ -103,37 +94,6 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of t.
-func Norm2(t *Tensor) float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute value in t.
-func MaxAbs(t *Tensor) float32 {
-	var m float32
-	for _, v := range t.data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ReLU applies max(0,x) in place and returns a mask tensor (1 where active)
-// for the backward pass.
-func ReLU(t *Tensor) *Tensor {
-	mask := New(t.shape...)
-	ReLUWithMask(t, mask)
-	return mask
-}
-
 // ReLUWithMask applies max(0,x) to t in place, writing the activation mask
 // (1 where active, 0 elsewhere) into the caller-provided mask tensor.
 func ReLUWithMask(t, mask *Tensor) {
@@ -197,64 +157,6 @@ func GELUBackward(grad, pre *Tensor) {
 	}
 }
 
-// SoftmaxRows applies a numerically stable softmax to each row of an (m,n)
-// tensor in place. Degenerate shapes are no-ops like every other op: an
-// (m,0) tensor has only empty rows (there is nothing to normalize), so it
-// passes through instead of panicking on the max scan.
-func SoftmaxRows(t *Tensor) {
-	if t.Rank() != 2 {
-		panic("tensor: SoftmaxRows requires rank 2")
-	}
-	n := t.shape[1]
-	if n == 0 {
-		return
-	}
-	for i := 0; i < t.shape[0]; i++ {
-		row := t.data[i*n : (i+1)*n]
-		max := row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := float32(math.Exp(float64(v - max)))
-			row[j] = e
-			sum += float64(e)
-		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
-		}
-	}
-}
-
-// ArgmaxRows returns the index of the maximum in each row of an (m,n)
-// tensor. Zero-width rows yield index 0 (no element compares higher).
-func ArgmaxRows(t *Tensor) []int {
-	if t.Rank() != 2 {
-		panic("tensor: ArgmaxRows requires rank 2")
-	}
-	n := t.shape[1]
-	out := make([]int, t.shape[0])
-	for i := 0; i < t.shape[0]; i++ {
-		row := t.data[i*n : (i+1)*n]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
-// HasNonFinite reports whether t contains an Inf or NaN — the overflow check
-// that drives dynamic loss scaling.
-func HasNonFinite(t *Tensor) bool { return HasNonFiniteSlice(t.data) }
-
 // nonFiniteGrain is the minimum elements per parallel chunk of the
 // non-finite scan: the per-element work is two integer ops, so fine-grained
 // fan-out would be all dispatch overhead. Slices at or under one grain run
@@ -271,12 +173,13 @@ type nonFiniteJob struct {
 
 var nonFiniteJobFree parallel.Pool[nonFiniteJob]
 
-// HasNonFiniteSlice is HasNonFinite on a raw slice — the form the
-// mixed-precision state manager calls once per parameter per step on the
-// captured fp16 gradients. Large slices are scanned in chunks on the
-// worker pool with an early exit through a shared atomic flag; the scan is
-// allocation-free (pooled job, pooled dispatch), which keeps the fp16
-// train-step zero-alloc contract intact.
+// HasNonFiniteSlice reports whether s contains an Inf or NaN — the overflow
+// check that drives dynamic loss scaling, which the mixed-precision state
+// manager calls once per parameter per step on the captured fp16
+// gradients. Large slices are scanned in chunks on the worker pool with an
+// early exit through a shared atomic flag; the scan is allocation-free
+// (pooled job, pooled dispatch), which keeps the fp16 train-step zero-alloc
+// contract intact.
 func HasNonFiniteSlice(s []float32) bool {
 	if len(s) <= nonFiniteGrain {
 		return hasNonFiniteSerial(s)

@@ -152,11 +152,3 @@ func (a *Arena) Reset() {
 	}
 	a.used = a.used[:0]
 }
-
-// Live returns how many tensors are currently handed out (test hook).
-func (a *Arena) Live() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.used)
-}

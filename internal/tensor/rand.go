@@ -21,11 +21,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float32 returns a uniform value in [0,1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
-}
-
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
@@ -50,19 +45,6 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // FillNormal fills t with N(0, std²) values.
 func FillNormal(t *Tensor, std float64, rng *RNG) {
 	for i := range t.data {
@@ -84,11 +66,4 @@ func FillXavier(t *Tensor, fanIn, fanOut int, rng *RNG) {
 func FillKaiming(t *Tensor, fanIn int, rng *RNG) {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	FillNormal(t, std, rng)
-}
-
-// FillUniform fills t with uniform values in [lo, hi).
-func FillUniform(t *Tensor, lo, hi float32, rng *RNG) {
-	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float32()
-	}
 }

@@ -161,15 +161,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Row returns a view of row i of a rank-2 tensor as a 1-D tensor.
-func (t *Tensor) Row(i int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row requires rank 2")
-	}
-	c := t.shape[1]
-	return &Tensor{shape: []int{c}, data: t.data[i*c : (i+1)*c]}
-}
-
 // Slice returns a view of rows [lo,hi) along the first dimension.
 func (t *Tensor) Slice(lo, hi int) *Tensor {
 	if len(t.shape) == 0 {
@@ -184,19 +175,6 @@ func (t *Tensor) Slice(lo, hi int) *Tensor {
 	}
 	shape := append([]int{hi - lo}, t.shape[1:]...)
 	return &Tensor{shape: shape, data: t.data[lo*stride : hi*stride]}
-}
-
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders small tensors fully and large ones as a summary.

@@ -158,10 +158,7 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Add: %v", c.Data())
 		}
 	}
-	Sub(c, b)
-	if MaxAbsDiff(c, a) != 0 {
-		t.Fatalf("Sub: %v", c.Data())
-	}
+	c = a.Clone()
 	Mul(c, b)
 	for i, w := range []float32{10, 40, 90, 160} {
 		if c.Data()[i] != w {
@@ -192,30 +189,10 @@ func TestAddBiasSumRows(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRows(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 1000, 1000, 1000}, 2, 3)
-	SoftmaxRows(a)
-	for i := 0; i < 2; i++ {
-		var s float64
-		for j := 0; j < 3; j++ {
-			s += float64(a.At(i, j))
-		}
-		if math.Abs(s-1) > 1e-5 {
-			t.Errorf("row %d sums to %g", i, s)
-		}
-	}
-	// Large inputs must not produce NaN (stability).
-	if HasNonFinite(a) {
-		t.Error("softmax overflowed")
-	}
-	if !(a.At(0, 2) > a.At(0, 1) && a.At(0, 1) > a.At(0, 0)) {
-		t.Error("softmax not order preserving")
-	}
-}
-
 func TestReLUAndMask(t *testing.T) {
 	a := FromSlice([]float32{-1, 0, 2, -3}, 4)
-	mask := ReLU(a)
+	mask := New(4)
+	ReLUWithMask(a, mask)
 	want := []float32{0, 0, 2, 0}
 	wantMask := []float32{0, 0, 1, 0}
 	for i := range want {
@@ -241,62 +218,25 @@ func TestGELUGradientNumerically(t *testing.T) {
 
 func TestSumDotNorm(t *testing.T) {
 	a := FromSlice([]float32{3, 4}, 2)
-	if Norm2(a) != 5 {
-		t.Errorf("Norm2 = %g", Norm2(a))
-	}
 	if Dot(a, a) != 25 {
 		t.Errorf("Dot = %g", Dot(a, a))
 	}
 	if Sum(a) != 7 {
 		t.Errorf("Sum = %g", Sum(a))
 	}
-	if MaxAbs(FromSlice([]float32{-9, 2}, 2)) != 9 {
-		t.Error("MaxAbs")
-	}
-}
-
-func TestArgmaxRows(t *testing.T) {
-	a := FromSlice([]float32{1, 5, 2, 9, 0, 3}, 2, 3)
-	got := ArgmaxRows(a)
-	if got[0] != 1 || got[1] != 0 {
-		t.Errorf("ArgmaxRows = %v", got)
-	}
-}
-
-// TestRowOpsDegenerateShapes pins the zero-width and zero-row cases:
-// SoftmaxRows used to index row[0] and panic on an (m,0) tensor, unlike
-// every other op, which passes degenerate shapes through as no-ops.
-func TestRowOpsDegenerateShapes(t *testing.T) {
-	SoftmaxRows(New(3, 0)) // must not panic; nothing to normalize
-	SoftmaxRows(New(0, 4)) // no rows at all
-	SoftmaxRows(New(0, 0))
-
-	if got := ArgmaxRows(New(3, 0)); len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 0 {
-		t.Errorf("ArgmaxRows on (3,0) = %v, want three zeros", got)
-	}
-	if got := ArgmaxRows(New(0, 4)); len(got) != 0 {
-		t.Errorf("ArgmaxRows on (0,4) = %v, want empty", got)
-	}
-
-	// Non-degenerate rows must be untouched by the guard.
-	a := FromSlice([]float32{0, 0}, 1, 2)
-	SoftmaxRows(a)
-	if a.At(0, 0) != 0.5 || a.At(0, 1) != 0.5 {
-		t.Errorf("SoftmaxRows on (1,2) zeros = %v", a.Data())
-	}
 }
 
 func TestHasNonFinite(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	if HasNonFinite(a) {
+	a := []float32{1, 2}
+	if HasNonFiniteSlice(a) {
 		t.Error("false positive")
 	}
-	a.Data()[1] = float32(math.Inf(1))
-	if !HasNonFinite(a) {
+	a[1] = float32(math.Inf(1))
+	if !HasNonFiniteSlice(a) {
 		t.Error("missed Inf")
 	}
-	a.Data()[1] = float32(math.NaN())
-	if !HasNonFinite(a) {
+	a[1] = float32(math.NaN())
+	if !HasNonFiniteSlice(a) {
 		t.Error("missed NaN")
 	}
 }
@@ -352,9 +292,9 @@ func TestHasNonFiniteParallelGolden(t *testing.T) {
 func TestHasNonFiniteZeroAlloc(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic process-wide alloc counting
 
-	big := New(4 * nonFiniteGrain)
-	HasNonFinite(big) // warm job pool and workers
-	if n := testing.AllocsPerRun(50, func() { HasNonFinite(big) }); n != 0 {
-		t.Fatalf("HasNonFinite allocates %.1f per call, want 0", n)
+	big := make([]float32, 4*nonFiniteGrain)
+	HasNonFiniteSlice(big) // warm job pool and workers
+	if n := testing.AllocsPerRun(50, func() { HasNonFiniteSlice(big) }); n != 0 {
+		t.Fatalf("HasNonFiniteSlice allocates %.1f per call, want 0", n)
 	}
 }

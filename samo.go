@@ -21,11 +21,11 @@
 // # Compute substrate
 //
 // Every CPU kernel — the blocked GEMM micro-kernels behind MatMul and its
-// transposed variants, im2col, fp16 conversion, and the sparse
-// compress/expand and SpMM/SDDMM paths — executes on one persistent,
-// process-wide worker pool (internal/parallel) rather than spawning
-// goroutines per call. SetWorkers bounds the per-call fan-out atomically
-// and is safe to call mid-run; the pool itself is sized at GOMAXPROCS once.
+// transposed variants, im2col/col2im, and the sparse compress/expand and
+// SpMM/SDDMM paths — executes on one persistent, process-wide worker pool
+// (internal/parallel) rather than spawning goroutines per call. SetWorkers
+// bounds the per-call fan-out atomically and is safe to call mid-run; the
+// pool itself is sized at GOMAXPROCS once.
 //
 // The dense GEMM family — the kernels the paper's dense-compute argument
 // rests on — runs a unified BLIS-style shared-pack pipeline: each kc×nc
@@ -69,8 +69,8 @@
 // θ16 itself) is sized fφ. Every sparse kernel gives each output element a
 // single owning worker and a fixed accumulation order, so results are
 // bitwise-identical at every worker count, matching the GEMM/Col2Im
-// contract (pinned by determinism goldens and the FuzzSpMMInto/
-// FuzzSpMMTInto/FuzzSDDMMInto targets).
+// contract (pinned by determinism goldens and the FuzzSpMMTInto/
+// FuzzSDDMMInto targets).
 //
 // Because sparse kernels only win above a density-dependent threshold, a
 // density-aware crossover — the second autotuning client, keyed by (op,
@@ -163,10 +163,10 @@
 // # Transport
 //
 // The fabric is split from the wire: Fabric owns the failure domain and the
-// collective algorithms (ring all-reduce, ordered reduce, broadcast,
-// barrier), while a pluggable Transport moves the bytes. The default is the
-// in-process channel mesh (goroutine ranks, zero-copy pooled buffers); the
-// TCP transport (internal/comm/tcp) runs the same fabric across OS
+// collective algorithms (ring all-reduce, ordered reduce, broadcast), while
+// a pluggable Transport moves the bytes. The default is the in-process
+// channel mesh (goroutine ranks, zero-copy pooled buffers); the TCP
+// transport (internal/comm/tcp) runs the same fabric across OS
 // processes, each hosting a contiguous block of ranks. Frames are
 // length-prefixed with a one-byte kind (p2p data, collective chunk, poison),
 // floats cross the wire bit-preserved, and wire buffers recycle through
@@ -241,7 +241,7 @@
 //
 // Steady-state training steps are allocation-free across every model
 // family — MLP, CNN (im2col conv, batch norm, pooling, residual blocks)
-// and GPT (embedding, attention, layer norm, GELU MLP) — as are the fp16
+// and GPT (embedding, attention, layer norm, GELU MLP) — as are the
 // compress/expand primitives: each trainer or simulated rank owns a
 // size-keyed tensor arena that supplies activations, gradients and
 // scratch buffers and reclaims them wholesale after the optimizer step;
@@ -250,10 +250,11 @@
 // receiver zero-copy (pooled per fabric, in power-of-two capacity classes
 // under a hard retention bound). Run scripts/bench.sh to regenerate
 // BENCH_kernels.json, the kernel/throughput/allocation baseline the
-// benchmarks are tracked against; it fails if the packed or shared-pack
-// kernel regresses below 1.5x the seed GEMM on the Figure-1 shapes, or if
-// the parallel Col2Im drops below 1.5x the serial scatter on the conv
-// backward shapes (on multi-core machines; see MIN_COL2IM_SPEEDUP).
+// benchmarks are tracked against; it fails if the shared-pack kernel
+// regresses below 1.5x the seed GEMM on the Figure-1 shapes, if the parallel
+// Col2Im drops below 1.5x the serial scatter on the conv backward shapes (on
+// multi-core machines; see MIN_COL2IM_SPEEDUP), or if a gated benchmark
+// family is missing from the run.
 package samo
 
 import (

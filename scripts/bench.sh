@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # bench.sh — regression harness for the kernel and training hot paths.
 #
-# Runs the kernel-path benchmarks (seed saxpy GEMM vs packed v1 vs the
-# autotuned shared-pack v2 at the Figure 1 FC shapes plus the small-m
-# backward shapes, transposed products, compress/expand) and the
-# experiment-level suites (Figure1Kernels, Table2Throughput,
-# EndToEndParallelStep, SerialTrainStep), then writes BENCH_kernels.json at
-# the repository root with ns/op, B/op and allocs/op per benchmark, the
-# GEMM speedup matrix (packed-vs-seed, shared-vs-seed, shared-vs-packed,
-# small-m shared-vs-packed) and the machine fingerprint.
+# Runs the kernel-path benchmarks (seed saxpy GEMM vs the autotuned
+# shared-pack pipeline at the Figure 1 FC shapes, transposed products,
+# compress/expand) and the experiment-level suites (Figure1Kernels,
+# Table2Throughput, EndToEndParallelStep, SerialTrainStep), then writes
+# BENCH_kernels.json at the repository root with ns/op, B/op and allocs/op
+# per benchmark, the speedup matrices (GEMM shared-vs-seed, transposed
+# shared-vs-tiled, col2im, SpMM/SDDMM) and the machine fingerprint.
 #
-# The script FAILS (non-zero exit) if the packed or shared-pack kernel
-# regresses below MIN_GEMM_SPEEDUP (default 1.5x) over the seed kernel on
-# any Figure-1 FC shape — the repo's floor for the kernel-path win. The
+# The script FAILS (non-zero exit) if the shared-pack kernel regresses
+# below MIN_GEMM_SPEEDUP (default 1.5x) over the seed kernel on any
+# Figure-1 FC shape — the repo's floor for the kernel-path win. The
 # same floor applies to the transposed backward products: the autotuned
 # shared-pack MatMulT/TMatMul must hold MIN_GEMM_SPEEDUP over the PR-1 4×4
 # register-tile kernels on every Figure-1 backward shape (warn-only on
@@ -33,6 +32,11 @@
 # baseline records 2.1-20x there); the 50-75% points are recorded ungated —
 # dense winning at low sparsity is the density-aware crossover's reason to
 # exist, not a regression. Warn-only on single-CPU machines.
+#
+# A gated matrix that comes out empty, or with a row missing its partner,
+# FAILS in every mode (count-based smoke runs and single-CPU machines
+# included): a renamed or deleted benchmark family would otherwise pass
+# every floor vacuously.
 #
 # It also gates the conv backward lowering: the parallel Col2Im gather
 # (BenchmarkCol2Im/parallel, 8 workers) must hold MIN_COL2IM_SPEEDUP
@@ -130,25 +134,14 @@ def ratio(slow, fast):
         return round(results[slow]["ns_per_op"] / results[fast]["ns_per_op"], 3)
     return None
 
-packed_vs_seed, shared_vs_seed, shared_vs_packed = {}, {}, {}
+shared_vs_seed = {}
 for name in list(results):
-    m = re.match(r"BenchmarkGEMM/packed/(\d+)$", name)
+    m = re.match(r"BenchmarkGEMM/shared/(\d+)$", name)
     if not m:
         continue
     dim = m.group(1)
-    key = "gemm_%sx%s" % (dim, dim)
-    packed_vs_seed[key] = ratio("BenchmarkGEMM/seed/" + dim, "BenchmarkGEMM/packed/" + dim)
-    shared_vs_seed[key] = ratio("BenchmarkGEMM/seed/" + dim, "BenchmarkGEMM/shared/" + dim)
-    shared_vs_packed[key] = ratio("BenchmarkGEMM/packed/" + dim, "BenchmarkGEMM/shared/" + dim)
-
-smallm = {}
-for name in list(results):
-    m = re.match(r"BenchmarkGEMMSmallM/packed/(\d+x\d+)$", name)
-    if not m:
-        continue
-    shape = m.group(1)
-    smallm["gemm_" + shape] = ratio(
-        "BenchmarkGEMMSmallM/packed/" + shape, "BenchmarkGEMMSmallM/shared/" + shape)
+    shared_vs_seed["gemm_%sx%s" % (dim, dim)] = ratio(
+        "BenchmarkGEMM/seed/" + dim, "BenchmarkGEMM/shared/" + dim)
 
 matmult, tmatmul = {}, {}
 for name in list(results):
@@ -190,10 +183,7 @@ json.dump({
     "cpu": cpu,
     "cpus": os.cpu_count(),
     "go": go_version,
-    "gemm_speedup_packed_vs_seed": packed_vs_seed,
     "gemm_speedup_shared_vs_seed": shared_vs_seed,
-    "gemm_speedup_shared_vs_packed": shared_vs_packed,
-    "gemm_smallm_speedup_shared_vs_packed": smallm,
     "matmult_speedup_shared_vs_tiled": matmult,
     "tmatmul_speedup_shared_vs_tiled": tmatmul,
     "col2im_speedup_parallel_vs_serial": col2im,
@@ -203,16 +193,29 @@ json.dump({
 }, open(sys.argv[2], "w"), indent=2)
 print("wrote", sys.argv[2])
 
-# Regression gate: both optimized kernels must hold the floor over the
-# seed kernel on every Figure-1 FC shape.
-failures = []
-for label, table in (("packed", packed_vs_seed), ("shared", shared_vs_seed)):
-    for key, sp in sorted(table.items()):
-        if sp is None:
-            failures.append("%s %s: missing benchmark data" % (label, key))
-        elif sp < min_speedup:
-            failures.append("%s kernel on %s: %.3fx over seed, floor is %.2fx"
-                            % (label, key, sp, min_speedup))
+# Missing data is not noise: a gate over an empty matrix, or over a row
+# whose partner benchmark is gone, would pass vacuously, so it fails here in
+# every mode before any floor is compared.
+spmm_gated = {k: sp for k, sp in spmm.items() if float(k.rsplit("_s", 1)[1]) >= 0.9}
+missing = []
+for label, table in (("GEMM shared-vs-seed", shared_vs_seed),
+                     ("MatMulT shared-vs-tiled", matmult),
+                     ("TMatMul shared-vs-tiled", tmatmul),
+                     ("col2im parallel-vs-serial", col2im),
+                     ("SpMM sparse-vs-dense at >=90% sparsity", spmm_gated)):
+    if not table:
+        missing.append("%s: no benchmark rows matched" % label)
+    missing += ["%s %s: one side of the ratio did not run" % (label, key)
+                for key, sp in sorted(table.items()) if sp is None]
+if missing:
+    sys.exit("missing benchmark data:\n  " + "\n  ".join(missing) +
+             "\n(a renamed or deleted benchmark must be renamed or deleted "
+             "here too, not gated vacuously)")
+
+# Regression gate: the shared-pack kernel must hold the floor over the seed
+# kernel on every Figure-1 FC shape.
+failures = ["shared kernel on %s: %.3fx over seed, floor is %.2fx" % (key, sp, min_speedup)
+            for key, sp in sorted(shared_vs_seed.items()) if sp < min_speedup]
 if failures:
     msg = ("GEMM kernel regression vs seed baseline:\n  " + "\n  ".join(failures) +
            "\n(the dense GEMM is the paper's whole lever on throughput; "
@@ -228,9 +231,7 @@ if failures:
 t_failures = []
 for label, table in (("MatMulT", matmult), ("TMatMul", tmatmul)):
     for key, sp in sorted(table.items()):
-        if sp is None:
-            t_failures.append("%s %s: missing benchmark data" % (label, key))
-        elif sp < min_speedup:
+        if sp < min_speedup:
             t_failures.append("%s shared kernel on %s: %.3fx over tiled, floor is %.2fx"
                               % (label, key, sp, min_speedup))
 if t_failures:
@@ -249,9 +250,7 @@ if t_failures:
 # warn — there is nothing to parallelize against.
 c_failures = []
 for shape, sp in sorted(col2im.items()):
-    if sp is None:
-        c_failures.append("col2im %s: missing benchmark data" % shape)
-    elif sp < min_col2im:
+    if sp < min_col2im:
         c_failures.append("parallel col2im on %s: %.3fx over serial, floor is %.2fx"
                           % (shape, sp, min_col2im))
 if c_failures:
@@ -271,13 +270,8 @@ if c_failures:
 # crossover exists to detect. Warn-only on a single CPU, like the other
 # parallel-kernel gates.
 s_failures = []
-for key, sp in sorted(spmm.items()):
-    sparsity = float(key.rsplit("_s", 1)[1])
-    if sparsity < 0.9:
-        continue
-    if sp is None:
-        s_failures.append("%s: missing benchmark data" % key)
-    elif sp < min_spmm:
+for key, sp in sorted(spmm_gated.items()):
+    if sp < min_spmm:
         s_failures.append("sparse SpMM on %s: %.3fx over dense-masked, floor is %.2fx"
                           % (key, sp, min_spmm))
 if s_failures:
