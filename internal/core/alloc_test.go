@@ -22,16 +22,20 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	// TestTunePersistenceRoundTripAllocFree.
 	t.Setenv("SAMO_GEMM_TUNE", "off")
 
-	for _, mode := range []Mode{Dense, SAMO} {
-		_, ms, _ := buildTestSetup(mode, 0.75, 7)
-		tr := NewTrainer(ms)
-		x, targets := makeBatch(16, 8, 4, 8)
-		// Warm: arena free lists, cache pools, optimizer state, worker pool.
-		for i := 0; i < 3; i++ {
-			tr.TrainStep(x, targets)
-		}
-		if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
-			t.Errorf("%v: TrainStep allocates %.1f per step, want 0", mode, a)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, workers := range []int{1, 4} {
+		tensor.SetWorkers(workers)
+		for _, mode := range []Mode{Dense, SAMO} {
+			_, ms, _ := buildTestSetup(mode, 0.75, 7)
+			tr := NewTrainer(ms)
+			x, targets := makeBatch(16, 8, 4, 8)
+			// Warm: arena free lists, cache pools, optimizer state, worker pool.
+			for i := 0; i < 3; i++ {
+				tr.TrainStep(x, targets)
+			}
+			if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
+				t.Errorf("%v, %d workers: TrainStep allocates %.1f per step, want 0", mode, workers, a)
+			}
 		}
 	}
 }
@@ -167,10 +171,14 @@ func TestGPTTrainStepZeroAlloc(t *testing.T) {
 		targets[i] = drng.Intn(cfg.Vocab)
 	}
 	x := nn.TokensToTensor(tokens)
-	for i := 0; i < 3; i++ {
-		tr.TrainStep(x, targets)
-	}
-	if a := testing.AllocsPerRun(20, func() { tr.TrainStep(x, targets) }); a != 0 {
-		t.Errorf("GPT TrainStep allocates %.1f per step, want 0", a)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, workers := range []int{1, 4} {
+		tensor.SetWorkers(workers)
+		for i := 0; i < 3; i++ {
+			tr.TrainStep(x, targets)
+		}
+		if a := testing.AllocsPerRun(20, func() { tr.TrainStep(x, targets) }); a != 0 {
+			t.Errorf("%d workers: GPT TrainStep allocates %.1f per step, want 0", workers, a)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
@@ -287,7 +288,7 @@ func TestThetaValuesStayOnFp16Grid(t *testing.T) {
 	}
 	for _, p := range ms.Model().Params() {
 		for i, v := range p.Value.Data() {
-			q := quantizeOne(v)
+			q := fp16.Round(v)
 			if q != v {
 				t.Fatalf("%s[%d] = %g off the fp16 grid", p.Name, i, v)
 			}

@@ -12,7 +12,7 @@ import (
 // prune.Schedule) over a live ModelState. The defining constraint is that
 // NNZ only ever DECREASES: every prune event compacts the existing storage
 // in place — CSR patterns and their cached transposes, the shared indices,
-// θ32/∇θ32/tmp16, optimizer state vectors and the grad16 reduce-bucket
+// θ32/∇θ32, optimizer state vectors and the grad16 reduce-bucket
 // slabs — so steady-state training between events stays allocation-free
 // and no backing array is ever reallocated.
 //
@@ -65,7 +65,6 @@ func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 			st.ix.ShrinkTo(keep)
 			st.theta32 = compactKept32(st.p.Name, st.theta32, keep)
 			st.grad32 = compactKept32(st.p.Name, st.grad32, keep)
-			st.tmp16 = compactKept32(st.p.Name, st.tmp16, keep)
 			ms.opt.CompactState(st.p.Name, keep)
 			segKeeps[st] = keep
 		case st.ix != nil:

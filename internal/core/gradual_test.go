@@ -18,7 +18,7 @@ func testSchedule() prune.Schedule {
 
 // TestGradualPruneNNZMonotoneAndInPlace pins the tentpole storage contract:
 // across a full cubic ramp, every pattern length only ever decreases, all
-// NNZ-length vectors (θ32, ∇θ32, tmp16, optimizer moments) shrink in
+// NNZ-length vectors (θ32, ∇θ32, optimizer moments) shrink in
 // lockstep, nothing is reallocated — compaction re-heads the original
 // backing arrays — and the model fingerprint is invariant, so checkpoints
 // before and after an event address the same state identity.
@@ -74,10 +74,10 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 			if !st.compressed {
 				continue
 			}
-			if len(st.grad32) != nnz || len(st.tmp16) != nnz || len(st.theta32) != nnz ||
+			if len(st.grad32) != nnz || len(st.theta32) != nnz ||
 				len(st.grad16) != nnz || st.ix.NNZ() != nnz || st.p.Value.Len() != st.ix.FullLen() {
-				t.Fatalf("step %d: %s vectors off lockstep: θ32 %d ∇32 %d tmp %d ∇16 %d ix %d",
-					step, st.p.Name, len(st.theta32), len(st.grad32), len(st.tmp16),
+				t.Fatalf("step %d: %s vectors off lockstep: θ32 %d ∇32 %d ∇16 %d ix %d",
+					step, st.p.Name, len(st.theta32), len(st.grad32),
 					len(st.grad16), st.ix.NNZ())
 			}
 			for _, vec := range ms.opt.States(st.p.Name) {

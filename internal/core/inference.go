@@ -81,7 +81,7 @@ func NewInferenceState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prun
 		if ip.ix != nil {
 			ip.ix.Mask().Apply(p.Value.Data())
 		}
-		quantize(p.Value.Data())
+		fp16.RoundSlice(p.Value.Data(), p.Value.Data())
 		if mode == SAMO && ip.ix != nil {
 			ip.compressed = true
 		}
@@ -203,16 +203,12 @@ func (s *InferenceState) Load(r io.Reader) error {
 				ip.ix.ShrinkTo(k)
 			}
 		}
+		// Pruned coordinates are zero already: masked at construction,
+		// zeroed above where the checkpoint's pattern dropped them.
 		if ip.compressed {
-			for j, v := range sp.theta32 {
-				sp.theta32[j] = fp16.Round(v)
-			}
-			ip.ix.Expand(ip.p.Value.Data(), sp.theta32)
+			fp16.RoundScatter(ip.p.Value.Data(), sp.theta32, ip.ix.IDs())
 		} else {
-			dst := ip.p.Value.Data()
-			for j, v := range sp.theta32 {
-				dst[j] = fp16.Round(v)
-			}
+			fp16.RoundSlice(ip.p.Value.Data(), sp.theta32)
 		}
 	}
 	return nil

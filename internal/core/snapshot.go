@@ -184,17 +184,7 @@ func (ms *ModelState) Load(r io.Reader) error {
 		}
 		// Rebuild dense θ16 from the restored master weights (§III-C's
 		// down-cast path).
-		if st.compressed {
-			for i, v := range st.theta32 {
-				st.tmp16[i] = quantizeOne(v)
-			}
-			st.ix.Expand(st.p.Value.Data(), st.tmp16)
-		} else {
-			dst := st.p.Value.Data()
-			for i, v := range st.theta32 {
-				dst[i] = quantizeOne(v)
-			}
-		}
+		st.downcast()
 		zero(st.grad16)
 	}
 	ms.Scaler.Restore(stg.scale, stg.scalerGood, stg.scalerSkipped)
@@ -388,12 +378,6 @@ func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
 		return nil, fmt.Errorf("core: %d trailing bytes in checkpoint payload", br.Len())
 	}
 	return stg, nil
-}
-
-func quantizeOne(v float32) float32 {
-	d := [1]float32{v}
-	quantize(d[:])
-	return d[0]
 }
 
 // putPattern writes one parameter's pattern block: absent (flag 0) or the

@@ -8,6 +8,7 @@ import (
 	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
+	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/prune"
 	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
@@ -51,7 +52,6 @@ type paramState struct {
 	theta32 []float32 // master weights (compressed under SAMO)
 	grad16  []float32 // fp16-grid scaled gradients, captured layer by layer
 	grad32  []float32 // fp32 unscaled gradients (optimizer input)
-	tmp16   []float32 // compressed fp16 copy for the down-cast step
 }
 
 // ModelState implements mixed-precision training state management with or
@@ -85,6 +85,7 @@ type ModelState struct {
 	layerParams map[nn.Layer][]*nn.Param
 	reduceBufs  [][]float32
 	clipBufs    [][]float32
+	upscale     upscaleJob
 
 	// Bucketed all-reduce plan (see buckets.go). Every paramState.grad16
 	// aliases a segment of exactly one bucket slab; the slabs, in backward
@@ -134,7 +135,7 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 			ix.Mask().Apply(p.Value.Data())
 		}
 		// fp16-quantize the initial dense parameters (mixed-precision init).
-		quantize(p.Value.Data())
+		fp16.RoundSlice(p.Value.Data(), p.Value.Data())
 		st.ix = ix
 		// grad16 is not allocated here: planBuckets aliases it into the
 		// bucket slabs below, so the reduce payload is contiguous per bucket.
@@ -143,7 +144,6 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 			n := ix.NNZ()
 			st.theta32 = make([]float32, n)
 			st.grad32 = make([]float32, n)
-			st.tmp16 = make([]float32, n)
 			ix.Compress(st.theta32, p.Value.Data())
 		} else {
 			n := p.Size()
@@ -173,12 +173,6 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 	return ms
 }
 
-func quantize(data []float32) {
-	for i, v := range data {
-		data[i] = fp16.Round(v)
-	}
-}
-
 // LossScale returns the current dynamic loss scale to multiply into the
 // loss gradient before backward.
 func (ms *ModelState) LossScale() float32 { return float32(ms.Scaler.Scale) }
@@ -191,6 +185,10 @@ func (ms *ModelState) LossScale() float32 { return float32(ms.Scaler.Scale) }
 // so fetching and running it allocates nothing.
 func (ms *ModelState) GradHook() nn.GradHook { return ms.hook }
 
+// captureParam drains one parameter's dense gradient accumulator into its
+// ∇θ16 vector, one fused fp16 kernel per storage shape: accumulate (a
+// pipelined schedule calls the hook once per microbatch), round onto the
+// fp16 grid, and leave p.Grad zero.
 func (ms *ModelState) captureParam(p *nn.Param) {
 	st, ok := ms.byParam[p]
 	if !ok {
@@ -199,24 +197,18 @@ func (ms *ModelState) captureParam(p *nn.Param) {
 	g := p.Grad.Data()
 	switch {
 	case st.compressed:
-		// Compress: gather unpruned coordinates, quantizing to the fp16 grid
-		// (∇θ16 is half precision). Accumulate: a pipelined schedule calls
-		// the hook once per microbatch.
-		for i, id := range st.ix.IDs() {
-			st.grad16[i] = fp16.Round(st.grad16[i] + g[id])
-		}
+		// Compress: gather the unpruned coordinates as they accumulate.
+		fp16.AccumRoundGather(st.grad16, g, st.ix.IDs())
+		p.Grad.Zero()
 	case st.ix != nil:
 		// Masked-dense: full-size storage, but pruned coordinates carry no
 		// gradient, so they (and their optimizer states) stay exactly zero.
-		for _, id := range st.ix.IDs() {
-			st.grad16[id] = fp16.Round(st.grad16[id] + g[id])
-		}
+		fp16.AccumRoundAt(st.grad16, g, st.ix.IDs())
+		p.Grad.Zero()
 	default:
-		for i := range g {
-			st.grad16[i] = fp16.Round(st.grad16[i] + g[i])
-		}
+		// Dense: add, round and clear p.Grad in one sweep.
+		fp16.AccumRoundClear(st.grad16, g)
 	}
-	p.Grad.Zero()
 }
 
 // ReduceBuffers exposes the captured fp16 gradient payload for data-parallel
@@ -231,15 +223,17 @@ func (ms *ModelState) captureParam(p *nn.Param) {
 func (ms *ModelState) ReduceBuffers() [][]float32 { return ms.reduceBufs }
 
 // Overflow scans the captured fp16 gradients for Inf/NaN — the per-step
-// overflow check behind dynamic loss scaling. Large gradient vectors scan
-// chunked on the worker pool with an atomic early exit
-// (tensor.HasNonFiniteSlice); the scan allocates nothing, preserving the
-// fp16 train-step zero-alloc contract. In distributed training every rank
-// must agree on the verdict (or their loss scales and parameters diverge),
-// so the engine reduces this flag globally before calling StepGiven.
+// overflow check behind dynamic loss scaling. It walks the bucket slabs,
+// which hold every ∇θ16 vector back to back, so the scan is a few long
+// sweeps chunked on the worker pool with an atomic early exit
+// (tensor.HasNonFiniteSlice) rather than one call per parameter; it
+// allocates nothing, preserving the fp16 train-step zero-alloc contract. In
+// distributed training every rank must agree on the verdict (or their loss
+// scales and parameters diverge), so the engine reduces this flag globally
+// before calling StepGiven.
 func (ms *ModelState) Overflow() bool {
-	for _, st := range ms.states {
-		if tensor.HasNonFiniteSlice(st.grad16) {
+	for _, slab := range ms.reduceBufs {
+		if tensor.HasNonFiniteSlice(slab) {
 			return true
 		}
 	}
@@ -252,53 +246,81 @@ func (ms *ModelState) Overflow() bool {
 //  2. upscale: ∇θ32 = ∇θ16 / scale, computed directly on the compressed
 //     vectors;
 //  3. optimizer on (θ32, ∇θ32) — compressed vectors, dense kernels;
-//  4. down-cast: tmp16 = fp16(θ32); then EXPAND tmp16 into dense θ16.
+//  4. down-cast: θ16 = fp16(θ32), EXPANDED into the dense tensor.
 //
 // It returns true if the step was applied, false if skipped on overflow.
 // Gradient accumulators are cleared either way.
 func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 
 // StepGiven is Step with an externally supplied (e.g. globally reduced)
-// overflow verdict.
+// overflow verdict. Every pass over model state is one streaming sweep,
+// chunked on the worker pool from parallel.StreamGrain elements up:
+//
+//   - up-scale and clear: ∇θ32[i] = ∇θ16[i]·(1/scale); ∇θ16[i] = 0 — the
+//     accumulator is drained where it is read, so nothing is left to zero
+//     after the optimizer (a skipped step zeroes the bucket slabs instead);
+//   - optional global-norm clip over ∇θ32 (serial: its summation order is a
+//     numerics contract);
+//   - per parameter, the optimizer on the whole (θ32, ∇θ32) vector, then the
+//     down-cast: dense parameters round θ32 into θ16; SAMO-compressed ones
+//     round and scatter straight to θ16's unpruned coordinates, with no
+//     compressed half copy in between and no zero-fill of the dense tensor.
+//
+// The scatter relies on an invariant: the pruned coordinates of θ16 are
+// exactly zero and nothing writes them. NewModelState applies the mask,
+// applyShrinks zeroes the coordinates each prune event drops, and every
+// write to θ16 in between goes through the index.
 func (ms *ModelState) StepGiven(overflow bool) bool {
 	// Snapshot the scale the in-flight gradients were produced under:
 	// Scaler.Update may grow it for the NEXT step.
 	scaleUsed := ms.Scaler.Scale
 	if !ms.Scaler.Update(overflow) {
 		ms.skipped++
-		for _, st := range ms.states {
-			zero(st.grad16)
+		for _, slab := range ms.reduceBufs {
+			zero(slab)
 		}
 		return false
 	}
-	invScale := float32(1 / scaleUsed)
-
+	ms.upscale.inv = float32(1 / scaleUsed)
 	for _, st := range ms.states {
-		for i, g := range st.grad16 {
-			st.grad32[i] = g * invScale
-		}
+		ms.upscale.grad32, ms.upscale.grad16 = st.grad32, st.grad16
+		parallel.Run(len(st.grad16), parallel.StreamGrain, &ms.upscale, upscaleChunk)
 	}
 	if ms.ClipNorm > 0 {
 		optim.ClipGradNorm(ms.clipBufs, ms.ClipNorm)
 	}
 	for _, st := range ms.states {
 		ms.opt.Step(st.p.Name, st.theta32, st.grad32)
-		if st.compressed {
-			// Down-cast with expansion: compressed fp16 copy, then scatter.
-			for i, v := range st.theta32 {
-				st.tmp16[i] = fp16.Round(v)
-			}
-			st.ix.Expand(st.p.Value.Data(), st.tmp16)
-		} else {
-			dst := st.p.Value.Data()
-			for i, v := range st.theta32 {
-				dst[i] = fp16.Round(v)
-			}
-		}
-		zero(st.grad16)
+		st.downcast()
 	}
 	ms.steps++
 	return true
+}
+
+// downcast rebuilds the parameter's dense θ16 from its master weights (see
+// StepGiven for the invariant the compressed form relies on).
+func (st *paramState) downcast() {
+	if st.compressed {
+		fp16.RoundScatter(st.p.Value.Data(), st.theta32, st.ix.IDs())
+	} else {
+		fp16.RoundSlice(st.p.Value.Data(), st.theta32)
+	}
+}
+
+// upscaleJob carries the up-scale sweep to the worker pool. A ModelState
+// runs one sweep at a time, so it owns its job rather than pooling them.
+type upscaleJob struct {
+	grad32, grad16 []float32
+	inv            float32
+}
+
+func upscaleChunk(ctx any, lo, hi int) {
+	j := ctx.(*upscaleJob)
+	g32, g16, inv := j.grad32[lo:hi], j.grad16[lo:hi], j.inv
+	for i, g := range g16 {
+		g32[i] = g * inv
+		g16[i] = 0
+	}
 }
 
 // SkippedSteps returns how many steps were skipped due to fp16 overflow.
@@ -320,6 +342,10 @@ func (ms *ModelState) Memory() MemoryBreakdown {
 		b.OptStates += int64(ms.opt.StateBytesPerParam()) * stored
 		if st.compressed {
 			b.Index += st.ix.Bytes()
+			// The paper's 2fφ line: a GPU down-cast materialises the
+			// compressed half copy before expanding it. The fused
+			// round-and-scatter here never does, so this line is the model's
+			// charge, not an allocation.
 			b.TempCopy += BytesTheta16 * stored
 		}
 		// Layer-owned structure (e.g. a SparseLinear's CSR patterns) rides

@@ -13,6 +13,8 @@ package optim
 import (
 	"fmt"
 	"math"
+
+	"github.com/sparse-dl/samo/internal/parallel"
 )
 
 // Optimizer updates one flat parameter vector from its gradient. Each
@@ -47,6 +49,16 @@ type SGD struct {
 	Momentum    float64
 	WeightDecay float64
 	velocity    map[string][]float32
+	job         sgdJob
+}
+
+// sgdJob carries one Step's vectors and constants to the worker pool: the
+// update is element-wise, so chunking it leaves every result bit-identical
+// at every worker count. Step is not safe for concurrent use (it grows the
+// state maps), so the optimizer owns a single job rather than pooling them.
+type sgdJob struct {
+	params, grads, v []float32
+	lr, mu, wd       float32
 }
 
 // NewSGD returns an SGD optimizer.
@@ -63,11 +75,17 @@ func (s *SGD) Step(key string, params, grads []float32) {
 		v = make([]float32, len(params))
 		s.velocity[key] = v
 	}
-	lr := float32(s.LR)
-	mu := float32(s.Momentum)
-	wd := float32(s.WeightDecay)
-	for i := range params {
-		g := grads[i] + wd*params[i]
+	s.job = sgdJob{params: params, grads: grads, v: v,
+		lr: float32(s.LR), mu: float32(s.Momentum), wd: float32(s.WeightDecay)}
+	parallel.Run(len(params), parallel.StreamGrain, &s.job, sgdChunk)
+}
+
+func sgdChunk(ctx any, lo, hi int) {
+	j := ctx.(*sgdJob)
+	params, grads, v := j.params[lo:hi], j.grads[lo:hi], j.v[lo:hi]
+	lr, mu, wd := j.lr, j.mu, j.wd
+	for i, g := range grads {
+		g += wd * params[i]
 		v[i] = mu*v[i] + g
 		params[i] -= lr * v[i]
 	}
@@ -108,6 +126,17 @@ type Adam struct {
 
 	m, v map[string][]float32
 	t    map[string]int
+	job  adamJob
+}
+
+// adamJob is Adam's counterpart of sgdJob, with every loop-invariant
+// constant and condition of the update computed once per Step.
+type adamJob struct {
+	params, grads, m, v []float32
+	b1, b2, omb1, omb2  float32 // β and 1−β
+	c1, c2              float32 // bias corrections 1/(1−βᵗ)
+	lr, eps, wd, lrwd   float32
+	l2, decay           bool // weight decay folded into the gradient / decoupled
 }
 
 // NewAdam returns Adam with the usual defaults.
@@ -137,23 +166,34 @@ func (a *Adam) Step(key string, params, grads []float32) {
 	a.t[key]++
 	t := a.t[key]
 	b1, b2 := float32(a.Beta1), float32(a.Beta2)
-	c1 := 1 / (1 - float32(math.Pow(a.Beta1, float64(t))))
-	c2 := 1 / (1 - float32(math.Pow(a.Beta2, float64(t))))
-	lr := float32(a.LR)
-	eps := float32(a.Eps)
-	wd := float32(a.WeightDecay)
-	for i := range params {
-		g := grads[i]
-		if wd != 0 && !a.Decoupled {
+	lr, wd := float32(a.LR), float32(a.WeightDecay)
+	a.job = adamJob{params: params, grads: grads, m: m, v: v,
+		b1: b1, b2: b2, omb1: 1 - b1, omb2: 1 - b2,
+		c1: 1 / (1 - float32(math.Pow(a.Beta1, float64(t)))),
+		c2: 1 / (1 - float32(math.Pow(a.Beta2, float64(t)))),
+		lr: lr, eps: float32(a.Eps), wd: wd, lrwd: lr * wd,
+		l2: wd != 0 && !a.Decoupled, decay: wd != 0 && a.Decoupled}
+	parallel.Run(len(params), parallel.StreamGrain, &a.job, adamChunk)
+}
+
+// adamChunk updates one chunk from locals only. Every float32 expression
+// keeps the shape and order the bitwise goldens were recorded with.
+func adamChunk(ctx any, lo, hi int) {
+	j := ctx.(*adamJob)
+	params, grads, m, v := j.params[lo:hi], j.grads[lo:hi], j.m[lo:hi], j.v[lo:hi]
+	b1, b2, omb1, omb2, c1, c2 := j.b1, j.b2, j.omb1, j.omb2, j.c1, j.c2
+	lr, eps, wd, lrwd, l2, decay := j.lr, j.eps, j.wd, j.lrwd, j.l2, j.decay
+	for i, g := range grads {
+		if l2 {
 			g += wd * params[i]
 		}
-		m[i] = b1*m[i] + (1-b1)*g
-		v[i] = b2*v[i] + (1-b2)*g*g
+		m[i] = b1*m[i] + omb1*g
+		v[i] = b2*v[i] + omb2*g*g
 		mh := m[i] * c1
 		vh := v[i] * c2
 		upd := lr * mh / (float32(math.Sqrt(float64(vh))) + eps)
-		if wd != 0 && a.Decoupled {
-			upd += lr * wd * params[i]
+		if decay {
+			upd += lrwd * params[i]
 		}
 		params[i] -= upd
 	}

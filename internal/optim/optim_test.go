@@ -1,8 +1,11 @@
 package optim
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"github.com/sparse-dl/samo/internal/parallel"
 )
 
 func TestSGDPlainStep(t *testing.T) {
@@ -207,5 +210,88 @@ func TestOptimizerWorksOnCompressedVectors(t *testing.T) {
 	// Pruned coordinates stay exactly zero under Adam with zero grads.
 	if dense[1] != 0 || dense[3] != 0 {
 		t.Errorf("pruned coords moved: %v", dense)
+	}
+}
+
+// refAdamStep and refSGDStep are the update loops as they stood before the
+// constants and weight-decay conditions were hoisted and the sweep chunked
+// on the worker pool: the bitwise reference for TestStepMatchesReferenceLoops.
+func refAdamStep(a *Adam, t int, params, grads, m, v []float32) {
+	b1, b2 := float32(a.Beta1), float32(a.Beta2)
+	c1 := 1 / (1 - float32(math.Pow(a.Beta1, float64(t))))
+	c2 := 1 / (1 - float32(math.Pow(a.Beta2, float64(t))))
+	lr := float32(a.LR)
+	eps := float32(a.Eps)
+	wd := float32(a.WeightDecay)
+	for i := range params {
+		g := grads[i]
+		if wd != 0 && !a.Decoupled {
+			g += wd * params[i]
+		}
+		m[i] = b1*m[i] + (1-b1)*g
+		v[i] = b2*v[i] + (1-b2)*g*g
+		mh := m[i] * c1
+		vh := v[i] * c2
+		upd := lr * mh / (float32(math.Sqrt(float64(vh))) + eps)
+		if wd != 0 && a.Decoupled {
+			upd += lr * wd * params[i]
+		}
+		params[i] -= upd
+	}
+}
+
+func refSGDStep(s *SGD, params, grads, v []float32) {
+	lr := float32(s.LR)
+	mu := float32(s.Momentum)
+	wd := float32(s.WeightDecay)
+	for i := range params {
+		g := grads[i] + wd*params[i]
+		v[i] = mu*v[i] + g
+		params[i] -= lr * v[i]
+	}
+}
+
+func TestStepMatchesReferenceLoops(t *testing.T) {
+	l2Adam := NewAdam(1e-2)
+	l2Adam.WeightDecay = 0.01 // not decoupled: decay folded into the gradient
+	sameBits := func(t *testing.T, what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s[%d] = %g, reference %g", what, i, got[i], want[i])
+			}
+		}
+	}
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		parallel.SetWorkers(workers)
+		for _, n := range []int{0, 1, 9, parallel.StreamGrain - 1, parallel.StreamGrain + 1, 5*parallel.StreamGrain + 3} {
+			params, grads := make([]float32, n), make([]float32, n)
+			for i := range params {
+				params[i] = float32(i%997-498) / 997
+			}
+			for name, opt := range map[string]Optimizer{"adam": NewAdam(1e-2), "adamw": NewAdamW(1e-2, 0.01),
+				"adam-l2": l2Adam, "sgd": NewSGD(1e-2, 0.9, 1e-4), "sgd-plain": NewSGD(1e-2, 0, 0)} {
+				key := fmt.Sprintf("%s/w%d/n%d", name, workers, n)
+				got, want := append([]float32(nil), params...), append([]float32(nil), params...)
+				refState := [][]float32{make([]float32, n), make([]float32, n)}
+				for step := 1; step <= 3; step++ {
+					for i := range grads {
+						grads[i] = float32((i*step)%1013-506) / 5000
+					}
+					opt.Step(key, got, grads)
+					switch o := opt.(type) {
+					case *Adam:
+						refAdamStep(o, step, want, grads, refState[0], refState[1])
+					case *SGD:
+						refSGDStep(o, want, grads, refState[0])
+					}
+					sameBits(t, key+" params", got, want)
+					for k, vec := range opt.States(key) {
+						sameBits(t, fmt.Sprintf("%s state %d", key, k), vec, refState[k])
+					}
+				}
+			}
+		}
 	}
 }

@@ -45,6 +45,12 @@ func SetWorkers(n int) int {
 // Workers returns the current per-call worker bound.
 func Workers() int { return int(maxWorkers.Load()) }
 
+// StreamGrain is the minimum elements per chunk for element-wise sweeps over
+// model state (fp16 rounding kernels, up-scale, optimizer updates): they are
+// memory-bound at a few nanoseconds per element, so a smaller chunk is all
+// dispatch overhead.
+const StreamGrain = 16384
+
 // task is one contiguous chunk of an iteration space. fn is always a
 // top-level function (never a closure) so building a task allocates
 // nothing; per-call state travels through ctx.

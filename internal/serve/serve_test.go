@@ -227,40 +227,71 @@ func TestServePadPow2(t *testing.T) {
 	}
 }
 
+// gate is a pass-through first layer that parks the batching loop inside a
+// forward until released: the wedge TestServeBackpressure needs. (Racing
+// submitters against a live loop left the queue unfilled, and the test
+// skipped, in a few percent of runs on two cores.)
+type gate struct{ entered, release chan struct{} }
+
+func (g *gate) Forward(_ *tensor.Arena, x *tensor.Tensor, _ bool) (*tensor.Tensor, any) {
+	g.entered <- struct{}{}
+	<-g.release
+	return x, nil
+}
+
+func (g *gate) Backward(*tensor.Arena, any, *tensor.Tensor) *tensor.Tensor {
+	panic("gate: forward-only")
+}
+
+func (g *gate) Params() []*nn.Param { return nil }
+
 // TestServeBackpressure pins the admission contract: with the batching loop
 // wedged, a full queue rejects instantly with ErrOverloaded and counts the
 // rejection — it never blocks the caller.
 func TestServeBackpressure(t *testing.T) {
+	const depth, overflow = 2, 5
 	rng := tensor.NewRNG(31)
 	m := nn.BuildMLP("bmlp", []int{8, 8, 3}, rng)
-	// MaxBatch 1 + tiny queue: the loop is busy serving slow singleton
-	// batches while we overfill the queue from many goroutines.
-	e := New(newInferenceState(m), Config{MaxBatch: 1, QueueDepth: 2})
+	g := &gate{entered: make(chan struct{}, 1+depth), release: make(chan struct{})}
+	m.Layers = append([]nn.Layer{g}, m.Layers...)
+	e := New(newInferenceState(m), Config{MaxBatch: 1, QueueDepth: depth})
 	defer e.Close()
 
-	var rejected atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
+	admit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				x := tensor.New(1, 8)
-				if _, err := e.Infer(x); err == ErrOverloaded {
-					rejected.Add(1)
-				} else if err != nil {
-					t.Error(err)
-					return
-				}
+			if _, err := e.Infer(tensor.New(1, 8)); err != nil {
+				t.Error(err)
 			}
 		}()
 	}
-	wg.Wait()
-	if rejected.Load() == 0 {
-		t.Skip("queue never filled on this machine; backpressure untestable here")
+	// One request wedges the loop in its forward, depth more fill the queue.
+	admit()
+	<-g.entered
+	for i := 0; i < depth; i++ {
+		admit()
 	}
-	if got := e.Stats().Rejected; got != rejected.Load() {
-		t.Fatalf("stats count %d rejections, callers saw %d", got, rejected.Load())
+	deadline := time.Now().Add(10 * time.Second)
+	for len(e.queue) < depth {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d requests, want %d", len(e.queue), depth)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 0; i < overflow; i++ {
+		if _, err := e.Infer(tensor.New(1, 8)); err != ErrOverloaded {
+			t.Fatalf("request %d into a full queue: err %v, want ErrOverloaded", i, err)
+		}
+	}
+	if got := e.Stats().Rejected; got != overflow {
+		t.Fatalf("stats count %d rejections, callers saw %d", got, overflow)
+	}
+	close(g.release)
+	wg.Wait()
+	if st := e.Stats(); st.Requests != 1+depth || st.Rejected != overflow {
+		t.Fatalf("after release: %d served, %d rejected, want %d and %d", st.Requests, st.Rejected, 1+depth, overflow)
 	}
 }
 

@@ -125,7 +125,7 @@ func col2imCheck(out, cols *Tensor, s ConvSpec, n int) {
 // (see col2imChunk).
 func Col2ImZeroInto(out, cols *Tensor, s ConvSpec, n int) {
 	col2imCheck(out, cols, s, n)
-	col2imRun(out.data, cols.data, s, n, true)
+	col2imRun(out.data, cols.data, s, n)
 }
 
 // col2imJob carries one backward lowering's arguments to the pool workers;
@@ -134,7 +134,6 @@ type col2imJob struct {
 	src, dst []float32
 	spec     ConvSpec
 	oh, ow   int
-	zero     bool
 }
 
 var col2imJobFree parallel.Pool[col2imJob]
@@ -143,11 +142,10 @@ var col2imJobFree parallel.Pool[col2imJob]
 // Units write disjoint output rows, so any partition is race-free, and the
 // per-element accumulation order is independent of the partition (see
 // col2imChunk) — the result is bitwise-identical at every worker count.
-func col2imRun(dst, src []float32, s ConvSpec, n int, zero bool) {
+func col2imRun(dst, src []float32, s ConvSpec, n int) {
 	j := col2imJobFree.Get()
 	j.src, j.dst = src, dst
 	j.spec, j.oh, j.ow = s, s.OutH(), s.OutW()
-	j.zero = zero
 	// Grain: one unit gathers ~(k/stride)·ow·inC·k values; bound chunks so a
 	// chunk is worth a dispatch even for 1×1 kernels on small images.
 	perRow := ((s.Kernel+s.Stride-1)/s.Stride)*j.ow*s.InC*s.Kernel + 1
@@ -178,11 +176,9 @@ func col2imChunk(ctx any, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		img := u / inH
 		iy := u % inH
-		if g.zero {
-			for c := 0; c < s.InC; c++ {
-				off := ((img*s.InC+c)*inH + iy) * inW
-				zeroSlice(dst[off : off+inW])
-			}
+		for c := 0; c < s.InC; c++ {
+			off := ((img*s.InC+c)*inH + iy) * inW
+			zeroSlice(dst[off : off+inW])
 		}
 		// Output rows oy whose kernel window covers input row iy:
 		// iy = oy·stride + ky - pad with ky in [0, k).
