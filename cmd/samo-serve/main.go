@@ -7,7 +7,8 @@
 //
 //	samo-serve -mode smoke     # serve N concurrent requests, drain, and
 //	                           # verify every response is bitwise-identical
-//	                           # to the offline inference forward
+//	                           # to the offline inference forward of its
+//	                           # sample alone
 //	samo-serve -mode loadtest  # drive the engine under concurrency and
 //	                           # write p50/p99 latency + throughput JSON
 //	                           # (BENCH_serving.json) to -out
@@ -60,10 +61,8 @@ func run(args []string, out io.Writer) error {
 	trainIters := fs.Int("train-iters", 4, "training steps before the checkpoint handoff (0 = serve the fresh init)")
 	requests := fs.Int("requests", 64, "total requests to serve")
 	concurrency := fs.Int("concurrency", 8, "concurrent client goroutines")
-	maxBatch := fs.Int("max-batch", 8, "samples per forward (padded to the next power of two)")
+	maxBatch := fs.Int("max-batch", 8, "most samples per forward (what is queued, padded to the next power of two)")
 	queueDepth := fs.Int("queue", 0, "admission queue depth (0 = 4x max-batch)")
-	window := fs.Duration("window", 200*time.Microsecond, "micro-batch gather window")
-	pad := fs.String("pad", "fixed", "batch padding policy: fixed (constant geometry, traffic-independent bits) or pow2")
 	ckptDir := fs.String("checkpoint-dir", "", "checkpoint handoff directory (empty = a temp dir)")
 	outPath := fs.String("out", "", "loadtest report file (empty = stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -171,23 +170,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	padPolicy := serve.PadFixed
-	switch *pad {
-	case "fixed":
-	case "pow2":
-		padPolicy = serve.PadPow2
-	default:
-		return fmt.Errorf("samo-serve: -pad %q: want fixed or pow2", *pad)
-	}
-	if *mode == "smoke" && padPolicy != serve.PadFixed {
-		return fmt.Errorf("samo-serve: smoke verifies bitwise identity, which only PadFixed guarantees (use -pad fixed)")
-	}
-	engine := serve.New(infState, serve.Config{
-		MaxBatch:    *maxBatch,
-		QueueDepth:  *queueDepth,
-		BatchWindow: *window,
-		Pad:         padPolicy,
-	})
+	engine := serve.New(infState, serve.Config{MaxBatch: *maxBatch, QueueDepth: *queueDepth})
 
 	if *mode == "loadtest" {
 		rep, err := serve.LoadTest(engine, tag, func(i int) *tensor.Tensor {
@@ -217,32 +200,16 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// --- Smoke: serve concurrently, drain, verify bitwise. -------------------
-	// Offline references come from the TRAINED state's inference forward at
-	// the serving geometry: each sample replicated to the fixed batch
-	// bucket, first sample's rows sliced out. A pass certifies the
-	// checkpoint handoff and the batching engine at once — ckpt-loaded
-	// weights match trained weights, and a sample's rows served among
-	// arbitrary concurrent traffic match its offline forward bit for bit
-	// (PadFixed keeps the geometry constant; row values are independent
-	// across a batch, so WHO shares the batch cannot matter).
-	bucket := 1
-	for bucket < *maxBatch {
-		bucket *= 2
-	}
+	// Offline references come from the TRAINED state's inference forward of
+	// each sample alone. A pass certifies the checkpoint handoff and the
+	// batching engine at once — ckpt-loaded weights match trained weights,
+	// and a sample served among arbitrary concurrent traffic, in whatever
+	// bucket it landed, matches its own forward bit for bit (the forward
+	// kernels are row-invariant, so neither WHO shares the batch nor how
+	// many can matter).
 	refs := make([][]float32, len(samples))
-	refArena := tensor.NewArena()
 	for i, x := range samples {
-		s0 := x.Dim(0)
-		shape := append([]int{bucket * s0}, x.Shape()[1:]...)
-		xr := tensor.New(shape...)
-		for r := 0; r < bucket; r++ {
-			copy(xr.Data()[r*x.Len():(r+1)*x.Len()], x.Data())
-		}
-		y := state.Model().Infer(refArena, xr)
-		rps := y.Dim(0) / bucket
-		rowLen := y.Len() / y.Dim(0)
-		refs[i] = append([]float32(nil), y.Data()[:rps*rowLen]...)
-		refArena.Reset()
+		refs[i] = state.Model().Infer(nil, x).Data()
 	}
 
 	var wg sync.WaitGroup
@@ -294,7 +261,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	st := engine.Stats()
-	fmt.Fprintf(out, "smoke ok: %d concurrent requests bitwise-identical to the offline forward (%d batches, mean batch %.2f, %d padded samples)\n",
-		len(samples), st.Batches, st.MeanBatch(), st.PaddedSamples)
+	fmt.Fprintf(out, "smoke ok: %d concurrent requests bitwise-identical to the offline forward (%d batches, mean batch %.2f, %d padded samples, %d arena bytes)\n",
+		len(samples), st.Batches, st.MeanBatch(), st.PaddedSamples, st.ArenaBytes)
 	return nil
 }

@@ -71,16 +71,13 @@ func TestLoadtestReport(t *testing.T) {
 	}
 }
 
-// TestBadFlags pins the error paths: unknown mode/model/pad, and the
-// smoke + pow2 combination (smoke's bitwise claim needs fixed geometry).
+// TestBadFlags pins the error paths: unknown mode, model and flag.
 func TestBadFlags(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
 	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, args := range [][]string{
 		{"-mode", "nope"},
 		{"-model", "nope"},
-		{"-pad", "nope"},
-		{"-mode", "smoke", "-pad", "pow2"},
 		{"-not-a-flag"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {

@@ -240,3 +240,8 @@ func NewInferencer(st *InferenceState) *Inferencer {
 func (inf *Inferencer) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return inf.state.model.InferWindowed(inf.a, inf.b, x)
 }
+
+// ArenaBytes returns the activation bytes the two arenas retain across
+// Forward calls (tensor.Arena.Bytes): one working set per distinct input
+// height ever seen.
+func (inf *Inferencer) ArenaBytes() int64 { return inf.a.Bytes() + inf.b.Bytes() }

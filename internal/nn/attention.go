@@ -79,7 +79,8 @@ func getAttnScratch(n int) *attnScratch {
 // Forward computes attention over x of shape (batch·seq, d). The per-head
 // score/softmax/value loop runs in parallel over (batch, head) pairs on the
 // shared worker pool — each pair touches disjoint slices of probs and
-// disjoint columns of the head output.
+// disjoint columns of the head output — in chunks sized from a pair's
+// T·(T+1)·dh causal score and value multiply-adds (parallel.WorkGrain).
 func (a *CausalSelfAttention) Forward(ar *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	if x.Rank() != 2 || x.Dim(1) != a.d || x.Dim(0)%a.seq != 0 {
 		panic(fmt.Sprintf("nn: attention(d=%d,seq=%d) got %v", a.d, a.seq, x.Shape()))
@@ -97,7 +98,7 @@ func (a *CausalSelfAttention) Forward(ar *tensor.Arena, x *tensor.Tensor, train 
 	j.qd, j.probs, j.hd = qkv.Data(), probsT.Data(), headsOut.Data()
 	j.T, j.H, j.dh, j.d = T, H, dh, a.d
 	j.scale = float32(1 / math.Sqrt(float64(dh)))
-	parallel.Run(batch*H, 1, j, attnForwardChunk)
+	parallel.Run(batch*H, parallel.WorkGrain(1, T*(T+1)*dh), j, attnForwardChunk)
 	j.qd, j.probs, j.hd, j.dqd = nil, nil, nil, nil
 	attnJobFree.Put(j)
 
@@ -135,7 +136,7 @@ func (a *CausalSelfAttention) Backward(ar *tensor.Arena, cache any, gradOut *ten
 	j.qd, j.probs, j.hd, j.dqd = c.qkv.Data(), c.probs.Data(), dHeads.Data(), dQKV.Data()
 	j.T, j.H, j.dh, j.d = T, H, dh, d
 	j.scale = scale
-	parallel.Run(batch*H, 1, j, attnBackwardChunk)
+	parallel.Run(batch*H, parallel.WorkGrain(1, 2*T*(T+1)*dh), j, attnBackwardChunk)
 	j.qd, j.probs, j.hd, j.dqd = nil, nil, nil, nil
 	attnJobFree.Put(j)
 

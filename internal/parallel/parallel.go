@@ -51,6 +51,24 @@ func Workers() int { return int(maxWorkers.Load()) }
 // dispatch overhead.
 const StreamGrain = 16384
 
+// chunkWork is the minimum multiply-adds per chunk of a compute-bound region
+// (GEMM sweeps, attention heads) — about 0.1 ms of micro-kernel. Below that
+// the wake-up of the core that would run the chunk, tens of microseconds on
+// a shared VM and erratic, costs more than the chunk saves: a single-sample
+// serving forward (16 rows of a 64-wide GPT) runs inline on its caller.
+const chunkWork = 1 << 18
+
+// WorkGrain returns the Run grain of a region whose items (rows, heads) each
+// carry perItem multiply-adds: enough items for a chunk to reach chunkWork,
+// never fewer than floor. A grain moves chunk boundaries only — items are
+// computed independently — so it cannot move a result bit.
+func WorkGrain(floor, perItem int) int {
+	if g := (chunkWork + perItem - 1) / perItem; g > floor {
+		return g
+	}
+	return floor
+}
+
 // task is one contiguous chunk of an iteration space. fn is always a
 // top-level function (never a closure) so building a task allocates
 // nothing; per-call state travels through ctx.

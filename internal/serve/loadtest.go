@@ -12,8 +12,9 @@ import (
 
 // Report is one load-test result, shaped for BENCH_serving.json: latency
 // quantiles and throughput, plus the batching counters that explain them
-// (a mean batch near 1 means the window never filled; padded samples are
-// the price of power-of-two buckets).
+// (a mean batch near 1 means forwards kept up with arrivals and nothing
+// queued; padded samples and the arena bytes retained per bucket are the
+// price of power-of-two buckets).
 type Report struct {
 	Model         string  `json:"model"`
 	Requests      int     `json:"requests"`
@@ -25,6 +26,7 @@ type Report struct {
 	Batches       int64   `json:"batches"`
 	MeanBatch     float64 `json:"mean_batch"`
 	PaddedSamples int64   `json:"padded_samples"`
+	ArenaBytes    int64   `json:"arena_bytes"`
 	Retries       int64   `json:"retries"` // ErrOverloaded rejections retried
 }
 
@@ -94,6 +96,7 @@ func LoadTest(e *Engine, model string, sample func(i int) *tensor.Tensor, reques
 		Batches:       st.Batches,
 		MeanBatch:     st.MeanBatch(),
 		PaddedSamples: st.PaddedSamples,
+		ArenaBytes:    st.ArenaBytes,
 		Retries:       retries.Load(),
 	}, nil
 }

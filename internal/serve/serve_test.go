@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -22,29 +23,56 @@ func newInferenceState(m *nn.Model) *core.InferenceState {
 	return core.NewInferenceState(m, optim.NewAdam(0.01), core.Dense, nil)
 }
 
-// offlineRefs computes, for each sample, the offline inference forward at
-// the engine's serving geometry: the sample replicated to the fixed
-// power-of-two bucket, first sample's rows sliced out. Under PadFixed this
-// is exactly what a served response must equal, bit for bit.
-func offlineRefs(m *nn.Model, samples []*tensor.Tensor, maxBatch int) [][]float32 {
-	bucket := 1
-	for bucket < maxBatch {
-		bucket *= 2
+// normalSamples draws n samples of the given shape.
+func normalSamples(rng *tensor.RNG, n int, shape ...int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i] = tensor.New(shape...)
+		tensor.FillNormal(xs[i], 1, rng)
 	}
-	refs := make([][]float32, len(samples))
-	a := tensor.NewArena()
-	for i, x := range samples {
-		s0 := x.Dim(0)
-		shape := append([]int{bucket * s0}, x.Shape()[1:]...)
-		xr := tensor.New(shape...)
-		for r := 0; r < bucket; r++ {
-			copy(xr.Data()[r*x.Len():(r+1)*x.Len()], x.Data())
+	return xs
+}
+
+// tinyGPT builds the one-block GPT the tests serve, with n distinct (6,1)
+// token samples.
+func tinyGPT(rng *tensor.RNG, n int) (*nn.Model, []*tensor.Tensor) {
+	m := nn.BuildGPT(nn.GPTConfig{Name: "tgpt", Layers: 1, Hidden: 32, Heads: 4, Seq: 6, Vocab: 20}, rng)
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		ids := make([]int, 6)
+		for j := range ids {
+			ids[j] = (i*5 + j*3) % 20
 		}
-		y := m.Infer(a, xr)
-		rps := y.Dim(0) / bucket
-		rowLen := y.Len() / y.Dim(0)
-		refs[i] = append([]float32(nil), y.Data()[:rps*rowLen]...)
-		a.Reset()
+		xs[i] = nn.TokensToTensor(ids)
+	}
+	return m, xs
+}
+
+// sparsifiedMLP builds a 90%-pruned MLP executing through SparseLinear
+// layers, with the sparse/dense crossover pinned to xover for the test's
+// lifetime (the path choice is the one timing-dependent decision; serving
+// pins it just like training runs do).
+func sparsifiedMLP(t *testing.T, rng *tensor.RNG, xover string, dims []int) *nn.Model {
+	t.Helper()
+	prev, err := sparse.SetXover(xover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sparse.SetXover(prev) })
+	base := nn.BuildMLP("xmlp", dims, rng)
+	var layers []prune.Layer
+	for _, e := range base.PruneLayers() {
+		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+	}
+	return nn.Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
+}
+
+// offlineRefs computes each sample's offline inference forward, alone: what
+// a served response must equal bit for bit, whatever batch it rode in.
+func offlineRefs(m *nn.Model, samples []*tensor.Tensor) [][]float32 {
+	refs := make([][]float32, len(samples))
+	for i, x := range samples {
+		refs[i] = m.Infer(nil, x).Data()
 	}
 	return refs
 }
@@ -105,30 +133,15 @@ func assertBitwise(t *testing.T, refs, got [][]float32) {
 	}
 }
 
-// TestServeBitwiseMatchesOffline is the serving determinism golden: under
-// the default PadFixed policy, responses served among arbitrary concurrent
-// traffic are bitwise-identical to the offline inference forward of each
-// sample at the serving geometry — on the MLP and GPT families.
+// TestServeBitwiseMatchesOffline is the serving determinism golden:
+// responses served among arbitrary concurrent traffic, in whatever buckets
+// the race produces, are bitwise-identical to the offline inference forward
+// of each sample alone — on the MLP and GPT families.
 func TestServeBitwiseMatchesOffline(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	mlp := nn.BuildMLP("smlp", []int{12, 24, 5}, rng)
-	mlpSamples := make([]*tensor.Tensor, 40)
-	for i := range mlpSamples {
-		x := tensor.New(1, 12)
-		tensor.FillNormal(x, 1, rng)
-		mlpSamples[i] = x
-	}
-
-	gpt := nn.BuildGPT(nn.GPTConfig{Name: "sgpt", Layers: 1, Hidden: 32,
-		Heads: 4, Seq: 6, Vocab: 20}, rng)
-	gptSamples := make([]*tensor.Tensor, 24)
-	for i := range gptSamples {
-		ids := make([]int, 6)
-		for j := range ids {
-			ids[j] = (i*5 + j*3) % 20
-		}
-		gptSamples[i] = nn.TokensToTensor(ids)
-	}
+	mlpSamples := normalSamples(rng, 40, 1, 12)
+	gpt, gptSamples := tinyGPT(rng, 24)
 
 	for _, tc := range []struct {
 		name    string
@@ -140,8 +153,8 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 			// weights to the fp16 grid in place, and the offline reference
 			// must run on the same grid the engine serves.
 			st := newInferenceState(tc.model)
-			refs := offlineRefs(tc.model, tc.samples, 4)
-			e := New(st, Config{MaxBatch: 4, BatchWindow: 100 * time.Microsecond})
+			refs := offlineRefs(tc.model, tc.samples)
+			e := New(st, Config{MaxBatch: 4})
 			got := serveAll(t, e, tc.samples, 6)
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
@@ -160,33 +173,16 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 
 // TestServeSparsifiedBitwise extends the golden to sparse execution: a
 // Sparsify'd model served through the engine matches its offline forward
-// with the crossover pinned to each submode (the path choice is the one
-// timing-dependent decision; serving pins it just like training runs do).
+// with the crossover pinned to each submode.
 func TestServeSparsifiedBitwise(t *testing.T) {
 	for _, mode := range []string{"sparse", "dense"} {
 		t.Run(mode, func(t *testing.T) {
-			prev, err := sparse.SetXover(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sparse.SetXover(prev)
-
 			rng := tensor.NewRNG(23)
-			base := nn.BuildMLP("xmlp", []int{16, 32, 6}, rng)
-			var layers []prune.Layer
-			for _, e := range base.PruneLayers() {
-				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
-			}
-			m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
-			samples := make([]*tensor.Tensor, 20)
-			for i := range samples {
-				x := tensor.New(1, 16)
-				tensor.FillNormal(x, 1, rng)
-				samples[i] = x
-			}
+			m := sparsifiedMLP(t, rng, mode, []int{16, 32, 6})
+			samples := normalSamples(rng, 20, 1, 16)
 
 			st := newInferenceState(m) // quantizes in place; refs must follow
-			refs := offlineRefs(m, samples, 4)
+			refs := offlineRefs(m, samples)
 			e := New(st, Config{MaxBatch: 4})
 			got := serveAll(t, e, samples, 5)
 			if err := e.Close(); err != nil {
@@ -197,40 +193,11 @@ func TestServeSparsifiedBitwise(t *testing.T) {
 	}
 }
 
-// TestServePadPow2 exercises the lighter padding policy: responses carry
-// the right geometry and the padded-sample count stays below what PadFixed
-// would produce. No bitwise claim — pow2 buckets legitimately vary bits.
-func TestServePadPow2(t *testing.T) {
-	rng := tensor.NewRNG(29)
-	m := nn.BuildMLP("pmlp", []int{10, 16, 4}, rng)
-	samples := make([]*tensor.Tensor, 15)
-	for i := range samples {
-		x := tensor.New(1, 10)
-		tensor.FillNormal(x, 1, rng)
-		samples[i] = x
-	}
-	e := New(newInferenceState(m), Config{MaxBatch: 8, Pad: PadPow2, BatchWindow: -1})
-	got := serveAll(t, e, samples, 3)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, y := range got {
-		if len(y) != 4 {
-			t.Fatalf("request %d: %d values, want 4", i, len(y))
-		}
-	}
-	st := e.Stats()
-	// With BatchWindow<0 many batches ship as singletons: pow2 pads those
-	// to 1, where PadFixed would pad every batch to 8.
-	if fixed := st.Batches*8 - st.Requests; st.PaddedSamples >= fixed {
-		t.Fatalf("PadPow2 padded %d samples, no better than PadFixed's %d", st.PaddedSamples, fixed)
-	}
-}
-
 // gate is a pass-through first layer that parks the batching loop inside a
-// forward until released: the wedge TestServeBackpressure needs. (Racing
-// submitters against a live loop left the queue unfilled, and the test
-// skipped, in a few percent of runs on two cores.)
+// forward until released (one receive from release per forward, or a close
+// for all): the wedge that lets a test fill the queue to an exact depth.
+// (Racing submitters against a live loop left the queue unfilled, and the
+// test skipped, in a few percent of runs on two cores.)
 type gate struct{ entered, release chan struct{} }
 
 func (g *gate) Forward(_ *tensor.Arena, x *tensor.Tensor, _ bool) (*tensor.Tensor, any) {
@@ -244,6 +211,167 @@ func (g *gate) Backward(*tensor.Arena, any, *tensor.Tensor) *tensor.Tensor {
 }
 
 func (g *gate) Params() []*nn.Param { return nil }
+
+// driveBuckets serves samples through an engine whose model starts with g,
+// in batches of exactly the given sizes: while the loop is parked in one
+// forward, the next group is queued to its full depth, so the loop gathers
+// it whole. Every sample is served once per size, in groups of that size cut
+// in order (the last group of a size may be short). It returns the responses
+// per size, parallel to samples, and closes the engine.
+func driveBuckets(t *testing.T, e *Engine, g *gate, samples []*tensor.Tensor, sizes []int) [][][]float32 {
+	t.Helper()
+	got := make([][][]float32, len(sizes))
+	var wg sync.WaitGroup
+	submit := func(x *tensor.Tensor, out *[]float32) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y, err := e.Infer(x)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if out != nil {
+				*out = y.Data()
+			}
+		}()
+	}
+	submit(samples[0], nil) // wedges the idle loop so the first group can queue
+	<-g.entered
+	batches := int64(1)
+	for si, size := range sizes {
+		got[si] = make([][]float32, len(samples))
+		for lo := 0; lo < len(samples); lo += size {
+			hi := lo + size
+			if hi > len(samples) {
+				hi = len(samples)
+			}
+			for i := lo; i < hi; i++ {
+				submit(samples[i], &got[si][i])
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for len(e.queue) < hi-lo {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue holds %d requests, want %d", len(e.queue), hi-lo)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			g.release <- struct{}{} // the parked forward finishes ...
+			<-g.entered             // ... and the group is gathered and parked
+			if n := len(e.queue); n != 0 {
+				t.Fatalf("group of %d left %d requests queued", hi-lo, n)
+			}
+			batches++
+		}
+	}
+	g.release <- struct{}{}
+	wg.Wait()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Batches != batches || st.Failed != 0 {
+		t.Fatalf("%d batches, %d failed; want %d batches, 0 failed", st.Batches, st.Failed, batches)
+	}
+	return got
+}
+
+func gated(m *nn.Model) *gate {
+	g := &gate{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	m.Layers = append([]nn.Layer{g}, m.Layers...)
+	return g
+}
+
+// TestServeBucketInvariant is the engine's contract, driven
+// deterministically: every sample rides in batches of 1, 2, 3 (padded to 4),
+// 4, 5 (padded to 8) and 8 — so through every bucket — and each response
+// equals the single-sample offline forward bit for bit. MLP (1,f) rows reach
+// the m ∈ {1,2,3} products that used to take a different kernel; the CNN
+// covers the A·Bᵀ products and both small-shape kernels; the Sparsify'd MLP
+// covers CSR and dense-masked execution, each pinned.
+func TestServeBucketInvariant(t *testing.T) {
+	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
+	sparsified := func(xover string) fixture {
+		return func(t *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
+			return sparsifiedMLP(t, rng, xover, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build fixture
+	}{
+		{"mlp", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
+			return nn.BuildMLP("imlp", []int{24, 48, 32, 6}, rng), normalSamples(rng, 8, 1, 24)
+		}},
+		{"cnn", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
+			return nn.BuildVGG("icnn", []int{8, -1, 16}, 3, 8, 5, rng), normalSamples(rng, 8, 1, 3, 8, 8)
+		}},
+		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
+		{"sparsified/sparse", sparsified("sparse")},
+		{"sparsified/dense", sparsified("dense")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, samples := tc.build(t, tensor.NewRNG(43))
+			st := newInferenceState(m) // quantizes in place; refs must follow
+			refs := offlineRefs(m, samples)
+			g := gated(m)
+			sizes := []int{1, 2, 3, 4, 5, 8}
+			got := driveBuckets(t, New(st, Config{MaxBatch: 8, QueueDepth: 8}), g, samples, sizes)
+			for si := range sizes {
+				assertBitwise(t, refs, got[si])
+			}
+		})
+	}
+}
+
+// TestServeArenaBytesBounded keeps the reason for power-of-two buckets true:
+// an engine that has served every bucket retains at most twice the
+// activation memory of one that only ever ran the largest (exact-fit batch
+// heights would retain 4.5×).
+func TestServeArenaBytesBounded(t *testing.T) {
+	arenaBytes := func(sizes ...int) int64 {
+		m, xs := tinyGPT(tensor.NewRNG(47), 8)
+		e := New(newInferenceState(m), Config{MaxBatch: 8, QueueDepth: 8})
+		driveBuckets(t, e, gated(m), xs, sizes)
+		return e.Stats().ArenaBytes
+	}
+	// Both engines also run the wedge request's bucket-1 forward.
+	top, all := arenaBytes(8), arenaBytes(1, 2, 3, 4, 5, 6, 7, 8)
+	if top == 0 || all > 2*top {
+		t.Fatalf("arenas retain %d bytes after every bucket, over twice the %d of bucket 8 alone", all, top)
+	}
+	t.Logf("bucket 8 alone %d bytes, every bucket %d (%.2fx)", top, all, float64(all)/float64(top))
+}
+
+// TestServePanicIsolated: a sample the model panics on (a token id outside
+// the vocabulary) fails its own request with a *PanicError and nothing else —
+// requests before and after it are answered with the right bits.
+func TestServePanicIsolated(t *testing.T) {
+	m, good := tinyGPT(tensor.NewRNG(53), 6)
+	st := newInferenceState(m)
+	refs := offlineRefs(m, good)
+	e := New(st, Config{MaxBatch: 4})
+	defer e.Close()
+
+	got := make([][]float32, len(good))
+	for i, x := range good {
+		if i == len(good)/2 {
+			_, err := e.Infer(nn.TokensToTensor([]int{0, 1, 99, 3, 4, 5}))
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value == nil {
+				t.Fatalf("poisoned sample returned %v, want a *PanicError carrying the panic value", err)
+			}
+		}
+		y, err := e.Infer(x)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		got[i] = y.Data()
+	}
+	assertBitwise(t, refs, got)
+	if st := e.Stats(); st.Failed != 1 || st.Requests != int64(len(good)) {
+		t.Fatalf("stats count %d failed, %d served; want 1 and %d", st.Failed, st.Requests, len(good))
+	}
+}
 
 // TestServeBackpressure pins the admission contract: with the batching loop
 // wedged, a full queue rejects instantly with ErrOverloaded and counts the
@@ -301,7 +429,7 @@ func TestServeBackpressure(t *testing.T) {
 func TestServeCloseDrains(t *testing.T) {
 	rng := tensor.NewRNG(37)
 	m := nn.BuildMLP("dmlp", []int{8, 8, 3}, rng)
-	e := New(newInferenceState(m), Config{MaxBatch: 4, QueueDepth: 32, BatchWindow: time.Millisecond})
+	e := New(newInferenceState(m), Config{MaxBatch: 4, QueueDepth: 32})
 
 	const n = 12
 	results := make([]error, n)
@@ -349,7 +477,7 @@ func TestServeCloseDrains(t *testing.T) {
 func TestServeShapeContract(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	m := nn.BuildMLP("cmlp", []int{8, 8, 3}, rng)
-	e := New(newInferenceState(m), Config{MaxBatch: 2, BatchWindow: -1})
+	e := New(newInferenceState(m), Config{MaxBatch: 2})
 	defer e.Close()
 
 	x := tensor.New(1, 8)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -12,19 +13,22 @@ import (
 // and the v2 gate, k and n around the kc/nc candidates and the 8-wide
 // strip width), and every candidate's output is additionally checked
 // BITWISE against candidate 0: the autotuner may pick any of them, so a
-// divergence would make tuning perturb training.
+// divergence would make tuning perturb training. Last, the row-invariance
+// contract (see gemm): rows recomputed alone and in short blocks, through
+// the dispatcher and through every candidate, carry the full product's bits.
 func FuzzMatMulInto(f *testing.F) {
 	// Seeded degenerate corpus: dispatch-gate boundaries, micro-kernel
 	// remainders, panel-boundary crossings, strip tails, empty dims.
 	f.Add(uint16(0), uint16(8), uint16(8), uint64(1), false)
 	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: micro1 only
-	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // below the v2 gate: saxpy
+	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // k below the v2 gate: saxpy
 	f.Add(uint16(4), uint16(16), uint16(16), uint64(4), false)   // exactly at the v2 gate
 	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // kc=128 boundary, nc remainder
 	f.Add(uint16(8), uint16(257), uint16(129), uint64(6), true)  // kc=256 crossing
-	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // one full strip + 1-wide tail
+	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // n below the v2 gate, odd k
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
 	f.Add(uint16(47), uint16(319), uint16(223), uint64(9), true) // max folded shape
+	f.Add(uint16(3), uint16(24), uint16(32), uint64(10), false)  // a served MLP batch of 3: v2 at m < gemmMR
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
 		m, k, n := int(mr%48), int(kr%320), int(nr%224)
 		rng := NewRNG(seed | 1)
@@ -64,7 +68,60 @@ func FuzzMatMulInto(f *testing.F) {
 					ci, cand, m, k, n, i)
 			}
 		}
+		// 3. Row invariance, of the dispatcher and of every candidate.
+		lo, hi := rowWindow(m, seed)
+		checkRowInvariant(t, "MatMulInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
+			MatMulInto(out, a.Slice(lo, hi), b, accumulate)
+		})
+		for ci, cand := range tuneCands {
+			checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
+				gemmV2(gemmNN, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			})
+		}
 	})
+}
+
+// rowHeights are the block heights the row-invariance checks recompute rows
+// at: a row alone, heights below, at and just above the 4-row micro-kernel,
+// and two strips. rowWorkers are the worker counts they rotate through.
+var (
+	rowHeights = []int{1, 2, 3, 4, 5, 8}
+	rowWorkers = []int{1, 2, 3, 4, 8}
+)
+
+// rowWindow places a window of up to 16 rows inside [0,m) from pick: the
+// fuzz targets recompute only those rows, so an execution stays cheap at
+// m in the hundreds.
+func rowWindow(m int, pick uint64) (lo, hi int) {
+	if m <= 16 {
+		return 0, m
+	}
+	lo = int(pick % uint64(m-15))
+	return lo, lo + 16
+}
+
+// checkRowInvariant pins the row-invariance contract (stated above gemm) on
+// one product. full holds C for every row; mul(out, lo, hi) must compute
+// rows [lo,hi) of the same product alone, into out, which arrives holding
+// those rows of cSeed. Rows [w0,w1) are recomputed in blocks of each height —
+// the last block of a height may be short — at worker counts rotating
+// through rowWorkers from rot, and every block must match full bit for bit.
+func checkRowInvariant(t *testing.T, what string, full, cSeed *Tensor, heights []int, w0, w1, rot int, mul func(out *Tensor, lo, hi int)) {
+	t.Helper()
+	defer SetWorkers(SetWorkers(0))
+	for hx, h := range heights {
+		w := rowWorkers[(rot+hx)%len(rowWorkers)]
+		SetWorkers(w)
+		for lo := w0; lo < w1; lo += h {
+			hi := min(lo+h, w1)
+			out := cSeed.Slice(lo, hi).Clone()
+			mul(out, lo, hi)
+			if i, ok := bitwiseEqual(out, full.Slice(lo, hi)); !ok {
+				t.Fatalf("%s, workers=%d: rows [%d,%d) computed alone differ from the same rows of the %d-row product at index %d",
+					what, w, lo, hi, full.shape[0], i)
+			}
+		}
+	}
 }
 
 // FuzzMatMulTInto drives the C = A·Bᵀ dispatcher — the tiled small-shape
@@ -72,7 +129,8 @@ func FuzzMatMulInto(f *testing.F) {
 // against the naive triple loop over fuzzer-chosen shapes, with the same
 // dispatch-boundary folding as FuzzMatMulInto; every candidate's output is
 // additionally checked BITWISE against candidate 0 (the autotuner may pick
-// any of them mid-training).
+// any of them mid-training), and the dispatcher and every candidate are held
+// to the row-invariance contract like the forward product's.
 func FuzzMatMulTInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -111,6 +169,15 @@ func FuzzMatMulTInto(f *testing.F) {
 				t.Fatalf("NT candidate %d (%+v) on %dx%dx%d: not bitwise-equal to candidate 0 at index %d",
 					ci, cand, m, k, n, i)
 			}
+		}
+		lo, hi := rowWindow(m, seed)
+		checkRowInvariant(t, "MatMulTInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
+			MatMulTInto(out, a.Slice(lo, hi), b, accumulate)
+		})
+		for ci, cand := range tuneCandsT {
+			checkRowInvariant(t, fmt.Sprintf("NT candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
+				gemmV2(gemmNT, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			})
 		}
 	})
 }
@@ -161,7 +228,8 @@ func FuzzTMatMulInto(f *testing.F) {
 
 // seedTransposedCorpus seeds the degenerate corpus shared by both
 // transposed-GEMM fuzz targets: dispatch-gate boundaries (the tiled
-// fallback below m=4 / k,n=16), micro-kernel and strip-tail remainders,
+// fallback below k,n=16 — and, for C = Aᵀ·B only, below m=4), micro-kernel
+// and strip-tail remainders,
 // panel-boundary crossings (both transpose-packs have per-panel state),
 // mc row-block boundaries (m past 128 runs the mc:128 candidate's
 // per-block repack; m past 256 additionally splits the gemmTN Aᵀ pack at
@@ -169,12 +237,13 @@ func FuzzTMatMulInto(f *testing.F) {
 func seedTransposedCorpus(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint64(1), false)
 	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: tiled remainder row
-	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // below the v2 gate: tiled
+	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // k below the v2 gate: tiled
 	f.Add(uint16(4), uint16(16), uint16(16), uint64(4), false)   // exactly at the v2 gate
 	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // kc=128 boundary, nc remainder
 	f.Add(uint16(8), uint16(257), uint16(129), uint64(6), true)  // kc=256 crossing
-	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // one full strip + 1-wide tail
+	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // n below the v2 gate (C = Aᵀ·B: one strip + 1-wide tail)
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
+	f.Add(uint16(3), uint16(24), uint16(32), uint64(13), false)   // a served batch of 3: v2 at m < gemmMR (C = A·Bᵀ)
 	f.Add(uint16(33), uint16(319), uint16(130), uint64(9), true)  // odd k: global pairwise tail
 	f.Add(uint16(150), uint16(300), uint16(40), uint64(10), true) // m crosses the mc=128 block boundary
 	f.Add(uint16(300), uint16(319), uint16(66), uint64(11), true) // m crosses the TN kc=512 mc clamp (256)

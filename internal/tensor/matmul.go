@@ -119,10 +119,21 @@ const (
 	gemmVariants
 )
 
-// gemm dispatches C (+)= A·B over the worker pool. Large shapes take the
-// shared-pack v2 pipeline with autotuned blocking; small or skinny shapes
-// fall back to the row-saxpy kernel, whose per-row cost model fits them
-// better.
+// Row invariance — the contract of the two forward products (gemm, gemmT)
+// that serve.Engine spends: the bits of a C row are a function of its A row
+// and of B alone, never of m, of the worker count or of the autotuner's
+// candidate. Dispatch therefore looks at n and k only, which the model fixes,
+// and never at m, which the batch does. With n,k ≥ 16 every row takes the
+// shared sweeps, which all accumulate k in one pairwise order
+// (`c += a0·b0 + a1·b1`, every kc even) whether the row rides a 4-row
+// micro-kernel or the single-row remainder; below that every row takes the
+// small-shape kernel, which sums k in plain order for every row. Pinned by
+// the row-invariance property of FuzzMatMulInto / FuzzMatMulTInto and by
+// TestGEMMRowInvariantServingShapes.
+
+// gemm dispatches C (+)= A·B over the worker pool: the shared-pack v2
+// pipeline with autotuned blocking, or for skinny B (n or k below 16) the
+// row-saxpy kernel, whose per-row cost model fits it better.
 func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -133,7 +144,7 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if m >= gemmMR && n >= 16 && k >= 16 {
+	if n >= 16 && k >= 16 {
 		gemmTuned(gemmNN, c, a, b, m, k, n, accumulate)
 		return
 	}
@@ -230,6 +241,12 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // Because the sweeps are shared, the transposed variants inherit the
 // bitwise candidate-invariance contract for free: packing relocates
 // operand bytes, never reorders the per-element float operations.
+//
+// Fan-out is sized from work, not rows (parallel.WorkGrain): a sweep or
+// direct row counts its own multiply-adds, a packed row those of the sweep
+// it feeds — a pack fans out only when that sweep would — so a product too
+// small to be worth a second core runs inline on the caller instead of
+// paying a wake-up per region.
 func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand tuneCand) {
 	j := gemmV2JobFree.Get()
 	j.c, j.a, j.b = c, a, b
@@ -240,7 +257,7 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 		// Direct-B path (gemmNN candidates only: the transposed variants'
 		// effective B is not materialized row-major, so their candidate
 		// sets are all-pack).
-		parallel.Run(m, gemmMR, j, gemmDirectChunk)
+		parallel.Run(m, parallel.WorkGrain(gemmMR, k*n), j, gemmDirectChunk)
 		j.c, j.a, j.b = nil, nil, nil
 		gemmV2JobFree.Put(j)
 		return
@@ -275,7 +292,7 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 			kcur := min(cand.kc, k-k0)
 			j.k0, j.kcur = k0, kcur
 			if v == gemmTN {
-				parallel.Run(j.mcur, gemmPackGrain, j, gemmPackATChunk)
+				parallel.Run(j.mcur, parallel.WorkGrain(gemmPackGrain, kcur*n), j, gemmPackATChunk)
 				j.as, j.aBase, j.aStride, j.aOff = pa, i0, kcur, 0
 			} else {
 				j.as, j.aBase, j.aStride, j.aOff = a, 0, k, k0
@@ -285,11 +302,11 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 				if v == gemmNT {
 					// The NT pack fans out over B rows (panel columns), not
 					// panel k-rows: that is the operand's contiguous axis.
-					parallel.Run(j.ncur, gemmPackGrain, j, packB)
+					parallel.Run(j.ncur, parallel.WorkGrain(gemmPackGrain, j.mcur*kcur), j, packB)
 				} else {
-					parallel.Run(kcur, gemmPackGrain, j, packB)
+					parallel.Run(kcur, parallel.WorkGrain(gemmPackGrain, j.mcur*j.ncur), j, packB)
 				}
-				parallel.Run(j.mcur, gemmMR, j, sweep)
+				parallel.Run(j.mcur, parallel.WorkGrain(gemmMR, kcur*j.ncur), j, sweep)
 			}
 		}
 	}
@@ -718,10 +735,11 @@ func gemmTDims(a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// gemmT dispatches C (+)= A·Bᵀ. Large shapes run the shared-pack v2/v3
-// pipeline with per-shape autotuned blocking (the gemmNT variant
-// transpose-packs B panels); small or skinny shapes keep the PR-1 4×4
-// register tiles, whose tile setup cost fits them better.
+// gemmT dispatches C (+)= A·Bᵀ: the shared-pack v2/v3 pipeline with
+// per-shape autotuned blocking (the gemmNT variant transpose-packs B
+// panels), or for skinny B (n or k below 16) the PR-1 4×4 register tiles,
+// whose tile setup cost fits it better. Row-invariant like gemm: m never
+// selects the kernel.
 func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -732,7 +750,7 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 		}
 		return
 	}
-	if m >= gemmMR && n >= 16 && k >= 16 {
+	if n >= 16 && k >= 16 {
 		gemmTuned(gemmNT, c, a, b, m, k, n, accumulate)
 		return
 	}

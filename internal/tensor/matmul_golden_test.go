@@ -238,6 +238,58 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 	}
 }
 
+// TestGEMMRowInvariantServingShapes is the always-on golden of the
+// row-invariance contract (stated above gemm) over the products a served
+// model runs: per shape, the rows of one sample — 16 for the benchmark GPT
+// (hidden 64, vocab 256), 1 for an MLP or a classifier head — computed alone
+// and inside batches of 2, 4 and 8 samples, through the dispatcher and
+// through every candidate at every worker count, carry identical bits.
+func TestGEMMRowInvariantServingShapes(t *testing.T) {
+	for _, s := range []struct {
+		name       string
+		v          gemmVariant
+		rows, k, n int
+	}{
+		{"gpt/qkv", gemmNN, 16, 64, 192},
+		{"gpt/proj", gemmNN, 16, 64, 64},
+		{"gpt/fc1+head", gemmNN, 16, 64, 256},
+		{"gpt/fc2", gemmNN, 16, 256, 64},
+		{"mlp/hidden", gemmNN, 1, 24, 32},
+		{"mlp/classes", gemmNN, 1, 32, 10}, // n < 16: saxpy at every height
+		{"sparselinear/dense-masked", gemmNT, 1, 24, 32},
+		{"conv/3x3x8", gemmNT, 16, 72, 16},
+		{"conv/3x3x3", gemmNT, 64, 27, 8}, // n < 16: tiled at every height
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			m, k, n := 8*s.rows, s.k, s.n
+			rng := NewRNG(49)
+			a, b, zero := New(m, k), New(k, n), New(m, n)
+			cands, mul := tuneCands[:], MatMulInto
+			if s.v == gemmNT {
+				b, cands, mul = New(n, k), tuneCandsT[:], MatMulTInto
+			}
+			fillSeq(a, rng)
+			fillSeq(b, rng)
+			heights := []int{s.rows, 2 * s.rows, 4 * s.rows, 8 * s.rows}
+			full := New(m, n)
+			mul(full, a, b, false)
+			for rot := range rowWorkers {
+				checkRowInvariant(t, "dispatcher", full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+					mul(out, a.Slice(lo, hi), b, false)
+				})
+				if n < 16 {
+					continue // the candidates are not what dispatch runs here
+				}
+				for ci, cand := range cands {
+					checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+						gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, cand)
+					})
+				}
+			}
+		})
+	}
+}
+
 // TestMatMulSharedPanelRace hammers MatMulInto from many goroutines so
 // concurrent calls contend on the shared panel buffer pool, the autotune
 // table and the worker pool. Run under -race in CI; correctness of each

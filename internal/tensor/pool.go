@@ -17,6 +17,7 @@ type Arena struct {
 	free    map[int][]*Tensor // owned tensors, keyed by cap(data)
 	headers []*Tensor         // recycled headers for views (data not owned)
 	used    []arenaSlot
+	owned   int // elements across every tensor the arena ever allocated
 }
 
 type arenaSlot struct {
@@ -46,9 +47,21 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		t.shape = append(t.shape[:0], shape...)
 	} else {
 		t = New(shape...)
+		a.owned += n
 	}
 	a.used = append(a.used, arenaSlot{t: t, owns: true})
 	return t
+}
+
+// Bytes returns the float32 bytes the arena retains: every buffer it ever
+// allocated, in use or on a free list. Free lists are keyed by exact size,
+// so a caller that cycles through many shapes retains a working set per
+// shape; this is the figure that shows it.
+func (a *Arena) Bytes() int64 {
+	if a == nil {
+		return 0
+	}
+	return 4 * int64(a.owned)
 }
 
 // GetZeroed returns a zero-filled arena tensor.

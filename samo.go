@@ -126,14 +126,18 @@
 // arenas for a single-goroutine serving loop.
 //
 // cmd/samo-serve puts it behind dynamic micro-batching (internal/serve):
-// concurrent single-sample requests gather into padded power-of-two
-// batches keyed like the GEMM autotuner's buckets, a bounded admission
-// queue converts overload into immediate backpressure (ErrOverloaded), and
-// Close drains gracefully and flushes both autotuner tables. The engine's
-// determinism contract is batch-composition independence — under the
-// default fixed-bucket padding a response's bits depend only on the
-// sample, never on the traffic sharing its batch — and its load-test
-// harness records p50/p99 latency and throughput to BENCH_serving.json.
+// the batching loop takes whatever concurrent single-sample requests are
+// queued — it never waits for more — and pads them to the next power of
+// two, a bounded admission queue converts overload into immediate
+// backpressure (ErrOverloaded), a forward that panics on a request fails
+// that batch with a typed error instead of the process, and Close drains
+// gracefully and flushes both autotuner tables. The engine's determinism
+// contract rests on the forward kernels being row-invariant (an output
+// row's bits depend on its input row and the weights, never on the batch
+// height, worker count or autotuner candidate): a response equals the
+// offline forward of its sample alone, bit for bit, whatever bucket it
+// rode in. Its load-test harness records p50/p99 latency and throughput
+// to BENCH_serving.json.
 //
 // # Fault tolerance
 //
