@@ -37,7 +37,6 @@ func run(args []string, out io.Writer) error {
 	// Today memplan's analytic pipeline runs no GEMMs, so this is a free
 	// no-op; it keeps the exit contract uniform if a future planner does.
 	defer func() { _ = samo.FlushTuneTable() }()
-	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-memplan", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.

@@ -14,7 +14,6 @@ import (
 // verification against the offline forward.
 func TestSmokeMLP(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-model", "mlp", "-hidden", "16",
 		"-requests", "12", "-concurrency", "4", "-max-batch", "4",
@@ -30,7 +29,6 @@ func TestSmokeMLP(t *testing.T) {
 // TestSmokeGPTSAMO exercises the compressed-checkpoint handoff.
 func TestSmokeGPTSAMO(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-samo", "-hidden", "16",
 		"-requests", "8", "-concurrency", "2", "-max-batch", "2",
@@ -47,7 +45,6 @@ func TestSmokeGPTSAMO(t *testing.T) {
 // fields the bench gate reads.
 func TestLoadtestReport(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "loadtest", "-model", "mlp", "-hidden", "16",
@@ -74,7 +71,6 @@ func TestLoadtestReport(t *testing.T) {
 // TestBadFlags pins the error paths: unknown mode, model and flag.
 func TestBadFlags(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, args := range [][]string{
 		{"-mode", "nope"},
 		{"-model", "nope"},

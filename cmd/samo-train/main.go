@@ -30,14 +30,11 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// The autotuners' background savers debounce writes, so a short
-	// training run can exit before any decision reaches disk; flush both
-	// tables synchronously on every exit path (best-effort — a failed write
-	// only means the next run re-probes). The crossover flush matters most
-	// here: it is what hands a later samo-serve this run's frozen
-	// sparse/dense execution paths.
+	// The GEMM autotuner's background saver debounces writes, so a short
+	// training run can exit before any decision reaches disk; flush the
+	// table synchronously on every exit path (best-effort — a failed write
+	// only means the next run re-probes).
 	defer func() { _ = samo.FlushTuneTable() }()
-	defer func() { _ = samo.FlushXoverTable() }()
 	fs := flag.NewFlagSet("samo-train", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.

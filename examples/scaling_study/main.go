@@ -122,11 +122,10 @@ func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 		targets[i] = rng.Intn(classes)
 	}
 
-	// Pin the sparse path for the measurement: the crossover needs several
-	// timed calls per bucket before it freezes, and mixing those probe-phase
-	// dense executions into the timed steps would understate the speedup.
-	// (The masked-dense model has no sparse layers; the pin is a no-op for
-	// it.)
+	// Pin the sparse path for the measurement: the CSR kernels are what is
+	// timed, at any -sparsity — the density rule would run a model at or
+	// below 75% dense-masked. (The masked-dense model has no sparse layers;
+	// the pin is a no-op for it.)
 	prevMode, err := samo.SetSparseCompute("sparse")
 	if err != nil {
 		return err
@@ -179,8 +178,8 @@ func runScheduleStudy(out io.Writer, initial float64, steps int) error {
 	for i := range targets {
 		targets[i] = rng.Intn(classes)
 	}
-	// Pin the sparse path (see runSparseExec) so crossover probing does not
-	// blur the timings; the masked-dense reference has no sparse layers.
+	// Pin the sparse path (see runSparseExec) so every schedule is timed on
+	// the CSR kernels; the masked-dense reference has no sparse layers.
 	prevMode, err := samo.SetSparseCompute("sparse")
 	if err != nil {
 		return err

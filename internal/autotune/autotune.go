@@ -1,24 +1,22 @@
-// Package autotune is the probe → freeze → persist machine behind both of
-// the repo's runtime decisions: the GEMM blocking tuner (internal/tensor)
-// and the sparse/dense execution crossover (internal/sparse). A Table maps a
-// bucket key to an Entry holding a small fixed set of candidates. The first
-// few calls on a new bucket each time one candidate — the probe does the
-// caller's real work, so nothing is wasted — and once every candidate has
-// ProbeRuns samples the one with the lowest minimum time per unit of work is
-// frozen into the entry. Every later call is a read-locked map hit plus one
-// atomic load, with no allocation.
+// Package autotune is the probe → freeze → persist machine behind the
+// repo's one runtime-tuned decision, the GEMM blocking (internal/tensor). A
+// Table maps a bucket key to an Entry holding a small fixed set of
+// candidates. The first few calls on a new bucket each time one candidate —
+// the probe does the caller's real work, so nothing is wasted — and once
+// every candidate has ProbeRuns samples the one with the lowest minimum time
+// per unit of work is frozen into the entry. Every later call is a
+// read-locked map hit plus one atomic load, with no allocation.
 //
-// Whether a frozen bucket may change its mind is the client's call, made
-// once at construction (Spec.ReprobeEvery). Probe timings are wall-clock
-// around parallel.Run, whose helping-wait can execute other goroutines'
-// queued chunks inside the timed region, so under concurrent training every
-// initial sample of a candidate can be contaminated and a slower one frozen.
-// A client whose candidates are bitwise-identical (GEMM blockings) therefore
-// re-times one candidate round-robin every ReprobeEvery-th call: minima only
-// improve, so one clean sample of the truly fastest candidate eventually
-// corrects the choice. A client whose candidates differ numerically (the
-// crossover's two paths sum in different orders) sets 0 and a frozen bucket
-// stays frozen — flipping the winner mid-training would perturb results.
+// A frozen bucket may change its mind, which is why only candidates that are
+// bitwise-identical may be tuned here (a choice between paths that differ
+// numerically, like the sparse/dense crossover, must be a rule over its
+// inputs instead). Probe timings are wall-clock around parallel.Run, whose
+// helping-wait can execute other goroutines' queued chunks inside the timed
+// region, so under concurrent training every initial sample of a candidate
+// can be contaminated and a slower one frozen. Every reprobePeriod-th call
+// therefore re-times one candidate round-robin: minima only improve, so one
+// clean sample of the truly fastest candidate eventually corrects the
+// choice.
 //
 // Decisions persist by default. Whenever a bucket first freezes, a
 // background goroutine writes the table to Path() — the file named by the
@@ -50,8 +48,12 @@ import (
 // have to hit the same candidate three times to bias the choice.
 const ProbeRuns = 3
 
-// Spec is everything the two clients differ in. K is the bucket key and R
-// the persisted JSON form of one decided bucket.
+// reprobePeriod is the period of post-freeze drift probes: one timed call in
+// 512 keeps the correction overhead unmeasurable.
+const reprobePeriod = 512
+
+// Spec is everything client-specific. K is the bucket key and R the
+// persisted JSON form of one decided bucket.
 type Spec[K comparable, R any] struct {
 	// Env names the environment variable that redirects ("<path>") or
 	// disables ("off") persistence; File is the default file name under
@@ -59,9 +61,6 @@ type Spec[K comparable, R any] struct {
 	Env, File, Description string
 	// Cands returns how many candidates a bucket chooses among.
 	Cands func(K) int
-	// ReprobeEvery is the period of post-freeze drift probes; 0 means a
-	// frozen bucket never changes (see the package comment).
-	ReprobeEvery int64
 	// Encode renders a decided bucket as its record. Decode resolves a
 	// record against the current build — ok=false skips records this build
 	// does not know (a changed candidate set, a newer op or variant).
@@ -69,9 +68,9 @@ type Spec[K comparable, R any] struct {
 	Decode func(R) (k K, chosen int, ok bool)
 }
 
-// Log2Bucket returns ceil(log2(n)), the unit both clients bucket their
-// keys in: shapes within a power of two share a decision, which keeps a
-// table a few dozen entries for a whole training run.
+// Log2Bucket returns ceil(log2(n)), the unit bucket keys are built in:
+// shapes within a power of two share a decision, which keeps a table a few
+// dozen entries for a whole training run.
 func Log2Bucket(n int) uint8 {
 	if n <= 1 {
 		return 0
@@ -105,10 +104,9 @@ func New[K comparable, R any](spec Spec[K, R]) *Table[K, R] {
 
 // Entry is one bucket's probe state.
 type Entry struct {
-	chosen  atomic.Int32 // -1 while probing, the winning candidate afterwards
-	calls   atomic.Int64 // post-freeze call counter driving drift probes
-	reprobe int64
-	owner   interface{ froze() }
+	chosen atomic.Int32 // -1 while probing, the winning candidate afterwards
+	calls  atomic.Int64 // post-freeze call counter driving drift probes
+	owner  interface{ froze() }
 
 	mu    sync.Mutex
 	cands []candStat
@@ -121,7 +119,7 @@ type candStat struct {
 }
 
 func (t *Table[K, R]) newEntry(k K, chosen int) *Entry {
-	e := &Entry{reprobe: t.spec.ReprobeEvery, owner: t, cands: make([]candStat, t.spec.Cands(k))}
+	e := &Entry{owner: t, cands: make([]candStat, t.spec.Cands(k))}
 	e.chosen.Store(int32(chosen))
 	return e
 }
@@ -162,14 +160,12 @@ func (e *Entry) Chosen() int { return int(e.chosen.Load()) }
 
 // Next returns the candidate to run NOW and whether this call is a probe
 // the caller must time and report back through Record. While the bucket is
-// undecided — and on every reprobe-th call after it froze — the
+// undecided — and on every reprobePeriod-th call after it froze — the
 // least-sampled candidate is handed out, lowest index first: a
 // deterministic round-robin (choice by call count, not by timing).
 func (e *Entry) Next() (idx int, probe bool) {
-	if c := e.chosen.Load(); c >= 0 {
-		if e.reprobe == 0 || e.calls.Add(1)%e.reprobe != 0 {
-			return int(c), false
-		}
+	if c := e.chosen.Load(); c >= 0 && e.calls.Add(1)%reprobePeriod != 0 {
+		return int(c), false
 	}
 	e.mu.Lock()
 	for i := range e.cands {
@@ -203,11 +199,6 @@ func (e *Entry) Record(idx int, d time.Duration, work int) {
 		cur.best = v
 	}
 	cur.recs++
-	// A frozen bucket re-evaluates only if its client allows drift probes;
-	// otherwise a probe handed out just before the freeze must not flip it.
-	if e.chosen.Load() >= 0 && e.reprobe == 0 {
-		return
-	}
 	win := 0
 	for i, c := range e.cands {
 		if c.recs < ProbeRuns {

@@ -20,13 +20,12 @@ type testTable = Table[uint8, testRec]
 // newTestTable builds a table whose even keys have two candidates and odd
 // keys three, with a codec that trusts the record's pick (so the shared
 // range guard in Load is what is under test) and rejects keys >= 200.
-func newTestTable(reprobe int64) *testTable {
+func newTestTable() *testTable {
 	return New(Spec[uint8, testRec]{
 		Env: testEnv, File: "test_table.json", Description: "test",
-		Cands:        func(k uint8) int { return 2 + int(k%2) },
-		ReprobeEvery: reprobe,
-		Encode:       func(k uint8, chosen int) testRec { return testRec{k, chosen} },
-		Decode:       func(r testRec) (uint8, int, bool) { return r.Key, r.Pick, r.Key < 200 },
+		Cands:  func(k uint8) int { return 2 + int(k%2) },
+		Encode: func(k uint8, chosen int) testRec { return testRec{k, chosen} },
+		Decode: func(r testRec) (uint8, int, bool) { return r.Key, r.Pick, r.Key < 200 },
 	})
 }
 
@@ -77,17 +76,16 @@ func wantChosen(t *testing.T, tb *testTable, want map[uint8]int) {
 // TestProbeOrderAndFreeze pins the probe phase: candidates are handed out
 // least-sampled first (choice by call count, never by timing), the bucket
 // freezes exactly when every candidate has ProbeRuns samples, the winner is
-// the lowest minimum time PER UNIT OF WORK, and with reprobe period 0 a
-// frozen bucket is final — even for a probe handed out before the freeze.
+// the lowest minimum time PER UNIT OF WORK, and a frozen bucket answers
+// without probing.
 func TestProbeOrderAndFreeze(t *testing.T) {
 	t.Setenv(testEnv, "off")
-	tb := newTestTable(0)
+	tb := newTestTable()
 	e := tb.For(1) // three candidates
 	if tb.For(1) != e {
 		t.Fatal("one bucket must map to one entry")
 	}
-	late, _ := e.Next() // handed out now, reported after the freeze
-	for i := 1; i <= 3*ProbeRuns; i++ {
+	for i := 0; i < 3*ProbeRuns; i++ {
 		idx, probe := e.Next()
 		if !probe || idx != i%3 || e.Chosen() != -1 {
 			t.Fatalf("probe %d: got (%d, %v) chosen %d, want (%d, true) and undecided", i, idx, probe, e.Chosen(), i%3)
@@ -99,26 +97,25 @@ func TestProbeOrderAndFreeze(t *testing.T) {
 		}
 		e.Record(idx, d, work)
 	}
-	e.Record(late, time.Nanosecond, 1000)
 	for i := 0; i < 10; i++ {
 		if idx, probe := e.Next(); probe || idx != 1 {
-			t.Fatalf("frozen bucket returned (%d, %v), want (1, false): lowest time per unit of work, final", idx, probe)
+			t.Fatalf("frozen bucket returned (%d, %v), want (1, false): lowest time per unit of work", idx, probe)
 		}
 	}
 }
 
-// TestDriftReprobe pins the post-freeze behaviour of a table that allows
-// it: every ReprobeEvery-th call is a probe, a cleaner sample flips the
-// winner, and the flip is NOT marked for persistence.
+// TestDriftReprobe pins the post-freeze behaviour: every reprobePeriod-th
+// call is a probe, a cleaner sample flips the winner, and the flip is NOT
+// marked for persistence.
 func TestDriftReprobe(t *testing.T) {
 	t.Setenv(testEnv, "off")
-	tb := newTestTable(4)
+	tb := newTestTable()
 	e := tb.For(0)
 	freeze(t, e, 0) // freeze's final Next was post-freeze call 1
 	tb.dirty.Store(false)
-	for call := 2; call <= 8; call++ {
+	for call := 2; call <= 2*reprobePeriod; call++ {
 		idx, probe := e.Next()
-		if probe != (call%4 == 0) {
+		if probe != (call%reprobePeriod == 0) {
 			t.Fatalf("post-freeze call %d: probe=%v", call, probe)
 		}
 		if probe {
@@ -131,8 +128,8 @@ func TestDriftReprobe(t *testing.T) {
 	}
 }
 
-// TestPersistence is the one suite for the discipline both clients share;
-// tensor and sparse test only their record codecs.
+// TestPersistence is the one suite for the persistence discipline; tensor
+// tests only its record codec.
 func TestPersistence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -241,7 +238,7 @@ func TestPersistence(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "table.json")
 			t.Setenv(testEnv, path)
-			c.run(t, newTestTable(0), path)
+			c.run(t, newTestTable(), path)
 		})
 	}
 }

@@ -140,9 +140,11 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 }
 
 // sparseMLPBuilder builds the test MLP with its Linears replaced by
-// first-class SparseLinear layers on the pinned sparse kernels, so the
-// engine's prune events exercise the in-place CSR pattern shrink.
-func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
+// first-class SparseLinear layers in auto mode, so the engine's prune events
+// exercise the in-place CSR pattern shrink and carry the layers across the
+// crossover's quarter-density line. A non-nil witness wraps every
+// SparseLinear in a ruleWitness.
+func sparseMLPBuilder(seed uint64, sparsity float64, witness *pathLog) Builder {
 	return func() *nn.Model {
 		m := nn.BuildMLP("mlp", []int{inDim, 10, 8, classes}, tensor.NewRNG(seed))
 		var layers []prune.Layer
@@ -151,21 +153,54 @@ func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 		}
 		pr := prune.MagnitudePerLayer(layers, sparsity)
 		sm := nn.Sparsify(m, pr)
-		for _, l := range sm.Layers {
-			if sl, ok := l.(*nn.SparseLinear); ok {
-				sl.Exec = nn.ExecSparse
+		for i, l := range sm.Layers {
+			if sl, ok := l.(*nn.SparseLinear); ok && witness != nil {
+				sm.Layers[i] = ruleWitness{sl, witness}
 			}
 		}
 		return sm
 	}
 }
 
-// TestGradualPruneSparseLayersBitwise runs the ramp over SparseLinear
-// pattern layers — CSR shrink, cached-transpose refresh, bucket compaction
-// of the rank-1 weight vectors — and pins overlap-on ≡ overlap-off.
+// pathLog records, per layer, whether each forward ran CSR (all ranks
+// interleaved; steps are collective, so the order across steps is total).
+type pathLog struct {
+	mu  sync.Mutex
+	csr map[string][]bool
+}
+
+// ruleWitness pins a SparseLinear, forward by forward, to the path the
+// density rule names for its current pattern — CSR iff 4·nnz < full — and
+// logs it: a run through witnesses is the reference an auto-mode run must
+// equal bitwise.
+type ruleWitness struct {
+	*nn.SparseLinear
+	log *pathLog
+}
+
+func (w ruleWitness) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
+	csr := 4*w.W.NNZ() < w.PatternFullLen()
+	w.Exec = nn.ExecDense
+	if csr {
+		w.Exec = nn.ExecSparse
+	}
+	w.log.mu.Lock()
+	w.log.csr[w.Wv.Name] = append(w.log.csr[w.Wv.Name], csr)
+	w.log.mu.Unlock()
+	return w.SparseLinear.Forward(a, x, train)
+}
+
+// TestGradualPruneSparseLayersBitwise runs the ramp over auto-mode
+// SparseLinear pattern layers — CSR shrink, cached-transpose refresh, bucket
+// compaction of the rank-1 weight vectors — and pins overlap-on ≡
+// overlap-off ≡ the rule-pinned reference, in which every layer runs dense
+// before, and CSR from, the first event that leaves it with 4·nnz < full:
+// the ramp (0.3 → 0.8) crosses the line mid-run.
 func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 	pr := pruneMLP(67, 0.3)
-	batches := makeBatches(6, 16, 7300)
+	// Two batches more than the schedule's six: steps that run at the final
+	// 0.8, past the line.
+	batches := makeBatches(8, 16, 7300)
 	cfg := Config{
 		Ginter: 1, Gdata: 2, Microbatch: 1,
 		Mode:              core.SAMO,
@@ -173,10 +208,26 @@ func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 		ReduceBucketElems: overlapBucketElems,
 		PruneSchedule:     gradualSchedule(),
 	}
-	off := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
+	witness := &pathLog{csr: map[string][]bool{}}
+	ref := Train(cfg, sparseMLPBuilder(67, 0.3, witness), adamBuilder(), pr, batches)
+	off := Train(cfg, sparseMLPBuilder(67, 0.3, nil), adamBuilder(), pr, batches)
 	cfg.OverlapReduce = true
-	on := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
+	on := Train(cfg, sparseMLPBuilder(67, 0.3, nil), adamBuilder(), pr, batches)
+	assertTrainBitwise(t, "sparse-layer gradual, auto vs rule-pinned", ref, off)
 	assertTrainBitwise(t, "sparse-layer gradual", off, on)
+	if len(witness.csr) != 3 {
+		t.Fatalf("witnessed %d sparse layers, want 3", len(witness.csr))
+	}
+	for name, csr := range witness.csr {
+		if csr[0] || !csr[len(csr)-1] {
+			t.Fatalf("%s: first forward CSR=%v, last CSR=%v; want the ramp to carry it from dense to CSR", name, csr[0], csr[len(csr)-1])
+		}
+		for i := 1; i < len(csr); i++ {
+			if csr[i-1] && !csr[i] {
+				t.Fatalf("%s: forward %d ran dense after a CSR forward", name, i)
+			}
+		}
+	}
 }
 
 // TestCrashAtPruneEventRecoversBitwise is the recovery golden the schedule

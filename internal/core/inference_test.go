@@ -198,7 +198,6 @@ func TestInferenceCkptManagerHandoff(t *testing.T) {
 // optimizer tensors resident (the state's ledger is θ16-only).
 func TestInferencerZeroAllocAndEquivalence(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic: see TestTrainStepZeroAlloc
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	m, is := buildInferSetup(Dense, 0, 13)
 	inf := NewInferencer(is)
 	x, _ := makeBatch(8, 8, 4, 31)

@@ -11,7 +11,7 @@ import (
 )
 
 // buildSparseExecSetup prunes an MLP and replaces its Linears with
-// first-class SparseLinear layers pinned to the given execution path,
+// first-class SparseLinear layers in the given execution mode,
 // wrapped in a SAMO-mode ModelState — the sparse-execution training stack
 // end to end.
 func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *ModelState) {
@@ -85,35 +85,54 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 }
 
 // TestSparseExecTrainStepDeterminism pins the acceptance contract on the
-// whole pruned-model training step: with the execution path pinned (the
-// crossover's machine-dependent freeze held fixed), training is
-// bitwise-identical at every worker count — every sparse kernel accumulates
-// in a fixed per-element order, so pool resizing can never perturb results.
+// whole pruned-model training step: training is bitwise-identical — loss
+// bits and θ32 — at every worker count, with the CSR path pinned and in auto
+// mode (a 50%-sparse model, which the density rule runs dense-masked): every
+// sparse kernel accumulates in a fixed per-element order and the path is a
+// function of the pattern, so neither pool resizing nor timing can perturb
+// results.
 func TestSparseExecTrainStepDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
-	var ref []*tensor.Tensor
-	for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-		tensor.SetWorkers(workers)
-		sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.9, 23)
-		tr := NewTrainer(ms)
-		for step := 0; step < 4; step++ {
-			x, targets := makeBatch(12, 16, 8, uint64(300+step))
-			tr.TrainStep(x, targets)
-		}
-		var params []*tensor.Tensor
-		for _, p := range sm.Params() {
-			params = append(params, p.Value)
-		}
-		if ref == nil {
-			ref = params
-			continue
-		}
-		for pi, p := range params {
-			a, b := ref[pi].Data(), p.Data()
-			for i := range a {
-				if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-					t.Fatalf("workers=%d: param %d differs from 1-worker run at %d (%g vs %g)",
-						workers, pi, i, a[i], b[i])
+	for _, tc := range []struct {
+		name     string
+		exec     nn.ExecMode
+		sparsity float64
+		workers  []int
+	}{
+		{"pinned sparse 90%", nn.ExecSparse, 0.9, []int{1, 2, 3, 4, 8, 16}},
+		{"auto 50%", nn.ExecAuto, 0.5, []int{1, 4}},
+	} {
+		var refLoss []float64
+		var ref [][]float32
+		for _, workers := range tc.workers {
+			tensor.SetWorkers(workers)
+			_, ms := buildSparseExecSetup(tc.exec, tc.sparsity, 23)
+			tr := NewTrainer(ms)
+			var losses []float64
+			for step := 0; step < 4; step++ {
+				x, targets := makeBatch(12, 16, 8, uint64(300+step))
+				loss, _ := tr.TrainStep(x, targets)
+				losses = append(losses, loss)
+			}
+			var theta [][]float32
+			for _, st := range ms.states {
+				theta = append(theta, st.theta32)
+			}
+			if ref == nil {
+				refLoss, ref = losses, theta
+				continue
+			}
+			for i := range losses {
+				if math.Float64bits(losses[i]) != math.Float64bits(refLoss[i]) {
+					t.Fatalf("%s, workers=%d: loss[%d] = %g, %d-worker run %g", tc.name, workers, i, losses[i], tc.workers[0], refLoss[i])
+				}
+			}
+			for pi, p := range theta {
+				for i := range p {
+					if math.Float32bits(ref[pi][i]) != math.Float32bits(p[i]) {
+						t.Fatalf("%s, workers=%d: θ32 of param %d differs from the %d-worker run at %d (%g vs %g)",
+							tc.name, workers, pi, tc.workers[0], i, ref[pi][i], p[i])
+					}
 				}
 			}
 		}

@@ -102,12 +102,11 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // TestInferSparsifiedMatchesEvalForward extends the golden to sparse
 // execution: a Sparsify'd MLP's inference path must match its own eval
-// forward bitwise at every worker count. The crossover is pinned sparse —
-// path choice is the one legitimately timing-dependent decision in the
-// stack, and pinning is exactly what reproducibility-sensitive runs do.
+// forward bitwise at every worker count, on either pinned path and under
+// the density rule.
 func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
-	for _, mode := range []string{"sparse", "dense"} {
+	for _, mode := range []string{"sparse", "dense", "auto"} {
 		t.Run(mode, func(t *testing.T) {
 			prev, err := sparse.SetXover(mode)
 			if err != nil {
@@ -190,7 +189,6 @@ func TestInferWindowedZeroAlloc(t *testing.T) {
 	// show up as phantom allocs (see TestCompressExpandZeroAlloc in
 	// internal/sparse).
 	t.Setenv("SAMO_GEMM_TUNE", "off")
-	t.Setenv("SAMO_SPARSE_XOVER_TABLE", "off")
 	for _, tc := range inferTestModels() {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := tensor.NewArena(), tensor.NewArena()

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/prune"
@@ -21,13 +20,15 @@ import (
 // materialized, so the whole model state downstream (capture, all-reduce,
 // optimizer) is sized fφ with no masking step.
 //
-// Because sparse kernels only win above a density-dependent threshold
-// (Hoefler et al. 2021), each product consults the sparse/dense crossover
-// (sparse.XoverDecide): low-sparsity layers fall back to a dense GEMM over
-// a lazily materialized masked-dense copy of the weight and never regress,
-// while the weight gradient stays SDDMM on either path (the dense-masked
-// weight-gradient would materialize exactly the pruned entries this layer
-// exists to avoid). The Exec field pins the choice per layer.
+// Because sparse kernels only win past a density threshold (Hoefler et al.
+// 2021), each product asks the sparse/dense crossover (sparse.XoverDecide,
+// a rule over the pattern's density alone — so the path, and with it the
+// result bits, is a function of the layer, never of timing): a layer at or
+// below 75% sparsity runs a dense GEMM over a lazily materialized
+// masked-dense copy of the weight, while the weight gradient stays SDDMM on
+// either path (the dense-masked weight-gradient would materialize exactly
+// the pruned entries this layer exists to avoid). The Exec field pins the
+// choice per layer.
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
@@ -51,20 +52,18 @@ type SparseLinear struct {
 	Wv, B *Param
 
 	// Exec pins this layer's execution path (benchmarks, the pure-sparse
-	// baseline); ExecAuto consults the crossover per product shape.
+	// baseline); ExecAuto asks the crossover rule.
 	Exec ExecMode
 
 	in, out int
 
-	// Masked-dense fallback state, materialized only while the crossover
-	// probes or has chosen the dense path and dropped again after
-	// denseDropAfter consecutive sparse-path products. denseFresh marks the
-	// copy as synced by THIS microbatch's Forward, letting its Backward
-	// skip the O(out·in) re-materialization (weights cannot change between
-	// a microbatch's forward and backward — only at step boundaries).
+	// Masked-dense fallback state: present iff the layer's last product ran
+	// dense. denseFresh marks the copy as synced by THIS microbatch's
+	// Forward, letting its Backward skip the O(out·in) re-materialization
+	// (weights cannot change between a microbatch's forward and backward —
+	// only at step boundaries).
 	denseW     *tensor.Tensor // (out, in), zeros at pruned positions
 	denseIx    *sparse.Index  // scatter map: pattern order -> (out, in) view
-	denseIdle  int
 	denseFresh bool
 }
 
@@ -98,19 +97,13 @@ type PatternLayer interface {
 type ExecMode uint8
 
 const (
-	// ExecAuto probes sparse vs dense per (shape, density) bucket and
-	// freezes the winner (the default).
+	// ExecAuto follows sparse.XoverDecide's density rule (the default).
 	ExecAuto ExecMode = iota
 	// ExecSparse always runs the CSR kernels.
 	ExecSparse
 	// ExecDense always runs the dense GEMM over the masked-dense weight.
 	ExecDense
 )
-
-// denseDropAfter is how many consecutive sparse-path products release the
-// masked-dense copy: once the relevant buckets freeze sparse, the dense
-// tensor is dead weight exactly where SAMO wants memory back.
-const denseDropAfter = 16
 
 // NewSparseLinear materializes the layer from a dense (in, out) weight and
 // a pruning index over its linearized view. Only indexed entries are read;
@@ -175,27 +168,21 @@ type sparseLinearCache struct{ x *tensor.Tensor }
 var sparseLinearCaches parallel.Pool[sparseLinearCache]
 
 // decide resolves the execution path for one product of this layer.
-func (l *SparseLinear) decide(op sparse.XoverOp, m, k, n int) (*sparse.XoverEntry, sparse.XoverChoice, bool) {
+func (l *SparseLinear) decide(op sparse.XoverOp, m, k, n int) sparse.XoverChoice {
 	switch l.Exec {
 	case ExecSparse:
-		return nil, sparse.XoverSparse, false
+		return sparse.XoverSparse
 	case ExecDense:
-		return nil, sparse.XoverDense, false
+		return sparse.XoverDense
 	}
-	return sparse.XoverDecide(op, m, k, n, l.W.NNZ(), l.in*l.out)
+	_, c, _ := sparse.XoverDecide(op, m, k, n, l.W.NNZ(), l.in*l.out)
+	return c
 }
 
-// noteUse tracks dense-copy liveness: sparse-path products age it out.
-func (l *SparseLinear) noteUse(c sparse.XoverChoice) {
-	if c == sparse.XoverDense {
-		l.denseIdle = 0
-		return
-	}
-	if l.denseW != nil {
-		if l.denseIdle++; l.denseIdle >= denseDropAfter {
-			l.denseW, l.denseIx, l.denseFresh = nil, nil, false
-		}
-	}
+// dropDense releases the masked-dense copy: on the sparse path it is dead
+// weight exactly where SAMO wants memory back.
+func (l *SparseLinear) dropDense() {
+	l.denseW, l.denseIx, l.denseFresh = nil, nil, false
 }
 
 // syncDense (re)materializes the masked-dense (out, in) weight from the
@@ -226,20 +213,15 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 	}
 	n := x.Dim(0)
 	y := a.Get(n, l.out)
-	// A fresh flag may only ever be set by THIS microbatch's forward: an
-	// optimizer step may have run since the flag was last set (e.g. when a
-	// probing backward took the sparse path and never consumed it), so the
-	// copy it describes can hold pre-step weights.
-	l.denseFresh = false
-	e, ch, probe := l.decide(sparse.XoverOpForward, n, l.in, l.out)
-	if probe {
-		t0 := time.Now()
-		l.runForward(ch, y, x, train)
-		e.Record(ch, time.Since(t0), n*l.in*l.out)
+	if l.decide(sparse.XoverOpForward, n, l.in, l.out) == sparse.XoverDense {
+		// In training the copy stays valid through this microbatch's
+		// backward (an optimizer step cannot intervene).
+		l.syncDense(train)
+		tensor.MatMulTInto(y, x, l.denseW, false)
 	} else {
-		l.runForward(ch, y, x, train)
+		l.dropDense()
+		l.W.SpMMTInto(y, x)
 	}
-	l.noteUse(ch)
 	tensor.AddBias(y, l.B.Value)
 	if !train {
 		return y, nil
@@ -247,17 +229,6 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 	c := sparseLinearCaches.Get()
 	c.x = x
 	return y, c
-}
-
-func (l *SparseLinear) runForward(ch sparse.XoverChoice, y, x *tensor.Tensor, train bool) {
-	if ch == sparse.XoverDense {
-		// In training the copy stays valid through this microbatch's
-		// backward (an optimizer step cannot intervene).
-		l.syncDense(train)
-		tensor.MatMulTInto(y, x, l.denseW, false)
-		return
-	}
-	l.W.SpMMTInto(y, x)
 }
 
 // Backward accumulates dW on the pattern via SDDMM (pruned entries are
@@ -278,33 +249,22 @@ func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tens
 	tensor.SumRowsInto(l.B.Grad, gradOut, true)
 
 	dx := a.Get(nb, l.in)
-	e, ch, probe := l.decide(sparse.XoverOpBackward, nb, l.out, l.in)
-	if probe {
-		t0 := time.Now()
-		l.runBackward(ch, dx, gradOut)
-		e.Record(ch, time.Since(t0), nb*l.out*l.in)
-	} else {
-		l.runBackward(ch, dx, gradOut)
-	}
-	l.noteUse(ch)
-	c.x = nil
-	sparseLinearCaches.Put(c)
-	return dx
-}
-
-func (l *SparseLinear) runBackward(ch sparse.XoverChoice, dx, dy *tensor.Tensor) {
-	if ch == sparse.XoverDense {
+	if l.decide(sparse.XoverOpBackward, nb, l.out, l.in) == sparse.XoverDense {
 		// Skip the O(out·in) re-materialization when this microbatch's
 		// forward already synced the copy.
-		if l.denseW == nil || !l.denseFresh {
+		if !l.denseFresh {
 			l.syncDense(false)
 		}
 		l.denseFresh = false
-		tensor.MatMulInto(dx, dy, l.denseW, false)
-		return
+		tensor.MatMulInto(dx, gradOut, l.denseW, false)
+	} else {
+		l.dropDense()
+		l.syncWt()
+		l.Wt.SpMMTInto(dx, gradOut)
 	}
-	l.syncWt()
-	l.Wt.SpMMTInto(dx, dy)
+	c.x = nil
+	sparseLinearCaches.Put(c)
+	return dx
 }
 
 // Params returns the compressed weight vector and the bias.
@@ -322,8 +282,8 @@ func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
 // place: W's CSR shrinks, the cached transpose and its refresh permutation
 // are rebuilt inside their existing backing arrays, the masked-dense
-// fallback (which addresses the old pattern) is dropped for the crossover
-// to re-materialize — and re-probe, since the density band changed — and
+// fallback (which addresses the old pattern) is dropped — the next product
+// re-materializes it if the shrunk pattern still runs dense — and
 // Wv re-heads onto the compacted value prefix so the optimizer state
 // vectors can shrink in lockstep. Weight values are untouched: kept
 // weights keep their exact bits.
@@ -345,7 +305,7 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	}
 	l.W.ShrinkTo(keep)
 	l.wtPerm = l.W.TransposePermInto(l.Wt, l.wtPerm)
-	l.denseW, l.denseIx, l.denseIdle, l.denseFresh = nil, nil, 0, false
+	l.dropDense()
 	nnz := l.W.NNZ()
 	l.Wv.Value = tensor.FromSlice(l.W.Val, nnz)
 	if l.Wv.Grad != nil {

@@ -119,8 +119,8 @@ func TestSparseLinearOptimizerAliasing(t *testing.T) {
 // path flips: a fresh flag set by one microbatch's dense forward must not
 // let a LATER microbatch's dense backward skip re-materialization after the
 // weights changed — the flag may only be consumed by the same microbatch
-// that set it. (The sequence below is what crossover probing produces when
-// forward and backward buckets flip paths independently.)
+// that set it. (The sequence below flips the Exec pin between a
+// microbatch's products.)
 func TestSparseLinearDenseCopyNeverStale(t *testing.T) {
 	_, sl, _ := sparsePair(10, 8, 0.5, 21)
 	x := tensor.New(4, 10)
@@ -187,41 +187,78 @@ func TestSparsify(t *testing.T) {
 	}
 }
 
-// TestSparseLinearCrossoverProbesAndFreezes drives an auto-mode layer until
-// its forward bucket freezes and checks the decision machinery: probes
-// alternate deterministically, a frozen bucket stops probing, and the
-// masked-dense scratch is dropped after enough sparse-path calls.
-func TestSparseLinearCrossoverProbesAndFreezes(t *testing.T) {
-	sparse.ResetXover()
-	defer sparse.ResetXover()
+// TestXoverIsPure pins the execution path of an auto-mode layer as a pure
+// function of its pattern: at every sparsity either side of the quarter-
+// density line and every batch height, a FRESH layer's forward output, dx
+// and Wv.Grad equal — bit for bit, from the first call — those of the
+// Exec-pinned path the rule names (CSR iff 4·nnz < full; exactly 75% runs
+// dense), XoverDecide never asks for a probe, and the masked-dense copy is
+// gone after any sparse-path product.
+func TestXoverIsPure(t *testing.T) {
 	if prev, err := sparse.SetXover("auto"); err != nil {
 		t.Fatal(err)
 	} else {
 		defer sparse.SetXover(prev)
 	}
-	_, sl, _ := sparsePair(32, 24, 0.9, 13)
-	x := tensor.New(16, 32)
-	tensor.FillNormal(x, 1, tensor.NewRNG(14))
-	gy := tensor.New(16, 24)
-	tensor.FillNormal(gy, 1, tensor.NewRNG(15))
-	for i := 0; i < 64; i++ {
-		_, c := sl.Forward(nil, x, true)
-		sl.Backward(nil, c, gy)
-	}
-	e, _, probe := sparse.XoverDecide(sparse.XoverOpForward, 16, 32, 24, sl.W.NNZ(), 32*24)
-	if probe {
-		t.Fatal("forward bucket still probing after 64 calls")
-	}
-	if _, ok := e.Decided(); !ok {
-		t.Fatal("forward bucket not frozen")
-	}
-	// Force the sparse path from here: the dense scratch must age out.
-	sl.Exec = ExecSparse
-	for i := 0; i < 2*denseDropAfter; i++ {
-		_, c := sl.Forward(nil, x, true)
-		sl.Backward(nil, c, gy)
-	}
-	if sl.denseW != nil {
-		t.Error("masked-dense scratch not released after sparse-only steady state")
+	const in, out, full = 32, 24, 32 * 24
+	for _, sparsity := range []float64{0.5, 0.75, 0.76, 0.9} {
+		for _, m := range []int{1, 8, 48} {
+			t.Run(fmt.Sprintf("sparsity=%g/m=%d", sparsity, m), func(t *testing.T) {
+				_, auto, _ := sparsePair(in, out, sparsity, 13)
+				_, pin, _ := sparsePair(in, out, sparsity, 13)
+				nnz := auto.W.NNZ()
+				if sparsity == 0.75 && 4*nnz != full {
+					t.Fatalf("75%% fixture stores %d of %d: not on the line", nnz, full)
+				}
+				want, wantExec := sparse.XoverDense, ExecDense
+				if 4*nnz < full {
+					want, wantExec = sparse.XoverSparse, ExecSparse
+				}
+				if wantSparse := sparsity > 0.75; wantSparse != (want == sparse.XoverSparse) {
+					t.Fatalf("nnz %d of %d resolves %v", nnz, full, want)
+				}
+				pin.Exec = wantExec
+				x := tensor.New(m, in)
+				tensor.FillNormal(x, 1, tensor.NewRNG(14))
+				gy := tensor.New(m, out)
+				tensor.FillNormal(gy, 1, tensor.NewRNG(15))
+				same := func(what string, a, p *tensor.Tensor) {
+					t.Helper()
+					if i, ok := bitwiseDiff(a.Data(), p.Data()); !ok {
+						t.Fatalf("%s: auto differs from the %v pin at %d", what, want, i)
+					}
+				}
+				for call := 0; call < 3; call++ {
+					for _, op := range []sparse.XoverOp{sparse.XoverOpForward, sparse.XoverOpBackward} {
+						e, c, probe := sparse.XoverDecide(op, m, in, out, nnz, full)
+						if probe || c != want || e == nil {
+							t.Fatalf("call %d: XoverDecide = (%v, %v, probe %v), want a %v entry and no probe", call, e, c, probe, want)
+						}
+						if got, ok := e.Decided(); !ok || got != want {
+							t.Fatalf("call %d: entry reports (%v, %v), want %v", call, got, ok, want)
+						}
+					}
+					ya, ca := auto.Forward(nil, x, true)
+					if (auto.denseW == nil) != (want == sparse.XoverSparse) {
+						t.Fatalf("call %d: after a %v forward, masked-dense copy present = %v", call, want, auto.denseW != nil)
+					}
+					dxa := auto.Backward(nil, ca, gy)
+					yp, cp := pin.Forward(nil, x, true)
+					dxp := pin.Backward(nil, cp, gy)
+					same("forward", ya, yp)
+					same("dx", dxa, dxp)
+					same("Wv.Grad", auto.Wv.Grad, pin.Wv.Grad)
+				}
+				// A path flip (here by pin) drops the copy at the first
+				// sparse-path product, forward or backward.
+				auto.Exec = ExecDense
+				_, c := auto.Forward(nil, x, true)
+				auto.Exec = ExecSparse
+				auto.Backward(nil, c, gy)
+				if auto.denseW != nil {
+					t.Fatal("masked-dense copy survived a sparse-path backward")
+				}
+			})
+		}
 	}
 }

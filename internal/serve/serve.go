@@ -21,13 +21,6 @@
 //     by exact size, so every distinct batch height retains its own working
 //     set: exact fit keeps Σk/8 = 4.5× the bucket-8 set, pow2 at most 1.875×
 //     (Stats.ArenaBytes; pinned by TestServeArenaBytesBounded).
-//
-// The one path choice left that is not row-invariant is SparseLinear's
-// auto crossover (CSR and dense-masked sum in different orders, and the
-// winner is a timing race): it freezes per shape bucket and persists across
-// processes, so a served model keeps its training run's paths — see
-// sparse.FlushXoverTable — and a deployment that needs one answer pins it
-// with SAMO_SPARSE_XOVER.
 package serve
 
 import (
@@ -38,7 +31,6 @@ import (
 	"sync"
 
 	"github.com/sparse-dl/samo/internal/core"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -200,10 +192,9 @@ func (e *Engine) checkShape(x *tensor.Tensor) error {
 }
 
 // Close drains gracefully: admission stops (ErrClosed), every already-
-// queued request is served, the batching loop exits, and both autotuner
-// tables — GEMM blockings and sparse/dense crossover decisions — flush to
-// their persisted files so the next process starts warm. Safe to call more
-// than once.
+// queued request is served, the batching loop exits, and the GEMM
+// autotuner's table flushes to its persisted file so the next process
+// starts warm. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -215,11 +206,7 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	<-e.done
-	err := tensor.FlushTuneTable()
-	if xerr := sparse.FlushXoverTable(); err == nil {
-		err = xerr
-	}
-	return err
+	return tensor.FlushTuneTable()
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -48,11 +48,10 @@ func tinyGPT(rng *tensor.RNG, n int) (*nn.Model, []*tensor.Tensor) {
 	return m, xs
 }
 
-// sparsifiedMLP builds a 90%-pruned MLP executing through SparseLinear
-// layers, with the sparse/dense crossover pinned to xover for the test's
-// lifetime (the path choice is the one timing-dependent decision; serving
-// pins it just like training runs do).
-func sparsifiedMLP(t *testing.T, rng *tensor.RNG, xover string, dims []int) *nn.Model {
+// sparsifiedMLP builds a pruned MLP executing through SparseLinear layers,
+// with the sparse/dense crossover in mode xover ("auto" = the density rule)
+// for the test's lifetime.
+func sparsifiedMLP(t *testing.T, rng *tensor.RNG, xover string, sparsity float64, dims []int) *nn.Model {
 	t.Helper()
 	prev, err := sparse.SetXover(xover)
 	if err != nil {
@@ -64,7 +63,7 @@ func sparsifiedMLP(t *testing.T, rng *tensor.RNG, xover string, dims []int) *nn.
 	for _, e := range base.PruneLayers() {
 		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 	}
-	return nn.Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
+	return nn.Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
 }
 
 // offlineRefs computes each sample's offline inference forward, alone: what
@@ -178,7 +177,7 @@ func TestServeSparsifiedBitwise(t *testing.T) {
 	for _, mode := range []string{"sparse", "dense"} {
 		t.Run(mode, func(t *testing.T) {
 			rng := tensor.NewRNG(23)
-			m := sparsifiedMLP(t, rng, mode, []int{16, 32, 6})
+			m := sparsifiedMLP(t, rng, mode, 0.9, []int{16, 32, 6})
 			samples := normalSamples(rng, 20, 1, 16)
 
 			st := newInferenceState(m) // quantizes in place; refs must follow
@@ -287,12 +286,14 @@ func gated(m *nn.Model) *gate {
 // equals the single-sample offline forward bit for bit. MLP (1,f) rows reach
 // the m ∈ {1,2,3} products that used to take a different kernel; the CNN
 // covers the A·Bᵀ products and both small-shape kernels; the Sparsify'd MLP
-// covers CSR and dense-masked execution, each pinned.
+// covers CSR and dense-masked execution, each pinned, and the auto rule
+// either side of its line (50% runs dense, 90% CSR — in every bucket, since
+// the rule does not read the batch height).
 func TestServeBucketInvariant(t *testing.T) {
 	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
-	sparsified := func(xover string) fixture {
+	sparsified := func(xover string, sparsity float64) fixture {
 		return func(t *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
-			return sparsifiedMLP(t, rng, xover, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
+			return sparsifiedMLP(t, rng, xover, sparsity, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
 		}
 	}
 	for _, tc := range []struct {
@@ -306,8 +307,10 @@ func TestServeBucketInvariant(t *testing.T) {
 			return nn.BuildVGG("icnn", []int{8, -1, 16}, 3, 8, 5, rng), normalSamples(rng, 8, 1, 3, 8, 8)
 		}},
 		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
-		{"sparsified/sparse", sparsified("sparse")},
-		{"sparsified/dense", sparsified("dense")},
+		{"sparsified/sparse", sparsified("sparse", 0.9)},
+		{"sparsified/dense", sparsified("dense", 0.9)},
+		{"sparsified/auto50", sparsified("auto", 0.5)},
+		{"sparsified/auto90", sparsified("auto", 0.9)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, samples := tc.build(t, tensor.NewRNG(43))

@@ -2,43 +2,18 @@ package sparse
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
-	"time"
-
-	"github.com/sparse-dl/samo/internal/autotune"
 )
 
 // Sparse/dense execution crossover. The sparsity literature's consistent
 // finding (Hoefler et al. 2021; the paper's Figure 1) is that sparse kernels
-// beat dense ones only above a density-dependent threshold: below it, the
-// dense kernel's register blocking and contiguous streaming outweigh the
-// flop savings. Which side of the threshold a layer sits on depends on the
-// machine, the product shape AND the pattern density, so the decision is
-// probed at runtime per (op, shape bucket, density band) and frozen — by
-// internal/autotune, the machine this file shares with the GEMM blocking
-// tuner in internal/tensor. What stays here is crossover-specific: the two
-// choices, the bucket key with its density band, the forced modes and the
-// on-disk record.
-//
-// Unlike the GEMM candidates, the two execution paths are NOT bitwise
-// identical (they sum different terms in different orders), so this table
-// is built with reprobe period 0: a frozen bucket never re-probes, because
-// flipping the winner mid-training would perturb results. The probe phase
-// itself is a deterministic alternation (choice by call count, not timing),
-// so two runs diverge only after their freezes — and per-path results remain
-// bitwise-identical at every worker count.
-//
-// Frozen decisions persist to the file SAMO_SPARSE_XOVER_TABLE names
-// ("off" disables; default sparse_xover.json next to gemm_tune.json), because
-// a serving process is the worst-hit consumer of a cold table: every probe
-// run on the losing path is a full-latency request. Pre-seeding decisions
-// changes numerics relative to a cold run that would have frozen
-// differently; that is the point — persistence extends the never-re-probe
-// stability across processes, so a trained-then-served model keeps the
-// training run's execution paths. Runs that need a machine-independent path
-// pin one with SetXover ("sparse"/"dense") or the SAMO_SPARSE_XOVER
-// environment variable, which bypasses the table entirely.
+// beat dense ones only past a density threshold: above it, the dense
+// kernel's register blocking and contiguous streaming outweigh the flop
+// savings. The two paths sum different terms in different orders, so
+// whatever picks between them decides result bits — which is why the pick
+// is a rule over the pattern (XoverDecide), never a measurement: a
+// sparse-exec run's numerics are a function of its inputs, not of the wall
+// clock or of an earlier process. SetXover pins one path process-wide.
 
 // XoverChoice is one execution path of a sparse-or-dense product.
 type XoverChoice uint8
@@ -57,12 +32,9 @@ func (c XoverChoice) String() string {
 	return "sparse"
 }
 
-// XoverOp identifies which product of a sparse layer a decision is for.
-// Forward and input-gradient products tune in separate buckets even at
-// identical shapes — the same reasoning as the GEMM tuner's variant key:
-// their dense fallbacks are different kernels (A·Bᵀ vs A·B) with different
-// packing costs, and a square layer would otherwise pool their timings
-// into one bucket and freeze a winner that is wrong for one of them.
+// XoverOp names which product of a sparse layer is asked about. The rule
+// does not read it; the type and its two values are kept for bench/, which
+// compiles against them, until the next benchmark PR drops them.
 type XoverOp uint8
 
 const (
@@ -72,143 +44,86 @@ const (
 	XoverOpBackward
 )
 
-// xoverKey buckets a decision by op, ceil-log2 of each product dimension
-// and the density band — ceil-log2 of 1/density — so 50%, 75%, 90%, 95%
-// and 99% sparse patterns land in distinct bands while shapes within a
-// power of two share a decision.
-type xoverKey struct {
-	op             XoverOp
-	mb, kb, nb, db uint8
-}
+// XoverEntry reports one decision. Kept, with Decided, for bench/ until the
+// next benchmark PR reads XoverDecide's choice directly.
+type XoverEntry struct{ choice XoverChoice }
 
-// densityBand returns ceil(log2(full/nnz)) clamped to a byte: band 0 is
-// fully dense, each further band halves the density.
-func densityBand(nnz, full int) uint8 {
-	if nnz <= 0 || full <= nnz {
-		return 0
-	}
-	return autotune.Log2Bucket((full + nnz - 1) / nnz)
-}
+// xoverEntries are the two immutable entries XoverDecide hands out.
+var xoverEntries = [...]XoverEntry{{XoverSparse}, {XoverDense}}
 
-// XoverEntry is one bucket's probe state: an autotune.Entry whose candidate
-// indices are XoverChoices.
-type XoverEntry autotune.Entry
+// Decided returns the entry's choice; a decision is never pending.
+func (e *XoverEntry) Decided() (XoverChoice, bool) { return e.choice, true }
 
-// Decided returns the frozen choice, or (_, false) while probing.
-func (e *XoverEntry) Decided() (XoverChoice, bool) {
-	if c := (*autotune.Entry)(e).Chosen(); c >= 0 {
-		return XoverChoice(c), true
-	}
-	return XoverSparse, false
-}
-
-// Record stores one probe timing, normalized by the product's nominal work
-// (the dense-equivalent m·k·n — both paths must share a unit), and freezes
-// the winner once both paths have autotune.ProbeRuns samples.
-func (e *XoverEntry) Record(c XoverChoice, d time.Duration, work int) {
-	(*autotune.Entry)(e).Record(int(c), d, work)
-}
-
-// xoverRecord is the persisted form of one decided bucket.
-type xoverRecord struct {
-	Op     uint8  `json:"op"`
-	MB     uint8  `json:"mb"`
-	KB     uint8  `json:"kb"`
-	NB     uint8  `json:"nb"`
-	DB     uint8  `json:"db"`
-	Choice string `json:"choice"` // "sparse" or "dense"
-}
-
-var xoverTable = autotune.New(autotune.Spec[xoverKey, xoverRecord]{
-	Env:  "SAMO_SPARSE_XOVER_TABLE",
-	File: "sparse_xover.json",
-	Description: "SAMO sparse/dense crossover decisions, keyed by (op, ceil-log2 shape, density band). " +
-		"Machine-specific; regenerate after hardware changes.",
-	Cands:        func(xoverKey) int { return 2 },
-	ReprobeEvery: 0,
-	Encode: func(k xoverKey, chosen int) xoverRecord {
-		return xoverRecord{Op: uint8(k.op), MB: k.mb, KB: k.kb, NB: k.nb, DB: k.db,
-			Choice: XoverChoice(chosen).String()}
-	},
-	// Records with an op or choice this build does not know are skipped.
-	Decode: func(r xoverRecord) (xoverKey, int, bool) {
-		c, ok := parseXoverChoice(r.Choice)
-		return xoverKey{XoverOp(r.Op), r.MB, r.KB, r.NB, r.DB}, int(c), ok && XoverOp(r.Op) <= XoverOpBackward
-	},
-})
-
-// parseXoverChoice is String's inverse: the one spelling of a path shared by
-// SetXover modes, SAMO_SPARSE_XOVER and persisted records.
-func parseXoverChoice(s string) (XoverChoice, bool) {
-	for _, c := range []XoverChoice{XoverSparse, XoverDense} {
-		if s == c.String() {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
-// xoverForce: -1 probes per bucket (auto); otherwise every decision returns
-// the forced XoverChoice.
+// xoverForce: 0 applies the rule (auto); otherwise every decision returns
+// the forced XoverChoice, stored as choice+1.
 var xoverForce atomic.Int32
 
-func init() {
-	xoverTable.Startup()
-	xoverForce.Store(-1)
-	if c, ok := parseXoverChoice(os.Getenv("SAMO_SPARSE_XOVER")); ok {
-		xoverForce.Store(int32(c))
-	}
-}
-
 // SetXover pins every crossover decision to "sparse" or "dense", or
-// restores per-bucket probing with "auto". It returns the previous mode so
-// tests and benchmarks can scope the override. SAMO_SPARSE_XOVER sets the
-// initial mode.
+// restores the density rule with "auto" (the initial mode). It returns the
+// previous mode so tests and benchmarks can scope the override.
 func SetXover(mode string) (prev string, err error) {
 	prev = "auto"
-	if p := xoverForce.Load(); p >= 0 {
-		prev = XoverChoice(p).String()
+	if p := xoverForce.Load(); p > 0 {
+		prev = XoverChoice(p - 1).String()
 	}
-	if c, ok := parseXoverChoice(mode); ok {
-		xoverForce.Store(int32(c))
-	} else if mode == "auto" {
-		xoverForce.Store(-1)
-	} else {
+	force := int32(-1)
+	if mode == "auto" {
+		force = 0
+	}
+	for _, c := range []XoverChoice{XoverSparse, XoverDense} {
+		if mode == c.String() {
+			force = int32(c) + 1
+		}
+	}
+	if force < 0 {
 		return prev, fmt.Errorf("sparse: SetXover(%q): want auto, sparse or dense", mode)
 	}
+	xoverForce.Store(force)
 	return prev, nil
 }
 
-// ResetXover clears all frozen decisions (tests and benchmarks re-probing).
-func ResetXover() { xoverTable.Reset() }
+// ResetXover does nothing: no decision is remembered. Kept for bench/'s
+// hermetic() until the next benchmark PR drops the call.
+func ResetXover() {}
 
-// SaveXoverTable writes every decided bucket to path as JSON.
-func SaveXoverTable(path string) error { return xoverTable.Save(path) }
-
-// LoadXoverTable pre-seeds the crossover from a file written by
-// SaveXoverTable: matching buckets skip the probe phase and are frozen to
-// the recorded winner.
-func LoadXoverTable(path string) error { return xoverTable.Load(path) }
-
-// FlushXoverTable synchronously persists decisions frozen in this process —
-// the cmds' exit-path companion to tensor.FlushTuneTable.
-func FlushXoverTable() error { return xoverTable.Flush() }
-
-// XoverDecide resolves the execution path for one sparse-vs-dense product
-// of shape (m,k,n) whose sparse operand stores nnz of full elements. It
-// returns the bucket entry, the path to run NOW, and whether this call is a
-// probe the caller must time and report back via entry.Record. A forced
-// mode, a degenerate pattern (nnz 0: nothing to multiply densely for) and a
-// frozen bucket all return probe=false with a nil entry or the frozen one.
+// XoverDecide is the crossover: the CSR path iff 4·nnz < full — a pattern
+// more than 75% sparse — else the dense GEMM over the masked-dense weight.
+//
+// The quarter is a measurement, reproducible with SparseLinear.Exec pins:
+// over six FC shapes (640×640, 512×640, 640×64, 128×512, 512×128,
+// 1024×4096; 2 workers, min of 8–40 forward+backward steps) dense-masked
+// time ÷ CSR time at batch 48 and 576 is 0.74–0.94 at 70% sparsity,
+// 0.85–1.12 at 75%, 0.95–1.26 at 80%, 1.44–1.92 at 87.5% and 1.65–2.19 at
+// 90% — one crossing, at a quarter density, on every shape — and runtime
+// probing froze exactly these answers on the benchmark's workloads. (A
+// re-run scatters a ratio by up to ±0.2 — the GEMM tuner's blocking and the
+// box's neighbours move the dense side — so the line is good to about one
+// step of that grid: at 70% CSR wins nowhere by more than 1.05×, by 87.5%
+// it wins everywhere by at least 1.33×.)
+//
+// It is known to be wrong at tiny batch: at m = 1 CSR wins at every density
+// tested (1.3–4.6× for a training step, 3.1–16.8× in eval, where the dense
+// path re-expands O(out·in) per forward) and at m = 8 already from 70–75%
+// sparsity (1.09–1.63× at 75%). The rule reads neither m nor op regardless:
+// an m term would make a served sample's bits depend on the batch bucket it
+// rode in, and row-invariance (see gemm in tensor/matmul.go) outranks that
+// speed. A caller running a below-75%-sparse layer at m ≤ 8 pins
+// SparseLinear.Exec.
+//
+// A SetXover mode and an empty pattern (nnz ≤ 0: nothing to multiply
+// densely for) return a nil entry; otherwise the entry reports the choice.
+// probe is always false. op, m, k, n and the two extra results are kept for
+// bench/ until the next benchmark PR drops them.
 func XoverDecide(op XoverOp, m, k, n, nnz, full int) (e *XoverEntry, c XoverChoice, probe bool) {
-	if f := xoverForce.Load(); f >= 0 {
-		return nil, XoverChoice(f), false
+	if f := xoverForce.Load(); f > 0 {
+		return nil, XoverChoice(f - 1), false
 	}
 	if nnz <= 0 {
 		return nil, XoverSparse, false
 	}
-	b := autotune.Log2Bucket
-	ae := xoverTable.For(xoverKey{op, b(m), b(k), b(n), densityBand(nnz, full)})
-	idx, probe := ae.Next()
-	return (*XoverEntry)(ae), XoverChoice(idx), probe
+	c = XoverDense
+	if 4*nnz < full {
+		c = XoverSparse
+	}
+	return &xoverEntries[c], c, false
 }

@@ -114,15 +114,11 @@ func TestCSRShrinkToEmptyThenKernels(t *testing.T) {
 }
 
 func TestDensityBandAndXoverEmptyPattern(t *testing.T) {
-	if got := densityBand(0, 1024); got != 0 {
-		t.Fatalf("densityBand(0, 1024) = %d, want 0 (no division by zero)", got)
-	}
-	if got := densityBand(0, 0); got != 0 {
-		t.Fatalf("densityBand(0, 0) = %d, want 0", got)
-	}
-	e, c, probe := XoverDecide(XoverOpForward, 8, 8, 8, 0, 64)
-	if e != nil || c != XoverSparse || probe {
-		t.Fatalf("XoverDecide(nnz=0) = (%v, %v, %v), want (nil, sparse, false)", e, c, probe)
+	for _, full := range []int{64, 0} {
+		e, c, probe := XoverDecide(XoverOpForward, 8, 8, 8, 0, full)
+		if e != nil || c != XoverSparse || probe {
+			t.Fatalf("XoverDecide(nnz=0, full=%d) = (%v, %v, %v), want (nil, sparse, false)", full, e, c, probe)
+		}
 	}
 }
 

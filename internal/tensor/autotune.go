@@ -3,9 +3,8 @@ package tensor
 import "github.com/sparse-dl/samo/internal/autotune"
 
 // GEMM autotuner: a per-shape table of blocking parameters for the shared-
-// pack v2 kernel, one of the two clients of internal/autotune (which owns
-// the probe → freeze → persist machine; the sparse/dense crossover in
-// internal/sparse is the other). This file keeps what is GEMM-specific: the
+// pack v2 kernel, the client of internal/autotune (which owns the probe →
+// freeze → persist machine). This file keeps what is GEMM-specific: the
 // candidate blockings, the bucket key and the on-disk record. Buckets are
 // keyed by (op variant, ceil-log2(m, k, n)): the forward product and the
 // two transposed backward products (MatMulT, TMatMul) tune independently,
@@ -17,7 +16,7 @@ import "github.com/sparse-dl/samo/internal/autotune"
 // else <user cache dir>/samo/gemm_tune.json. Loading a stale or foreign
 // table is always safe: every candidate is bitwise-identical, so the worst
 // case is a suboptimal blocking until drift probes correct it — which is
-// also why this table, unlike the crossover's, may re-probe after freezing.
+// also why a frozen bucket may re-probe and flip.
 
 // tuneCand is one candidate blocking: pack=true runs the BLIS-style shared
 // panel pipeline with kc×nc packed panels; pack=false runs the direct-B
@@ -87,11 +86,6 @@ type tuneKey struct {
 	mb, kb, nb uint8
 }
 
-// tuneReprobeEvery is the period of post-freeze drift probes (one timed
-// call in 512 keeps the correction overhead unmeasurable). Switching is
-// always safe here: every candidate produces bitwise-identical output.
-const tuneReprobeEvery = 512
-
 // tuneRecord is the persisted form of one decided bucket. V is the GEMM
 // variant (0 forward, 1 MatMulT, 2 TMatMul); it is omitted when zero, so
 // tables written before the variant key existed load unchanged as
@@ -113,8 +107,7 @@ var tuneTable = autotune.New(autotune.Spec[tuneKey, tuneRecord]{
 	File: "gemm_tune.json",
 	Description: "SAMO GEMM autotuner decisions, keyed by ceil(log2) shape buckets. " +
 		"Machine-specific; regenerate after hardware changes.",
-	Cands:        func(k tuneKey) int { return len(tuneCandsFor(gemmVariant(k.v))) },
-	ReprobeEvery: tuneReprobeEvery,
+	Cands: func(k tuneKey) int { return len(tuneCandsFor(gemmVariant(k.v))) },
 	Encode: func(k tuneKey, chosen int) tuneRecord {
 		c := tuneCandsFor(gemmVariant(k.v))[chosen]
 		return tuneRecord{V: k.v, MB: k.mb, KB: k.kb, NB: k.nb,

@@ -160,9 +160,9 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 // autotuner: frozen buckets take the winning candidate a single atomic
 // load away; while a bucket is still probing, each call times one
 // candidate blocking (the probe performs the real product, so no work is
-// thrown away). Every tuneReprobeEvery-th call on a frozen bucket re-times
-// one candidate round-robin, so contaminated startup probes self-correct
-// (see internal/autotune).
+// thrown away). Every 512th call on a frozen bucket re-times one candidate
+// round-robin, so contaminated startup probes self-correct (see
+// internal/autotune).
 func gemmTuned(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool) {
 	e := tuneFor(v, m, k, n)
 	idx, probe := e.Next()

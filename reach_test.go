@@ -29,11 +29,9 @@ var reachAllow = map[string]string{
 	"internal/nn.CrossEntropy":            "allocating loss: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestCrossEntropyValueAndGrad",
 	"internal/nn.Model.Forward":           "arena-less forward: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestModelEndToEndGradient",
 	"internal/nn.Model.Backward":          "arena-less backward: same tests as Model.Forward",
-	"internal/nn.ExecAuto":                "the zero ExecMode every SparseLinear runs with (nn TestSparseLinearCrossoverProbesAndFreezes); never spelled, and deleting it renumbers ExecSparse/ExecDense",
+	"internal/nn.ExecAuto":                "the zero ExecMode every SparseLinear runs with; spelled only by core TestSparseExecTrainStepDeterminism's auto case, and deleting it renumbers ExecSparse/ExecDense",
 	"internal/nn.WithRecompute":           "DELIBERATE EXCEPTION, no entry point wires it: AxoNN §II-E activation checkpointing, which the simulator's 4/3 flop factor assumes; axonn TestEngineWithRecomputeLayers pins it bitwise in the engine. Wiring it is a knob for a later PR",
 	"internal/sparse.CSR.Dense":           "nn TestShrinkPatternMatchesFreshLayer, prune TestMaterializeCSR, core TestSparseExecMatchesMaskedDenseTraining",
-	"internal/sparse.LoadXoverTable":      "autotune FuzzTableLoad: the only door another package has to the crossover table's loader and record codec (production loads through init's Startup)",
-	"internal/sparse.SaveXoverTable":      "autotune FuzzTableLoad re-encodes what LoadXoverTable installed; sparse TestParentXoverTableLoads",
 	"internal/core.SAMOBreakdown":         "§III-D analytic reference for the live ledger: root BenchmarkAblationSharedIndex, core TestMemoryLedgerMatchesAnalyticModel",
 	"internal/core.DefaultBreakdown":      "dense half of the same reference: core TestMemoryLedgerMatchesAnalyticModel, TestBreakdownMatchesClosedForm",
 	"internal/hw.Machine.P2PTime":         "root BenchmarkAblationGinterChoice, hw TestP2PTimeOrdering",

@@ -44,8 +44,8 @@
 // column strips and sweep them with eight register accumulators per C row
 // — by timing the first few real calls on each bucket; every candidate
 // produces bitwise-identical output at every worker count, so the choice
-// can never perturb training. The tuner is one of the two clients of the
-// shared autotuning component described under "Autotuning" below.
+// can never perturb training. The tuner is the client of the autotuning
+// component described under "Autotuning" below.
 //
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
@@ -72,42 +72,42 @@
 // contract (pinned by determinism goldens and the FuzzSpMMTInto/
 // FuzzSDDMMInto targets).
 //
-// Because sparse kernels only win above a density-dependent threshold, a
-// density-aware crossover — the second autotuning client, keyed by (op,
-// shape bucket, density band) — times sparse against dense-masked
-// execution on the first calls of each bucket and freezes the winner, so
-// low-sparsity layers fall back to the dense GEMM and never regress.
-// SAMO_SPARSE_XOVER=sparse|dense pins the path process-wide and bypasses
-// the table; scripts/bench.sh gates the ≥90%-sparsity points of the
-// BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
+// Because sparse kernels only win past a density threshold, a layer runs
+// its CSR kernels iff its pattern stores less than a quarter of the dense
+// weight (4·nnz < full, i.e. above 75% sparsity) and otherwise falls back
+// to the dense GEMM over a masked-dense copy, so low-sparsity layers never
+// regress. The quarter is where dense-masked and CSR step times cross on
+// every FC shape measured (dense ÷ CSR 0.85–1.12 at 75%, 0.95–1.26 at 80%,
+// 1.44–1.92 at 87.5%; the grid is in the comment above sparse.XoverDecide).
+// It is a rule over the pattern, not a timing: the two paths sum in
+// different orders, so a measured choice would let the wall clock decide
+// result bits. SetSparseCompute pins one path process-wide; scripts/bench.sh
+// gates the ≥90%-sparsity points of the BenchmarkSpMM matrix at
+// MIN_SPMM_SPEEDUP.
 //
 // # Autotuning
 //
-// Both runtime decisions above — the GEMM blocking and the sparse/dense
-// path — are made by one component (internal/autotune) with two clients.
-// A table maps a bucket key to a few candidates; the first calls on a new
-// bucket each time one candidate on the caller's real work (round-robin,
-// by call count), and once every candidate has three samples the lowest
-// minimum time per unit of work is frozen. A frozen lookup is one
-// read-locked map hit and one atomic load, allocation-free. Only the GEMM
-// table may re-probe after freezing (one timed call in 512, so a startup
-// sample contaminated by concurrent ranks self-corrects): its candidates
-// are bitwise-identical, so a flip cannot change results. The crossover's
-// two paths sum in different orders, so its buckets stay frozen — flipping
-// mid-training would perturb results.
+// The one runtime-tuned decision — the GEMM blocking — is made by
+// internal/autotune. A table maps a bucket key to a few candidates; the
+// first calls on a new bucket each time one candidate on the caller's real
+// work (round-robin, by call count), and once every candidate has three
+// samples the lowest minimum time per unit of work is frozen. A frozen
+// lookup is one read-locked map hit and one atomic load, allocation-free.
+// A frozen bucket re-probes one timed call in 512, so a startup sample
+// contaminated by concurrent ranks self-corrects; the candidates are
+// bitwise-identical, so a flip cannot change results — the condition for
+// tuning a decision by the clock at all.
 //
-// Frozen decisions persist under the user cache dir — samo/gemm_tune.json
-// and samo/sparse_xover.json — via a debounced background save, and are
-// pre-loaded at startup (a corrupt file is quarantined to <file>.corrupt
-// and re-probed), so a later process skips the probe phase and a serving
-// process inherits its training run's execution paths instead of spending
-// its first requests probing. SAMO_GEMM_TUNE and SAMO_SPARSE_XOVER_TABLE
-// override the respective path ("off" disables). GEMM records carry the
-// op variant (omitted for the forward product, so older tables load
-// unchanged); records either table does not recognise are skipped.
-// SaveTuneTable/LoadTuneTable give explicit control, and FlushTuneTable /
-// FlushXoverTable persist synchronously for short-lived processes that
-// would exit inside the background saver's coalescing window.
+// Frozen decisions persist to samo/gemm_tune.json under the user cache dir
+// via a debounced background save, and are pre-loaded at startup (a
+// corrupt file is quarantined to <file>.corrupt and re-probed), so a later
+// process skips the probe phase. SAMO_GEMM_TUNE overrides the path ("off"
+// disables). Records carry the op variant (omitted for the forward
+// product, so older tables load unchanged); records the build does not
+// recognise are skipped. SaveTuneTable/LoadTuneTable give explicit
+// control, and FlushTuneTable persists synchronously for short-lived
+// processes that would exit inside the background saver's coalescing
+// window.
 //
 // # Serving
 //
@@ -131,7 +131,7 @@
 // two, a bounded admission queue converts overload into immediate
 // backpressure (ErrOverloaded), a forward that panics on a request fails
 // that batch with a typed error instead of the process, and Close drains
-// gracefully and flushes both autotuner tables. The engine's determinism
+// gracefully and flushes the autotuner table. The engine's determinism
 // contract rests on the forward kernels being row-invariant (an output
 // row's bits depend on its input row and the weights, never on the batch
 // height, worker count or autotuner candidate): a response equals the
@@ -373,16 +373,6 @@ func LoadTuneTable(path string) error { return tensor.LoadTuneTable(path) }
 // process's newer save).
 func FlushTuneTable() error { return tensor.FlushTuneTable() }
 
-// FlushXoverTable is FlushTuneTable's sparse-execution companion: it
-// synchronously persists the sparse/dense crossover decisions frozen in
-// this process to the default table path (SAMO_SPARSE_XOVER_TABLE, or
-// samo/sparse_xover.json under the user cache dir). The same dirty-flag
-// discipline applies — a process that froze nothing new writes nothing.
-// Unlike the GEMM blockings the two crossover paths are not bitwise
-// identical, so persistence also pins execution paths across processes:
-// a model served tomorrow runs the paths it trained on today.
-func FlushXoverTable() error { return sparse.FlushXoverTable() }
-
 // NewTensor returns a zero-filled tensor with the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }
 
@@ -451,18 +441,18 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 // Sparsify replaces every pruned Linear layer of a model with a
 // first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
 // forward, SDDMM weight gradient restricted to the surviving pattern, and
-// a density-aware crossover that falls back to the masked-dense GEMM where
-// sparse kernels would lose. Unconverted layers are shared with the
-// original model — train one model or the other, not both. Pin the
-// execution path per process with SAMO_SPARSE_XOVER=sparse|dense when
-// bitwise reproducibility across machines matters more than speed.
+// a density rule that falls back to the masked-dense GEMM where sparse
+// kernels would lose (at or below 75% sparsity; see "Sparse execution").
+// Unconverted layers are shared with the original model — train one model
+// or the other, not both.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
 
 // SetSparseCompute pins every sparse-layer execution decision to "sparse"
-// or "dense", or restores per-bucket probing with "auto", returning the
-// previous mode. Pinning gives machine-independent numerics (the crossover
-// otherwise freezes whichever path times faster here) and probe-free
-// timings; SAMO_SPARSE_XOVER sets the initial mode.
+// or "dense", or restores the density rule with "auto" (the initial mode:
+// CSR iff a layer's pattern is more than 75% sparse), returning the previous
+// mode. Every mode's numerics are machine-independent; a pin measures one
+// path, or runs CSR below the line where the rule is known to be slow
+// (batches of a few rows).
 func SetSparseCompute(mode string) (prev string, err error) { return sparse.SetXover(mode) }
 
 // EarlyBird is the convergence-tested pruning algorithm the paper uses
