@@ -145,9 +145,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	mem := infState.Memory()
-	fmt.Fprintf(out, "serving %s: %d params, resident %.2f MiB (training state would be %.2f MiB)\n",
+	fmt.Fprintf(out, "serving %s: %d params, resident %.2f MiB (training state would be %.2f MiB), gemm=%s\n",
 		tag, state.Model().NumParams(),
-		float64(mem.Total())/(1<<20), float64(state.Memory().Total())/(1<<20))
+		float64(mem.Total())/(1<<20), float64(state.Memory().Total())/(1<<20), samo.GEMMKernel())
 
 	// --- Deterministic request samples. --------------------------------------
 	nSamples := *requests

@@ -144,8 +144,8 @@ func run(args []string, out io.Writer) error {
 	if pcfg.Ginter > len(build().Layers) {
 		return fmt.Errorf("ginter %d exceeds %d layers", pcfg.Ginter, len(build().Layers))
 	}
-	fmt.Fprintf(out, "training %s on %d virtual GPUs (Ginter=%d × Gdata=%d), mode=%v, transport=%s\n",
-		cfg.Name, pcfg.GPUs(), pcfg.Ginter, pcfg.Gdata, mode, *transport)
+	fmt.Fprintf(out, "training %s on %d virtual GPUs (Ginter=%d × Gdata=%d), mode=%v, transport=%s, gemm=%s\n",
+		cfg.Name, pcfg.GPUs(), pcfg.Ginter, pcfg.Gdata, mode, *transport, samo.GEMMKernel())
 
 	res := samo.Train(pcfg, build, func() samo.Optimizer { return samo.NewAdamW(3e-3, 0.01) },
 		ticket, batches)

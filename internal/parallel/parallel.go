@@ -52,10 +52,12 @@ func Workers() int { return int(maxWorkers.Load()) }
 const StreamGrain = 16384
 
 // chunkWork is the minimum multiply-adds per chunk of a compute-bound region
-// (GEMM sweeps, attention heads) — about 0.1 ms of micro-kernel. Below that
-// the wake-up of the core that would run the chunk, tens of microseconds on
-// a shared VM and erratic, costs more than the chunk saves: a single-sample
-// serving forward (16 rows of a 64-wide GPT) runs inline on its caller.
+// (GEMM sweeps, attention heads) — about 0.1 ms of a scalar micro-kernel
+// (the GEMM strip pipeline counts eight multiply-adds as one when its vector
+// kernel runs them: tensor.gemmWorkGrain). Below that the wake-up of the
+// core that would run the chunk, tens of microseconds on a shared VM and
+// erratic, costs more than the chunk saves: a single-sample serving forward
+// (16 rows of a 64-wide GPT) runs inline on its caller.
 const chunkWork = 1 << 18
 
 // WorkGrain returns the Run grain of a region whose items (rows, heads) each

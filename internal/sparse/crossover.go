@@ -89,26 +89,39 @@ func ResetXover() {}
 // XoverDecide is the crossover: the CSR path iff 4·nnz < full — a pattern
 // more than 75% sparse — else the dense GEMM over the masked-dense weight.
 //
-// The quarter is a measurement, reproducible with SparseLinear.Exec pins:
-// over six FC shapes (640×640, 512×640, 640×64, 128×512, 512×128,
-// 1024×4096; 2 workers, min of 8–40 forward+backward steps) dense-masked
-// time ÷ CSR time at batch 48 and 576 is 0.74–0.94 at 70% sparsity,
-// 0.85–1.12 at 75%, 0.95–1.26 at 80%, 1.44–1.92 at 87.5% and 1.65–2.19 at
-// 90% — one crossing, at a quarter density, on every shape — and runtime
-// probing froze exactly these answers on the benchmark's workloads. (A
-// re-run scatters a ratio by up to ±0.2 — the GEMM tuner's blocking and the
-// box's neighbours move the dense side — so the line is good to about one
-// step of that grid: at 70% CSR wins nowhere by more than 1.05×, by 87.5%
-// it wins everywhere by at least 1.33×.)
+// The quarter was a measurement against the scalar dense GEMM (PR 22: one
+// crossing at a quarter density on six FC shapes), and runtime probing froze
+// exactly those answers on the benchmark's workloads. Since the dense GEMM
+// got its AVX2 micro-kernel the same grid, re-read with SparseLinear.Exec
+// pins (640×640, 512×640, 640×64, 128×512, 512×128, 1024×4096; 2 workers,
+// min of 6–30 forward+backward steps, SDDMM weight gradient on both sides),
+// gives dense-masked time ÷ CSR time
 //
-// It is known to be wrong at tiny batch: at m = 1 CSR wins at every density
-// tested (1.3–4.6× for a training step, 3.1–16.8× in eval, where the dense
-// path re-expands O(out·in) per forward) and at m = 8 already from 70–75%
-// sparsity (1.09–1.63× at 75%). The rule reads neither m nor op regardless:
-// an m term would make a served sample's bits depend on the batch bucket it
-// rode in, and row-invariance (see gemm in tensor/matmul.go) outranks that
-// speed. A caller running a below-75%-sparse layer at m ≤ 8 pins
-// SparseLinear.Exec.
+//	sparsity   70%        75%        80%        87.5%      90%        95%
+//	batch 48   0.38–0.48  0.44–0.51  0.50–0.69  0.62–0.77  0.58–0.95  0.87–1.52
+//	batch 576  0.29–0.41  0.28–0.40  0.31–0.41  0.29–0.50  0.38–0.59  0.52–0.75
+//
+// so the crossing now sits near 90–95% at batch 48 and beyond 95% at batch
+// 576: the paper's Fig. 1. The line stays at a quarter all the same —
+// moving it changes the bits of every sparse-exec layer between the old
+// line and the new, which is a numerics change with its own claim (ROADMAP
+// item 7), not a comment edit — and on AVX2 hosts it now errs on the CSR
+// side: a layer between 75% and about 90% sparse runs CSR where
+// dense-masked would be up to 2.3× faster at batch 48 and up to 3.4× at
+// batch 576. SparseLinear.Exec = ExecDense is the escape hatch. (On hosts
+// without the vector kernel PR 22's grid — 0.85–1.12 at 75%, 1.44–1.92 at
+// 87.5% — and the quarter still hold. A re-run scatters a ratio by up to
+// ±0.1.)
+//
+// It is also wrong at tiny batch, the other way: at m = 1 CSR wins at every
+// density tested (1.5–2.0× at 70–75% for a training step, 4.0–5.5× in eval,
+// where the dense path re-expands O(out·in) per forward; 3.2–6.9× and
+// 10–23× at 90–95%) while the rule picks dense up to 75%. At m = 8 the
+// quarter is about right: dense wins 0.60–0.94 at 75%, CSR 0.91–1.69 at
+// 87.5%. The rule reads neither m nor op regardless: an m term would make a
+// served sample's bits depend on the batch bucket it rode in, and
+// row-invariance (see gemm in tensor/matmul.go) outranks that speed. A
+// caller running a below-75%-sparse layer at m = 1 pins SparseLinear.Exec.
 //
 // A SetXover mode and an empty pattern (nnz ≤ 0: nothing to multiply
 // densely for) return a nil entry; otherwise the entry reports the choice.

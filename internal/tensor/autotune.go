@@ -18,39 +18,31 @@ import "github.com/sparse-dl/samo/internal/autotune"
 // case is a suboptimal blocking until drift probes correct it — which is
 // also why a frozen bucket may re-probe and flip.
 
-// tuneCand is one candidate blocking: pack=true runs the BLIS-style shared
-// panel pipeline with kc×nc packed panels; pack=false runs the direct-B
-// micro-kernel (no packing), which wins when m is so small that a panel
-// would be swept only once or twice and the pack traffic cannot amortize.
-// strip=true packs the panel in 8-wide k-major column strips and sweeps it
-// with the v3 strip kernel (eight register accumulators per C row, one C
-// memory round-trip per panel). mc>0 blocks the C rows: the panel loop —
-// including the pack — reruns per mc-row block, trading repeated pack
-// traffic for a cache-resident C block on tall m.
+// tuneCand is one candidate blocking: strip=true runs the BLIS-style shared
+// panel pipeline — kc×nc panels packed in 8-wide k-major column strips and
+// swept by the strip kernel (a strip of C in registers, one C memory
+// round-trip per panel); strip=false runs the direct-B micro-kernel (no
+// packing), which wins when m is so small that a panel would be swept only
+// once and the pack traffic cannot amortize.
 type tuneCand struct {
 	kc, nc int
-	pack   bool
 	strip  bool
-	mc     int
 }
 
-// tuneCands are the probe candidates. The first entry is the default
-// blocking (kc·nc·4 = 128 KiB, L2-resident); the next two trade panel
-// height against width (taller panels amortize the sweep's C row traffic
-// over more k, wider panels cut the number of j0 passes over A); the
-// fourth skips packing entirely for pack-dominated small-m shapes; the
-// fifth probes mc row blocking for tall-m shapes; and the last two are the
-// v3 strip kernel at narrow and tall blockings. Every kc is even and every
-// nc a multiple of 8, which is what keeps all candidates bitwise-identical
-// (see gemmV2) and strip panels inside packBufCap.
+// tuneCands are the probe candidates: the direct-B kernel and the strip
+// kernel at a narrow (kc·nc·4 = 128 KiB, L2-resident) and a tall blocking
+// (taller panels amortize the sweep's C round-trip over more k, wider ones
+// cut the j0 passes over A). The plain packed-panel blockings and the mc
+// row-blocked one that used to sit beside them went when the strip sweep
+// got its vector micro-kernel: on one worker it runs 2–8× every scalar
+// kernel from m = 4 up on the benchmark's GPT and MLP shapes, and only
+// direct-B still beats it, at m = 1 (level at m = 2). Every kc is even and
+// every nc a multiple of 8, which is what keeps all candidates
+// bitwise-identical (see gemmV2) and strip panels inside packBufCap.
 var tuneCands = [...]tuneCand{
-	{kc: 256, nc: 128, pack: true},
-	{kc: 128, nc: 256, pack: true},
-	{kc: 512, nc: 256, pack: true},
-	{kc: 256, nc: 512, pack: false},
-	{kc: 256, nc: 128, pack: true, mc: 128},
-	{kc: 256, nc: 128, pack: true, strip: true},
-	{kc: 512, nc: 256, pack: true, strip: true},
+	{kc: 256, nc: 512},
+	{kc: 256, nc: 128, strip: true},
+	{kc: 512, nc: 256, strip: true},
 }
 
 // tuneCandsT are the probe candidates for the transposed variants (gemmNT
@@ -59,12 +51,8 @@ var tuneCands = [...]tuneCand{
 // every candidate packs (the pack IS the transpose). Same invariants: kc
 // even, nc a multiple of 8, kc·nc within packBufCap.
 var tuneCandsT = [...]tuneCand{
-	{kc: 256, nc: 128, pack: true},
-	{kc: 128, nc: 256, pack: true},
-	{kc: 512, nc: 256, pack: true},
-	{kc: 256, nc: 128, pack: true, mc: 128},
-	{kc: 256, nc: 128, pack: true, strip: true},
-	{kc: 512, nc: 256, pack: true, strip: true},
+	{kc: 256, nc: 128, strip: true},
+	{kc: 512, nc: 256, strip: true},
 }
 
 // tuneCandsFor returns the candidate set a variant probes.
@@ -89,7 +77,10 @@ type tuneKey struct {
 // tuneRecord is the persisted form of one decided bucket. V is the GEMM
 // variant (0 forward, 1 MatMulT, 2 TMatMul); it is omitted when zero, so
 // tables written before the variant key existed load unchanged as
-// forward-product entries.
+// forward-product entries. Pack and Strip are one decision now (every packed
+// panel is strip-packed) but stay two fields, so a table written when
+// they were not resolves exactly: its plain-panel records (pack, no strip)
+// match no candidate and are skipped.
 type tuneRecord struct {
 	V     uint8 `json:"variant,omitempty"`
 	MB    uint8 `json:"mb"`
@@ -99,7 +90,6 @@ type tuneRecord struct {
 	NC    int   `json:"nc"`
 	Pack  bool  `json:"pack"`
 	Strip bool  `json:"strip,omitempty"`
-	MC    int   `json:"mc,omitempty"`
 }
 
 var tuneTable = autotune.New(autotune.Spec[tuneKey, tuneRecord]{
@@ -111,18 +101,18 @@ var tuneTable = autotune.New(autotune.Spec[tuneKey, tuneRecord]{
 	Encode: func(k tuneKey, chosen int) tuneRecord {
 		c := tuneCandsFor(gemmVariant(k.v))[chosen]
 		return tuneRecord{V: k.v, MB: k.mb, KB: k.kb, NB: k.nb,
-			KC: c.kc, NC: c.nc, Pack: c.pack, Strip: c.strip, MC: c.mc}
+			KC: c.kc, NC: c.nc, Pack: c.strip, Strip: c.strip}
 	},
 	// A record resolves against the CURRENT candidate set: one written by a
 	// build with variants this one lacks, or whose blocking is no longer a
 	// candidate, is skipped (the set may change between versions).
 	Decode: func(r tuneRecord) (tuneKey, int, bool) {
 		k := tuneKey{r.V, r.MB, r.KB, r.NB}
-		if gemmVariant(r.V) >= gemmVariants {
+		if gemmVariant(r.V) >= gemmVariants || r.Pack != r.Strip {
 			return k, 0, false
 		}
 		for i, c := range tuneCandsFor(gemmVariant(r.V)) {
-			if c == (tuneCand{kc: r.KC, nc: r.NC, pack: r.Pack, strip: r.Strip, mc: r.MC}) {
+			if c == (tuneCand{kc: r.KC, nc: r.NC, strip: r.Strip}) {
 				return k, i, true
 			}
 		}

@@ -70,8 +70,8 @@ func TestTuneRecordCodec(t *testing.T) {
 		key  tuneKey
 		want int
 	}{
-		{"a variant-less (legacy) record loads as the forward product", tuneKey{uint8(gemmNN), 5, 8, 6}, 3},
-		{"a variant survives", tuneKey{uint8(gemmTN), 5, 8, 6}, 4},
+		{"a variant-less (legacy) record loads as the forward product", tuneKey{uint8(gemmNN), 5, 8, 6}, 0},
+		{"a variant survives", tuneKey{uint8(gemmTN), 5, 8, 6}, 0},
 		{"direct-B is not a transposed candidate: skipped", tuneKey{uint8(gemmNT), 5, 8, 6}, -1},
 		{"a blocking that is no current candidate is skipped", tuneKey{uint8(gemmNN), 4, 8, 6}, -1},
 		{"a variant this build lacks is skipped", tuneKey{3, 5, 8, 6}, -1},
@@ -84,8 +84,10 @@ func TestTuneRecordCodec(t *testing.T) {
 
 // TestParentTuneTableLoads is the format fixture: a gemm_tune.json written
 // by the last build that had its own tuner (all three variants, forward
-// records variant-less) must load with every record honoured — and
-// honoured again after a round trip through this build's SaveTuneTable.
+// records variant-less, plain-panel and mc row-blocked blockings among
+// them) must load with every record whose blocking is still a candidate —
+// direct-B and the two strips — honoured, every other one skipped, and
+// the same again after a round trip through this build's SaveTuneTable.
 func TestParentTuneTableLoads(t *testing.T) {
 	ResetTuneTable()
 	defer ResetTuneTable()
@@ -94,7 +96,12 @@ func TestParentTuneTableLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f struct{ Entries []tuneRecord }
+	var f struct {
+		Entries []struct {
+			tuneRecord
+			MC int `json:"mc"` // the row-blocking field this build no longer has
+		}
+	}
 	if err := json.Unmarshal(data, &f); err != nil || len(f.Entries) == 0 {
 		t.Fatalf("fixture: %d entries, %v", len(f.Entries), err)
 	}
@@ -103,14 +110,25 @@ func TestParentTuneTableLoads(t *testing.T) {
 		if err := LoadTuneTable(path); err != nil {
 			t.Fatal(err)
 		}
+		honoured := 0
 		for _, r := range f.Entries {
 			idx := tuneTable.For(tuneKey{r.V, r.MB, r.KB, r.NB}).Chosen()
+			if r.Pack && !r.Strip || r.MC != 0 { // a culled blocking
+				if idx >= 0 {
+					t.Fatalf("%s: record %+v names a culled blocking but was installed as candidate %d", pass, r, idx)
+				}
+				continue
+			}
 			if idx < 0 {
 				t.Fatalf("%s: record %+v was not installed", pass, r)
 			}
-			if c := tuneCandsFor(gemmVariant(r.V))[idx]; c != (tuneCand{r.KC, r.NC, r.Pack, r.Strip, r.MC}) {
+			if c := tuneCandsFor(gemmVariant(r.V))[idx]; c != (tuneCand{r.KC, r.NC, r.Strip}) {
 				t.Fatalf("%s: record %+v resolved to blocking %+v", pass, r, c)
 			}
+			honoured++
+		}
+		if honoured != 6 { // 3 direct-B + 3 strip records in the fixture
+			t.Fatalf("%s: %d records honoured, want 6", pass, honoured)
 		}
 		path = filepath.Join(t.TempDir(), "tune.json")
 		if err := SaveTuneTable(path); err != nil {

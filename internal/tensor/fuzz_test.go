@@ -7,20 +7,21 @@ import (
 )
 
 // FuzzMatMulInto drives every GEMM dispatch path — the saxpy small-shape
-// kernel, the direct-B, shared-pack, strip and mc-blocked v2/v3 candidates
-// — against the naive triple loop over fuzzer-chosen shapes. Shapes are
-// folded into ranges that cross the dispatch boundaries (m around gemmMR
-// and the v2 gate, k and n around the kc/nc candidates and the 8-wide
-// strip width), and every candidate's output is additionally checked
-// BITWISE against candidate 0: the autotuner may pick any of them, so a
-// divergence would make tuning perturb training. Last, the row-invariance
-// contract (see gemm): rows recomputed alone and in short blocks, through
-// the dispatcher and through every candidate, carry the full product's bits.
+// kernel, the direct-B and strip candidates, the latter under both strip
+// kernels (bothGemmKernels) — against the naive triple loop over
+// fuzzer-chosen shapes. Shapes are folded into ranges that cross the
+// dispatch boundaries (m around gemmMR and the v2 gate, k and n around the
+// kc/nc candidates and the 8-wide strip width), and every candidate's
+// output is additionally checked BITWISE against the Go kernel's candidate
+// 0: the autotuner may pick any of them on any host, so a divergence would
+// make tuning perturb training. Last, the row-invariance contract (see
+// gemm): rows recomputed alone and in short blocks, through the dispatcher
+// and through every candidate, carry the full product's bits.
 func FuzzMatMulInto(f *testing.F) {
 	// Seeded degenerate corpus: dispatch-gate boundaries, micro-kernel
 	// remainders, panel-boundary crossings, strip tails, empty dims.
 	f.Add(uint16(0), uint16(8), uint16(8), uint64(1), false)
-	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: micro1 only
+	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: a lone remainder row
 	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // k below the v2 gate: saxpy
 	f.Add(uint16(4), uint16(16), uint16(16), uint64(4), false)   // exactly at the v2 gate
 	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // kc=128 boundary, nc remainder
@@ -43,41 +44,43 @@ func FuzzMatMulInto(f *testing.F) {
 			Add(want, cSeed)
 		}
 
-		// 1. The public dispatcher, whatever path the autotuner is on.
-		got := cSeed.Clone()
-		MatMulInto(got, a, b, accumulate)
-		if d := MaxAbsDiff(got, want); d > tol(k) {
-			t.Fatalf("MatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
-		}
-
-		if m == 0 || k == 0 || n == 0 {
-			return // candidate kernels are only reachable through dispatch for non-empty dims
-		}
-		// 2. Every autotune candidate, pinned to naive and bitwise to each other.
 		var first *Tensor
-		for ci, cand := range tuneCands {
-			out := cSeed.Clone()
-			gemmV2(gemmNN, out.data, a.data, b.data, m, k, n, accumulate, cand)
-			if d := MaxAbsDiff(out, want); d > tol(k) {
-				t.Fatalf("candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+		bothGemmKernels(t, func() {
+			// 1. The public dispatcher, whatever path the autotuner is on.
+			got := cSeed.Clone()
+			MatMulInto(got, a, b, accumulate)
+			if d := MaxAbsDiff(got, want); d > tol(k) {
+				t.Fatalf("MatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 			}
-			if first == nil {
-				first = out
-			} else if i, ok := bitwiseEqual(out, first); !ok {
-				t.Fatalf("candidate %d (%+v) on %dx%dx%d: not bitwise-equal to candidate 0 at index %d",
-					ci, cand, m, k, n, i)
+
+			if m == 0 || k == 0 || n == 0 {
+				return // candidate kernels are only reachable through dispatch for non-empty dims
 			}
-		}
-		// 3. Row invariance, of the dispatcher and of every candidate.
-		lo, hi := rowWindow(m, seed)
-		checkRowInvariant(t, "MatMulInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
-			MatMulInto(out, a.Slice(lo, hi), b, accumulate)
-		})
-		for ci, cand := range tuneCands {
-			checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
-				gemmV2(gemmNN, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			// 2. Every autotune candidate, pinned to naive and bitwise to each other.
+			for ci, cand := range tuneCands {
+				out := cSeed.Clone()
+				gemmV2(gemmNN, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				if d := MaxAbsDiff(out, want); d > tol(k) {
+					t.Fatalf("candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+				}
+				if first == nil {
+					first = out
+				} else if i, ok := bitwiseEqual(out, first); !ok {
+					t.Fatalf("candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
+						ci, cand, m, k, n, i)
+				}
+			}
+			// 3. Row invariance, of the dispatcher and of every candidate.
+			lo, hi := rowWindow(m, seed)
+			checkRowInvariant(t, "MatMulInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
+				MatMulInto(out, a.Slice(lo, hi), b, accumulate)
 			})
-		}
+			for ci, cand := range tuneCands {
+				checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
+					gemmV2(gemmNN, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+				})
+			}
+		})
 	})
 }
 
@@ -125,12 +128,13 @@ func checkRowInvariant(t *testing.T, what string, full, cSeed *Tensor, heights [
 }
 
 // FuzzMatMulTInto drives the C = A·Bᵀ dispatcher — the tiled small-shape
-// kernel and every transposed-variant shared-pack/strip/mc candidate —
-// against the naive triple loop over fuzzer-chosen shapes, with the same
-// dispatch-boundary folding as FuzzMatMulInto; every candidate's output is
-// additionally checked BITWISE against candidate 0 (the autotuner may pick
-// any of them mid-training), and the dispatcher and every candidate are held
-// to the row-invariance contract like the forward product's.
+// kernel and every transposed-variant strip candidate under both strip
+// kernels — against the naive triple loop over fuzzer-chosen shapes, with
+// the same dispatch-boundary folding as FuzzMatMulInto; every candidate's
+// output is additionally checked BITWISE against the Go kernel's candidate
+// 0 (the autotuner may pick any of them mid-training, on any host), and the
+// dispatcher and every candidate are held to the row-invariance contract
+// like the forward product's.
 func FuzzMatMulTInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -147,38 +151,40 @@ func FuzzMatMulTInto(f *testing.F) {
 			Add(want, cSeed)
 		}
 
-		got := cSeed.Clone()
-		MatMulTInto(got, a, b, accumulate)
-		if d := MaxAbsDiff(got, want); d > tol(k) {
-			t.Fatalf("MatMulTInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
-		}
-
-		if m == 0 || k == 0 || n == 0 {
-			return
-		}
 		var first *Tensor
-		for ci, cand := range tuneCandsT {
-			out := cSeed.Clone()
-			gemmV2(gemmNT, out.data, a.data, b.data, m, k, n, accumulate, cand)
-			if d := MaxAbsDiff(out, want); d > tol(k) {
-				t.Fatalf("NT candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+		bothGemmKernels(t, func() {
+			got := cSeed.Clone()
+			MatMulTInto(got, a, b, accumulate)
+			if d := MaxAbsDiff(got, want); d > tol(k) {
+				t.Fatalf("MatMulTInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 			}
-			if first == nil {
-				first = out
-			} else if i, ok := bitwiseEqual(out, first); !ok {
-				t.Fatalf("NT candidate %d (%+v) on %dx%dx%d: not bitwise-equal to candidate 0 at index %d",
-					ci, cand, m, k, n, i)
+
+			if m == 0 || k == 0 || n == 0 {
+				return
 			}
-		}
-		lo, hi := rowWindow(m, seed)
-		checkRowInvariant(t, "MatMulTInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
-			MatMulTInto(out, a.Slice(lo, hi), b, accumulate)
-		})
-		for ci, cand := range tuneCandsT {
-			checkRowInvariant(t, fmt.Sprintf("NT candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
-				gemmV2(gemmNT, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			for ci, cand := range tuneCandsT {
+				out := cSeed.Clone()
+				gemmV2(gemmNT, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				if d := MaxAbsDiff(out, want); d > tol(k) {
+					t.Fatalf("NT candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+				}
+				if first == nil {
+					first = out
+				} else if i, ok := bitwiseEqual(out, first); !ok {
+					t.Fatalf("NT candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
+						ci, cand, m, k, n, i)
+				}
+			}
+			lo, hi := rowWindow(m, seed)
+			checkRowInvariant(t, "MatMulTInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
+				MatMulTInto(out, a.Slice(lo, hi), b, accumulate)
 			})
-		}
+			for ci, cand := range tuneCandsT {
+				checkRowInvariant(t, fmt.Sprintf("NT candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
+					gemmV2(gemmNT, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+				})
+			}
+		})
 	})
 }
 
@@ -200,29 +206,31 @@ func FuzzTMatMulInto(f *testing.F) {
 			Add(want, cSeed)
 		}
 
-		got := cSeed.Clone()
-		TMatMulInto(got, a, b, accumulate)
-		if d := MaxAbsDiff(got, want); d > tol(k) {
-			t.Fatalf("TMatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
-		}
-
-		if m == 0 || k == 0 || n == 0 {
-			return
-		}
 		var first *Tensor
-		for ci, cand := range tuneCandsT {
-			out := cSeed.Clone()
-			gemmV2(gemmTN, out.data, a.data, b.data, m, k, n, accumulate, cand)
-			if d := MaxAbsDiff(out, want); d > tol(k) {
-				t.Fatalf("TN candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+		bothGemmKernels(t, func() {
+			got := cSeed.Clone()
+			TMatMulInto(got, a, b, accumulate)
+			if d := MaxAbsDiff(got, want); d > tol(k) {
+				t.Fatalf("TMatMulInto(%dx%dx%d, acc=%v) differs from naive by %g", m, k, n, accumulate, d)
 			}
-			if first == nil {
-				first = out
-			} else if i, ok := bitwiseEqual(out, first); !ok {
-				t.Fatalf("TN candidate %d (%+v) on %dx%dx%d: not bitwise-equal to candidate 0 at index %d",
-					ci, cand, m, k, n, i)
+
+			if m == 0 || k == 0 || n == 0 {
+				return
 			}
-		}
+			for ci, cand := range tuneCandsT {
+				out := cSeed.Clone()
+				gemmV2(gemmTN, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				if d := MaxAbsDiff(out, want); d > tol(k) {
+					t.Fatalf("TN candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+				}
+				if first == nil {
+					first = out
+				} else if i, ok := bitwiseEqual(out, first); !ok {
+					t.Fatalf("TN candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
+						ci, cand, m, k, n, i)
+				}
+			}
+		})
 	})
 }
 
@@ -231,9 +239,8 @@ func FuzzTMatMulInto(f *testing.F) {
 // fallback below k,n=16 — and, for C = Aᵀ·B only, below m=4), micro-kernel
 // and strip-tail remainders,
 // panel-boundary crossings (both transpose-packs have per-panel state),
-// mc row-block boundaries (m past 128 runs the mc:128 candidate's
-// per-block repack; m past 256 additionally splits the gemmTN Aᵀ pack at
-// the packBufCap/kc clamp for kc=512), and empty dims.
+// the row-block boundary (m past 256 splits the gemmTN Aᵀ pack at the
+// packBufCap/kc clamp for kc=512), and empty dims.
 func seedTransposedCorpus(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint64(1), false)
 	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: tiled remainder row
@@ -245,7 +252,7 @@ func seedTransposedCorpus(f *testing.F) {
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
 	f.Add(uint16(3), uint16(24), uint16(32), uint64(13), false)   // a served batch of 3: v2 at m < gemmMR (C = A·Bᵀ)
 	f.Add(uint16(33), uint16(319), uint16(130), uint64(9), true)  // odd k: global pairwise tail
-	f.Add(uint16(150), uint16(300), uint16(40), uint64(10), true) // m crosses the mc=128 block boundary
+	f.Add(uint16(150), uint16(300), uint16(40), uint64(10), true) // tall m, two remainder rows
 	f.Add(uint16(300), uint16(319), uint16(66), uint64(11), true) // m crosses the TN kc=512 mc clamp (256)
 	f.Add(uint16(319), uint16(318), uint16(223), uint64(12), true)
 }

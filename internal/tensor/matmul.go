@@ -121,15 +121,21 @@ const (
 
 // Row invariance — the contract of the two forward products (gemm, gemmT)
 // that serve.Engine spends: the bits of a C row are a function of its A row
-// and of B alone, never of m, of the worker count or of the autotuner's
-// candidate. Dispatch therefore looks at n and k only, which the model fixes,
-// and never at m, which the batch does. With n,k ≥ 16 every row takes the
-// shared sweeps, which all accumulate k in one pairwise order
-// (`c += a0·b0 + a1·b1`, every kc even) whether the row rides a 4-row
-// micro-kernel or the single-row remainder; below that every row takes the
-// small-shape kernel, which sums k in plain order for every row. Pinned by
-// the row-invariance property of FuzzMatMulInto / FuzzMatMulTInto and by
-// TestGEMMRowInvariantServingShapes.
+// and of B alone, never of m, of the worker count, of the autotuner's
+// candidate or of which micro-kernel the host selected. Dispatch therefore
+// looks at n and k only, which the model fixes, and never at m, which the
+// batch does. With n,k ≥ 16 every row takes the shared sweeps, which all
+// accumulate k in one pairwise order (`c += a0·b0 + a1·b1`, every kc even)
+// whether the row rides a 4-row vector tile, the 1-row vector remainder, the
+// Go strip kernel, its scalar ragged-strip tail or the direct-B micro-kernel:
+// each is the same sequence of float32 multiplies and adds per C element,
+// rounded after every operation. That is why the vector kernel may never use
+// a fused multiply-add — one rounding where the Go kernel has two — however
+// much faster it would be: the bits would then depend on the host. Below the
+// gate every row takes the small-shape kernel, which sums k in plain order
+// for every row. Pinned by the row-invariance property of FuzzMatMulInto /
+// FuzzMatMulTInto, by TestGEMMRowInvariantServingShapes and, kernel against
+// kernel, by TestGEMMVectorKernelMatchesGo.
 
 // gemm dispatches C (+)= A·B over the worker pool: the shared-pack v2
 // pipeline with autotuned blocking, or for skinny B (n or k below 16) the
@@ -206,45 +212,38 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // row ranges over it. Packing a panel once per *worker* instead is pure
 // duplicated memory traffic as soon as a call fans out; the shared pack
 // removes it, which is exactly the win when rows-per-worker is small (the
-// Figure-1 FC backward shapes). Candidates with pack=false skip
-// packing entirely and read B in place — for very small m a panel is swept
-// too few times for the pack traffic to amortize at all.
+// Figure-1 FC backward shapes). The panel is packed in 8-wide column strips
+// (each strip k-major and contiguous) and swept by the strip kernel, which
+// keeps a strip of C in registers across the whole k sweep and streams B
+// sequentially: on AVX2 hosts four C rows at a time in YMM accumulators
+// (gemm_amd64.s), elsewhere one row in eight scalars. Candidates with
+// strip=false skip packing entirely and read B in place — at m = 1 a panel is
+// swept once and the pack traffic cannot amortize at all.
 //
-// Two further candidate dimensions (autotuned, see autotune.go):
-//
-//   - strip: pack the panel in 8-wide column strips (each strip k-major and
-//     contiguous) and sweep it with the v3 strip kernel, whose inner loop
-//     keeps eight C accumulators in registers and streams B sequentially —
-//     C round-trips through memory once per panel instead of every other
-//     k step.
-//   - mc: block the C rows, re-running the whole panel loop per mc-row
-//     block. Packing repeats once per block (m/mc times the traffic), but
-//     the block's C rows and A slab stay cache-resident across the k sweep —
-//     the classic BLIS ic loop, worth probing only for tall m.
-//
-// Every variant accumulates each C element in the same pairwise k order, so
+// Every path accumulates each C element in the same pairwise k order, so
 // all candidates remain bitwise-identical (TestGEMMV2CandidatesGolden).
 //
 // The transposed family (v != gemmNN) runs the SAME panel loop and sweep
-// kernels; only the packing differs per operand orientation:
+// kernel; only the packing differs per operand orientation:
 //
 //   - gemmNT (C = A·Bᵀ): B is (n,k), so the effective Bᵀ panel is packed by
 //     reading B rows along their contiguous k extent and scattering each
-//     into one panel column — a near-copy per B row (gemmPackPanelNTChunk /
-//     gemmPackStripNTChunk). A is (m,k) row-major, exactly as in gemmNN.
+//     into one panel column — a near-copy per B row (gemmPackStripNTChunk).
+//     A is (m,k) row-major, exactly as in gemmNN.
 //   - gemmTN (C = Aᵀ·B): B is (k,n) row-major, exactly as in gemmNN, so the
-//     B pack routines are reused verbatim; A is (k,m) and is transpose-
-//     packed per (mc,kc) block into a second pooled buffer the sweeps then
-//     read as canonical row-major A (gemmPackATChunk). mc is bounded so the
-//     block always fits the pooled buffer.
+//     B pack routine is reused verbatim; A is (k,m) and is transpose-packed
+//     per (mc,kc) row block into a second pooled buffer the sweep then
+//     reads as canonical row-major A (gemmPackATChunk). The row-block loop
+//     exists only for this: mc is m unless the block would overflow the
+//     pooled buffer.
 //
-// Because the sweeps are shared, the transposed variants inherit the
+// Because the sweep is shared, the transposed variants inherit the
 // bitwise candidate-invariance contract for free: packing relocates
 // operand bytes, never reorders the per-element float operations.
 //
-// Fan-out is sized from work, not rows (parallel.WorkGrain): a sweep or
-// direct row counts its own multiply-adds, a packed row those of the sweep
-// it feeds — a pack fans out only when that sweep would — so a product too
+// Fan-out is sized from work, not rows (gemmWorkGrain): a sweep or direct
+// row counts its own multiply-adds, a packed row those of the sweep it
+// feeds — a pack fans out only when that sweep would — so a product too
 // small to be worth a second core runs inline on the caller instead of
 // paying a wake-up per region.
 func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand tuneCand) {
@@ -253,7 +252,7 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 	j.m, j.k, j.n = m, k, n
 	j.accumulate = accumulate
 	j.kc, j.nc = cand.kc, cand.nc
-	if !cand.pack {
+	if !cand.strip {
 		// Direct-B path (gemmNN candidates only: the transposed variants'
 		// effective B is not materialized row-major, so their candidate
 		// sets are all-pack).
@@ -262,20 +261,11 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 		gemmV2JobFree.Put(j)
 		return
 	}
-	packB, sweep := gemmPackPanelChunk, gemmSweepChunk
-	if cand.strip {
-		packB, sweep = gemmPackStripChunk, gemmStripSweepChunk
-	}
+	packB := gemmPackStripChunk
 	if v == gemmNT {
-		packB = gemmPackPanelNTChunk
-		if cand.strip {
-			packB = gemmPackStripNTChunk
-		}
+		packB = gemmPackStripNTChunk
 	}
-	mc := cand.mc
-	if mc <= 0 {
-		mc = m
-	}
+	mc := m
 	var pa []float32
 	if v == gemmTN {
 		if maxMC := packBufCap / cand.kc; mc > maxMC {
@@ -292,7 +282,7 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 			kcur := min(cand.kc, k-k0)
 			j.k0, j.kcur = k0, kcur
 			if v == gemmTN {
-				parallel.Run(j.mcur, parallel.WorkGrain(gemmPackGrain, kcur*n), j, gemmPackATChunk)
+				parallel.Run(j.mcur, gemmWorkGrain(gemmPackGrain, kcur*n), j, gemmPackATChunk)
 				j.as, j.aBase, j.aStride, j.aOff = pa, i0, kcur, 0
 			} else {
 				j.as, j.aBase, j.aStride, j.aOff = a, 0, k, k0
@@ -302,11 +292,11 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 				if v == gemmNT {
 					// The NT pack fans out over B rows (panel columns), not
 					// panel k-rows: that is the operand's contiguous axis.
-					parallel.Run(j.ncur, parallel.WorkGrain(gemmPackGrain, j.mcur*kcur), j, packB)
+					parallel.Run(j.ncur, gemmWorkGrain(gemmPackGrain, j.mcur*kcur), j, packB)
 				} else {
-					parallel.Run(kcur, parallel.WorkGrain(gemmPackGrain, j.mcur*j.ncur), j, packB)
+					parallel.Run(kcur, gemmWorkGrain(gemmPackGrain, j.mcur*j.ncur), j, packB)
 				}
-				parallel.Run(j.mcur, parallel.WorkGrain(gemmMR, kcur*j.ncur), j, sweep)
+				parallel.Run(j.mcur, gemmWorkGrain(gemmMR, kcur*j.ncur), j, gemmStripSweepChunk)
 			}
 		}
 	}
@@ -320,47 +310,28 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 	gemmV2JobFree.Put(j)
 }
 
-// gemmPackPanelChunk copies panel rows [lo,hi) (relative to k0) of the
-// current kc×nc panel of B into the shared buffer, making rows adjacent
-// (stride ncur instead of n). Chunks touch disjoint panel rows.
-func gemmPackPanelChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	b, pb := g.b, g.pb
-	n, k0, j0, ncur := g.n, g.k0, g.j0, g.ncur
-	for kk := lo; kk < hi; kk++ {
-		copy(pb[kk*ncur:kk*ncur+ncur], b[(k0+kk)*n+j0:(k0+kk)*n+j0+ncur])
+// GEMMKernel names the strip micro-kernel this process selected at start-up:
+// "avx2" (gemm_amd64.s) or "go". Both produce the same bits; the name is for
+// reading two runs' step times knowing what produced them.
+func GEMMKernel() string {
+	if gemmVector {
+		return "avx2"
 	}
+	return "go"
 }
 
-// gemmSweepChunk updates C rows [lo,hi) of the current mc block (absolute
-// rows i0+lo..i0+hi), cols [j0,j0+ncur) from the shared packed panel with
-// the register micro-kernel. A rows come from the job's generalized A
-// addressing (A in place, or the packed Aᵀ block for gemmTN). On the first
-// k panel of a non-accumulating product it also zeroes its C band (each
-// band is touched by exactly one chunk per panel, so the zeroing races
-// with nothing).
-func gemmSweepChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	c, as, pb := g.c, g.as, g.pb
-	n := g.n
-	k0, kcur, j0, ncur := g.k0, g.kcur, g.j0, g.ncur
-	aStride := g.aStride
-	aOff := (lo+g.i0-g.aBase)*aStride + g.aOff
-	lo, hi = lo+g.i0, hi+g.i0
-	if k0 == 0 && !g.accumulate {
-		for i := lo; i < hi; i++ {
-			zeroSlice(c[i*n+j0 : i*n+j0+ncur])
-		}
+// gemmWorkGrain is parallel.WorkGrain for the regions of the strip pipeline,
+// in the units of the kernel that runs them: WorkGrain's chunk is ≈ 0.1 ms
+// of a scalar kernel (6–7 GFLOP/s), which the vector kernel (≈ 45) finishes
+// in ≈ 12 µs — below the wake-up the chunk was sized against — so under it
+// eight multiply-adds count as one and a chunk carries ≈ 0.1 ms again
+// (mlp_sparse_50, 10 interleaved pairs: 24.8 → 21.9 ms/step, 10/10;
+// serve_gpt_open_loop unchanged). A grain moves no bit.
+func gemmWorkGrain(floor, perItem int) int {
+	if gemmVector {
+		perItem = max(perItem/8, 1)
 	}
-	i := lo
-	for ; i+gemmMR <= hi; i += gemmMR {
-		gemmMicro4(c, as, pb, aOff, aStride, 0, ncur, i, n, kcur, j0, ncur)
-		aOff += gemmMR * aStride
-	}
-	for ; i < hi; i++ {
-		gemmMicro1(c, as, pb, aOff, aStride, 0, ncur, i, n, kcur, j0, ncur)
-		aOff += aStride
-	}
+	return parallel.WorkGrain(floor, perItem)
 }
 
 // gemmPackStripChunk packs panel k-rows [lo,hi) (relative to k0) in the v3
@@ -383,27 +354,12 @@ func gemmPackStripChunk(ctx any, lo, hi int) {
 	}
 }
 
-// gemmPackPanelNTChunk packs panel columns [lo,hi) (relative to j0) of the
+// gemmPackStripNTChunk packs panel columns [lo,hi) (relative to j0) of the
 // effective Bᵀ panel for gemmNT: element (kk, jj) of the panel is
 // B[(j0+jj)·k + k0+kk], so each B row is read contiguously along its k
-// extent — a near-copy — and scattered into one panel column with stride
-// ncur. Chunks touch disjoint panel columns.
-func gemmPackPanelNTChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	b, pb := g.b, g.pb
-	k, k0, j0, ncur, kcur := g.k, g.k0, g.j0, g.ncur, g.kcur
-	for jj := lo; jj < hi; jj++ {
-		brow := b[(j0+jj)*k+k0 : (j0+jj)*k+k0+kcur]
-		for kk, v := range brow {
-			pb[kk*ncur+jj] = v
-		}
-	}
-}
-
-// gemmPackStripNTChunk is gemmPackPanelNTChunk's strip-layout twin: panel
-// column jj lands in strip jj/8 at within-strip offset jj%8 (see
-// gemmPackStripChunk for the strip layout), so the contiguous B-row read
-// scatters with stride 8. Chunks touch disjoint panel columns.
+// extent — a near-copy — and lands in strip jj/8 at within-strip offset
+// jj%8 (see gemmPackStripChunk for the strip layout), scattering with
+// stride 8. Chunks touch disjoint panel columns.
 func gemmPackStripNTChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
 	b, pb := g.b, g.pb
@@ -448,45 +404,79 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 	}
 }
 
-// gemmStripSweepChunk updates C rows [lo,hi) of the current mc block from a
-// strip-packed panel with the v3 strip kernel: per row and 8-wide column
-// strip, eight accumulators live in registers across the whole k sweep and
-// C round-trips through memory once per panel (the 4-row micro-kernel
-// reads and writes C every second k step). B streams sequentially from the
-// strip.
+// gemmStripSweepChunk updates C rows [lo,hi) of the current row block
+// (absolute rows i0+lo..i0+hi), cols [j0,j0+ncur) from the strip-packed
+// panel: per 8-wide column strip the accumulators live in registers across
+// the whole k sweep and C round-trips through memory once per panel, while
+// B streams sequentially from the strip. A rows come from the job's
+// generalized A addressing (A in place, or the packed Aᵀ block for gemmTN).
+// The accumulators are seeded from C, or from zero on the first k panel of
+// a non-accumulating product (each C band is touched by exactly one chunk
+// per panel, so nothing races).
 //
-// Bitwise contract: the accumulators are seeded from C (or zero on the
-// first panel of a non-accumulating product) and updated with the same
-// `c += a0·b0 + a1·b1` pairwise expression as gemmMicro4, so each element
-// sees the identical sequence of float32 operations — staging the partial
-// sum in a register instead of memory does not change its value.
+// With the vector kernel selected, rows go four at a time through
+// gemmStrip4x8AVX2 and the chunk's last m mod 4 rows one at a time through
+// gemmStrip1x8AVX2; otherwise every row goes through gemmStrip8. The ragged
+// last strip (ncur mod 8 columns) is always gemmStripTail's. The assembly
+// checks no bound: each call is handed pointers into slices cut here to
+// exactly the extent it touches (a tile's C rows, its A rows, one strip).
+//
+// Bitwise contract: every kernel updates an accumulator with the same
+// `c += a0·b0 + a1·b1` pairwise expression, one float32 rounding per
+// operation, so each element sees the identical sequence of operations
+// whichever kernel, tile row or lane it rides — staging the partial sum in a
+// register instead of memory does not change its value.
 func gemmStripSweepChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
 	c, as, pb := g.c, g.as, g.pb
 	n := g.n
-	k0, kcur, j0, ncur := g.k0, g.kcur, g.j0, g.ncur
+	kcur, j0, ncur := g.kcur, g.j0, g.ncur
 	aStride := g.aStride
 	aOff := (lo+g.i0-g.aBase)*aStride + g.aOff
 	lo, hi = lo+g.i0, hi+g.i0
-	seed := g.accumulate || k0 > 0
-	for i := lo; i < hi; i++ {
+	seed := g.accumulate || g.k0 > 0
+	vec := gemmVector
+	full := ncur &^ 7 // columns in whole strips
+	i := lo
+	if vec {
+		for ; i+gemmMR <= hi; i += gemmMR {
+			ct := c[i*n+j0 : (i+gemmMR-1)*n+j0+ncur]
+			at := as[aOff : aOff+(gemmMR-1)*aStride+kcur]
+			aOff += gemmMR * aStride
+			for js := 0; js < full; js += 8 {
+				bs := pb[js*kcur : (js+8)*kcur]
+				gemmStrip4x8AVX2(&ct[js], n, &at[0], aStride, &bs[0], kcur, seed)
+			}
+			if full < ncur {
+				for r := 0; r < gemmMR; r++ {
+					gemmStripTail(ct[r*n+full:r*n+ncur], at[r*aStride:r*aStride+kcur], pb[full*kcur:], kcur, seed)
+				}
+			}
+		}
+	}
+	for ; i < hi; i++ {
 		ai := as[aOff : aOff+kcur]
 		aOff += aStride
 		ci := c[i*n+j0 : i*n+j0+ncur]
-		for js := 0; js < ncur; js += 8 {
-			bs := pb[js*kcur:]
-			if ncur-js >= 8 {
-				gemmStrip8(ci[js:js+8], ai, bs, kcur, seed)
+		for js := 0; js < full; js += 8 {
+			bs := pb[js*kcur : (js+8)*kcur]
+			if vec {
+				gemmStrip1x8AVX2(&ci[js : js+8][0], &ai[0], &bs[0], kcur, seed)
 			} else {
-				gemmStripTail(ci[js:], ai, bs, kcur, seed)
+				gemmStrip8(ci[js:js+8], ai, bs, kcur, seed)
 			}
+		}
+		if full < ncur {
+			gemmStripTail(ci[full:], ai, pb[full*kcur:], kcur, seed)
 		}
 	}
 }
 
 // gemmStrip8 updates one C row's 8-wide column strip from a k-major strip
-// of the packed panel. The 2-wide k unroll matches gemmMicro4's pairwise
-// association exactly; the eight accumulators stay in registers.
+// of the packed panel: the Go strip kernel, the only one on hosts without
+// AVX2 and the oracle the vector kernels are pinned to. The 2-wide k unroll
+// matches gemmMicro4's pairwise association exactly; the eight accumulators
+// stay in registers.
 func gemmStrip8(ci, ai []float32, bs []float32, kcur int, seed bool) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 float32
 	_ = ci[7]
@@ -576,14 +566,14 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 	}
 }
 
-// gemmMicro4 updates C rows i..i+3, cols [j0,j0+ncur) from kcur rows of B
-// starting at bp[bOff] with row stride bStride — a packed panel (bOff=0,
-// bStride=ncur) or B read in place (bOff=k0·n+j0, bStride=n); the inner
-// loop is contiguous either way. A rows likewise start at a[aOff] with row
-// stride aStride — A read in place (aOff=i·k+k0, aStride=k) or a
-// transpose-packed block (see gemmSweepChunk). The 2-wide k unroll halves
-// C read/write traffic per flop; the four A scalars per k-step live in
-// registers across the j loop.
+// gemmMicro4 is the direct-B path's micro-kernel: it updates C rows i..i+3,
+// cols [j0,j0+ncur) from kcur rows of B read in place, starting at bp[bOff]
+// with row stride bStride (bOff=k0·n+j0, bStride=n), the inner loop
+// contiguous along a B row. A rows likewise start at a[aOff] with row stride
+// aStride (aOff=i·k+k0, aStride=k). The 2-wide k unroll halves C read/write
+// traffic per flop and is the pairwise k association every strip kernel
+// reproduces; the four A scalars per k-step live in registers across the j
+// loop.
 func gemmMicro4(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0, ncur int) {
 	ci0 := c[i*n+j0 : i*n+j0+ncur]
 	ci1 := c[(i+1)*n+j0 : (i+1)*n+j0+ncur]

@@ -179,9 +179,9 @@ func TestTransposeGolden(t *testing.T) {
 // count (shared pack is the point of that regime), k below every kc
 // candidate, n below every nc candidate, single-row and single-column
 // outputs, panel-boundary remainders, shapes spanning several panels, strip
-// tails of every width class, and m past the mc=128 row-blocking boundary.
+// tails of every width class, and tall m with every m mod 4 remainder.
 var v2Shapes = [][3]int{
-	{1, 16, 16},   // m=1: micro1-only sweep
+	{1, 16, 16},   // m=1: a lone remainder row
 	{4, 16, 1},    // n=1: one-column panels, 1-wide strip tail
 	{3, 300, 40},  // m below gemmMR after chunking, 8-aligned strips
 	{5, 700, 130}, // k spans panels with remainder, n just over one nc, 2-wide tail
@@ -190,17 +190,18 @@ var v2Shapes = [][3]int{
 	{31, 257, 129},
 	{64, 512, 256},  // exact panel multiples
 	{97, 1030, 70},  // 6-wide strip tail
-	{150, 300, 40},  // m crosses the mc=128 row-block boundary
-	{129, 256, 135}, // mc remainder of one row, 7-wide strip tail
+	{150, 300, 40},  // tall m, two remainder rows
+	{129, 256, 135}, // one remainder row, 7-wide strip tail
 }
 
-// TestGEMMV2CandidatesGolden pins every autotune candidate — shared-pack,
-// direct-B, mc row-blocked and the v3 8-wide strip kernels — against the
-// naive reference at the degenerate shapes, under a worker count larger
-// than m for the small shapes (the regime the shared pack exists for). It
-// also asserts the candidates agree BITWISE: every kc candidate is even and
-// every kernel accumulates each C element with the same pairwise
-// k-association, so the autotuner's choice can never change results.
+// TestGEMMV2CandidatesGolden pins every autotune candidate — direct-B and
+// the 8-wide strip blockings, under both strip kernels — against the naive
+// reference at the degenerate shapes, under a worker count larger than m
+// for the small shapes (the regime the shared pack exists for). It also
+// asserts the candidates agree BITWISE, across kernels too: every kc
+// candidate is even and every kernel accumulates each C element with the
+// same pairwise k-association, so neither the autotuner's choice nor the
+// host's micro-kernel can ever change results.
 func TestGEMMV2CandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
@@ -213,27 +214,29 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 			fillSeq(b, rng)
 			want := refMatMul(a, b)
 			var first *Tensor
-			for ci, cand := range tuneCands {
-				got := New(m, n)
-				gemmV2(gemmNN, got.data, a.data, b.data, m, k, n, false, cand)
-				if d := MaxAbsDiff(got, want); d > tol(k) {
-					t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+			bothGemmKernels(t, func() {
+				for ci, cand := range tuneCands {
+					got := New(m, n)
+					gemmV2(gemmNN, got.data, a.data, b.data, m, k, n, false, cand)
+					if d := MaxAbsDiff(got, want); d > tol(k) {
+						t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+					}
+					if first == nil {
+						first = got
+					} else if i, ok := bitwiseEqual(got, first); !ok {
+						t.Fatalf("candidate %d (%+v): not bitwise-equal to the Go kernel's candidate 0 at index %d", ci, cand, i)
+					}
+					// Accumulating form: C = seed + A·B.
+					acc := New(m, n)
+					fillSeq(acc, rng)
+					wantAcc := acc.Clone()
+					Add(wantAcc, want)
+					gemmV2(gemmNN, acc.data, a.data, b.data, m, k, n, true, cand)
+					if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
+						t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
+					}
 				}
-				if first == nil {
-					first = got
-				} else if d := MaxAbsDiff(got, first); d != 0 {
-					t.Fatalf("candidate %d (%+v): not bitwise-equal to candidate 0 (diff %g)", ci, cand, d)
-				}
-				// Accumulating form: C = seed + A·B.
-				acc := New(m, n)
-				fillSeq(acc, rng)
-				wantAcc := acc.Clone()
-				Add(wantAcc, want)
-				gemmV2(gemmNN, acc.data, a.data, b.data, m, k, n, true, cand)
-				if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-					t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
-				}
-			}
+			})
 		})
 	}
 }
@@ -243,7 +246,8 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 // model runs: per shape, the rows of one sample — 16 for the benchmark GPT
 // (hidden 64, vocab 256), 1 for an MLP or a classifier head — computed alone
 // and inside batches of 2, 4 and 8 samples, through the dispatcher and
-// through every candidate at every worker count, carry identical bits.
+// through every candidate at every worker count, under both strip kernels,
+// carry identical bits.
 func TestGEMMRowInvariantServingShapes(t *testing.T) {
 	for _, s := range []struct {
 		name       string
@@ -272,20 +276,22 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 			fillSeq(b, rng)
 			heights := []int{s.rows, 2 * s.rows, 4 * s.rows, 8 * s.rows}
 			full := New(m, n)
-			mul(full, a, b, false)
-			for rot := range rowWorkers {
-				checkRowInvariant(t, "dispatcher", full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
-					mul(out, a.Slice(lo, hi), b, false)
-				})
-				if n < 16 {
-					continue // the candidates are not what dispatch runs here
-				}
-				for ci, cand := range cands {
-					checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
-						gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, cand)
+			mul(full, a, b, false) // once, under the host's kernel: both halves must match it
+			bothGemmKernels(t, func() {
+				for rot := range rowWorkers {
+					checkRowInvariant(t, "dispatcher", full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+						mul(out, a.Slice(lo, hi), b, false)
 					})
+					if n < 16 {
+						continue // the candidates are not what dispatch runs here
+					}
+					for ci, cand := range cands {
+						checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+							gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, cand)
+						})
+					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -6,21 +6,21 @@ import (
 )
 
 // TestGEMMTransposedCandidatesGolden pins every transposed-variant autotune
-// candidate — shared-pack, mc row-blocked and the v3 8-wide strip kernels,
-// with B transpose-packed for C = A·Bᵀ and A transpose-packed for
-// C = Aᵀ·B — against the naive references at the same degenerate shapes the
-// forward pipeline is pinned on, under a worker count larger than m for
-// the small shapes. As for the forward product, the candidates must agree
-// BITWISE: they share the sweep kernels, so the per-element pairwise
-// k-association is identical and the autotuner's choice can never change
-// results.
+// candidate — the 8-wide strip blockings under both strip kernels, with B
+// transpose-packed for C = A·Bᵀ and A transpose-packed for C = Aᵀ·B —
+// against the naive references at the same degenerate shapes the forward
+// pipeline is pinned on, under a worker count larger than m for the small
+// shapes. As for the forward product, the candidates must agree BITWISE,
+// across kernels too: they share the sweep, so the per-element pairwise
+// k-association is identical and neither the autotuner's choice nor the
+// host's micro-kernel can ever change results.
 func TestGEMMTransposedCandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
 	rng := NewRNG(52)
 	// The forward v2Shapes plus the transposed-only edges: m past 256
 	// splits the gemmTN Aᵀ pack at the packBufCap/kc clamp for the kc=512
-	// candidates (the mc=128 block boundary is already in v2Shapes).
+	// candidate.
 	shapes := append(append([][3]int{}, v2Shapes...), [3]int{300, 520, 40}, [3]int{270, 600, 72})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -44,27 +44,29 @@ func TestGEMMTransposedCandidatesGolden(t *testing.T) {
 func checkTransposedCands(t *testing.T, v gemmVariant, a, b, want *Tensor, m, k, n int, rng *RNG) {
 	t.Helper()
 	var first *Tensor
-	for ci, cand := range tuneCandsT {
-		got := New(m, n)
-		gemmV2(v, got.data, a.data, b.data, m, k, n, false, cand)
-		if d := MaxAbsDiff(got, want); d > tol(k) {
-			t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+	bothGemmKernels(t, func() {
+		for ci, cand := range tuneCandsT {
+			got := New(m, n)
+			gemmV2(v, got.data, a.data, b.data, m, k, n, false, cand)
+			if d := MaxAbsDiff(got, want); d > tol(k) {
+				t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+			}
+			if first == nil {
+				first = got
+			} else if i, ok := bitwiseEqual(got, first); !ok {
+				t.Fatalf("candidate %d (%+v): not bitwise-equal to the Go kernel's candidate 0 at index %d", ci, cand, i)
+			}
+			// Accumulating form: C = seed + product.
+			acc := New(m, n)
+			fillSeq(acc, rng)
+			wantAcc := acc.Clone()
+			Add(wantAcc, want)
+			gemmV2(v, acc.data, a.data, b.data, m, k, n, true, cand)
+			if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
+				t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
+			}
 		}
-		if first == nil {
-			first = got
-		} else if i, ok := bitwiseEqual(got, first); !ok {
-			t.Fatalf("candidate %d (%+v): not bitwise-equal to candidate 0 at index %d", ci, cand, i)
-		}
-		// Accumulating form: C = seed + product.
-		acc := New(m, n)
-		fillSeq(acc, rng)
-		wantAcc := acc.Clone()
-		Add(wantAcc, want)
-		gemmV2(v, acc.data, a.data, b.data, m, k, n, true, cand)
-		if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-			t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
-		}
-	}
+	})
 }
 
 // transposedBackwardShapes are the Figure-1 FC backward products the
@@ -83,12 +85,13 @@ var transposedBackwardShapes = []struct {
 }
 
 // TestTransposedGEMMBitwiseDeterminism pins MatMulT/TMatMul to one
-// reference output BITWISE at every worker count the training stack uses
-// and across every autotune candidate — the same contract the forward GEMM
-// and col2im carry: resizing the pool or re-tuning a bucket can never
-// perturb the backward passes. The reference is candidate 0 at one worker;
-// the public dispatcher is checked on top of the candidates, whatever
-// probe state its bucket is in.
+// reference output BITWISE at every worker count the training stack uses,
+// across every autotune candidate and under both strip kernels — the same
+// contract the forward GEMM and col2im carry: resizing the pool, re-tuning
+// a bucket or moving to another host can never perturb the backward passes.
+// The reference is the Go kernel's candidate 0 at one worker; the public
+// dispatcher is checked on top of the candidates, whatever probe state its
+// bucket is in.
 func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
 	for _, tc := range transposedBackwardShapes {
@@ -102,29 +105,34 @@ func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {
 			}
 			fillSeq(a, rng)
 			fillSeq(b, rng)
-			SetWorkers(1)
-			ref := New(tc.m, tc.n)
-			gemmV2(tc.v, ref.data, a.data, b.data, tc.m, tc.k, tc.n, false, tuneCandsT[0])
-			for _, w := range []int{1, 2, 3, 4, 8, 16} {
-				SetWorkers(w)
-				for ci, cand := range tuneCandsT {
+			var ref *Tensor
+			bothGemmKernels(t, func() {
+				if ref == nil {
+					SetWorkers(1)
+					ref = New(tc.m, tc.n)
+					gemmV2(tc.v, ref.data, a.data, b.data, tc.m, tc.k, tc.n, false, tuneCandsT[0])
+				}
+				for _, w := range []int{1, 2, 3, 4, 8, 16} {
+					SetWorkers(w)
+					for ci, cand := range tuneCandsT {
+						out := New(tc.m, tc.n)
+						gemmV2(tc.v, out.data, a.data, b.data, tc.m, tc.k, tc.n, false, cand)
+						if i, ok := bitwiseEqual(out, ref); !ok {
+							t.Fatalf("workers=%d candidate %d (%+v): differs from reference at index %d",
+								w, ci, cand, i)
+						}
+					}
 					out := New(tc.m, tc.n)
-					gemmV2(tc.v, out.data, a.data, b.data, tc.m, tc.k, tc.n, false, cand)
+					if tc.v == gemmNT {
+						MatMulTInto(out, a, b, false)
+					} else {
+						TMatMulInto(out, a, b, false)
+					}
 					if i, ok := bitwiseEqual(out, ref); !ok {
-						t.Fatalf("workers=%d candidate %d (%+v): differs from reference at index %d",
-							w, ci, cand, i)
+						t.Fatalf("workers=%d: dispatcher differs from reference at index %d", w, i)
 					}
 				}
-				out := New(tc.m, tc.n)
-				if tc.v == gemmNT {
-					MatMulTInto(out, a, b, false)
-				} else {
-					TMatMulInto(out, a, b, false)
-				}
-				if i, ok := bitwiseEqual(out, ref); !ok {
-					t.Fatalf("workers=%d: dispatcher differs from reference at index %d", w, i)
-				}
-			}
+			})
 		})
 	}
 }

@@ -138,14 +138,20 @@ func TestMatMulWorkerInvariance(t *testing.T) {
 	// and each worker owns disjoint output rows.
 	a := randTensor([]int{33, 47}, 9)
 	b := randTensor([]int{47, 29}, 10)
-	old := SetWorkers(1)
-	c1 := MatMul(a, b)
-	SetWorkers(4)
-	c4 := MatMul(a, b)
-	SetWorkers(old)
-	if d := MaxAbsDiff(c1, c4); d != 0 {
-		t.Errorf("worker-count dependent result: diff %g", d)
-	}
+	defer SetWorkers(SetWorkers(0))
+	var c1 *Tensor
+	bothGemmKernels(t, func() {
+		if c1 == nil {
+			SetWorkers(1)
+			c1 = MatMul(a, b)
+		}
+		for _, w := range []int{1, 4} {
+			SetWorkers(w)
+			if i, ok := bitwiseEqual(MatMul(a, b), c1); !ok {
+				t.Errorf("workers=%d: result differs from the Go kernel's at one worker at index %d", w, i)
+			}
+		}
+	})
 }
 
 func TestElementwiseOps(t *testing.T) {

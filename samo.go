@@ -38,14 +38,16 @@
 // kernels and differing only in packing: MatMulT transpose-packs B
 // panels, TMatMul transpose-packs A blocks. A tiny per-shape autotuner,
 // bucketed by (op variant, ceil-log2 shape), picks among the blocking
-// candidates — shared-pack panels at three aspect ratios, a pack-free
-// direct-B kernel for very small forward m, an mc row-blocked variant for
-// tall m, and two v3 strip kernels that pack panels in 8-wide k-major
-// column strips and sweep them with eight register accumulators per C row
-// — by timing the first few real calls on each bucket; every candidate
-// produces bitwise-identical output at every worker count, so the choice
-// can never perturb training. The tuner is the client of the autotuning
-// component described under "Autotuning" below.
+// candidates — a pack-free direct-B kernel for very small forward m and two
+// strip blockings that pack panels in 8-wide k-major column strips and
+// sweep them with a strip of C held in registers — by timing the first few
+// real calls on each bucket; every candidate produces bitwise-identical
+// output at every worker count, so the choice can never perturb training.
+// The tuner is the client of the autotuning component described under
+// "Autotuning" below. On amd64 hosts with AVX2 the strip sweep runs a
+// four-row vector micro-kernel, selected once at start-up from CPUID (see
+// GEMMKernel); it executes the Go kernel's float32 operations lane for
+// lane, unfused, so results do not depend on the host either.
 //
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
@@ -352,6 +354,11 @@ func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 // training runs on other goroutines; results do not depend on the worker
 // count (work partitioning is static and reductions are single-owner).
 func SetWorkers(n int) int { return tensor.SetWorkers(n) }
+
+// GEMMKernel names the dense GEMM micro-kernel this process selected at
+// start-up, "avx2" or "go". Results are bitwise-identical under both; the
+// cmds print it so step times can be compared knowing what produced them.
+func GEMMKernel() string { return tensor.GEMMKernel() }
 
 // SaveTuneTable persists the GEMM autotuner's per-shape blocking
 // decisions to a JSON file; LoadTuneTable pre-seeds them so a new process
