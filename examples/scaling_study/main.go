@@ -123,8 +123,8 @@ func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 	}
 
 	// Pin the sparse path for the measurement: the CSR kernels are what is
-	// timed, at any -sparsity — the density rule would run a model at or
-	// below 75% dense-masked. (The masked-dense model has no sparse layers;
+	// timed, at any -sparsity — the density rule would run a model below
+	// 50% sparsity dense-masked. (The masked-dense model has no sparse layers;
 	// the pin is a no-op for it.)
 	prevMode, err := samo.SetSparseCompute("sparse")
 	if err != nil {

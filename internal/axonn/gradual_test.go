@@ -12,6 +12,7 @@ import (
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/prune"
+	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -142,7 +143,7 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 // sparseMLPBuilder builds the test MLP with its Linears replaced by
 // first-class SparseLinear layers in auto mode, so the engine's prune events
 // exercise the in-place CSR pattern shrink and carry the layers across the
-// crossover's quarter-density line. A non-nil witness wraps every
+// crossover's half-density line. A non-nil witness wraps every
 // SparseLinear in a ruleWitness.
 func sparseMLPBuilder(seed uint64, sparsity float64, witness *pathLog) Builder {
 	return func() *nn.Model {
@@ -169,17 +170,18 @@ type pathLog struct {
 	csr map[string][]bool
 }
 
-// ruleWitness pins a SparseLinear, forward by forward, to the path the
-// density rule names for its current pattern — CSR iff 4·nnz < full — and
-// logs it: a run through witnesses is the reference an auto-mode run must
-// equal bitwise.
+// ruleWitness pins a SparseLinear, forward by forward, to the path
+// sparse.XoverDecide names for its current pattern and logs it: a run
+// through witnesses is the reference an auto-mode run must equal bitwise.
 type ruleWitness struct {
 	*nn.SparseLinear
 	log *pathLog
 }
 
 func (w ruleWitness) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	csr := 4*w.W.NNZ() < w.PatternFullLen()
+	n, full := w.W.NNZ(), w.PatternFullLen()
+	_, c, _ := sparse.XoverDecide(sparse.XoverOpForward, x.Dim(0), w.W.Cols, w.W.Rows, n, full)
+	csr := c == sparse.XoverSparse
 	w.Exec = nn.ExecDense
 	if csr {
 		w.Exec = nn.ExecSparse
@@ -194,8 +196,8 @@ func (w ruleWitness) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*te
 // SparseLinear pattern layers — CSR shrink, cached-transpose refresh, bucket
 // compaction of the rank-1 weight vectors — and pins overlap-on ≡
 // overlap-off ≡ the rule-pinned reference, in which every layer runs dense
-// before, and CSR from, the first event that leaves it with 4·nnz < full:
-// the ramp (0.3 → 0.8) crosses the line mid-run.
+// before, and CSR from, the first event that leaves it at least half
+// sparse: the ramp (0.3 → 0.8) crosses the line mid-run.
 func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 	pr := pruneMLP(67, 0.3)
 	// Two batches more than the schedule's six: steps that run at the final

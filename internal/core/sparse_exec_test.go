@@ -60,11 +60,15 @@ func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
 func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 	t.Setenv("SAMO_GEMM_TUNE", "off")
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
+	for _, tc := range []struct {
+		exec     nn.ExecMode
+		sparsity float64 // 50%: SDDMM reads x through the windowed kernel
+	}{{nn.ExecSparse, 0.9}, {nn.ExecSparse, 0.5}, {nn.ExecDense, 0.9}} {
+		exec := tc.exec
 		rng := tensor.NewRNG(19)
 		dense := nn.NewLinear("fc", 64, 48, rng)
 		pr := prune.MagnitudePerLayer(
-			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, 0.9)
+			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, tc.sparsity)
 		sl := nn.NewSparseLinear("fc", dense.W.Value, pr.Index("fc.weight"))
 		sl.Exec = exec
 		x := tensor.New(32, 64)
@@ -79,7 +83,7 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 			step()
 		}
 		if a := testing.AllocsPerRun(30, step); a != 0 {
-			t.Errorf("exec=%d: SparseLinear forward+backward allocates %.1f per step, want 0", exec, a)
+			t.Errorf("exec=%d sparsity=%g: SparseLinear forward+backward allocates %.1f per step, want 0", exec, tc.sparsity, a)
 		}
 	}
 }
@@ -87,7 +91,8 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 // TestSparseExecTrainStepDeterminism pins the acceptance contract on the
 // whole pruned-model training step: training is bitwise-identical — loss
 // bits and θ32 — at every worker count, with the CSR path pinned and in auto
-// mode (a 50%-sparse model, which the density rule runs dense-masked): every
+// mode (a 30%-sparse model, which the density rule runs dense-masked, and a
+// 50%-sparse one, which it runs CSR with the windowed SDDMM): every
 // sparse kernel accumulates in a fixed per-element order and the path is a
 // function of the pattern, so neither pool resizing nor timing can perturb
 // results.
@@ -100,6 +105,7 @@ func TestSparseExecTrainStepDeterminism(t *testing.T) {
 		workers  []int
 	}{
 		{"pinned sparse 90%", nn.ExecSparse, 0.9, []int{1, 2, 3, 4, 8, 16}},
+		{"auto 30%", nn.ExecAuto, 0.3, []int{1, 4}},
 		{"auto 50%", nn.ExecAuto, 0.5, []int{1, 4}},
 	} {
 		var refLoss []float64

@@ -22,20 +22,20 @@ import (
 //
 // The CSR products read their dense operand feature-major (xᵀ, dyᵀ): SpMMᵀ
 // runs lanes across the batch, so the forward transposes x into arena
-// scratch, keeps xᵀ for the backward SDDMM, and the backward's dyᵀ feeds both
-// the SDDMM and the input-gradient SpMMᵀ.
+// scratch, keeps xᵀ — and x itself — for the backward SDDMM, and the
+// backward's dyᵀ feeds both the SDDMM and the input-gradient SpMMᵀ. SDDMM
+// reads x batch-major on a pattern at least a quarter dense, xᵀ otherwise;
+// both give the same bits.
 //
 // Because sparse kernels only win past a density threshold (Hoefler et al.
 // 2021), each product asks the sparse/dense crossover (sparse.XoverDecide,
 // a rule over the pattern's density alone — so the path, and with it the
-// result bits, is a function of the layer, never of timing): a layer at or
-// below 75% sparsity runs a dense GEMM over a lazily materialized
-// masked-dense copy of the weight, while the weight gradient stays SDDMM on
-// either path (the dense-masked weight-gradient would materialize exactly
-// the pruned entries this layer exists to avoid). With the AVX2 CSR kernels
-// the measured crossing lies well below that line (the grid above
-// XoverDecide), which keeps it because moving it moves result bits. The
-// Exec field pins the choice per layer.
+// result bits, is a function of the layer, never of timing): a layer less
+// than 50% sparse runs a dense GEMM over a lazily materialized masked-dense
+// copy of the weight, while the weight gradient stays SDDMM on either path
+// (the dense-masked weight-gradient would materialize exactly the pruned
+// entries this layer exists to avoid). The Exec field pins the choice per
+// layer.
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
@@ -170,9 +170,10 @@ func Sparsify(m *Model, pr *prune.Result) *Model {
 	return out
 }
 
-// sparseLinearCache holds xᵀ (in, n): the backward SDDMM's operand, which
-// the CSR forward already built as its own.
-type sparseLinearCache struct{ xT *tensor.Tensor }
+// sparseLinearCache holds the backward SDDMM's operands: xᵀ (in, n), which
+// the CSR forward already built as its own, and the forward input x (n, in)
+// itself, which lives as long as the step's arena does.
+type sparseLinearCache struct{ x, xT *tensor.Tensor }
 
 var sparseLinearCaches parallel.Pool[sparseLinearCache]
 
@@ -245,7 +246,7 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 		return y, nil
 	}
 	c := sparseLinearCaches.Get()
-	c.xT = xT
+	c.x, c.xT = x, xT
 	return y, c
 }
 
@@ -256,12 +257,12 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*sparseLinearCache)
 	nb := gradOut.Dim(0)
-	// Weight gradient, always sampled at the pattern: SDDMM row-dots need
-	// both operands feature-major — xᵀ from the forward, dyᵀ transposed into
-	// arena scratch here, which the CSR input gradient reads as well.
+	// Weight gradient, always sampled at the pattern: SDDMM row-dots read
+	// dyᵀ, transposed into arena scratch here (the CSR input gradient reads
+	// it as well), against xᵀ or x from the forward.
 	dyT := a.Get(l.out, nb)
 	tensor.TransposeInto(dyT, gradOut)
-	l.W.SDDMMInto(l.Wv.Grad.Data(), dyT, c.xT, true)
+	l.W.SDDMMInto(l.Wv.Grad.Data(), dyT, c.xT, true, c.x)
 	tensor.SumRowsInto(l.B.Grad, gradOut, true)
 
 	dx := a.Get(nb, l.in)
@@ -278,7 +279,7 @@ func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tens
 		l.syncWt()
 		l.Wt.TSpMMTInto(dx, dyT)
 	}
-	c.xT = nil
+	c.x, c.xT = nil, nil
 	sparseLinearCaches.Put(c)
 	return dx
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/prune"
@@ -188,10 +189,10 @@ func TestSparsify(t *testing.T) {
 }
 
 // TestXoverIsPure pins the execution path of an auto-mode layer as a pure
-// function of its pattern: at every sparsity either side of the quarter-
-// density line and every batch height, a FRESH layer's forward output, dx
-// and Wv.Grad equal — bit for bit, from the first call — those of the
-// Exec-pinned path the rule names (CSR iff 4·nnz < full; exactly 75% runs
+// function of its pattern: on either side of the half-density line and at
+// every batch height, a FRESH layer's forward output, dx and Wv.Grad equal —
+// bit for bit, from the first call — those of the Exec-pinned path
+// sparse.XoverDecide names (exactly half the weights runs CSR, one more runs
 // dense), XoverDecide never asks for a probe, and the masked-dense copy is
 // gone after any sparse-path product.
 func TestXoverIsPure(t *testing.T) {
@@ -201,21 +202,23 @@ func TestXoverIsPure(t *testing.T) {
 		defer sparse.SetXover(prev)
 	}
 	const in, out, full = 32, 24, 32 * 24
-	for _, sparsity := range []float64{0.5, 0.75, 0.76, 0.9} {
+	// 0.4987 prunes 383 of 768: one nonzero more than half.
+	for _, sparsity := range []float64{0.3, 0.4987, 0.5, 0.75, 0.76, 0.9} {
 		for _, m := range []int{1, 8, 48} {
 			t.Run(fmt.Sprintf("sparsity=%g/m=%d", sparsity, m), func(t *testing.T) {
 				_, auto, _ := sparsePair(in, out, sparsity, 13)
 				_, pin, _ := sparsePair(in, out, sparsity, 13)
 				nnz := auto.W.NNZ()
-				if sparsity == 0.75 && 4*nnz != full {
-					t.Fatalf("75%% fixture stores %d of %d: not on the line", nnz, full)
+				if sparsity == 0.5 && nnz != full/2 || sparsity == 0.4987 && nnz != full/2+1 {
+					t.Fatalf("%g fixture stores %d of %d: not beside the line", sparsity, nnz, full)
 				}
-				want, wantExec := sparse.XoverDense, ExecDense
-				if 4*nnz < full {
-					want, wantExec = sparse.XoverSparse, ExecSparse
-				}
-				if wantSparse := sparsity > 0.75; wantSparse != (want == sparse.XoverSparse) {
+				_, want, _ := sparse.XoverDecide(sparse.XoverOpForward, m, in, out, nnz, full)
+				if wantSparse := sparsity >= 0.5; wantSparse != (want == sparse.XoverSparse) {
 					t.Fatalf("nnz %d of %d resolves %v", nnz, full, want)
+				}
+				wantExec := ExecDense
+				if want == sparse.XoverSparse {
+					wantExec = ExecSparse
 				}
 				pin.Exec = wantExec
 				x := tensor.New(m, in)
@@ -260,5 +263,68 @@ func TestXoverIsPure(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestXoverDenseSideLossHash keeps the dense-masked side of the crossover
+// under a loss-hash check, now that a 50%-sparse layer runs CSR: a
+// Sparsify'd MLP at 30% sparsity, whose every layer lies below the
+// half-density line, fits one batch in auto mode with the same loss bits,
+// step for step, from two fresh builds, and with those of the run with every
+// layer pinned ExecDense.
+func TestXoverDenseSideLossHash(t *testing.T) {
+	if prev, err := sparse.SetXover("auto"); err != nil {
+		t.Fatal(err)
+	} else {
+		defer sparse.SetXover(prev)
+	}
+	const batch, in, classes = 24, 48, 10
+	train := func(exec ExecMode) []uint64 {
+		rng := tensor.NewRNG(31)
+		m := BuildMLP("mlp", []int{in, 64, 64, classes}, rng)
+		var layers []prune.Layer
+		for _, e := range m.PruneLayers() {
+			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+		}
+		sm := Sparsify(m, prune.MagnitudePerLayer(layers, 0.3))
+		for _, l := range sm.Layers {
+			if sl, ok := l.(*SparseLinear); ok {
+				if _, c, _ := sparse.XoverDecide(sparse.XoverOpForward, batch, sl.in, sl.out, sl.W.NNZ(), sl.PatternFullLen()); c != sparse.XoverDense {
+					t.Fatalf("%s at 30%% sparsity resolves %v, want dense", sl.Wv.Name, c)
+				}
+				sl.Exec = exec
+			}
+		}
+		x := tensor.New(batch, in)
+		tensor.FillNormal(x, 1, rng)
+		targets := make([]int, batch)
+		for i := range targets {
+			targets[i] = i % classes
+		}
+		var losses []uint64
+		for step := 0; step < 6; step++ {
+			sm.ZeroGrads()
+			logits, caches := sm.Forward(x, true)
+			loss, g := CrossEntropy(logits, targets)
+			sm.Backward(caches, g, GradHook{})
+			for _, p := range sm.Params() {
+				v, g := p.Value.Data(), p.Grad.Data()
+				for i := range v {
+					v[i] -= 0.05 * g[i]
+				}
+			}
+			losses = append(losses, math.Float64bits(loss))
+		}
+		return losses
+	}
+	first := train(ExecAuto)
+	if again := train(ExecAuto); !slices.Equal(again, first) {
+		t.Fatalf("auto-mode loss bits %x, then %x from a fresh build", first, again)
+	}
+	if pinned := train(ExecDense); !slices.Equal(pinned, first) {
+		t.Fatalf("auto-mode loss bits %x, ExecDense-pinned %x", first, pinned)
+	}
+	if math.Float64frombits(first[len(first)-1]) >= math.Float64frombits(first[0]) {
+		t.Fatalf("loss did not fall: %v → %v", math.Float64frombits(first[0]), math.Float64frombits(first[len(first)-1]))
 	}
 }

@@ -287,8 +287,8 @@ func gated(m *nn.Model) *gate {
 // the m ∈ {1,2,3} products that used to take a different kernel; the CNN
 // covers the A·Bᵀ products and both small-shape kernels; the Sparsify'd MLP
 // covers CSR and dense-masked execution, each pinned, and the auto rule
-// either side of its line (50% runs dense, 90% CSR — in every bucket, since
-// the rule does not read the batch height).
+// either side of its line (30% runs dense, 50% and 90% CSR — in every
+// bucket, since the rule does not read the batch height).
 func TestServeBucketInvariant(t *testing.T) {
 	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
 	sparsified := func(xover string, sparsity float64) fixture {
@@ -309,6 +309,7 @@ func TestServeBucketInvariant(t *testing.T) {
 		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
 		{"sparsified/sparse", sparsified("sparse", 0.9)},
 		{"sparsified/dense", sparsified("dense", 0.9)},
+		{"sparsified/auto30", sparsified("auto", 0.3)},
 		{"sparsified/auto50", sparsified("auto", 0.5)},
 		{"sparsified/auto90", sparsified("auto", 0.9)},
 	} {

@@ -41,7 +41,7 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 }
 
 // TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMTInto
-// against the pattern and its cached transpose, SDDMMInto and the
+// against the pattern and its cached transpose, SDDMMInto (both kernels) and the
 // cached-transpose Gather refresh — at zero steady-state allocations: since
 // PR 5 they sit on the pruned FC layers' per-microbatch hot path, under the
 // same contract as the dense GEMM family (pooled jobs, caller buffers).
@@ -76,6 +76,12 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, func() { w.SDDMMInto(grad, dyT, xT, true) }); a != 0 {
 		t.Errorf("SDDMMInto allocates %.1f per call, want 0", a)
+	}
+	half, _ := randMaskedCSR(128, 96, 0.5, 8) // SDDMM from x: the windowed kernel
+	halfGrad := make([]float32, half.NNZ())
+	half.SDDMMInto(halfGrad, dyT, xT, true, x)
+	if a := testing.AllocsPerRun(50, func() { half.SDDMMInto(halfGrad, dyT, xT, true, x) }); a != 0 {
+		t.Errorf("windowed SDDMMInto allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() { Gather(wt.Val, w.Val, perm) }); a != 0 {
 		t.Errorf("Gather allocates %.1f per call, want 0", a)

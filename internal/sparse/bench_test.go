@@ -15,7 +15,10 @@ import (
 // vectorised the two are level at 50% and CSR wins from 75% (2 vCPUs:
 // 0.9–1.0× at 50%, 1.4× at 75%, 2.0–2.5× at 90%, 2.0–2.9× at 95%, 2.6–3.2×
 // at 99%); scripts/bench.sh gates the ≥ 90% points at MIN_SPMM_SPEEDUP and
-// records the full matrix in BENCH_kernels.json.
+// records the full matrix in BENCH_kernels.json. This is one product at the
+// largest batch: the crossover's line (CSR from 50% sparsity) follows the
+// whole training step, where at batch 48 CSR wins from 30% (the grid above
+// XoverDecide).
 func BenchmarkSpMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{256, 512} {
@@ -42,7 +45,9 @@ func BenchmarkSpMM(b *testing.B) {
 // dense product it replaces (2 vCPUs: 2.0× at 90%). The dense loop is the
 // bare GEMM — the masked-dense training path additionally owes a compress
 // over the result, so the recorded ratio understates the sparse kernel's
-// end-to-end edge.
+// end-to-end edge. At 50% density it also times the two SDDMM kernels
+// against each other: gathered (from the feature-major xᵀ) and windowed
+// (handed the batch-major x as well), which give the same bits.
 func BenchmarkSDDMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{256, 512} {
@@ -60,6 +65,19 @@ func BenchmarkSDDMM(b *testing.B) {
 		b.Run(fmt.Sprintf("sparse/%d", dim), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w.SDDMMInto(grad, dyT, xT, false)
+			}
+		})
+		half, _ := randMaskedCSR(dim, dim, 0.5, uint64(dim)+8)
+		x := tensor.Transpose(xT)
+		halfGrad := make([]float32, half.NNZ())
+		b.Run(fmt.Sprintf("gather/%dx0.50", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				half.SDDMMInto(halfGrad, dyT, xT, false)
+			}
+		})
+		b.Run(fmt.Sprintf("window/%dx0.50", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				half.SDDMMInto(halfGrad, dyT, xT, false, x)
 			}
 		})
 	}

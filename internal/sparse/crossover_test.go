@@ -3,7 +3,8 @@ package sparse
 import "testing"
 
 // TestXoverRule pins the crossover as a function of (nnz, full) alone: CSR
-// iff 4·nnz < full, the line itself (exactly 75% sparse) dense, the same
+// iff 2·nnz ≤ full, the line itself (exactly 50% sparse) CSR, one nonzero
+// more dense, the same
 // answer for every op and product shape, an immutable entry that reports it,
 // and never a probe.
 func TestXoverRule(t *testing.T) {
@@ -19,10 +20,11 @@ func TestXoverRule(t *testing.T) {
 	}{
 		{1, XoverSparse},
 		{full / 10, XoverSparse},
-		{full/4 - 1, XoverSparse},
-		{full / 4, XoverDense},
-		{full/4 + 1, XoverDense},
-		{full / 2, XoverDense},
+		{full / 4, XoverSparse},
+		{full/2 - 1, XoverSparse},
+		{full / 2, XoverSparse},
+		{full/2 + 1, XoverDense},
+		{full * 3 / 4, XoverDense},
 		{full, XoverDense},
 	} {
 		for _, op := range []XoverOp{XoverOpForward, XoverOpBackward} {

@@ -21,3 +21,11 @@ func spmmtCols8AVX2(c *float32, ldc int, bt *float32, ldb, k int, val []float32,
 //
 //go:noescape
 func sddmmLanes16AVX2(out *[16]float32, a *float32, b *float32, idx *[16]int32, k int)
+
+// Implemented in csr_amd64.s: two S rows' dots against a 32-column window
+// of the batch-major operand, out[r·32+l] = Σ_b a[r·lda+b]·x[b·ldx+l] for b
+// in [0, k). The caller has cut a's two rows and x's k window rows from
+// inside their slices; lda = 0 computes one row twice.
+//
+//go:noescape
+func sddmmWin32AVX2(out *[64]float32, a *float32, lda int, x *float32, ldx, k int)

@@ -206,3 +206,69 @@ storeSD:
 	VMOVUPS Y1, 32(DI)
 	VZEROUPPER
 	RET
+
+// SDDMM, windowed: one call computes two S rows' dots against a 32-column
+// window of the batch-major operand, lane l of row r being
+// Σ_b a[r·lda + b]·x[b·ldx + l] for b in [0, k) — the same chain as the
+// gathered kernel's, summed in b order from +0, so the two give the same
+// bits. Per batch row: two broadcasts of a, four contiguous loads of x
+// shared by both rows, eight products into eight YMM accumulators. No
+// gather, no index: the caller has cut the window from inside x, and
+// lda = 0 runs one row twice.
+
+// MAC2(xr, acc0, acc1) adds Y12·xr into acc0 and Y13·xr into acc1.
+#define MAC2(xr, acc0, acc1) \
+	VMULPS xr, Y12, Y14 \
+	VADDPS Y14, acc0, acc0 \
+	VMULPS xr, Y13, Y15 \
+	VADDPS Y15, acc1, acc1
+
+// func sddmmWin32AVX2(out *[64]float32, a *float32, lda int, x *float32, ldx, k int)
+TEXT ·sddmmWin32AVX2(SB), NOSPLIT, $0-48
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   lda+16(FP), DX
+	MOVQ   x+24(FP), BX
+	MOVQ   ldx+32(FP), R8
+	MOVQ   k+40(FP), CX
+	LEAQ   (SI)(DX*4), DX
+	SHLQ   $2, R8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JEQ    storeWin
+
+loopWin:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VMOVUPS      64(BX), Y10
+	VMOVUPS      96(BX), Y11
+	VBROADCASTSS (SI), Y12
+	VBROADCASTSS (DX), Y13
+	MAC2(Y8, Y0, Y4)
+	MAC2(Y9, Y1, Y5)
+	MAC2(Y10, Y2, Y6)
+	MAC2(Y11, Y3, Y7)
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	ADDQ         R8, BX
+	DECQ         CX
+	JNZ          loopWin
+
+storeWin:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET

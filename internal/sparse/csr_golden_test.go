@@ -37,7 +37,9 @@ func randDense(rows, cols int, seed uint64) *tensor.Tensor {
 
 // TestSDDMMGolden pins SDDMMInto against the dense reference: out values
 // must equal (A·Bᵀ) sampled at the mask pattern, overwriting a dirty
-// buffer, under both kernels.
+// buffer, under both kernels — and, handed the batch-major Bᵀ as well, bit
+// for bit the same values (the windowed kernel on the patterns at least a
+// quarter dense and 32 columns wide).
 func TestSDDMMGolden(t *testing.T) {
 	for _, s := range [][3]int{{7, 9, 5}, {64, 48, 32}, {130, 65, 3}, {33, 129, 17}} {
 		rows, cols, k := s[0], s[1], s[2]
@@ -47,6 +49,7 @@ func TestSDDMMGolden(t *testing.T) {
 				a := randDense(rows, k, uint64(rows))
 				b := randDense(cols, k, uint64(cols))
 				want := tensor.MatMulT(a, b) // (rows, cols) dense A·Bᵀ
+				bT := tensor.Transpose(b)
 				bothSparseKernels(t, func() {
 					vals := make([]float32, m.NNZ())
 					for p := range vals {
@@ -61,12 +64,18 @@ func TestSDDMMGolden(t *testing.T) {
 							}
 						}
 					}
-					// The accumulating form adds the same product on top.
 					once := append([]float32(nil), vals...)
+					win := make([]float32, m.NNZ())
+					m.SDDMMInto(win, a, b, false, bT)
+					if i, ok := bitwiseEqualSlice(win, once); !ok {
+						t.Fatalf("SDDMMInto from Bᵀ (windowed=%v) differs at %d", m.sddmmWindowed(k), i)
+					}
+					// The accumulating form adds the same product on top.
 					m.SDDMMInto(vals, a, b, true)
+					m.SDDMMInto(win, a, b, true, bT)
 					for p, v := range once {
-						if vals[p] != 2*v {
-							t.Fatalf("SDDMMInto(acc) at %d: %g want %g", p, vals[p], 2*v)
+						if vals[p] != 2*v || win[p] != 2*v {
+							t.Fatalf("SDDMMInto(acc) at %d: %g and %g from Bᵀ, want %g", p, vals[p], win[p], 2*v)
 						}
 					}
 				})

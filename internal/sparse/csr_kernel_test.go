@@ -111,8 +111,11 @@ func TestCSRVectorKernelsMatchGo(t *testing.T) {
 		for _, s := range []struct {
 			rows, cols int
 			density    float64
-		}{{37, 29, 0.3}, {9, 70, 0.9}, {16, 12, 0}} {
+		}{{37, 29, 0.3}, {9, 70, 0.9}, {16, 12, 0}, {33, 100, 0.6}, {10, 64, 0.2}, {7, 32, 1}, {4, 40, 0}} {
 			m := kernelCSR(s.rows, s.cols, s.density, special, rng)
+			if s.rows == 33 {
+				reverseRows(m) // the windowed SDDMM revisits windows of an unsorted row
+			}
 			for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 48, 57, 576} {
 				name := fmt.Sprintf("special=%v %dx%d nnz=%d n=%d", special, s.rows, s.cols, m.NNZ(), n)
 				bt := unaligned(s.cols, n, 3, special, rng) // Bᵀ (k, n)
@@ -132,17 +135,34 @@ func TestCSRVectorKernelsMatchGo(t *testing.T) {
 
 				a := unaligned(s.rows, n, 7, special, rng) // SDDMM: k is the batch
 				bs := unaligned(s.cols, n, 1, special, rng)
+				bsT := unaligned(n, s.cols, 5, false, rng) // the batch-major operand
+				tensor.TransposeInto(bsT, bs)
 				seed := unaligned(1, m.NNZ(), 3, special, rng).Data()
 				for _, accumulate := range []bool{false, true} {
-					sddmm := func(vec bool) []float32 {
+					sddmm := func(vec bool, bT ...*tensor.Tensor) []float32 {
 						csrVector = vec
 						out := append(make([]float32, 1, 1+len(seed)), seed...)[1:]
-						m.SDDMMInto(out, a, bs, accumulate)
+						m.SDDMMInto(out, a, bs, accumulate, bT...)
 						return out
 					}
-					check(fmt.Sprintf("%s SDDMMInto accumulate=%v", name, accumulate), sddmm(true), sddmm(false))
+					what := fmt.Sprintf("%s SDDMMInto accumulate=%v", name, accumulate)
+					want := sddmm(false)
+					check(what+" gathered", sddmm(true), want)
+					check(fmt.Sprintf("%s windowed=%v", what, m.sddmmWindowed(n)), sddmm(true, bsT), want)
 				}
 			}
+		}
+	}
+}
+
+// reverseRows reverses the stored order of every row's nonzeros: a valid
+// CSR whose columns fall within a row.
+func reverseRows(m *CSR) {
+	for i := 0; i < m.Rows; i++ {
+		c, v := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+		for l, r := 0, len(c)-1; l < r; l, r = l+1, r-1 {
+			c[l], c[r] = c[r], c[l]
+			v[l], v[r] = v[r], v[l]
 		}
 	}
 }
@@ -161,6 +181,13 @@ func TestCSRKernelsRejectBadColumn(t *testing.T) {
 			{"TSpMMTInto", func() { m.TSpMMTInto(tensor.New(16, 2), tensor.New(4, 16)) }},
 			{"SpMMTInto", func() { m.SpMMTInto(tensor.New(16, 2), tensor.New(16, 4)) }},
 			{"SDDMMInto", func() { m.SDDMMInto(make([]float32, 2), tensor.New(2, 16), tensor.New(4, 16), false) }},
+			{"SDDMMInto windowed", func() {
+				w := windowCSR(bad * 8) // 4 → 32 = Cols, -1 → -8
+				if csrVector && !w.sddmmWindowed(16) {
+					t.Fatal("fixture does not take the windowed kernel")
+				}
+				w.SDDMMInto(make([]float32, w.NNZ()), tensor.New(2, 16), tensor.New(32, 16), false, tensor.New(16, 32))
+			}},
 		} {
 			bothSparseKernels(t, func() {
 				defer func() {
@@ -172,4 +199,16 @@ func TestCSRKernelsRejectBadColumn(t *testing.T) {
 			})
 		}
 	}
+}
+
+// windowCSR is a 2×32 pattern dense enough for the windowed SDDMM: row 0
+// full, row 1 holding column 0 and then bad.
+func windowCSR(bad int32) *CSR {
+	m := &CSR{Rows: 2, Cols: 32, RowPtr: []int32{0, 32, 34}}
+	for j := int32(0); j < 32; j++ {
+		m.ColIdx = append(m.ColIdx, j)
+	}
+	m.ColIdx = append(m.ColIdx, 0, bad)
+	m.Val = make([]float32, len(m.ColIdx))
+	return m
 }

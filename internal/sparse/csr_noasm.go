@@ -20,3 +20,7 @@ func spmmtCols8AVX2(c *float32, ldc int, bt *float32, ldb, k int, val []float32,
 func sddmmLanes16AVX2(out *[16]float32, a *float32, b *float32, idx *[16]int32, k int) {
 	panic("sparse: vector CSR kernel called on a build without one")
 }
+
+func sddmmWin32AVX2(out *[64]float32, a *float32, lda int, x *float32, ldx, k int) {
+	panic("sparse: vector CSR kernel called on a build without one")
+}

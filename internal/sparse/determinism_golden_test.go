@@ -26,11 +26,13 @@ func bitwiseEqualSlice(a, b []float32) (int, bool) {
 // SDDMMInto and the transposed SpMMTInto on both a primary pattern and its
 // cached Transpose() — to one reference output BITWISE at every worker
 // count the training stack uses, on the paper's pruned FC shapes (batch 576,
-// square weights at 90% and 99% sparsity plus a rectangular layer), under
-// both kernels, from the sample-major and the feature-major operand. Every
-// output element has a single owning worker and a fixed accumulation order
-// (the CSR's p order), so resizing the pool can never perturb sparse
-// training — the same contract the GEMM family and Col2Im carry.
+// square weights at 90% and 99% sparsity plus a rectangular layer, and at
+// 50% and 70%, where SDDMM from the batch-major operand runs the windowed
+// kernel), under both kernels, from the sample-major and the feature-major
+// operand. Every output element has a single owning worker and a fixed
+// accumulation order (the CSR's p order), so resizing the pool can never
+// perturb sparse training — the same contract the GEMM family and Col2Im
+// carry.
 func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	const batch = 576
@@ -42,6 +44,8 @@ func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 		{256, 256, 0.9},
 		{128, 256, 0.9},
 		{256, 256, 0.99},
+		{256, 256, 0.5},
+		{128, 256, 0.7},
 	} {
 		t.Run(fmt.Sprintf("%dx%d/s%.2f", s.out, s.in, s.sparsity), func(t *testing.T) {
 			seed := uint64(s.out*1000 + s.in)
@@ -79,12 +83,14 @@ func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 					if i, ok := bitwiseEqualSlice(outDx.Data(), refDx.Data()); !ok {
 						t.Fatalf("workers=%d: SpMMT (transpose/input-grad) differs at %d", workers, i)
 					}
-					for i := range outSDDMM {
-						outSDDMM[i] = 42
-					}
-					w.SDDMMInto(outSDDMM, dyT, xT, false)
-					if i, ok := bitwiseEqualSlice(outSDDMM, refSDDMM); !ok {
-						t.Fatalf("workers=%d: SDDMM differs from reference at %d", workers, i)
+					for _, bT := range [][]*tensor.Tensor{nil, {x}} {
+						for i := range outSDDMM {
+							outSDDMM[i] = 42
+						}
+						w.SDDMMInto(outSDDMM, dyT, xT, false, bT...)
+						if i, ok := bitwiseEqualSlice(outSDDMM, refSDDMM); !ok {
+							t.Fatalf("workers=%d: SDDMM (batch-major operand %v) differs from reference at %d", workers, bT != nil, i)
+						}
 					}
 				}
 			})

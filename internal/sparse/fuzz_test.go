@@ -94,7 +94,9 @@ func FuzzSpMMTInto(f *testing.F) {
 }
 
 // FuzzSDDMMInto checks the sampled product against (A·Bᵀ) restricted to the
-// pattern, in both overwrite and accumulate forms.
+// pattern, in both overwrite and accumulate forms, and pins SDDMMInto handed
+// the batch-major Bᵀ too (the windowed kernel, on a pattern at least a
+// quarter dense and 32 columns wide) to the same bits.
 func FuzzSDDMMInto(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint8(128), uint64(1), false)
 	f.Add(uint16(8), uint16(0), uint16(8), uint8(128), uint64(2), true)  // k... cols=0
@@ -103,14 +105,17 @@ func FuzzSDDMMInto(f *testing.F) {
 	f.Add(uint16(9), uint16(7), uint16(3), uint8(255), uint64(5), false)
 	f.Add(uint16(64), uint16(48), uint16(32), uint8(25), uint64(6), true)
 	f.Add(uint16(130), uint16(65), uint16(17), uint8(12), uint64(7), false)
-	f.Add(uint16(130), uint16(65), uint16(17), uint8(0), uint64(8), true) // empty pattern, many rows
-	f.Add(uint16(0), uint16(0), uint16(0), uint8(0), uint64(9), false)    // empty pattern, empty dims
+	f.Add(uint16(130), uint16(65), uint16(17), uint8(0), uint64(8), true)    // empty pattern, many rows
+	f.Add(uint16(0), uint16(0), uint16(0), uint8(0), uint64(9), false)       // empty pattern, empty dims
+	f.Add(uint16(41), uint16(100), uint16(33), uint8(128), uint64(10), true) // windowed: half dense, ragged last window
+	f.Add(uint16(3), uint16(32), uint16(1), uint8(200), uint64(11), false)   // windowed: one window, k = 1
 	f.Fuzz(func(t *testing.T, rr, cr, kr uint16, density uint8, seed uint64, accumulate bool) {
 		rows, cols, k := int(rr%144), int(cr%144), int(kr%48)
 		m, _ := fuzzCSR(rows, cols, density, seed)
 		a := randDense(rows, k, seed+1)
 		b := randDense(cols, k, seed+2)
 		dense := tensor.MatMulT(a, b) // (rows, cols)
+		bT := tensor.Transpose(b)
 
 		want := make([]float32, m.NNZ())
 		got := make([]float32, m.NNZ())
@@ -144,6 +149,12 @@ func FuzzSDDMMInto(f *testing.F) {
 				m.SDDMMInto(got, a, b, accumulate)
 				if i, ok := bitwiseEqualSlice(got, ref); !ok {
 					t.Fatalf("workers=%d: SDDMMInto differs from the Go chains' 1-worker result at %d", w, i)
+				}
+				copy(got, seedVals)
+				m.SDDMMInto(got, a, b, accumulate, bT)
+				if i, ok := bitwiseEqualSlice(got, ref); !ok {
+					t.Fatalf("workers=%d: SDDMMInto from Bᵀ (windowed=%v) differs from the Go chains' 1-worker result at %d",
+						w, m.sddmmWindowed(k), i)
 				}
 			}
 		})

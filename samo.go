@@ -78,20 +78,21 @@
 // CSR kernels run vector lanes where no sparsity structure is needed: the
 // SpMM holds one sparse row's outputs for 48 batch rows in YMM
 // accumulators and reads the dense operand feature-major, and SDDMM runs
-// sixteen of a row's nonzeros as gathered side-by-side chains. Each lane is
-// one output executing the Go kernel's float32 sequence, unfused, so the
-// bits do not depend on the host.
+// sixteen of a row's nonzeros as gathered side-by-side chains — or, on a
+// pattern at least a quarter dense, forms two rows' dots against a
+// 32-column window of the batch-major input with contiguous loads. Each
+// lane is one output executing the Go kernel's float32 sequence, unfused,
+// so the bits do not depend on the host or on which kernel ran.
 //
-// Because sparse kernels only win past a density threshold, a layer runs
-// its CSR kernels iff its pattern stores less than a quarter of the dense
-// weight (4·nnz < full, i.e. above 75% sparsity) and otherwise falls back
-// to the dense GEMM over a masked-dense copy. The quarter was where
-// dense-masked and CSR step times crossed with scalar kernels on both sides
-// (dense ÷ CSR 0.85–1.12 at 75%); with both sides vectorised CSR wins from
-// far lower densities (the grid is in the comment above
-// sparse.XoverDecide), and the line stays where it is because moving it
-// moves the result bits of every layer it passes. It is a rule over the
-// pattern, not a timing: the two paths sum in different orders, so a
+// The paper's Figure 1 argument — sparse compute loses to dense at deep
+// learning's sparsities, so SAMO compresses storage but computes dense —
+// does not hold for this repository's CPU kernels: a CSR training step beats
+// the dense-masked one from about 30% sparsity at batch 48 (the grid above
+// sparse.XoverDecide). A layer therefore runs its CSR kernels iff its
+// pattern stores at most half the dense weight (2·nnz ≤ full, i.e. at least
+// 50% sparse) and otherwise falls back to the dense GEMM over a
+// masked-dense copy. It is a rule over the pattern, not a timing, and the
+// same line on every host: the two paths sum in different orders, so a
 // measured choice would let the wall clock decide result bits.
 // SetSparseCompute pins one path process-wide; scripts/bench.sh gates the
 // ≥90%-sparsity points of the BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
@@ -457,7 +458,7 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 // Sparsify replaces every pruned Linear layer of a model with a
 // first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
 // forward, SDDMM weight gradient restricted to the surviving pattern, and
-// a density rule that falls back to the masked-dense GEMM at or below 75%
+// a density rule that falls back to the masked-dense GEMM below 50%
 // sparsity (see "Sparse execution").
 // Unconverted layers are shared with the original model — train one model
 // or the other, not both.
@@ -465,10 +466,11 @@ func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
 
 // SetSparseCompute pins every sparse-layer execution decision to "sparse"
 // or "dense", or restores the density rule with "auto" (the initial mode:
-// CSR iff a layer's pattern is more than 75% sparse), returning the previous
-// mode. Every mode's numerics are machine-independent; a pin measures one
-// path, or runs CSR below the line, where on AVX2 hosts CSR is the faster
-// path (the grid above sparse.XoverDecide).
+// CSR iff a layer's pattern is at least 50% sparse), returning the previous
+// mode. Every mode's numerics are machine-independent. A pin measures one
+// path, or runs CSR below the line: on AVX2 hosts CSR still wins a step
+// at batch 48 from about 30% sparsity (the grid above sparse.XoverDecide),
+// which contradicts the paper's Figure 1 conclusion for these CPU kernels.
 func SetSparseCompute(mode string) (prev string, err error) { return sparse.SetXover(mode) }
 
 // EarlyBird is the convergence-tested pruning algorithm the paper uses
