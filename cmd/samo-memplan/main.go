@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 
-	samo "github.com/sparse-dl/samo"
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/hw"
 	"github.com/sparse-dl/samo/internal/simulate"
@@ -31,12 +30,6 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// Persist any GEMM autotuner decisions this process probed before it
-	// exits, like the other cmds — the debounced background saver cannot
-	// be relied on in a short-lived command (see samo.FlushTuneTable).
-	// Today memplan's analytic pipeline runs no GEMMs, so this is a free
-	// no-op; it keeps the exit contract uniform if a future planner does.
-	defer func() { _ = samo.FlushTuneTable() }()
 	fs := flag.NewFlagSet("samo-memplan", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.

@@ -44,9 +44,6 @@ func main() {
 // run is the testable body of the command: flags parse from args, output
 // goes to out, and failures return instead of exiting the process.
 func run(args []string, out io.Writer) error {
-	// The serve engine's Close flushes the GEMM autotuner's table, but every
-	// error exit path should too — same contract as the other cmds.
-	defer func() { _ = samo.FlushTuneTable() }()
 	fs := flag.NewFlagSet("samo-serve", flag.ContinueOnError)
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.

@@ -13,7 +13,6 @@ import (
 // forward-only state, concurrent serving — and relies on run's own bitwise
 // verification against the offline forward.
 func TestSmokeMLP(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-model", "mlp", "-hidden", "16",
 		"-requests", "12", "-concurrency", "4", "-max-batch", "4",
@@ -28,7 +27,6 @@ func TestSmokeMLP(t *testing.T) {
 
 // TestSmokeGPTSAMO exercises the compressed-checkpoint handoff.
 func TestSmokeGPTSAMO(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "smoke", "-samo", "-hidden", "16",
 		"-requests", "8", "-concurrency", "2", "-max-batch", "2",
@@ -44,7 +42,6 @@ func TestSmokeGPTSAMO(t *testing.T) {
 // TestLoadtestReport checks the report lands where -out points, with the
 // fields the bench gate reads.
 func TestLoadtestReport(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
 	var out bytes.Buffer
 	err := run([]string{"-mode", "loadtest", "-model", "mlp", "-hidden", "16",
@@ -70,7 +67,6 @@ func TestLoadtestReport(t *testing.T) {
 
 // TestBadFlags pins the error paths: unknown mode, model and flag.
 func TestBadFlags(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off")
 	for _, args := range [][]string{
 		{"-mode", "nope"},
 		{"-model", "nope"},

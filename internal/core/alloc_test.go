@@ -15,13 +15,6 @@ import (
 // expansion — performs zero heap allocations. Everything runs on the
 // trainer's arena, the layer cache pools, and the kernel job free lists.
 func TestTrainStepZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, workers := range []int{1, 4} {
 		tensor.SetWorkers(workers)
@@ -55,13 +48,6 @@ func stateFor(m *nn.Model, mode Mode, sparsity float64) *ModelState {
 // the residual shortcut must all run on pooled/arena state. PR 1 left
 // closure dispatch on this path; this pins the closed gap.
 func TestCNNTrainStepZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	rng := tensor.NewRNG(21)
 	m := nn.BuildVGG("allocvgg", []int{8, -1, 16, -1}, 3, 8, 4, rng)
 	tr := NewTrainer(stateFor(m, SAMO, 0.75))
@@ -95,13 +81,6 @@ func TestCNNTrainStepZeroAlloc(t *testing.T) {
 // exercises the pool-dispatch path of the parallel col2im, not the inline
 // fallback.
 func TestConv2DForwardBackwardZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
 	rng := tensor.NewRNG(31)
 	conv := nn.NewConv2d("alloc-conv", tensor.ConvSpec{
@@ -115,35 +94,10 @@ func TestConv2DForwardBackwardZeroAlloc(t *testing.T) {
 		arena.Reset()
 	}
 	for i := 0; i < 3; i++ {
-		step() // warm arena free lists, cache pools, worker pool, autotuner
+		step() // warm arena free lists, cache pools, worker pool
 	}
 	if a := testing.AllocsPerRun(30, step); a != 0 {
 		t.Errorf("Conv2d forward+backward allocates %.1f per step, want 0", a)
-	}
-}
-
-// TestTunePersistenceRoundTripAllocFree pins the default-path autotune
-// persistence: decisions frozen during training save to SAMO_GEMM_TUNE's
-// path and load back, and neither the loaded table nor the save machinery
-// adds allocations to the training step.
-func TestTunePersistenceRoundTripAllocFree(t *testing.T) {
-	path := t.TempDir() + "/gemm_tune.json"
-	t.Setenv("SAMO_GEMM_TUNE", path)
-	_, ms, _ := buildTestSetup(SAMO, 0.75, 9)
-	tr := NewTrainer(ms)
-	x, targets := makeBatch(16, 8, 4, 8)
-	for i := 0; i < 60; i++ {
-		tr.TrainStep(x, targets) // enough calls for the hot buckets to freeze
-	}
-	if err := tensor.SaveTuneTable(path); err != nil {
-		t.Fatalf("SaveTuneTable(%s): %v", path, err)
-	}
-	tensor.ResetTuneTable()
-	if err := tensor.LoadTuneTable(path); err != nil {
-		t.Fatalf("LoadTuneTable(%s): %v", path, err)
-	}
-	if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
-		t.Errorf("TrainStep with reloaded tune table allocates %.1f per step, want 0", a)
 	}
 }
 
@@ -151,13 +105,6 @@ func TestTunePersistenceRoundTripAllocFree(t *testing.T) {
 // path: embedding lookup, attention (whose per-head fan-out used closure
 // dispatch before this PR), layer norm, GELU MLP and the LM head.
 func TestGPTTrainStepZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	rng := tensor.NewRNG(23)
 	cfg := nn.GPTConfig{Name: "alloc-gpt", Layers: 2, Hidden: 16, Heads: 2,
 		Seq: 8, Vocab: 32, BatchSize: 2}

@@ -9,7 +9,7 @@
 // inference forward of the sample ALONE, bit for bit — whatever shared its
 // batch, whatever bucket it rode in, whatever the traffic. Every forward
 // kernel computes an output row from that row's inputs alone, identically at
-// every batch height, worker count and GEMM autotuner candidate (the
+// every batch height, worker count and GEMM blocking (the
 // row-invariance contract stated above tensor's gemm), so the engine is free
 // to size each batch to what arrived. Two choices follow from the forward
 // costing the same per row at every height:
@@ -192,9 +192,8 @@ func (e *Engine) checkShape(x *tensor.Tensor) error {
 }
 
 // Close drains gracefully: admission stops (ErrClosed), every already-
-// queued request is served, the batching loop exits, and the GEMM
-// autotuner's table flushes to its persisted file so the next process
-// starts warm. Safe to call more than once.
+// queued request is served and the batching loop exits. It always returns
+// nil. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -206,7 +205,7 @@ func (e *Engine) Close() error {
 	close(e.queue)
 	e.mu.Unlock()
 	<-e.done
-	return tensor.FlushTuneTable()
+	return nil
 }
 
 // Stats returns a snapshot of the engine counters.

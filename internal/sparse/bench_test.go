@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSpMM is the sparse-vs-dense kernel matrix behind the
 // density-aware crossover: the FC forward product y = x·Wᵀ at the paper's
-// batch (576) computed by the autotuned dense GEMM over the masked-dense
+// batch (576) computed by the dense GEMM over the masked-dense
 // weight versus the transposed-CSR SpMM (SpMMTInto, its operand transpose
 // included), across the evaluation's sparsity range. With both kernels
 // vectorised the two are level at 50% and CSR wins from 75% (2 vCPUs:

@@ -7,16 +7,16 @@ import (
 )
 
 // FuzzMatMulInto drives every GEMM dispatch path — the saxpy small-shape
-// kernel, the direct-B and strip candidates, the latter under both strip
+// kernel, the direct-B and strip blockings, the latter under both strip
 // kernels (bothGemmKernels) — against the naive triple loop over
 // fuzzer-chosen shapes. Shapes are folded into ranges that cross the
-// dispatch boundaries (m around gemmMR and the v2 gate, k and n around the
-// kc/nc candidates and the 8-wide strip width), and every candidate's
-// output is additionally checked BITWISE against the Go kernel's candidate
-// 0: the autotuner may pick any of them on any host, so a divergence would
-// make tuning perturb training. Last, the row-invariance contract (see
+// dispatch boundaries (m around the rule's m = 2 line, gemmMR and the v2
+// gate, k and n around the kc/nc blockings and the 8-wide strip width), and
+// both blockings run at every m, each checked BITWISE against the Go
+// kernel's direct-B: the rule picks by m, so a divergence would let the
+// batch height perturb results. Last, the row-invariance contract (see
 // gemm): rows recomputed alone and in short blocks, through the dispatcher
-// and through every candidate, carry the full product's bits.
+// and through every blocking, carry the full product's bits.
 func FuzzMatMulInto(f *testing.F) {
 	// Seeded degenerate corpus: dispatch-gate boundaries, micro-kernel
 	// remainders, panel-boundary crossings, strip tails, empty dims.
@@ -24,12 +24,12 @@ func FuzzMatMulInto(f *testing.F) {
 	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: a lone remainder row
 	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // k below the v2 gate: saxpy
 	f.Add(uint16(4), uint16(16), uint16(16), uint64(4), false)   // exactly at the v2 gate
-	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // kc=128 boundary, nc remainder
+	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // nc=128 remainder
 	f.Add(uint16(8), uint16(257), uint16(129), uint64(6), true)  // kc=256 crossing
 	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // n below the v2 gate, odd k
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
 	f.Add(uint16(47), uint16(319), uint16(223), uint64(9), true) // max folded shape
-	f.Add(uint16(3), uint16(24), uint16(32), uint64(10), false)  // a served MLP batch of 3: v2 at m < gemmMR
+	f.Add(uint16(3), uint16(24), uint16(32), uint64(10), false)  // a served MLP batch of 3: strip at m < gemmMR
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
 		m, k, n := int(mr%48), int(kr%320), int(nr%224)
 		rng := NewRNG(seed | 1)
@@ -46,7 +46,7 @@ func FuzzMatMulInto(f *testing.F) {
 
 		var first *Tensor
 		bothGemmKernels(t, func() {
-			// 1. The public dispatcher, whatever path the autotuner is on.
+			// 1. The public dispatcher, whatever blocking the rule gives m.
 			got := cSeed.Clone()
 			MatMulInto(got, a, b, accumulate)
 			if d := MaxAbsDiff(got, want); d > tol(k) {
@@ -54,30 +54,30 @@ func FuzzMatMulInto(f *testing.F) {
 			}
 
 			if m == 0 || k == 0 || n == 0 {
-				return // candidate kernels are only reachable through dispatch for non-empty dims
+				return // the blockings are only reachable through dispatch for non-empty dims
 			}
-			// 2. Every autotune candidate, pinned to naive and bitwise to each other.
-			for ci, cand := range tuneCands {
+			// 2. Both blockings at this m, pinned to naive and bitwise to each other.
+			for _, bl := range ruleBlockings(gemmNN) {
 				out := cSeed.Clone()
-				gemmV2(gemmNN, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				gemmV2(gemmNN, out.data, a.data, b.data, m, k, n, accumulate, bl)
 				if d := MaxAbsDiff(out, want); d > tol(k) {
-					t.Fatalf("candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+					t.Fatalf("blocking %+v on %dx%dx%d differs from naive by %g", bl, m, k, n, d)
 				}
 				if first == nil {
 					first = out
 				} else if i, ok := bitwiseEqual(out, first); !ok {
-					t.Fatalf("candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
-						ci, cand, m, k, n, i)
+					t.Fatalf("blocking %+v on %dx%dx%d: not bitwise-equal to the Go kernel's direct-B at index %d",
+						bl, m, k, n, i)
 				}
 			}
-			// 3. Row invariance, of the dispatcher and of every candidate.
+			// 3. Row invariance, of the dispatcher and of both blockings.
 			lo, hi := rowWindow(m, seed)
 			checkRowInvariant(t, "MatMulInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
 				MatMulInto(out, a.Slice(lo, hi), b, accumulate)
 			})
-			for ci, cand := range tuneCands {
-				checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
-					gemmV2(gemmNN, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			for bi, bl := range ruleBlockings(gemmNN) {
+				checkRowInvariant(t, fmt.Sprintf("blocking %+v", bl), first, cSeed, rowHeights, lo, hi, bi, func(out *Tensor, lo, hi int) {
+					gemmV2(gemmNN, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, bl)
 				})
 			}
 		})
@@ -128,13 +128,12 @@ func checkRowInvariant(t *testing.T, what string, full, cSeed *Tensor, heights [
 }
 
 // FuzzMatMulTInto drives the C = A·Bᵀ dispatcher — the tiled small-shape
-// kernel and every transposed-variant strip candidate under both strip
-// kernels — against the naive triple loop over fuzzer-chosen shapes, with
-// the same dispatch-boundary folding as FuzzMatMulInto; every candidate's
-// output is additionally checked BITWISE against the Go kernel's candidate
-// 0 (the autotuner may pick any of them mid-training, on any host), and the
-// dispatcher and every candidate are held to the row-invariance contract
-// like the forward product's.
+// kernel and the strip blocking under both strip kernels — against the
+// naive triple loop over fuzzer-chosen shapes, with the same
+// dispatch-boundary folding as FuzzMatMulInto; the vector kernel's output
+// is additionally checked BITWISE against the Go kernel's (a host must not
+// change a bit), and the dispatcher and the blocking are held to the
+// row-invariance contract like the forward product's.
 func FuzzMatMulTInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -162,26 +161,26 @@ func FuzzMatMulTInto(f *testing.F) {
 			if m == 0 || k == 0 || n == 0 {
 				return
 			}
-			for ci, cand := range tuneCandsT {
+			for _, bl := range ruleBlockings(gemmNT) {
 				out := cSeed.Clone()
-				gemmV2(gemmNT, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				gemmV2(gemmNT, out.data, a.data, b.data, m, k, n, accumulate, bl)
 				if d := MaxAbsDiff(out, want); d > tol(k) {
-					t.Fatalf("NT candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+					t.Fatalf("NT blocking %+v on %dx%dx%d differs from naive by %g", bl, m, k, n, d)
 				}
 				if first == nil {
 					first = out
 				} else if i, ok := bitwiseEqual(out, first); !ok {
-					t.Fatalf("NT candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
-						ci, cand, m, k, n, i)
+					t.Fatalf("NT blocking %+v on %dx%dx%d: not bitwise-equal to the Go kernel's at index %d",
+						bl, m, k, n, i)
 				}
 			}
 			lo, hi := rowWindow(m, seed)
 			checkRowInvariant(t, "MatMulTInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
 				MatMulTInto(out, a.Slice(lo, hi), b, accumulate)
 			})
-			for ci, cand := range tuneCandsT {
-				checkRowInvariant(t, fmt.Sprintf("NT candidate %d", ci), first, cSeed, rowHeights, lo, hi, ci, func(out *Tensor, lo, hi int) {
-					gemmV2(gemmNT, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, cand)
+			for bi, bl := range ruleBlockings(gemmNT) {
+				checkRowInvariant(t, fmt.Sprintf("NT blocking %+v", bl), first, cSeed, rowHeights, lo, hi, bi, func(out *Tensor, lo, hi int) {
+					gemmV2(gemmNT, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, accumulate, bl)
 				})
 			}
 		})
@@ -217,17 +216,17 @@ func FuzzTMatMulInto(f *testing.F) {
 			if m == 0 || k == 0 || n == 0 {
 				return
 			}
-			for ci, cand := range tuneCandsT {
+			for _, bl := range ruleBlockings(gemmTN) {
 				out := cSeed.Clone()
-				gemmV2(gemmTN, out.data, a.data, b.data, m, k, n, accumulate, cand)
+				gemmV2(gemmTN, out.data, a.data, b.data, m, k, n, accumulate, bl)
 				if d := MaxAbsDiff(out, want); d > tol(k) {
-					t.Fatalf("TN candidate %d (%+v) on %dx%dx%d differs from naive by %g", ci, cand, m, k, n, d)
+					t.Fatalf("TN blocking %+v on %dx%dx%d differs from naive by %g", bl, m, k, n, d)
 				}
 				if first == nil {
 					first = out
 				} else if i, ok := bitwiseEqual(out, first); !ok {
-					t.Fatalf("TN candidate %d (%+v) on %dx%dx%d: not bitwise-equal to the Go kernel's candidate 0 at index %d",
-						ci, cand, m, k, n, i)
+					t.Fatalf("TN blocking %+v on %dx%dx%d: not bitwise-equal to the Go kernel's at index %d",
+						bl, m, k, n, i)
 				}
 			}
 		})
@@ -239,21 +238,21 @@ func FuzzTMatMulInto(f *testing.F) {
 // fallback below k,n=16 — and, for C = Aᵀ·B only, below m=4), micro-kernel
 // and strip-tail remainders,
 // panel-boundary crossings (both transpose-packs have per-panel state),
-// the row-block boundary (m past 256 splits the gemmTN Aᵀ pack at the
-// packBufCap/kc clamp for kc=512), and empty dims.
+// tall m, and empty dims. (The gemmTN row-block split, past m = 512, is
+// beyond the fold; TestGEMMTransposedCandidatesGolden covers it.)
 func seedTransposedCorpus(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint64(1), false)
 	f.Add(uint16(1), uint16(16), uint16(16), uint64(2), false)   // m=1: tiled remainder row
 	f.Add(uint16(3), uint16(15), uint16(17), uint64(3), true)    // k below the v2 gate: tiled
 	f.Add(uint16(4), uint16(16), uint16(16), uint64(4), false)   // exactly at the v2 gate
-	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // kc=128 boundary, nc remainder
+	f.Add(uint16(5), uint16(129), uint16(130), uint64(5), false) // nc=128 remainder
 	f.Add(uint16(8), uint16(257), uint16(129), uint64(6), true)  // kc=256 crossing
 	f.Add(uint16(7), uint16(300), uint16(9), uint64(7), false)   // n below the v2 gate (C = Aᵀ·B: one strip + 1-wide tail)
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
 	f.Add(uint16(3), uint16(24), uint16(32), uint64(13), false)   // a served batch of 3: v2 at m < gemmMR (C = A·Bᵀ)
 	f.Add(uint16(33), uint16(319), uint16(130), uint64(9), true)  // odd k: global pairwise tail
 	f.Add(uint16(150), uint16(300), uint16(40), uint64(10), true) // tall m, two remainder rows
-	f.Add(uint16(300), uint16(319), uint16(66), uint64(11), true) // m crosses the TN kc=512 mc clamp (256)
+	f.Add(uint16(300), uint16(319), uint16(66), uint64(11), true) // tallest folded m over two kc panels
 	f.Add(uint16(319), uint16(318), uint16(223), uint64(12), true)
 }
 

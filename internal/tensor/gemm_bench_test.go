@@ -4,23 +4,12 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/sparse-dl/samo/internal/autotune"
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// warmAutotune drives a dispatcher until the autotuner has frozen a
-// blocking for the (variant, shape) bucket, so the timed loop measures the
-// steady-state kernel rather than the probe phase.
-func warmAutotune(v gemmVariant, m, k, n int, call func()) {
-	e := tuneFor(v, m, k, n)
-	for i := 0; i < 4*len(tuneCandsFor(v))*autotune.ProbeRuns && e.Chosen() < 0; i++ {
-		call()
-	}
-}
-
 // BenchmarkGEMM times the dense kernel at the paper's Figure 1 FC shapes
 // (batch 576, square weights): "seed" is the saxpy kernel the repository
-// started with and "shared" the autotuned shared-pack pipeline that
+// started with and "shared" the shared-pack pipeline that
 // dispatch now uses. The seed/shared ratio is the kernel-path speedup
 // recorded in BENCH_kernels.json (scripts/bench.sh gates on it).
 func BenchmarkGEMM(b *testing.B) {
@@ -44,11 +33,7 @@ func BenchmarkGEMM(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmNN, batch, dim, dim, func() {
-				gemm(c.data, a.data, w.data, batch, dim, dim, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gemm(c.data, a.data, w.data, batch, dim, dim, false)
 			}
@@ -60,7 +45,7 @@ func BenchmarkGEMM(b *testing.B) {
 // BenchmarkMatMulT times the input-gradient product dX = G·Wᵀ at the
 // Figure-1 FC backward shapes (batch 576, square weights): "tiled" is the
 // PR-1 4×4 register-tile kernel the dispatcher used before the shared-pack
-// port, "shared" the autotuned v2/v3 pipeline it uses now. The
+// port, "shared" the v2/v3 pipeline it uses now. The
 // tiled/shared ratio is the MatMulT speedup matrix in BENCH_kernels.json,
 // gated by MIN_GEMM_SPEEDUP in scripts/bench.sh.
 func BenchmarkMatMulT(b *testing.B) {
@@ -84,11 +69,7 @@ func BenchmarkMatMulT(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmNT, batch, dim, dim, func() {
-				MatMulTInto(c, g, w, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulTInto(c, g, w, false)
 			}
@@ -120,11 +101,7 @@ func BenchmarkTMatMul(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			warmAutotune(gemmTN, dim, batch, dim, func() {
-				TMatMulInto(c, x, g, false)
-			})
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				TMatMulInto(c, x, g, false)
 			}

@@ -29,6 +29,17 @@ func bothGemmKernels(t *testing.T, f func()) {
 	f()
 }
 
+// ruleBlockings are the blockings gemmRule can run variant v at: both for
+// the forward product, the strip blocking alone for the transposed ones.
+// The goldens and fuzz targets run every one of them at every m, so the
+// rule's m line can never be what decides a bit.
+func ruleBlockings(v gemmVariant) []gemmBlocking {
+	if v == gemmNN {
+		return []gemmBlocking{gemmDirect, gemmStrip}
+	}
+	return []gemmBlocking{gemmStrip}
+}
+
 // sameBits is bitwise equality except that any NaN equals any NaN: when both
 // addends are NaN x86 keeps the first operand's payload, and which addend is
 // first is the compiler's choice in the Go kernel.
@@ -38,21 +49,23 @@ func sameBits(x, y float32) bool {
 
 // TestGEMMVectorKernelMatchesGo is the differential test of the AVX2 strip
 // micro-kernels against the Go kernel they replace, bit for bit, through the
-// three variants' shared sweep: one k panel of every length class (a lone k,
-// one pair, a pair and an odd tail, and both sides of the two kc blockings),
-// accumulators seeded from C and from zero, every m mod 4 (4-row tiles plus
-// 0–3 remainder rows, and m below a tile), every n mod 8 (whole strips plus
-// the scalar ragged tail), operands at addresses that are not 32-byte
-// aligned — once on ordinary values and once with signed zeros, subnormals,
-// infinities and overflowing magnitudes mixed in, where a flushed subnormal,
-// a lost zero sign or a fused rounding would show. (Worker counts are the
-// worker-sweep goldens' business; they run under both kernels too.)
+// three variants' shared sweep: k of every length class (a lone k, one pair,
+// a pair and an odd tail, both sides of one kc = 256 panel and two whole
+// panels), accumulators seeded from C and from zero, every m mod 4
+// (4-row tiles plus 0–3 remainder rows, and m below a tile), every n mod 8
+// (whole strips plus the scalar ragged tail), operands at addresses that are
+// not 32-byte aligned — once on ordinary values and once with signed zeros,
+// subnormals, infinities and overflowing magnitudes mixed in, where a
+// flushed subnormal, a lost zero sign or a fused rounding would show. Every
+// blocking the rule can pick runs under AVX2 against the Go kernel's first
+// one, so for the forward product the vector strip is also held to Go
+// direct-B. (Worker counts are the worker-sweep goldens' business; they run
+// under both kernels too.)
 func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 	if !gemmVector {
 		t.Skip("host has no AVX2: the Go strip kernel is the only kernel")
 	}
 	defer func() { gemmVector = true }()
-	cand := tuneCand{kc: 512, nc: 256, strip: true}
 	specials := []float32{
 		float32(math.Copysign(0, -1)), 0, 1e-40, -1e-42, math.SmallestNonzeroFloat32,
 		float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38, 1e-30,
@@ -76,19 +89,23 @@ func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 			for _, m := range []int{2, 4, 5, 6, 7, 11} {
 				for n := 16; n < 24; n++ {
 					for _, accumulate := range []bool{false, true} {
-						for v := gemmNN; v < gemmVariants; v++ {
+						for _, v := range []gemmVariant{gemmNN, gemmNT, gemmTN} {
 							a, b, cSeed := fill(m*k, 1, special), fill(k*n, 3, special), fill(m*n, 5, special)
-							run := func(vec bool) []float32 {
+							run := func(vec bool, bl gemmBlocking) []float32 {
 								gemmVector = vec
 								c := append(make([]float32, 5, 5+m*n), cSeed...)[5:]
-								gemmV2(v, c, a, b, m, k, n, accumulate, cand)
+								gemmV2(v, c, a, b, m, k, n, accumulate, bl)
 								return c
 							}
-							want, got := run(false), run(true)
-							for i := range want {
-								if !sameBits(got[i], want[i]) {
-									t.Fatalf("variant %d, %dx%dx%d, accumulate=%v, special=%v: C[%d] = %x under AVX2, %x under Go",
-										v, m, k, n, accumulate, special, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							bls := ruleBlockings(v)
+							want := run(false, bls[0])
+							for _, bl := range bls {
+								got := run(true, bl)
+								for i := range want {
+									if !sameBits(got[i], want[i]) {
+										t.Fatalf("variant %d, %+v, %dx%dx%d, accumulate=%v, special=%v: C[%d] = %x under AVX2, %x under Go",
+											v, bl, m, k, n, accumulate, special, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+									}
 								}
 							}
 						}

@@ -3,14 +3,12 @@ package tensor
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// GEMM blocking parameters. The shared-pack pipeline autotunes its (kc, nc)
-// panel blocking per shape bucket (see autotune.go); these are the fixed
-// ones.
+// GEMM blocking parameters besides the shared-pack pipeline's (kc, nc)
+// panel blocking, which blocking.go states as a rule.
 const (
 	gemmMR = 4 // micro-kernel rows (A rows per strip)
 	// gemmGrain is the minimum C rows per parallel chunk for the saxpy and
@@ -23,16 +21,17 @@ const (
 	// tiledKC blocks the k dimension of the transposed products so a 4-row
 	// A strip and 4-row B strip stay L1-resident.
 	tiledKC = 512
-	// packBufCap sizes pooled panel buffers to the largest packing
-	// candidate (512·256 floats = 512 KiB) so one free list serves every
-	// autotuned blocking without reallocation.
+	// packBufCap sizes pooled panel buffers (512·256 floats = 512 KiB). A
+	// strip panel takes kc·nc of it; gemmTN's packed Aᵀ block takes mc·kc,
+	// so at kc = 256 the cap bounds that row block at 512 rows.
 	packBufCap = 512 * 256
 )
 
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. This is the dense kernel standing in for
-// cuBLAS: SAMO's whole design rests on the observation that this path is far
-// faster than sparse kernels at DL sparsities, so θ16 stays dense.
+// cuBLAS: with MatMulT and TMatMul it runs every Linear, attention
+// projection and conv, and the masked-dense path of a SparseLinear whose
+// pattern is more than half dense (sparse kernels run the rest).
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	c := New(m, n)
@@ -106,29 +105,29 @@ func putPackBuf(b []float32) {
 	packFree.mu.Unlock()
 }
 
-// gemmVariant identifies which member of the GEMM family a dispatch (and
-// its autotune bucket) belongs to. All three run the same shared-pack
-// sweep kernels; they differ only in how the operands are packed into the
-// canonical panel layouts.
+// gemmVariant identifies which member of the GEMM family a dispatch
+// belongs to. All three run the same shared-pack sweep kernels; they differ
+// only in how the operands are packed into the canonical panel layouts.
 type gemmVariant uint8
 
 const (
 	gemmNN gemmVariant = iota // C = A·B        (forward)
 	gemmNT                    // C = A·Bᵀ       (MatMulT, input gradient)
 	gemmTN                    // C = Aᵀ·B       (TMatMul, weight gradient)
-	gemmVariants
 )
 
 // Row invariance — the contract of the two forward products (gemm, gemmT)
 // that serve.Engine spends: the bits of a C row are a function of its A row
-// and of B alone, never of m, of the worker count, of the autotuner's
-// candidate or of which micro-kernel the host selected. Dispatch therefore
-// looks at n and k only, which the model fixes, and never at m, which the
-// batch does. With n,k ≥ 16 every row takes the shared sweeps, which all
-// accumulate k in one pairwise order (`c += a0·b0 + a1·b1`, every kc even)
-// whether the row rides a 4-row vector tile, the 1-row vector remainder, the
-// Go strip kernel, its scalar ragged-strip tail or the direct-B micro-kernel:
-// each is the same sequence of float32 multiplies and adds per C element,
+// and of B alone, never of m, of the worker count, of the blocking or of
+// which micro-kernel the host selected. The kernel family is therefore
+// chosen by n and k only, which the model fixes, and never by m, which the
+// batch does. With n,k ≥ 16 every row takes the shared family; there m does
+// pick direct-B or strip (gemmRule), but only between paths with identical
+// bits. All of them accumulate k in one pairwise order (`c += a0·b0 + a1·b1`,
+// every kc even) whether the row rides a 4-row vector tile, the 1-row vector
+// remainder, the Go strip kernel, its scalar ragged-strip tail or the
+// direct-B micro-kernel: each is the same sequence of float32 multiplies and
+// adds per C element,
 // rounded after every operation. That is why the vector kernel may never use
 // a fused multiply-add — one rounding where the Go kernel has two — however
 // much faster it would be: the bits would then depend on the host. Below the
@@ -138,7 +137,7 @@ const (
 // kernel, by TestGEMMVectorKernelMatchesGo.
 
 // gemm dispatches C (+)= A·B over the worker pool: the shared-pack v2
-// pipeline with autotuned blocking, or for skinny B (n or k below 16) the
+// pipeline at gemmRule's blocking, or for skinny B (n or k below 16) the
 // row-saxpy kernel, whose per-row cost model fits it better.
 func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
@@ -151,7 +150,7 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if n >= 16 && k >= 16 {
-		gemmTuned(gemmNN, c, a, b, m, k, n, accumulate)
+		gemmV2(gemmNN, c, a, b, m, k, n, accumulate, gemmRule(m))
 		return
 	}
 	j := getGemmJob()
@@ -160,26 +159,6 @@ func gemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	j.accumulate = accumulate
 	parallel.Run(m, gemmGrain, j, gemmSaxpyChunk)
 	putGemmJob(j)
-}
-
-// gemmTuned runs one GEMM-family product through the per-(variant, shape)
-// autotuner: frozen buckets take the winning candidate a single atomic
-// load away; while a bucket is still probing, each call times one
-// candidate blocking (the probe performs the real product, so no work is
-// thrown away). Every 512th call on a frozen bucket re-times one candidate
-// round-robin, so contaminated startup probes self-correct (see
-// internal/autotune).
-func gemmTuned(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool) {
-	e := tuneFor(v, m, k, n)
-	idx, probe := e.Next()
-	cand := tuneCandsFor(v)[idx]
-	if !probe {
-		gemmV2(v, c, a, b, m, k, n, accumulate, cand)
-		return
-	}
-	t0 := time.Now()
-	gemmV2(v, c, a, b, m, k, n, accumulate, cand)
-	e.Record(idx, time.Since(t0), m*k*n)
 }
 
 // gemmV2Job carries the shared-pack pipeline's per-panel state to the pool
@@ -216,12 +195,14 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // (each strip k-major and contiguous) and swept by the strip kernel, which
 // keeps a strip of C in registers across the whole k sweep and streams B
 // sequentially: on AVX2 hosts four C rows at a time in YMM accumulators
-// (gemm_amd64.s), elsewhere one row in eight scalars. Candidates with
-// strip=false skip packing entirely and read B in place — at m = 1 a panel is
-// swept once and the pack traffic cannot amortize at all.
+// (gemm_amd64.s), elsewhere one row in eight scalars. A blocking with
+// strip=false (gemmDirect, forward products only) skips packing entirely
+// and reads B in place — at m = 1 a panel is swept once and the pack
+// traffic cannot amortize at all.
 //
-// Every path accumulates each C element in the same pairwise k order, so
-// all candidates remain bitwise-identical (TestGEMMV2CandidatesGolden).
+// Every path accumulates each C element in the same pairwise k order, and
+// every kc is even, so both blockings give identical bits
+// (TestGEMMV2CandidatesGolden).
 //
 // The transposed family (v != gemmNN) runs the SAME panel loop and sweep
 // kernel; only the packing differs per operand orientation:
@@ -238,24 +219,23 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 //     pooled buffer.
 //
 // Because the sweep is shared, the transposed variants inherit the
-// bitwise candidate-invariance contract for free: packing relocates
-// operand bytes, never reorders the per-element float operations.
+// bitwise contract for free: packing relocates operand bytes, never
+// reorders the per-element float operations.
 //
 // Fan-out is sized from work, not rows (gemmWorkGrain): a sweep or direct
 // row counts its own multiply-adds, a packed row those of the sweep it
 // feeds — a pack fans out only when that sweep would — so a product too
 // small to be worth a second core runs inline on the caller instead of
 // paying a wake-up per region.
-func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand tuneCand) {
+func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, bl gemmBlocking) {
 	j := gemmV2JobFree.Get()
 	j.c, j.a, j.b = c, a, b
 	j.m, j.k, j.n = m, k, n
 	j.accumulate = accumulate
-	j.kc, j.nc = cand.kc, cand.nc
-	if !cand.strip {
-		// Direct-B path (gemmNN candidates only: the transposed variants'
-		// effective B is not materialized row-major, so their candidate
-		// sets are all-pack).
+	j.kc, j.nc = bl.kc, bl.nc
+	if !bl.strip {
+		// Direct-B path (gemmNN only: the transposed variants' effective B
+		// is not materialized row-major, so they always pack).
 		parallel.Run(m, parallel.WorkGrain(gemmMR, k*n), j, gemmDirectChunk)
 		j.c, j.a, j.b = nil, nil, nil
 		gemmV2JobFree.Put(j)
@@ -268,7 +248,7 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 	mc := m
 	var pa []float32
 	if v == gemmTN {
-		if maxMC := packBufCap / cand.kc; mc > maxMC {
+		if maxMC := packBufCap / bl.kc; mc > maxMC {
 			mc = maxMC // keep the packed Aᵀ block inside one pooled buffer
 		}
 		pa = getPackBuf()
@@ -278,8 +258,8 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 	j.pb = pb
 	for i0 := 0; i0 < m; i0 += mc {
 		j.i0, j.mcur = i0, min(mc, m-i0)
-		for k0 := 0; k0 < k; k0 += cand.kc {
-			kcur := min(cand.kc, k-k0)
+		for k0 := 0; k0 < k; k0 += bl.kc {
+			kcur := min(bl.kc, k-k0)
 			j.k0, j.kcur = k0, kcur
 			if v == gemmTN {
 				parallel.Run(j.mcur, gemmWorkGrain(gemmPackGrain, kcur*n), j, gemmPackATChunk)
@@ -287,8 +267,8 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, cand
 			} else {
 				j.as, j.aBase, j.aStride, j.aOff = a, 0, k, k0
 			}
-			for j0 := 0; j0 < n; j0 += cand.nc {
-				j.j0, j.ncur = j0, min(cand.nc, n-j0)
+			for j0 := 0; j0 < n; j0 += bl.nc {
+				j.j0, j.ncur = j0, min(bl.nc, n-j0)
 				if v == gemmNT {
 					// The NT pack fans out over B rows (panel columns), not
 					// panel k-rows: that is the operand's contiguous axis.
@@ -557,37 +537,35 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 			ncur := min(g.nc, n-j0)
 			i := lo
 			for ; i+gemmMR <= hi; i += gemmMR {
-				gemmMicro4(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
+				gemmMicro4(c, a, b, i, k, n, k0, kcur, j0, ncur)
 			}
 			for ; i < hi; i++ {
-				gemmMicro1(c, a, b, i*k+k0, k, k0*n+j0, n, i, n, kcur, j0, ncur)
+				gemmMicro1(c, a, b, i, k, n, k0, kcur, j0, ncur)
 			}
 		}
 	}
 }
 
 // gemmMicro4 is the direct-B path's micro-kernel: it updates C rows i..i+3,
-// cols [j0,j0+ncur) from kcur rows of B read in place, starting at bp[bOff]
-// with row stride bStride (bOff=k0·n+j0, bStride=n), the inner loop
-// contiguous along a B row. A rows likewise start at a[aOff] with row stride
-// aStride (aOff=i·k+k0, aStride=k). The 2-wide k unroll halves C read/write
-// traffic per flop and is the pairwise k association every strip kernel
-// reproduces; the four A scalars per k-step live in registers across the j
-// loop.
-func gemmMicro4(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0, ncur int) {
+// cols [j0,j0+ncur) of the (m,k)·(k,n) product from A cols and B rows
+// [k0,k0+kcur), B read in place with the inner loop contiguous along a B
+// row. The 2-wide k unroll halves C read/write traffic per flop and is the
+// pairwise k association every strip kernel reproduces; the four A scalars
+// per k-step live in registers across the j loop.
+func gemmMicro4(c, a, b []float32, i, k, n, k0, kcur, j0, ncur int) {
 	ci0 := c[i*n+j0 : i*n+j0+ncur]
 	ci1 := c[(i+1)*n+j0 : (i+1)*n+j0+ncur]
 	ci2 := c[(i+2)*n+j0 : (i+2)*n+j0+ncur]
 	ci3 := c[(i+3)*n+j0 : (i+3)*n+j0+ncur]
-	ai0 := a[aOff : aOff+kcur]
-	ai1 := a[aOff+aStride : aOff+aStride+kcur]
-	ai2 := a[aOff+2*aStride : aOff+2*aStride+kcur]
-	ai3 := a[aOff+3*aStride : aOff+3*aStride+kcur]
+	ai0 := a[i*k+k0 : i*k+k0+kcur]
+	ai1 := a[(i+1)*k+k0 : (i+1)*k+k0+kcur]
+	ai2 := a[(i+2)*k+k0 : (i+2)*k+k0+kcur]
+	ai3 := a[(i+3)*k+k0 : (i+3)*k+k0+kcur]
 	kk := 0
 	for ; kk+2 <= kcur; kk += 2 {
-		o := bOff + kk*bStride
-		b0 := bp[o : o+ncur]
-		b1 := bp[o+bStride : o+bStride+ncur]
+		o := (k0+kk)*n + j0
+		b0 := b[o : o+ncur]
+		b1 := b[o+n : o+n+ncur]
 		a00, a01 := ai0[kk], ai0[kk+1]
 		a10, a11 := ai1[kk], ai1[kk+1]
 		a20, a21 := ai2[kk], ai2[kk+1]
@@ -606,8 +584,8 @@ func gemmMicro4(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0
 		}
 	}
 	if kk < kcur {
-		o := bOff + kk*bStride
-		b0 := bp[o : o+ncur]
+		o := (k0+kk)*n + j0
+		b0 := b[o : o+ncur]
 		a0, a1, a2, a3 := ai0[kk], ai1[kk], ai2[kk], ai3[kk]
 		_ = ci0[len(b0)-1]
 		_ = ci1[len(b0)-1]
@@ -623,14 +601,14 @@ func gemmMicro4(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0
 }
 
 // gemmMicro1 is the single-row remainder of gemmMicro4.
-func gemmMicro1(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0, ncur int) {
+func gemmMicro1(c, a, b []float32, i, k, n, k0, kcur, j0, ncur int) {
 	ci := c[i*n+j0 : i*n+j0+ncur]
-	ai := a[aOff : aOff+kcur]
+	ai := a[i*k+k0 : i*k+k0+kcur]
 	kk := 0
 	for ; kk+2 <= kcur; kk += 2 {
-		o := bOff + kk*bStride
-		b0 := bp[o : o+ncur]
-		b1 := bp[o+bStride : o+bStride+ncur]
+		o := (k0+kk)*n + j0
+		b0 := b[o : o+ncur]
+		b1 := b[o+n : o+n+ncur]
 		a0, a1 := ai[kk], ai[kk+1]
 		_ = b1[len(b0)-1]
 		_ = ci[len(b0)-1]
@@ -639,8 +617,8 @@ func gemmMicro1(c, a, bp []float32, aOff, aStride, bOff, bStride, i, n, kcur, j0
 		}
 	}
 	if kk < kcur {
-		o := bOff + kk*bStride
-		b0 := bp[o : o+ncur]
+		o := (k0+kk)*n + j0
+		b0 := b[o : o+ncur]
 		a0 := ai[kk]
 		_ = ci[len(b0)-1]
 		for j, v := range b0 {
@@ -725,11 +703,10 @@ func gemmTDims(a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// gemmT dispatches C (+)= A·Bᵀ: the shared-pack v2/v3 pipeline with
-// per-shape autotuned blocking (the gemmNT variant transpose-packs B
-// panels), or for skinny B (n or k below 16) the PR-1 4×4 register tiles,
-// whose tile setup cost fits it better. Row-invariant like gemm: m never
-// selects the kernel.
+// gemmT dispatches C (+)= A·Bᵀ: the shared-pack v2/v3 pipeline at the
+// strip blocking (the gemmNT variant transpose-packs B panels), or for
+// skinny B (n or k below 16) the PR-1 4×4 register tiles, whose tile setup
+// cost fits it better. Row-invariant like gemm: m never selects the kernel.
 func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -741,7 +718,7 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if n >= 16 && k >= 16 {
-		gemmTuned(gemmNT, c, a, b, m, k, n, accumulate)
+		gemmV2(gemmNT, c, a, b, m, k, n, accumulate, gemmStrip)
 		return
 	}
 	j := getGemmJob()
@@ -756,7 +733,7 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 // both operands are read along contiguous k-rows, 16 fused multiply-adds
 // per 8 loads (the seed's dot kernel did 1 per 2). k is blocked so the
 // four A rows and four B rows of a tile stay L1-resident. Kept as the
-// small-shape path and the benchmark baseline the autotuned pipeline is
+// small-shape path and the benchmark baseline the shared-pack pipeline is
 // gated against (BenchmarkMatMulT/tiled).
 func gemmTChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmJob)
@@ -877,9 +854,9 @@ func tGemmDims(a, b *Tensor) (k, m, n int) {
 }
 
 // tGemm dispatches C (+)= Aᵀ·B. Large shapes run the shared-pack v2/v3
-// pipeline with per-shape autotuned blocking (the gemmTN variant
-// transpose-packs A blocks; B packs exactly as the forward product); small
-// or skinny shapes keep the PR-1 4×4 register tiles.
+// pipeline at the strip blocking (the gemmTN variant transpose-packs A
+// blocks; B packs exactly as the forward product); small or skinny shapes
+// keep the PR-1 4×4 register tiles.
 func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return
@@ -891,7 +868,7 @@ func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		return
 	}
 	if m >= gemmMR && n >= 16 && k >= 16 {
-		gemmTuned(gemmTN, c, a, b, m, k, n, accumulate)
+		gemmV2(gemmTN, c, a, b, m, k, n, accumulate, gemmStrip)
 		return
 	}
 	j := getGemmJob()
@@ -907,7 +884,7 @@ func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 // values (both along the rows of the k-major operands) and performs 16
 // fused multiply-adds; k is blocked so a tile's A column slab stays cached
 // across the j sweep. Kept as the small-shape path and the benchmark
-// baseline the autotuned pipeline is gated against (BenchmarkTMatMul/tiled).
+// baseline the shared-pack pipeline is gated against (BenchmarkTMatMul/tiled).
 func tGemmChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmJob)
 	c, a, b := g.c, g.a, g.b

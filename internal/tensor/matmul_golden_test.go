@@ -179,8 +179,8 @@ func TestTransposeGolden(t *testing.T) {
 }
 
 // v2Shapes stresses the shared-pack pipeline's edges: m below the worker
-// count (shared pack is the point of that regime), k below every kc
-// candidate, n below every nc candidate, single-row and single-column
+// count (shared pack is the point of that regime), k below the kc
+// blocking, n below every nc blocking, single-row and single-column
 // outputs, panel-boundary remainders, shapes spanning several panels, strip
 // tails of every width class, and tall m with every m mod 4 remainder.
 var v2Shapes = [][3]int{
@@ -188,8 +188,8 @@ var v2Shapes = [][3]int{
 	{4, 16, 1},    // n=1: one-column panels, 1-wide strip tail
 	{3, 300, 40},  // m below gemmMR after chunking, 8-aligned strips
 	{5, 700, 130}, // k spans panels with remainder, n just over one nc, 2-wide tail
-	{8, 64, 520},  // n spans nc candidates with remainder
-	{6, 530, 9},   // k just past the 512 panel, one full strip + 1-wide tail
+	{8, 64, 520},  // n spans both nc blockings with remainder
+	{6, 530, 9},   // k just past two kc panels, one full strip + 1-wide tail
 	{31, 257, 129},
 	{64, 512, 256},  // exact panel multiples
 	{97, 1030, 70},  // 6-wide strip tail
@@ -197,14 +197,15 @@ var v2Shapes = [][3]int{
 	{129, 256, 135}, // one remainder row, 7-wide strip tail
 }
 
-// TestGEMMV2CandidatesGolden pins every autotune candidate — direct-B and
-// the 8-wide strip blockings, under both strip kernels — against the naive
-// reference at the degenerate shapes, under a worker count larger than m
-// for the small shapes (the regime the shared pack exists for). It also
-// asserts the candidates agree BITWISE, across kernels too: every kc
-// candidate is even and every kernel accumulates each C element with the
-// same pairwise k-association, so neither the autotuner's choice nor the
-// host's micro-kernel can ever change results.
+// TestGEMMV2CandidatesGolden pins both blockings the rule picks between —
+// direct-B and the 8-wide strip, the latter under both strip kernels —
+// against the naive reference at the degenerate shapes and at every m, not
+// only the m the rule gives each, under a worker count larger than m for
+// the small shapes (the regime the shared pack exists for). It also asserts
+// they agree BITWISE, across kernels too: both kc are even and every kernel
+// accumulates each C element with the same pairwise k-association, so
+// neither the rule's m line nor the host's micro-kernel can ever change
+// results.
 func TestGEMMV2CandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
@@ -218,25 +219,25 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 			want := refMatMul(a, b)
 			var first *Tensor
 			bothGemmKernels(t, func() {
-				for ci, cand := range tuneCands {
+				for _, bl := range ruleBlockings(gemmNN) {
 					got := New(m, n)
-					gemmV2(gemmNN, got.data, a.data, b.data, m, k, n, false, cand)
+					gemmV2(gemmNN, got.data, a.data, b.data, m, k, n, false, bl)
 					if d := MaxAbsDiff(got, want); d > tol(k) {
-						t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+						t.Fatalf("blocking %+v: differs from naive by %g", bl, d)
 					}
 					if first == nil {
 						first = got
 					} else if i, ok := bitwiseEqual(got, first); !ok {
-						t.Fatalf("candidate %d (%+v): not bitwise-equal to the Go kernel's candidate 0 at index %d", ci, cand, i)
+						t.Fatalf("blocking %+v: not bitwise-equal to the Go kernel's direct-B at index %d", bl, i)
 					}
 					// Accumulating form: C = seed + A·B.
 					acc := New(m, n)
 					fillSeq(acc, rng)
 					wantAcc := acc.Clone()
 					Add(wantAcc, want)
-					gemmV2(gemmNN, acc.data, a.data, b.data, m, k, n, true, cand)
+					gemmV2(gemmNN, acc.data, a.data, b.data, m, k, n, true, bl)
 					if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-						t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
+						t.Fatalf("blocking %+v accumulate: differs by %g", bl, d)
 					}
 				}
 			})
@@ -249,8 +250,10 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 // model runs: per shape, the rows of one sample — 16 for the benchmark GPT
 // (hidden 64, vocab 256), 1 for an MLP or a classifier head — computed alone
 // and inside batches of 2, 4 and 8 samples, through the dispatcher and
-// through every candidate at every worker count, under both strip kernels,
-// carry identical bits.
+// through every blocking the rule can pick at every worker count, under both
+// strip kernels, carry identical bits. mlp/hidden's heights 1, 2, 4 and 8
+// cross the rule's m = 2 line, so there the dispatcher itself runs direct-B
+// for some heights and the strip for the others, and must not tell.
 func TestGEMMRowInvariantServingShapes(t *testing.T) {
 	for _, s := range []struct {
 		name       string
@@ -271,9 +274,9 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 			m, k, n := 8*s.rows, s.k, s.n
 			rng := NewRNG(49)
 			a, b, zero := New(m, k), New(k, n), New(m, n)
-			cands, mul := tuneCands[:], MatMulInto
+			mul := MatMulInto
 			if s.v == gemmNT {
-				b, cands, mul = New(n, k), tuneCandsT[:], MatMulTInto
+				b, mul = New(n, k), MatMulTInto
 			}
 			fillSeq(a, rng)
 			fillSeq(b, rng)
@@ -286,11 +289,11 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 						mul(out, a.Slice(lo, hi), b, false)
 					})
 					if n < 16 {
-						continue // the candidates are not what dispatch runs here
+						continue // the blockings are not what dispatch runs here
 					}
-					for ci, cand := range cands {
-						checkRowInvariant(t, fmt.Sprintf("candidate %d", ci), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
-							gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, cand)
+					for _, bl := range ruleBlockings(s.v) {
+						checkRowInvariant(t, fmt.Sprintf("blocking %+v", bl), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+							gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, bl)
 						})
 					}
 				}
@@ -300,8 +303,8 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 }
 
 // TestMatMulSharedPanelRace hammers MatMulInto from many goroutines so
-// concurrent calls contend on the shared panel buffer pool, the autotune
-// table and the worker pool. Run under -race in CI; correctness of each
+// concurrent calls contend on the shared panel buffer pool and the worker
+// pool. Run under -race in CI; correctness of each
 // result is also checked.
 func TestMatMulSharedPanelRace(t *testing.T) {
 	old := SetWorkers(4)
@@ -344,13 +347,6 @@ func TestMatMulSharedPanelRace(t *testing.T) {
 }
 
 func TestMatMulIntoZeroAlloc(t *testing.T) {
-	// Hermetic allocation counting: AllocsPerRun tallies process-wide
-	// mallocs, so a background tune-table save (triggered whenever a GEMM
-	// bucket happens to freeze nearby) would show up as phantom allocs.
-	// "off" makes the freeze path inert; persistence itself is pinned by
-	// TestTunePersistenceRoundTripAllocFree.
-	t.Setenv("SAMO_GEMM_TUNE", "off")
-
 	a, b, c := New(64, 96), New(96, 80), New(64, 80)
 	rng := NewRNG(46)
 	fillSeq(a, rng)
@@ -361,6 +357,12 @@ func TestMatMulIntoZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { MatMulInto(c, a, b, acc) }); n != 0 {
 			t.Fatalf("MatMulInto(accumulate=%v) allocates %.1f per call, want 0", acc, n)
 		}
+	}
+	// One row: the rule's direct-B path.
+	a1, c1 := a.Slice(0, 1), c.Slice(0, 1)
+	MatMulInto(c1, a1, b, false)
+	if n := testing.AllocsPerRun(50, func() { MatMulInto(c1, a1, b, false) }); n != 0 {
+		t.Fatalf("MatMulInto(m=1) allocates %.1f per call, want 0", n)
 	}
 	MatMulTInto(c, a, New(80, 96), false)
 	bT := New(80, 96)

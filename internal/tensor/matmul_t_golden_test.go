@@ -5,23 +5,22 @@ import (
 	"testing"
 )
 
-// TestGEMMTransposedCandidatesGolden pins every transposed-variant autotune
-// candidate — the 8-wide strip blockings under both strip kernels, with B
-// transpose-packed for C = A·Bᵀ and A transpose-packed for C = Aᵀ·B —
-// against the naive references at the same degenerate shapes the forward
-// pipeline is pinned on, under a worker count larger than m for the small
-// shapes. As for the forward product, the candidates must agree BITWISE,
-// across kernels too: they share the sweep, so the per-element pairwise
-// k-association is identical and neither the autotuner's choice nor the
-// host's micro-kernel can ever change results.
+// TestGEMMTransposedCandidatesGolden pins the transposed variants' strip
+// blocking under both strip kernels, with B transpose-packed for C = A·Bᵀ
+// and A transpose-packed for C = Aᵀ·B, against the naive references at the
+// same degenerate shapes the forward pipeline is pinned on, under a worker
+// count larger than m for the small shapes. As for the forward product, the
+// kernels must agree BITWISE: they share the sweep, so the per-element
+// pairwise k-association is identical and the host's micro-kernel can never
+// change results.
 func TestGEMMTransposedCandidatesGolden(t *testing.T) {
 	old := SetWorkers(8)
 	defer SetWorkers(old)
 	rng := NewRNG(52)
-	// The forward v2Shapes plus the transposed-only edges: m past 256
-	// splits the gemmTN Aᵀ pack at the packBufCap/kc clamp for the kc=512
-	// candidate.
-	shapes := append(append([][3]int{}, v2Shapes...), [3]int{300, 520, 40}, [3]int{270, 600, 72})
+	// The forward v2Shapes plus the transposed-only edges: tall m across
+	// several kc panels, and m past 512, which splits the gemmTN Aᵀ pack at
+	// the packBufCap/kc clamp.
+	shapes := append(append([][3]int{}, v2Shapes...), [3]int{300, 520, 40}, [3]int{270, 600, 72}, [3]int{530, 300, 24})
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		t.Run(fmt.Sprintf("NT/%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -45,25 +44,25 @@ func checkTransposedCands(t *testing.T, v gemmVariant, a, b, want *Tensor, m, k,
 	t.Helper()
 	var first *Tensor
 	bothGemmKernels(t, func() {
-		for ci, cand := range tuneCandsT {
+		for _, bl := range ruleBlockings(v) {
 			got := New(m, n)
-			gemmV2(v, got.data, a.data, b.data, m, k, n, false, cand)
+			gemmV2(v, got.data, a.data, b.data, m, k, n, false, bl)
 			if d := MaxAbsDiff(got, want); d > tol(k) {
-				t.Fatalf("candidate %d (%+v): differs from naive by %g", ci, cand, d)
+				t.Fatalf("blocking %+v: differs from naive by %g", bl, d)
 			}
 			if first == nil {
 				first = got
 			} else if i, ok := bitwiseEqual(got, first); !ok {
-				t.Fatalf("candidate %d (%+v): not bitwise-equal to the Go kernel's candidate 0 at index %d", ci, cand, i)
+				t.Fatalf("blocking %+v: not bitwise-equal to the Go kernel's at index %d", bl, i)
 			}
 			// Accumulating form: C = seed + product.
 			acc := New(m, n)
 			fillSeq(acc, rng)
 			wantAcc := acc.Clone()
 			Add(wantAcc, want)
-			gemmV2(v, acc.data, a.data, b.data, m, k, n, true, cand)
+			gemmV2(v, acc.data, a.data, b.data, m, k, n, true, bl)
 			if d := MaxAbsDiff(acc, wantAcc); d > tol(k) {
-				t.Fatalf("candidate %d (%+v) accumulate: differs by %g", ci, cand, d)
+				t.Fatalf("blocking %+v accumulate: differs by %g", bl, d)
 			}
 		}
 	})
@@ -85,13 +84,11 @@ var transposedBackwardShapes = []struct {
 }
 
 // TestTransposedGEMMBitwiseDeterminism pins MatMulT/TMatMul to one
-// reference output BITWISE at every worker count the training stack uses,
-// across every autotune candidate and under both strip kernels — the same
-// contract the forward GEMM and col2im carry: resizing the pool, re-tuning
-// a bucket or moving to another host can never perturb the backward passes.
-// The reference is the Go kernel's candidate 0 at one worker; the public
-// dispatcher is checked on top of the candidates, whatever probe state its
-// bucket is in.
+// reference output BITWISE at every worker count the training stack uses
+// and under both strip kernels — the same contract the forward GEMM and
+// col2im carry: resizing the pool or moving to another host can never
+// perturb the backward passes. The reference is the Go kernel at one
+// worker; the public dispatcher is checked beside the rule's blocking.
 func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
 	for _, tc := range transposedBackwardShapes {
@@ -110,16 +107,15 @@ func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {
 				if ref == nil {
 					SetWorkers(1)
 					ref = New(tc.m, tc.n)
-					gemmV2(tc.v, ref.data, a.data, b.data, tc.m, tc.k, tc.n, false, tuneCandsT[0])
+					gemmV2(tc.v, ref.data, a.data, b.data, tc.m, tc.k, tc.n, false, gemmStrip)
 				}
 				for _, w := range []int{1, 2, 3, 4, 8, 16} {
 					SetWorkers(w)
-					for ci, cand := range tuneCandsT {
+					for _, bl := range ruleBlockings(tc.v) {
 						out := New(tc.m, tc.n)
-						gemmV2(tc.v, out.data, a.data, b.data, tc.m, tc.k, tc.n, false, cand)
+						gemmV2(tc.v, out.data, a.data, b.data, tc.m, tc.k, tc.n, false, bl)
 						if i, ok := bitwiseEqual(out, ref); !ok {
-							t.Fatalf("workers=%d candidate %d (%+v): differs from reference at index %d",
-								w, ci, cand, i)
+							t.Fatalf("workers=%d blocking %+v: differs from reference at index %d", w, bl, i)
 						}
 					}
 					out := New(tc.m, tc.n)

@@ -296,8 +296,6 @@ func TestHasNonFiniteParallelGolden(t *testing.T) {
 // training step calls it once per parameter per step inside a zero-alloc
 // contract.
 func TestHasNonFiniteZeroAlloc(t *testing.T) {
-	t.Setenv("SAMO_GEMM_TUNE", "off") // hermetic process-wide alloc counting
-
 	big := make([]float32, 4*nonFiniteGrain)
 	HasNonFiniteSlice(big) // warm job pool and workers
 	if n := testing.AllocsPerRun(50, func() { HasNonFiniteSlice(big) }); n != 0 {

@@ -196,3 +196,26 @@ func TestReachability(t *testing.T) {
 			len(dead), strings.Join(dead, "\n"))
 	}
 }
+
+// TestComputeReadsNoClockOrEnv fails when a compute package, or any module
+// package one depends on, imports time or os. Their results are a function
+// of their inputs, bit for bit; a decision timed by the clock or read from
+// the environment (a tuner, a knob) would make them a function of the run.
+func TestComputeReadsNoClockOrEnv(t *testing.T) {
+	args := []string{"list", "-deps", "-f", "{{if not .Standard}}{{.ImportPath}}{{range .Imports}} {{.}}{{end}}{{end}}"}
+	for _, p := range []string{"tensor", "sparse", "nn", "core", "optim", "fp16", "prune", "parallel"} {
+		args = append(args, "./internal/"+p)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, imports, _ := strings.Cut(line, " ")
+		for _, imp := range strings.Fields(imports) {
+			if imp == "time" || imp == "os" {
+				t.Errorf("%s imports %s", path, imp)
+			}
+		}
+	}
+}

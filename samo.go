@@ -36,18 +36,11 @@
 // product and the transposed backward products MatMulT (C = A·Bᵀ, input
 // gradient) and TMatMul (C = Aᵀ·B, weight gradient) — sharing the sweep
 // kernels and differing only in packing: MatMulT transpose-packs B
-// panels, TMatMul transpose-packs A blocks. A tiny per-shape autotuner,
-// bucketed by (op variant, ceil-log2 shape), picks among the blocking
-// candidates — a pack-free direct-B kernel for very small forward m and two
-// strip blockings that pack panels in 8-wide k-major column strips and
-// sweep them with a strip of C held in registers — by timing the first few
-// real calls on each bucket; every candidate produces bitwise-identical
-// output at every worker count, so the choice can never perturb training.
-// The tuner is the client of the autotuning component described under
-// "Autotuning" below. On amd64 hosts with AVX2 the strip sweep runs a
-// four-row vector micro-kernel, selected once at start-up from CPUID (see
-// GEMMKernel); it executes the Go kernel's float32 operations lane for
-// lane, unfused, so results do not depend on the host either.
+// panels, TMatMul transpose-packs A blocks. The blocking is a rule,
+// described under "GEMM blocking" below. On amd64 hosts with AVX2 the strip
+// sweep runs a four-row vector micro-kernel, selected once at start-up from
+// CPUID (see GEMMKernel); it executes the Go kernel's float32 operations
+// lane for lane, unfused, so results do not depend on the host either.
 //
 // The conv backward lowering (Col2Im), previously the last serial kernel
 // in the stack, runs as a parallel gather over disjoint (image, input-row)
@@ -97,29 +90,15 @@
 // SetSparseCompute pins one path process-wide; scripts/bench.sh gates the
 // ≥90%-sparsity points of the BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
 //
-// # Autotuning
+// # GEMM blocking
 //
-// The one runtime-tuned decision — the GEMM blocking — is made by
-// internal/autotune. A table maps a bucket key to a few candidates; the
-// first calls on a new bucket each time one candidate on the caller's real
-// work (round-robin, by call count), and once every candidate has three
-// samples the lowest minimum time per unit of work is frozen. A frozen
-// lookup is one read-locked map hit and one atomic load, allocation-free.
-// A frozen bucket re-probes one timed call in 512, so a startup sample
-// contaminated by concurrent ranks self-corrects; the candidates are
-// bitwise-identical, so a flip cannot change results — the condition for
-// tuning a decision by the clock at all.
-//
-// Frozen decisions persist to samo/gemm_tune.json under the user cache dir
-// via a debounced background save, and are pre-loaded at startup (a
-// corrupt file is quarantined to <file>.corrupt and re-probed), so a later
-// process skips the probe phase. SAMO_GEMM_TUNE overrides the path ("off"
-// disables). Records carry the op variant (omitted for the forward
-// product, so older tables load unchanged); records the build does not
-// recognise are skipped. SaveTuneTable/LoadTuneTable give explicit
-// control, and FlushTuneTable persists synchronously for short-lived
-// processes that would exit inside the background saver's coalescing
-// window.
+// A forward product with at most two rows reads B in place (direct-B, kc
+// 256 × nc 512); every other GEMM packs kc 256 × nc 128 panels in 8-wide
+// strips — below three rows a packed panel is swept too few times to repay
+// its pack. Both paths sum k in the same pairwise order, so the line moves
+// time, never bits. Nothing is probed, timed or persisted, and no compute
+// package reads the clock or the environment (a test in reach_test.go
+// guards that).
 //
 // # Serving
 //
@@ -143,10 +122,10 @@
 // two, a bounded admission queue converts overload into immediate
 // backpressure (ErrOverloaded), a forward that panics on a request fails
 // that batch with a typed error instead of the process, and Close drains
-// gracefully and flushes the autotuner table. The engine's determinism
-// contract rests on the forward kernels being row-invariant (an output
-// row's bits depend on its input row and the weights, never on the batch
-// height, worker count or autotuner candidate): a response equals the
+// gracefully. The engine's determinism contract rests on the forward
+// kernels being row-invariant (an output row's bits depend on its input row
+// and the weights, never on the batch height, worker count or GEMM
+// blocking): a response equals the
 // offline forward of its sample alone, bit for bit, whatever bucket it
 // rode in. Its load-test harness records p50/p99 latency and throughput
 // to BENCH_serving.json.
@@ -369,26 +348,6 @@ func SetWorkers(n int) int { return tensor.SetWorkers(n) }
 // start-up, "avx2" or "go". Results are bitwise-identical under both; the
 // cmds print it so step times can be compared knowing what produced them.
 func GEMMKernel() string { return tensor.GEMMKernel() }
-
-// SaveTuneTable persists the GEMM autotuner's per-shape blocking
-// decisions to a JSON file; LoadTuneTable pre-seeds them so a new process
-// (or a benchmark run) skips the probe phase. The choice never affects
-// results — every candidate blocking is bitwise-identical — only speed.
-func SaveTuneTable(path string) error { return tensor.SaveTuneTable(path) }
-
-// LoadTuneTable pre-seeds the GEMM autotuner from a SaveTuneTable file.
-func LoadTuneTable(path string) error { return tensor.LoadTuneTable(path) }
-
-// FlushTuneTable synchronously persists the autotuner's decisions to the
-// default tune path (SAMO_GEMM_TUNE, or the user cache dir). The
-// background saver debounces writes and cannot run at process exit, so
-// short-lived programs — the cmds call this as they return from run() —
-// would otherwise lose every blocking decision they probed. A no-op when
-// persistence is disabled or when this process has frozen no new decision
-// since startup (a table holding only disk-loaded decisions is never
-// rewritten, so a stale startup copy cannot clobber a concurrent
-// process's newer save).
-func FlushTuneTable() error { return tensor.FlushTuneTable() }
 
 // NewTensor returns a zero-filled tensor with the given shape.
 func NewTensor(shape ...int) *Tensor { return tensor.New(shape...) }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — regression harness for the kernel and training hot paths.
 #
-# Runs the kernel-path benchmarks (seed saxpy GEMM vs the autotuned
+# Runs the kernel-path benchmarks (seed saxpy GEMM vs the rule-blocked
 # shared-pack pipeline at the Figure 1 FC shapes, transposed products,
 # compress/expand) and the experiment-level suites (Figure1Kernels,
 # Table2Throughput, EndToEndParallelStep, SerialTrainStep), then writes
@@ -12,7 +12,7 @@
 # The script FAILS (non-zero exit) if the shared-pack kernel regresses
 # below MIN_GEMM_SPEEDUP (default 1.5x) over the seed kernel on any
 # Figure-1 FC shape — the repo's floor for the kernel-path win. The
-# same floor applies to the transposed backward products: the autotuned
+# same floor applies to the transposed backward products: the
 # shared-pack MatMulT/TMatMul must hold MIN_GEMM_SPEEDUP over the PR-1 4×4
 # register-tile kernels on every Figure-1 backward shape (warn-only on
 # single-CPU machines, like the col2im gate below).
@@ -227,7 +227,7 @@ if failures:
         sys.exit(msg)
     print("WARNING (not gating, count-based benchtime):\n" + msg)
 
-# Transposed-GEMM gate: the autotuned backward products must hold the same
+# Transposed-GEMM gate: the shared-pack backward products must hold the same
 # floor over the PR-1 tiled kernels on every Figure-1 backward shape.
 # Warn-only on a single CPU, like the col2im gate: the win holds even
 # serially, but a one-core box leaves no headroom against scheduler noise.
