@@ -10,8 +10,9 @@
 // byte (data / collective / poison), then the fixed header fields and the
 // float32 payload (bit-preserving via math.Float32bits — collectives are
 // bitwise-identical to the in-process transport). Wire byte buffers come
-// from a power-of-two capacity-class pool mirroring the fabric's float
-// pool, so steady-state sends and receives are allocation-free.
+// from a comm.Pool[byte] — the fabric's power-of-two capacity-class pool
+// type, instantiated for bytes — so steady-state sends and receives are
+// allocation-free.
 //
 // Failure mapping follows the fabric's poison model: a connection read or
 // write error poisons the local fabric with a RankFailedError attributed

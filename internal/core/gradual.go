@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"github.com/sparse-dl/samo/internal/prune"
+	"github.com/sparse-dl/samo/internal/sparse"
 )
 
 // In-training gradual magnitude pruning (Zhu & Gupta's cubic schedule,
@@ -32,86 +32,30 @@ type shrinkOp struct {
 }
 
 // applyShrinks compacts every storage layer onto the kept pattern
-// positions, in place. Three parameter shapes exist:
-//
-//   - pattern-layer parameters (SparseLinear's Wv): the layer shrinks its
-//     CSR structures and re-heads the parameter; the stored vectors and
-//     optimizer state compact to the new pattern length;
-//   - SAMO-compressed parameters: the index and every NNZ-length vector
-//     compact, and dense θ16 zeroes the dropped coordinates;
-//   - masked-dense parameters (pruned, Dense mode): storage stays
-//     full-length; dropped coordinates are zeroed in θ16/θ32/optimizer
-//     state and the index shrinks, keeping the reference bitwise equal to
-//     SAMO.
-//
+// positions, in place. The shape shrinks first (shape.shrink); then
+// pattern-sized vectors — θ32, ∇θ32 and optimizer state — compact to the
+// new pattern length, while a masked-dense parameter's full-length vectors
+// zero the dropped coordinates, keeping the reference bitwise equal to SAMO.
 // The grad16 bucket slabs compact last (compactBuckets) and the clip
 // buffers re-alias the compacted ∇θ32 vectors.
 func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 	segKeeps := make(map[*paramState][]bool, len(ops))
 	for _, op := range ops {
 		st, keep := op.st, op.keep
-		if pl := ms.patterns[st.p]; pl != nil {
-			pl.ShrinkPattern(keep)
+		if !st.patternSized() {
+			st.shrink(keep, append([][]float32{st.theta32, st.grad16}, ms.opt.States(st.p.Name)...)...)
+			continue
 		}
-		switch {
-		case st.compressed:
-			ids := st.ix.IDs()
-			d16 := st.p.Value.Data()
-			for i, k := range keep {
-				if !k {
-					d16[ids[i]] = 0
-				}
-			}
-			st.ix.ShrinkTo(keep)
-			st.theta32 = compactKept32(st.p.Name, st.theta32, keep)
-			st.grad32 = compactKept32(st.p.Name, st.grad32, keep)
-			ms.opt.CompactState(st.p.Name, keep)
-			segKeeps[st] = keep
-		case st.ix != nil:
-			ids := st.ix.IDs()
-			d16 := st.p.Value.Data()
-			for i, k := range keep {
-				if !k {
-					id := ids[i]
-					d16[id] = 0
-					st.theta32[id] = 0
-					st.grad16[id] = 0
-					for _, vec := range ms.opt.States(st.p.Name) {
-						vec[id] = 0
-					}
-				}
-			}
-			st.ix.ShrinkTo(keep)
-		default:
-			if ms.patterns[st.p] == nil {
-				panic(fmt.Sprintf("core: shrink of non-shrinkable parameter %s", st.p.Name))
-			}
-			st.theta32 = compactKept32(st.p.Name, st.theta32, keep)
-			st.grad32 = compactKept32(st.p.Name, st.grad32, keep)
-			ms.opt.CompactState(st.p.Name, keep)
-			segKeeps[st] = keep
-		}
+		st.shrink(keep)
+		st.theta32 = sparse.Compact(st.theta32, keep)
+		st.grad32 = sparse.Compact(st.grad32, keep)
+		ms.opt.CompactState(st.p.Name, keep)
+		segKeeps[st] = keep
 	}
 	ms.compactBuckets(segKeeps)
 	for i, st := range ms.states {
 		ms.clipBufs[i] = st.grad32
 	}
-}
-
-// compactKept32 filters v to the kept positions in place and returns the
-// shortened slice over the same backing array.
-func compactKept32(name string, v []float32, keep []bool) []float32 {
-	if len(v) != len(keep) {
-		panic(fmt.Sprintf("core: %s vector %d vs keep mask %d", name, len(v), len(keep)))
-	}
-	w := 0
-	for i, k := range keep {
-		if k {
-			v[w] = v[i]
-			w++
-		}
-	}
-	return v[:w]
 }
 
 // GradualPruner drives a prune.Schedule over a live ModelState. Call
@@ -134,7 +78,7 @@ func NewGradualPruner(ms *ModelState, sched prune.Schedule) (*GradualPruner, err
 	}
 	gp := &GradualPruner{sched: sched, ms: ms}
 	for _, st := range ms.states {
-		if st.ix != nil || ms.patterns[st.p] != nil {
+		if st.shrinkable() {
 			gp.targets = append(gp.targets, st)
 		}
 	}
@@ -162,29 +106,12 @@ func (gp *GradualPruner) MaybePrune(step int) bool {
 	return true
 }
 
-// storedNNZ returns a target's current pattern length.
-func (gp *GradualPruner) storedNNZ(st *paramState) int {
-	if st.ix != nil {
-		return st.ix.NNZ()
-	}
-	return len(st.theta32)
-}
-
 // magnitudes returns a target's |θ32| bit-pattern keys in stored pattern
-// order (gathered through the index for masked-dense parameters, whose
-// θ32 is full-length). Allocation is fine here: this runs only at events.
-func (gp *GradualPruner) magnitudes(st *paramState) []uint32 {
-	var mags []uint32
-	if st.ix != nil && !st.compressed {
-		ids := st.ix.IDs()
-		mags = make([]uint32, len(ids))
-		for i, id := range ids {
-			mags[i] = magBits(st.theta32[id])
-		}
-		return mags
-	}
-	mags = make([]uint32, len(st.theta32))
-	for i, v := range st.theta32 {
+// order. Allocation is fine here: this runs only at events.
+func magnitudes(st *paramState) []uint32 {
+	vals := st.patternOf(st.theta32)
+	mags := make([]uint32, len(vals))
+	for i, v := range vals {
 		mags[i] = magBits(v)
 	}
 	return mags
@@ -201,13 +128,13 @@ func magBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
 func (gp *GradualPruner) selectPerLayer(target float64) []shrinkOp {
 	var ops []shrinkOp
 	for _, st := range gp.targets {
-		full := gp.ms.fullSize(st)
+		full := st.full()
 		wantKept := full - int(target*float64(full))
-		drop := gp.storedNNZ(st) - wantKept
+		drop := st.nnz() - wantKept
 		if drop <= 0 {
 			continue
 		}
-		mags := gp.magnitudes(st)
+		mags := magnitudes(st)
 		keys := make([]uint64, len(mags))
 		for i, m := range mags {
 			keys[i] = uint64(m)<<32 | uint64(uint32(i))
@@ -238,8 +165,8 @@ func (gp *GradualPruner) selectGlobal(target float64) []shrinkOp {
 	var cands []cand
 	var fullTotal, nnzTotal int
 	for ti, st := range gp.targets {
-		fullTotal += gp.ms.fullSize(st)
-		mags := gp.magnitudes(st)
+		fullTotal += st.full()
+		mags := magnitudes(st)
 		nnzTotal += len(mags)
 		for i, m := range mags {
 			cands = append(cands, cand{bits: m, ti: int32(ti), pos: int32(i)})
@@ -262,7 +189,7 @@ func (gp *GradualPruner) selectGlobal(target float64) []shrinkOp {
 	})
 	keeps := make([][]bool, len(gp.targets))
 	for ti, st := range gp.targets {
-		keep := make([]bool, gp.storedNNZ(st))
+		keep := make([]bool, st.nnz())
 		for i := range keep {
 			keep[i] = true
 		}

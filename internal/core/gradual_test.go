@@ -110,7 +110,7 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 	}
 	// The end of the ramp hit Final exactly: kept = full − ⌊0.9·full⌋.
 	for _, st := range gp.targets {
-		full := ms.fullSize(st)
+		full := st.full()
 		want := full - int(0.9*float64(full))
 		if nnzOf(st) != want {
 			t.Errorf("%s final NNZ %d, want %d at 90%% sparsity", st.p.Name, nnzOf(st), want)
@@ -182,8 +182,8 @@ func TestGradualPruneGlobalPooledTarget(t *testing.T) {
 	}
 	var full, kept int
 	for _, st := range gp.targets {
-		full += ms.fullSize(st)
-		kept += gp.storedNNZ(st)
+		full += st.full()
+		kept += st.nnz()
 	}
 	if want := full - int(0.8*float64(full)); kept != want {
 		t.Fatalf("pooled kept %d of %d, want %d at 80%% global sparsity", kept, full, want)
@@ -276,61 +276,106 @@ func TestGradualPruneZeroAllocBetweenEvents(t *testing.T) {
 	}
 }
 
+// shrinkShapes are the three parameter shapes a checkpoint can shrink on
+// load: SAMO-compressed, masked-dense (Dense mode over a pruning result) and
+// pattern layers (Sparsify'd SparseLinear on the CSR path). Each builds a
+// training state and, from the same seed and pruning identity, a
+// forward-only one; in and classes size the model's batches.
+var shrinkShapes = []struct {
+	name        string
+	in, classes int
+	train       func(seed uint64) *ModelState
+	infer       func(seed uint64) *InferenceState
+}{
+	{"samo", 8, 4,
+		func(seed uint64) *ModelState { _, ms, _ := buildTestSetup(SAMO, 0.5, seed); return ms },
+		func(seed uint64) *InferenceState { _, is := buildInferSetup(SAMO, 0.5, seed); return is }},
+	{"masked-dense", 8, 4,
+		func(seed uint64) *ModelState { _, ms, _ := buildTestSetup(Dense, 0.5, seed); return ms },
+		func(seed uint64) *InferenceState { _, is := buildInferSetup(Dense, 0.5, seed); return is }},
+	{"sparse-exec", 16, 8,
+		func(seed uint64) *ModelState { _, ms := buildSparseExecSetup(nn.ExecSparse, 0.5, seed); return ms },
+		func(seed uint64) *InferenceState {
+			sm, pr := sparseExecModel(nn.ExecSparse, 0.5, seed)
+			return NewInferenceState(sm, optim.NewAdam(0.01), SAMO, pr)
+		}},
+}
+
+// offPatternZero fails unless every index-pruned parameter's θ16 reads
+// exactly zero off its current pattern (pattern layers store no such
+// coordinates).
+func offPatternZero(t *testing.T, when string, ms *ModelState) {
+	t.Helper()
+	for _, st := range ms.states {
+		if st.ix == nil {
+			continue
+		}
+		mask := st.ix.Mask()
+		for i, v := range st.p.Value.Data() {
+			if !mask.Get(i) && v != 0 {
+				t.Fatalf("%s: %s θ16[%d] = %g off the pattern", when, st.p.Name, i, v)
+			}
+		}
+	}
+}
+
 // TestGradualCheckpointShrinkOnLoad is the resume golden for mid-ramp
-// checkpoints: a snapshot taken after some prune events loads into a FRESH
-// state still holding the initial (larger) pattern — the loader shrinks the
-// state onto the checkpoint's pattern first — and the resumed run finishes
-// the ramp bitwise-identically to the uninterrupted one.
+// checkpoints, for every shrinkable shape: a snapshot taken after some prune
+// events loads into a FRESH state still holding the initial (larger)
+// pattern — the loader shrinks the state onto the checkpoint's pattern
+// first — and the resumed run finishes the ramp bitwise-identically to the
+// uninterrupted one, down to its serialized state.
 func TestGradualCheckpointShrinkOnLoad(t *testing.T) {
 	sched := testSchedule() // events at 2, 4, 6, 8
-	_, msA, _ := buildTestSetup(SAMO, 0.5, 56)
-	gpA, err := NewGradualPruner(msA, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trA := NewTrainer(msA)
-	var buf bytes.Buffer
-	for step := 0; step < 5; step++ { // through events 2 and 4
-		x, tg := makeBatch(6, 8, 4, uint64(6600+step))
-		trA.TrainStep(x, tg)
-		gpA.MaybePrune(step)
-	}
-	if _, err := msA.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var lossesA []float64
-	for step := 5; step < 10; step++ { // events 6 and 8 remain
-		x, tg := makeBatch(6, 8, 4, uint64(6600+step))
-		l, _ := trA.TrainStep(x, tg)
-		lossesA = append(lossesA, l)
-		gpA.MaybePrune(step)
-	}
+	for _, sh := range shrinkShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			batch := func(step int) (*tensor.Tensor, []int) {
+				return makeBatch(6, sh.in, sh.classes, uint64(6600+step))
+			}
+			msA := sh.train(56)
+			gpA, err := NewGradualPruner(msA, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trA := NewTrainer(msA)
+			for step := 0; step < 5; step++ { // through events 2 and 4
+				trA.TrainStep(batch(step))
+				gpA.MaybePrune(step)
+			}
+			ckpt := saveBytes(t, msA)
+			var lossesA []float64
+			for step := 5; step < 10; step++ { // events 6 and 8 remain
+				l, _ := trA.TrainStep(batch(step))
+				lossesA = append(lossesA, l)
+				gpA.MaybePrune(step)
+			}
 
-	_, msB, _ := buildTestSetup(SAMO, 0.5, 56) // fresh: initial 50% pattern
-	if err := msB.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("shrink-on-load failed: %v", err)
-	}
-	gpB, _ := NewGradualPruner(msB, sched)
-	trB := NewTrainer(msB)
-	for step := 5; step < 10; step++ {
-		x, tg := makeBatch(6, 8, 4, uint64(6600+step))
-		l, _ := trB.TrainStep(x, tg)
-		if l != lossesA[step-5] {
-			t.Fatalf("step %d: resumed loss %.9f != original %.9f", step, l, lossesA[step-5])
-		}
-		gpB.MaybePrune(step)
-	}
-	pa, pb := msA.Model().Params(), msB.Model().Params()
-	for i := range pa {
-		if d := tensor.MaxAbsDiff(pa[i].Value, pb[i].Value); d != 0 {
-			t.Errorf("param %s differs by %g after mid-ramp resume", pa[i].Name, d)
-		}
-	}
-	for i, st := range msA.states {
-		if st.ix != nil && st.ix.NNZ() != msB.states[i].ix.NNZ() {
-			t.Errorf("%s final patterns diverged: %d vs %d",
-				st.p.Name, st.ix.NNZ(), msB.states[i].ix.NNZ())
-		}
+			msB := sh.train(56) // fresh: initial 50% pattern
+			if err := msB.Load(bytes.NewReader(ckpt)); err != nil {
+				t.Fatalf("shrink-on-load failed: %v", err)
+			}
+			offPatternZero(t, "after load", msB)
+			gpB, _ := NewGradualPruner(msB, sched)
+			trB := NewTrainer(msB)
+			for step := 5; step < 10; step++ {
+				l, _ := trB.TrainStep(batch(step))
+				if l != lossesA[step-5] {
+					t.Fatalf("step %d: resumed loss %.9f != original %.9f", step, l, lossesA[step-5])
+				}
+				gpB.MaybePrune(step)
+			}
+			offPatternZero(t, "after the ramp", msB)
+			pa, pb := msA.Model().Params(), msB.Model().Params()
+			for i := range pa {
+				if d := tensor.MaxAbsDiff(pa[i].Value, pb[i].Value); d != 0 {
+					t.Errorf("param %s differs by %g after mid-ramp resume", pa[i].Name, d)
+				}
+			}
+			// Patterns, θ32, optimizer moments, scaler and step counts.
+			if !bytes.Equal(saveBytes(t, msA), saveBytes(t, msB)) {
+				t.Error("resumed state does not serialize to the uninterrupted run's bytes")
+			}
+		})
 	}
 }
 
@@ -363,45 +408,52 @@ func TestGradualCheckpointNonSubsetRefused(t *testing.T) {
 	}
 }
 
-// TestGradualInferenceLoadsPostShrinkCheckpoint closes the serving handoff:
-// an InferenceState built from the ORIGINAL pruning identity accepts a
-// mid-ramp training checkpoint (shrinking its own patterns on load) and
-// reproduces the trained model's forward bitwise.
+// TestGradualInferenceLoadsPostShrinkCheckpoint closes the serving handoff
+// for every shrinkable shape: an InferenceState built from the ORIGINAL
+// pruning identity accepts a mid-ramp training checkpoint (shrinking its own
+// patterns on load) and reproduces the trained model's forward bitwise.
+// Having shrunk, it then refuses a checkpoint of the wider initial pattern.
 func TestGradualInferenceLoadsPostShrinkCheckpoint(t *testing.T) {
-	_, ms, pr := buildTestSetup(SAMO, 0.5, 58)
-	gp, err := NewGradualPruner(ms, testSchedule())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTrainer(ms)
-	for step := 0; step < 7; step++ { // through events 2, 4, 6
-		x, tg := makeBatch(6, 8, 4, uint64(6800+step))
-		tr.TrainStep(x, tg)
-		gp.MaybePrune(step)
-	}
-	var buf bytes.Buffer
-	if _, err := ms.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	for _, sh := range shrinkShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ms := sh.train(58)
+			gp, err := NewGradualPruner(ms, testSchedule())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewTrainer(ms)
+			var early []byte
+			for step := 0; step < 7; step++ { // through events 2, 4, 6
+				tr.TrainStep(makeBatch(6, sh.in, sh.classes, uint64(6800+step)))
+				gp.MaybePrune(step)
+				if step == 0 {
+					early = saveBytes(t, ms) // the initial pattern
+				}
+			}
+			ckpt := saveBytes(t, ms)
 
-	rng := tensor.NewRNG(58)
-	m2 := nn.BuildMLP("mlp", []int{8, 16, 4}, rng)
-	is := NewInferenceState(m2, optim.NewAdam(0.01), SAMO, pr)
-	if ms.Fingerprint() != is.Fingerprint() {
-		t.Fatal("fingerprints diverged across a prune event")
-	}
-	if err := is.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("inference shrink-on-load failed: %v", err)
-	}
-	x, _ := makeBatch(8, 8, 4, 6900)
-	a := tensor.NewArena()
-	want := append([]float32(nil), ms.Model().Infer(a, x).Data()...)
-	a.Reset()
-	got := is.Model().Infer(a, x).Data()
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("inference output %d differs after mid-ramp handoff: %g vs %g",
-				i, want[i], got[i])
-		}
+			is := sh.infer(58)
+			if ms.Fingerprint() != is.Fingerprint() {
+				t.Fatal("fingerprints diverged across a prune event")
+			}
+			if err := is.Load(bytes.NewReader(ckpt)); err != nil {
+				t.Fatalf("inference shrink-on-load failed: %v", err)
+			}
+			x, _ := makeBatch(8, sh.in, sh.classes, 6900)
+			a := tensor.NewArena()
+			want := append([]float32(nil), ms.Model().Infer(a, x).Data()...)
+			a.Reset()
+			got := is.Model().Infer(a, x).Data()
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("inference output %d differs after mid-ramp handoff: %g vs %g",
+						i, want[i], got[i])
+				}
+			}
+			err = is.Load(bytes.NewReader(early))
+			if err == nil || !strings.Contains(err.Error(), "pattern") {
+				t.Fatalf("pre-shrink checkpoint loaded into a post-shrink inference state: %v", err)
+			}
+		})
 	}
 }

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 
-	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -34,17 +30,7 @@ type InferenceState struct {
 
 	model    *nn.Model
 	optBytes int // optimizer footprint of the checkpoints this state accepts
-	params   []inferParam
-	patterns map[*nn.Param]nn.PatternLayer
-}
-
-// inferParam mirrors paramState's structural fields without any of its
-// storage. The index is this state's private clone: loading a checkpoint
-// written after gradual prune events shrinks it in place.
-type inferParam struct {
-	p          *nn.Param
-	ix         *sparse.Index
-	compressed bool
+	shapes   []*shape
 }
 
 // NewInferenceState builds a forward-only state over model. opt identifies
@@ -55,41 +41,13 @@ type inferParam struct {
 // initial parameters are fp16-quantized, so a freshly built inference model
 // is bitwise-identical to a freshly built training model before any steps.
 func NewInferenceState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Result) *InferenceState {
-	if mode == SAMO && pr == nil {
-		panic("core: SAMO mode requires a pruning result")
-	}
-	s := &InferenceState{
-		Mode:     mode,
-		model:    model,
-		optBytes: opt.StateBytesPerParam(),
-		patterns: make(map[*nn.Param]nn.PatternLayer),
-	}
-	for _, l := range model.Layers {
-		if pl, ok := l.(nn.PatternLayer); ok {
-			s.patterns[pl.PatternParam()] = pl
-		}
-	}
+	s := &InferenceState{Mode: mode, model: model, optBytes: opt.StateBytesPerParam(),
+		shapes: shapesOf(model, mode, pr)}
+	// Forward-only: the gradient accumulators will never be written.
+	// Release them so the footprint shrinks from 4φ (Value+Grad fp32
+	// slices) to the θ16 line alone.
 	for _, p := range model.Params() {
-		ip := inferParam{p: p}
-		if pr != nil && nn.Prunable(p) {
-			// Private clone: shrink-on-load mutates the index in place, and
-			// the pruning result may be shared with other states.
-			if shared := pr.Index(p.Name); shared != nil {
-				ip.ix = shared.Clone()
-			}
-		}
-		if ip.ix != nil {
-			ip.ix.Mask().Apply(p.Value.Data())
-		}
-		fp16.RoundSlice(p.Value.Data(), p.Value.Data())
-		if mode == SAMO && ip.ix != nil {
-			ip.compressed = true
-		}
-		// Forward-only: the gradient accumulator will never be written.
-		// Release it so the footprint shrinks from 4φ (Value+Grad fp32
-		// slices) to the θ16 line alone.
 		p.Grad = nil
-		s.params = append(s.params, ip)
 	}
 	return s
 }
@@ -103,42 +61,19 @@ func (s *InferenceState) Model() *nn.Model { return s.model }
 // the down-cast temp copy — is zero by construction.
 func (s *InferenceState) Memory() MemoryBreakdown {
 	var b MemoryBreakdown
-	for _, ip := range s.params {
-		b.Theta16 += BytesTheta16 * int64(ip.p.Size())
-		b.Index += ip.p.MetaBytes
+	for _, sh := range s.shapes {
+		b.Theta16 += BytesTheta16 * int64(sh.p.Size())
+		b.Index += sh.p.MetaBytes
 	}
 	return b
 }
 
-// Fingerprint hashes the same structural identity as ModelState.Fingerprint
-// — mode, optimizer footprint, per-parameter name and full (pre-pruning)
-// size — so a training checkpoint's manifest fingerprint matches and
-// ckpt.Manager loads it into inference mode with the same up-front refusal
-// semantics, at any point of a gradual pruning schedule (patterns are
-// validated structurally inside the snapshot, not here).
+// Fingerprint hashes the same structural identity as ModelState.Fingerprint,
+// so a training checkpoint's manifest fingerprint matches and ckpt.Manager
+// loads it into inference mode with the same up-front refusal semantics, at
+// any point of a gradual pruning schedule.
 func (s *InferenceState) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	putU64(uint64(s.Mode))
-	putU64(uint64(s.optBytes))
-	for _, ip := range s.params {
-		h.Write([]byte(ip.p.Name))
-		putU64(uint64(s.fullSize(ip)))
-	}
-	return h.Sum64()
-}
-
-// fullSize is the dense (pre-pruning) element count of a parameter — the
-// pattern layer's full matrix for SparseLinear values, p.Size() otherwise.
-func (s *InferenceState) fullSize(ip inferParam) int {
-	if pl := s.patterns[ip.p]; pl != nil {
-		return pl.PatternFullLen()
-	}
-	return ip.p.Size()
+	return fingerprint(s.Mode, s.optBytes, s.shapes)
 }
 
 // Save is unsupported: an InferenceState holds no θ32 or optimizer state to
@@ -158,58 +93,19 @@ func (s *InferenceState) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	// The spec is rebuilt per call: a previous shrink-on-load may have
-	// shrunk patterns, and the next checkpoint validates against the
-	// current ones.
-	spec := snapSpec{mode: s.Mode, wantK: s.optBytes / 4}
-	for _, ip := range s.params {
-		ps := snapParamSpec{name: ip.p.Name, stored: ip.p.Size(), full: s.fullSize(ip)}
-		switch {
-		case s.patterns[ip.p] != nil:
-			ps.ids = s.patterns[ip.p].PatternIDs()
-			ps.patternSized = true
-		case ip.compressed:
-			ps.stored = ip.ix.NNZ()
-			ps.ids = ip.ix.IDs()
-			ps.patternSized = true
-		case ip.ix != nil:
-			ps.ids = ip.ix.IDs()
-		}
-		spec.params = append(spec.params, ps)
-	}
-	stg, err := parseSnapshot(raw, &spec)
+	stg, err := parseSnapshot(raw, s.Mode, s.optBytes, s.shapes)
 	if err != nil {
 		return err
 	}
 	// Commit: shrink-on-load where the checkpoint's pattern is a strict
 	// subset, then θ32 -> fp16 grid -> dense θ16 (the optimizer down-cast
 	// path, without an optimizer).
-	for i, ip := range s.params {
+	for i, sh := range s.shapes {
 		sp := &stg.params[i]
-		if k := sp.keep; k != nil {
-			switch {
-			case s.patterns[ip.p] != nil:
-				s.patterns[ip.p].ShrinkPattern(k)
-			case ip.compressed:
-				ids := ip.ix.IDs()
-				dst := ip.p.Value.Data()
-				for j, kk := range k {
-					if !kk {
-						dst[ids[j]] = 0
-					}
-				}
-				ip.ix.ShrinkTo(k)
-			default:
-				ip.ix.ShrinkTo(k)
-			}
+		if sp.keep != nil {
+			sh.shrink(sp.keep)
 		}
-		// Pruned coordinates are zero already: masked at construction,
-		// zeroed above where the checkpoint's pattern dropped them.
-		if ip.compressed {
-			fp16.RoundScatter(ip.p.Value.Data(), sp.theta32, ip.ix.IDs())
-		} else {
-			fp16.RoundSlice(ip.p.Value.Data(), sp.theta32)
-		}
+		sh.expand(sp.theta32)
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func (ms *ModelState) Save(w io.Writer) (int64, error) {
 		if err := putString(bw, st.p.Name); err != nil {
 			return 0, err
 		}
-		if err := putPattern(bw, ms.patternIDs(st)); err != nil {
+		if err := putPattern(bw, st.ids()); err != nil {
 			return 0, err
 		}
 		if err := must(
@@ -144,7 +144,7 @@ func (ms *ModelState) Load(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	stg, err := ms.parseSnapshot(raw)
+	stg, err := parseSnapshot(raw, ms.Mode, ms.opt.StateBytesPerParam(), ms.shapes)
 	if err != nil {
 		return err
 	}
@@ -184,7 +184,7 @@ func (ms *ModelState) Load(r io.Reader) error {
 		}
 		// Rebuild dense θ16 from the restored master weights (§III-C's
 		// down-cast path).
-		st.downcast()
+		st.expand(st.theta32)
 		zero(st.grad16)
 	}
 	ms.Scaler.Restore(stg.scale, stg.scalerGood, stg.scalerSkipped)
@@ -193,64 +193,15 @@ func (ms *ModelState) Load(r io.Reader) error {
 	return nil
 }
 
-// snapSpec is the structural identity a checkpoint must match to parse:
-// mode, optimizer vector count, and per parameter its name and stored
-// length, in order. ModelState and InferenceState both reduce to one, so
-// training and forward-only loads share a single transactional parser.
-type snapSpec struct {
-	mode   Mode
-	wantK  int
-	params []snapParamSpec
-}
-
-type snapParamSpec struct {
-	name   string
-	stored int
-	// ids is the current stored pattern (nil: dense parameter, no pattern
-	// block in the checkpoint); full is the dense-view length it addresses.
-	ids  []int32
-	full int
-	// patternSized marks parameters whose stored length IS the pattern
-	// length (SAMO-compressed and pattern-layer parameters): for those a
-	// subset checkpoint carries shorter vectors. Masked-dense parameters
-	// keep full-length vectors under any pattern.
-	patternSized bool
-}
-
-// patternIDs returns a parameter's current stored-pattern ids, nil for
-// parameters without a pattern. Freshly allocated for pattern layers;
-// aliased for index-compressed ones (callers must not modify).
-func (ms *ModelState) patternIDs(st *paramState) []int32 {
-	if pl := ms.patterns[st.p]; pl != nil {
-		return pl.PatternIDs()
-	}
-	if st.ix != nil {
-		return st.ix.IDs()
-	}
-	return nil
-}
-
-// parseSnapshot validates raw against this state's structure and returns the
-// staged contents. It never mutates ms.
-func (ms *ModelState) parseSnapshot(raw []byte) (*snapStaging, error) {
+// parseSnapshot validates raw against a state's structure — its mode, the
+// optimizer footprint it accepts, and per parameter the shape's name, current
+// pattern and stored length, in order — and returns the staged contents
+// without touching any live state. ModelState and InferenceState share it,
+// so training and forward-only loads accept exactly the same bytes.
+func parseSnapshot(raw []byte, stateMode Mode, optBytes int, shapes []*shape) (*snapStaging, error) {
 	// Optimizer vectors per parameter, derived from the optimizer type
 	// rather than States() (which is nil until primed): 4 bytes per float.
-	spec := snapSpec{mode: ms.Mode, wantK: ms.opt.StateBytesPerParam() / 4}
-	for _, st := range ms.states {
-		spec.params = append(spec.params, snapParamSpec{
-			name:         st.p.Name,
-			stored:       len(st.theta32),
-			ids:          ms.patternIDs(st),
-			full:         ms.fullSize(st),
-			patternSized: st.compressed || ms.patterns[st.p] != nil,
-		})
-	}
-	return parseSnapshot(raw, &spec)
-}
-
-// parseSnapshot validates raw against spec and returns the staged contents
-// without touching any live state.
-func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
+	wantK := optBytes / 4
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("core: checkpoint truncated (%d bytes)", len(raw))
 	}
@@ -280,16 +231,16 @@ func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
 	if err := get(&mode); err != nil {
 		return nil, err
 	}
-	if Mode(mode) != spec.mode {
-		return nil, fmt.Errorf("core: checkpoint mode %v does not match state mode %v", Mode(mode), spec.mode)
+	if Mode(mode) != stateMode {
+		return nil, fmt.Errorf("core: checkpoint mode %v does not match state mode %v", Mode(mode), stateMode)
 	}
 	for _, v := range []any{&scale, &scalerGood, &scalerSkipped, &steps, &skipped, &n} {
 		if err := get(v); err != nil {
 			return nil, err
 		}
 	}
-	if int(n) != len(spec.params) {
-		return nil, fmt.Errorf("core: checkpoint has %d parameters, state has %d", n, len(spec.params))
+	if int(n) != len(shapes) {
+		return nil, fmt.Errorf("core: checkpoint has %d parameters, state has %d", n, len(shapes))
 	}
 
 	stg := &snapStaging{
@@ -298,16 +249,15 @@ func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
 		scalerSkipped: int(scalerSkipped),
 		steps:         int(steps),
 		skipped:       int(skipped),
-		params:        make([]snapParam, len(spec.params)),
+		params:        make([]snapParam, len(shapes)),
 	}
-	for i := range spec.params {
-		ps := &spec.params[i]
+	for i, sh := range shapes {
 		name, err := getString(br)
 		if err != nil {
 			return nil, err
 		}
-		if name != ps.name {
-			return nil, fmt.Errorf("core: checkpoint parameter %q does not match %q (order must be identical)", name, ps.name)
+		if name != sh.p.Name {
+			return nil, fmt.Errorf("core: checkpoint parameter %q does not match %q (order must be identical)", name, sh.p.Name)
 		}
 		sp := &stg.params[i]
 		var flag uint8
@@ -317,30 +267,33 @@ func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
 		if flag > 1 {
 			return nil, fmt.Errorf("core: %s has invalid pattern flag %d", name, flag)
 		}
-		if (flag == 1) != (ps.ids != nil) {
+		ids := sh.ids() // nil: no pattern block in the checkpoint
+		if (flag == 1) != (ids != nil) {
 			return nil, fmt.Errorf("core: %s pattern presence mismatch (checkpoint %v, state %v)",
-				name, flag == 1, ps.ids != nil)
+				name, flag == 1, ids != nil)
 		}
-		expect := ps.stored
+		expect := sh.stored()
 		if flag == 1 {
 			var cnt uint32
 			if err := get(&cnt); err != nil {
 				return nil, err
 			}
-			if int(cnt) > len(ps.ids) {
+			if int(cnt) > len(ids) {
 				return nil, fmt.Errorf("core: %s checkpoint pattern has %d ids, current pattern only %d — checkpoints load only into matching patterns",
-					name, cnt, len(ps.ids))
+					name, cnt, len(ids))
 			}
 			stored := make([]int32, cnt)
 			if err := getInts(br, stored); err != nil {
 				return nil, err
 			}
-			keep, err := subsetKeep(ps.ids, stored)
+			keep, err := subsetKeep(ids, stored)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s %w — checkpoints load only into matching patterns", name, err)
 			}
 			sp.keep = keep
-			if ps.patternSized {
+			// A subset checkpoint carries shorter pattern-sized vectors;
+			// masked-dense ones stay full-length under any pattern.
+			if sh.patternSized() {
 				expect = int(cnt)
 			}
 		}
@@ -363,8 +316,8 @@ func parseSnapshot(raw []byte, spec *snapSpec) (*snapStaging, error) {
 		if err := get(&k); err != nil {
 			return nil, err
 		}
-		if int(k) != spec.wantK {
-			return nil, fmt.Errorf("core: %s has %d optimizer vectors, checkpoint %d", name, spec.wantK, k)
+		if int(k) != wantK {
+			return nil, fmt.Errorf("core: %s has %d optimizer vectors, checkpoint %d", name, wantK, k)
 		}
 		sp.opt = make([][]float32, k)
 		for j := range sp.opt {

@@ -15,6 +15,13 @@ import (
 // wrapped in a SAMO-mode ModelState — the sparse-execution training stack
 // end to end.
 func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *ModelState) {
+	sm, pr := sparseExecModel(exec, sparsity, seed)
+	return sm, NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
+}
+
+// sparseExecModel is buildSparseExecSetup's model and pruning result, for
+// callers that wrap them in a state of their own.
+func sparseExecModel(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *prune.Result) {
 	rng := tensor.NewRNG(seed)
 	m := nn.BuildMLP("smlp", []int{16, 32, 8}, rng)
 	var layers []prune.Layer
@@ -28,7 +35,7 @@ func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.
 			sl.Exec = exec
 		}
 	}
-	return sm, NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
+	return sm, pr
 }
 
 // TestSparseExecTrainStepZeroAlloc pins the sparse execution path's perf

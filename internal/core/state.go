@@ -1,16 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
-	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -31,9 +27,8 @@ func (m Mode) String() string {
 	return "Dense"
 }
 
-// paramState holds one parameter's model-state tensors. For a pruned
-// parameter under SAMO, ix is non-nil and every vector here has length
-// ix.NNZ(); otherwise vectors are dense (length = parameter size).
+// paramState holds one parameter's model-state tensors, each of the
+// shape's stored length (see shape.go).
 //
 // Storage-width note: gradients and parameters that are logically fp16
 // (∇θ16, θ16) hold values rounded onto the fp16 grid. Element values are
@@ -41,13 +36,7 @@ func (m Mode) String() string {
 // are float32 for kernel uniformity, and the memory ledger accounts them at
 // their logical 2-byte width, exactly as MemoryBreakdown specifies.
 type paramState struct {
-	p *nn.Param
-	// ix is non-nil whenever the parameter is pruned. compressed selects
-	// SAMO storage; a pruned parameter in Dense mode keeps dense state
-	// tensors but still enforces the mask on captured gradients, giving the
-	// masked-dense reference SAMO must match bit for bit.
-	ix         *sparse.Index
-	compressed bool
+	*shape
 
 	theta32 []float32 // master weights (compressed under SAMO)
 	grad16  []float32 // fp16-grid scaled gradients, captured layer by layer
@@ -67,17 +56,12 @@ type ModelState struct {
 
 	model    *nn.Model
 	opt      optim.Optimizer
+	shapes   []*shape // states[i].shape, for the code InferenceState shares
 	states   []*paramState
 	byParam  map[*nn.Param]*paramState
 	overflow bool
 	steps    int
 	skipped  int
-
-	// patterns maps each pattern-bearing parameter (e.g. a SparseLinear's
-	// Wv) to the layer owning its shrinkable support, discovered once at
-	// construction. Gradual pruning and shrink-on-load drive the layers'
-	// in-place pattern compaction through this map.
-	patterns map[*nn.Param]nn.PatternLayer
 
 	// Steady-state scratch, built once so Step/ReduceBuffers/GradHook do
 	// not allocate per call.
@@ -109,50 +93,17 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 		Scaler:  optim.NewLossScaler(),
 		model:   model,
 		opt:     opt,
+		shapes:  shapesOf(model, mode, pr),
 		byParam: make(map[*nn.Param]*paramState),
 	}
-	if mode == SAMO && pr == nil {
-		panic("core: SAMO mode requires a pruning result")
-	}
-	ms.patterns = make(map[*nn.Param]nn.PatternLayer)
-	for _, l := range model.Layers {
-		if pl, ok := l.(nn.PatternLayer); ok {
-			ms.patterns[pl.PatternParam()] = pl
-		}
-	}
-	for _, p := range model.Params() {
-		st := &paramState{p: p}
-		var ix *sparse.Index
-		if pr != nil && nn.Prunable(p) {
-			if shared := pr.Index(p.Name); shared != nil {
-				// Own copy: gradual pruning shrinks it in place, and the
-				// pruning result may be shared across ranks.
-				ix = shared.Clone()
-			}
-		}
-		if ix != nil {
-			// Zero the pruned coordinates of dense θ16.
-			ix.Mask().Apply(p.Value.Data())
-		}
-		// fp16-quantize the initial dense parameters (mixed-precision init).
-		fp16.RoundSlice(p.Value.Data(), p.Value.Data())
-		st.ix = ix
+	for _, sh := range ms.shapes {
 		// grad16 is not allocated here: planBuckets aliases it into the
 		// bucket slabs below, so the reduce payload is contiguous per bucket.
-		if mode == SAMO && ix != nil {
-			st.compressed = true
-			n := ix.NNZ()
-			st.theta32 = make([]float32, n)
-			st.grad32 = make([]float32, n)
-			ix.Compress(st.theta32, p.Value.Data())
-		} else {
-			n := p.Size()
-			st.theta32 = make([]float32, n)
-			st.grad32 = make([]float32, n)
-			copy(st.theta32, p.Value.Data())
-		}
+		n := sh.stored()
+		st := &paramState{shape: sh, theta32: make([]float32, n), grad32: make([]float32, n)}
+		sh.gather(st.theta32)
 		ms.states = append(ms.states, st)
-		ms.byParam[p] = st
+		ms.byParam[sh.p] = st
 	}
 	ms.layerParams = make(map[nn.Layer][]*nn.Param)
 	ms.hook = nn.GradHook{Capture: func(layer nn.Layer) {
@@ -162,7 +113,11 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 			ms.layerParams[layer] = ps
 		}
 		for _, p := range ps {
-			ms.captureParam(p)
+			st, ok := ms.byParam[p]
+			if !ok {
+				panic(fmt.Sprintf("core: gradient for unregistered parameter %s", p.Name))
+			}
+			st.capture(st.grad16)
 		}
 	}}
 	ms.clipBufs = make([][]float32, len(ms.states))
@@ -184,32 +139,6 @@ func (ms *ModelState) LossScale() float32 { return float32(ms.Scaler.Scale) }
 // is built once at construction (and memoizes each layer's parameter list),
 // so fetching and running it allocates nothing.
 func (ms *ModelState) GradHook() nn.GradHook { return ms.hook }
-
-// captureParam drains one parameter's dense gradient accumulator into its
-// ∇θ16 vector, one fused fp16 kernel per storage shape: accumulate (a
-// pipelined schedule calls the hook once per microbatch), round onto the
-// fp16 grid, and leave p.Grad zero.
-func (ms *ModelState) captureParam(p *nn.Param) {
-	st, ok := ms.byParam[p]
-	if !ok {
-		panic(fmt.Sprintf("core: gradient for unregistered parameter %s", p.Name))
-	}
-	g := p.Grad.Data()
-	switch {
-	case st.compressed:
-		// Compress: gather the unpruned coordinates as they accumulate.
-		fp16.AccumRoundGather(st.grad16, g, st.ix.IDs())
-		p.Grad.Zero()
-	case st.ix != nil:
-		// Masked-dense: full-size storage, but pruned coordinates carry no
-		// gradient, so they (and their optimizer states) stay exactly zero.
-		fp16.AccumRoundAt(st.grad16, g, st.ix.IDs())
-		p.Grad.Zero()
-	default:
-		// Dense: add, round and clear p.Grad in one sweep.
-		fp16.AccumRoundClear(st.grad16, g)
-	}
-}
 
 // ReduceBuffers exposes the captured fp16 gradient payload for data-parallel
 // all-reduce, one buffer per size-bounded bucket in backward order (the order
@@ -262,14 +191,10 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 //   - optional global-norm clip over ∇θ32 (serial: its summation order is a
 //     numerics contract);
 //   - per parameter, the optimizer on the whole (θ32, ∇θ32) vector, then the
-//     down-cast: dense parameters round θ32 into θ16; SAMO-compressed ones
-//     round and scatter straight to θ16's unpruned coordinates, with no
-//     compressed half copy in between and no zero-fill of the dense tensor.
-//
-// The scatter relies on an invariant: the pruned coordinates of θ16 are
-// exactly zero and nothing writes them. NewModelState applies the mask,
-// applyShrinks zeroes the coordinates each prune event drops, and every
-// write to θ16 in between goes through the index.
+//     down-cast (shape.expand): dense parameters round θ32 into θ16;
+//     SAMO-compressed ones round and scatter straight to θ16's unpruned
+//     coordinates, with no compressed half copy in between and no zero-fill
+//     of the dense tensor.
 func (ms *ModelState) StepGiven(overflow bool) bool {
 	// Snapshot the scale the in-flight gradients were produced under:
 	// Scaler.Update may grow it for the NEXT step.
@@ -291,20 +216,10 @@ func (ms *ModelState) StepGiven(overflow bool) bool {
 	}
 	for _, st := range ms.states {
 		ms.opt.Step(st.p.Name, st.theta32, st.grad32)
-		st.downcast()
+		st.expand(st.theta32)
 	}
 	ms.steps++
 	return true
-}
-
-// downcast rebuilds the parameter's dense θ16 from its master weights (see
-// StepGiven for the invariant the compressed form relies on).
-func (st *paramState) downcast() {
-	if st.compressed {
-		fp16.RoundScatter(st.p.Value.Data(), st.theta32, st.ix.IDs())
-	} else {
-		fp16.RoundSlice(st.p.Value.Data(), st.theta32)
-	}
 }
 
 // upscaleJob carries the up-scale sweep to the worker pool. A ModelState
@@ -333,65 +248,26 @@ func (ms *ModelState) SkippedSteps() int { return ms.skipped }
 func (ms *ModelState) Memory() MemoryBreakdown {
 	var b MemoryBreakdown
 	for _, st := range ms.states {
-		full := int64(st.p.Size())
 		stored := int64(len(st.theta32))
-		b.Theta16 += BytesTheta16 * full
+		b.Theta16 += BytesTheta16 * int64(st.p.Size())
 		b.Grad16 += BytesGrad16 * stored
 		b.Theta32 += BytesTheta32 * stored
 		b.Grad32 += BytesGrad32 * stored
 		b.OptStates += int64(ms.opt.StateBytesPerParam()) * stored
-		if st.compressed {
-			b.Index += st.ix.Bytes()
-			// The paper's 2fφ line: a GPU down-cast materialises the
-			// compressed half copy before expanding it. The fused
-			// round-and-scatter here never does, so this line is the model's
-			// charge, not an allocation.
-			b.TempCopy += BytesTheta16 * stored
-		}
 		// Layer-owned structure (e.g. a SparseLinear's CSR patterns) rides
 		// with the parameter it indexes.
-		b.Index += st.p.MetaBytes
+		index, tempCopy := st.samoBytes()
+		b.Index += index + st.p.MetaBytes
+		b.TempCopy += tempCopy
 	}
 	return b
 }
 
-// Fingerprint hashes the state's IMMUTABLE structure — mode, optimizer
-// footprint, and per parameter its name and full (pattern-independent)
-// size. Two states with equal fingerprints accept each other's
-// checkpoints; the checkpoint manager stores it in the manifest so a
-// resume against a different model, optimizer or storage mode is refused
-// up front instead of failing byte-by-byte mid-load.
-//
-// The stored (pattern-dependent) length is deliberately NOT hashed: a
-// gradual pruning schedule shrinks patterns mid-run, and a freshly rebuilt
-// state (initial pattern) must accept a post-shrink checkpoint to recover.
-// The pattern itself is serialized inside the snapshot and validated there
-// — a checkpoint loads only into a matching (superset) pattern, with the
-// state shrunk on load.
+// Fingerprint hashes the state's immutable structure (see fingerprint); a
+// checkpoint loads only into a matching (superset) pattern, with the state
+// shrunk on load.
 func (ms *ModelState) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	putU64(uint64(ms.Mode))
-	putU64(uint64(ms.opt.StateBytesPerParam()))
-	for _, st := range ms.states {
-		h.Write([]byte(st.p.Name))
-		putU64(uint64(ms.fullSize(st)))
-	}
-	return h.Sum64()
-}
-
-// fullSize returns a parameter's pattern-independent element count: the
-// dense-view length for pattern-bearing parameters (whose p.Size() shrinks
-// with the pattern), the tensor size otherwise.
-func (ms *ModelState) fullSize(st *paramState) int {
-	if pl := ms.patterns[st.p]; pl != nil {
-		return pl.PatternFullLen()
-	}
-	return st.p.Size()
+	return fingerprint(ms.Mode, ms.opt.StateBytesPerParam(), ms.shapes)
 }
 
 // Model returns the managed model.

@@ -311,14 +311,7 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if l.Wv.Grad != nil {
 		// Compact the gradient accumulator alongside the values (it is
 		// zero between steps, but mid-step callers keep a coherent view).
-		g := l.Wv.Grad.Data()
-		w := 0
-		for i, k := range keep {
-			if k {
-				g[w] = g[i]
-				w++
-			}
-		}
+		sparse.Compact(l.Wv.Grad.Data(), keep)
 	}
 	l.W.ShrinkTo(keep)
 	l.wtPerm = l.W.TransposePermInto(l.Wt, l.wtPerm)

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"github.com/sparse-dl/samo/internal/parallel"
+	"github.com/sparse-dl/samo/internal/sparse"
 )
 
 // Optimizer updates one flat parameter vector from its gradient. Each
@@ -111,7 +112,7 @@ func (s *SGD) SetStepCount(string, int) {}
 // CompactState shrinks the velocity vector onto the kept positions.
 func (s *SGD) CompactState(key string, keep []bool) {
 	if v, ok := s.velocity[key]; ok {
-		s.velocity[key] = compactKept(key, v, keep)
+		s.velocity[key] = sparse.Compact(v, keep)
 	}
 }
 
@@ -219,26 +220,9 @@ func (a *Adam) SetStepCount(key string, t int) { a.t[key] = t }
 // CompactState shrinks both moment vectors onto the kept positions.
 func (a *Adam) CompactState(key string, keep []bool) {
 	if m, ok := a.m[key]; ok {
-		a.m[key] = compactKept(key, m, keep)
-		a.v[key] = compactKept(key, a.v[key], keep)
+		a.m[key] = sparse.Compact(m, keep)
+		a.v[key] = sparse.Compact(a.v[key], keep)
 	}
-}
-
-// compactKept filters v to the kept positions in place and returns the
-// shortened slice (the backing array is reused — state shrinkage never
-// reallocates).
-func compactKept(key string, v []float32, keep []bool) []float32 {
-	if len(v) != len(keep) {
-		panic(fmt.Sprintf("optim: %s state %d vs keep mask %d", key, len(v), len(keep)))
-	}
-	w := 0
-	for i, k := range keep {
-		if k {
-			v[w] = v[i]
-			w++
-		}
-	}
-	return v[:w]
 }
 
 func checkLens(key string, params, grads []float32) {

@@ -64,18 +64,25 @@ func (ix *Index) Clone() *Index {
 // survivors leftward in place — NNZ only ever decreases under gradual
 // pruning, so the backing array is reused, never reallocated. keep is in
 // stored (ascending id) order; the result stays sorted and unique.
-func (ix *Index) ShrinkTo(keep []bool) {
-	if len(keep) != len(ix.ids) {
-		panic(fmt.Sprintf("sparse: ShrinkTo keep length %d, want %d", len(keep), len(ix.ids)))
+func (ix *Index) ShrinkTo(keep []bool) { ix.ids = Compact(ix.ids, keep) }
+
+// Compact filters v to the positions where keep is true, in place, and
+// returns the shortened slice over the same backing array: the one
+// left-compaction every in-place shrink (index ids, state vectors, optimizer
+// moments, a pattern layer's gradient) runs. It panics when the lengths
+// differ.
+func Compact[T any](v []T, keep []bool) []T {
+	if len(v) != len(keep) {
+		panic(fmt.Sprintf("sparse: Compact length %d, keep mask %d", len(v), len(keep)))
 	}
 	w := 0
 	for i, k := range keep {
 		if k {
-			ix.ids[w] = ix.ids[i]
+			v[w] = v[i]
 			w++
 		}
 	}
-	ix.ids = ix.ids[:w]
+	return v[:w]
 }
 
 // ixJob carries a compress/expand call's arguments to the worker pool.

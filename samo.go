@@ -225,7 +225,11 @@
 // overflow consensus, where every data-parallel replica is
 // bitwise-identical — so all replicas (and the masked-dense reference
 // mode) shrink to the exact same pattern with no extra communication, at
-// any worker count, on either transport, with overlap on or off.
+// any worker count, on either transport, with overlap on or off. Every
+// parameter has one of four storage shapes — dense, masked-dense,
+// SAMO-compressed or a pattern layer's CSR values — and
+// internal/core/shape.go is the one file that knows them, so a new weight
+// format touches that file rather than the state, pruner and snapshot code.
 // Checkpoints carry their pattern: one written after an event loads only
 // into states whose pattern it is a subset of (shrinking them on load),
 // and crash recovery around a prune event is bitwise-identical to an
