@@ -94,7 +94,7 @@ func (ReLULayer) Params() []*Param { return nil }
 // GELULayer applies the Gaussian error linear unit (transformer MLPs).
 type GELULayer struct{}
 
-// Forward applies GELU, caching pre-activations.
+// Forward applies GELU, caching its derivative at each input.
 func (GELULayer) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	y := a.Get(x.Shape()...)
 	y.CopyFrom(x)
@@ -102,16 +102,16 @@ func (GELULayer) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor
 		tensor.GELUInPlace(y)
 		return y, nil
 	}
-	pre := a.Get(x.Shape()...)
-	tensor.GELUWithPre(y, pre)
-	return y, pre
+	deriv := a.Get(x.Shape()...)
+	tensor.GELUWithDeriv(y, deriv)
+	return y, deriv
 }
 
-// Backward multiplies by dGELU/dx at the cached pre-activations.
+// Backward multiplies by the cached dGELU/dx.
 func (GELULayer) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
 	g := a.Get(gradOut.Shape()...)
 	g.CopyFrom(gradOut)
-	tensor.GELUBackward(g, cache.(*tensor.Tensor))
+	tensor.Mul(g, cache.(*tensor.Tensor))
 	return g
 }
 

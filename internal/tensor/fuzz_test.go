@@ -7,16 +7,16 @@ import (
 )
 
 // FuzzMatMulInto drives every GEMM dispatch path — the saxpy small-shape
-// kernel, the direct-B and strip blockings, the latter under both strip
-// kernels (bothGemmKernels) — against the naive triple loop over
-// fuzzer-chosen shapes. Shapes are folded into ranges that cross the
-// dispatch boundaries (m around the rule's m = 2 line, gemmMR and the v2
-// gate, k and n around the kc/nc blockings and the 8-wide strip width), and
-// both blockings run at every m, each checked BITWISE against the Go
-// kernel's direct-B: the rule picks by m, so a divergence would let the
-// batch height perturb results. Last, the row-invariance contract (see
-// gemm): rows recomputed alone and in short blocks, through the dispatcher
-// and through every blocking, carry the full product's bits.
+// kernel, and the in-place and packed blockings under both strip kernels
+// (bothGemmKernels) — against the naive triple loop over fuzzer-chosen
+// shapes. Shapes are folded into ranges that cross the dispatch boundaries
+// (m around gemmMR and the rule's line, k and n around the v2 gate, the
+// kc/nc blockings and the 8-wide strip width), and both blockings run at
+// every m, each checked BITWISE against the Go kernel's in-place sweep: the
+// rule picks by m, so a divergence would let the batch height perturb
+// results. Last, the row-invariance contract (see gemm): rows recomputed
+// alone and in short blocks, through the dispatcher and through every
+// blocking, carry the full product's bits.
 func FuzzMatMulInto(f *testing.F) {
 	// Seeded degenerate corpus: dispatch-gate boundaries, micro-kernel
 	// remainders, panel-boundary crossings, strip tails, empty dims.
@@ -30,8 +30,9 @@ func FuzzMatMulInto(f *testing.F) {
 	f.Add(uint16(40), uint16(300), uint16(200), uint64(8), false)
 	f.Add(uint16(47), uint16(319), uint16(223), uint64(9), true) // max folded shape
 	f.Add(uint16(3), uint16(24), uint16(32), uint64(10), false)  // a served MLP batch of 3: strip at m < gemmMR
+	f.Add(uint16(129), uint16(66), uint16(40), uint64(11), true) // one row above the rule's line: B packed
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
-		m, k, n := int(mr%48), int(kr%320), int(nr%224)
+		m, k, n := int(mr%160), int(kr%320), int(nr%224)
 		rng := NewRNG(seed | 1)
 		a, b := New(m, k), New(k, n)
 		fillSeq(a, rng)
@@ -66,7 +67,7 @@ func FuzzMatMulInto(f *testing.F) {
 				if first == nil {
 					first = out
 				} else if i, ok := bitwiseEqual(out, first); !ok {
-					t.Fatalf("blocking %+v on %dx%dx%d: not bitwise-equal to the Go kernel's direct-B at index %d",
+					t.Fatalf("blocking %+v on %dx%dx%d: not bitwise-equal to the Go kernel's in-place sweep at index %d",
 						bl, m, k, n, i)
 				}
 			}
@@ -132,8 +133,10 @@ func checkRowInvariant(t *testing.T, what string, full, cSeed *Tensor, heights [
 // naive triple loop over fuzzer-chosen shapes, with the same
 // dispatch-boundary folding as FuzzMatMulInto; the vector kernel's output
 // is additionally checked BITWISE against the Go kernel's (a host must not
-// change a bit), and the dispatcher and the blocking are held to the
-// row-invariance contract like the forward product's.
+// change a bit), and against the forward product's in-place sweep over the
+// materialized Bᵀ at every m (the transpose-pack relocates bytes, never
+// reorders an operation), and the dispatcher and the blocking are held to
+// the row-invariance contract like the forward product's.
 func FuzzMatMulTInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -174,6 +177,7 @@ func FuzzMatMulTInto(f *testing.F) {
 						bl, m, k, n, i)
 				}
 			}
+			checkInPlace(t, "NT", first, cSeed, a, Transpose(b), accumulate)
 			lo, hi := rowWindow(m, seed)
 			checkRowInvariant(t, "MatMulTInto", got, cSeed, rowHeights, lo, hi, 0, func(out *Tensor, lo, hi int) {
 				MatMulTInto(out, a.Slice(lo, hi), b, accumulate)
@@ -188,7 +192,8 @@ func FuzzMatMulTInto(f *testing.F) {
 }
 
 // FuzzTMatMulInto is FuzzMatMulTInto's twin for C = Aᵀ·B, which
-// additionally exercises the per-block Aᵀ transpose-pack.
+// additionally exercises the per-block Aᵀ transpose-pack; its in-place
+// cross-check sweeps the materialized Aᵀ.
 func FuzzTMatMulInto(f *testing.F) {
 	seedTransposedCorpus(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint16, seed uint64, accumulate bool) {
@@ -229,8 +234,23 @@ func FuzzTMatMulInto(f *testing.F) {
 						bl, m, k, n, i)
 				}
 			}
+			checkInPlace(t, "TN", first, cSeed, Transpose(a), b, accumulate)
 		})
 	})
+}
+
+// checkInPlace holds a transposed product's result, want, bitwise to the
+// forward product's in-place sweep (gemmDirect) over the same operands
+// materialized row-major, a (m,k) and b (k,n), from the same C seed.
+func checkInPlace(t *testing.T, what string, want, cSeed, a, b *Tensor, accumulate bool) {
+	t.Helper()
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
+	out := cSeed.Clone()
+	gemmV2(gemmNN, out.data, a.data, b.data, m, k, n, accumulate, gemmDirect)
+	if i, ok := bitwiseEqual(out, want); !ok {
+		t.Fatalf("%s on %dx%dx%d: not bitwise-equal to the in-place sweep over the materialized operands at index %d",
+			what, m, k, n, i)
+	}
 }
 
 // seedTransposedCorpus seeds the degenerate corpus shared by both

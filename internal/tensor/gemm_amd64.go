@@ -34,14 +34,15 @@ func cpuHasAVX2() bool {
 }
 
 // Implemented in gemm_amd64.s. The pointers must come from Go slices of
-// exactly the extent the kernel touches (see gemmStripSweepChunk): the
-// assembly checks no bound.
+// exactly the extent the kernel touches (see gemmStripSweepChunk and
+// gemmDirectChunk): the assembly checks no bound. bStride is 8 for a packed
+// strip and n for B read in place.
 
 //go:noescape
-func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, kcur int, seed bool)
+func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
 
 //go:noescape
-func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, kcur int, seed bool)
+func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

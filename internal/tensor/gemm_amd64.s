@@ -11,8 +11,13 @@
 // appear in this file (CI greps for their mnemonics).
 //
 // The callers have sliced every operand in Go, so all addresses touched here
-// are already bound-checked: c rows are 8 floats, a rows kcur floats, b is
-// 8·kcur floats (one k-major 8-wide packed strip).
+// are already bound-checked: c rows are 8 floats, a rows kcur floats, and b
+// is kcur rows of 8 floats, bStride floats apart — 8 for a k-major packed
+// strip, n for eight columns of a row-major B read in place.
+//
+// Registers: the g register, the dynamic-linking scratch register and the
+// zero vector register of the register ABI are never named (CI greps for
+// their names), so AX, the one general register left, carries bStride.
 
 // STEP(arow, acc) accumulates one C row's k pair: Y4/Y5 hold the strip's two
 // B rows, DX is the k index.
@@ -30,17 +35,19 @@
 	VMULPS       Y4, Y6, Y6       \
 	VADDPS       Y6, acc, acc
 
-// func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, kcur int, seed bool)
+// func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
 // Four C rows (c, c+cStride, …) × one 8-wide strip; strides in elements.
-TEXT ·gemmStrip4x8AVX2(SB), NOSPLIT, $0-49
+TEXT ·gemmStrip4x8AVX2(SB), NOSPLIT, $0-57
 	MOVQ    c+0(FP), DI
 	MOVQ    cStride+8(FP), R8
 	MOVQ    a+16(FP), SI
 	MOVQ    aStride+24(FP), R9
 	MOVQ    b+32(FP), BX
-	MOVQ    kcur+40(FP), CX
+	MOVQ    bStride+40(FP), AX
+	MOVQ    kcur+48(FP), CX
 	SHLQ    $2, R8
 	SHLQ    $2, R9
+	SHLQ    $2, AX
 	LEAQ    (SI)(R9*1), R10        // a row 1
 	LEAQ    (SI)(R9*2), R11        // a row 2
 	LEAQ    (R11)(R9*1), R12       // a row 3
@@ -50,7 +57,7 @@ TEXT ·gemmStrip4x8AVX2(SB), NOSPLIT, $0-49
 	VXORPS  Y1, Y1, Y1
 	VXORPS  Y2, Y2, Y2
 	VXORPS  Y3, Y3, Y3
-	CMPB    seed+48(FP), $0
+	CMPB    seed+56(FP), $0
 	JEQ     init4
 	VMOVUPS (DI), Y0
 	VMOVUPS (DI)(R8*1), Y1
@@ -64,12 +71,12 @@ init4:
 
 pair4:
 	VMOVUPS (BX), Y4
-	VMOVUPS 32(BX), Y5
+	VMOVUPS (BX)(AX*1), Y5
 	STEP(SI, Y0)
 	STEP(R10, Y1)
 	STEP(R11, Y2)
 	STEP(R12, Y3)
-	ADDQ $64, BX
+	LEAQ (BX)(AX*2), BX
 	ADDQ $2, DX
 	CMPQ DX, CX
 	JLT  pair4
@@ -91,15 +98,17 @@ store4:
 	VZEROUPPER
 	RET
 
-// func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, kcur int, seed bool)
+// func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool)
 // The one-row remainder of gemmStrip4x8AVX2.
-TEXT ·gemmStrip1x8AVX2(SB), NOSPLIT, $0-33
+TEXT ·gemmStrip1x8AVX2(SB), NOSPLIT, $0-41
 	MOVQ    c+0(FP), DI
 	MOVQ    a+8(FP), SI
 	MOVQ    b+16(FP), BX
-	MOVQ    kcur+24(FP), CX
+	MOVQ    bStride+24(FP), AX
+	MOVQ    kcur+32(FP), CX
+	SHLQ    $2, AX
 	VXORPS  Y0, Y0, Y0
-	CMPB    seed+32(FP), $0
+	CMPB    seed+40(FP), $0
 	JEQ     init1
 	VMOVUPS (DI), Y0
 
@@ -110,9 +119,9 @@ init1:
 
 pair1:
 	VMOVUPS (BX), Y4
-	VMOVUPS 32(BX), Y5
+	VMOVUPS (BX)(AX*1), Y5
 	STEP(SI, Y0)
-	ADDQ $64, BX
+	LEAQ (BX)(AX*2), BX
 	ADDQ $2, DX
 	CMPQ DX, CX
 	JLT  pair1

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/parallel"
@@ -39,6 +40,46 @@ func BenchmarkGEMM(b *testing.B) {
 			}
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
+	}
+}
+
+// BenchmarkGEMMSmallM times the forward product's two blockings against
+// each other at the heights a batch gives it — B read in place (gemmDirect)
+// and B packed in strips (gemmStrip) — over the benchmark workloads' weight
+// shapes k×n: the served GPT (64×256, 256×64), the trained GPT (128×512,
+// 512×128), the sparse MLPs' dense-masked layer (640×640) and the TCP MLP
+// (768×768), at one worker and at GOMAXPROCS. gemmRule's m line is read off
+// its inplace/packed ratios.
+func BenchmarkGEMMSmallM(b *testing.B) {
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	defer SetWorkers(SetWorkers(0))
+	for _, s := range [][2]int{{64, 256}, {256, 64}, {128, 512}, {512, 128}, {640, 640}, {768, 768}} {
+		k, n := s[0], s[1]
+		w := New(k, n)
+		fillSeq(w, NewRNG(10))
+		for _, m := range []int{1, 2, 8, 16, 32, 128, 256} {
+			a, c := New(m, k), New(m, n)
+			fillSeq(a, NewRNG(11))
+			flops := 2 * float64(m) * float64(k) * float64(n)
+			for _, wk := range workers {
+				for _, bl := range []struct {
+					name string
+					bl   gemmBlocking
+				}{{"inplace", gemmDirect}, {"packed", gemmStrip}} {
+					b.Run(fmt.Sprintf("%dx%d/m%d/w%d/%s", k, n, m, wk, bl.name), func(b *testing.B) {
+						SetWorkers(wk)
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							gemmV2(gemmNN, c.data, a.data, w.data, m, k, n, false, bl.bl)
+						}
+						b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -29,10 +29,10 @@ func bothGemmKernels(t *testing.T, f func()) {
 	f()
 }
 
-// ruleBlockings are the blockings gemmRule can run variant v at: both for
-// the forward product, the strip blocking alone for the transposed ones.
-// The goldens and fuzz targets run every one of them at every m, so the
-// rule's m line can never be what decides a bit.
+// ruleBlockings are the blockings gemmRule can run variant v at: B in place
+// and packed for the forward product, the strip blocking alone for the
+// transposed ones. The goldens and fuzz targets run every one of them at
+// every m, so the rule's m line can never be what decides a bit.
 func ruleBlockings(v gemmVariant) []gemmBlocking {
 	if v == gemmNN {
 		return []gemmBlocking{gemmDirect, gemmStrip}
@@ -49,18 +49,20 @@ func sameBits(x, y float32) bool {
 
 // TestGEMMVectorKernelMatchesGo is the differential test of the AVX2 strip
 // micro-kernels against the Go kernel they replace, bit for bit, through the
-// three variants' shared sweep: k of every length class (a lone k, one pair,
-// a pair and an odd tail, both sides of one kc = 256 panel and two whole
-// panels), accumulators seeded from C and from zero, every m mod 4
-// (4-row tiles plus 0–3 remainder rows, and m below a tile), every n mod 8
-// (whole strips plus the scalar ragged tail), operands at addresses that are
-// not 32-byte aligned — once on ordinary values and once with signed zeros,
-// subnormals, infinities and overflowing magnitudes mixed in, where a
-// flushed subnormal, a lost zero sign or a fused rounding would show. Every
-// blocking the rule can pick runs under AVX2 against the Go kernel's first
-// one, so for the forward product the vector strip is also held to Go
-// direct-B. (Worker counts are the worker-sweep goldens' business; they run
-// under both kernels too.)
+// three variants' shared sweep at both B row strides — 8 (a packed strip:
+// every variant's gemmStrip) and n (B in place: the forward product's
+// gemmDirect): k of every length class (a lone k, one pair, a pair and an
+// odd tail, both sides of one kc = 256 panel and two whole panels),
+// accumulators seeded from C and from zero, every m mod 4 (4-row tiles plus
+// 0–3 remainder rows, and m below a tile), every n mod 8 (whole strips plus
+// the scalar ragged tail), operands at addresses that are not 32-byte
+// aligned — once on ordinary values and once with signed zeros, subnormals,
+// infinities and overflowing magnitudes mixed in, where a flushed subnormal,
+// a lost zero sign or a fused rounding would show. Every blocking the rule
+// can pick runs under AVX2 against the Go kernel's first one, so for the
+// forward product the vector kernel at either stride is also held to the Go
+// kernel in place. (Worker counts are the worker-sweep goldens' business;
+// they run under both kernels too.)
 func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 	if !gemmVector {
 		t.Skip("host has no AVX2: the Go strip kernel is the only kernel")

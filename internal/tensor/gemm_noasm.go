@@ -10,10 +10,10 @@ var gemmVector = false
 // HostAVX2 reports false: no vector kernel is built for this architecture.
 func HostAVX2() bool { return false }
 
-func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, kcur int, seed bool) {
+func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool) {
 	panic("tensor: vector GEMM kernel called on a build without one")
 }
 
-func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, kcur int, seed bool) {
+func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool) {
 	panic("tensor: vector GEMM kernel called on a build without one")
 }

@@ -122,19 +122,20 @@ const (
 // which micro-kernel the host selected. The kernel family is therefore
 // chosen by n and k only, which the model fixes, and never by m, which the
 // batch does. With n,k ≥ 16 every row takes the shared family; there m does
-// pick direct-B or strip (gemmRule), but only between paths with identical
-// bits. All of them accumulate k in one pairwise order (`c += a0·b0 + a1·b1`,
-// every kc even) whether the row rides a 4-row vector tile, the 1-row vector
-// remainder, the Go strip kernel, its scalar ragged-strip tail or the
-// direct-B micro-kernel: each is the same sequence of float32 multiplies and
-// adds per C element,
-// rounded after every operation. That is why the vector kernel may never use
-// a fused multiply-add — one rounding where the Go kernel has two — however
-// much faster it would be: the bits would then depend on the host. Below the
-// gate every row takes the small-shape kernel, which sums k in plain order
-// for every row. Pinned by the row-invariance property of FuzzMatMulInto /
-// FuzzMatMulTInto, by TestGEMMRowInvariantServingShapes and, kernel against
-// kernel, by TestGEMMVectorKernelMatchesGo.
+// pick B in place or packed (gemmRule), but only between paths with
+// identical bits. Both run one sweep (stripSweep) and accumulate k in one
+// pairwise order (`c += a0·b0 + a1·b1`, every kc even) whether the row rides
+// a 4-row vector tile, the 1-row vector remainder, the Go strip kernel or
+// its scalar ragged-strip tail, and whether B is read from a packed strip
+// (row stride 8) or in place (row stride n): each is the same sequence of
+// float32 multiplies and adds per C element, rounded after every operation.
+// That is why the vector kernel may never use a fused multiply-add — one
+// rounding where the Go kernel has two — however much faster it would be:
+// the bits would then depend on the host. Below the gate every row takes
+// the small-shape kernel, which sums k in plain order for every row. Pinned
+// by the row-invariance property of FuzzMatMulInto / FuzzMatMulTInto, by
+// TestGEMMRowInvariantServingShapes and, kernel against kernel at both
+// strides, by TestGEMMVectorKernelMatchesGo.
 
 // gemm dispatches C (+)= A·B over the worker pool: the shared-pack v2
 // pipeline at gemmRule's blocking, or for skinny B (n or k below 16) the
@@ -169,12 +170,12 @@ type gemmV2Job struct {
 	c, a, b    []float32
 	m, k, n    int
 	accumulate bool
-	pb         []float32 // the one shared packed B panel (nil on direct path)
+	pb         []float32 // the one shared packed B panel (nil when B is read in place)
 	pa         []float32 // packed Aᵀ block (gemmTN only; nil otherwise)
 	k0, kcur   int       // current panel's k range
 	j0, ncur   int       // current panel's n range
 	i0, mcur   int       // current mc block's row range (sweep chunks offset by i0)
-	kc, nc     int       // blocking (direct path iterates panels itself)
+	kc, nc     int       // blocking (the in-place path iterates its k panels itself)
 	// A addressing for the sweeps: row i of the effective (m,k) A lives at
 	// as[(i-aBase)·aStride + aOff : +kcur]. For gemmNN/gemmNT this is A
 	// itself (as=a, aBase=0, aStride=k, aOff=k0); for gemmTN it is the
@@ -195,10 +196,15 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // (each strip k-major and contiguous) and swept by the strip kernel, which
 // keeps a strip of C in registers across the whole k sweep and streams B
 // sequentially: on AVX2 hosts four C rows at a time in YMM accumulators
-// (gemm_amd64.s), elsewhere one row in eight scalars. A blocking with
-// strip=false (gemmDirect, forward products only) skips packing entirely
-// and reads B in place — at m = 1 a panel is swept once and the pack
-// traffic cannot amortize at all.
+// (gemm_amd64.s), elsewhere one row in eight scalars.
+//
+// Pack only what is swept more than once: a blocking with strip=false
+// (gemmDirect, forward products only) runs the same sweep over B in place —
+// a strip is then eight columns of kcur B rows n floats apart instead of 8
+// — and packs nothing. A packed panel is read once by the pack and once per
+// 4-row tile, so at small m the pack is most of the traffic; with no pack
+// there is also no barrier, and each worker sweeps its own rows over all
+// of B.
 //
 // Every path accumulates each C element in the same pairwise k order, and
 // every kc is even, so both blockings give identical bits
@@ -222,8 +228,8 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // bitwise contract for free: packing relocates operand bytes, never
 // reorders the per-element float operations.
 //
-// Fan-out is sized from work, not rows (gemmWorkGrain): a sweep or direct
-// row counts its own multiply-adds, a packed row those of the sweep it
+// Fan-out is sized from work, not rows (gemmWorkGrain): a swept row, packed
+// or in place, counts its own multiply-adds, a packed row those of the sweep it
 // feeds — a pack fans out only when that sweep would — so a product too
 // small to be worth a second core runs inline on the caller instead of
 // paying a wake-up per region.
@@ -234,9 +240,9 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, bl g
 	j.accumulate = accumulate
 	j.kc, j.nc = bl.kc, bl.nc
 	if !bl.strip {
-		// Direct-B path (gemmNN only: the transposed variants' effective B
-		// is not materialized row-major, so they always pack).
-		parallel.Run(m, parallel.WorkGrain(gemmMR, k*n), j, gemmDirectChunk)
+		// B in place (gemmNN only: the transposed variants' effective B is
+		// not materialized row-major, so they always pack).
+		parallel.Run(m, gemmWorkGrain(gemmMR, k*n), j, gemmDirectChunk)
 		j.c, j.a, j.b = nil, nil, nil
 		gemmV2JobFree.Put(j)
 		return
@@ -300,8 +306,9 @@ func GEMMKernel() string {
 	return "go"
 }
 
-// gemmWorkGrain is parallel.WorkGrain for the regions of the strip pipeline,
-// in the units of the kernel that runs them: WorkGrain's chunk is ≈ 0.1 ms
+// gemmWorkGrain is parallel.WorkGrain for the regions of gemmV2 (the strip
+// sweeps, packed or over B in place, and the packs that feed them), in the
+// units of the kernel that runs them: WorkGrain's chunk is ≈ 0.1 ms
 // of a scalar kernel (6–7 GFLOP/s), which the vector kernel (≈ 45) finishes
 // in ≈ 12 µs — below the wake-up the chunk was sized against — so under it
 // eight multiply-adds count as one and a chunk carries ≈ 0.1 ms again
@@ -386,16 +393,42 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 
 // gemmStripSweepChunk updates C rows [lo,hi) of the current row block
 // (absolute rows i0+lo..i0+hi), cols [j0,j0+ncur) from the strip-packed
-// panel: per 8-wide column strip the accumulators live in registers across
-// the whole k sweep and C round-trips through memory once per panel, while
-// B streams sequentially from the strip. A rows come from the job's
-// generalized A addressing (A in place, or the packed Aᵀ block for gemmTN).
-// The accumulators are seeded from C, or from zero on the first k panel of
-// a non-accumulating product (each C band is touched by exactly one chunk
-// per panel, so nothing races).
+// panel. A rows come from the job's generalized A addressing (A in place, or
+// the packed Aᵀ block for gemmTN). The accumulators are seeded from C, or
+// from zero on the first k panel of a non-accumulating product (each C band
+// is touched by exactly one chunk per panel, so nothing races).
+func gemmStripSweepChunk(ctx any, lo, hi int) {
+	g := ctx.(*gemmV2Job)
+	i := g.i0 + lo
+	stripSweep(g.c[i*g.n+g.j0:], g.n, hi-lo, g.ncur,
+		g.as[(i-g.aBase)*g.aStride+g.aOff:], g.aStride, g.kcur,
+		g.pb, g.kcur, 8, g.accumulate || g.k0 > 0)
+}
+
+// gemmDirectChunk computes C rows [lo,hi) reading B in place: per kc panel
+// of k it runs the same strip sweep as the packed pipeline over all n
+// columns, with B's row stride n where a packed strip has 8. Nothing is
+// packed or shared, so the rows fan out with no barrier between panels.
+func gemmDirectChunk(ctx any, lo, hi int) {
+	g := ctx.(*gemmV2Job)
+	k, n := g.k, g.n
+	for k0 := 0; k0 < k; k0 += g.kc {
+		kcur := min(g.kc, k-k0)
+		stripSweep(g.c[lo*n:], n, hi-lo, n, g.a[lo*k+k0:], k, kcur,
+			g.b[k0*n:(k0+kcur)*n], 1, n, g.accumulate || k0 > 0)
+	}
+}
+
+// stripSweep is the one sweep body of the GEMM family: it updates rows × ncur
+// of C (row r at c[r·n:]) from A rows of kcur values aStride apart and a
+// kcur × ncur panel of B whose 8-wide column strip js starts at
+// bp[js·stripStep] and steps bStride floats per k. A packed panel has
+// stripStep kcur and bStride 8; B read in place has stripStep 1 and bStride
+// n. Per strip the accumulators live in registers across the whole k sweep
+// and C round-trips through memory once per panel.
 //
 // With the vector kernel selected, rows go four at a time through
-// gemmStrip4x8AVX2 and the chunk's last m mod 4 rows one at a time through
+// gemmStrip4x8AVX2 and the last rows mod 4 one at a time through
 // gemmStrip1x8AVX2; otherwise every row goes through gemmStrip8. The ragged
 // last strip (ncur mod 8 columns) is always gemmStripTail's. The assembly
 // checks no bound: each call is handed pointers into slices cut here to
@@ -404,60 +437,51 @@ func gemmPackATChunk(ctx any, lo, hi int) {
 // Bitwise contract: every kernel updates an accumulator with the same
 // `c += a0·b0 + a1·b1` pairwise expression, one float32 rounding per
 // operation, so each element sees the identical sequence of operations
-// whichever kernel, tile row or lane it rides — staging the partial sum in a
-// register instead of memory does not change its value.
-func gemmStripSweepChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	c, as, pb := g.c, g.as, g.pb
-	n := g.n
-	kcur, j0, ncur := g.kcur, g.j0, g.ncur
-	aStride := g.aStride
-	aOff := (lo+g.i0-g.aBase)*aStride + g.aOff
-	lo, hi = lo+g.i0, hi+g.i0
-	seed := g.accumulate || g.k0 > 0
+// whichever kernel, tile row, lane or B addressing it rides — staging the
+// partial sum in a register instead of memory does not change its value.
+func stripSweep(c []float32, n, rows, ncur int, as []float32, aStride, kcur int, bp []float32, stripStep, bStride int, seed bool) {
 	vec := gemmVector
 	full := ncur &^ 7 // columns in whole strips
-	i := lo
+	span := (kcur-1)*bStride + 8
+	i := 0
 	if vec {
-		for ; i+gemmMR <= hi; i += gemmMR {
-			ct := c[i*n+j0 : (i+gemmMR-1)*n+j0+ncur]
-			at := as[aOff : aOff+(gemmMR-1)*aStride+kcur]
-			aOff += gemmMR * aStride
+		for ; i+gemmMR <= rows; i += gemmMR {
+			ct := c[i*n : (i+gemmMR-1)*n+ncur]
+			at := as[i*aStride : (i+gemmMR-1)*aStride+kcur]
 			for js := 0; js < full; js += 8 {
-				bs := pb[js*kcur : (js+8)*kcur]
-				gemmStrip4x8AVX2(&ct[js], n, &at[0], aStride, &bs[0], kcur, seed)
+				bs := bp[js*stripStep : js*stripStep+span]
+				gemmStrip4x8AVX2(&ct[js], n, &at[0], aStride, &bs[0], bStride, kcur, seed)
 			}
 			if full < ncur {
 				for r := 0; r < gemmMR; r++ {
-					gemmStripTail(ct[r*n+full:r*n+ncur], at[r*aStride:r*aStride+kcur], pb[full*kcur:], kcur, seed)
+					gemmStripTail(ct[r*n+full:r*n+ncur], at[r*aStride:r*aStride+kcur], bp[full*stripStep:], bStride, kcur, seed)
 				}
 			}
 		}
 	}
-	for ; i < hi; i++ {
-		ai := as[aOff : aOff+kcur]
-		aOff += aStride
-		ci := c[i*n+j0 : i*n+j0+ncur]
+	for ; i < rows; i++ {
+		ai := as[i*aStride : i*aStride+kcur]
+		ci := c[i*n : i*n+ncur]
 		for js := 0; js < full; js += 8 {
-			bs := pb[js*kcur : (js+8)*kcur]
+			bs := bp[js*stripStep : js*stripStep+span]
 			if vec {
-				gemmStrip1x8AVX2(&ci[js : js+8][0], &ai[0], &bs[0], kcur, seed)
+				gemmStrip1x8AVX2(&ci[js : js+8][0], &ai[0], &bs[0], bStride, kcur, seed)
 			} else {
-				gemmStrip8(ci[js:js+8], ai, bs, kcur, seed)
+				gemmStrip8(ci[js:js+8], ai, bs, bStride, kcur, seed)
 			}
 		}
 		if full < ncur {
-			gemmStripTail(ci[full:], ai, pb[full*kcur:], kcur, seed)
+			gemmStripTail(ci[full:], ai, bp[full*stripStep:], bStride, kcur, seed)
 		}
 	}
 }
 
-// gemmStrip8 updates one C row's 8-wide column strip from a k-major strip
-// of the packed panel: the Go strip kernel, the only one on hosts without
-// AVX2 and the oracle the vector kernels are pinned to. The 2-wide k unroll
-// matches gemmMicro4's pairwise association exactly; the eight accumulators
-// stay in registers.
-func gemmStrip8(ci, ai []float32, bs []float32, kcur int, seed bool) {
+// gemmStrip8 updates one C row's 8-wide column strip from kcur B rows of 8
+// floats, bStride apart (8 packed, n in place): the Go strip kernel, the only
+// one on hosts without AVX2 and the oracle the vector kernels are pinned to.
+// The 2-wide k unroll is the pairwise association every kernel reproduces;
+// the eight accumulators stay in registers.
+func gemmStrip8(ci, ai []float32, bs []float32, bStride, kcur int, seed bool) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 float32
 	_ = ci[7]
 	if seed {
@@ -466,19 +490,21 @@ func gemmStrip8(ci, ai []float32, bs []float32, kcur int, seed bool) {
 	}
 	kk := 0
 	for ; kk+2 <= kcur; kk += 2 {
-		bp := bs[kk*8 : kk*8+16]
+		o := kk * bStride
+		b0 := bs[o : o+8]
+		b1 := bs[o+bStride : o+bStride+8]
 		a0, a1 := ai[kk], ai[kk+1]
-		c0 += a0*bp[0] + a1*bp[8]
-		c1 += a0*bp[1] + a1*bp[9]
-		c2 += a0*bp[2] + a1*bp[10]
-		c3 += a0*bp[3] + a1*bp[11]
-		c4 += a0*bp[4] + a1*bp[12]
-		c5 += a0*bp[5] + a1*bp[13]
-		c6 += a0*bp[6] + a1*bp[14]
-		c7 += a0*bp[7] + a1*bp[15]
+		c0 += a0*b0[0] + a1*b1[0]
+		c1 += a0*b0[1] + a1*b1[1]
+		c2 += a0*b0[2] + a1*b1[2]
+		c3 += a0*b0[3] + a1*b1[3]
+		c4 += a0*b0[4] + a1*b1[4]
+		c5 += a0*b0[5] + a1*b1[5]
+		c6 += a0*b0[6] + a1*b1[6]
+		c7 += a0*b0[7] + a1*b1[7]
 	}
 	if kk < kcur {
-		bp := bs[kk*8 : kk*8+8]
+		bp := bs[kk*bStride : kk*bStride+8]
 		a0 := ai[kk]
 		c0 += a0 * bp[0]
 		c1 += a0 * bp[1]
@@ -493,9 +519,9 @@ func gemmStrip8(ci, ai []float32, bs []float32, kcur int, seed bool) {
 	ci[4], ci[5], ci[6], ci[7] = c4, c5, c6, c7
 }
 
-// gemmStripTail is the ragged final strip (width 1..7) of gemmStrip8; the
-// strip keeps stride 8 in the packed buffer, only width values are read.
-func gemmStripTail(ci, ai []float32, bs []float32, kcur int, seed bool) {
+// gemmStripTail is the ragged final strip (width 1..7) of gemmStrip8, at the
+// same B row stride; only width values of a row are read.
+func gemmStripTail(ci, ai []float32, bs []float32, bStride, kcur int, seed bool) {
 	var acc [8]float32
 	w := len(ci)
 	if seed {
@@ -503,128 +529,22 @@ func gemmStripTail(ci, ai []float32, bs []float32, kcur int, seed bool) {
 	}
 	kk := 0
 	for ; kk+2 <= kcur; kk += 2 {
-		bp := bs[kk*8 : kk*8+8+w]
+		o := kk * bStride
+		b0 := bs[o : o+w]
+		b1 := bs[o+bStride : o+bStride+w]
 		a0, a1 := ai[kk], ai[kk+1]
 		for j := 0; j < w; j++ {
-			acc[j] += a0*bp[j] + a1*bp[8+j]
+			acc[j] += a0*b0[j] + a1*b1[j]
 		}
 	}
 	if kk < kcur {
-		bp := bs[kk*8 : kk*8+w]
+		bp := bs[kk*bStride : kk*bStride+w]
 		a0 := ai[kk]
 		for j := 0; j < w; j++ {
 			acc[j] += a0 * bp[j]
 		}
 	}
 	copy(ci, acc[:w])
-}
-
-// gemmDirectChunk computes C rows [lo,hi) reading B in place (no panel
-// packing): the micro-kernel's inner loops stay contiguous along B rows,
-// only the row stride changes from ncur to n. Each chunk runs the full
-// blocked panel loop independently — there is no shared state, so the rows
-// fan out at micro-kernel granularity.
-func gemmDirectChunk(ctx any, lo, hi int) {
-	g := ctx.(*gemmV2Job)
-	c, a, b := g.c, g.a, g.b
-	k, n := g.k, g.n
-	if !g.accumulate {
-		zeroSlice(c[lo*n : hi*n])
-	}
-	for k0 := 0; k0 < k; k0 += g.kc {
-		kcur := min(g.kc, k-k0)
-		for j0 := 0; j0 < n; j0 += g.nc {
-			ncur := min(g.nc, n-j0)
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				gemmMicro4(c, a, b, i, k, n, k0, kcur, j0, ncur)
-			}
-			for ; i < hi; i++ {
-				gemmMicro1(c, a, b, i, k, n, k0, kcur, j0, ncur)
-			}
-		}
-	}
-}
-
-// gemmMicro4 is the direct-B path's micro-kernel: it updates C rows i..i+3,
-// cols [j0,j0+ncur) of the (m,k)·(k,n) product from A cols and B rows
-// [k0,k0+kcur), B read in place with the inner loop contiguous along a B
-// row. The 2-wide k unroll halves C read/write traffic per flop and is the
-// pairwise k association every strip kernel reproduces; the four A scalars
-// per k-step live in registers across the j loop.
-func gemmMicro4(c, a, b []float32, i, k, n, k0, kcur, j0, ncur int) {
-	ci0 := c[i*n+j0 : i*n+j0+ncur]
-	ci1 := c[(i+1)*n+j0 : (i+1)*n+j0+ncur]
-	ci2 := c[(i+2)*n+j0 : (i+2)*n+j0+ncur]
-	ci3 := c[(i+3)*n+j0 : (i+3)*n+j0+ncur]
-	ai0 := a[i*k+k0 : i*k+k0+kcur]
-	ai1 := a[(i+1)*k+k0 : (i+1)*k+k0+kcur]
-	ai2 := a[(i+2)*k+k0 : (i+2)*k+k0+kcur]
-	ai3 := a[(i+3)*k+k0 : (i+3)*k+k0+kcur]
-	kk := 0
-	for ; kk+2 <= kcur; kk += 2 {
-		o := (k0+kk)*n + j0
-		b0 := b[o : o+ncur]
-		b1 := b[o+n : o+n+ncur]
-		a00, a01 := ai0[kk], ai0[kk+1]
-		a10, a11 := ai1[kk], ai1[kk+1]
-		a20, a21 := ai2[kk], ai2[kk+1]
-		a30, a31 := ai3[kk], ai3[kk+1]
-		_ = b1[len(b0)-1]
-		_ = ci0[len(b0)-1]
-		_ = ci1[len(b0)-1]
-		_ = ci2[len(b0)-1]
-		_ = ci3[len(b0)-1]
-		for j, v0 := range b0 {
-			v1 := b1[j]
-			ci0[j] += a00*v0 + a01*v1
-			ci1[j] += a10*v0 + a11*v1
-			ci2[j] += a20*v0 + a21*v1
-			ci3[j] += a30*v0 + a31*v1
-		}
-	}
-	if kk < kcur {
-		o := (k0+kk)*n + j0
-		b0 := b[o : o+ncur]
-		a0, a1, a2, a3 := ai0[kk], ai1[kk], ai2[kk], ai3[kk]
-		_ = ci0[len(b0)-1]
-		_ = ci1[len(b0)-1]
-		_ = ci2[len(b0)-1]
-		_ = ci3[len(b0)-1]
-		for j, v := range b0 {
-			ci0[j] += a0 * v
-			ci1[j] += a1 * v
-			ci2[j] += a2 * v
-			ci3[j] += a3 * v
-		}
-	}
-}
-
-// gemmMicro1 is the single-row remainder of gemmMicro4.
-func gemmMicro1(c, a, b []float32, i, k, n, k0, kcur, j0, ncur int) {
-	ci := c[i*n+j0 : i*n+j0+ncur]
-	ai := a[i*k+k0 : i*k+k0+kcur]
-	kk := 0
-	for ; kk+2 <= kcur; kk += 2 {
-		o := (k0+kk)*n + j0
-		b0 := b[o : o+ncur]
-		b1 := b[o+n : o+n+ncur]
-		a0, a1 := ai[kk], ai[kk+1]
-		_ = b1[len(b0)-1]
-		_ = ci[len(b0)-1]
-		for j, v0 := range b0 {
-			ci[j] += a0*v0 + a1*b1[j]
-		}
-	}
-	if kk < kcur {
-		o := (k0+kk)*n + j0
-		b0 := b[o : o+ncur]
-		a0 := ai[kk]
-		_ = ci[len(b0)-1]
-		for j, v := range b0 {
-			ci[j] += a0 * v
-		}
-	}
 }
 
 // gemmSaxpyChunk is the seed kernel, kept for small/skinny shapes (and as

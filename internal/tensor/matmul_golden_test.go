@@ -198,7 +198,7 @@ var v2Shapes = [][3]int{
 }
 
 // TestGEMMV2CandidatesGolden pins both blockings the rule picks between —
-// direct-B and the 8-wide strip, the latter under both strip kernels —
+// B in place and B packed in 8-wide strips, each under both strip kernels —
 // against the naive reference at the degenerate shapes and at every m, not
 // only the m the rule gives each, under a worker count larger than m for
 // the small shapes (the regime the shared pack exists for). It also asserts
@@ -228,7 +228,7 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 					if first == nil {
 						first = got
 					} else if i, ok := bitwiseEqual(got, first); !ok {
-						t.Fatalf("blocking %+v: not bitwise-equal to the Go kernel's direct-B at index %d", bl, i)
+						t.Fatalf("blocking %+v: not bitwise-equal to the Go kernel's in-place sweep at index %d", bl, i)
 					}
 					// Accumulating form: C = seed + A·B.
 					acc := New(m, n)
@@ -247,31 +247,33 @@ func TestGEMMV2CandidatesGolden(t *testing.T) {
 
 // TestGEMMRowInvariantServingShapes is the always-on golden of the
 // row-invariance contract (stated above gemm) over the products a served
-// model runs: per shape, the rows of one sample — 16 for the benchmark GPT
-// (hidden 64, vocab 256), 1 for an MLP or a classifier head — computed alone
-// and inside batches of 2, 4 and 8 samples, through the dispatcher and
-// through every blocking the rule can pick at every worker count, under both
-// strip kernels, carry identical bits. mlp/hidden's heights 1, 2, 4 and 8
-// cross the rule's m = 2 line, so there the dispatcher itself runs direct-B
-// for some heights and the strip for the others, and must not tell.
+// model runs: per shape, rows computed in blocks of every height in
+// servingHeights — a lone MLP sample (1), small MLP batches (2, 3), one GPT
+// sample of the benchmark model (16: hidden 64, vocab 256), eight of them
+// (128) and heights just across and well above gemmRule's m line (127, 129,
+// 256) — through the dispatcher and through every blocking the rule can
+// pick at every worker count, under both strip kernels, carry identical
+// bits. So for the forward products the dispatcher itself reads B in place
+// at some heights and packs it at others, and must not tell.
 func TestGEMMRowInvariantServingShapes(t *testing.T) {
+	const m = 256
 	for _, s := range []struct {
-		name       string
-		v          gemmVariant
-		rows, k, n int
+		name string
+		v    gemmVariant
+		k, n int
 	}{
-		{"gpt/qkv", gemmNN, 16, 64, 192},
-		{"gpt/proj", gemmNN, 16, 64, 64},
-		{"gpt/fc1+head", gemmNN, 16, 64, 256},
-		{"gpt/fc2", gemmNN, 16, 256, 64},
-		{"mlp/hidden", gemmNN, 1, 24, 32},
-		{"mlp/classes", gemmNN, 1, 32, 10}, // n < 16: saxpy at every height
-		{"sparselinear/dense-masked", gemmNT, 1, 24, 32},
-		{"conv/3x3x8", gemmNT, 16, 72, 16},
-		{"conv/3x3x3", gemmNT, 64, 27, 8}, // n < 16: tiled at every height
+		{"gpt/qkv", gemmNN, 64, 192},
+		{"gpt/proj", gemmNN, 64, 64},
+		{"gpt/fc1+head", gemmNN, 64, 256},
+		{"gpt/fc2", gemmNN, 256, 64},
+		{"mlp/hidden", gemmNN, 24, 32},
+		{"mlp/classes", gemmNN, 32, 10}, // n < 16: saxpy at every height
+		{"sparselinear/dense-masked", gemmNT, 24, 32},
+		{"conv/3x3x8", gemmNT, 72, 16},
+		{"conv/3x3x3", gemmNT, 27, 8}, // n < 16: tiled at every height
 	} {
 		t.Run(s.name, func(t *testing.T) {
-			m, k, n := 8*s.rows, s.k, s.n
+			k, n := s.k, s.n
 			rng := NewRNG(49)
 			a, b, zero := New(m, k), New(k, n), New(m, n)
 			mul := MatMulInto
@@ -280,19 +282,18 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 			}
 			fillSeq(a, rng)
 			fillSeq(b, rng)
-			heights := []int{s.rows, 2 * s.rows, 4 * s.rows, 8 * s.rows}
 			full := New(m, n)
 			mul(full, a, b, false) // once, under the host's kernel: both halves must match it
 			bothGemmKernels(t, func() {
 				for rot := range rowWorkers {
-					checkRowInvariant(t, "dispatcher", full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+					checkRowInvariant(t, "dispatcher", full, zero, servingHeights, 0, m, rot, func(out *Tensor, lo, hi int) {
 						mul(out, a.Slice(lo, hi), b, false)
 					})
 					if n < 16 {
 						continue // the blockings are not what dispatch runs here
 					}
 					for _, bl := range ruleBlockings(s.v) {
-						checkRowInvariant(t, fmt.Sprintf("blocking %+v", bl), full, zero, heights, 0, m, rot, func(out *Tensor, lo, hi int) {
+						checkRowInvariant(t, fmt.Sprintf("blocking %+v", bl), full, zero, servingHeights, 0, m, rot, func(out *Tensor, lo, hi int) {
 							gemmV2(s.v, out.data, a.data[lo*k:hi*k], b.data, hi-lo, k, n, false, bl)
 						})
 					}
@@ -301,6 +302,10 @@ func TestGEMMRowInvariantServingShapes(t *testing.T) {
 		})
 	}
 }
+
+// servingHeights are TestGEMMRowInvariantServingShapes' block heights; the
+// middle three straddle gemmRule's line.
+var servingHeights = []int{1, 2, 3, 16, gemmDirectMaxM - 1, gemmDirectMaxM, gemmDirectMaxM + 1, 256}
 
 // TestMatMulSharedPanelRace hammers MatMulInto from many goroutines so
 // concurrent calls contend on the shared panel buffer pool and the worker
@@ -347,7 +352,7 @@ func TestMatMulSharedPanelRace(t *testing.T) {
 }
 
 func TestMatMulIntoZeroAlloc(t *testing.T) {
-	a, b, c := New(64, 96), New(96, 80), New(64, 80)
+	a, b, c := New(160, 96), New(96, 80), New(160, 80) // 160 rows: B packed
 	rng := NewRNG(46)
 	fillSeq(a, rng)
 	fillSeq(b, rng)
@@ -358,18 +363,20 @@ func TestMatMulIntoZeroAlloc(t *testing.T) {
 			t.Fatalf("MatMulInto(accumulate=%v) allocates %.1f per call, want 0", acc, n)
 		}
 	}
-	// One row: the rule's direct-B path.
-	a1, c1 := a.Slice(0, 1), c.Slice(0, 1)
-	MatMulInto(c1, a1, b, false)
-	if n := testing.AllocsPerRun(50, func() { MatMulInto(c1, a1, b, false) }); n != 0 {
-		t.Fatalf("MatMulInto(m=1) allocates %.1f per call, want 0", n)
+	// A served MLP sample and a served GPT sample: B read in place.
+	for _, rows := range []int{1, 16} {
+		ar, cr := a.Slice(0, rows), c.Slice(0, rows)
+		MatMulInto(cr, ar, b, false)
+		if n := testing.AllocsPerRun(50, func() { MatMulInto(cr, ar, b, false) }); n != 0 {
+			t.Fatalf("MatMulInto(m=%d) allocates %.1f per call, want 0", rows, n)
+		}
 	}
 	MatMulTInto(c, a, New(80, 96), false)
 	bT := New(80, 96)
 	if n := testing.AllocsPerRun(50, func() { MatMulTInto(c, a, bT, false) }); n != 0 {
 		t.Fatalf("MatMulTInto allocates %.1f per call, want 0", n)
 	}
-	aT := New(96, 64)
+	aT := New(96, 160)
 	TMatMulInto(c, aT, b, false)
 	if n := testing.AllocsPerRun(50, func() { TMatMulInto(c, aT, b, false) }); n != 0 {
 		t.Fatalf("TMatMulInto allocates %.1f per call, want 0", n)

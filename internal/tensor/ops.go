@@ -119,42 +119,40 @@ func ReLUInPlace(t *Tensor) {
 	}
 }
 
-// GELUInPlace applies GELU to t without saving pre-activations (eval mode).
+// GELUInPlace applies GELU to t without saving its derivative (eval mode).
 func GELUInPlace(t *Tensor) {
 	for i, x := range t.data {
 		t.data[i] = geluScalar(x)
 	}
 }
 
-// GELUWithPre applies the tanh-approximate Gaussian error linear unit to t
-// in place after copying the pre-activations GELUBackward needs into the
-// caller-provided tensor.
-func GELUWithPre(t, pre *Tensor) {
-	binCheck(t, pre)
-	copy(pre.data, t.data)
+// GELUWithDeriv applies the tanh-approximate Gaussian error linear unit to t
+// in place and writes dGELU/dx at each input, rounded to float32, into the
+// caller-provided tensor, so the backward is one Mul, as ReLU's is with its
+// mask. Both come from the one float64 tanh the forward evaluates anyway.
+func GELUWithDeriv(t, deriv *Tensor) {
+	binCheck(t, deriv)
+	d := deriv.data
 	for i, x := range t.data {
-		t.data[i] = geluScalar(x)
+		x64 := float64(x)
+		th := geluTanh(x64)
+		du := geluC * (1 + 3*0.044715*x64*x64)
+		t.data[i] = float32(0.5 * x64 * (1 + th))
+		d[i] = float32(0.5*(1+th) + 0.5*x64*(1-th*th)*du)
 	}
+}
+
+const geluC = 0.7978845608028654 // sqrt(2/pi)
+
+// geluTanh is tanh(√(2/π)·(x + 0.044715·x³)), the one transcendental of
+// the GELU and of its derivative.
+func geluTanh(x64 float64) float64 {
+	return math.Tanh(geluC * (x64 + 0.044715*x64*x64*x64))
 }
 
 func geluScalar(x float32) float32 {
-	const c = 0.7978845608028654 // sqrt(2/pi)
 	x64 := float64(x)
-	return float32(0.5 * x64 * (1 + math.Tanh(c*(x64+0.044715*x64*x64*x64))))
-}
-
-// GELUBackward multiplies grad (in place) by dGELU/dx evaluated at pre.
-func GELUBackward(grad, pre *Tensor) {
-	binCheck(grad, pre)
-	const c = 0.7978845608028654
-	for i, x := range pre.data {
-		x64 := float64(x)
-		u := c * (x64 + 0.044715*x64*x64*x64)
-		t := math.Tanh(u)
-		du := c * (1 + 3*0.044715*x64*x64)
-		d := 0.5*(1+t) + 0.5*x64*(1-t*t)*du
-		grad.data[i] *= float32(d)
-	}
+	return float32(0.5 * x64 * (1 + geluTanh(x64)))
 }
 
 // nonFiniteGrain is the minimum elements per parallel chunk of the

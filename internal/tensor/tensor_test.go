@@ -208,16 +208,31 @@ func TestReLUAndMask(t *testing.T) {
 	}
 }
 
+// TestGELUGradientNumerically checks GELUWithDeriv's derivative against a
+// central difference, and pins both of its outputs bit for bit: the values
+// to GELUInPlace's, the derivative to its closed form evaluated on its own
+// (the backward that recomputed tanh from cached pre-activations).
 func TestGELUGradientNumerically(t *testing.T) {
 	xs := []float32{-2, -0.5, 0, 0.3, 1.7}
-	for _, x := range xs {
+	for i := -600; i <= 600; i++ {
+		xs = append(xs, float32(i)/97)
+	}
+	y, deriv := FromSlice(append([]float32(nil), xs...), len(xs)), New(len(xs))
+	GELUWithDeriv(y, deriv)
+	for i, x := range xs {
 		const h = 1e-3
 		num := (geluScalar(x+h) - geluScalar(x-h)) / (2 * h)
-		pre := FromSlice([]float32{x}, 1)
-		grad := FromSlice([]float32{1}, 1)
-		GELUBackward(grad, pre)
-		if math.Abs(float64(grad.Data()[0]-num)) > 1e-2 {
-			t.Errorf("GELU'(%g): analytic %g vs numeric %g", x, grad.Data()[0], num)
+		if math.Abs(float64(deriv.Data()[i]-num)) > 1e-2 {
+			t.Errorf("GELU'(%g): analytic %g vs numeric %g", x, deriv.Data()[i], num)
+		}
+		if y.Data()[i] != geluScalar(x) {
+			t.Errorf("GELU(%g) = %g, GELUInPlace gives %g", x, y.Data()[i], geluScalar(x))
+		}
+		x64 := float64(x)
+		th := math.Tanh(0.7978845608028654 * (x64 + 0.044715*x64*x64*x64))
+		du := 0.7978845608028654 * (1 + 3*0.044715*x64*x64)
+		if want := float32(0.5*(1+th) + 0.5*x64*(1-th*th)*du); math.Float32bits(deriv.Data()[i]) != math.Float32bits(want) {
+			t.Errorf("GELU'(%g) = %x, closed form %x", x, math.Float32bits(deriv.Data()[i]), math.Float32bits(want))
 		}
 	}
 }

@@ -92,13 +92,18 @@
 //
 // # GEMM blocking
 //
-// A forward product with at most two rows reads B in place (direct-B, kc
-// 256 × nc 512); every other GEMM packs kc 256 × nc 128 panels in 8-wide
-// strips — below three rows a packed panel is swept too few times to repay
-// its pack. Both paths sum k in the same pairwise order, so the line moves
-// time, never bits. Nothing is probed, timed or persisted, and no compute
-// package reads the clock or the environment (a test in reach_test.go
-// guards that).
+// Every GEMM runs one strip kernel (four C rows × eight columns in
+// registers, AVX2 where the host has it). A forward product of at most 128
+// rows sweeps the row-major weight in place, kc 256 rows of B at a time;
+// every other GEMM first packs kc 256 × nc 128 panels in 8-wide strips —
+// a pack pays only once enough 4-row tiles sweep it, and up to 128 rows
+// the in-place sweep is 0.1–1.0× the packed one's time. No copy of a
+// weight is kept in any kernel layout, so serving and training hold
+// exactly the model state the memory ledger counts. The transposed
+// products always pack: their effective B is not row-major. Both paths sum
+// k in the same pairwise order, so the line moves time, never bits.
+// Nothing is probed, timed or persisted, and no compute package reads the
+// clock or the environment (a test in reach_test.go guards that).
 //
 // # Serving
 //

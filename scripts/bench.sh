@@ -87,7 +87,9 @@ echo "running kernel benchmarks (benchtime=$BENCHTIME, count=3)..." >&2
 # count=3 with min-aggregation below: on shared machines a noise burst in
 # one 2s window can swing a 200ms/op benchmark by 10%; the minimum of
 # three runs is the honest kernel speed.
-go test -run '^$' -bench 'BenchmarkGEMM|BenchmarkMatMulT|BenchmarkTMatMul|BenchmarkCol2Im' \
+# BenchmarkGEMM$ leaves out BenchmarkGEMMSmallM (gemmRule's line sweep,
+# 168 sub-benchmarks that gate nothing here).
+go test -run '^$' -bench 'BenchmarkGEMM$|BenchmarkMatMulT|BenchmarkTMatMul|BenchmarkCol2Im' \
     -benchmem -benchtime="$BENCHTIME" -count=3 ./internal/tensor/ | tee -a "$TMP" >&2
 
 echo "running sparse-execution benchmarks..." >&2
