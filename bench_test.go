@@ -10,7 +10,6 @@ import (
 	"io"
 	"testing"
 
-	samo "github.com/sparse-dl/samo"
 	"github.com/sparse-dl/samo/internal/axonn"
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/experiments"
@@ -309,5 +308,3 @@ func benchBatch(inDim, samples, classes int) axonn.Batch {
 	}
 	return axonn.Batch{Input: x, Targets: targets, SampleRows: 1, Samples: samples}
 }
-
-var _ = samo.BreakEvenSparsity // keep the public package linked into benches

@@ -5,7 +5,9 @@
 // MEASURES the sparse execution path on this host: the same pruned MLP
 // trained masked-dense versus through CSR kernels (samo.Sparsify),
 // reporting per-step time, the pruned-FLOPs speedup and the model-state
-// memory both ways.
+// memory both ways. The sparse layers follow the density rule: at the
+// default -sparsity 0.9 they run CSR, and a model below 50% sparsity runs
+// masked-dense on both sides.
 package main
 
 import (
@@ -122,16 +124,6 @@ func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 		targets[i] = rng.Intn(classes)
 	}
 
-	// Pin the sparse path for the measurement: the CSR kernels are what is
-	// timed, at any -sparsity — the density rule would run a model below
-	// 50% sparsity dense-masked. (The masked-dense model has no sparse layers;
-	// the pin is a no-op for it.)
-	prevMode, err := samo.SetSparseCompute("sparse")
-	if err != nil {
-		return err
-	}
-	defer samo.SetSparseCompute(prevMode)
-
 	fmt.Fprintf(out, "sparse execution on this host: %d-%d-%d-%d MLP, batch %d, sparsity %.2f, %d steps\n\n",
 		in, hidden, hidden, classes, batch, sparsity, steps)
 	run := func(label string, m *samo.Model) (msPerStep float64, loss float64, state *samo.State) {
@@ -178,14 +170,6 @@ func runScheduleStudy(out io.Writer, initial float64, steps int) error {
 	for i := range targets {
 		targets[i] = rng.Intn(classes)
 	}
-	// Pin the sparse path (see runSparseExec) so every schedule is timed on
-	// the CSR kernels; the masked-dense reference has no sparse layers.
-	prevMode, err := samo.SetSparseCompute("sparse")
-	if err != nil {
-		return err
-	}
-	defer samo.SetSparseCompute(prevMode)
-
 	// The cubic ramp spans the middle half of the run so every schedule has
 	// warm-up steps before and adaptation steps after its events.
 	begin, end := steps/4, steps-steps/4

@@ -154,8 +154,7 @@ func (gp *GradualPruner) selectPerLayer(target float64) []shrinkOp {
 
 // selectGlobal pools every target into one magnitude ranking and prunes
 // the globally smallest until the pooled sparsity hits the event's target.
-// Ties break by (magnitude bits, target order, position) — the same
-// total order as prune.MagnitudeGlobal.
+// Ties break by (magnitude bits, target order, position).
 func (gp *GradualPruner) selectGlobal(target float64) []shrinkOp {
 	type cand struct {
 		bits uint32

@@ -57,8 +57,8 @@ func TestInferenceFingerprintMatchesModelState(t *testing.T) {
 
 // TestInferenceStateMemoryForwardOnly pins the shrunken footprint: the
 // forward-only ledger is the θ16 line alone — no gradients, no master
-// weights, no optimizer states, no down-cast temp — matching the
-// InferenceBreakdown closed form, and every Param.Grad is released.
+// weights, no optimizer states, no down-cast temp — matching the 2φ closed
+// form, and every Param.Grad is released.
 func TestInferenceStateMemoryForwardOnly(t *testing.T) {
 	m, is := buildInferSetup(Dense, 0, 7)
 	b := is.Memory()
@@ -66,7 +66,7 @@ func TestInferenceStateMemoryForwardOnly(t *testing.T) {
 		t.Fatalf("training components in inference ledger: %+v", b)
 	}
 	phi := int64(m.NumParams())
-	if want := InferenceBreakdown(phi); b != want {
+	if want := (MemoryBreakdown{Theta16: BytesTheta16 * phi}); b != want {
 		t.Fatalf("ledger %+v != closed form %+v", b, want)
 	}
 	for _, p := range m.Params() {

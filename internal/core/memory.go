@@ -104,14 +104,5 @@ func SAMOBreakdown(phi, kept int64) MemoryBreakdown {
 	}
 }
 
-// InferenceBreakdown itemizes forward-only storage for φ parameters: dense
-// θ16 alone (2φ). Gradients, master weights, optimizer states and the
-// down-cast temp copy do not exist in inference mode — the shrunken
-// footprint InferenceState.Memory reports (plus any layer-owned sparse
-// pattern bytes in Index, which depend on the model rather than on φ).
-func InferenceBreakdown(phi int64) MemoryBreakdown {
-	return MemoryBreakdown{Theta16: BytesTheta16 * phi}
-}
-
 // GiB formats a byte count in binary gigabytes.
 func GiB(b int64) float64 { return float64(b) / (1 << 30) }

@@ -155,167 +155,3 @@ func (MaxPool) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *ten
 
 // Params returns nil: pooling has no parameters.
 func (MaxPool) Params() []*Param { return nil }
-
-// GlobalAvgPool reduces NCHW to (n, c) by averaging each channel, the head
-// of ResNet-style networks.
-type GlobalAvgPool struct{}
-
-type gapCache struct{ shape []int }
-
-var gapCaches parallel.Pool[gapCache]
-
-// Forward averages spatial positions per channel.
-func (GlobalAvgPool) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	hw := h * w
-	y := a.Get(n, c)
-	inv := 1 / float32(hw)
-	xd, yd := x.Data(), y.Data()
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			off := (img*c + ch) * hw
-			var s float32
-			for i := 0; i < hw; i++ {
-				s += xd[off+i]
-			}
-			yd[img*c+ch] = s * inv
-		}
-	}
-	if !train {
-		return y, nil
-	}
-	gc := gapCaches.Get()
-	gc.shape = append(gc.shape[:0], x.Shape()...)
-	return y, gc
-}
-
-// Backward broadcasts the gradient uniformly over spatial positions.
-func (GlobalAvgPool) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
-	gc := cache.(*gapCache)
-	n, c, h, w := gc.shape[0], gc.shape[1], gc.shape[2], gc.shape[3]
-	hw := h * w
-	dx := a.Get(gc.shape...)
-	inv := 1 / float32(hw)
-	gd, dd := gradOut.Data(), dx.Data()
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			g := gd[img*c+ch] * inv
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				dd[off+i] = g
-			}
-		}
-	}
-	gapCaches.Put(gc)
-	return dx
-}
-
-// Params returns nil: pooling has no parameters.
-func (GlobalAvgPool) Params() []*Param { return nil }
-
-// ResidualBlock is a pre-activation WideResNet basic block:
-// y = shortcut(x) + Conv2(ReLU(BN2(Conv1(ReLU(BN1(x)))))). When the channel
-// count or stride changes, the shortcut is a 1×1 convolution.
-type ResidualBlock struct {
-	BN1, BN2     *BatchNorm2d
-	Conv1, Conv2 *Conv2d
-	Shortcut     *Conv2d // nil for identity
-}
-
-// NewResidualBlock builds a block mapping (inC, h, w) to (outC, h/stride,
-// w/stride).
-func NewResidualBlock(name string, inC, outC, h, w, stride int, rng *tensor.RNG) *ResidualBlock {
-	b := &ResidualBlock{
-		BN1: NewBatchNorm2d(name+".bn1", inC),
-		Conv1: NewConv2d(name+".conv1", tensor.ConvSpec{
-			InC: inC, OutC: outC, Kernel: 3, Stride: stride, Pad: 1, InH: h, InW: w}, rng),
-	}
-	oh, ow := b.Conv1.Spec.OutH(), b.Conv1.Spec.OutW()
-	b.BN2 = NewBatchNorm2d(name+".bn2", outC)
-	b.Conv2 = NewConv2d(name+".conv2", tensor.ConvSpec{
-		InC: outC, OutC: outC, Kernel: 3, Stride: 1, Pad: 1, InH: oh, InW: ow}, rng)
-	if inC != outC || stride != 1 {
-		b.Shortcut = NewConv2d(name+".shortcut", tensor.ConvSpec{
-			InC: inC, OutC: outC, Kernel: 1, Stride: stride, Pad: 0, InH: h, InW: w}, rng)
-	}
-	return b
-}
-
-type resCache struct {
-	x                *tensor.Tensor
-	c1, c2, cb1, cb2 any
-	r1, r2           *tensor.Tensor // relu masks
-	cs               any
-}
-
-var resCaches parallel.Pool[resCache]
-
-// Forward runs the two-conv residual path plus shortcut.
-func (b *ResidualBlock) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	h1, cb1 := b.BN1.Forward(a, x, train)
-	var r1, r2 *tensor.Tensor
-	if train {
-		r1 = a.Get(h1.Shape()...)
-		tensor.ReLUWithMask(h1, r1)
-	} else {
-		tensor.ReLUInPlace(h1)
-	}
-	h2, c1 := b.Conv1.Forward(a, h1, train)
-	h3, cb2 := b.BN2.Forward(a, h2, train)
-	if train {
-		r2 = a.Get(h3.Shape()...)
-		tensor.ReLUWithMask(h3, r2)
-	} else {
-		tensor.ReLUInPlace(h3)
-	}
-	h4, c2 := b.Conv2.Forward(a, h3, train)
-	var short *tensor.Tensor
-	var cs any
-	if b.Shortcut != nil {
-		short, cs = b.Shortcut.Forward(a, x, train)
-	} else {
-		short = x
-	}
-	y := a.Get(h4.Shape()...)
-	y.CopyFrom(h4)
-	tensor.Add(y, short)
-	if !train {
-		return y, nil
-	}
-	c := resCaches.Get()
-	c.x, c.c1, c.c2, c.cb1, c.cb2, c.r1, c.r2, c.cs = x, c1, c2, cb1, cb2, r1, r2, cs
-	return y, c
-}
-
-// Backward propagates through both paths and sums the input gradients.
-func (b *ResidualBlock) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := cache.(*resCache)
-	// Main path: conv2 <- relu2 <- bn2 <- conv1 <- relu1 <- bn1.
-	g := b.Conv2.Backward(a, c.c2, gradOut)
-	tensor.Mul(g, c.r2)
-	g = b.BN2.Backward(a, c.cb2, g)
-	g = b.Conv1.Backward(a, c.c1, g)
-	tensor.Mul(g, c.r1)
-	g = b.BN1.Backward(a, c.cb1, g)
-	// Shortcut path.
-	if b.Shortcut != nil {
-		gs := b.Shortcut.Backward(a, c.cs, gradOut)
-		tensor.Add(g, gs)
-	} else {
-		tensor.Add(g, gradOut)
-	}
-	c.x, c.c1, c.c2, c.cb1, c.cb2, c.r1, c.r2, c.cs = nil, nil, nil, nil, nil, nil, nil, nil
-	resCaches.Put(c)
-	return g
-}
-
-// Params returns all parameters of the block.
-func (b *ResidualBlock) Params() []*Param {
-	ps := append(b.BN1.Params(), b.Conv1.Params()...)
-	ps = append(ps, b.BN2.Params()...)
-	ps = append(ps, b.Conv2.Params()...)
-	if b.Shortcut != nil {
-		ps = append(ps, b.Shortcut.Params()...)
-	}
-	return ps
-}

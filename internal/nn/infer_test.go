@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // inferTestModels builds one representative model per family — together
 // they cover every layer the repo ships (Linear, ReLU, GELU, LayerNorm,
-// Embedding, attention, Conv2d, BatchNorm2d, MaxPool, GlobalAvgPool,
-// residual blocks, Flatten) — plus a matching input batch.
+// Embedding, attention, Conv2d, BatchNorm2d, MaxPool, Flatten) — plus a
+// matching input batch.
 func inferTestModels() []struct {
 	name  string
 	model *Model
@@ -102,18 +101,15 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // TestInferSparsifiedMatchesEvalForward extends the golden to sparse
 // execution: a Sparsify'd MLP's inference path must match its own eval
-// forward bitwise at every worker count, on either pinned path and under
-// the density rule.
+// forward bitwise at every worker count, with every layer pinned to either
+// path and under the density rule.
 func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
-	for _, mode := range []string{"sparse", "dense", "auto"} {
-		t.Run(mode, func(t *testing.T) {
-			prev, err := sparse.SetXover(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sparse.SetXover(prev)
-
+	for _, tc := range []struct {
+		name string
+		exec ExecMode
+	}{{"sparse", ExecSparse}, {"dense", ExecDense}, {"auto", ExecAuto}} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := tensor.NewRNG(5)
 			base := BuildMLP("smlp", []int{24, 48, 10}, rng)
 			var layers []prune.Layer
@@ -122,6 +118,11 @@ func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 			}
 			pr := prune.MagnitudePerLayer(layers, 0.9)
 			m := Sparsify(base, pr)
+			for _, l := range m.Layers {
+				if sl, ok := l.(*SparseLinear); ok {
+					sl.Exec = tc.exec
+				}
+			}
 			x := tensor.New(6, 24)
 			tensor.FillNormal(x, 1, rng)
 

@@ -129,35 +129,6 @@ func BuildVGG(name string, plan []int, inC, dim, classes int, rng *tensor.RNG) *
 	return m
 }
 
-// BuildWideResNet constructs a runnable WideResNet for (inC, dim, dim)
-// inputs: an initial conv, three groups of n residual blocks with widths
-// 16k/32k/64k, global average pooling and a linear classifier.
-func BuildWideResNet(name string, n, k, inC, dim, classes int, rng *tensor.RNG) *Model {
-	m := &Model{Name: name}
-	spec := tensor.ConvSpec{InC: inC, OutC: 16, Kernel: 3, Stride: 1, Pad: 1, InH: dim, InW: dim}
-	m.Layers = append(m.Layers, NewConv2d("conv0", spec, rng))
-	widths := []int{16 * k, 32 * k, 64 * k}
-	c, d := 16, dim
-	for g, w := range widths {
-		for b := 0; b < n; b++ {
-			stride := 1
-			if g > 0 && b == 0 {
-				stride = 2
-			}
-			m.Layers = append(m.Layers, NewResidualBlock(fmt.Sprintf("g%db%d", g, b), c, w, d, d, stride, rng))
-			if stride == 2 {
-				d /= 2
-			}
-			c = w
-		}
-	}
-	m.Layers = append(m.Layers, NewBatchNorm2d("bnf", c))
-	m.Layers = append(m.Layers, ReLULayer{})
-	m.Layers = append(m.Layers, GlobalAvgPool{})
-	m.Layers = append(m.Layers, NewLinear("fc", c, classes, rng))
-	return m
-}
-
 // BuildMLP constructs a plain multi-layer perceptron — the quickstart model.
 func BuildMLP(name string, dims []int, rng *tensor.RNG) *Model {
 	m := &Model{Name: name}

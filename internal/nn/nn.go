@@ -1,7 +1,7 @@
 // Package nn is the neural-network substrate of the SAMO reproduction:
 // layers with explicit forward/backward passes, a parameter registry, loss
-// functions, and builders for the paper's model zoo (VGG-19, WideResNet-101
-// and the GPT-3 family from Table I).
+// functions, builders for runnable MLP, VGG and GPT models, and the paper's
+// Table I configurations (VGG-19, WideResNet-101 and the GPT-3 family).
 //
 // Layers are stateless with respect to activations: Forward returns an
 // opaque cache that Backward consumes. This is load-bearing for the

@@ -115,10 +115,6 @@ func TestMaxPoolGradients(t *testing.T) {
 	gradCheck(t, "MaxPool", MaxPool{}, randInput([]int{2, 2, 4, 4}, 18), 19)
 }
 
-func TestGlobalAvgPoolGradients(t *testing.T) {
-	gradCheck(t, "GlobalAvgPool", GlobalAvgPool{}, randInput([]int{2, 3, 4, 4}, 20), 21)
-}
-
 func TestAttentionGradients(t *testing.T) {
 	a := NewCausalSelfAttention("attn", 8, 2, 4, tensor.NewRNG(22))
 	gradCheck(t, "Attention", a, randInput([]int{8, 8}, 23), 24) // batch 2 × seq 4
@@ -127,19 +123,6 @@ func TestAttentionGradients(t *testing.T) {
 func TestTransformerBlockGradients(t *testing.T) {
 	b := NewTransformerBlock("blk", 8, 2, 4, tensor.NewRNG(25))
 	gradCheck(t, "TransformerBlock", b, randInput([]int{8, 8}, 26), 27)
-}
-
-func TestResidualBlockGradients(t *testing.T) {
-	b := NewResidualBlock("res", 2, 4, 4, 4, 2, tensor.NewRNG(28))
-	// Keep both BN outputs away from the ReLU kink (γ small, β ≈ 2) so
-	// finite differences stay valid: a perturbation that shifts a whole
-	// normalized channel across zero would corrupt the numeric gradient.
-	// ReLU's own kink behaviour is verified by TestReLUGradients.
-	for _, bn := range []*BatchNorm2d{b.BN1, b.BN2} {
-		bn.Gamma.Value.Fill(0.1)
-		bn.Beta.Value.Fill(2)
-	}
-	gradCheck(t, "ResidualBlock", b, randInput([]int{2, 2, 4, 4}, 29), 30)
 }
 
 func TestEmbeddingGradients(t *testing.T) {
@@ -369,18 +352,13 @@ func TestTinyGPTForwardShapes(t *testing.T) {
 	}
 }
 
-func TestVGGAndWRNForwardShapes(t *testing.T) {
+func TestVGGForwardShapes(t *testing.T) {
 	rng := tensor.NewRNG(71)
 	vgg := BuildVGG("vgg-s", []int{16, 16, -1, 32, 32, -1, 64, 64, -1}, 3, 16, 10, rng)
 	x := randInput([]int{2, 3, 16, 16}, 72)
 	y, _ := vgg.Forward(x, false)
 	if y.Dim(0) != 2 || y.Dim(1) != 10 {
 		t.Errorf("VGG output %v", y.Shape())
-	}
-	wrn := BuildWideResNet("wrn-s", 1, 2, 3, 16, 10, rng)
-	y2, _ := wrn.Forward(x, false)
-	if y2.Dim(0) != 2 || y2.Dim(1) != 10 {
-		t.Errorf("WRN output %v", y2.Shape())
 	}
 }
 

@@ -146,7 +146,7 @@ func (ln *LayerNorm) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
 // BatchNorm2d is per-channel batch normalization over NCHW tensors, used by
-// the CNN architectures (VGG with BN, WideResNet). Running statistics are
+// the CNN architectures (VGG with BN). Running statistics are
 // kept for evaluation mode.
 type BatchNorm2d struct {
 	Gamma, Beta     *Param

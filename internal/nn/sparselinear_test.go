@@ -196,11 +196,6 @@ func TestSparsify(t *testing.T) {
 // dense), XoverDecide never asks for a probe, and the masked-dense copy is
 // gone after any sparse-path product.
 func TestXoverIsPure(t *testing.T) {
-	if prev, err := sparse.SetXover("auto"); err != nil {
-		t.Fatal(err)
-	} else {
-		defer sparse.SetXover(prev)
-	}
 	const in, out, full = 32, 24, 32 * 24
 	// 0.4987 prunes 383 of 768: one nonzero more than half.
 	for _, sparsity := range []float64{0.3, 0.4987, 0.5, 0.75, 0.76, 0.9} {
@@ -273,11 +268,6 @@ func TestXoverIsPure(t *testing.T) {
 // step for step, from two fresh builds, and with those of the run with every
 // layer pinned ExecDense.
 func TestXoverDenseSideLossHash(t *testing.T) {
-	if prev, err := sparse.SetXover("auto"); err != nil {
-		t.Fatal(err)
-	} else {
-		defer sparse.SetXover(prev)
-	}
 	const batch, in, classes = 24, 48, 10
 	train := func(exec ExecMode) []uint64 {
 		rng := tensor.NewRNG(31)

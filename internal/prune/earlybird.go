@@ -11,7 +11,7 @@ import "github.com/sparse-dl/samo/internal/sparse"
 // between the last Window masks falls below Epsilon.
 //
 // Usage: call Observe after each epoch with the current parameter values;
-// when Converged returns true, Ticket holds the final pruning Result.
+// once it returns true, Force returns the converged ticket.
 type EarlyBird struct {
 	// Sparsity is the target pruned fraction (paper: 0.9).
 	Sparsity float64
@@ -20,21 +20,17 @@ type EarlyBird struct {
 	Epsilon float64
 	// Window is how many consecutive masks must agree (You et al. use 5).
 	Window int
-	// PerLayer selects layer-uniform pruning (true, the paper's setting)
-	// versus global magnitude.
-	PerLayer bool
 
-	history   [][]*sparse.Mask // ring buffer of per-layer masks
-	layerName []string
-	ticket    *Result
-	epochs    int
+	history [][]*sparse.Mask // ring buffer of per-layer masks
+	ticket  *Result
+	epochs  int
 }
 
 // NewEarlyBird returns an EarlyBird with You et al.'s default hyperparameters
 // at the given sparsity.
 func NewEarlyBird(sparsity float64) *EarlyBird {
 	checkSparsity(sparsity)
-	return &EarlyBird{Sparsity: sparsity, Epsilon: 0.1, Window: 5, PerLayer: true}
+	return &EarlyBird{Sparsity: sparsity, Epsilon: 0.1, Window: 5}
 }
 
 // Observe records the mask induced by the current parameters and reports
@@ -45,18 +41,8 @@ func (eb *EarlyBird) Observe(layers []Layer) bool {
 		return true
 	}
 	eb.epochs++
-	var res *Result
-	if eb.PerLayer {
-		res = MagnitudePerLayer(layers, eb.Sparsity)
-	} else {
-		res = MagnitudeGlobal(layers, eb.Sparsity)
-	}
+	res := MagnitudePerLayer(layers, eb.Sparsity)
 	masks := make([]*sparse.Mask, len(layers))
-	if eb.layerName == nil {
-		for _, l := range layers {
-			eb.layerName = append(eb.layerName, l.Name)
-		}
-	}
 	for i, l := range layers {
 		masks[i] = res.Indices[l.Name].Mask()
 	}
@@ -89,18 +75,11 @@ func maxLayerDistance(a, b []*sparse.Mask) float64 {
 	return m
 }
 
-// Ticket returns the converged pruning result, or nil if not yet converged.
-func (eb *EarlyBird) Ticket() *Result { return eb.ticket }
-
 // Force draws the ticket from the given parameters immediately, regardless
 // of convergence — the fallback when a training budget expires first.
 func (eb *EarlyBird) Force(layers []Layer) *Result {
 	if eb.ticket == nil {
-		if eb.PerLayer {
-			eb.ticket = MagnitudePerLayer(layers, eb.Sparsity)
-		} else {
-			eb.ticket = MagnitudeGlobal(layers, eb.Sparsity)
-		}
+		eb.ticket = MagnitudePerLayer(layers, eb.Sparsity)
 	}
 	return eb.ticket
 }

@@ -1,9 +1,9 @@
 // Package prune implements the neural-network pruning algorithms that
 // produce the sparse subnetworks SAMO exploits. The paper uses You et al.'s
 // "Early-Bird Tickets" (ICLR 2020) to prune 90% of the parameters; this
-// package provides that algorithm plus the magnitude/random baselines pruning
-// papers compare against, all emitting the same Result consumed by SAMO:
-// per-layer index sets of unpruned parameters (the paper's ind = ⋃ indᵢ).
+// package provides that algorithm over per-layer magnitude pruning, emitting
+// the Result consumed by SAMO: per-layer index sets of unpruned parameters
+// (the paper's ind = ⋃ indᵢ).
 package prune
 
 import (
@@ -83,47 +83,6 @@ func (r *Result) MaterializeCSR(name string, values []float32, rows, cols int) *
 	return sparse.CSRFromDenseIndexed(ix, values, rows, cols)
 }
 
-// MagnitudeGlobal prunes the globally smallest |w| until the target sparsity
-// is reached, the classic lottery-ticket criterion (Frankle & Carbin). Exact
-// ties are broken by layer order then index, keeping results deterministic.
-func MagnitudeGlobal(layers []Layer, sparsity float64) *Result {
-	checkSparsity(sparsity)
-	type entry struct {
-		layer int
-		idx   int32
-		bits  uint32
-	}
-	var total int
-	for _, l := range layers {
-		total += len(l.Values)
-	}
-	entries := make([]entry, 0, total)
-	for li, l := range layers {
-		for i, v := range l.Values {
-			entries = append(entries, entry{layer: li, idx: int32(i), bits: magBits(v)})
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		ea, eb := entries[a], entries[b]
-		if ea.bits != eb.bits {
-			return ea.bits < eb.bits
-		}
-		if ea.layer != eb.layer {
-			return ea.layer < eb.layer
-		}
-		return ea.idx < eb.idx
-	})
-	nPrune := int(sparsity * float64(total))
-	masks := make([]*sparse.Mask, len(layers))
-	for li, l := range layers {
-		masks[li] = sparse.FullMask(len(l.Values))
-	}
-	for _, e := range entries[:nPrune] {
-		masks[e.layer].Clear(int(e.idx))
-	}
-	return resultFromMasks(layers, masks)
-}
-
 // MagnitudePerLayer prunes the smallest |w| within each layer independently,
 // so every layer hits exactly the target sparsity (the uniform pruning the
 // paper's memory model assumes).
@@ -158,29 +117,9 @@ func maskSmallest(values []float32, nPrune int) *sparse.Mask {
 }
 
 // magBits returns the IEEE-754 bit pattern of |v| — the order-preserving
-// integer magnitude key shared by every magnitude criterion here and by
-// the in-training gradual pruner, so all of them break ties identically.
+// integer magnitude key shared with the in-training gradual pruner, so both
+// break ties identically.
 func magBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
-
-// Random prunes a uniformly random subset of each layer to the target
-// sparsity — the control baseline showing magnitude information matters for
-// accuracy (it does not matter for SAMO's memory/communication savings,
-// which depend only on the count).
-func Random(layers []Layer, sparsity float64, seed uint64) *Result {
-	checkSparsity(sparsity)
-	rng := newSplitMix(seed)
-	masks := make([]*sparse.Mask, len(layers))
-	for li, l := range layers {
-		n := len(l.Values)
-		perm := rng.perm(n)
-		m := sparse.FullMask(n)
-		for _, i := range perm[:int(sparsity*float64(n))] {
-			m.Clear(i)
-		}
-		masks[li] = m
-	}
-	return resultFromMasks(layers, masks)
-}
 
 func resultFromMasks(layers []Layer, masks []*sparse.Mask) *Result {
 	r := &Result{Indices: make(map[string]*sparse.Index, len(layers))}
@@ -195,30 +134,4 @@ func checkSparsity(s float64) {
 	if s < 0 || s >= 1 {
 		panic(fmt.Sprintf("prune: sparsity %g out of range [0,1)", s))
 	}
-}
-
-// splitMix is a local deterministic RNG (duplicated from tensor to avoid the
-// dependency for a package that only needs permutations).
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (r *splitMix) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *splitMix) perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(r.next() % uint64(i+1))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -127,21 +127,3 @@ func TestMaskSmallestNaNKept(t *testing.T) {
 		}
 	}
 }
-
-// TestMagnitudeGlobalTieBreak pins the global criterion's total order:
-// (magnitude bits, layer, index).
-func TestMagnitudeGlobalTieBreak(t *testing.T) {
-	layers := []Layer{
-		{Name: "a", Values: []float32{0.5, 1, -0.5, 4}},
-		{Name: "b", Values: []float32{-0.5, 5, 0.5, 6}},
-	}
-	r := MagnitudeGlobal(layers, 0.375) // prune 3 of 8: the tie pool has 4
-	ixa, ixb := r.Index("a"), r.Index("b")
-	// Layer a's ties (idx 0, 2) go first, then layer b's idx 0.
-	if got := ixa.IDs(); !reflect.DeepEqual(got, []int32{1, 3}) {
-		t.Fatalf("layer a kept %v, want [1 3]", got)
-	}
-	if got := ixb.IDs(); !reflect.DeepEqual(got, []int32{1, 2, 3}) {
-		t.Fatalf("layer b kept %v, want [1 2 3]", got)
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -49,21 +48,20 @@ func tinyGPT(rng *tensor.RNG, n int) (*nn.Model, []*tensor.Tensor) {
 }
 
 // sparsifiedMLP builds a pruned MLP executing through SparseLinear layers,
-// with the sparse/dense crossover in mode xover ("auto" = the density rule)
-// for the test's lifetime.
-func sparsifiedMLP(t *testing.T, rng *tensor.RNG, xover string, sparsity float64, dims []int) *nn.Model {
-	t.Helper()
-	prev, err := sparse.SetXover(xover)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sparse.SetXover(prev) })
+// every one with execution mode exec (nn.ExecAuto = the density rule).
+func sparsifiedMLP(rng *tensor.RNG, exec nn.ExecMode, sparsity float64, dims []int) *nn.Model {
 	base := nn.BuildMLP("xmlp", dims, rng)
 	var layers []prune.Layer
 	for _, e := range base.PruneLayers() {
 		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 	}
-	return nn.Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
+	m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
+	for _, l := range m.Layers {
+		if sl, ok := l.(*nn.SparseLinear); ok {
+			sl.Exec = exec
+		}
+	}
+	return m
 }
 
 // offlineRefs computes each sample's offline inference forward, alone: what
@@ -172,12 +170,15 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 
 // TestServeSparsifiedBitwise extends the golden to sparse execution: a
 // Sparsify'd model served through the engine matches its offline forward
-// with the crossover pinned to each submode.
+// with every layer pinned to each path.
 func TestServeSparsifiedBitwise(t *testing.T) {
-	for _, mode := range []string{"sparse", "dense"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		exec nn.ExecMode
+	}{{"sparse", nn.ExecSparse}, {"dense", nn.ExecDense}} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := tensor.NewRNG(23)
-			m := sparsifiedMLP(t, rng, mode, 0.9, []int{16, 32, 6})
+			m := sparsifiedMLP(rng, tc.exec, 0.9, []int{16, 32, 6})
 			samples := normalSamples(rng, 20, 1, 16)
 
 			st := newInferenceState(m) // quantizes in place; refs must follow
@@ -291,9 +292,9 @@ func gated(m *nn.Model) *gate {
 // bucket, since the rule does not read the batch height).
 func TestServeBucketInvariant(t *testing.T) {
 	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
-	sparsified := func(xover string, sparsity float64) fixture {
-		return func(t *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
-			return sparsifiedMLP(t, rng, xover, sparsity, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
+	sparsified := func(exec nn.ExecMode, sparsity float64) fixture {
+		return func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
+			return sparsifiedMLP(rng, exec, sparsity, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
 		}
 	}
 	for _, tc := range []struct {
@@ -307,11 +308,11 @@ func TestServeBucketInvariant(t *testing.T) {
 			return nn.BuildVGG("icnn", []int{8, -1, 16}, 3, 8, 5, rng), normalSamples(rng, 8, 1, 3, 8, 8)
 		}},
 		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
-		{"sparsified/sparse", sparsified("sparse", 0.9)},
-		{"sparsified/dense", sparsified("dense", 0.9)},
-		{"sparsified/auto30", sparsified("auto", 0.3)},
-		{"sparsified/auto50", sparsified("auto", 0.5)},
-		{"sparsified/auto90", sparsified("auto", 0.9)},
+		{"sparsified/sparse", sparsified(nn.ExecSparse, 0.9)},
+		{"sparsified/dense", sparsified(nn.ExecDense, 0.9)},
+		{"sparsified/auto30", sparsified(nn.ExecAuto, 0.3)},
+		{"sparsified/auto50", sparsified(nn.ExecAuto, 0.5)},
+		{"sparsified/auto90", sparsified(nn.ExecAuto, 0.9)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, samples := tc.build(t, tensor.NewRNG(43))

@@ -1,10 +1,5 @@
 package sparse
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // Sparse/dense execution crossover. The sparsity literature's consistent
 // finding (Hoefler et al. 2021; the paper's Figure 1) is that sparse kernels
 // beat dense ones only past a density threshold: above it, the dense
@@ -15,8 +10,8 @@ import (
 // different orders, so whatever picks between them decides result bits —
 // which is why the pick is a rule over the pattern (XoverDecide), never a
 // measurement: a sparse-exec run's numerics are a function of its inputs,
-// not of the wall clock or of an earlier process. SetXover pins one path
-// process-wide.
+// not of the wall clock or of an earlier process. A layer's
+// nn.SparseLinear.Exec pins its own path.
 
 // XoverChoice is one execution path of a sparse-or-dense product.
 type XoverChoice uint8
@@ -57,34 +52,6 @@ var xoverEntries = [...]XoverEntry{{XoverSparse}, {XoverDense}}
 // Decided returns the entry's choice; a decision is never pending.
 func (e *XoverEntry) Decided() (XoverChoice, bool) { return e.choice, true }
 
-// xoverForce: 0 applies the rule (auto); otherwise every decision returns
-// the forced XoverChoice, stored as choice+1.
-var xoverForce atomic.Int32
-
-// SetXover pins every crossover decision to "sparse" or "dense", or
-// restores the density rule with "auto" (the initial mode). It returns the
-// previous mode so tests and benchmarks can scope the override.
-func SetXover(mode string) (prev string, err error) {
-	prev = "auto"
-	if p := xoverForce.Load(); p > 0 {
-		prev = XoverChoice(p - 1).String()
-	}
-	force := int32(-1)
-	if mode == "auto" {
-		force = 0
-	}
-	for _, c := range []XoverChoice{XoverSparse, XoverDense} {
-		if mode == c.String() {
-			force = int32(c) + 1
-		}
-	}
-	if force < 0 {
-		return prev, fmt.Errorf("sparse: SetXover(%q): want auto, sparse or dense", mode)
-	}
-	xoverForce.Store(force)
-	return prev, nil
-}
-
 // ResetXover does nothing: no decision is remembered. Kept for bench/'s
 // hermetic() until the next benchmark PR drops the call.
 func ResetXover() {}
@@ -124,14 +91,11 @@ func ResetXover() {}
 // the same bits on every host, and SparseLinear.Exec = ExecDense is the
 // escape hatch. (A re-run scatters a ratio by up to ±0.1.)
 //
-// A SetXover mode and an empty pattern (nnz ≤ 0: nothing to multiply
-// densely for) return a nil entry; otherwise the entry reports the choice.
+// An empty pattern (nnz ≤ 0: nothing to multiply densely for) returns a nil
+// entry and the CSR path; otherwise the entry reports the choice.
 // probe is always false. op, m, k, n and the two extra results are kept for
 // bench/ until the next benchmark PR drops them.
 func XoverDecide(op XoverOp, m, k, n, nnz, full int) (e *XoverEntry, c XoverChoice, probe bool) {
-	if f := xoverForce.Load(); f > 0 {
-		return nil, XoverChoice(f - 1), false
-	}
 	if nnz <= 0 {
 		return nil, XoverSparse, false
 	}

@@ -8,11 +8,6 @@ import "testing"
 // answer for every op and product shape, an immutable entry that reports it,
 // and never a probe.
 func TestXoverRule(t *testing.T) {
-	if prev, err := SetXover("auto"); err != nil {
-		t.Fatal(err)
-	} else {
-		defer SetXover(prev)
-	}
 	const full = 128 * 128
 	for _, tc := range []struct {
 		nnz  int
@@ -39,37 +34,5 @@ func TestXoverRule(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestXoverForce pins the override paths: forced modes bypass the rule,
-// invalid modes error, and the previous mode round-trips.
-func TestXoverForce(t *testing.T) {
-	prev, err := SetXover("dense")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetXover(prev)
-	if prev != "auto" {
-		t.Fatalf("initial mode %q, want auto (the zero value)", prev)
-	}
-	if e, c, probe := XoverDecide(XoverOpForward, 8, 8, 8, 10, 64); e != nil || probe || c != XoverDense {
-		t.Fatalf("forced dense: got entry=%v choice=%v probe=%v", e, c, probe)
-	}
-	if cur, err := SetXover("sparse"); err != nil || cur != "dense" {
-		t.Fatalf("SetXover(sparse): prev=%q err=%v", cur, err)
-	}
-	if _, c, _ := XoverDecide(XoverOpForward, 8, 8, 8, 60, 64); c != XoverSparse {
-		t.Fatal("forced sparse not honored")
-	}
-	if cur, err := SetXover("bogus"); err == nil || cur != "sparse" {
-		t.Fatalf("SetXover(bogus): prev=%q err=%v, want an error and the mode untouched", cur, err)
-	}
-	// nnz 0 is decided sparse without an entry, in auto mode too.
-	if cur, err := SetXover("auto"); err != nil || cur != "sparse" {
-		t.Fatalf("SetXover(auto): prev=%q err=%v", cur, err)
-	}
-	if e, c, probe := XoverDecide(XoverOpForward, 8, 8, 8, 0, 64); e != nil || probe || c != XoverSparse {
-		t.Fatal("empty pattern should short-circuit to sparse")
 	}
 }

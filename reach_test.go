@@ -29,7 +29,7 @@ var reachAllow = map[string]string{
 	"internal/nn.CrossEntropy":            "allocating loss: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestCrossEntropyValueAndGrad",
 	"internal/nn.Model.Forward":           "arena-less forward: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestModelEndToEndGradient",
 	"internal/nn.Model.Backward":          "arena-less backward: same tests as Model.Forward",
-	"internal/nn.ExecAuto":                "the zero ExecMode every SparseLinear runs with; spelled only by core TestSparseExecTrainStepDeterminism's auto case, and deleting it renumbers ExecSparse/ExecDense",
+	"internal/nn.ExecAuto":                "the zero ExecMode every SparseLinear runs with; spelled only by the auto cases of core TestSparseExecTrainStepDeterminism, nn TestInferSparsifiedMatchesEvalForward and serve TestServeBucketInvariant, and deleting it renumbers ExecSparse/ExecDense",
 	"internal/nn.WithRecompute":           "DELIBERATE EXCEPTION, no entry point wires it: AxoNN §II-E activation checkpointing, which the simulator's 4/3 flop factor assumes; axonn TestEngineWithRecomputeLayers pins it bitwise in the engine. Wiring it is a knob for a later PR",
 	"internal/sparse.CSR.Dense":           "nn TestShrinkPatternMatchesFreshLayer, prune TestMaterializeCSR, core TestSparseExecMatchesMaskedDenseTraining",
 	"internal/core.SAMOBreakdown":         "§III-D analytic reference for the live ledger: root BenchmarkAblationSharedIndex, core TestMemoryLedgerMatchesAnalyticModel",
@@ -46,13 +46,14 @@ type reachImporter func(string) (*types.Package, error)
 func (f reachImporter) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestReachability fails on a declaration in a non-test file that no entry
-// point reaches — every main and init, blank declarations, and the root
-// package's exported names (the facade is the library's entry point) — unless
+// point reaches — every main and init, and blank declarations — unless
 // reachAllow names it, and on a reachAllow entry that is gone or has become
-// reachable. A package nothing imports fails as a whole. Naming a type does
-// not make its methods live: a method is live when reachable code names it,
-// or when a reachable type implements a reachable interface — named, literal,
-// a parameter of something reachable, or fmt.Stringer, which %v calls.
+// reachable. An export is no entry point, the root package's included: the
+// facade keeps only what a cmd or example calls. A package nothing imports
+// fails as a whole. Naming a type does not make its methods live: a method is
+// live when reachable code names it, or when a reachable type implements a
+// reachable interface — named, literal, a parameter of something reachable,
+// or fmt.Stringer, which %v calls.
 func TestReachability(t *testing.T) {
 	const mod = "github.com/sparse-dl/samo"
 	short := strings.NewReplacer(mod+"/", "", mod, "", "(*", "", "(", "", ")", "") // of Func.FullName
@@ -117,7 +118,7 @@ func TestReachability(t *testing.T) {
 						name = short.Replace(fn.FullName())
 					}
 					names[o], byName[name], uses[o] = name, o, us
-					if id.Name == "_" || fn != nil && (id.Name == "init" || id.Name == "main" && f.Name.Name == "main") || path == mod && id.IsExported() {
+					if id.Name == "_" || fn != nil && (id.Name == "init" || id.Name == "main" && f.Name.Name == "main") {
 						roots = append(roots, o)
 					}
 				}

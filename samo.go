@@ -5,8 +5,9 @@
 //
 //  1. Build a model (package nn via the re-exported builders, or any stack
 //     of nn.Layer values).
-//  2. Prune it — Magnitude, Random or the Early-Bird algorithm the paper
-//     uses — obtaining per-layer index sets of surviving parameters.
+//  2. Prune it by per-layer magnitude (PruneMagnitude), obtaining per-layer
+//     index sets of surviving parameters. The Figure 4 experiment draws its
+//     ticket with the Early-Bird algorithm the paper uses (internal/prune).
 //  3. Create a State in ModeSAMO: θ16 stays dense for fast kernels, every
 //     other model-state tensor is stored compressed on a shared linearized
 //     index.
@@ -14,18 +15,18 @@
 //     parallel engine (Train), which also compresses the data-parallel
 //     gradient all-reduce.
 //
-// The companion Summit performance simulator (Estimate, PlanDevices) answers
-// "what would this buy me at N GPUs" with the paper's calibrated hardware
-// model, and package-level memory functions expose the §III-D closed forms.
+// The companion Summit performance simulator (EstimateGPT) answers "what
+// would this buy me at N GPUs" with the paper's calibrated hardware model,
+// and MemorySavingsPercent gives the §III-D closed-form saving.
 //
 // # Compute substrate
 //
 // Every CPU kernel — the blocked GEMM micro-kernels behind MatMul and its
 // transposed variants, im2col/col2im, and the sparse compress/expand and
 // SpMM/SDDMM paths — executes on one persistent, process-wide worker pool
-// (internal/parallel) rather than spawning goroutines per call. SetWorkers
-// bounds the per-call fan-out atomically and is safe to call mid-run; the
-// pool itself is sized at GOMAXPROCS once.
+// (internal/parallel) rather than spawning goroutines per call.
+// tensor.SetWorkers bounds the per-call fan-out atomically and is safe to
+// call mid-run; the pool itself is sized at GOMAXPROCS once.
 //
 // The dense GEMM family — the kernels the paper's dense-compute argument
 // rests on — runs a unified BLIS-style shared-pack pipeline: each kc×nc
@@ -87,8 +88,9 @@
 // masked-dense copy. It is a rule over the pattern, not a timing, and the
 // same line on every host: the two paths sum in different orders, so a
 // measured choice would let the wall clock decide result bits.
-// SetSparseCompute pins one path process-wide; scripts/bench.sh gates the
-// ≥90%-sparsity points of the BenchmarkSpMM matrix at MIN_SPMM_SPEEDUP.
+// A layer's Exec field (nn.SparseLinear) pins one path; scripts/bench.sh
+// gates the ≥90%-sparsity points of the BenchmarkSpMM matrix at
+// MIN_SPMM_SPEEDUP.
 //
 // # GEMM blocking
 //
@@ -112,14 +114,14 @@
 // Model.InferWindowed run it against arenas sized to the forward working
 // set — the windowed runner ping-pongs activations between two arenas so
 // peak residency is one layer's input plus its output, at 0 allocs/op in
-// steady state. InferenceState is the state-side counterpart: it holds
+// steady state. core.InferenceState is the state-side counterpart: it holds
 // fp16-grid resident weights only — no gradients, no master θ32 copies, no
 // optimizer moments, no reduce buffers — so its Memory() ledger is the 2φ
-// θ16 line alone (InferenceBreakdown), while sharing ModelState's
-// fingerprint, so a training checkpoint loads straight into inference mode
-// through internal/ckpt with tag, fingerprint and CRC verification (and
-// its Load is transactional like ModelState's). Inferencer owns the two
-// arenas for a single-goroutine serving loop.
+// θ16 line alone, while sharing ModelState's fingerprint, so a training
+// checkpoint loads straight into inference mode through internal/ckpt with
+// tag, fingerprint and CRC verification (and its Load is transactional like
+// ModelState's). core.Inferencer owns the two arenas for a single-goroutine
+// serving loop.
 //
 // cmd/samo-serve puts it behind dynamic micro-batching (internal/serve):
 // the batching loop takes whatever concurrent single-sample requests are
@@ -139,10 +141,11 @@
 //
 // The parallel engine treats rank failure as a tested scenario, not an
 // exception. The communication fabric carries a poison/abort model: when a
-// rank fails (an injected FaultPlan in tests, an engine-detected error, or
-// the configurable collective deadline tripping on a stalled peer), the
+// rank fails (an injected comm.FaultPlan in tests, an engine-detected error,
+// or the configurable collective deadline tripping on a stalled peer), the
 // fabric is poisoned once and every blocking primitive unwinds promptly
-// with a typed RankFailedError or DeadlineError instead of deadlocking.
+// with a typed comm.RankFailedError or comm.DeadlineError instead of
+// deadlocking.
 // Fault injection is deterministic — crash points are keyed to engine
 // steps and per-rank collective entry counts, message drop/delay schedules
 // to fixed counters — so every failure scenario replays identically.
@@ -172,11 +175,11 @@
 // floats cross the wire bit-preserved, and wire buffers recycle through
 // power-of-two capacity classes so steady-state sends are allocation-free.
 // Connection errors map onto the same poison path as local failures — a dead
-// peer surfaces as RankFailedError, a stalled socket trips the
-// CollectiveDeadline backstop as DeadlineError — so a killed peer process is
-// just another recoverable abort: the survivor rebuilds the mesh (waiting up
-// to the dial timeout for the peer to be restarted) and resumes from the
-// newest durable checkpoint. A conformance suite pins collectives
+// peer surfaces as comm.RankFailedError, a stalled socket trips the
+// CollectiveDeadline backstop as comm.DeadlineError — so a killed peer
+// process is just another recoverable abort: the survivor rebuilds the mesh
+// (waiting up to the dial timeout for the peer to be restarted) and resumes
+// from the newest durable checkpoint. A conformance suite pins collectives
 // bitwise-identical across transports, so a multi-process run reproduces the
 // single-process run exactly. Select it with ParallelConfig.Net
 // (NetConfig{Peers, Proc, DialTimeout}) or samo-train's
@@ -240,19 +243,19 @@
 // and crash recovery around a prune event is bitwise-identical to an
 // uninterrupted run. Drive it with NewGradualPruner (single-process,
 // call MaybePrune after each trainer step) or ParallelConfig.PruneSchedule
-// (samo-train's -prune-* flags); examples/scaling_study -mode schedule
+// (samo-train's -prune-* flags); examples/scaling_study -schedule
 // sweeps schedules into an accuracy-proxy vs speedup frontier.
 //
 // Steady-state training steps are allocation-free across every model
-// family — MLP, CNN (im2col conv, batch norm, pooling, residual blocks)
-// and GPT (embedding, attention, layer norm, GELU MLP) — as are the
-// compress/expand primitives: each trainer or simulated rank owns a
-// size-keyed tensor arena that supplies activations, gradients and
-// scratch buffers and reclaims them wholesale after the optimizer step;
-// layer caches and kernel job descriptors recycle through typed pools,
-// and the in-process collectives hand pooled chunk buffers from sender to
-// receiver zero-copy (pooled per fabric, in power-of-two capacity classes
-// under a hard retention bound). Run scripts/bench.sh to regenerate
+// family — MLP, CNN (im2col conv, batch norm, pooling) and GPT (embedding,
+// attention, layer norm, GELU MLP) — as are the compress/expand primitives:
+// each trainer or simulated rank owns a size-keyed tensor arena that
+// supplies activations, gradients and scratch buffers and reclaims them
+// wholesale after the optimizer step; layer caches and kernel job
+// descriptors recycle through typed pools, and the in-process collectives
+// hand pooled chunk buffers from sender to receiver zero-copy (pooled per
+// fabric, in power-of-two capacity classes under a hard retention bound).
+// Run scripts/bench.sh to regenerate
 // BENCH_kernels.json, the kernel/throughput/allocation baseline the
 // benchmarks are tracked against; it fails if the shared-pack kernel
 // regresses below 1.5x the seed GEMM on the Figure-1 shapes, if the parallel
@@ -265,7 +268,6 @@ import (
 	"io"
 
 	"github.com/sparse-dl/samo/internal/axonn"
-	"github.com/sparse-dl/samo/internal/comm"
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/experiments"
 	"github.com/sparse-dl/samo/internal/hw"
@@ -273,7 +275,6 @@ import (
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
 	"github.com/sparse-dl/samo/internal/simulate"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -286,8 +287,6 @@ type (
 	RNG = tensor.RNG
 	// Model is an ordered stack of layers.
 	Model = nn.Model
-	// Layer is a differentiable module with explicit forward/backward.
-	Layer = nn.Layer
 	// PruneResult holds per-layer indices of surviving parameters.
 	PruneResult = prune.Result
 	// PruneSchedule is a gradual magnitude-pruning schedule (Zhu & Gupta's
@@ -314,25 +313,10 @@ type (
 	// Peers lists every process's listen address, Proc is this process's
 	// index, and ranks split into contiguous blocks across processes.
 	NetConfig = axonn.NetConfig
-	// FaultPlan injects deterministic failures into the fabric (tests/chaos).
-	FaultPlan = comm.FaultPlan
-	// RankFailedError is the typed abort every blocked primitive unwinds
-	// with after a rank fails.
-	RankFailedError = comm.RankFailedError
-	// DeadlineError reports a collective exceeding CollectiveDeadline.
-	DeadlineError = comm.DeadlineError
 	// Machine is a cluster hardware profile for the simulator.
 	Machine = hw.Machine
 	// Estimate is one simulated (framework, model, GPU-count) outcome.
 	Estimate = simulate.Result
-	// MemoryBreakdown itemizes model-state bytes by component.
-	MemoryBreakdown = core.MemoryBreakdown
-	// InferenceState holds forward-only resident weights (θ16 grid, no
-	// gradients or optimizer state) and loads training checkpoints.
-	InferenceState = core.InferenceState
-	// Inferencer runs cache-free forwards over an InferenceState at
-	// 0 allocs/op (single goroutine; serve.Engine adds micro-batching).
-	Inferencer = core.Inferencer
 )
 
 // Storage modes.
@@ -346,12 +330,6 @@ const (
 
 // NewRNG returns a deterministic generator.
 func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
-
-// SetWorkers bounds the kernel worker pool's per-call parallelism (n < 1
-// resets to GOMAXPROCS) and returns the previous bound. Safe to call while
-// training runs on other goroutines; results do not depend on the worker
-// count (work partitioning is static and reductions are single-owner).
-func SetWorkers(n int) int { return tensor.SetWorkers(n) }
 
 // GEMMKernel names the dense GEMM micro-kernel this process selected at
 // start-up, "avx2" or "go". Results are bitwise-identical under both; the
@@ -389,28 +367,12 @@ func NewVGG(name string, plan []int, inC, dim, classes int, rng *RNG) *Model {
 	return nn.BuildVGG(name, plan, inC, dim, classes, rng)
 }
 
-// NewWideResNet builds a WideResNet-style CNN with n blocks per group and
-// width multiplier k.
-func NewWideResNet(name string, n, k, inC, dim, classes int, rng *RNG) *Model {
-	return nn.BuildWideResNet(name, n, k, inC, dim, classes, rng)
-}
-
 // --- Pruning ----------------------------------------------------------------
 
 // PruneMagnitude prunes each prunable layer to the target sparsity by
 // per-layer magnitude (the uniform pruning the paper's memory model assumes).
 func PruneMagnitude(m *Model, sparsity float64) *PruneResult {
 	return prune.MagnitudePerLayer(pruneLayers(m), sparsity)
-}
-
-// PruneMagnitudeGlobal prunes by global magnitude ranking.
-func PruneMagnitudeGlobal(m *Model, sparsity float64) *PruneResult {
-	return prune.MagnitudeGlobal(pruneLayers(m), sparsity)
-}
-
-// PruneRandom prunes a random subset (control baseline).
-func PruneRandom(m *Model, sparsity float64, seed uint64) *PruneResult {
-	return prune.Random(pruneLayers(m), sparsity, seed)
 }
 
 // NewGradualPruner binds a gradual magnitude-pruning schedule to a live
@@ -432,34 +394,6 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 // or the other, not both.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
 
-// SetSparseCompute pins every sparse-layer execution decision to "sparse"
-// or "dense", or restores the density rule with "auto" (the initial mode:
-// CSR iff a layer's pattern is at least 50% sparse), returning the previous
-// mode. Every mode's numerics are machine-independent. A pin measures one
-// path, or runs CSR below the line: on AVX2 hosts CSR still wins a step
-// at batch 48 from about 30% sparsity (the grid above sparse.XoverDecide),
-// which contradicts the paper's Figure 1 conclusion for these CPU kernels.
-func SetSparseCompute(mode string) (prev string, err error) { return sparse.SetXover(mode) }
-
-// EarlyBird is the convergence-tested pruning algorithm the paper uses
-// (You et al., ICLR 2020). Call Observe(model) after each training epoch;
-// when it returns true, Ticket() holds the pruning result.
-type EarlyBird struct{ eb *prune.EarlyBird }
-
-// NewEarlyBird returns an Early-Bird tracker at the target sparsity.
-func NewEarlyBird(sparsity float64) *EarlyBird {
-	return &EarlyBird{eb: prune.NewEarlyBird(sparsity)}
-}
-
-// Observe records the current mask; true means the ticket has converged.
-func (e *EarlyBird) Observe(m *Model) bool { return e.eb.Observe(pruneLayers(m)) }
-
-// Ticket returns the converged pruning result (nil before convergence).
-func (e *EarlyBird) Ticket() *PruneResult { return e.eb.Ticket() }
-
-// Force draws the ticket immediately from the current parameters.
-func (e *EarlyBird) Force(m *Model) *PruneResult { return e.eb.Force(pruneLayers(m)) }
-
 func pruneLayers(m *Model) []prune.Layer {
 	var layers []prune.Layer
 	for _, e := range m.PruneLayers() {
@@ -478,31 +412,6 @@ func NewState(m *Model, opt Optimizer, mode Mode, pr *PruneResult) *State {
 
 // NewTrainer returns a single-process trainer over a state.
 func NewTrainer(s *State) *Trainer { return core.NewTrainer(s) }
-
-// NewInferenceState wraps a model for forward-only serving: weights are
-// masked and snapped to the fp16 grid, gradient tensors are released, and
-// no optimizer state or reduce buffers ever exist — Memory() is the 2φ θ16
-// line alone. It shares NewState's fingerprint for the same (model,
-// optimizer, mode, pruning) identity, so a training checkpoint saved with
-// SaveState (or internal/ckpt) loads directly via its Load; Save refuses.
-func NewInferenceState(m *Model, opt Optimizer, mode Mode, pr *PruneResult) *InferenceState {
-	return core.NewInferenceState(m, opt, mode, pr)
-}
-
-// NewInferencer returns a forward-only runner over an inference state:
-// Forward(x) is bitwise-identical to the model's eval forward and performs
-// zero heap allocations in steady state. Not concurrency-safe — wrap it in
-// internal/serve's engine (cmd/samo-serve) for concurrent callers.
-func NewInferencer(s *InferenceState) *Inferencer { return core.NewInferencer(s) }
-
-// SaveState writes a checkpoint of the full training state (compressed θ32,
-// optimizer moments, loss-scaler) to w — SAMO checkpoints shrink with the
-// same (24p−6)φ arithmetic as resident memory. It returns the byte count.
-func SaveState(w io.Writer, s *State) (int64, error) { return s.Save(w) }
-
-// LoadState restores a checkpoint into a structurally matching State;
-// resumed training is bitwise identical to uninterrupted training.
-func LoadState(r io.Reader, s *State) error { return s.Load(r) }
 
 // NewAdam, NewAdamW and NewSGD construct the optimizers used in the paper.
 func NewAdam(lr float64) Optimizer { return optim.NewAdam(lr) }
@@ -525,23 +434,8 @@ func Train(cfg ParallelConfig, build func() *Model, optb func() Optimizer, pr *P
 
 // --- Memory model (§III-D) --------------------------------------------------
 
-// DefaultModelStateBytes returns M_default = 20φ.
-func DefaultModelStateBytes(params int64) int64 { return core.DefaultModelStateBytes(params) }
-
-// SAMOModelStateBytes returns M_SAMO = 24(1−p)φ + 2φ.
-func SAMOModelStateBytes(params int64, sparsity float64) int64 {
-	return core.SAMOModelStateBytes(params, sparsity)
-}
-
-// InferenceModelStateBytes returns the forward-only resident footprint:
-// the 2φ θ16 line alone (no gradients, master copies or optimizer states).
-func InferenceModelStateBytes(params int64) int64 { return core.InferenceBreakdown(params).Total() }
-
 // MemorySavingsPercent returns the relative saving 100·(24p−6)/20.
 func MemorySavingsPercent(sparsity float64) float64 { return core.SavingsPercent(sparsity) }
-
-// BreakEvenSparsity is the sparsity below which SAMO costs memory (0.25).
-const BreakEvenSparsity = core.BreakEvenSparsity
 
 // --- Performance estimation (Summit simulator) ------------------------------
 

@@ -42,13 +42,6 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestMemoryModelFacade(t *testing.T) {
-	phi := int64(1_000_000)
-	if samo.DefaultModelStateBytes(phi) != 20*phi {
-		t.Error("M_default")
-	}
-	if samo.SAMOModelStateBytes(phi, samo.BreakEvenSparsity) != samo.DefaultModelStateBytes(phi) {
-		t.Error("break-even identity")
-	}
 	if s := samo.MemorySavingsPercent(0.9); s < 77 || s > 79 {
 		t.Errorf("savings at 0.9 = %g", s)
 	}
