@@ -11,7 +11,7 @@ import (
 // In-training gradual magnitude pruning (Zhu & Gupta's cubic schedule,
 // prune.Schedule) over a live ModelState. The defining constraint is that
 // NNZ only ever DECREASES: every prune event compacts the existing storage
-// in place — CSR patterns and their cached transposes, the shared indices,
+// in place — CSR patterns, the shared indices,
 // θ32/∇θ32, optimizer state vectors and the grad16 reduce-bucket
 // slabs — so steady-state training between events stays allocation-free
 // and no backing array is ever reallocated.

@@ -193,8 +193,8 @@ func TestGradualPruneGlobalPooledTarget(t *testing.T) {
 // TestGradualPruneSparseExecLayers drives the ramp through first-class
 // SparseLinear layers: the CSR patterns shrink in place at each event
 // (NNZ monotone, backed by the same arrays) and training — whose input
-// gradient rides the cached transpose refreshed by ShrinkPattern — keeps
-// reducing the loss afterwards.
+// gradient walks the shrunk pattern in place — keeps reducing the loss
+// afterwards.
 func TestGradualPruneSparseExecLayers(t *testing.T) {
 	sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.5, 54)
 	gp, err := NewGradualPruner(ms, testSchedule())

@@ -40,7 +40,7 @@ func sparseExecModel(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model
 
 // TestSparseExecTrainStepZeroAlloc pins the sparse execution path's perf
 // contract: a full pruned-model TrainStep over SparseLinear layers — CSR
-// forward, SDDMM weight gradient, transposed-CSR input gradient, rank-1
+// forward, SDDMM weight gradient, in-place CSR input gradient, rank-1
 // weight-vector capture and optimizer step — runs at zero steady-state
 // allocations, on both execution paths (the dense fallback materializes its
 // masked-dense scratch once, then stays allocation-free).
@@ -59,9 +59,8 @@ func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
 }
 
 // TestSparseLinearForwardBackwardZeroAlloc pins the layer in isolation: a
-// steady-state forward+backward pair over the arena — including the cached
-// transpose's value refresh and, on the dense path, the masked-dense
-// re-materialization — allocates nothing. Workers are pinned above one so
+// steady-state forward+backward pair over the arena — including, on the
+// dense path, the masked-dense re-materialization — allocates nothing. Workers are pinned above one so
 // the pooled parallel dispatch (not the inline fallback) is what is pinned.
 func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
@@ -236,6 +235,6 @@ func TestSparseExecMemoryLedger(t *testing.T) {
 		t.Errorf("Theta16 = %d, want %d (compressed θ16 + dense biases)", b.Theta16, want)
 	}
 	if b.Index != meta {
-		t.Errorf("Index = %d, want %d (CSR patterns + refresh perm)", b.Index, meta)
+		t.Errorf("Index = %d, want %d (the CSR patterns)", b.Index, meta)
 	}
 }

@@ -13,19 +13,21 @@ import (
 // SparseLinear is a fully connected layer whose pruned weight lives in CSR
 // and whose hot paths run real sparse kernels — the first-class sparse
 // execution path the paper's Figure 1 argues about. Only the surviving
-// weights exist anywhere: the forward pass is the transposed-CSR SpMM
-// y = x·Wᵀ against the (out, in) pattern, the input gradient is the same
-// kernel against a cached Transpose(), and the weight gradient is SDDMM
-// restricted to the pattern — gradient entries for pruned weights are never
-// materialized, so the whole model state downstream (capture, all-reduce,
-// optimizer) is sized fφ with no masking step.
+// weights exist anywhere, in one CSR: the forward pass is the
+// transposed-CSR SpMM y = x·Wᵀ against the (out, in) pattern, the input
+// gradient dxᵀ = Wᵀ·dyᵀ walks the same pattern's rows in place (no
+// transpose of W is stored), and the weight gradient is SDDMM restricted to
+// the pattern — gradient entries for pruned weights are never materialized,
+// so the whole model state downstream (capture, all-reduce, optimizer) is
+// sized fφ with no masking step.
 //
-// The CSR products read their dense operand feature-major (xᵀ, dyᵀ): SpMMᵀ
-// runs lanes across the batch, so the forward transposes x into arena
+// The CSR products read their dense operand feature-major (xᵀ, dyᵀ) and
+// run lanes across the batch, so the forward transposes x into arena
 // scratch, keeps xᵀ — and x itself — for the backward SDDMM, and the
-// backward's dyᵀ feeds both the SDDMM and the input-gradient SpMMᵀ. SDDMM
-// reads x batch-major on a pattern at least a quarter dense, xᵀ otherwise;
-// both give the same bits.
+// backward's dyᵀ feeds both the SDDMM and the input-gradient SpMM, whose
+// feature-major dxᵀ is transposed back into dx. SDDMM reads x batch-major
+// on a pattern at least a quarter dense, xᵀ otherwise; both give the same
+// bits.
 //
 // Because sparse kernels only win past a density threshold (Hoefler et al.
 // 2021), each product asks the sparse/dense crossover (sparse.XoverDecide,
@@ -41,18 +43,17 @@ import (
 // whose Value aliases W.Val — so core.ModelState drives it through its
 // ordinary dense-vector path: θ32/∇θ16/∇θ32/os all have length NNZ and the
 // fp16 down-cast writes straight into the CSR values the kernels read. The
-// cached transpose and the dense-masked copy are refreshed from W.Val at
-// use time (weights only change between step boundaries, never between a
-// microbatch's forward and backward).
+// dense-masked copy is refreshed from W.Val at use time (weights only
+// change between step boundaries, never between a microbatch's forward and
+// backward).
 type SparseLinear struct {
 	// W is the primary pattern: (out, in) CSR — row j holds output neuron
 	// j's surviving input weights. Wv.Value aliases W.Val, so optimizer
 	// writes are immediately visible to the kernels.
 	W *sparse.CSR
-	// Wt caches Transpose(W) (in, out) for the input gradient; its values
-	// are refreshed from W.Val through wtPerm before each use.
-	Wt     *sparse.CSR
-	wtPerm []int32
+	// Wt is W's transpose as a view: it stores nothing, and its product is
+	// the input gradient dx = dy·W walked from W's rows.
+	Wt sparse.Transposed
 
 	// Wv is the weight parameter in pattern order (rank-1, length NNZ);
 	// B is the dense bias.
@@ -119,28 +120,26 @@ func NewSparseLinear(name string, w *tensor.Tensor, ix *sparse.Index) *SparseLin
 	if w.Rank() != 2 {
 		panic("nn: NewSparseLinear needs a rank-2 weight")
 	}
-	return NewSparseLinearCSR(name, sparse.CSRFromDenseIndexed(ix, w.Data(), w.Dim(0), w.Dim(1)))
+	return NewSparseLinearCSR(name, sparse.TransposedCSR(ix, w.Data(), w.Dim(0), w.Dim(1)))
 }
 
-// NewSparseLinearCSR builds the layer from an already materialized (in, out)
-// CSR weight — the output of prune.Result.MaterializeCSR. The matrix is
-// transposed once into the (out, in) primary the kernels want; the caller's
-// CSR is not retained.
-func NewSparseLinearCSR(name string, w *sparse.CSR) *SparseLinear {
-	in, out := w.Rows, w.Cols
-	W := w.Transpose()
-	Wt, perm := W.TransposePerm()
-	l := &SparseLinear{W: W, Wt: Wt, wtPerm: perm, in: in, out: out}
+// NewSparseLinearCSR builds the layer around an (out, in) CSR weight — the
+// output of prune.Result.MaterializeCSR — which it keeps: its values become
+// the weight parameter.
+func NewSparseLinearCSR(name string, W *sparse.CSR) *SparseLinear {
+	l := &SparseLinear{W: W, Wt: W.T(), in: W.Cols, out: W.Rows}
 	l.Wv = &Param{Name: name + ".weight",
 		Value: tensor.FromSlice(W.Val, len(W.Val)),
 		Grad:  tensor.New(len(W.Val))}
-	// The CSR structure (two patterns plus the refresh permutation) is
-	// model state the dense layer does not carry; expose it to the memory
-	// ledger.
-	l.Wv.MetaBytes = 4 * int64(len(W.RowPtr)+len(W.ColIdx)+
-		len(Wt.RowPtr)+len(Wt.ColIdx)+len(perm))
-	l.B = newParam(name+".bias", out)
+	l.setMetaBytes()
+	l.B = newParam(name+".bias", l.out)
 	return l
+}
+
+// setMetaBytes exposes the CSR structure — row pointers and column indices,
+// model state the dense layer does not carry — to the memory ledger.
+func (l *SparseLinear) setMetaBytes() {
+	l.Wv.MetaBytes = 4 * int64(len(l.W.RowPtr)+len(l.W.ColIdx))
 }
 
 // Sparsify returns a model in which every pruned Linear layer is replaced
@@ -208,13 +207,6 @@ func (l *SparseLinear) syncDense(fresh bool) {
 	l.denseFresh = fresh
 }
 
-// syncWt refreshes the cached transpose's values from the primary pattern.
-// Per-backward on purpose: the layer cannot observe optimizer steps, and
-// the O(nnz) gather is ≤1/batch of the O(batch·nnz) product it precedes.
-func (l *SparseLinear) syncWt() {
-	sparse.Gather(l.Wt.Val, l.W.Val, l.wtPerm)
-}
-
 // Forward computes y = x·Wᵀ + b for x (n, in) — transposed-CSR SpMM on the
 // sparse path, a dense A·Bᵀ GEMM over the masked-dense weight otherwise.
 // The CSR kernel reads x feature-major, so the sparse path (and training on
@@ -251,9 +243,9 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 }
 
 // Backward accumulates dW on the pattern via SDDMM (pruned entries are
-// never computed), db via a row sum, and returns dx = dy·W — the
-// transposed-CSR SpMM against the cached transpose on the sparse path, a
-// dense GEMM otherwise.
+// never computed), db via a row sum, and returns dx = dy·W — on the sparse
+// path the SpMM dxᵀ = Wᵀ·dyᵀ walking W's rows, transposed into dx; a dense
+// GEMM otherwise.
 func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*sparseLinearCache)
 	nb := gradOut.Dim(0)
@@ -276,8 +268,9 @@ func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tens
 		tensor.MatMulInto(dx, gradOut, l.denseW, false)
 	} else {
 		l.dropDense()
-		l.syncWt()
-		l.Wt.TSpMMTInto(dx, dyT)
+		dxT := a.Get(l.in, nb)
+		l.W.TSpMMInto(dxT, dyT)
+		tensor.TransposeInto(dx, dxT)
 	}
 	c.x, c.xT = nil, nil
 	sparseLinearCaches.Put(c)
@@ -297,13 +290,11 @@ func (l *SparseLinear) PatternFullLen() int { return l.in * l.out }
 func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
-// place: W's CSR shrinks, the cached transpose and its refresh permutation
-// are rebuilt inside their existing backing arrays, the masked-dense
-// fallback (which addresses the old pattern) is dropped — the next product
-// re-materializes it if the shrunk pattern still runs dense — and
-// Wv re-heads onto the compacted value prefix so the optimizer state
-// vectors can shrink in lockstep. Weight values are untouched: kept
-// weights keep their exact bits.
+// place: W's CSR shrinks, the masked-dense fallback (which addresses the
+// old pattern) is dropped — the next product re-materializes it if the
+// shrunk pattern still runs dense — and Wv re-heads onto the compacted
+// value prefix so the optimizer state vectors can shrink in lockstep.
+// Weight values are untouched: kept weights keep their exact bits.
 func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if len(keep) != l.W.NNZ() {
 		panic(fmt.Sprintf("nn: ShrinkPattern keep length %d, want %d", len(keep), l.W.NNZ()))
@@ -314,13 +305,11 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 		sparse.Compact(l.Wv.Grad.Data(), keep)
 	}
 	l.W.ShrinkTo(keep)
-	l.wtPerm = l.W.TransposePermInto(l.Wt, l.wtPerm)
 	l.dropDense()
 	nnz := l.W.NNZ()
 	l.Wv.Value = tensor.FromSlice(l.W.Val, nnz)
 	if l.Wv.Grad != nil {
 		l.Wv.Grad = tensor.FromSlice(l.Wv.Grad.Data()[:nnz], nnz)
 	}
-	l.Wv.MetaBytes = 4 * int64(len(l.W.RowPtr)+len(l.W.ColIdx)+
-		len(l.Wt.RowPtr)+len(l.Wt.ColIdx)+len(l.wtPerm))
+	l.setMetaBytes()
 }

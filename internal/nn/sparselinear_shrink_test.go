@@ -12,8 +12,8 @@ var _ PatternLayer = (*SparseLinear)(nil)
 
 // TestShrinkPatternMatchesFreshLayer shrinks a live layer in place and
 // compares every structure bitwise against a layer built directly from the
-// shrunk pattern: same CSR, same cached transpose and refresh permutation,
-// same parameter values — and the same backing arrays as before the shrink.
+// shrunk pattern: same CSR, same parameter values, same ledger bytes — and
+// the same backing arrays as before the shrink.
 func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 	_, sl, _ := sparsePair(12, 9, 0.5, 31)
 	nnz := sl.W.NNZ()
@@ -22,7 +22,6 @@ func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 		keep[i] = i%3 != 0 // drop every third stored position
 	}
 	valHead := &sl.W.Val[0]
-	wtValHead := &sl.Wt.Val[0]
 
 	// Fresh reference: a layer built from the already-shrunk pattern.
 	denseW := tensor.Transpose(sl.W.Dense()) // (in, out) view
@@ -48,15 +47,10 @@ func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 		!reflect.DeepEqual(sl.W.Val, want.W.Val) {
 		t.Fatal("shrunk CSR differs from freshly built layer")
 	}
-	if !reflect.DeepEqual(sl.Wt.RowPtr, want.Wt.RowPtr) ||
-		!reflect.DeepEqual(sl.Wt.ColIdx, want.Wt.ColIdx) ||
-		!reflect.DeepEqual(sl.Wt.Val, want.Wt.Val) {
-		t.Fatal("refreshed transpose differs from freshly built layer")
+	if sl.Wv.MetaBytes != want.Wv.MetaBytes {
+		t.Fatalf("shrunk layer's ledger bytes %d, fresh %d", sl.Wv.MetaBytes, want.Wv.MetaBytes)
 	}
-	if !reflect.DeepEqual(sl.wtPerm, want.wtPerm) {
-		t.Fatalf("refresh permutation %v differs from fresh %v", sl.wtPerm, want.wtPerm)
-	}
-	if &sl.W.Val[0] != valHead || &sl.Wt.Val[0] != wtValHead {
+	if &sl.W.Val[0] != valHead {
 		t.Fatal("ShrinkPattern reallocated CSR backing arrays")
 	}
 	if sl.Wv.Value.Len() != len(sl.W.Val) || &sl.Wv.Value.Data()[0] != &sl.W.Val[0] {
@@ -64,12 +58,12 @@ func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 	}
 }
 
-// TestShrinkPatternRefreshesTransposeCache is the staleness golden for the
-// cached-transpose path: shrink the pattern between two forward/backward
-// pairs and verify the input gradient equals the dense reference computed
-// from the SHRUNK weights — a stale Wt (the pre-shrink pattern or values)
-// would produce the old product.
-func TestShrinkPatternRefreshesTransposeCache(t *testing.T) {
+// TestShrinkPatternGradientsTrackPattern is the staleness golden across a
+// shrink: shrink the pattern between two forward/backward pairs and verify
+// the output and the input gradient equal the dense reference computed from
+// the SHRUNK weights — any structure left addressing the pre-shrink
+// pattern would produce the old product.
+func TestShrinkPatternGradientsTrackPattern(t *testing.T) {
 	_, sl, _ := sparsePair(10, 8, 0.5, 41)
 	sl.Exec = ExecSparse
 	x := tensor.New(4, 10)
@@ -77,7 +71,7 @@ func TestShrinkPatternRefreshesTransposeCache(t *testing.T) {
 	gy := tensor.New(4, 8)
 	tensor.FillNormal(gy, 1, tensor.NewRNG(43))
 
-	// Prime the transpose cache with the pre-shrink pattern.
+	// Run the pre-shrink pattern once.
 	_, c := sl.Forward(nil, x, true)
 	sl.Backward(nil, c, gy)
 
@@ -103,7 +97,7 @@ func TestShrinkPatternRefreshesTransposeCache(t *testing.T) {
 	}
 	wantDx := tensor.MatMul(gy, sl.W.Dense())
 	if d := tensor.MaxAbsDiff(dx, wantDx); d > 1e-4 {
-		t.Fatalf("input gradient after shrink differs by %g — stale cached transpose", d)
+		t.Fatalf("input gradient after shrink differs by %g — stale pattern", d)
 	}
 }
 

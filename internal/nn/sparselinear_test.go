@@ -89,8 +89,8 @@ func TestSparseLinearMatchesMaskedDense(t *testing.T) {
 
 // TestSparseLinearOptimizerAliasing pins the Wv.Value/W.Val alias both
 // kernels' weight views depend on: a write through the parameter (what the
-// optimizer's down-cast does) must be visible to the forward product and —
-// after the backward's refresh — to the cached transpose.
+// optimizer's down-cast does) must be visible to the forward product and to
+// the input gradient, which walks the same values.
 func TestSparseLinearOptimizerAliasing(t *testing.T) {
 	_, sl, _ := sparsePair(8, 6, 0.5, 5)
 	sl.Exec = ExecSparse
@@ -106,13 +106,13 @@ func TestSparseLinearOptimizerAliasing(t *testing.T) {
 	if d := tensor.MaxAbsDiff(y, ref); d > 1e-4 {
 		t.Fatalf("forward does not see optimizer writes: diff %g", d)
 	}
-	// The backward's cached transpose must also see them.
+	// The backward's input gradient must also see them.
 	gy := tensor.New(3, 6)
 	tensor.FillNormal(gy, 1, tensor.NewRNG(7))
 	dx := sl.Backward(nil, c, gy)
 	refDx := tensor.MatMul(gy, sl.W.Dense())
 	if d := tensor.MaxAbsDiff(dx, refDx); d > 1e-4 {
-		t.Fatalf("cached transpose stale after weight update: diff %g", d)
+		t.Fatalf("input gradient does not see optimizer writes: diff %g", d)
 	}
 }
 

@@ -66,11 +66,12 @@ func (r *Result) Index(name string) *sparse.Index {
 }
 
 // MaterializeCSR turns one layer's pruning index into executable sparse
-// state: a CSR over the (rows, cols) matrix view of the layer, holding the
-// surviving entries of values (the layer's current dense parameters, in the
-// same 1-D view the index addresses). This is the bridge from "indices that
-// compress storage" to "a matrix sparse kernels can run on" — nil if the
-// layer is not pruned.
+// state: the CSR of the transpose of the layer's (rows, cols) matrix view —
+// (cols, rows), the (out, in) pattern a sparse FC layer executes for an
+// (in, out) weight — holding the surviving entries of values (the layer's
+// current dense parameters, in the same 1-D view the index addresses). This
+// is the bridge from "indices that compress storage" to "a matrix sparse
+// kernels can run on" — nil if the layer is not pruned.
 func (r *Result) MaterializeCSR(name string, values []float32, rows, cols int) *sparse.CSR {
 	ix := r.Index(name)
 	if ix == nil {
@@ -80,7 +81,7 @@ func (r *Result) MaterializeCSR(name string, values []float32, rows, cols int) *
 		panic(fmt.Sprintf("prune: MaterializeCSR %s: %d values for a %d-element layer",
 			name, len(values), ix.FullLen()))
 	}
-	return sparse.CSRFromDenseIndexed(ix, values, rows, cols)
+	return sparse.TransposedCSR(ix, values, rows, cols)
 }
 
 // MagnitudePerLayer prunes the smallest |w| within each layer independently,

@@ -158,10 +158,11 @@ func TestEarlyBirdObserveAfterConvergeStable(t *testing.T) {
 	}
 }
 
-// TestMaterializeCSR pins the index→CSR bridge: the materialized matrix
-// must hold exactly the surviving values at their (row, col) positions —
-// its dense form equals the layer values with pruned entries zeroed — and
-// unpruned layer names return nil.
+// TestMaterializeCSR pins the index→CSR bridge: the materialized matrix is
+// the transpose of the layer's view and must hold exactly the surviving
+// values at their transposed (col, row) positions — its dense form is the
+// layer values with pruned entries zeroed, transposed — and unpruned layer
+// names return nil.
 func TestMaterializeCSR(t *testing.T) {
 	layers := makeLayers([]int{6 * 4}, 33)
 	r := MagnitudePerLayer(layers, 0.5)
@@ -170,15 +171,15 @@ func TestMaterializeCSR(t *testing.T) {
 		t.Fatal("MaterializeCSR returned nil for a pruned layer")
 	}
 	ix := r.Index(layerName(0))
-	if csr.NNZ() != ix.NNZ() || csr.Rows != 6 || csr.Cols != 4 {
-		t.Fatalf("CSR %dx%d nnz=%d, want 6x4 nnz=%d", csr.Rows, csr.Cols, csr.NNZ(), ix.NNZ())
+	if csr.NNZ() != ix.NNZ() || csr.Rows != 4 || csr.Cols != 6 {
+		t.Fatalf("CSR %dx%d nnz=%d, want 4x6 nnz=%d", csr.Rows, csr.Cols, csr.NNZ(), ix.NNZ())
 	}
 	masked := append([]float32(nil), layers[0].Values...)
 	ix.Mask().Apply(masked)
-	dense := csr.Dense().Data()
+	dense := csr.Dense()
 	for i := range masked {
-		if dense[i] != masked[i] {
-			t.Fatalf("element %d: CSR %g, masked-dense %g", i, dense[i], masked[i])
+		if got := dense.At(i%4, i/4); got != masked[i] {
+			t.Fatalf("element %d: CSR %g, masked-dense %g", i, got, masked[i])
 		}
 	}
 	if r.MaterializeCSR("no-such-layer", layers[0].Values, 6, 4) != nil {

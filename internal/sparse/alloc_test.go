@@ -34,36 +34,36 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 }
 
 // TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMTInto
-// against the pattern and its cached transpose, SDDMMInto (both kernels) and the
-// cached-transpose Gather refresh — at zero steady-state allocations: since
-// PR 5 they sit on the pruned FC layers' per-microbatch hot path, under the
-// same contract as the dense GEMM family (pooled jobs, caller buffers).
+// against the pattern, the SpMM against its transpose view from either
+// operand orientation, and SDDMMInto (both kernels) — at zero steady-state
+// allocations: they sit on the pruned FC layers' per-microbatch hot path,
+// under the same contract as the dense GEMM family (pooled jobs, caller
+// buffers).
 func TestSparseKernelsZeroAlloc(t *testing.T) {
 	w, _ := randMaskedCSR(128, 96, 0.1, 5)
-	wt, perm := w.TransposePerm()
 	x := randDense(64, 96, 6)   // forward operand (batch, in)
 	dy := randDense(64, 128, 7) // gradient operand (batch, out)
 	xT := tensor.Transpose(x)   // (in, batch) for SDDMM
 	dyT := tensor.Transpose(dy) // (out, batch)
 	y := tensor.New(64, 128)    // SpMMT output
-	dx := tensor.New(64, 96)    // transposed SpMMT output
+	dx := tensor.New(64, 96)    // input gradient
+	dxT := tensor.New(96, 64)   // the same, feature-major
 	grad := make([]float32, w.NNZ())
 
 	// Warm the job free lists, their scratch and the worker pool.
 	w.SpMMTInto(y, x)
-	wt.SpMMTInto(dx, dy)
-	wt.TSpMMTInto(dx, dyT)
+	w.T().SpMMTInto(dx, dy)
+	w.TSpMMInto(dxT, dyT)
 	w.SDDMMInto(grad, dyT, xT, true)
-	Gather(wt.Val, w.Val, perm)
 
 	if a := testing.AllocsPerRun(50, func() { w.SpMMTInto(y, x) }); a != 0 {
 		t.Errorf("SpMMTInto allocates %.1f per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(50, func() { wt.SpMMTInto(dx, dy) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { w.T().SpMMTInto(dx, dy) }); a != 0 {
 		t.Errorf("transposed SpMMTInto allocates %.1f per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(50, func() { wt.TSpMMTInto(dx, dyT) }); a != 0 {
-		t.Errorf("TSpMMTInto allocates %.1f per call, want 0", a)
+	if a := testing.AllocsPerRun(50, func() { w.TSpMMInto(dxT, dyT) }); a != 0 {
+		t.Errorf("TSpMMInto allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() { w.SDDMMInto(grad, dyT, xT, true) }); a != 0 {
 		t.Errorf("SDDMMInto allocates %.1f per call, want 0", a)
@@ -73,20 +73,5 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	half.SDDMMInto(halfGrad, dyT, xT, true, x)
 	if a := testing.AllocsPerRun(50, func() { half.SDDMMInto(halfGrad, dyT, xT, true, x) }); a != 0 {
 		t.Errorf("windowed SDDMMInto allocates %.1f per call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { Gather(wt.Val, w.Val, perm) }); a != 0 {
-		t.Errorf("Gather allocates %.1f per call, want 0", a)
-	}
-}
-
-// TestTransposePermIntoZeroAlloc pins the prune-event refresh of a cached
-// transpose (SparseLinear.ShrinkPattern runs it at every prune event) at
-// zero allocations: it rebuilds inside the arrays it is handed, its fill
-// cursor included.
-func TestTransposePermIntoZeroAlloc(t *testing.T) {
-	w, _ := randMaskedCSR(128, 96, 0.1, 9)
-	wt, perm := w.TransposePerm()
-	if a := testing.AllocsPerRun(50, func() { perm = w.TransposePermInto(wt, perm) }); a != 0 {
-		t.Errorf("TransposePermInto allocates %.1f per call, want 0", a)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -80,5 +81,62 @@ func BenchmarkSDDMM(b *testing.B) {
 				half.SDDMMInto(halfGrad, dyT, xT, false, x)
 			}
 		})
+	}
+}
+
+// BenchmarkInputGrad times a sparse FC layer's input gradient dx = dy·W
+// from the feature-major dyᵀ at the sparse benchmark workloads' shape
+// (640×640, batch 48) and at the paper's batch, two ways: "stored"
+// refreshes a stored transpose's values through a permutation gather and
+// runs SpMMᵀ over it, writing dx directly; "inplace" walks W's rows
+// (TSpMMInto, what nn.SparseLinear runs) into dxᵀ and transposes that into
+// dx. The two give the same bits; the table above tspmmRun is their
+// one-worker minimum.
+func BenchmarkInputGrad(b *testing.B) {
+	for _, batch := range []int{48, 576} {
+		for _, sparsity := range []float64{0.5, 0.9} {
+			w, _ := randMaskedCSR(640, 640, 1-sparsity, uint64(batch)+uint64(sparsity*100))
+			wt := transposeOf(w)
+			pos := make([]int32, w.Rows*w.Cols) // linear id → position in w
+			for j := 0; j < w.Rows; j++ {
+				for p := w.RowPtr[j]; p < w.RowPtr[j+1]; p++ {
+					pos[j*w.Cols+int(w.ColIdx[p])] = p
+				}
+			}
+			g := &permGather{dst: wt.Val, src: w.Val, perm: make([]int32, w.NNZ())}
+			for c := 0; c < wt.Rows; c++ {
+				for q := wt.RowPtr[c]; q < wt.RowPtr[c+1]; q++ {
+					g.perm[q] = pos[int(wt.ColIdx[q])*w.Cols+c]
+				}
+			}
+			dyT := randDense(640, batch, 5)
+			dx, dxT := tensor.New(batch, 640), tensor.New(640, batch)
+			b.Run(fmt.Sprintf("stored/b%dx%.2f", batch, sparsity), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					parallel.Run(len(g.perm), ixGrain, g, permGatherChunk)
+					wt.TSpMMTInto(dx, dyT)
+				}
+			})
+			b.Run(fmt.Sprintf("inplace/b%dx%.2f", batch, sparsity), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.TSpMMInto(dxT, dyT)
+					tensor.TransposeInto(dx, dxT)
+				}
+			})
+		}
+	}
+}
+
+// permGather is the stored transpose's value refresh, dst[q] = src[perm[q]],
+// on the worker pool.
+type permGather struct {
+	dst, src []float32
+	perm     []int32
+}
+
+func permGatherChunk(ctx any, lo, hi int) {
+	g := ctx.(*permGather)
+	for q := lo; q < hi; q++ {
+		g.dst[q] = g.src[g.perm[q]]
 	}
 }

@@ -19,36 +19,40 @@ type CSR struct {
 	Val        []float32
 }
 
-// CSRFromIndex builds a CSR matrix over a rows×cols view from a shared
-// linearized index and the matching compressed values.
-func CSRFromIndex(ix *Index, values []float32, rows, cols int) *CSR {
-	if rows*cols != ix.FullLen() {
-		panic(fmt.Sprintf("sparse: CSRFromIndex %dx%d != %d", rows, cols, ix.FullLen()))
+// TransposedCSR builds the (cols, rows) CSR of the transpose of a dense
+// layer's (rows, cols) view, holding exactly the indexed entries — the
+// bridge from a pruning index over an (in, out) weight to the (out, in)
+// pattern a sparse FC layer executes (stored zeros at indexed positions are
+// kept: the pattern is the index, not the values). A counting sort over the
+// view's columns: the ids ascend, so every row's columns do too. Shared by
+// prune.Result.MaterializeCSR and nn.NewSparseLinear.
+func TransposedCSR(ix *Index, dense []float32, rows, cols int) *CSR {
+	if rows*cols != ix.FullLen() || len(dense) != ix.FullLen() {
+		panic(fmt.Sprintf("sparse: TransposedCSR %dx%d over %d values, index of %d",
+			rows, cols, len(dense), ix.FullLen()))
 	}
-	if len(values) != ix.NNZ() {
-		panic("sparse: CSRFromIndex values length mismatch")
+	nnz := ix.NNZ()
+	m := &CSR{Rows: cols, Cols: rows, RowPtr: make([]int32, cols+1),
+		ColIdx: make([]int32, nnz), Val: make([]float32, nnz)}
+	ids := ix.IDs()
+	for _, id := range ids {
+		m.RowPtr[id%int32(cols)+1]++
 	}
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1),
-		ColIdx: make([]int32, ix.NNZ()), Val: append([]float32(nil), values...)}
-	for i, id := range ix.IDs() {
-		m.ColIdx[i] = id % int32(cols)
-		m.RowPtr[id/int32(cols)+1]++
+	for c := 0; c < cols; c++ {
+		m.RowPtr[c+1] += m.RowPtr[c]
 	}
-	for i := 0; i < rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	// m.RowPtr[c] is row c's fill cursor; filling leaves it at row c+1's
+	// start, and one shift right restores the pointers.
+	next := m.RowPtr[:cols]
+	for _, id := range ids {
+		c := id % int32(cols)
+		m.ColIdx[next[c]] = id / int32(cols)
+		m.Val[next[c]] = dense[id]
+		next[c]++
 	}
+	copy(m.RowPtr[1:], next)
+	m.RowPtr[0] = 0
 	return m
-}
-
-// CSRFromDenseIndexed builds a CSR over the (rows, cols) view of a dense
-// 1-D layer holding exactly the indexed entries — the canonical bridge from
-// a pruning index to executable sparse state (stored zeros at indexed
-// positions are kept: the pattern is the index, not the values). Shared by
-// prune.Result.MaterializeCSR and nn.SparseLinear.
-func CSRFromDenseIndexed(ix *Index, dense []float32, rows, cols int) *CSR {
-	vals := make([]float32, ix.NNZ())
-	ix.Compress(vals, dense)
-	return CSRFromIndex(ix, vals, rows, cols)
 }
 
 // NNZ returns the number of stored non-zeros.
@@ -84,18 +88,19 @@ func csrRowGrain(rows, work int) int {
 	return g
 }
 
-// csrVector reports whether SpMMᵀ and SDDMM run the AVX2 kernels of
+// csrVector reports whether SpMMᵀ, SpMM and SDDMM run the AVX2 kernels of
 // csr_amd64.s. It is internal/tensor's start-up probe (tensor.HostAVX2), so
 // the process asks the CPU once and nothing a user sets chooses it. The Go
-// chains in spmmtChunk and sddmmChunk stay as the path of every other host
-// (and of SpMMᵀ's n mod 8 batch rows), and as the oracle the vector kernels
-// are pinned to bit for bit. A variable so tests can force the Go chains.
+// chains in spmmtChunk, tspmmChunk and sddmmChunk stay as the path of every
+// other host (and of the SpMMs' n mod 8 batch rows), and as the oracle the
+// vector kernels are pinned to bit for bit. A variable so tests can force
+// the Go chains.
 var csrVector = tensor.HostAVX2()
 
 // csrJob carries one sparse kernel's arguments to the worker pool; pooled
 // so the sparse training and baseline paths dispatch without allocating
-// closures. scratch stays with the job across uses: SpMMTInto's transposed
-// operand.
+// closures. scratch stays with the job across uses: the sample-major
+// SpMMs' transposed operands.
 type csrJob struct {
 	m          *CSR
 	a, b       []float32
@@ -218,12 +223,10 @@ func spmmtChunk(ctx any, lo, hi int) {
 
 // SpMMTInto computes C = B·Sᵀ for dense B (n, k) and sparse S (rows, k) —
 // the transposed-CSR SpMM — into a caller-provided (n, rows) tensor without
-// allocating. It is the product a sparse FC layer's forward and
-// input-gradient passes both take: with the weight stored (out, in), the
-// forward is x·Wᵀ against W itself and the input gradient is dy·(Wᵀ)ᵀ
-// against the cached Transpose(). The kernel reads B feature-major, so B is
-// transposed into pooled scratch first; a caller that already holds Bᵀ
-// calls TSpMMTInto instead.
+// allocating. It is a sparse FC layer's forward product: with the weight
+// stored (out, in), y = x·Wᵀ against W itself. The kernel reads B
+// feature-major, so B is transposed into pooled scratch first; a caller
+// that already holds Bᵀ calls TSpMMTInto instead.
 func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
 	if b.Rank() != 2 || b.Dim(1) != m.Cols {
 		panic(fmt.Sprintf("sparse: SpMMT dims %vx(%d,%d)ᵀ", b.Shape(), m.Rows, m.Cols))
@@ -268,6 +271,174 @@ func (m *CSR) spmmt(j *csrJob, c, bt *tensor.Tensor) {
 		work /= 8
 	}
 	parallel.Run(m.Rows, csrRowGrain(m.Rows, work), j, spmmtChunk)
+}
+
+// TSpMMInto computes Cᵀ = Sᵀ·Bᵀ — C = B·S with both dense operands
+// feature-major — from bt (rows, n) into a caller-provided (cols, n) tensor
+// ct without allocating. It is a sparse FC layer's input gradient
+// dxᵀ = Wᵀ·dyᵀ read from the (out, in) weight in place: no transpose of S
+// is built or stored. Every output is one chain, ct[c, i] = 0 and then
+// ct[c, i] += S[j, c]·bt[j, i] for the rows j storing column c in ascending
+// j, rounded after every multiply and every add — the chain row c of a
+// transposed copy of S would sum under TSpMMTInto, so the two give the same
+// bits. Parallel over S's columns (the rows of ct): a chunk owns ct rows
+// [lo, hi) and walks every S row's slice of that range, found by binary
+// search, so the result is bitwise-identical at every worker count — and at
+// every batch height, since a ct column depends on its own bt column alone.
+// The search needs each row's columns ascending, which every builder in
+// this package produces and ShrinkTo keeps.
+func (m *CSR) TSpMMInto(ct, bt *tensor.Tensor) {
+	j := getCSRJob()
+	m.tspmm(j, ct, bt)
+	putCSRJob(j)
+}
+
+func (m *CSR) tspmm(j *csrJob, ct, bt *tensor.Tensor) {
+	if bt.Rank() != 2 || bt.Dim(0) != m.Rows {
+		panic(fmt.Sprintf("sparse: TSpMM dims (%d,%d)ᵀx%v", m.Rows, m.Cols, bt.Shape()))
+	}
+	n := bt.Dim(1)
+	if ct.Len() != m.Cols*n {
+		panic(fmt.Sprintf("sparse: TSpMM output has %d elements, want %d", ct.Len(), m.Cols*n))
+	}
+	j.m, j.b, j.out, j.n = m, bt.Data(), ct.Data(), n
+	work := n * m.NNZ()
+	if csrVector {
+		work = (work + 7) / 8
+	}
+	parallel.Run(m.Cols, csrRowGrain(m.Cols, work), j, tspmmChunk)
+}
+
+// tspmmRun sizes the vector kernel's feature blocks: a block spans about
+// tspmmRun of an average row's nonzeros. Every S row is visited once per
+// block, so a block must be wide enough that a visit's fixed cost (its
+// cursor, its bt row, the mispredicted end of its run) is spread over a
+// run of nonzeros, and narrow enough that the ct slab it writes stays
+// L1-resident (at 50 % density and 48 lanes, 96 features, 18 KB).
+// Unblocked, a 640-feature chunk's slab at 48 lanes is 123 KB, and every
+// nonzero's read-modify-write went to L2. Input gradient of a 640×640 layer
+// at batch 48, one worker, min of 200 calls, µs, gather + SpMMᵀ over a
+// stored transpose → this kernel + the transpose back to dx (48 sits
+// between the two runs measured):
+//
+//	density        50%         25%         10%         5%
+//	unblocked      948 → 916   446 → 395   178 → 161   103 → 96
+//	tspmmRun 32    948 → 606   446 → 332   178 → 151   103 → 97
+//	tspmmRun 64    948 → 574   446 → 325   178 → 162   103 → 96
+const tspmmRun = 48
+
+// tspmmCursors is one chunk's per-S-row walk state for the vector kernel:
+// span holds each row's stored positions [start, end) in the chunk's
+// columns as pairs, and cur the same pairs with the start advanced by the
+// chunk's feature blocks until it reaches the end.
+type tspmmCursors struct{ span, cur []int32 }
+
+var tspmmCursorFree parallel.Pool[tspmmCursors]
+
+// tspmmChunk computes ct rows [lo, hi) — S columns lo..hi-1 — of
+// TSpMMInto: it zeroes them, then adds each S row's products into them in
+// ascending row order. With the vector kernel the batch goes 48, 32 or 8
+// lanes at a time through the AVX2 block kernels — batch block outermost,
+// then feature blocks sized by tspmmRun, each walked over every S row from
+// the row's cursor — and a row's walk must end exactly at its end, else the
+// row holds a column outside the chunk (or out of order) and nothing
+// further is trusted. The n mod 8 lanes left over, and every lane on other
+// hosts, run the Go chain below, which is the same sequence one output at a
+// time and checks every column against the chunk.
+func tspmmChunk(ctx any, lo, hi int) {
+	g := ctx.(*csrJob)
+	m, bt, ct, n := g.m, g.b, g.out, g.n
+	clear(ct[lo*n : hi*n])
+	if m.NNZ() == 0 {
+		return
+	}
+	bad := func(j int) {
+		panic(fmt.Sprintf("sparse: CSR row %d has a column index outside [0, %d), or its columns do not ascend", j, m.Cols))
+	}
+	if len(m.Val) != len(m.ColIdx) {
+		panic(fmt.Sprintf("sparse: CSR has %d values for %d column indices", len(m.Val), len(m.ColIdx)))
+	}
+	i := 0
+	if csrVector && n >= 8 {
+		cs := tspmmCursorFree.Get()
+		if cap(cs.span) < 2*m.Rows {
+			cs.span, cs.cur = make([]int32, 2*m.Rows), make([]int32, 2*m.Rows)
+		}
+		span, cur := cs.span[:2*m.Rows], cs.cur[:2*m.Rows]
+		for j := 0; j < m.Rows; j++ {
+			pa, pb := m.colRange(j, lo, hi)
+			if pa < 0 || pa > pb || pb > len(m.ColIdx) {
+				panic(fmt.Sprintf("sparse: CSR row %d spans [%d, %d) of %d stored positions", j, pa, pb, len(m.ColIdx)))
+			}
+			span[2*j], span[2*j+1] = int32(pa), int32(pb)
+		}
+		fb := max(8, tspmmRun*m.Rows*m.Cols/m.NNZ())
+		for n-i >= 8 {
+			w, kern := 8, tspmmBlock8AVX2
+			if n-i >= 48 {
+				w, kern = 48, tspmmBlock48AVX2
+			} else if n-i >= 32 {
+				w, kern = 32, tspmmBlock32AVX2
+			}
+			copy(cur, span)
+			for f := lo; f < hi; f += fb {
+				kern(&ct[f*n+i], n, &bt[i], &m.Val[0], &m.ColIdx[0], &cur[0], m.Rows, f, min(fb, hi-f))
+			}
+			for j := 0; j < m.Rows; j++ {
+				if cur[2*j] != cur[2*j+1] {
+					bad(j)
+				}
+			}
+			i += w
+		}
+		tspmmCursorFree.Put(cs)
+	}
+	if i == n {
+		return
+	}
+	for j := 0; j < m.Rows; j++ {
+		pa, pb := m.colRange(j, lo, hi)
+		bj := bt[j*n+i : (j+1)*n]
+		for p := pa; p < pb; p++ {
+			c := int(m.ColIdx[p])
+			if c < lo || c >= hi {
+				bad(j)
+			}
+			v, cc := m.Val[p], ct[c*n+i:(c+1)*n]
+			for l, b := range bj {
+				cc[l] += v * b
+			}
+		}
+	}
+}
+
+// colRange returns the stored positions [pa, pb) of row j whose columns
+// fall in [lo, hi), by binary search over the row's ascending columns. At
+// the matrix's edges the range runs to the row's ends instead, so a column
+// index below 0 or not below Cols lands in the first or last chunk's range
+// and fails that chunk's check rather than being skipped.
+func (m *CSR) colRange(j, lo, hi int) (pa, pb int) {
+	pa, pb = int(m.RowPtr[j]), int(m.RowPtr[j+1])
+	if lo > 0 {
+		pa = searchCol(m.ColIdx, pa, pb, lo)
+	}
+	if hi < m.Cols {
+		pb = searchCol(m.ColIdx, pa, pb, hi)
+	}
+	return pa, pb
+}
+
+// searchCol returns the first p in [p0, p1) with col[p] ≥ c, or p1.
+func searchCol(col []int32, p0, p1, c int) int {
+	for p0 < p1 {
+		h := int(uint(p0+p1) >> 1)
+		if int(col[h]) < c {
+			p0 = h + 1
+		} else {
+			p1 = h
+		}
+	}
+	return p0
 }
 
 func (m *CSR) sddmmCheck(a, b *tensor.Tensor) {
@@ -394,62 +565,33 @@ func (m *CSR) SDDMMInto(dstVal []float32, a, b *tensor.Tensor, accumulate bool, 
 	putCSRJob(j)
 }
 
-// Transpose returns the CSC-equivalent CSR of the transposed matrix.
-func (m *CSR) Transpose() *CSR {
-	t, _ := m.transpose(false)
-	return t
-}
+// Transposed is the transpose of a CSR as a view: it holds no pattern of
+// its own, and its product walks the viewed rows in place.
+type Transposed struct{ m *CSR }
 
-// TransposePerm returns the transpose plus the value permutation relating
-// the two patterns: t.Val[p] == m.Val[perm[p]] at build time. A layer that
-// caches the transpose refreshes its values after each optimizer step with
-// one Gather through perm instead of rebuilding the structure.
-func (m *CSR) TransposePerm() (t *CSR, perm []int32) {
-	return m.transpose(true)
-}
+// T returns m's transpose as a view.
+func (m *CSR) T() Transposed { return Transposed{m} }
 
-func (m *CSR) transpose(withPerm bool) (*CSR, []int32) {
-	t := &CSR{Rows: m.Cols, Cols: m.Rows,
-		RowPtr: make([]int32, m.Cols+1),
-		ColIdx: make([]int32, len(m.Val)),
-		Val:    make([]float32, len(m.Val))}
-	var perm []int32
-	if withPerm {
-		perm = make([]int32, len(m.Val))
+// SpMMTInto computes C = B·(Sᵀ)ᵀ = B·S for dense B (n, rows) into a
+// caller-provided (n, cols) tensor without allocating — the sample-major
+// form of a sparse FC layer's input gradient dx = dy·W. B is transposed into
+// pooled scratch, TSpMMInto runs, and Cᵀ is transposed back.
+func (t Transposed) SpMMTInto(c, b *tensor.Tensor) {
+	m := t.m
+	if b.Rank() != 2 || b.Dim(1) != m.Rows {
+		panic(fmt.Sprintf("sparse: SpMM dims %vx(%d,%d)", b.Shape(), m.Rows, m.Cols))
 	}
-	m.transposeFill(t, perm)
-	return t, perm
-}
-
-// transposeFill populates t (and perm, when non-nil) as the transpose of m
-// via the counting sort both Transpose entry points share. t's slices must
-// already have the right lengths (RowPtr: m.Cols+1, ColIdx/Val/perm: NNZ).
-// It allocates nothing: t.RowPtr[c] itself is row c's fill cursor, which
-// leaves it at row c+1's start, and one shift right restores the pointers.
-func (m *CSR) transposeFill(t *CSR, perm []int32) {
-	for i := range t.RowPtr {
-		t.RowPtr[i] = 0
+	j := getCSRJob()
+	if j.scratch == nil {
+		j.scratch = tensor.NewArena()
 	}
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for i := 0; i < m.Cols; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	next := t.RowPtr[:m.Cols]
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			c := m.ColIdx[p]
-			t.ColIdx[next[c]] = int32(i)
-			t.Val[next[c]] = m.Val[p]
-			if perm != nil {
-				perm[next[c]] = p
-			}
-			next[c]++
-		}
-	}
-	copy(t.RowPtr[1:], next)
-	t.RowPtr[0] = 0
+	bt := j.scratch.Get(m.Rows, b.Dim(0))
+	tensor.TransposeInto(bt, b)
+	ct := j.scratch.Get(m.Cols, b.Dim(0))
+	m.tspmm(j, ct, bt)
+	tensor.TransposeInto(c, ct)
+	j.scratch.Reset()
+	putCSRJob(j)
 }
 
 // ShrinkTo drops the pattern positions where keep is false (keep is in
@@ -475,28 +617,6 @@ func (m *CSR) ShrinkTo(keep []bool) {
 	m.RowPtr[m.Rows] = w
 	m.Val = m.Val[:w]
 	m.ColIdx = m.ColIdx[:w]
-}
-
-// TransposePermInto rebuilds t and perm as the transpose of m, reusing
-// their backing arrays — the in-place refresh a cached transpose needs
-// after the primary pattern shrank. t must be a previous transpose of a
-// superset pattern of m (same shape, so RowPtr keeps its length and
-// ColIdx/Val/perm capacities cover the new NNZ); the resliced perm is
-// returned. Cheaper bookkeeping aside, this is exactly transposeFill.
-func (m *CSR) TransposePermInto(t *CSR, perm []int32) []int32 {
-	if t.Rows != m.Cols || t.Cols != m.Rows || len(t.RowPtr) != m.Cols+1 {
-		panic(fmt.Sprintf("sparse: TransposePermInto shape mismatch (%dx%d into %dx%d)",
-			m.Rows, m.Cols, t.Rows, t.Cols))
-	}
-	nnz := len(m.Val)
-	if cap(t.ColIdx) < nnz || cap(t.Val) < nnz || cap(perm) < nnz {
-		panic("sparse: TransposePermInto target smaller than the new pattern")
-	}
-	t.ColIdx = t.ColIdx[:nnz]
-	t.Val = t.Val[:nnz]
-	perm = perm[:nnz]
-	m.transposeFill(t, perm)
-	return perm
 }
 
 // LinearIDs returns the strictly increasing linearized (row-major) element

@@ -29,3 +29,20 @@ func sddmmLanes16AVX2(out *[16]float32, a *float32, b *float32, idx *[16]int32, 
 //
 //go:noescape
 func sddmmWin32AVX2(out *[64]float32, a *float32, lda int, x *float32, ldx, k int)
+
+// Implemented in csr_amd64.s: every S row's products added into one block
+// of k output features for 48, 32 or 8 consecutive batch lanes. ct points at
+// Cᵀ[lo, i] and bt at Bᵀ[0, i] (row stride ld); row j's run starts at its
+// cursor cur[2j] and ends at its end cur[2j+1] or at the first column
+// outside [lo, lo+k), and the cursor is left there. The caller has checked
+// every cursor and end against val and col, and cut ct and bt from slices
+// covering the block's rows and all rows of the call's lanes.
+
+//go:noescape
+func tspmmBlock48AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)
+
+//go:noescape
+func tspmmBlock32AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)
+
+//go:noescape
+func tspmmBlock8AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)

@@ -64,6 +64,22 @@
 	SHLQ $2, R8              \
 	LEAQ (R8)(R8*2), R13
 
+// TBLOCK loads the arguments of the SpMM block kernels (tspmmBlock*, at
+// the end of the file): DI is ct at feature lo, R8 the row stride in bytes,
+// SI bt's row j, BX val, DX col, R9 the cursor pairs, R10 = lo, R12 = k,
+// CX = j.
+#define TBLOCK \
+	MOVQ ct+0(FP), DI   \
+	MOVQ ld+8(FP), R8   \
+	MOVQ bt+16(FP), SI  \
+	MOVQ val+24(FP), BX \
+	MOVQ col+32(FP), DX \
+	MOVQ cur+40(FP), R9 \
+	MOVQ lo+56(FP), R10 \
+	MOVQ k+64(FP), R12  \
+	SHLQ $2, R8         \
+	XORQ CX, CX
+
 // func spmmtCols48AVX2(c *float32, ldc int, bt *float32, ldb, k int, val []float32, col []int32) (ok bool)
 TEXT ·spmmtCols48AVX2(SB), NOSPLIT, $0-89
 	LOAD
@@ -270,5 +286,170 @@ storeWin:
 	VMOVUPS Y5, 160(DI)
 	VMOVUPS Y6, 192(DI)
 	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// SpMM from the feature-major operands (TSpMMInto): one call adds every S
+// row's products into one block of k output features for 8·g consecutive
+// batch lanes. Row j's stored positions run from cur[j] to end[j], which
+// sit side by side (cur[2j], cur[2j+1]); the call takes the run of them,
+// from cur[j] on, whose columns c fall in the block [lo, lo+k) and, for
+// each in order, adds val[p]·bt[j, i:i+8g] into ct[c, i:i+8g]: broadcast
+// val[p], multiply it into the bt row segment held in g YMM registers
+// (VMULPS, rounds), load the ct row segment, add the product into it
+// (VADDPS, rounds) and store it back — per lane the Go chain's multiply and
+// add. It leaves cur[j] at the first position not taken, so consecutive
+// blocks walk each row once, and the caller checks that every run ended at
+// end[j]. Rows go in ascending j, so each output sees its products in
+// ascending j. The caller hands ct at feature lo, bt at row 0 (both at the
+// call's first lane, row stride ld), and cursors inside val and col; a
+// column outside the block, an out-of-range one included, only ends its
+// row's run, so every store lands in the block.
+
+// TCOL loads col[p] (p = R13) less lo into R11 and leaves the flags of its
+// unsigned comparison with k: below means the column is in the block.
+#define TCOL \
+	MOVL (DX)(R13*4), R11 \
+	SUBQ R10, R11         \
+	CMPQ R11, R12
+
+// TNZ starts a nonzero: R11 becomes its ct row segment's address and
+// val[p] is broadcast into Y6.
+#define TNZ \
+	IMULQ        R8, R11          \
+	ADDQ         DI, R11          \
+	VBROADCASTSS (BX)(R13*4), Y6
+
+// TAXPY(off, b, prod, acc) adds val[p]·b into the ct row segment at off.
+#define TAXPY(off, b, prod, acc) \
+	VMULPS  b, Y6, prod    \
+	VMOVUPS off(R11), acc  \
+	VADDPS  prod, acc, acc \
+	VMOVUPS acc, off(R11)
+
+// func tspmmBlock48AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)
+TEXT ·tspmmBlock48AVX2(SB), NOSPLIT, $0-72
+	TBLOCK
+	CMPQ CX, rows+48(FP)
+	JGE  done48b
+
+row48b:
+	MOVLQSX (R9)(CX*8), R13
+	MOVLQSX 4(R9)(CX*8), AX
+	CMPQ    R13, AX
+	JGE     next48b
+	TCOL
+	JAE     next48b
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMOVUPS 128(SI), Y4
+	VMOVUPS 160(SI), Y5
+
+nz48b:
+	TNZ
+	TAXPY(0, Y0, Y7, Y8)
+	TAXPY(32, Y1, Y9, Y10)
+	TAXPY(64, Y2, Y11, Y12)
+	TAXPY(96, Y3, Y13, Y14)
+	TAXPY(128, Y4, Y7, Y8)
+	TAXPY(160, Y5, Y9, Y10)
+	INCQ R13
+	CMPQ R13, AX
+	JGE  stop48b
+	TCOL
+	JB   nz48b
+
+stop48b:
+	MOVL R13, (R9)(CX*8)
+
+next48b:
+	ADDQ R8, SI
+	INCQ CX
+	CMPQ CX, rows+48(FP)
+	JLT  row48b
+
+done48b:
+	VZEROUPPER
+	RET
+
+// func tspmmBlock32AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)
+TEXT ·tspmmBlock32AVX2(SB), NOSPLIT, $0-72
+	TBLOCK
+	CMPQ CX, rows+48(FP)
+	JGE  done32b
+
+row32b:
+	MOVLQSX (R9)(CX*8), R13
+	MOVLQSX 4(R9)(CX*8), AX
+	CMPQ    R13, AX
+	JGE     next32b
+	TCOL
+	JAE     next32b
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+
+nz32b:
+	TNZ
+	TAXPY(0, Y0, Y7, Y8)
+	TAXPY(32, Y1, Y9, Y10)
+	TAXPY(64, Y2, Y11, Y12)
+	TAXPY(96, Y3, Y13, Y14)
+	INCQ R13
+	CMPQ R13, AX
+	JGE  stop32b
+	TCOL
+	JB   nz32b
+
+stop32b:
+	MOVL R13, (R9)(CX*8)
+
+next32b:
+	ADDQ R8, SI
+	INCQ CX
+	CMPQ CX, rows+48(FP)
+	JLT  row32b
+
+done32b:
+	VZEROUPPER
+	RET
+
+// func tspmmBlock8AVX2(ct *float32, ld int, bt *float32, val *float32, col *int32, cur *int32, rows, lo, k int)
+TEXT ·tspmmBlock8AVX2(SB), NOSPLIT, $0-72
+	TBLOCK
+	CMPQ CX, rows+48(FP)
+	JGE  done8b
+
+row8b:
+	MOVLQSX (R9)(CX*8), R13
+	MOVLQSX 4(R9)(CX*8), AX
+	CMPQ    R13, AX
+	JGE     next8b
+	TCOL
+	JAE     next8b
+	VMOVUPS 0(SI), Y0
+
+nz8b:
+	TNZ
+	TAXPY(0, Y0, Y7, Y8)
+	INCQ R13
+	CMPQ R13, AX
+	JGE  stop8b
+	TCOL
+	JB   nz8b
+
+stop8b:
+	MOVL R13, (R9)(CX*8)
+
+next8b:
+	ADDQ R8, SI
+	INCQ CX
+	CMPQ CX, rows+48(FP)
+	JLT  row8b
+
+done8b:
 	VZEROUPPER
 	RET

@@ -25,6 +25,13 @@ func randMaskedCSR(rows, cols int, density float64, seed uint64) (*CSR, *tensor.
 	return CSRFromDense(d), d
 }
 
+// transposeOf is m's transpose as a CSR of its own, stored zeros kept: the
+// reference TSpMMInto is held to, since SpMMᵀ over it sums the same chains.
+// m's columns must ascend within each row.
+func transposeOf(m *CSR) *CSR {
+	return TransposedCSR(IndexFromSlice(m.LinearIDs(), m.Rows*m.Cols), m.Dense().Data(), m.Rows, m.Cols)
+}
+
 func randDense(rows, cols int, seed uint64) *tensor.Tensor {
 	rng := tensor.NewRNG(seed)
 	t := tensor.New(rows, cols)
@@ -116,36 +123,48 @@ func TestSpMMTGolden(t *testing.T) {
 	}
 }
 
-// TestTransposePermAndLinearIDs pins the structure helpers the cached-
-// transpose refresh and the dense-masked materialization rely on:
-// TransposePerm's permutation must reproduce the transpose's values from
-// the primary's (so a value-only Gather refresh is exact), and LinearIDs
-// must be the strictly increasing row-major ids of the pattern (so it is a
-// valid IndexFromSlice input whose Expand rebuilds Dense()).
-func TestTransposePermAndLinearIDs(t *testing.T) {
-	m, _ := randMaskedCSR(23, 17, 0.3, 99)
-	wt, perm := m.TransposePerm()
-	ref := m.Transpose()
-	for p := range ref.Val {
-		if wt.ColIdx[p] != ref.ColIdx[p] || wt.Val[p] != ref.Val[p] {
-			t.Fatalf("TransposePerm structure diverges from Transpose at %d", p)
-		}
-		if got := m.Val[perm[p]]; got != ref.Val[p] {
-			t.Fatalf("perm[%d]: primary value %g, want %g", p, got, ref.Val[p])
+// TestSpMMGolden pins the input-gradient SpMM — C = B·S, walked from S's
+// rows in place — against the dense reference tensor.MatMul(B, S_dense),
+// over the same shapes as TestSpMMTGolden, from Bᵀ into Cᵀ (TSpMMInto) and
+// sample-major through the transpose view, under both kernels; and bit for
+// bit against the SpMMᵀ of a stored transpose, the chain it replaces.
+func TestSpMMGolden(t *testing.T) {
+	for _, s := range [][3]int{{7, 9, 5}, {64, 48, 32}, {130, 65, 1}, {33, 129, 17}} {
+		rows, cols, n := s[0], s[1], s[2]
+		for _, density := range []float64{0.05, 0.3, 0.9} {
+			t.Run(fmt.Sprintf("%dx%dx%d/d%.2f", rows, cols, n, density), func(t *testing.T) {
+				m, dense := randMaskedCSR(rows, cols, density, uint64(rows*37+n))
+				b := randDense(n, rows, uint64(rows+3))
+				bt := tensor.Transpose(b)
+				want := tensor.MatMul(b, dense) // (n, cols)
+				stored := transposeOf(m)
+				bothSparseKernels(t, func() {
+					into := tensor.New(n, cols)
+					into.Fill(42)
+					m.T().SpMMTInto(into, b)
+					if d := tensor.MaxAbsDiff(into, want); d > 1e-4 {
+						t.Fatalf("T().SpMMTInto differs from dense by %g", d)
+					}
+					ct := tensor.New(cols, n)
+					ct.Fill(42)
+					m.TSpMMInto(ct, bt)
+					ref := tensor.New(n, cols)
+					stored.TSpMMTInto(ref, bt)
+					if i, ok := bitwiseEqualSlice(tensor.Transpose(ct).Data(), ref.Data()); !ok {
+						t.Fatalf("TSpMMInto differs from the stored transpose's SpMMᵀ at %d", i)
+					}
+				})
+			})
 		}
 	}
-	// A refresh after mutating the primary values must track exactly.
-	for i := range m.Val {
-		m.Val[i] *= 2
-	}
-	Gather(wt.Val, m.Val, perm)
-	ref2 := m.Transpose()
-	for p := range ref2.Val {
-		if wt.Val[p] != ref2.Val[p] {
-			t.Fatalf("refreshed transpose value %d: %g want %g", p, wt.Val[p], ref2.Val[p])
-		}
-	}
+}
 
+// TestLinearIDs pins the structure helper the dense-masked materialization
+// relies on: LinearIDs must be the strictly increasing row-major ids of the
+// pattern (so it is a valid IndexFromSlice input whose Expand rebuilds
+// Dense()).
+func TestLinearIDs(t *testing.T) {
+	m, _ := randMaskedCSR(23, 17, 0.3, 99)
 	ids := m.LinearIDs()
 	ix := IndexFromSlice(ids, m.Rows*m.Cols) // panics if not sorted unique
 	back := tensor.New(m.Rows, m.Cols)

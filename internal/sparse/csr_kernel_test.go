@@ -84,7 +84,8 @@ func unaligned(rows, cols, off int, special bool, rng *tensor.RNG) *tensor.Tenso
 // TestCSRVectorKernelsMatchGo is the differential test of the AVX2 CSR
 // kernels against the Go chains they replace, bit for bit, through the public
 // entry points: SpMMᵀ from a feature-major operand (TSpMMTInto) and from a
-// sample-major one (SpMMTInto), and SDDMM overwriting and accumulating, over
+// sample-major one (SpMMTInto), the input gradient's SpMM likewise
+// (TSpMMInto, T().SpMMTInto), and SDDMM overwriting and accumulating, over
 // every batch height class — below one vector (1, 7), one vector and its
 // neighbours (8, 9), the 32- and 48-wide blocks and their neighbours (31–33,
 // 48, 57 = 48+8+1), and the paper's 576 — on patterns with empty rows and
@@ -180,6 +181,8 @@ func TestCSRKernelsRejectBadColumn(t *testing.T) {
 		}{
 			{"TSpMMTInto", func() { m.TSpMMTInto(tensor.New(16, 2), tensor.New(4, 16)) }},
 			{"SpMMTInto", func() { m.SpMMTInto(tensor.New(16, 2), tensor.New(16, 4)) }},
+			{"TSpMMInto", func() { m.TSpMMInto(tensor.New(4, 16), tensor.New(2, 16)) }},
+			{"TSpMMInto, Go lanes", func() { m.TSpMMInto(tensor.New(4, 3), tensor.New(2, 3)) }},
 			{"SDDMMInto", func() { m.SDDMMInto(make([]float32, 2), tensor.New(2, 16), tensor.New(4, 16), false) }},
 			{"SDDMMInto windowed", func() {
 				w := windowCSR(bad * 8) // 4 → 32 = Cols, -1 → -8

@@ -23,14 +23,15 @@ func bitwiseEqualSlice(a, b []float32) (int, bool) {
 }
 
 // TestSparseKernelsBitwiseDeterminism pins the whole sparse kernel family —
-// SDDMMInto and the transposed SpMMTInto on both a primary pattern and its
-// cached Transpose() — to one reference output BITWISE at every worker
+// SDDMMInto, the transposed SpMMTInto on a pattern and the SpMM walking it
+// for the input gradient — to one reference output BITWISE at every worker
 // count the training stack uses, on the paper's pruned FC shapes (batch 576,
 // square weights at 90% and 99% sparsity plus a rectangular layer, and at
 // 50% and 70%, where SDDMM from the batch-major operand runs the windowed
 // kernel), under both kernels, from the sample-major and the feature-major
 // operand. Every output element has a single owning worker and a fixed
-// accumulation order (the CSR's p order), so resizing the pool can never
+// accumulation order (the CSR's p order; ascending rows for the SpMM, whose
+// reference is the SpMMᵀ of a stored transpose), so resizing the pool can never
 // perturb sparse training — the same contract the GEMM family and Col2Im
 // carry.
 func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
@@ -50,7 +51,7 @@ func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d/s%.2f", s.out, s.in, s.sparsity), func(t *testing.T) {
 			seed := uint64(s.out*1000 + s.in)
 			w, _ := randMaskedCSR(s.out, s.in, 1-s.sparsity, seed)
-			wt := w.Transpose()
+			wt := transposeOf(w)
 			x := randDense(batch, s.in, seed+1)
 			dy := randDense(batch, s.out, seed+2)
 			xT := tensor.Transpose(x)

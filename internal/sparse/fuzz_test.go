@@ -51,7 +51,9 @@ func maxAbsDiffSlice(a, b []float32) float64 {
 }
 
 // FuzzSpMMTInto checks the transposed-CSR SpMM C = B·Sᵀ — the sparse FC
-// forward/input-gradient product — against tensor.MatMulT(B, S_dense).
+// forward product — against tensor.MatMulT(B, S_dense), and the SpMM
+// C = B·S the input gradient walks S's rows for (through the transpose
+// view) against tensor.MatMul(B, S_dense).
 func FuzzSpMMTInto(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint8(128), uint64(1))
 	f.Add(uint16(8), uint16(0), uint16(8), uint8(128), uint64(2))
@@ -69,8 +71,10 @@ func FuzzSpMMTInto(f *testing.F) {
 		m, dense := fuzzCSR(rows, cols, density, seed)
 		b := randDense(n, cols, seed+1)
 		want := tensor.MatMulT(b, dense) // (n, rows)
+		bg := randDense(n, rows, seed+2)
+		wantG := tensor.MatMul(bg, dense) // (n, cols)
 
-		var ref *tensor.Tensor // the Go chains' 1-worker result
+		var ref, refG *tensor.Tensor // the Go chains' 1-worker results
 		bothSparseKernels(t, func() {
 			defer tensor.SetWorkers(tensor.SetWorkers(1))
 			got := tensor.New(n, rows)
@@ -79,14 +83,24 @@ func FuzzSpMMTInto(f *testing.F) {
 			if d := tensor.MaxAbsDiff(got, want); d > fuzzTol(cols) {
 				t.Fatalf("SpMMTInto(%dx%dx%d, %d nnz) differs from dense by %g", n, cols, rows, m.NNZ(), d)
 			}
+			gotG := tensor.New(n, cols)
+			gotG.Fill(42)
+			m.T().SpMMTInto(gotG, bg)
+			if d := tensor.MaxAbsDiff(gotG, wantG); d > fuzzTol(rows) {
+				t.Fatalf("T().SpMMTInto(%dx%dx%d, %d nnz) differs from dense by %g", n, rows, cols, m.NNZ(), d)
+			}
 			if ref == nil {
-				ref = got.Clone()
+				ref, refG = got.Clone(), gotG.Clone()
 			}
 			for _, w := range []int{1, 2, 3, 8} {
 				tensor.SetWorkers(w)
 				m.SpMMTInto(got, b)
 				if i, ok := bitwiseEqualSlice(got.Data(), ref.Data()); !ok {
 					t.Fatalf("workers=%d: SpMMTInto differs from the Go chains' 1-worker result at %d", w, i)
+				}
+				m.T().SpMMTInto(gotG, bg)
+				if i, ok := bitwiseEqualSlice(gotG.Data(), refG.Data()); !ok {
+					t.Fatalf("workers=%d: T().SpMMTInto differs from the Go chains' 1-worker result at %d", w, i)
 				}
 			}
 		})

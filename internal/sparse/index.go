@@ -165,20 +165,6 @@ func (ix *Index) Expand(dense, compressed []float32) {
 	putIxJob(j)
 }
 
-// Gather copies dst[i] = src[ids[i]] on the worker pool — the free-standing
-// permutation gather behind cached-transpose value refreshes (ids need not
-// be sorted or unique, unlike an Index). Parallel over disjoint dst ranges
-// and allocation-free.
-func Gather(dst, src []float32, ids []int32) {
-	if len(dst) != len(ids) {
-		panic(fmt.Sprintf("sparse: Gather dst length %d, want %d", len(dst), len(ids)))
-	}
-	j := getIxJob()
-	j.ids, j.dst, j.dense = ids, dst, src
-	parallel.Run(len(ids), ixGrain, j, compressChunk)
-	putIxJob(j)
-}
-
 // Mask reconstructs the boolean mask this index describes.
 func (ix *Index) Mask() *Mask {
 	return FromIndices(ix.full, ix.ids)

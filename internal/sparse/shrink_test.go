@@ -49,34 +49,6 @@ func TestCSRShrinkToLengthPanics(t *testing.T) {
 	shrinkFixture().ShrinkTo([]bool{true})
 }
 
-func TestTransposePermIntoMatchesFresh(t *testing.T) {
-	m := shrinkFixture()
-	tr, perm := m.TransposePerm()
-	trColHead := &tr.ColIdx[0]
-	m.ShrinkTo([]bool{true, false, true, true, false, true})
-	perm = m.TransposePermInto(tr, perm)
-
-	want, wantPerm := m.TransposePerm()
-	if !reflect.DeepEqual(tr.RowPtr, want.RowPtr) ||
-		!reflect.DeepEqual(tr.ColIdx, want.ColIdx) ||
-		!reflect.DeepEqual(tr.Val, want.Val) {
-		t.Fatalf("refreshed transpose %v/%v/%v differs from fresh %v/%v/%v",
-			tr.RowPtr, tr.ColIdx, tr.Val, want.RowPtr, want.ColIdx, want.Val)
-	}
-	if !reflect.DeepEqual(perm, wantPerm) {
-		t.Fatalf("refreshed perm %v differs from fresh %v", perm, wantPerm)
-	}
-	if &tr.ColIdx[0] != trColHead {
-		t.Fatal("TransposePermInto reallocated the transpose's backing arrays")
-	}
-	// The perm invariant the cached-transpose refresh relies on.
-	for p := range tr.Val {
-		if tr.Val[p] != m.Val[perm[p]] {
-			t.Fatalf("t.Val[%d] != m.Val[perm[%d]]", p, p)
-		}
-	}
-}
-
 func TestCSRShrinkToEmptyThenKernels(t *testing.T) {
 	m := shrinkFixture()
 	m.ShrinkTo(make([]bool, 6)) // drop everything
@@ -104,9 +76,15 @@ func TestCSRShrinkToEmptyThenKernels(t *testing.T) {
 	bb := tensor.New(4, 7)
 	m.SDDMMInto(nil, a, bb, false) // len(dstVal) == NNZ == 0
 
-	tr := m.Transpose()
-	if tr.NNZ() != 0 || tr.Rows != 4 || tr.Cols != 3 {
-		t.Fatalf("empty transpose = %dx%d nnz %d", tr.Rows, tr.Cols, tr.NNZ())
+	bt3 := tensor.New(3, 5) // the input gradient's feature-major operand
+	bt3.Fill(2)
+	ct4 := tensor.New(4, 5)
+	ct4.Fill(42)
+	m.TSpMMInto(ct4, bt3)
+	for i, v := range ct4.Data() {
+		if v != 0 {
+			t.Fatalf("TSpMMInto on empty pattern: ct[%d] = %g, want 0", i, v)
+		}
 	}
 	if ids := m.LinearIDs(); len(ids) != 0 {
 		t.Fatalf("LinearIDs on empty pattern = %v", ids)

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -197,30 +198,43 @@ func TestSDDMMEqualsMaskedDense(t *testing.T) {
 	}
 }
 
+// TestCSRFromIndexMatchesFromDense pins TransposedCSR, the index-driven
+// builder of a layer's transposed pattern: its dense form is the layer's
+// transpose, its rows' columns ascend, and an indexed entry whose value is
+// zero stays stored — the pattern is the index, not the values.
 func TestCSRFromIndexMatchesFromDense(t *testing.T) {
 	a := randSparseTensor(8, 6, 0.7, 7)
-	mask := NewMask(48)
+	mask := NewMask(a.Len())
 	for i, v := range a.Data() {
 		if v != 0 {
 			mask.Set(i)
 		}
 	}
 	ix := NewIndex(mask)
-	vals := make([]float32, ix.NNZ())
-	ix.Compress(vals, a.Data())
-	m1 := CSRFromIndex(ix, vals, 8, 6)
-	m2 := CSRFromDense(a)
-	if d := tensor.MaxAbsDiff(m1.Dense(), m2.Dense()); d != 0 {
-		t.Errorf("CSRFromIndex mismatch %g", d)
+	a.Data()[ix.IDs()[0]] = 0 // an indexed zero
+	m := TransposedCSR(ix, a.Data(), 8, 6)
+	if m.Rows != 6 || m.Cols != 8 || m.NNZ() != ix.NNZ() {
+		t.Fatalf("TransposedCSR is %dx%d with %d stored, want 6x8 with %d", m.Rows, m.Cols, m.NNZ(), ix.NNZ())
+	}
+	if d := tensor.MaxAbsDiff(m.Dense(), tensor.Transpose(a)); d != 0 {
+		t.Errorf("TransposedCSR mismatch %g", d)
+	}
+	for j := 0; j < m.Rows; j++ {
+		for p := m.RowPtr[j] + 1; p < m.RowPtr[j+1]; p++ {
+			if m.ColIdx[p] <= m.ColIdx[p-1] {
+				t.Fatalf("row %d columns do not ascend: %v", j, m.ColIdx[m.RowPtr[j]:m.RowPtr[j+1]])
+			}
+		}
 	}
 }
 
+// TestCSRTranspose pins transposeOf, the stored transpose the bitwise
+// goldens hold the in-place input gradient to, against the from-scratch CSR
+// of the dense transpose.
 func TestCSRTranspose(t *testing.T) {
 	a := randSparseTensor(9, 14, 0.8, 8)
-	got := CSRFromDense(a).Transpose().Dense()
-	want := tensor.Transpose(a)
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Errorf("Transpose diff %g", d)
+	if got, want := transposeOf(CSRFromDense(a)), CSRFromDense(tensor.Transpose(a)); !reflect.DeepEqual(got, want) {
+		t.Errorf("transposeOf = %+v, want %+v", got, want)
 	}
 }
 

@@ -56,13 +56,14 @@
 // Pruned fully connected layers can exploit their sparsity during
 // training, not just in storage: Sparsify replaces pruned Linear layers
 // with first-class sparse layers (nn.SparseLinear) whose weights live in
-// CSR. The forward pass is a transposed-CSR SpMM (y = x·Wᵀ against the
-// (out,in) pattern), the input gradient is the same kernel against a
-// cached transpose whose values refresh through a precomputed permutation,
-// and the weight gradient is SDDMM sampled at the surviving pattern —
-// gradient entries for pruned weights are never materialized, so the whole
-// model state (capture, all-reduce, optimizer, and under sparse execution
-// θ16 itself) is sized fφ. Every sparse kernel gives each output element a
+// CSR, one pattern per layer. The forward pass is a transposed-CSR SpMM
+// (y = x·Wᵀ against the (out,in) pattern), the input gradient walks the
+// same pattern's rows in place (dxᵀ[c] += W[j,c]·dyᵀ[j] in ascending j, the
+// chain a stored transpose would sum, with no transpose stored), and the
+// weight gradient is SDDMM sampled at the surviving pattern — gradient
+// entries for pruned weights are never materialized, so the whole model
+// state (capture, all-reduce, optimizer, and under sparse execution θ16
+// itself) is sized fφ. Every sparse kernel gives each output element a
 // single owning worker and a fixed accumulation order, so results are
 // bitwise-identical at every worker count, matching the GEMM/Col2Im
 // contract (pinned by determinism goldens and the FuzzSpMMTInto/
@@ -70,8 +71,11 @@
 //
 // On amd64 hosts with AVX2 (the same start-up probe as the GEMM kernel) the
 // CSR kernels run vector lanes where no sparsity structure is needed: the
-// SpMM holds one sparse row's outputs for 48 batch rows in YMM
-// accumulators and reads the dense operand feature-major, and SDDMM runs
+// forward SpMM holds one sparse row's outputs for 48 batch rows in YMM
+// accumulators and reads the dense operand feature-major, the input
+// gradient holds one weight row's dyᵀ segment in registers and adds it into
+// the dxᵀ rows its nonzeros name, one L1-sized block of features at a
+// time, and SDDMM runs
 // sixteen of a row's nonzeros as gathered side-by-side chains — or, on a
 // pattern at least a quarter dense, forms two rows' dots against a
 // 32-column window of the batch-major input with contiguous loads. Each
