@@ -34,11 +34,10 @@ func TestCompressExpandZeroAlloc(t *testing.T) {
 }
 
 // TestSparseKernelsZeroAlloc pins the sparse training kernels — SpMMTInto
-// against the pattern, the SpMM against its transpose view from either
-// operand orientation, and SDDMMInto (both kernels) — at zero steady-state
-// allocations: they sit on the pruned FC layers' per-microbatch hot path,
-// under the same contract as the dense GEMM family (pooled jobs, caller
-// buffers).
+// against the pattern, the input gradient's TSpMMInto, and SDDMMInto (both
+// kernels) — at zero steady-state allocations: they sit on the pruned FC
+// layers' per-microbatch hot path, under the same contract as the dense GEMM
+// family (pooled jobs, caller buffers).
 func TestSparseKernelsZeroAlloc(t *testing.T) {
 	w, _ := randMaskedCSR(128, 96, 0.1, 5)
 	x := randDense(64, 96, 6)   // forward operand (batch, in)
@@ -46,21 +45,16 @@ func TestSparseKernelsZeroAlloc(t *testing.T) {
 	xT := tensor.Transpose(x)   // (in, batch) for SDDMM
 	dyT := tensor.Transpose(dy) // (out, batch)
 	y := tensor.New(64, 128)    // SpMMT output
-	dx := tensor.New(64, 96)    // input gradient
-	dxT := tensor.New(96, 64)   // the same, feature-major
+	dxT := tensor.New(96, 64)   // input gradient, feature-major
 	grad := make([]float32, w.NNZ())
 
-	// Warm the job free lists, their scratch and the worker pool.
+	// Warm the job free lists and the worker pool.
 	w.SpMMTInto(y, x)
-	w.T().SpMMTInto(dx, dy)
 	w.TSpMMInto(dxT, dyT)
 	w.SDDMMInto(grad, dyT, xT, true)
 
 	if a := testing.AllocsPerRun(50, func() { w.SpMMTInto(y, x) }); a != 0 {
 		t.Errorf("SpMMTInto allocates %.1f per call, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() { w.T().SpMMTInto(dx, dy) }); a != 0 {
-		t.Errorf("transposed SpMMTInto allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() { w.TSpMMInto(dxT, dyT) }); a != 0 {
 		t.Errorf("TSpMMInto allocates %.1f per call, want 0", a)

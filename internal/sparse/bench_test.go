@@ -86,15 +86,16 @@ func BenchmarkSDDMM(b *testing.B) {
 
 // BenchmarkInputGrad times a sparse FC layer's input gradient dx = dy·W
 // from the feature-major dyᵀ at the sparse benchmark workloads' shape
-// (640×640, batch 48) and at the paper's batch, two ways: "stored"
-// refreshes a stored transpose's values through a permutation gather and
-// runs SpMMᵀ over it, writing dx directly; "inplace" walks W's rows
-// (TSpMMInto, what nn.SparseLinear runs) into dxᵀ and transposes that into
-// dx. The two give the same bits; the table above tspmmRun is their
-// one-worker minimum.
+// (640×640, batch 48) and at the paper's batch, at one worker, two ways:
+// "stored" refreshes a stored transpose's values through a permutation
+// gather and runs SpMMᵀ over it, writing dx directly; "inplace" walks W's
+// rows (TSpMMInto, what nn.SparseLinear runs) into dxᵀ and transposes that
+// into dx. The two give the same bits; the table above tspmmRun is their
+// batch-48 rows.
 func BenchmarkInputGrad(b *testing.B) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, batch := range []int{48, 576} {
-		for _, sparsity := range []float64{0.5, 0.9} {
+		for _, sparsity := range []float64{0.5, 0.75, 0.9, 0.95} {
 			w, _ := randMaskedCSR(640, 640, 1-sparsity, uint64(batch)+uint64(sparsity*100))
 			wt := transposeOf(w)
 			pos := make([]int32, w.Rows*w.Cols) // linear id → position in w

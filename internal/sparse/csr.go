@@ -316,15 +316,22 @@ func (m *CSR) tspmm(j *csrJob, ct, bt *tensor.Tensor) {
 // run of nonzeros, and narrow enough that the ct slab it writes stays
 // L1-resident (at 50 % density and 48 lanes, 96 features, 18 KB).
 // Unblocked, a 640-feature chunk's slab at 48 lanes is 123 KB, and every
-// nonzero's read-modify-write went to L2. Input gradient of a 640×640 layer
-// at batch 48, one worker, min of 200 calls, µs, gather + SpMMᵀ over a
-// stored transpose → this kernel + the transpose back to dx (48 sits
-// between the two runs measured):
+// nonzero's read-modify-write went to L2. BenchmarkInputGrad at batch 48,
+// µs per call, min over 7 interleaved runs of 200 calls on a 2-vCPU Xeon VM
+// ("stored" is the gather + SpMMᵀ over a stored transpose it replaced, the
+// rest this kernel + the transpose back to dx):
 //
-//	density        50%         25%         10%         5%
-//	unblocked      948 → 916   446 → 395   178 → 161   103 → 96
-//	tspmmRun 32    948 → 606   446 → 332   178 → 151   103 → 97
-//	tspmmRun 64    948 → 574   446 → 325   178 → 162   103 → 96
+//	density        50%    25%    10%    5%
+//	stored        1139    464    182   101
+//	unblocked      995    411    167    96
+//	tspmmRun 32    677    339    152    95
+//	tspmmRun 48    659    321    158    95
+//	tspmmRun 64    644    333    168    97
+//
+// 32 to 64 sit within the VM's noise of one another. At batch 576 the same
+// bench reads stored → 48 as 10 822 → 9 666, 5 282 → 5 203, 2 148 → 2 585
+// and 1 188 → 1 642 (min of 6 runs of 40): the transpose back to dx, ≈ 430 µs
+// there, is the whole loss at low density.
 const tspmmRun = 48
 
 // tspmmCursors is one chunk's per-S-row walk state for the vector kernel:

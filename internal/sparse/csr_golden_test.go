@@ -123,13 +123,15 @@ func TestSpMMTGolden(t *testing.T) {
 	}
 }
 
-// TestSpMMGolden pins the input-gradient SpMM — C = B·S, walked from S's
-// rows in place — against the dense reference tensor.MatMul(B, S_dense),
-// over the same shapes as TestSpMMTGolden, from Bᵀ into Cᵀ (TSpMMInto) and
-// sample-major through the transpose view, under both kernels; and bit for
-// bit against the SpMMᵀ of a stored transpose, the chain it replaces.
+// TestSpMMGolden pins the input-gradient SpMM — Cᵀ = Sᵀ·Bᵀ from Bᵀ, walked
+// from S's rows in place (TSpMMInto) — against the dense reference
+// tensor.MatMul(B, S_dense), over TestSpMMTGolden's shapes plus a batch of
+// 91 = 48+32+8+3 that runs every vector block and the Go lanes, under both
+// kernels; and bit for bit against the SpMMᵀ of a stored transpose, the chain
+// it replaces. The sample-major T().SpMMTInto, which bench/ times, must give
+// the same bits.
 func TestSpMMGolden(t *testing.T) {
-	for _, s := range [][3]int{{7, 9, 5}, {64, 48, 32}, {130, 65, 1}, {33, 129, 17}} {
+	for _, s := range [][3]int{{7, 9, 5}, {64, 48, 32}, {130, 65, 1}, {33, 129, 17}, {96, 80, 91}} {
 		rows, cols, n := s[0], s[1], s[2]
 		for _, density := range []float64{0.05, 0.3, 0.9} {
 			t.Run(fmt.Sprintf("%dx%dx%d/d%.2f", rows, cols, n, density), func(t *testing.T) {
@@ -139,19 +141,22 @@ func TestSpMMGolden(t *testing.T) {
 				want := tensor.MatMul(b, dense) // (n, cols)
 				stored := transposeOf(m)
 				bothSparseKernels(t, func() {
-					into := tensor.New(n, cols)
-					into.Fill(42)
-					m.T().SpMMTInto(into, b)
-					if d := tensor.MaxAbsDiff(into, want); d > 1e-4 {
-						t.Fatalf("T().SpMMTInto differs from dense by %g", d)
-					}
 					ct := tensor.New(cols, n)
 					ct.Fill(42)
 					m.TSpMMInto(ct, bt)
+					c := tensor.Transpose(ct)
+					if d := tensor.MaxAbsDiff(c, want); d > 1e-4 {
+						t.Fatalf("TSpMMInto differs from dense by %g", d)
+					}
 					ref := tensor.New(n, cols)
 					stored.TSpMMTInto(ref, bt)
-					if i, ok := bitwiseEqualSlice(tensor.Transpose(ct).Data(), ref.Data()); !ok {
+					if i, ok := bitwiseEqualSlice(c.Data(), ref.Data()); !ok {
 						t.Fatalf("TSpMMInto differs from the stored transpose's SpMMᵀ at %d", i)
+					}
+					view := tensor.New(n, cols)
+					m.T().SpMMTInto(view, b)
+					if i, ok := bitwiseEqualSlice(view.Data(), ref.Data()); !ok {
+						t.Fatalf("T().SpMMTInto differs from TSpMMInto at %d", i)
 					}
 				})
 			})

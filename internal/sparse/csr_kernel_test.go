@@ -84,20 +84,23 @@ func unaligned(rows, cols, off int, special bool, rng *tensor.RNG) *tensor.Tenso
 // TestCSRVectorKernelsMatchGo is the differential test of the AVX2 CSR
 // kernels against the Go chains they replace, bit for bit, through the public
 // entry points: SpMMᵀ from a feature-major operand (TSpMMTInto) and from a
-// sample-major one (SpMMTInto), the input gradient's SpMM likewise
-// (TSpMMInto, T().SpMMTInto), and SDDMM overwriting and accumulating, over
-// every batch height class — below one vector (1, 7), one vector and its
+// sample-major one (SpMMTInto), the input gradient's SpMM from the
+// feature-major operand (TSpMMInto), and SDDMM overwriting and accumulating,
+// over every batch height class — below one vector (1, 7), one vector and its
 // neighbours (8, 9), the 32- and 48-wide blocks and their neighbours (31–33,
 // 48, 57 = 48+8+1), and the paper's 576 — on patterns with empty rows and
 // with no nonzero at all, once on ordinary values and once with signed
 // zeros, subnormals, infinities and NaNs mixed into every operand, where a
 // flushed subnormal, a lost zero sign or a fused rounding would show.
-// Operands sit at addresses that are not 32-byte aligned.
+// Operands sit at addresses that are not 32-byte aligned. Three workers split
+// the larger products into chunks, so TSpMMInto's per-chunk column searches
+// run too.
 func TestCSRVectorKernelsMatchGo(t *testing.T) {
 	if !csrVector {
 		t.Skip("host has no AVX2: the Go chains are the only kernels")
 	}
 	defer func() { csrVector = true }()
+	defer tensor.SetWorkers(tensor.SetWorkers(3))
 	rng := tensor.NewRNG(83)
 	check := func(what string, got, want []float32) {
 		t.Helper()
@@ -114,7 +117,8 @@ func TestCSRVectorKernelsMatchGo(t *testing.T) {
 			density    float64
 		}{{37, 29, 0.3}, {9, 70, 0.9}, {16, 12, 0}, {33, 100, 0.6}, {10, 64, 0.2}, {7, 32, 1}, {4, 40, 0}} {
 			m := kernelCSR(s.rows, s.cols, s.density, special, rng)
-			if s.rows == 33 {
+			ascending := s.rows != 33
+			if !ascending {
 				reverseRows(m) // the windowed SDDMM revisits windows of an unsorted row
 			}
 			for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 48, 57, 576} {
@@ -134,7 +138,17 @@ func TestCSRVectorKernelsMatchGo(t *testing.T) {
 				check(name+" TSpMMTInto", spmmt(true, true), spmmt(false, true))
 				check(name+" SpMMTInto", spmmt(true, false), spmmt(false, false))
 
-				a := unaligned(s.rows, n, 7, special, rng) // SDDMM: k is the batch
+				a := unaligned(s.rows, n, 7, special, rng) // SDDMM: k is the batch; TSpMMInto's Bᵀ
+				// TSpMMInto searches each row's columns, so they must ascend.
+				if ascending {
+					tspmm := func(vec bool) []float32 {
+						csrVector = vec
+						ct := unaligned(s.cols, n, 1, special, rng) // overwritten
+						m.TSpMMInto(ct, a)
+						return ct.Data()
+					}
+					check(name+" TSpMMInto", tspmm(true), tspmm(false))
+				}
 				bs := unaligned(s.cols, n, 1, special, rng)
 				bsT := unaligned(n, s.cols, 5, false, rng) // the batch-major operand
 				tensor.TransposeInto(bsT, bs)

@@ -24,16 +24,17 @@ func bitwiseEqualSlice(a, b []float32) (int, bool) {
 
 // TestSparseKernelsBitwiseDeterminism pins the whole sparse kernel family —
 // SDDMMInto, the transposed SpMMTInto on a pattern and the SpMM walking it
-// for the input gradient — to one reference output BITWISE at every worker
-// count the training stack uses, on the paper's pruned FC shapes (batch 576,
-// square weights at 90% and 99% sparsity plus a rectangular layer, and at
-// 50% and 70%, where SDDMM from the batch-major operand runs the windowed
-// kernel), under both kernels, from the sample-major and the feature-major
-// operand. Every output element has a single owning worker and a fixed
-// accumulation order (the CSR's p order; ascending rows for the SpMM, whose
-// reference is the SpMMᵀ of a stored transpose), so resizing the pool can never
-// perturb sparse training — the same contract the GEMM family and Col2Im
-// carry.
+// for the input gradient (TSpMMInto, the call nn.SparseLinear makes) — to one
+// reference output BITWISE at every worker count the training stack uses, on
+// the paper's pruned FC shapes (batch 576, square weights at 90% and 99%
+// sparsity plus a rectangular layer, and at 50% and 70%, where SDDMM from the
+// batch-major operand runs the windowed kernel), under both kernels. Batch
+// 576 runs the 48-lane input-gradient kernel, and from two workers up its
+// chunks search every row for their feature range. Every output element has
+// a single owning worker and a fixed accumulation order (the CSR's p order;
+// ascending rows for the SpMM, whose reference is the SpMMᵀ of a stored
+// transpose, the chain it replaced), so resizing the pool can never perturb
+// sparse training — the same contract the GEMM family and Col2Im carry.
 func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	const batch = 576
@@ -72,7 +73,7 @@ func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 					w.SDDMMInto(refSDDMM, dyT, xT, false)
 				}
 				outFwd := tensor.New(batch, s.out)
-				outDx := tensor.New(batch, s.in)
+				outDxT := tensor.New(s.in, batch)
 				outSDDMM := make([]float32, w.NNZ())
 				for _, workers := range []int{1, 2, 3, 4, 8, 16} {
 					tensor.SetWorkers(workers)
@@ -80,9 +81,10 @@ func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 					if i, ok := bitwiseEqualSlice(outFwd.Data(), refFwd.Data()); !ok {
 						t.Fatalf("workers=%d: SpMMT (forward) differs from reference at %d", workers, i)
 					}
-					wt.TSpMMTInto(outDx, dyT)
-					if i, ok := bitwiseEqualSlice(outDx.Data(), refDx.Data()); !ok {
-						t.Fatalf("workers=%d: SpMMT (transpose/input-grad) differs at %d", workers, i)
+					outDxT.Fill(42)
+					w.TSpMMInto(outDxT, dyT)
+					if i, ok := bitwiseEqualSlice(tensor.Transpose(outDxT).Data(), refDx.Data()); !ok {
+						t.Fatalf("workers=%d: TSpMMInto (input gradient) differs from the stored transpose's SpMMᵀ at %d", workers, i)
 					}
 					for _, bT := range [][]*tensor.Tensor{nil, {x}} {
 						for i := range outSDDMM {

@@ -52,8 +52,8 @@ func maxAbsDiffSlice(a, b []float32) float64 {
 
 // FuzzSpMMTInto checks the transposed-CSR SpMM C = B·Sᵀ — the sparse FC
 // forward product — against tensor.MatMulT(B, S_dense), and the SpMM
-// C = B·S the input gradient walks S's rows for (through the transpose
-// view) against tensor.MatMul(B, S_dense).
+// Cᵀ = Sᵀ·Bᵀ the input gradient walks S's rows for (TSpMMInto) against
+// tensor.MatMul(B, S_dense) transposed.
 func FuzzSpMMTInto(f *testing.F) {
 	f.Add(uint16(0), uint16(8), uint16(8), uint8(128), uint64(1))
 	f.Add(uint16(8), uint16(0), uint16(8), uint8(128), uint64(2))
@@ -72,7 +72,8 @@ func FuzzSpMMTInto(f *testing.F) {
 		b := randDense(n, cols, seed+1)
 		want := tensor.MatMulT(b, dense) // (n, rows)
 		bg := randDense(n, rows, seed+2)
-		wantG := tensor.MatMul(bg, dense) // (n, cols)
+		bgT := tensor.Transpose(bg)
+		wantG := tensor.Transpose(tensor.MatMul(bg, dense)) // (cols, n)
 
 		var ref, refG *tensor.Tensor // the Go chains' 1-worker results
 		bothSparseKernels(t, func() {
@@ -83,11 +84,11 @@ func FuzzSpMMTInto(f *testing.F) {
 			if d := tensor.MaxAbsDiff(got, want); d > fuzzTol(cols) {
 				t.Fatalf("SpMMTInto(%dx%dx%d, %d nnz) differs from dense by %g", n, cols, rows, m.NNZ(), d)
 			}
-			gotG := tensor.New(n, cols)
+			gotG := tensor.New(cols, n)
 			gotG.Fill(42)
-			m.T().SpMMTInto(gotG, bg)
+			m.TSpMMInto(gotG, bgT)
 			if d := tensor.MaxAbsDiff(gotG, wantG); d > fuzzTol(rows) {
-				t.Fatalf("T().SpMMTInto(%dx%dx%d, %d nnz) differs from dense by %g", n, rows, cols, m.NNZ(), d)
+				t.Fatalf("TSpMMInto(%dx%dx%d, %d nnz) differs from dense by %g", n, rows, cols, m.NNZ(), d)
 			}
 			if ref == nil {
 				ref, refG = got.Clone(), gotG.Clone()
@@ -98,9 +99,9 @@ func FuzzSpMMTInto(f *testing.F) {
 				if i, ok := bitwiseEqualSlice(got.Data(), ref.Data()); !ok {
 					t.Fatalf("workers=%d: SpMMTInto differs from the Go chains' 1-worker result at %d", w, i)
 				}
-				m.T().SpMMTInto(gotG, bg)
+				m.TSpMMInto(gotG, bgT)
 				if i, ok := bitwiseEqualSlice(gotG.Data(), refG.Data()); !ok {
-					t.Fatalf("workers=%d: T().SpMMTInto differs from the Go chains' 1-worker result at %d", w, i)
+					t.Fatalf("workers=%d: TSpMMInto differs from the Go chains' 1-worker result at %d", w, i)
 				}
 			}
 		})
