@@ -168,10 +168,15 @@ func TestTrainingReducesLoss(t *testing.T) {
 
 func TestMemoryLedgerMatchesAnalyticModel(t *testing.T) {
 	// The implementation's byte ledger must agree with §III-D for the
-	// prunable portion. The MLP also has biases (unprunable, stored dense);
-	// account for them separately.
+	// prunable portion, less the model's ∇θ32: the up-scaled gradient
+	// overwrites ∇θ16 in place, so no stored element carries those 4 B. The
+	// MLP also has biases (unprunable, stored dense); account for them
+	// separately.
 	m, ms, pr := buildTestSetup(SAMO, 0.75, 13)
 	led := ms.Memory()
+	if led.Grad32 != 0 {
+		t.Errorf("ledger Grad32 = %d, want 0 (no ∇θ32 is stored)", led.Grad32)
+	}
 
 	var phiPrunable, kept, phiRest int64
 	for _, p := range m.Params() {
@@ -183,7 +188,8 @@ func TestMemoryLedgerMatchesAnalyticModel(t *testing.T) {
 	}
 	kept = int64(pr.KeptParams())
 
-	want := SAMOBreakdown(phiPrunable, kept).Total() + DefaultBreakdown(phiRest).Total()
+	want := SAMOBreakdown(phiPrunable, kept).Total() + DefaultBreakdown(phiRest).Total() -
+		BytesGrad32*(kept+phiRest)
 	if led.Total() != want {
 		t.Errorf("ledger %d != analytic %d", led.Total(), want)
 	}

@@ -12,7 +12,7 @@ import (
 // prune.Schedule) over a live ModelState. The defining constraint is that
 // NNZ only ever DECREASES: every prune event compacts the existing storage
 // in place — CSR patterns, the shared indices,
-// θ32/∇θ32, optimizer state vectors and the grad16 reduce-bucket
+// θ32, optimizer state vectors and the grad16 reduce-bucket
 // slabs — so steady-state training between events stays allocation-free
 // and no backing array is ever reallocated.
 //
@@ -33,11 +33,10 @@ type shrinkOp struct {
 
 // applyShrinks compacts every storage layer onto the kept pattern
 // positions, in place. The shape shrinks first (shape.shrink); then
-// pattern-sized vectors — θ32, ∇θ32 and optimizer state — compact to the
-// new pattern length, while a masked-dense parameter's full-length vectors
-// zero the dropped coordinates, keeping the reference bitwise equal to SAMO.
-// The grad16 bucket slabs compact last (compactBuckets) and the clip
-// buffers re-alias the compacted ∇θ32 vectors.
+// pattern-sized vectors — θ32 and optimizer state — compact to the new
+// pattern length, while a masked-dense parameter's full-length vectors zero
+// the dropped coordinates, keeping the reference bitwise equal to SAMO.
+// The grad16 bucket slabs compact last (compactBuckets).
 func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 	segKeeps := make(map[*paramState][]bool, len(ops))
 	for _, op := range ops {
@@ -48,14 +47,10 @@ func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 		}
 		st.shrink(keep)
 		st.theta32 = sparse.Compact(st.theta32, keep)
-		st.grad32 = sparse.Compact(st.grad32, keep)
 		ms.opt.CompactState(st.p.Name, keep)
 		segKeeps[st] = keep
 	}
 	ms.compactBuckets(segKeeps)
-	for i, st := range ms.states {
-		ms.clipBufs[i] = st.grad32
-	}
 }
 
 // GradualPruner drives a prune.Schedule over a live ModelState. Call

@@ -74,11 +74,10 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 			if !st.compressed {
 				continue
 			}
-			if len(st.grad32) != nnz || len(st.theta32) != nnz ||
-				len(st.grad16) != nnz || st.ix.NNZ() != nnz || st.p.Value.Len() != st.ix.FullLen() {
-				t.Fatalf("step %d: %s vectors off lockstep: θ32 %d ∇32 %d ∇16 %d ix %d",
-					step, st.p.Name, len(st.theta32), len(st.grad32),
-					len(st.grad16), st.ix.NNZ())
+			if len(st.theta32) != nnz || len(st.grad16) != nnz ||
+				st.ix.NNZ() != nnz || st.p.Value.Len() != st.ix.FullLen() {
+				t.Fatalf("step %d: %s vectors off lockstep: θ32 %d ∇16 %d ix %d",
+					step, st.p.Name, len(st.theta32), len(st.grad16), st.ix.NNZ())
 			}
 			for _, vec := range ms.opt.States(st.p.Name) {
 				if len(vec) != nnz {

@@ -105,7 +105,7 @@ func (s *InferenceState) Load(r io.Reader) error {
 		if sp.keep != nil {
 			sh.shrink(sp.keep)
 		}
-		sh.expand(sp.theta32)
+		sh.expand(sp.theta32, nil)
 	}
 	return nil
 }

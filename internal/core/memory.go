@@ -4,17 +4,19 @@
 //
 //   - keeps the half-precision parameters θ16 DENSE (zeros filled in), so the
 //     forward and backward passes run on fast dense kernels unchanged;
-//   - stores every other model state — θ32, ∇θ16, ∇θ32 and the optimizer
-//     states — COMPRESSED to the unpruned coordinates, all sharing one
-//     linearized int32 index tensor per layer;
+//   - stores every other model state — θ32, ∇θ16 and the optimizer states —
+//     COMPRESSED to the unpruned coordinates, all sharing one linearized
+//     int32 index tensor per layer;
 //   - compresses gradients at layer granularity during the backward pass, so
 //     dense gradients for the whole model never coexist;
 //   - runs the optimizer directly on the compressed vectors and "expands"
 //     the down-cast parameters back to dense θ16.
 //
-// The memory accounting in this file is the paper's §III-D analytical model;
-// ModelState in state.go is the working implementation, and the two are
-// cross-checked in tests.
+// The memory accounting in this file is the paper's §III-D analytical model,
+// which also charges an fp32 gradient ∇θ32 per stored element. ModelState in
+// state.go is the working implementation: it up-scales ∇θ16 in place and
+// stores no ∇θ32, so its ledger is the model less 4 B per stored element,
+// as tests cross-check.
 package core
 
 import (

@@ -62,7 +62,7 @@ func shapesOf(model *nn.Model, mode Mode, pr *prune.Result) []*shape {
 				s.compressed = mode == SAMO
 			}
 		}
-		fp16.RoundSlice(p.Value.Data(), p.Value.Data())
+		fp16.RoundSlice(p.Value.Data(), p.Value.Data(), nil)
 		shapes = append(shapes, s)
 	}
 	return shapes
@@ -77,8 +77,8 @@ func (s *shape) full() int {
 	return s.p.Size()
 }
 
-// stored is the length of every state vector (θ32, ∇θ16, ∇θ32, optimizer
-// state) of this parameter.
+// stored is the length of every state vector (θ32, ∇θ16, optimizer state)
+// of this parameter.
 func (s *shape) stored() int {
 	if s.compressed {
 		return s.ix.NNZ()
@@ -171,12 +171,13 @@ func (s *shape) capture(grad16 []float32) {
 // grid and, under SAMO, scattered to the unpruned coordinates. The scatter
 // never zero-fills; it relies on the pruned coordinates of θ16 being zero
 // already (shapesOf applies the mask, shrink zeroes each coordinate a
-// pattern drops, and every write in between goes through the index).
-func (s *shape) expand(theta32 []float32) {
+// pattern drops, and every write in between goes through the index). The
+// same sweep zeroes drain (the step's ∇θ16) unless it is nil.
+func (s *shape) expand(theta32, drain []float32) {
 	if s.compressed {
-		fp16.RoundScatter(s.p.Value.Data(), theta32, s.ix.IDs())
+		fp16.RoundScatter(s.p.Value.Data(), theta32, s.ix.IDs(), drain)
 	} else {
-		fp16.RoundSlice(s.p.Value.Data(), theta32)
+		fp16.RoundSlice(s.p.Value.Data(), theta32, drain)
 	}
 }
 

@@ -164,15 +164,14 @@ func (ms *ModelState) Load(r io.Reader) error {
 		ms.applyShrinks(ops)
 	}
 
-	// Prime optimizer state vectors if absent (fresh state). A zero-grad
-	// step allocates them; every value is overwritten below, so only the
-	// side effect on θ32 (decay, Adam bias correction) needs undoing.
+	// Drop any captured gradient, then prime optimizer state vectors if
+	// absent (fresh state): a step over the cleared ∇θ16 allocates them.
+	// Everything it writes — moments, step count and θ32 — is overwritten
+	// below.
 	for _, st := range ms.states {
+		clear(st.grad16)
 		if ms.opt.States(st.p.Name) == nil {
-			zeros := make([]float32, len(st.theta32))
-			saved := append([]float32(nil), st.theta32...)
-			ms.opt.Step(st.p.Name, st.theta32, zeros)
-			copy(st.theta32, saved) // undo any decay the priming step applied
+			ms.opt.Step(st.p.Name, st.theta32, st.grad16)
 		}
 	}
 	for i, st := range ms.states {
@@ -184,8 +183,7 @@ func (ms *ModelState) Load(r io.Reader) error {
 		}
 		// Rebuild dense θ16 from the restored master weights (§III-C's
 		// down-cast path).
-		st.expand(st.theta32)
-		zero(st.grad16)
+		st.expand(st.theta32, nil)
 	}
 	ms.Scaler.Restore(stg.scale, stg.scalerGood, stg.scalerSkipped)
 	ms.steps = stg.steps

@@ -16,7 +16,7 @@ type Mode int
 const (
 	// Dense is ordinary mixed-precision training: every state tensor dense.
 	Dense Mode = iota
-	// SAMO compresses θ32/∇θ16/∇θ32/os to the unpruned coordinates.
+	// SAMO compresses θ32/∇θ16/os to the unpruned coordinates.
 	SAMO
 )
 
@@ -40,13 +40,13 @@ type paramState struct {
 
 	theta32 []float32 // master weights (compressed under SAMO)
 	grad16  []float32 // fp16-grid scaled gradients, captured layer by layer
-	grad32  []float32 // fp32 unscaled gradients (optimizer input)
 }
 
 // ModelState implements mixed-precision training state management with or
-// without SAMO. It owns θ32, ∇θ16, ∇θ32 and drives the optimizer; the
-// model's nn.Param.Value tensors play the role of dense θ16 (values kept on
-// the fp16 grid).
+// without SAMO. It owns θ32 and ∇θ16 and drives the optimizer; the model's
+// nn.Param.Value tensors play the role of dense θ16 (values kept on the fp16
+// grid). There is no stored ∇θ32: for the length of an applied step, the
+// up-scale writes the fp32 gradient into ∇θ16's float32 slots.
 type ModelState struct {
 	Mode   Mode
 	Scaler *optim.LossScaler
@@ -100,7 +100,7 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 		// grad16 is not allocated here: planBuckets aliases it into the
 		// bucket slabs below, so the reduce payload is contiguous per bucket.
 		n := sh.stored()
-		st := &paramState{shape: sh, theta32: make([]float32, n), grad32: make([]float32, n)}
+		st := &paramState{shape: sh, theta32: make([]float32, n)}
 		sh.gather(st.theta32)
 		ms.states = append(ms.states, st)
 		ms.byParam[sh.p] = st
@@ -121,9 +121,6 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 		}
 	}}
 	ms.clipBufs = make([][]float32, len(ms.states))
-	for i, st := range ms.states {
-		ms.clipBufs[i] = st.grad32
-	}
 	ms.planBuckets(DefaultReduceBucketElems)
 	return ms
 }
@@ -172,9 +169,10 @@ func (ms *ModelState) Overflow() bool {
 // Step runs the mixed-precision optimizer step (§III-C):
 //
 //  1. overflow check on ∇θ16 (dynamic loss scaling);
-//  2. upscale: ∇θ32 = ∇θ16 / scale, computed directly on the compressed
-//     vectors;
-//  3. optimizer on (θ32, ∇θ32) — compressed vectors, dense kernels;
+//  2. upscale: ∇θ16 / scale, computed in place on the compressed vectors —
+//     the paper's ∇θ32, held in ∇θ16's own storage;
+//  3. optimizer on θ32 and that up-scaled gradient — compressed vectors,
+//     dense kernels;
 //  4. down-cast: θ16 = fp16(θ32), EXPANDED into the dense tensor.
 //
 // It returns true if the step was applied, false if skipped on overflow.
@@ -183,18 +181,19 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 
 // StepGiven is Step with an externally supplied (e.g. globally reduced)
 // overflow verdict. Every pass over model state is one streaming sweep,
-// chunked on the worker pool from parallel.StreamGrain elements up:
+// chunked on the worker pool from parallel.StreamGrain elements up, and no
+// gradient buffer besides ∇θ16 exists:
 //
-//   - up-scale and clear: ∇θ32[i] = ∇θ16[i]·(1/scale); ∇θ16[i] = 0 — the
-//     accumulator is drained where it is read, so nothing is left to zero
-//     after the optimizer (a skipped step zeroes the bucket slabs instead);
-//   - optional global-norm clip over ∇θ32 (serial: its summation order is a
-//     numerics contract);
-//   - per parameter, the optimizer on the whole (θ32, ∇θ32) vector, then the
-//     down-cast (shape.expand): dense parameters round θ32 into θ16;
-//     SAMO-compressed ones round and scatter straight to θ16's unpruned
+//   - up-scale in place: ∇θ16[i] ·= 1/scale, slab by slab;
+//   - optional global-norm clip over those values in state order (serial:
+//     its summation order is a numerics contract);
+//   - per parameter, the optimizer on θ32 and its up-scaled ∇θ16 segment,
+//     then the down-cast (shape.expand): dense parameters round θ32 into
+//     θ16; SAMO-compressed ones round and scatter straight to θ16's unpruned
 //     coordinates, with no compressed half copy in between and no zero-fill
-//     of the dense tensor.
+//     of the dense tensor. The same chunk that rounds zeroes the ∇θ16
+//     segment, so the next capture starts from zero (a skipped step zeroes
+//     the bucket slabs instead).
 func (ms *ModelState) StepGiven(overflow bool) bool {
 	// Snapshot the scale the in-flight gradients were produced under:
 	// Scaler.Update may grow it for the NEXT step.
@@ -202,21 +201,27 @@ func (ms *ModelState) StepGiven(overflow bool) bool {
 	if !ms.Scaler.Update(overflow) {
 		ms.skipped++
 		for _, slab := range ms.reduceBufs {
-			zero(slab)
+			clear(slab)
 		}
 		return false
 	}
 	ms.upscale.inv = float32(1 / scaleUsed)
-	for _, st := range ms.states {
-		ms.upscale.grad32, ms.upscale.grad16 = st.grad32, st.grad16
-		parallel.Run(len(st.grad16), parallel.StreamGrain, &ms.upscale, upscaleChunk)
+	for _, slab := range ms.reduceBufs {
+		ms.upscale.grad = slab
+		parallel.Run(len(slab), parallel.StreamGrain, &ms.upscale, upscaleChunk)
 	}
 	if ms.ClipNorm > 0 {
+		// The norm is a serial float64 sum, so it walks the segments in
+		// state order, not slab order. Aliased per step because a re-plan
+		// or a prune event moves them.
+		for i, st := range ms.states {
+			ms.clipBufs[i] = st.grad16
+		}
 		optim.ClipGradNorm(ms.clipBufs, ms.ClipNorm)
 	}
 	for _, st := range ms.states {
-		ms.opt.Step(st.p.Name, st.theta32, st.grad32)
-		st.expand(st.theta32)
+		ms.opt.Step(st.p.Name, st.theta32, st.grad16)
+		st.expand(st.theta32, st.grad16)
 	}
 	ms.steps++
 	return true
@@ -225,16 +230,15 @@ func (ms *ModelState) StepGiven(overflow bool) bool {
 // upscaleJob carries the up-scale sweep to the worker pool. A ModelState
 // runs one sweep at a time, so it owns its job rather than pooling them.
 type upscaleJob struct {
-	grad32, grad16 []float32
-	inv            float32
+	grad []float32
+	inv  float32
 }
 
 func upscaleChunk(ctx any, lo, hi int) {
 	j := ctx.(*upscaleJob)
-	g32, g16, inv := j.grad32[lo:hi], j.grad16[lo:hi], j.inv
-	for i, g := range g16 {
-		g32[i] = g * inv
-		g16[i] = 0
+	g, inv := j.grad[lo:hi], j.inv
+	for i := range g {
+		g[i] *= inv
 	}
 }
 
@@ -243,8 +247,9 @@ func (ms *ModelState) SkippedSteps() int { return ms.skipped }
 
 // Memory returns the byte-accurate ledger of this state's storage at its
 // logical widths. For SAMO it equals SAMOBreakdown(φ, fφ) plus the dense
-// remainder for unprunable parameters; the equivalence with the §III-D
-// closed form is asserted in tests.
+// remainder for unprunable parameters, less the §III-D model's 4 B of ∇θ32
+// per stored element (see ModelState): the Grad32 line is 0. The equivalence
+// is asserted in tests.
 func (ms *ModelState) Memory() MemoryBreakdown {
 	var b MemoryBreakdown
 	for _, st := range ms.states {
@@ -252,7 +257,6 @@ func (ms *ModelState) Memory() MemoryBreakdown {
 		b.Theta16 += BytesTheta16 * int64(st.p.Size())
 		b.Grad16 += BytesGrad16 * stored
 		b.Theta32 += BytesTheta32 * stored
-		b.Grad32 += BytesGrad32 * stored
 		b.OptStates += int64(ms.opt.StateBytesPerParam()) * stored
 		// Layer-owned structure (e.g. a SparseLinear's CSR patterns) rides
 		// with the parameter it indexes.
@@ -272,9 +276,3 @@ func (ms *ModelState) Fingerprint() uint64 {
 
 // Model returns the managed model.
 func (ms *ModelState) Model() *nn.Model { return ms.model }
-
-func zero(s []float32) {
-	for i := range s {
-		s[i] = 0
-	}
-}

@@ -17,9 +17,10 @@ import (
 // The state-pass golden. refCapture / refOverflow / refStepGiven are the
 // capture, overflow-scan, up-scale and down-cast loops as they stood before
 // they became fused fp16 kernels: one scalar Round per element, a separate
-// clearing sweep, a compressed half copy expanded with a zero-fill. They run
-// on a ModelState of their own, in lockstep with states driven through the
-// real GradHook / Step at several worker counts, fed the same gradients.
+// clearing sweep, a compressed half copy expanded with a zero-fill, and a
+// ∇θ32 vector of its own per parameter and step beside ∇θ16. They run on a
+// ModelState of their own, in lockstep with states driven through the real
+// GradHook / Step at several worker counts, fed the same gradients.
 
 func refCapture(ms *ModelState, p *nn.Param) {
 	st := ms.byParam[p]
@@ -52,26 +53,30 @@ func refOverflow(ms *ModelState) bool {
 	return false
 }
 
-func refStepGiven(ms *ModelState, overflow bool) bool {
+// refStepGiven also returns the pre-clip norm of an applied step (0 when
+// ClipNorm is off).
+func refStepGiven(ms *ModelState, overflow bool) (applied bool, norm float64) {
 	scaleUsed := ms.Scaler.Scale
 	if !ms.Scaler.Update(overflow) {
 		ms.skipped++
 		for _, st := range ms.states {
-			zero(st.grad16)
+			clear(st.grad16)
 		}
-		return false
+		return false, 0
 	}
 	invScale := float32(1 / scaleUsed)
-	for _, st := range ms.states {
-		for i, g := range st.grad16 {
-			st.grad32[i] = g * invScale
+	grad32 := make([][]float32, len(ms.states))
+	for i, st := range ms.states {
+		grad32[i] = make([]float32, len(st.grad16))
+		for j, g := range st.grad16 {
+			grad32[i][j] = g * invScale
 		}
 	}
 	if ms.ClipNorm > 0 {
-		optim.ClipGradNorm(ms.clipBufs, ms.ClipNorm)
+		norm = optim.ClipGradNorm(grad32, ms.ClipNorm)
 	}
-	for _, st := range ms.states {
-		ms.opt.Step(st.p.Name, st.theta32, st.grad32)
+	for i, st := range ms.states {
+		ms.opt.Step(st.p.Name, st.theta32, grad32[i])
 		if st.compressed {
 			tmp16 := make([]float32, len(st.theta32))
 			for i, v := range st.theta32 {
@@ -84,10 +89,10 @@ func refStepGiven(ms *ModelState, overflow bool) bool {
 				dst[i] = fp16.Round(v)
 			}
 		}
-		zero(st.grad16)
+		clear(st.grad16)
 	}
 	ms.steps++
-	return true
+	return true, norm
 }
 
 // statePassDims gives the hidden layer 448² = 200 704 weights: 13 grains
@@ -219,11 +224,15 @@ func TestStatePassMatchesReferenceLoops(t *testing.T) {
 		pruneStep    = 2 // 90 % → 95 % after this step
 	)
 	sched := prune.Schedule{Initial: 0.9, Final: 0.95, BeginStep: pruneStep, EndStep: pruneStep, Frequency: 1}
+	// clip0 runs unclipped. clip1 clips below every pre-clip norm the
+	// gradients below produce (0.016–0.099), so each applied step scales
+	// every gradient; the reference checks that it did.
+	clips := []float64{0, 0.01}
 
 	for _, shape := range []string{"dense", "masked-dense", "samo90", "sparselinear"} {
 		for optName, newOpt := range opts {
-			for _, clip := range []float64{0, 1} {
-				t.Run(fmt.Sprintf("%s/%s/clip%g", shape, optName, clip), func(t *testing.T) {
+			for ci, clip := range clips {
+				t.Run(fmt.Sprintf("%s/%s/clip%d", shape, optName, ci), func(t *testing.T) {
 					defer tensor.SetWorkers(tensor.SetWorkers(1))
 					// states[0] is the reference; states[1+i] runs at workerCounts[i].
 					states := make([]*ModelState, 1+len(workerCounts))
@@ -280,9 +289,12 @@ func TestStatePassMatchesReferenceLoops(t *testing.T) {
 								sameCaptured(t, fmt.Sprintf("step %d microbatch %d workers %d", step, mb, workerCounts[i]), ms, ref)
 							}
 						}
-						applied := refStepGiven(ref, refOverflow(ref))
+						applied, norm := refStepGiven(ref, refOverflow(ref))
 						if applied == (step == overflowStep) {
 							t.Fatalf("step %d: reference applied = %v", step, applied)
+						}
+						if applied && clip > 0 && norm <= clip {
+							t.Fatalf("step %d: pre-clip norm %g does not exceed ClipNorm %g, so nothing was clipped", step, norm, clip)
 						}
 						pruned := pruners[0].MaybePrune(step)
 						if want := step == pruneStep && shape != "dense"; pruned != want {

@@ -95,11 +95,15 @@ func TestKernelsMatchOracle(t *testing.T) {
 					want[i] = roundOracle(v)
 				}
 				got := make([]float32, n)
-				RoundSlice(got, src)
+				RoundSlice(got, src, nil)
 				sameBits(t, "RoundSlice", got, want)
 				got = clone(src)
-				RoundSlice(got, got)
+				RoundSlice(got, got, nil)
 				sameBits(t, "RoundSlice in place", got, want)
+				got, drain := make([]float32, n), clone(acc0)
+				RoundSlice(got, src, drain)
+				sameBits(t, "RoundSlice draining", got, want)
+				sameBits(t, "RoundSlice drain", drain, make([]float32, n))
 
 				for i := range want {
 					want[i] = roundOracle(acc0[i] + src[i])
@@ -116,8 +120,12 @@ func TestKernelsMatchOracle(t *testing.T) {
 					for i, id := range ids {
 						want[id] = roundOracle(packed[i])
 					}
-					RoundScatter(got, packed, ids)
+					RoundScatter(got, packed, ids, nil)
 					sameBits(t, "RoundScatter/"+name, got, want)
+					got, drain := clone(acc0), clone(packed)
+					RoundScatter(got, packed, ids, drain)
+					sameBits(t, "RoundScatter draining/"+name, got, want)
+					sameBits(t, "RoundScatter drain/"+name, drain, make([]float32, len(ids)))
 
 					want, got = clone(packed), clone(packed)
 					for i, id := range ids {
@@ -141,11 +149,13 @@ func TestKernelsMatchOracle(t *testing.T) {
 func TestKernelsRejectLengthMismatch(t *testing.T) {
 	a, b, ids := make([]float32, 4), make([]float32, 3), make([]int32, 2)
 	for name, f := range map[string]func(){
-		"RoundSlice":       func() { RoundSlice(a, b) },
-		"RoundScatter":     func() { RoundScatter(a, b, ids) },
-		"AccumRoundClear":  func() { AccumRoundClear(a, b) },
-		"AccumRoundGather": func() { AccumRoundGather(a, b, ids) },
-		"AccumRoundAt":     func() { AccumRoundAt(a, b, ids) },
+		"RoundSlice":         func() { RoundSlice(a, b, nil) },
+		"RoundSlice drain":   func() { RoundSlice(a, a, b) },
+		"RoundScatter":       func() { RoundScatter(a, b, ids, nil) },
+		"RoundScatter drain": func() { RoundScatter(a, b[:2], ids, b) },
+		"AccumRoundClear":    func() { AccumRoundClear(a, b) },
+		"AccumRoundGather":   func() { AccumRoundGather(a, b, ids) },
+		"AccumRoundAt":       func() { AccumRoundAt(a, b, ids) },
 	} {
 		func() {
 			defer func() {
@@ -164,7 +174,7 @@ func TestKernelsRejectLengthMismatch(t *testing.T) {
 // time the branch predictor instead).
 func BenchmarkKernels(b *testing.B) {
 	const n = 768 * 768
-	src, acc := make([]float32, n), make([]float32, n)
+	src, acc, drain := make([]float32, n), make([]float32, n), make([]float32, n)
 	for i := range src {
 		src[i] = float32(i%1999-999) / 256
 	}
@@ -175,8 +185,8 @@ func BenchmarkKernels(b *testing.B) {
 		elems int
 		f     func()
 	}{
-		{"RoundSlice", n, func() { RoundSlice(acc, src) }},
-		{"RoundScatter", len(ids), func() { RoundScatter(acc, packed, ids) }},
+		{"RoundSlice", n, func() { RoundSlice(acc, src, drain) }},
+		{"RoundScatter", len(ids), func() { RoundScatter(acc, packed, ids, drain[:len(ids)]) }},
 		{"AccumRoundClear", n, func() { AccumRoundClear(acc, src) }},
 		{"AccumRoundGather", len(ids), func() { AccumRoundGather(packed, src, ids) }},
 		{"AccumRoundAt", len(ids), func() { AccumRoundAt(acc, src, ids) }},

@@ -41,7 +41,7 @@ import (
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
-// ordinary dense-vector path: θ32/∇θ16/∇θ32/os all have length NNZ and the
+// ordinary dense-vector path: θ32/∇θ16/os all have length NNZ and the
 // fp16 down-cast writes straight into the CSR values the kernels read. The
 // dense-masked copy is refreshed from W.Val at use time (weights only
 // change between step boundaries, never between a microbatch's forward and

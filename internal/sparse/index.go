@@ -10,9 +10,10 @@ import (
 // (Section III-B). Two design decisions from the paper are load-bearing and
 // reproduced exactly:
 //
-//  1. All compressed model states of a layer (θ32, ∇θ16, ∇θ32, os) share ONE
-//     Index — storing it once instead of four times is what keeps the index
-//     overhead at 4fφ bytes rather than 16fφ.
+//  1. All compressed model states of a layer (θ32, ∇θ16, ∇θ32, os in the
+//     paper; core.ModelState stores no ∇θ32) share ONE Index — storing it
+//     once instead of once per state is what keeps the index overhead at
+//     4fφ bytes rather than 16fφ.
 //  2. Indices address a hypothetical one-dimensional view of the state
 //     tensor, so an N-dimensional tensor needs one int32 per non-zero instead
 //     of N — an N× saving.

@@ -228,10 +228,9 @@
 // smallest-magnitude surviving weights — per layer or by global ranking —
 // until the final sparsity is reached, letting the network adapt between
 // events. The defining property of the implementation is that every event
-// shrinks the existing storage IN PLACE: CSR patterns and their cached
-// transposes, the compressed θ32/∇θ32 vectors, optimizer moments and the
-// bucketed all-reduce slabs all compact leftward inside their original
-// backing arrays, so NNZ only ever decreases, memory and communication
+// shrinks the existing storage IN PLACE: CSR patterns, the compressed θ32
+// vectors, optimizer moments and the bucketed all-reduce slabs all compact
+// leftward inside their original backing arrays, so NNZ only ever decreases, memory and communication
 // volume ratchet down with the schedule, and training between events stays
 // allocation-free. Selection reads the θ32 master weights after the global
 // overflow consensus, where every data-parallel replica is
@@ -327,8 +326,8 @@ type (
 const (
 	// ModeDense is ordinary mixed-precision training.
 	ModeDense = core.Dense
-	// ModeSAMO compresses θ32, ∇θ16, ∇θ32 and optimizer states to the
-	// unpruned coordinates (the paper's contribution).
+	// ModeSAMO compresses θ32, ∇θ16 and optimizer states to the unpruned
+	// coordinates (the paper's contribution).
 	ModeSAMO = core.SAMO
 )
 
