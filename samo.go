@@ -230,9 +230,9 @@
 // events. The defining property of the implementation is that every event
 // shrinks the existing storage IN PLACE: CSR patterns, the compressed θ32
 // vectors, optimizer moments and the bucketed all-reduce slabs all compact
-// leftward inside their original backing arrays, so NNZ only ever decreases, memory and communication
-// volume ratchet down with the schedule, and training between events stays
-// allocation-free. Selection reads the θ32 master weights after the global
+// leftward inside their original backing arrays, so NNZ only ever
+// decreases, memory and communication volume ratchet down with the
+// schedule, and training between events stays allocation-free. Selection reads the θ32 master weights after the global
 // overflow consensus, where every data-parallel replica is
 // bitwise-identical — so all replicas (and the masked-dense reference
 // mode) shrink to the exact same pattern with no extra communication, at
