@@ -117,26 +117,15 @@ func RoundSlice(dst, src, drain []float32) {
 func roundChunk(ctx any, lo, hi int) {
 	j := ctx.(*job)
 	dst, src := j.dst[lo:hi], j.src[lo:hi]
-	if j.drain != nil {
-		// Zeroed in the rounding loop: a clear after it read ≈ 3 % slower
-		// on the dense state pass (BenchmarkStatePass/Dense).
-		drain := j.drain[lo:hi]
-		for i, v := range src {
-			r, ok := roundFinite(v)
-			if !ok {
-				r = Round(v)
-			}
-			dst[i] = r
-			drain[i] = 0
-		}
-		return
-	}
 	for i, v := range src {
 		r, ok := roundFinite(v)
 		if !ok {
 			r = Round(v)
 		}
 		dst[i] = r
+	}
+	if j.drain != nil {
+		clear(j.drain[lo:hi])
 	}
 }
 
