@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"unsafe"
@@ -392,5 +394,55 @@ func BenchmarkStatePass(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
 		})
+	}
+}
+
+// TestGPTStateBitsPinned trains a small SAMO GPT with gradient clipping for
+// a few steps and compares a hash of its checkpoint (θ32, Adam's moments,
+// the loss scale) and of every step's loss to constants recorded on an amd64
+// host with FMA, at several worker counts. Attention's softmax, GELU's tanh
+// and the cross-entropy all run math.Exp, which takes an FMA path on such
+// hosts. The other goldens compare two states built in one process, so only
+// a recorded constant shows whether a host without that path
+// (GODEBUG=cpu.fma=off stands in for one) lands on the same bits.
+func TestGPTStateBitsPinned(t *testing.T) {
+	const (
+		wantState = 0x835cfbf31990ca14
+		wantLoss  = 0xd74cd8289cc1ecdf
+		steps     = 8
+	)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		cfg := nn.GPTConfig{Name: "pinned-gpt", Layers: 2, Hidden: 16, Heads: 2,
+			Seq: 8, Vocab: 32, BatchSize: 2}
+		ms := stateFor(nn.BuildGPT(cfg, tensor.NewRNG(41)), SAMO, 0.5)
+		ms.ClipNorm = 1 // the pre-clip norms here are ≈ 10–17
+		tr := NewTrainer(ms)
+		tokens := make([]int, 2*cfg.Seq)
+		targets := make([]int, 2*cfg.Seq)
+		drng := tensor.NewRNG(42)
+		lossHash := fnv.New64a()
+		for step := 0; step < steps; step++ {
+			for i := range tokens {
+				tokens[i] = drng.Intn(cfg.Vocab)
+				targets[i] = drng.Intn(cfg.Vocab)
+			}
+			loss, _ := tr.TrainStep(nn.TokensToTensor(tokens), targets)
+			binary.Write(lossHash, binary.LittleEndian, math.Float64bits(loss))
+		}
+		if ms.steps < steps/2 {
+			t.Fatalf("%d workers: only %d of %d steps applied", workers, ms.steps, steps)
+		}
+		stateHash := fnv.New64a()
+		if _, err := ms.Save(stateHash); err != nil {
+			t.Fatal(err)
+		}
+		if got := stateHash.Sum64(); got != wantState {
+			t.Errorf("%d workers: state hash %#x, recorded %#x", workers, got, uint64(wantState))
+		}
+		if got := lossHash.Sum64(); got != wantLoss {
+			t.Errorf("%d workers: loss hash %#x, recorded %#x", workers, got, uint64(wantLoss))
+		}
 	}
 }
