@@ -232,12 +232,12 @@
 // vectors, optimizer moments and the bucketed all-reduce slabs all compact
 // leftward inside their original backing arrays, so NNZ only ever
 // decreases, memory and communication volume ratchet down with the
-// schedule, and training between events stays allocation-free. Selection reads the θ32 master weights after the global
-// overflow consensus, where every data-parallel replica is
-// bitwise-identical — so all replicas (and the masked-dense reference
-// mode) shrink to the exact same pattern with no extra communication, at
-// any worker count, on either transport, with overlap on or off. Every
-// parameter has one of four storage shapes — dense, masked-dense,
+// schedule, and training between events stays allocation-free. Selection
+// reads the θ32 master weights after the global overflow consensus, where
+// every data-parallel replica is bitwise-identical — so all replicas (and the
+// masked-dense reference mode) shrink to the exact same pattern with no extra
+// communication, at any worker count, on either transport, with overlap on or
+// off. Every parameter has one of four storage shapes — dense, masked-dense,
 // SAMO-compressed or a pattern layer's CSR values — and
 // internal/core/shape.go is the one file that knows them, so a new weight
 // format touches that file rather than the state, pruner and snapshot code.
