@@ -5,9 +5,8 @@
 // MEASURES the sparse execution path on this host: the same pruned MLP
 // trained masked-dense versus through CSR kernels (samo.Sparsify),
 // reporting per-step time, the pruned-FLOPs speedup and the model-state
-// memory both ways. The sparse layers follow the density rule: at the
-// default -sparsity 0.9 they run CSR, and a model below 50% sparsity runs
-// masked-dense on both sides.
+// memory both ways. The sparse side runs CSR at every -sparsity (default
+// 0.9).
 package main
 
 import (

@@ -12,7 +12,6 @@ import (
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -141,67 +140,27 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 }
 
 // sparseMLPBuilder builds the test MLP with its Linears replaced by
-// first-class SparseLinear layers in auto mode, so the engine's prune events
-// exercise the in-place CSR pattern shrink and carry the layers across the
-// crossover's half-density line. A non-nil witness wraps every
-// SparseLinear in a ruleWitness.
-func sparseMLPBuilder(seed uint64, sparsity float64, witness *pathLog) Builder {
+// first-class SparseLinear layers, so the engine's prune events exercise the
+// in-place CSR pattern shrink.
+func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 	return func() *nn.Model {
 		m := nn.BuildMLP("mlp", []int{inDim, 10, 8, classes}, tensor.NewRNG(seed))
 		var layers []prune.Layer
 		for _, e := range m.PruneLayers() {
 			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 		}
-		pr := prune.MagnitudePerLayer(layers, sparsity)
-		sm := nn.Sparsify(m, pr)
-		for i, l := range sm.Layers {
-			if sl, ok := l.(*nn.SparseLinear); ok && witness != nil {
-				sm.Layers[i] = ruleWitness{sl, witness}
-			}
-		}
-		return sm
+		return nn.Sparsify(m, prune.MagnitudePerLayer(layers, sparsity))
 	}
 }
 
-// pathLog records, per layer, whether each forward ran CSR (all ranks
-// interleaved; steps are collective, so the order across steps is total).
-type pathLog struct {
-	mu  sync.Mutex
-	csr map[string][]bool
-}
-
-// ruleWitness pins a SparseLinear, forward by forward, to the path
-// sparse.XoverDecide names for its current pattern and logs it: a run
-// through witnesses is the reference an auto-mode run must equal bitwise.
-type ruleWitness struct {
-	*nn.SparseLinear
-	log *pathLog
-}
-
-func (w ruleWitness) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	n, full := w.W.NNZ(), w.PatternFullLen()
-	_, c, _ := sparse.XoverDecide(sparse.XoverOpForward, x.Dim(0), w.W.Cols, w.W.Rows, n, full)
-	csr := c == sparse.XoverSparse
-	w.Exec = nn.ExecDense
-	if csr {
-		w.Exec = nn.ExecSparse
-	}
-	w.log.mu.Lock()
-	w.log.csr[w.Wv.Name] = append(w.log.csr[w.Wv.Name], csr)
-	w.log.mu.Unlock()
-	return w.SparseLinear.Forward(a, x, train)
-}
-
-// TestGradualPruneSparseLayersBitwise runs the ramp over auto-mode
-// SparseLinear pattern layers — CSR shrink, cached-transpose refresh, bucket
-// compaction of the rank-1 weight vectors — and pins overlap-on ≡
-// overlap-off ≡ the rule-pinned reference, in which every layer runs dense
-// before, and CSR from, the first event that leaves it at least half
-// sparse: the ramp (0.3 → 0.8) crosses the line mid-run.
+// TestGradualPruneSparseLayersBitwise runs the ramp over SparseLinear
+// pattern layers — CSR shrink and bucket compaction of the rank-1 weight
+// vectors — and pins overlap-on ≡ overlap-off as the ramp (0.3 → 0.8)
+// carries every layer from below to above half sparsity.
 func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 	pr := pruneMLP(67, 0.3)
 	// Two batches more than the schedule's six: steps that run at the final
-	// 0.8, past the line.
+	// 0.8.
 	batches := makeBatches(8, 16, 7300)
 	cfg := Config{
 		Ginter: 1, Gdata: 2, Microbatch: 1,
@@ -210,26 +169,10 @@ func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 		ReduceBucketElems: overlapBucketElems,
 		PruneSchedule:     gradualSchedule(),
 	}
-	witness := &pathLog{csr: map[string][]bool{}}
-	ref := Train(cfg, sparseMLPBuilder(67, 0.3, witness), adamBuilder(), pr, batches)
-	off := Train(cfg, sparseMLPBuilder(67, 0.3, nil), adamBuilder(), pr, batches)
+	off := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
 	cfg.OverlapReduce = true
-	on := Train(cfg, sparseMLPBuilder(67, 0.3, nil), adamBuilder(), pr, batches)
-	assertTrainBitwise(t, "sparse-layer gradual, auto vs rule-pinned", ref, off)
+	on := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
 	assertTrainBitwise(t, "sparse-layer gradual", off, on)
-	if len(witness.csr) != 3 {
-		t.Fatalf("witnessed %d sparse layers, want 3", len(witness.csr))
-	}
-	for name, csr := range witness.csr {
-		if csr[0] || !csr[len(csr)-1] {
-			t.Fatalf("%s: first forward CSR=%v, last CSR=%v; want the ramp to carry it from dense to CSR", name, csr[0], csr[len(csr)-1])
-		}
-		for i := 1; i < len(csr); i++ {
-			if csr[i-1] && !csr[i] {
-				t.Fatalf("%s: forward %d ran dense after a CSR forward", name, i)
-			}
-		}
-	}
 }
 
 // TestCrashAtPruneEventRecoversBitwise is the recovery golden the schedule

@@ -195,7 +195,7 @@ func TestGradualPruneGlobalPooledTarget(t *testing.T) {
 // gradient walks the shrunk pattern in place — keeps reducing the loss
 // afterwards.
 func TestGradualPruneSparseExecLayers(t *testing.T) {
-	sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.5, 54)
+	sm, ms := buildSparseExecSetup(0.5, 54)
 	gp, err := NewGradualPruner(ms, testSchedule())
 	if err != nil {
 		t.Fatal(err)
@@ -293,9 +293,9 @@ var shrinkShapes = []struct {
 		func(seed uint64) *ModelState { _, ms, _ := buildTestSetup(Dense, 0.5, seed); return ms },
 		func(seed uint64) *InferenceState { _, is := buildInferSetup(Dense, 0.5, seed); return is }},
 	{"sparse-exec", 16, 8,
-		func(seed uint64) *ModelState { _, ms := buildSparseExecSetup(nn.ExecSparse, 0.5, seed); return ms },
+		func(seed uint64) *ModelState { _, ms := buildSparseExecSetup(0.5, seed); return ms },
 		func(seed uint64) *InferenceState {
-			sm, pr := sparseExecModel(nn.ExecSparse, 0.5, seed)
+			sm, pr := sparsifiedModel(0.5, seed)
 			return NewInferenceState(sm, optim.NewAdam(0.01), SAMO, pr)
 		}},
 }

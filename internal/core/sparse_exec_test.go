@@ -11,17 +11,16 @@ import (
 )
 
 // buildSparseExecSetup prunes an MLP and replaces its Linears with
-// first-class SparseLinear layers in the given execution mode,
-// wrapped in a SAMO-mode ModelState — the sparse-execution training stack
-// end to end.
-func buildSparseExecSetup(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *ModelState) {
-	sm, pr := sparseExecModel(exec, sparsity, seed)
+// first-class SparseLinear layers, wrapped in a SAMO-mode ModelState — the
+// sparse-execution training stack end to end.
+func buildSparseExecSetup(sparsity float64, seed uint64) (*nn.Model, *ModelState) {
+	sm, pr := sparsifiedModel(sparsity, seed)
 	return sm, NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
 }
 
-// sparseExecModel is buildSparseExecSetup's model and pruning result, for
+// sparsifiedModel is buildSparseExecSetup's model and pruning result, for
 // callers that wrap them in a state of their own.
-func sparseExecModel(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model, *prune.Result) {
+func sparsifiedModel(sparsity float64, seed uint64) (*nn.Model, *prune.Result) {
 	rng := tensor.NewRNG(seed)
 	m := nn.BuildMLP("smlp", []int{16, 32, 8}, rng)
 	var layers []prune.Layer
@@ -29,52 +28,39 @@ func sparseExecModel(exec nn.ExecMode, sparsity float64, seed uint64) (*nn.Model
 		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 	}
 	pr := prune.MagnitudePerLayer(layers, sparsity)
-	sm := nn.Sparsify(m, pr)
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sl.Exec = exec
-		}
-	}
-	return sm, pr
+	return nn.Sparsify(m, pr), pr
 }
 
 // TestSparseExecTrainStepZeroAlloc pins the sparse execution path's perf
 // contract: a full pruned-model TrainStep over SparseLinear layers — CSR
 // forward, SDDMM weight gradient, in-place CSR input gradient, rank-1
 // weight-vector capture and optimizer step — runs at zero steady-state
-// allocations, on both execution paths (the dense fallback materializes its
-// masked-dense scratch once, then stays allocation-free).
+// allocations.
 func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
-	for _, exec := range []nn.ExecMode{nn.ExecSparse, nn.ExecDense} {
-		_, ms := buildSparseExecSetup(exec, 0.9, 17)
-		tr := NewTrainer(ms)
-		x, targets := makeBatch(16, 16, 8, 18)
-		for i := 0; i < 3; i++ {
-			tr.TrainStep(x, targets)
-		}
-		if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
-			t.Errorf("exec=%d: sparse TrainStep allocates %.1f per step, want 0", exec, a)
-		}
+	_, ms := buildSparseExecSetup(0.9, 17)
+	tr := NewTrainer(ms)
+	x, targets := makeBatch(16, 16, 8, 18)
+	for i := 0; i < 3; i++ {
+		tr.TrainStep(x, targets)
+	}
+	if a := testing.AllocsPerRun(30, func() { tr.TrainStep(x, targets) }); a != 0 {
+		t.Errorf("sparse TrainStep allocates %.1f per step, want 0", a)
 	}
 }
 
 // TestSparseLinearForwardBackwardZeroAlloc pins the layer in isolation: a
-// steady-state forward+backward pair over the arena — including, on the
-// dense path, the masked-dense re-materialization — allocates nothing. Workers are pinned above one so
-// the pooled parallel dispatch (not the inline fallback) is what is pinned.
+// steady-state forward+backward pair over the arena allocates nothing.
+// Workers are pinned above one so the pooled parallel dispatch (not the
+// inline fallback) is what is pinned.
 func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	for _, tc := range []struct {
-		exec     nn.ExecMode
-		sparsity float64 // 50%: SDDMM reads x through the windowed kernel
-	}{{nn.ExecSparse, 0.9}, {nn.ExecSparse, 0.5}, {nn.ExecDense, 0.9}} {
-		exec := tc.exec
+	// 50%: SDDMM reads x through the windowed kernel.
+	for _, sparsity := range []float64{0.9, 0.5} {
 		rng := tensor.NewRNG(19)
 		dense := nn.NewLinear("fc", 64, 48, rng)
 		pr := prune.MagnitudePerLayer(
-			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, tc.sparsity)
+			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, sparsity)
 		sl := nn.NewSparseLinear("fc", dense.W.Value, pr.Index("fc.weight"))
-		sl.Exec = exec
 		x := tensor.New(32, 64)
 		tensor.FillNormal(x, 1, rng)
 		arena := tensor.NewArena()
@@ -87,36 +73,33 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 			step()
 		}
 		if a := testing.AllocsPerRun(30, step); a != 0 {
-			t.Errorf("exec=%d sparsity=%g: SparseLinear forward+backward allocates %.1f per step, want 0", exec, tc.sparsity, a)
+			t.Errorf("sparsity=%g: SparseLinear forward+backward allocates %.1f per step, want 0", sparsity, a)
 		}
 	}
 }
 
 // TestSparseExecTrainStepDeterminism pins the acceptance contract on the
 // whole pruned-model training step: training is bitwise-identical — loss
-// bits and θ32 — at every worker count, with the CSR path pinned and in auto
-// mode (a 30%-sparse model, which the density rule runs dense-masked, and a
-// 50%-sparse one, which it runs CSR with the windowed SDDMM): every
-// sparse kernel accumulates in a fixed per-element order and the path is a
-// function of the pattern, so neither pool resizing nor timing can perturb
-// results.
+// bits and θ32 — at every worker count, at 90% sparsity, at 50% (the
+// windowed SDDMM) and at 30%, below the half-density line: every sparse
+// kernel accumulates in a fixed per-element order, so neither pool resizing
+// nor timing can perturb results.
 func TestSparseExecTrainStepDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	for _, tc := range []struct {
 		name     string
-		exec     nn.ExecMode
 		sparsity float64
 		workers  []int
 	}{
-		{"pinned sparse 90%", nn.ExecSparse, 0.9, []int{1, 2, 3, 4, 8, 16}},
-		{"auto 30%", nn.ExecAuto, 0.3, []int{1, 4}},
-		{"auto 50%", nn.ExecAuto, 0.5, []int{1, 4}},
+		{"90%", 0.9, []int{1, 2, 3, 4, 8, 16}},
+		{"50%", 0.5, []int{1, 4}},
+		{"30%", 0.3, []int{1, 4}},
 	} {
 		var refLoss []float64
 		var ref [][]float32
 		for _, workers := range tc.workers {
 			tensor.SetWorkers(workers)
-			_, ms := buildSparseExecSetup(tc.exec, tc.sparsity, 23)
+			_, ms := buildSparseExecSetup(tc.sparsity, 23)
 			tr := NewTrainer(ms)
 			var losses []float64
 			for step := 0; step < 4; step++ {
@@ -166,11 +149,6 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 	}
 	pr := prune.MagnitudePerLayer(layers, 0.9)
 	sm := nn.Sparsify(m2, pr)
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sl.Exec = nn.ExecSparse
-		}
-	}
 	msS := NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
 
 	trD, trS := NewTrainer(msD), NewTrainer(msS)
@@ -220,7 +198,7 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 // keeps θ16 dense only because it computes dense; under sparse execution it
 // compresses too) and the CSR structure is accounted as index bytes.
 func TestSparseExecMemoryLedger(t *testing.T) {
-	sm, ms := buildSparseExecSetup(nn.ExecSparse, 0.9, 31)
+	sm, ms := buildSparseExecSetup(0.9, 31)
 	b := ms.Memory()
 	var nnz, biases int64
 	var meta int64

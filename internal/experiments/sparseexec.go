@@ -23,11 +23,10 @@ type SparseExecRow struct {
 // this machine's CPU kernels instead of the calibrated Summit model. It
 // times one FC layer's forward+backward at the paper's pruned sparsities,
 // masked-dense (nn.Linear over weights with zeros) versus first-class
-// sparse execution (nn.SparseLinear pinned to the CSR kernels), and prints
-// the pruned-FLOPs speedup. The expected shape: sparse loses or roughly
-// ties at 50% sparsity — the regime where the density-aware crossover
-// falls back to dense — and wins increasingly past 90%, where only
-// (1−p)·flops survive.
+// sparse execution (nn.SparseLinear, always the CSR kernels), and prints
+// the pruned-FLOPs speedup. The expected shape: at 30% sparsity the
+// 128-wide layer is faster masked-dense and the 256-wide one about level,
+// and CSR wins increasingly past 90%, where only (1−p)·flops survive.
 func SparseExec(w io.Writer) []SparseExecRow {
 	const batch = 64
 	const timedIters = 3
@@ -35,7 +34,7 @@ func SparseExec(w io.Writer) []SparseExecRow {
 	fmt.Fprintf(w, "%6s %10s %12s %12s %9s\n", "dim", "sparsity", "dense(ms)", "sparse(ms)", "speedup")
 	var rows []SparseExecRow
 	for _, dim := range []int{128, 256} {
-		for _, sparsity := range []float64{0.5, 0.9, 0.99} {
+		for _, sparsity := range []float64{0.3, 0.5, 0.9, 0.99} {
 			rng := tensor.NewRNG(uint64(dim)*100 + uint64(sparsity*100))
 			dense := nn.NewLinear("fc", dim, dim, rng)
 			pr := prune.MagnitudePerLayer(
@@ -43,7 +42,6 @@ func SparseExec(w io.Writer) []SparseExecRow {
 			ix := pr.Index("fc.weight")
 			ix.Mask().Apply(dense.W.Value.Data())
 			sl := nn.NewSparseLinear("fc", dense.W.Value, ix)
-			sl.Exec = nn.ExecSparse
 			copy(sl.B.Value.Data(), dense.B.Value.Data())
 
 			x := tensor.New(batch, dim)
@@ -68,7 +66,7 @@ func SparseExec(w io.Writer) []SparseExecRow {
 				dim, sparsity, r.DenseMS, r.SparseMS, r.Speedup)
 		}
 	}
-	fmt.Fprintln(w, "(speedup < 1 at low sparsity is the crossover's point: it falls back to dense there)")
+	fmt.Fprintln(w, "(speedup < 1: a layer this lightly pruned runs faster left as a masked Linear)")
 	return rows
 }
 

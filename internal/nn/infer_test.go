@@ -101,28 +101,19 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // TestInferSparsifiedMatchesEvalForward extends the golden to sparse
 // execution: a Sparsify'd MLP's inference path must match its own eval
-// forward bitwise at every worker count, with every layer pinned to either
-// path and under the density rule.
+// forward bitwise at every worker count, below and above the half-density
+// line.
 func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
-	for _, tc := range []struct {
-		name string
-		exec ExecMode
-	}{{"sparse", ExecSparse}, {"dense", ExecDense}, {"auto", ExecAuto}} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, sparsity := range []float64{0.3, 0.9} {
+		t.Run(fmt.Sprintf("sparsity=%g", sparsity), func(t *testing.T) {
 			rng := tensor.NewRNG(5)
 			base := BuildMLP("smlp", []int{24, 48, 10}, rng)
 			var layers []prune.Layer
 			for _, e := range base.PruneLayers() {
 				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 			}
-			pr := prune.MagnitudePerLayer(layers, 0.9)
-			m := Sparsify(base, pr)
-			for _, l := range m.Layers {
-				if sl, ok := l.(*SparseLinear); ok {
-					sl.Exec = tc.exec
-				}
-			}
+			m := Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
 			x := tensor.New(6, 24)
 			tensor.FillNormal(x, 1, rng)
 

@@ -29,23 +29,14 @@ import (
 // on a pattern at least a quarter dense, xᵀ otherwise; both give the same
 // bits.
 //
-// Because sparse kernels only win past a density threshold (Hoefler et al.
-// 2021), each product asks the sparse/dense crossover (sparse.XoverDecide,
-// a rule over the pattern's density alone — so the path, and with it the
-// result bits, is a function of the layer, never of timing): a layer less
-// than 50% sparse runs a dense GEMM over a lazily materialized masked-dense
-// copy of the weight, while the weight gradient stays SDDMM on either path
-// (the dense-masked weight-gradient would materialize exactly the pruned
-// entries this layer exists to avoid). The Exec field pins the choice per
-// layer.
+// The layer runs CSR at every density. A pruned weight meant to compute
+// densely stays a *Linear under a masked model state (core.Dense or SAMO) —
+// the paper's masked-dense path.
 //
 // The optimizer sees the weight as Wv — a rank-1 parameter of length NNZ
 // whose Value aliases W.Val — so core.ModelState drives it through its
 // ordinary dense-vector path: θ32/∇θ16/os all have length NNZ and the
-// fp16 down-cast writes straight into the CSR values the kernels read. The
-// dense-masked copy is refreshed from W.Val at use time (weights only
-// change between step boundaries, never between a microbatch's forward and
-// backward).
+// fp16 down-cast writes straight into the CSR values the kernels read.
 type SparseLinear struct {
 	// W is the primary pattern: (out, in) CSR — row j holds output neuron
 	// j's surviving input weights. Wv.Value aliases W.Val, so optimizer
@@ -59,20 +50,7 @@ type SparseLinear struct {
 	// B is the dense bias.
 	Wv, B *Param
 
-	// Exec pins this layer's execution path (benchmarks, the pure-sparse
-	// baseline); ExecAuto asks the crossover rule.
-	Exec ExecMode
-
 	in, out int
-
-	// Masked-dense fallback state: present iff the layer's last product ran
-	// dense. denseFresh marks the copy as synced by THIS microbatch's
-	// Forward, letting its Backward skip the O(out·in) re-materialization
-	// (weights cannot change between a microbatch's forward and backward —
-	// only at step boundaries).
-	denseW     *tensor.Tensor // (out, in), zeros at pruned positions
-	denseIx    *sparse.Index  // scatter map: pattern order -> (out, in) view
-	denseFresh bool
 }
 
 // PatternLayer is a layer whose parameter support can shrink during
@@ -100,18 +78,6 @@ type PatternLayer interface {
 	// prefix.
 	ShrinkPattern(keep []bool)
 }
-
-// ExecMode selects a SparseLinear's execution path.
-type ExecMode uint8
-
-const (
-	// ExecAuto follows sparse.XoverDecide's density rule (the default).
-	ExecAuto ExecMode = iota
-	// ExecSparse always runs the CSR kernels.
-	ExecSparse
-	// ExecDense always runs the dense GEMM over the masked-dense weight.
-	ExecDense
-)
 
 // NewSparseLinear materializes the layer from a dense (in, out) weight and
 // a pruning index over its linearized view. Only indexed entries are read;
@@ -148,6 +114,22 @@ func (l *SparseLinear) setMetaBytes() {
 // model, parameters included — train one model or the other, not both.
 // Biases of converted layers are copied, so the returned model trains
 // independently of the original on the paper's FC workloads.
+//
+// Every converted layer runs CSR, however lightly pruned. Time of one
+// layer's forward+backward below half sparsity (10%, 30%, 49%), divided by
+// CSR's: the masked-dense products (dense GEMMs, SDDMM weight gradient)
+// and a masked *Linear (dense weight gradient too). 2 workers, the fastest
+// of 21–35 steps per side, the sides alternated; three runs on a 2-vCPU
+// host:
+//
+//	                   masked-dense products   masked *Linear
+//	shape              batch 48   batch 576    batch 48   batch 576
+//	640×640, 512×640   1.30–2.29  0.72–1.28    1.16–1.93  0.57–1.20
+//	640×64             0.93–1.47  0.77–1.03    0.77–1.06  0.68–0.97
+//
+// At batch 48, the sparse workloads' batch, CSR wins on the wide layers. A
+// narrow layer, or any layer at batch 576, is level or faster as a masked
+// *Linear below half sparsity: leave such a model unsparsified.
 func Sparsify(m *Model, pr *prune.Result) *Model {
 	out := &Model{Name: m.Name + "-sparse"}
 	for _, l := range m.Layers {
@@ -170,69 +152,24 @@ func Sparsify(m *Model, pr *prune.Result) *Model {
 }
 
 // sparseLinearCache holds the backward SDDMM's operands: xᵀ (in, n), which
-// the CSR forward already built as its own, and the forward input x (n, in)
+// the forward built as its own, and the forward input x (n, in)
 // itself, which lives as long as the step's arena does.
 type sparseLinearCache struct{ x, xT *tensor.Tensor }
 
 var sparseLinearCaches parallel.Pool[sparseLinearCache]
 
-// decide resolves the execution path for one product of this layer.
-func (l *SparseLinear) decide(op sparse.XoverOp, m, k, n int) sparse.XoverChoice {
-	switch l.Exec {
-	case ExecSparse:
-		return sparse.XoverSparse
-	case ExecDense:
-		return sparse.XoverDense
-	}
-	_, c, _ := sparse.XoverDecide(op, m, k, n, l.W.NNZ(), l.in*l.out)
-	return c
-}
-
-// dropDense releases the masked-dense copy: on the sparse path it is dead
-// weight exactly where SAMO wants memory back.
-func (l *SparseLinear) dropDense() {
-	l.denseW, l.denseIx, l.denseFresh = nil, nil, false
-}
-
-// syncDense (re)materializes the masked-dense (out, in) weight from the
-// current CSR values: zero-fill plus pattern scatter, both parallel and
-// allocation-free after the first call. fresh=true marks the copy valid
-// for the rest of this microbatch (consumed by Backward).
-func (l *SparseLinear) syncDense(fresh bool) {
-	if l.denseW == nil {
-		l.denseW = tensor.New(l.out, l.in)
-		l.denseIx = sparse.IndexFromSlice(l.W.LinearIDs(), l.out*l.in)
-	}
-	l.denseIx.Expand(l.denseW.Data(), l.W.Val)
-	l.denseFresh = fresh
-}
-
-// Forward computes y = x·Wᵀ + b for x (n, in) — transposed-CSR SpMM on the
-// sparse path, a dense A·Bᵀ GEMM over the masked-dense weight otherwise.
-// The CSR kernel reads x feature-major, so the sparse path (and training on
-// either path, for the backward SDDMM) transposes x into arena scratch: one
-// O(n·in) copy against the product's O(n·nnz).
+// Forward computes y = x·Wᵀ + b for x (n, in) by transposed-CSR SpMM. The
+// CSR kernel reads x feature-major, so x is transposed into arena scratch:
+// one O(n·in) copy against the product's O(n·nnz).
 func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	if x.Rank() != 2 || x.Dim(1) != l.in {
 		panic(fmt.Sprintf("nn: SparseLinear(%d,%d) got input %v", l.in, l.out, x.Shape()))
 	}
 	n := x.Dim(0)
 	y := a.Get(n, l.out)
-	dense := l.decide(sparse.XoverOpForward, n, l.in, l.out) == sparse.XoverDense
-	var xT *tensor.Tensor
-	if train || !dense {
-		xT = a.Get(l.in, n)
-		tensor.TransposeInto(xT, x)
-	}
-	if dense {
-		// In training the copy stays valid through this microbatch's
-		// backward (an optimizer step cannot intervene).
-		l.syncDense(train)
-		tensor.MatMulTInto(y, x, l.denseW, false)
-	} else {
-		l.dropDense()
-		l.W.TSpMMTInto(y, xT)
-	}
+	xT := a.Get(l.in, n)
+	tensor.TransposeInto(xT, x)
+	l.W.TSpMMTInto(y, xT)
 	tensor.AddBias(y, l.B.Value)
 	if !train {
 		return y, nil
@@ -243,35 +180,22 @@ func (l *SparseLinear) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*
 }
 
 // Backward accumulates dW on the pattern via SDDMM (pruned entries are
-// never computed), db via a row sum, and returns dx = dy·W — on the sparse
-// path the SpMM dxᵀ = Wᵀ·dyᵀ walking W's rows, transposed into dx; a dense
-// GEMM otherwise.
+// never computed), db via a row sum, and returns dx = dy·W: the SpMM
+// dxᵀ = Wᵀ·dyᵀ walking W's rows, transposed into dx.
 func (l *SparseLinear) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*sparseLinearCache)
 	nb := gradOut.Dim(0)
-	// Weight gradient, always sampled at the pattern: SDDMM row-dots read
-	// dyᵀ, transposed into arena scratch here (the CSR input gradient reads
-	// it as well), against xᵀ or x from the forward.
+	// dyᵀ, transposed into arena scratch, feeds both the SDDMM row-dots
+	// (against xᵀ or x from the forward) and the input gradient.
 	dyT := a.Get(l.out, nb)
 	tensor.TransposeInto(dyT, gradOut)
 	l.W.SDDMMInto(l.Wv.Grad.Data(), dyT, c.xT, true, c.x)
 	tensor.SumRowsInto(l.B.Grad, gradOut, true)
 
+	dxT := a.Get(l.in, nb)
+	l.W.TSpMMInto(dxT, dyT)
 	dx := a.Get(nb, l.in)
-	if l.decide(sparse.XoverOpBackward, nb, l.out, l.in) == sparse.XoverDense {
-		// Skip the O(out·in) re-materialization when this microbatch's
-		// forward already synced the copy.
-		if !l.denseFresh {
-			l.syncDense(false)
-		}
-		l.denseFresh = false
-		tensor.MatMulInto(dx, gradOut, l.denseW, false)
-	} else {
-		l.dropDense()
-		dxT := a.Get(l.in, nb)
-		l.W.TSpMMInto(dxT, dyT)
-		tensor.TransposeInto(dx, dxT)
-	}
+	tensor.TransposeInto(dx, dxT)
 	c.x, c.xT = nil, nil
 	sparseLinearCaches.Put(c)
 	return dx
@@ -290,10 +214,8 @@ func (l *SparseLinear) PatternFullLen() int { return l.in * l.out }
 func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
-// place: W's CSR shrinks, the masked-dense fallback (which addresses the
-// old pattern) is dropped — the next product re-materializes it if the
-// shrunk pattern still runs dense — and Wv re-heads onto the compacted
-// value prefix so the optimizer state vectors can shrink in lockstep.
+// place: W's CSR shrinks and Wv re-heads onto the compacted value prefix so
+// the optimizer state vectors can shrink in lockstep.
 // Weight values are untouched: kept weights keep their exact bits.
 func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if len(keep) != l.W.NNZ() {
@@ -305,7 +227,6 @@ func (l *SparseLinear) ShrinkPattern(keep []bool) {
 		sparse.Compact(l.Wv.Grad.Data(), keep)
 	}
 	l.W.ShrinkTo(keep)
-	l.dropDense()
 	nnz := l.W.NNZ()
 	l.Wv.Value = tensor.FromSlice(l.W.Val, nnz)
 	if l.Wv.Grad != nil {

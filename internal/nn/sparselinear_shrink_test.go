@@ -65,7 +65,6 @@ func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 // pattern would produce the old product.
 func TestShrinkPatternGradientsTrackPattern(t *testing.T) {
 	_, sl, _ := sparsePair(10, 8, 0.5, 41)
-	sl.Exec = ExecSparse
 	x := tensor.New(4, 10)
 	tensor.FillNormal(x, 1, tensor.NewRNG(42))
 	gy := tensor.New(4, 8)
@@ -106,7 +105,6 @@ func TestShrinkPatternGradientsTrackPattern(t *testing.T) {
 // gradient is zero, nothing panics.
 func TestShrinkPatternToEmpty(t *testing.T) {
 	_, sl, _ := sparsePair(6, 5, 0.5, 51)
-	sl.Exec = ExecSparse
 	sl.ShrinkPattern(make([]bool, sl.W.NNZ()))
 	if sl.W.NNZ() != 0 {
 		t.Fatalf("NNZ = %d after full shrink", sl.W.NNZ())

@@ -47,21 +47,14 @@ func tinyGPT(rng *tensor.RNG, n int) (*nn.Model, []*tensor.Tensor) {
 	return m, xs
 }
 
-// sparsifiedMLP builds a pruned MLP executing through SparseLinear layers,
-// every one with execution mode exec (nn.ExecAuto = the density rule).
-func sparsifiedMLP(rng *tensor.RNG, exec nn.ExecMode, sparsity float64, dims []int) *nn.Model {
+// sparsifiedMLP builds a pruned MLP executing through SparseLinear layers.
+func sparsifiedMLP(rng *tensor.RNG, sparsity float64, dims []int) *nn.Model {
 	base := nn.BuildMLP("xmlp", dims, rng)
 	var layers []prune.Layer
 	for _, e := range base.PruneLayers() {
 		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
 	}
-	m := nn.Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
-	for _, l := range m.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sl.Exec = exec
-		}
-	}
-	return m
+	return nn.Sparsify(base, prune.MagnitudePerLayer(layers, sparsity))
 }
 
 // offlineRefs computes each sample's offline inference forward, alone: what
@@ -169,28 +162,23 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 }
 
 // TestServeSparsifiedBitwise extends the golden to sparse execution: a
-// Sparsify'd model served through the engine matches its offline forward
-// with every layer pinned to each path.
+// Sparsify'd model served through the engine matches its offline forward on
+// the CSR kernels.
 func TestServeSparsifiedBitwise(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		exec nn.ExecMode
-	}{{"sparse", nn.ExecSparse}, {"dense", nn.ExecDense}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := tensor.NewRNG(23)
-			m := sparsifiedMLP(rng, tc.exec, 0.9, []int{16, 32, 6})
-			samples := normalSamples(rng, 20, 1, 16)
+	t.Run("sparse", func(t *testing.T) {
+		rng := tensor.NewRNG(23)
+		m := sparsifiedMLP(rng, 0.9, []int{16, 32, 6})
+		samples := normalSamples(rng, 20, 1, 16)
 
-			st := newInferenceState(m) // quantizes in place; refs must follow
-			refs := offlineRefs(m, samples)
-			e := New(st, Config{MaxBatch: 4})
-			got := serveAll(t, e, samples, 5)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			assertBitwise(t, refs, got)
-		})
-	}
+		st := newInferenceState(m) // quantizes in place; refs must follow
+		refs := offlineRefs(m, samples)
+		e := New(st, Config{MaxBatch: 4})
+		got := serveAll(t, e, samples, 5)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertBitwise(t, refs, got)
+	})
 }
 
 // gate is a pass-through first layer that parks the batching loop inside a
@@ -287,14 +275,12 @@ func gated(m *nn.Model) *gate {
 // equals the single-sample offline forward bit for bit. MLP (1,f) rows reach
 // the m ∈ {1,2,3} products that used to take a different kernel; the CNN
 // covers the A·Bᵀ products and both small-shape kernels; the Sparsify'd MLP
-// covers CSR and dense-masked execution, each pinned, and the auto rule
-// either side of its line (30% runs dense, 50% and 90% CSR — in every
-// bucket, since the rule does not read the batch height).
+// covers the CSR kernels at 30%, 50% and 90% sparsity.
 func TestServeBucketInvariant(t *testing.T) {
 	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
-	sparsified := func(exec nn.ExecMode, sparsity float64) fixture {
+	sparsified := func(sparsity float64) fixture {
 		return func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
-			return sparsifiedMLP(rng, exec, sparsity, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
+			return sparsifiedMLP(rng, sparsity, []int{24, 48, 6}), normalSamples(rng, 8, 1, 24)
 		}
 	}
 	for _, tc := range []struct {
@@ -308,11 +294,9 @@ func TestServeBucketInvariant(t *testing.T) {
 			return nn.BuildVGG("icnn", []int{8, -1, 16}, 3, 8, 5, rng), normalSamples(rng, 8, 1, 3, 8, 8)
 		}},
 		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
-		{"sparsified/sparse", sparsified(nn.ExecSparse, 0.9)},
-		{"sparsified/dense", sparsified(nn.ExecDense, 0.9)},
-		{"sparsified/auto30", sparsified(nn.ExecAuto, 0.3)},
-		{"sparsified/auto50", sparsified(nn.ExecAuto, 0.5)},
-		{"sparsified/auto90", sparsified(nn.ExecAuto, 0.9)},
+		{"sparsified/auto30", sparsified(0.3)},
+		{"sparsified/auto50", sparsified(0.5)},
+		{"sparsified/auto90", sparsified(0.9)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, samples := tc.build(t, tensor.NewRNG(43))

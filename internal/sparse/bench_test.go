@@ -8,18 +8,16 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// BenchmarkSpMM is the sparse-vs-dense kernel matrix behind the
-// density-aware crossover: the FC forward product y = x·Wᵀ at the paper's
-// batch (576) computed by the dense GEMM over the masked-dense
-// weight versus the transposed-CSR SpMM (SpMMTInto, its operand transpose
-// included), across the evaluation's sparsity range. With both kernels
-// vectorised the two are level at 50% and CSR wins from 75% (2 vCPUs:
-// 0.9–1.0× at 50%, 1.4× at 75%, 2.0–2.5× at 90%, 2.0–2.9× at 95%, 2.6–3.2×
-// at 99%); scripts/bench.sh gates the ≥ 90% points at MIN_SPMM_SPEEDUP and
-// records the full matrix in BENCH_kernels.json. This is one product at the
-// largest batch: the crossover's line (CSR from 50% sparsity) follows the
-// whole training step, where at batch 48 CSR wins from 30% (the grid above
-// XoverDecide).
+// BenchmarkSpMM is the sparse-vs-dense kernel matrix: the FC forward
+// product y = x·Wᵀ at the paper's batch (576) computed by the dense GEMM
+// over the masked-dense weight versus the transposed-CSR SpMM (SpMMTInto,
+// its operand transpose included), across the evaluation's sparsity range.
+// With both kernels vectorised the two are level at 50% and CSR wins from
+// 75% (2 vCPUs: 0.9–1.0× at 50%, 1.4× at 75%, 2.0–2.5× at 90%, 2.0–2.9× at
+// 95%, 2.6–3.2× at 99%); scripts/bench.sh gates the ≥ 90% points at
+// MIN_SPMM_SPEEDUP and records the full matrix in BENCH_kernels.json. This
+// is one product at the largest batch; nn.Sparsify's doc grids a whole
+// layer step below half sparsity at batch 48 and 576.
 func BenchmarkSpMM(b *testing.B) {
 	const batch = 576
 	for _, dim := range []int{256, 512} {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"os/exec"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ import (
 var reachAllow = map[string]string{
 	"internal/tensor.MaxAbsDiff":          "tolerance oracle: core TestSAMOMatchesMaskedDenseTraining, nn TestSparseLinearMatchesMaskedDense, sparse TestSpMMTGolden",
 	"internal/tensor.Tensor.Clone":        "snapshot before the code under test mutates: core TestSAMOMatchesMaskedDenseTraining, nn TestRecomputeMatchesPlainGradients, sparse FuzzSpMMTInto",
-	"internal/tensor.MatMul":              "allocating dense reference: nn TestSparseLinearDenseCopyNeverStale, tensor TestMatMulGolden",
+	"internal/tensor.MatMul":              "allocating dense reference: nn TestSparseLinearOptimizerAliasing and TestShrinkPatternGradientsTrackPattern, tensor TestMatMulGolden",
 	"internal/tensor.MatMulT":             "allocating dense reference: sparse TestSpMMTGolden and FuzzSDDMMInto, nn TestSparseLinearOptimizerAliasing",
 	"internal/tensor.TMatMul":             "allocating dense reference, third of the family above: tensor TestTMatMulGolden, TestMatMulTAndTMatMul",
 	"internal/tensor.Transpose":           "operand builder: sparse TestSparseKernelsBitwiseDeterminism, nn TestSparseLinearMatchesMaskedDense, core TestSparseExecMatchesMaskedDenseTraining",
@@ -29,7 +30,6 @@ var reachAllow = map[string]string{
 	"internal/nn.CrossEntropy":            "allocating loss: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestCrossEntropyValueAndGrad",
 	"internal/nn.Model.Forward":           "arena-less forward: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestModelEndToEndGradient",
 	"internal/nn.Model.Backward":          "arena-less backward: same tests as Model.Forward",
-	"internal/nn.ExecAuto":                "the zero ExecMode every SparseLinear runs with; spelled only by the auto cases of core TestSparseExecTrainStepDeterminism, nn TestInferSparsifiedMatchesEvalForward and serve TestServeBucketInvariant, and deleting it renumbers ExecSparse/ExecDense",
 	"internal/nn.WithRecompute":           "DELIBERATE EXCEPTION, no entry point wires it: AxoNN §II-E activation checkpointing, which the simulator's 4/3 flop factor assumes; axonn TestEngineWithRecomputeLayers pins it bitwise in the engine. Wiring it is a knob for a later PR",
 	"internal/sparse.CSR.Dense":           "nn TestShrinkPatternMatchesFreshLayer, prune TestMaterializeCSR, core TestSparseExecMatchesMaskedDenseTraining",
 	"internal/core.SAMOBreakdown":         "§III-D analytic reference for the live ledger: root BenchmarkAblationSharedIndex, core TestMemoryLedgerMatchesAnalyticModel",
@@ -195,6 +195,31 @@ func TestReachability(t *testing.T) {
 	if sort.Strings(dead); len(dead) > 0 {
 		t.Errorf("%d declarations only tests reach; delete each, move it into its package's _test.go, or name it in reachAllow with the test that needs it:\n%s",
 			len(dead), strings.Join(dead, "\n"))
+	}
+
+	out, err = exec.Command("go", "list", "-f", "{{range .TestGoFiles}} {{$.Dir}}/{{.}}{{end}}{{range .XTestGoFiles}} {{$.Dir}}/{{.}}{{end}}", "./...").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, src := range strings.Fields(string(out)) {
+		f, err := parser.ParseFile(fset, src, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	testName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	for name, reason := range reachAllow {
+		for _, fn := range testName.FindAllString(reason, -1) {
+			if !declared[fn] {
+				t.Errorf("reachAllow[%q]: the reason names %s, which no _test.go declares", name, fn)
+			}
+		}
 	}
 }
 

@@ -84,17 +84,14 @@
 //
 // The paper's Figure 1 argument — sparse compute loses to dense at deep
 // learning's sparsities, so SAMO compresses storage but computes dense —
-// does not hold for this repository's CPU kernels: a CSR training step beats
-// the dense-masked one from about 30% sparsity at batch 48 (the grid above
-// sparse.XoverDecide). A layer therefore runs its CSR kernels iff its
-// pattern stores at most half the dense weight (2·nnz ≤ full, i.e. at least
-// 50% sparse) and otherwise falls back to the dense GEMM over a
-// masked-dense copy. It is a rule over the pattern, not a timing, and the
-// same line on every host: the two paths sum in different orders, so a
-// measured choice would let the wall clock decide result bits.
-// A layer's Exec field (nn.SparseLinear) pins one path; scripts/bench.sh
-// gates the ≥90%-sparsity points of the BenchmarkSpMM matrix at
-// MIN_SPMM_SPEEDUP.
+// does not hold for this repository's CPU kernels: at batch 48 a CSR
+// training step beats a masked-dense one on wide layers from 10% sparsity
+// (the grid in nn.Sparsify's doc). A sparsified layer runs its CSR kernels
+// at every density, one path with one set of bits; a pruned layer meant to
+// compute densely stays a Linear under a masked state (Dense or SAMO mode),
+// the paper's masked-dense path.
+// scripts/bench.sh gates the ≥90%-sparsity points of the BenchmarkSpMM
+// matrix at MIN_SPMM_SPEEDUP.
 //
 // # GEMM blocking
 //
@@ -390,9 +387,8 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 
 // Sparsify replaces every pruned Linear layer of a model with a
 // first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
-// forward, SDDMM weight gradient restricted to the surviving pattern, and
-// a density rule that falls back to the masked-dense GEMM below 50%
-// sparsity (see "Sparse execution").
+// forward and input gradient, and an SDDMM weight gradient restricted to
+// the surviving pattern, at every sparsity (see "Sparse execution").
 // Unconverted layers are shared with the original model — train one model
 // or the other, not both.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }

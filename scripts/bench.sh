@@ -93,7 +93,7 @@ go test -run '^$' -bench 'BenchmarkGEMM$|BenchmarkMatMulT|BenchmarkTMatMul|Bench
     -benchmem -benchtime="$BENCHTIME" -count=3 ./internal/tensor/ | tee -a "$TMP" >&2
 
 echo "running sparse-execution benchmarks..." >&2
-# The sparse-vs-dense FC matrix behind the density-aware crossover: at
+# The sparse-vs-dense FC forward matrix (masked-dense GEMM vs CSR): at
 # >=90% sparsity the CSR kernels must convert pruned FLOPs into time
 # (gated at MIN_SPMM_SPEEDUP below); below that the ratio is recorded.
 go test -run '^$' -bench 'BenchmarkSpMM|BenchmarkSDDMM' \
