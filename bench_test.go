@@ -178,7 +178,7 @@ func BenchmarkAblationCompressedAllReduce(b *testing.B) {
 			var elements int64
 			for i := 0; i < b.N; i++ {
 				res := axonn.Train(axonn.Config{
-					Ginter: 1, Gdata: 2, Microbatch: 4, Mode: mode, OrderedReduce: false,
+					Ginter: 1, Gdata: 2, Microbatch: 4, Mode: mode,
 				}, build, func() optim.Optimizer { return optim.NewAdam(1e-3) }, pr,
 					[]axonn.Batch{batch})
 				elements = res.Fabric.TotalCollElements()

@@ -45,10 +45,6 @@ type Config struct {
 	Microbatch int
 	// Mode selects Dense mixed precision or SAMO-compressed model states.
 	Mode core.Mode
-	// OrderedReduce selects the rank-ordered all-reduce (bitwise
-	// reproducible against a serial sum) instead of the bandwidth-optimal
-	// ring. Numerically both are correct; tests use Ordered.
-	OrderedReduce bool
 	// OverlapReduce launches each gradient bucket's data-parallel all-reduce
 	// asynchronously the moment the bucket's last layer finishes its final
 	// backward, hiding communication behind the remaining backward compute
@@ -57,8 +53,8 @@ type Config struct {
 	// same buckets serially after backward. Both paths consume the identical
 	// bucket plan in the identical order, so losses are bitwise-identical
 	// with overlap on vs off — on every transport, at every worker count.
-	// Composes with OrderedReduce (the reduction algorithm is orthogonal to
-	// when it launches).
+	// Each reduce returns the serial data-group-ordered sum, so the bits do
+	// not depend on the bucket plan either.
 	OverlapReduce bool
 	// ReduceBucketElems caps each all-reduce bucket's element count,
 	// overriding core.DefaultReduceBucketElems when positive. Smaller
@@ -534,14 +530,7 @@ func (w *worker) onLayerDone(layer int) {
 		return
 	}
 	for n := w.state.BucketReady(layer); w.launched < n; w.launched++ {
-		buf := w.buckets[w.launched].Data
-		var h *comm.ReduceHandle
-		if w.cfg.OrderedReduce {
-			h = w.rk.AllReduceOrderedAsync(w.stageGroup, buf)
-		} else {
-			h = w.rk.AllReduceAsync(w.stageGroup, buf)
-		}
-		w.handles = append(w.handles, h)
+		w.handles = append(w.handles, w.rk.AllReduceAsync(w.stageGroup, w.buckets[w.launched].Data))
 	}
 }
 
@@ -560,13 +549,6 @@ func partition(n, g, idx int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // runFrom trains batches[start:], loading this stage's shard of checkpoint
 // `start` first when resuming. The data-group-0 replica of each stage is
 // the checkpoint saver: after the global overflow consensus all replicas
@@ -577,10 +559,14 @@ func (w *worker) runFrom(batches []Batch, start int, mgr *ckpt.Manager, every in
 	if w.rk.RemotePeers() {
 		// Multi-process run: the processes may briefly disagree about the
 		// newest durable checkpoint (a peer can die between its own save
-		// and ours). Rank 0 broadcasts the authoritative start step so
-		// every process resumes from the same batch.
-		w.flagBuf[0] = float32(start)
-		if err := w.rk.Broadcast(w.allRanks, 0, w.flagBuf); err != nil {
+		// and ours). Rank 0's start step is authoritative: the sum of it
+		// and every other rank's 0 is exact, so every process resumes from
+		// the same batch.
+		w.flagBuf[0] = 0
+		if w.rk.ID() == 0 {
+			w.flagBuf[0] = float32(start)
+		}
+		if err := w.rk.AllReduce(w.allRanks, w.flagBuf); err != nil {
 			return err
 		}
 		start = int(w.flagBuf[0])
@@ -779,13 +765,7 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 		}
 	} else {
 		for _, buf := range w.state.ReduceBuffers() {
-			var err error
-			if cfg.OrderedReduce {
-				err = w.rk.AllReduceOrdered(w.stageGroup, buf)
-			} else {
-				err = w.rk.AllReduce(w.stageGroup, buf)
-			}
-			if err != nil {
+			if err := w.rk.AllReduce(w.stageGroup, buf); err != nil {
 				return 0, err
 			}
 		}
@@ -799,7 +779,7 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	if w.state.Overflow() {
 		w.flagBuf[0] = 1
 	}
-	if err := w.rk.AllReduceOrdered(w.allRanks, w.flagBuf); err != nil {
+	if err := w.rk.AllReduce(w.allRanks, w.flagBuf); err != nil {
 		return 0, err
 	}
 	w.state.StepGiven(w.flagBuf[0] > 0)
@@ -808,7 +788,7 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	// intact when there is only one group).
 	if w.last && cfg.Gdata > 1 {
 		w.lossBuf[0] = float32(w.batchLoss)
-		if err := w.rk.AllReduceOrdered(w.lossGroup, w.lossBuf); err != nil {
+		if err := w.rk.AllReduce(w.lossGroup, w.lossBuf); err != nil {
 			return 0, err
 		}
 		w.batchLoss = float64(w.lossBuf[0]) / float64(cfg.Gdata)

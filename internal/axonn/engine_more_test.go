@@ -13,7 +13,7 @@ func TestSingleRankDegenerateConfigMatchesSerial(t *testing.T) {
 	// training and must match it bitwise.
 	batches := makeBatches(4, 8, 1100)
 	want, _ := serialLosses(51, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 1, Gdata: 1, Microbatch: 8, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 1, Gdata: 1, Microbatch: 8, Mode: core.Dense},
 		mlpBuilder(51), adamBuilder(), nil, batches)
 	for i := range want {
 		if res.Losses[i] != want[i] {
@@ -27,7 +27,7 @@ func TestSingleRankWithMicrobatching(t *testing.T) {
 	// forward+backward warm path (no pipeline messages at all).
 	batches := makeBatches(3, 8, 1200)
 	want, _ := serialLosses(53, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 1, Gdata: 1, Microbatch: 2, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 1, Gdata: 1, Microbatch: 2, Mode: core.Dense},
 		mlpBuilder(53), adamBuilder(), nil, batches)
 	for i := range want {
 		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
@@ -44,7 +44,7 @@ func TestAsymmetricLayout4x2(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batches = append(batches, batch)
 	}
-	res := Train(Config{Ginter: 4, Gdata: 2, Microbatch: 2, Mode: core.SAMO, OrderedReduce: true},
+	res := Train(Config{Ginter: 4, Gdata: 2, Microbatch: 2, Mode: core.SAMO},
 		mlpBuilder(57), adamBuilder(), pr, batches)
 	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
 		t.Errorf("4x2 SAMO training did not learn: %g -> %g",
@@ -57,7 +57,7 @@ func TestP2PVolumeScalesWithMicrobatches(t *testing.T) {
 	// doubles the message count at constant total bytes.
 	batches := makeBatches(1, 8, 1400)
 	countMsgs := func(mbs int) (int64, int64) {
-		res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: mbs, Mode: core.Dense, OrderedReduce: true},
+		res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: mbs, Mode: core.Dense},
 			mlpBuilder(59), adamBuilder(), nil, batches)
 		var msgs, elems int64
 		for r := 0; r < 2; r++ {
@@ -80,9 +80,9 @@ func TestEngineWithRecomputeLayers(t *testing.T) {
 	// Activation checkpointing composes with the pipeline engine: wrapping
 	// every layer leaves the training trajectory unchanged.
 	batches := makeBatches(4, 8, 1500)
-	plain := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense, OrderedReduce: true},
+	plain := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense},
 		mlpBuilder(61), adamBuilder(), nil, batches)
-	wrapped := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense, OrderedReduce: true},
+	wrapped := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense},
 		func() *nn.Model { return nn.WithRecompute(mlpBuilder(61)()) },
 		adamBuilder(), nil, batches)
 	for i := range plain.Losses {
@@ -103,7 +103,7 @@ func TestLossScaleRecoveryDuringTraining(t *testing.T) {
 		batches = append(batches, batch)
 	}
 	cfg := Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.Dense,
-		OrderedReduce: true, InitialLossScale: 1e9}
+		InitialLossScale: 1e9}
 	res := Train(cfg, mlpBuilder(63), adamBuilder(), nil, batches)
 	if res.SkippedSteps == 0 {
 		t.Error("expected overflow skips with a 1e9 scale")

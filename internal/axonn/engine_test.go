@@ -71,7 +71,7 @@ func TestPipelineMatchesSerialBitwise(t *testing.T) {
 	batches := makeBatches(6, 8, 100)
 	want, refState := serialLosses(7, nil, core.Dense, batches)
 
-	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense},
 		mlpBuilder(7), adamBuilder(), nil, batches)
 	for i := range want {
 		if res.Losses[i] != want[i] {
@@ -86,7 +86,7 @@ func TestPipelineWithMicrobatchesMatchesSerialClosely(t *testing.T) {
 	// the serial reference to fp16-accumulation tolerance.
 	batches := makeBatches(5, 8, 200)
 	want, _ := serialLosses(9, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 2, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 2, Mode: core.Dense},
 		mlpBuilder(9), adamBuilder(), nil, batches)
 	for i := range want {
 		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
@@ -98,7 +98,7 @@ func TestPipelineWithMicrobatchesMatchesSerialClosely(t *testing.T) {
 func TestDataParallelMatchesSerialClosely(t *testing.T) {
 	batches := makeBatches(5, 8, 300)
 	want, _ := serialLosses(11, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense},
 		mlpBuilder(11), adamBuilder(), nil, batches)
 	for i := range want {
 		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
@@ -113,7 +113,7 @@ func TestSAMOMatchesDenseInParallel(t *testing.T) {
 	// layouts, losses must match the masked-dense run bit for bit.
 	pr := pruneMLP(13, 0.7)
 	batches := makeBatches(6, 8, 400)
-	cfgDense := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense, OrderedReduce: true}
+	cfgDense := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense}
 	cfgSAMO := cfgDense
 	cfgSAMO.Mode = core.SAMO
 
@@ -130,7 +130,7 @@ func TestCompressedAllReduceMovesFewerElements(t *testing.T) {
 	// §IV-A: SAMO's data-parallel all-reduce sends only unpruned gradients.
 	pr := pruneMLP(17, 0.9)
 	batches := makeBatches(2, 8, 500)
-	cfg := Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense, OrderedReduce: true}
+	cfg := Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense}
 	d := Train(cfg, mlpBuilder(17), adamBuilder(), pr, batches)
 	cfg.Mode = core.SAMO
 	s := Train(cfg, mlpBuilder(17), adamBuilder(), pr, batches)
@@ -156,7 +156,7 @@ func TestHybridParallelTrainingLearns(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		batches = append(batches, batch)
 	}
-	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO, OrderedReduce: true},
+	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO},
 		mlpBuilder(19), adamBuilder(), pr, batches)
 	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
 		t.Errorf("loss did not decrease: %g -> %g", res.Losses[0], res.Losses[len(res.Losses)-1])
@@ -167,7 +167,7 @@ func TestFourStagePipeline(t *testing.T) {
 	// Deeper pipeline (one layer per stage) still matches serial.
 	batches := makeBatches(4, 4, 700)
 	want, _ := serialLosses(23, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 4, Gdata: 1, Microbatch: 4, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 4, Gdata: 1, Microbatch: 4, Mode: core.Dense},
 		mlpBuilder(23), adamBuilder(), nil, batches)
 	for i := range want {
 		if res.Losses[i] != want[i] {
@@ -195,7 +195,7 @@ func TestGPTPipelineTrains(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batches = append(batches, b)
 	}
-	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 1, Mode: core.Dense, OrderedReduce: true},
+	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 1, Mode: core.Dense},
 		build, adamBuilder(), nil, batches)
 	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
 		t.Errorf("GPT loss did not decrease: %g -> %g", res.Losses[0], res.Losses[len(res.Losses)-1])
@@ -217,7 +217,7 @@ func TestOverflowConsensusSkipsEverywhere(t *testing.T) {
 func trainWithScale(t *testing.T, build Builder, batches []Batch, scale float64) Result {
 	t.Helper()
 	cfg := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense,
-		OrderedReduce: true, InitialLossScale: scale}
+		InitialLossScale: scale}
 	return Train(cfg, build, adamBuilder(), nil, batches)
 }
 
@@ -280,20 +280,5 @@ func TestBadConfigSurfacesAsError(t *testing.T) {
 				t.Fatalf("err %q does not mention %q", res.Err, tc.want)
 			}
 		})
-	}
-}
-
-func TestRingReduceAlsoWorks(t *testing.T) {
-	// The bandwidth-optimal ring (OrderedReduce=false) gives the same
-	// training trajectory within float tolerance.
-	batches := makeBatches(4, 8, 1000)
-	a := Train(Config{Ginter: 1, Gdata: 4, Microbatch: 2, Mode: core.Dense, OrderedReduce: true},
-		mlpBuilder(41), adamBuilder(), nil, batches)
-	b := Train(Config{Ginter: 1, Gdata: 4, Microbatch: 2, Mode: core.Dense, OrderedReduce: false},
-		mlpBuilder(41), adamBuilder(), nil, batches)
-	for i := range a.Losses {
-		if math.Abs(a.Losses[i]-b.Losses[i]) > 1e-3*(1+math.Abs(a.Losses[i])) {
-			t.Errorf("batch %d: ordered %g vs ring %g", i, a.Losses[i], b.Losses[i])
-		}
 	}
 }

@@ -42,7 +42,6 @@ func TestGradualPruneOverlapBitwiseWorkerSweep(t *testing.T) {
 			cfg := Config{
 				Ginter: 1, Gdata: gdata, Microbatch: 1,
 				Mode:              core.SAMO,
-				OrderedReduce:     true,
 				ReduceBucketElems: overlapBucketElems,
 				PruneSchedule:     gradualSchedule(),
 			}
@@ -62,7 +61,7 @@ func TestGradualPruneScheduleShrinksState(t *testing.T) {
 	batches := makeBatches(6, 8, 7100)
 	cfg := Config{
 		Ginter: 1, Gdata: 2, Microbatch: 1,
-		Mode: core.SAMO, OrderedReduce: true,
+		Mode: core.SAMO,
 	}
 	plain := Train(cfg, mlpBuilder(63), adamBuilder(), pr, batches)
 	if plain.Err != nil {
@@ -91,7 +90,6 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 			cfg := Config{
 				Ginter: 1, Gdata: gdata, Microbatch: 2,
 				Mode:               core.SAMO,
-				OrderedReduce:      true,
 				ReduceBucketElems:  overlapBucketElems,
 				CollectiveDeadline: 15 * time.Second,
 				PruneSchedule:      gradualSchedule(),
@@ -165,7 +163,6 @@ func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 	cfg := Config{
 		Ginter: 1, Gdata: 2, Microbatch: 1,
 		Mode:              core.SAMO,
-		OrderedReduce:     true,
 		ReduceBucketElems: overlapBucketElems,
 		PruneSchedule:     gradualSchedule(),
 	}

@@ -18,7 +18,6 @@ func BenchmarkOverlapStep(b *testing.B) {
 	base := Config{
 		Ginter: 2, Gdata: 2, Microbatch: 2,
 		Mode:               core.Dense,
-		OrderedReduce:      true,
 		ReduceBucketElems:  64, // several buckets in flight on the tiny MLP
 		CollectiveDeadline: 60 * time.Second,
 	}

@@ -48,28 +48,65 @@ func assertTrainBitwise(t *testing.T, label string, want, got Result) {
 }
 
 // TestOverlapReduceBitwiseWorkerSweep pins overlap-on ≡ overlap-off at every
-// acceptance worker count, for both reduction algorithms (the rank-ordered
-// serial sum and the ring). Pure data parallelism: worker count == Gdata.
+// acceptance worker count. Pure data parallelism: worker count == Gdata.
 func TestOverlapReduceBitwiseWorkerSweep(t *testing.T) {
 	for _, gdata := range []int{1, 2, 3, 4, 8, 16} {
-		for _, ordered := range []bool{true, false} {
-			gdata, ordered := gdata, ordered
-			t.Run(fmt.Sprintf("gdata%d/ordered=%v", gdata, ordered), func(t *testing.T) {
-				t.Parallel()
-				// 48 samples divide evenly by every gdata in the sweep.
-				batches := makeBatches(3, 48, uint64(2000+gdata))
-				cfg := Config{
-					Ginter: 1, Gdata: gdata, Microbatch: 1,
-					Mode:              core.Dense,
-					OrderedReduce:     ordered,
-					ReduceBucketElems: overlapBucketElems,
-				}
-				off := Train(cfg, mlpBuilder(31), adamBuilder(), nil, batches)
-				cfg.OverlapReduce = true
-				on := Train(cfg, mlpBuilder(31), adamBuilder(), nil, batches)
-				assertTrainBitwise(t, fmt.Sprintf("gdata=%d ordered=%v", gdata, ordered), off, on)
-			})
+		gdata := gdata
+		t.Run(fmt.Sprintf("gdata%d", gdata), func(t *testing.T) {
+			t.Parallel()
+			// 48 samples divide evenly by every gdata in the sweep.
+			batches := makeBatches(3, 48, uint64(2000+gdata))
+			cfg := Config{
+				Ginter: 1, Gdata: gdata, Microbatch: 1,
+				Mode:              core.Dense,
+				ReduceBucketElems: overlapBucketElems,
+			}
+			off := Train(cfg, mlpBuilder(31), adamBuilder(), nil, batches)
+			cfg.OverlapReduce = true
+			on := Train(cfg, mlpBuilder(31), adamBuilder(), nil, batches)
+			assertTrainBitwise(t, fmt.Sprintf("gdata=%d", gdata), off, on)
+		})
+	}
+}
+
+// TestBucketPlanBitwiseGdata3 pins the reduced sums to the data, not to the
+// bucket plan: at Gdata 3, where chunks split unevenly, training with no
+// reduce option to pick gives bitwise-equal losses and stage states with
+// small and default buckets, overlap off and on. Group g's input rows are
+// scaled by 2^(10(g−1)), so the three fp16-grid gradients of one element
+// lie up to 2^20 apart and their float32 sum rounds: a reduce whose
+// summation order followed the chunk boundaries (a ring) moves the last
+// bits as soon as the bucket lengths change. (Gradients of similar size sum
+// exactly, in any order.) The low initial loss scale only saves the
+// overflow-skipped warm-up steps.
+func TestBucketPlanBitwiseGdata3(t *testing.T) {
+	const gdata = 3
+	batches := makeBatches(4, 48, 2050)
+	for _, b := range batches {
+		x := b.Input.Data()
+		shard := len(x) / gdata
+		for g := 0; g < gdata; g++ {
+			part := x[g*shard : (g+1)*shard]
+			for i := range part {
+				part[i] *= float32(math.Ldexp(1, 10*(g-1)))
+			}
 		}
+	}
+	var want Result
+	for i, elems := range []int{overlapBucketElems, 0} {
+		for _, overlap := range []bool{false, true} {
+			cfg := Config{Ginter: 1, Gdata: gdata, Microbatch: 1, Mode: core.Dense,
+				ReduceBucketElems: elems, OverlapReduce: overlap, InitialLossScale: 1024}
+			got := Train(cfg, mlpBuilder(31), adamBuilder(), nil, batches)
+			if i == 0 && !overlap {
+				want = got
+				continue
+			}
+			assertTrainBitwise(t, fmt.Sprintf("bucket elems %d, overlap %v", elems, overlap), want, got)
+		}
+	}
+	if want.SkippedSteps == len(batches) {
+		t.Fatal("every step skipped: nothing was summed")
 	}
 }
 
@@ -90,7 +127,6 @@ func TestOverlapReduceBitwiseHybridSAMO(t *testing.T) {
 			cfg := Config{
 				Ginter: 2, Gdata: 2, Microbatch: 2,
 				Mode:              mode,
-				OrderedReduce:     true,
 				ReduceBucketElems: overlapBucketElems,
 			}
 			off := Train(cfg, mlpBuilder(33), adamBuilder(), ticket, batches)
@@ -112,7 +148,6 @@ func TestOverlapReduceOverTCPBitwise(t *testing.T) {
 			cfg := Config{
 				Ginter: 1, Gdata: gdata, Microbatch: 2,
 				Mode:               core.Dense,
-				OrderedReduce:      true,
 				ReduceBucketElems:  overlapBucketElems,
 				CollectiveDeadline: 15 * time.Second,
 			}

@@ -12,13 +12,12 @@ import (
 )
 
 // chaosCfg is the tiny layout every recovery test trains: 2 pipeline stages
-// × 2 data groups over a 3-layer MLP, ordered reductions so losses and θ32
-// are bitwise-comparable across runs.
+// × 2 data groups over a 3-layer MLP; losses and θ32 are bitwise-comparable
+// across runs.
 func chaosCfg(dir string) Config {
 	return Config{
 		Ginter: 2, Gdata: 2, Microbatch: 2,
 		Mode:          core.Dense,
-		OrderedReduce: true,
 		CheckpointDir: dir,
 	}
 }

@@ -88,7 +88,6 @@ func tcpTrainCfg(dir string) Config {
 	return Config{
 		Ginter: 1, Gdata: 2, Microbatch: 2,
 		Mode:          core.Dense,
-		OrderedReduce: true,
 		CheckpointDir: dir, CheckpointEvery: 1, CheckpointKeep: 4,
 		CollectiveDeadline: 15 * time.Second,
 	}
@@ -294,7 +293,6 @@ func TestTrainOverTCPBitwise(t *testing.T) {
 	cfg := Config{
 		Ginter: 2, Gdata: 2, Microbatch: 2,
 		Mode:               core.Dense,
-		OrderedReduce:      true,
 		CollectiveDeadline: 15 * time.Second,
 	}
 	batches := makeBatches(4, 8, 901)

@@ -4,12 +4,12 @@ import "time"
 
 // Async collective lane.
 //
-// AllReduceAsync/AllReduceOrderedAsync hand a reduce off to a per-Rank
-// worker goroutine and return a handle immediately; the caller overlaps its
-// own compute and calls Wait when it needs the result. The worker executes
-// queued operations SERIALLY in launch order — that, plus every rank
-// launching the same operations in the same order, preserves the fabric's
-// FIFO (from, tag) matching invariant with no new wire protocol, and means
+// AllReduceAsync hands a reduce off to a per-Rank worker goroutine and
+// returns a handle immediately; the caller overlaps its own compute and
+// calls Wait when it needs the result. The worker executes queued
+// operations SERIALLY in launch order — that, plus every rank launching the
+// same operations in the same order, preserves the fabric's FIFO
+// (from, tag) matching invariant with no new wire protocol, and means
 // results are bitwise-identical to issuing the same calls synchronously.
 //
 // Concurrency contract (single-owner, no locks): between a launch and the
@@ -34,10 +34,9 @@ const asyncQueueDepth = 64
 
 // asyncOp is one queued reduce.
 type asyncOp struct {
-	ordered bool
-	group   []int
-	buf     []float32
-	h       *ReduceHandle
+	group []int
+	buf   []float32
+	h     *ReduceHandle
 }
 
 // ReduceHandle tracks one in-flight async all-reduce. Handles are pooled on
@@ -49,40 +48,23 @@ type ReduceHandle struct {
 	done chan error // buffered (cap 1): the worker never blocks completing
 }
 
-// AllReduceAsync launches a ring all-reduce of buf over group on the async
-// lane and returns immediately. buf must stay untouched until Wait returns.
+// AllReduceAsync launches AllReduce of buf over group on the async lane and
+// returns immediately. buf must stay untouched until Wait returns.
 func (rk *Rank) AllReduceAsync(group []int, buf []float32) *ReduceHandle {
-	return rk.launch(asyncOp{ordered: false, group: group, buf: buf})
-}
-
-// AllReduceOrderedAsync is AllReduceAsync with the rank-ordered
-// (bitwise-reproducible) reduction algorithm.
-func (rk *Rank) AllReduceOrderedAsync(group []int, buf []float32) *ReduceHandle {
-	return rk.launch(asyncOp{ordered: true, group: group, buf: buf})
-}
-
-func (rk *Rank) launch(op asyncOp) *ReduceHandle {
 	if rk.asyncCh == nil {
 		rk.asyncCh = make(chan asyncOp, asyncQueueDepth)
 		rk.asyncDone = make(chan struct{})
 		go rk.asyncWorker()
 	}
 	h := rk.getHandle()
-	op.h = h
-	rk.asyncCh <- op
+	rk.asyncCh <- asyncOp{group: group, buf: buf, h: h}
 	return h
 }
 
 func (rk *Rank) asyncWorker() {
 	defer close(rk.asyncDone)
 	for op := range rk.asyncCh {
-		var err error
-		if op.ordered {
-			err = rk.allReduceOrdered(op.group, op.buf)
-		} else {
-			err = rk.allReduce(op.group, op.buf)
-		}
-		op.h.done <- err
+		op.h.done <- rk.allReduce(op.group, op.buf)
 	}
 }
 

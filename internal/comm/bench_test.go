@@ -14,39 +14,40 @@ import (
 	"github.com/sparse-dl/samo/internal/comm"
 )
 
-// BenchmarkAllReduce times a full ring all-reduce (reduce-scatter +
-// all-gather) across 4 ranks per transport and size. Ranks iterate in
-// lockstep — collectives self-synchronize — so one iteration is one
-// fabric-wide all-reduce.
+// BenchmarkAllReduce times a full all-reduce (reduce-scatter + all-gather)
+// across 2 and 4 ranks per transport and size. Ranks iterate in lockstep —
+// collectives self-synchronize — so one iteration is one fabric-wide
+// all-reduce.
 func BenchmarkAllReduce(b *testing.B) {
 	for _, transport := range []string{"local", "tcp"} {
-		for _, sz := range []int{1024, 65536} {
-			b.Run(fmt.Sprintf("%s/r4/sz%d", transport, sz), func(b *testing.B) {
-				const n = 4
-				m := newMesh(b, transport, n)
-				defer m.closeAll()
-				group := groupAll(n)
-				bufs := make([][]float32, n)
-				for r := range bufs {
-					bufs[r] = testInput(r, sz)
-				}
-				b.SetBytes(int64(4 * sz))
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for r := 0; r < n; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						for i := 0; i < b.N; i++ {
-							if err := m.ranks[r].AllReduce(group, bufs[r]); err != nil {
-								b.Errorf("rank %d: %v", r, err)
-								return
+		for _, n := range []int{2, 4} {
+			for _, sz := range []int{1024, 65536} {
+				b.Run(fmt.Sprintf("%s/r%d/sz%d", transport, n, sz), func(b *testing.B) {
+					m := newMesh(b, transport, n)
+					defer m.closeAll()
+					group := groupAll(n)
+					bufs := make([][]float32, n)
+					for r := range bufs {
+						bufs[r] = testInput(r, sz)
+					}
+					b.SetBytes(int64(4 * sz))
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for r := 0; r < n; r++ {
+						wg.Add(1)
+						go func(r int) {
+							defer wg.Done()
+							for i := 0; i < b.N; i++ {
+								if err := m.ranks[r].AllReduce(group, bufs[r]); err != nil {
+									b.Errorf("rank %d: %v", r, err)
+									return
+								}
 							}
-						}
-					}(r)
-				}
-				wg.Wait()
-			})
+						}(r)
+					}
+					wg.Wait()
+				})
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@
 //   - asynchronous point-to-point messaging with a per-rank inbox (AxoNN's
 //     message-driven scheduling reads whatever activation/gradient arrives
 //     next, §II-E), used by inter-layer parallelism;
-//   - collectives (ring all-reduce, rank-ordered all-reduce, broadcast)
+//   - one collective, an all-reduce returning the serial rank-ordered sum,
 //     used by data parallelism.
 //
 // The default transport is the in-process channel mesh (LocalTransport);
@@ -35,15 +35,15 @@ import (
 // between its goroutines by design) and dies with it.
 //
 // Buffers are reused for any request the class capacity covers (Get
-// reslices), so nearly-equal sizes — ring chunk boundaries differ by one
-// element across ranks — share buffers instead of each pinning their own.
+// reslices), so nearly-equal sizes — all-reduce chunk boundaries differ by
+// one element across ranks — share buffers instead of each pinning their own.
 // Total retained capacity is bounded by Max; Put drops buffers beyond the
 // bound and lets the GC take them.
 type Pool[T any] struct {
 	// Max bounds the retained capacity, in elements; set before first use.
 	// An EMPTY class may retain one buffer past the bound — a chunk bigger
 	// than the whole budget must still round-trip through the pool, or
-	// every ring step of a large model would allocate.
+	// every all-reduce of a large model would allocate.
 	Max int64
 
 	mu sync.Mutex
@@ -54,9 +54,9 @@ type Pool[T any] struct {
 }
 
 // maxPoolFloats bounds a fabric pool's retained capacity (4 MiB of
-// float32s). A G-rank ring collective keeps at most a few chunks in flight
-// per rank, so steady state sits far below the bound; the bound only bites
-// when a sweep pushes many distinct large sizes through one fabric.
+// float32s). An all-reduce keeps a few chunks per peer in flight, so steady
+// state sits far below the bound; the bound only bites when a sweep pushes
+// many distinct large sizes through one fabric.
 const maxPoolFloats = 1 << 20
 
 // bufClass returns the class index whose buffers can hold n elements:
@@ -328,7 +328,7 @@ type Rank struct {
 	seq     int
 	step    int   // current engine step (BeginStep), for failure attribution
 	ops     int   // collective entries so far, for CrashAtOp fault points
-	bounds  []int // reusable chunk-boundary scratch for ring collectives
+	bounds  []int // reusable chunk-boundary scratch for AllReduce
 
 	// Async collective lane (async.go). The worker goroutine executes
 	// queued operations serially, reusing this Rank's matching state —
@@ -339,8 +339,8 @@ type Rank struct {
 	freeHandles []*ReduceHandle // owner-side handle pool (zero-alloc steady state)
 }
 
-// chunkBounds fills the rank's reusable boundary scratch (ring collectives
-// run once per gradient buffer per batch; allocating here would defeat the
+// chunkBounds fills the rank's reusable boundary scratch (an all-reduce
+// runs once per gradient buffer per batch; allocating here would defeat the
 // engine's zero-alloc steady state).
 func (rk *Rank) chunkBounds(n, g int) []int {
 	if cap(rk.bounds) < g+1 {
@@ -489,18 +489,23 @@ func (rk *Rank) groupPos(group []int) int {
 	panic(fmt.Sprintf("comm: rank %d not in group %v", rk.r, group))
 }
 
-// Collective opcode bases for tag construction.
+// Collective tags: one per all-reduce phase. Each rank sends a peer at most
+// one frame per phase, and frames between a pair arrive in order, so
+// back-to-back reduces match without a sequence number.
 const (
-	opAllReduce = 1 << 20
-	opGather    = 2 << 20
-	opBcast     = 3 << 20
+	tagReduceScatter = 1<<20 + iota
+	tagAllGather
 )
 
-// AllReduce sums buf across the group in place using the bandwidth-optimal
-// ring algorithm (reduce-scatter then all-gather), the same structure NCCL
-// uses for large messages — each rank sends 2·(G−1)/G of the buffer. On a
-// poisoned fabric (or when a fault fires) it unwinds with the typed error;
-// buf's contents are then unspecified and the caller must not step on them.
+// AllReduce sums buf across the group in place. Every rank ends with the
+// serial group-ordered sum x₀ + x₁ + … + x_{G−1}, bit for bit, at every
+// group size and buffer length: the rank at group position p owns chunk p
+// of the buffer, receives every other rank's copy of it, folds the G
+// contributions in group order, and sends the sum back to every other rank.
+// Each rank receives 2·(G−1)/G of the buffer, as in a ring; an empty chunk
+// moves nothing. On a poisoned fabric (or when a fault fires) it unwinds
+// with the typed error; buf's contents are then unspecified and the caller
+// must not step on them.
 func (rk *Rank) AllReduce(group []int, buf []float32) error {
 	start := time.Now()
 	err := rk.allReduce(group, buf)
@@ -519,149 +524,95 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 		return nil
 	}
 	pos := rk.groupPos(group)
-	next := group[(pos+1)%g]
-	prev := group[(pos-1+g)%g]
 	bounds := rk.chunkBounds(len(buf), g)
 	rk.f.stats[rk.r].CollOps.Add(1)
 
-	// Reduce-scatter: after step s, each rank has accumulated chunk
-	// (pos-s) from s+1 ranks; after G-1 steps rank p owns the full sum of
-	// chunk (p+1) mod G.
-	for s := 0; s < g-1; s++ {
-		sendChunk := (pos - s + g) % g
-		recvChunk := (pos - s - 1 + g) % g
-		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.Get(hi - lo)
-		copy(out, buf[lo:hi])
-		if err := rk.sendColl(next, opAllReduce+s, out); err != nil {
-			return err
+	// Reduce-scatter: hand every other chunk to its owner.
+	for q, to := range group {
+		if q != pos {
+			if err := rk.sendChunk(to, tagReduceScatter, buf[bounds[q]:bounds[q+1]]); err != nil {
+				return err
+			}
 		}
-		in, err := rk.recvColl(prev, opAllReduce+s)
-		if err != nil {
-			return err
-		}
-		lo, hi = bounds[recvChunk], bounds[recvChunk+1]
-		rk.f.stats[rk.r].CollElements.Add(int64(hi - lo))
-		for i := range in {
-			buf[lo+i] += in[i]
-		}
-		rk.f.bufs.Put(in)
 	}
-	// All-gather: circulate the finished chunks.
-	for s := 0; s < g-1; s++ {
-		sendChunk := (pos + 1 - s + g) % g
-		recvChunk := (pos - s + g) % g
-		lo, hi := bounds[sendChunk], bounds[sendChunk+1]
-		out := rk.f.bufs.Get(hi - lo)
-		copy(out, buf[lo:hi])
-		if err := rk.sendColl(next, opAllReduce+1000+s, out); err != nil {
+	own := buf[bounds[pos]:bounds[pos+1]]
+	if len(own) > 0 {
+		if err := rk.foldOwned(group, pos, own); err != nil {
 			return err
 		}
-		in, err := rk.recvColl(prev, opAllReduce+1000+s)
+	}
+	// All-gather: send the owned sum to every other rank, take theirs.
+	for q, to := range group {
+		if q != pos {
+			if err := rk.sendChunk(to, tagAllGather, own); err != nil {
+				return err
+			}
+		}
+	}
+	for q, from := range group {
+		lo, hi := bounds[q], bounds[q+1]
+		if q == pos || lo == hi {
+			continue
+		}
+		in, err := rk.recvColl(from, tagAllGather)
 		if err != nil {
 			return err
 		}
-		lo, hi = bounds[recvChunk], bounds[recvChunk+1]
-		rk.f.stats[rk.r].CollElements.Add(int64(hi - lo))
+		rk.f.stats[rk.r].CollElements.Add(int64(len(in)))
 		copy(buf[lo:hi], in)
 		rk.f.bufs.Put(in)
 	}
 	return nil
 }
 
-// AllReduceOrdered sums buf across the group with a rank-ordered
-// gather-to-root reduction: the floating-point additions happen in group
-// order, exactly matching a serial loop over ranks. Used where bitwise
-// reproducibility against a serial reference matters more than bandwidth.
-func (rk *Rank) AllReduceOrdered(group []int, buf []float32) error {
-	start := time.Now()
-	err := rk.allReduceOrdered(group, buf)
-	rk.f.stats[rk.r].ExposedCollNanos.Add(time.Since(start).Nanoseconds())
-	return err
-}
-
-// allReduceOrdered is AllReduceOrdered without the exposed-time accounting,
-// shared with the async lane.
-func (rk *Rank) allReduceOrdered(group []int, buf []float32) error {
-	if err := rk.enterColl(); err != nil {
-		return err
-	}
-	g := len(group)
-	if g == 1 {
+// sendChunk sends a pooled copy of chunk to rank to; an empty chunk sends
+// nothing (its receiver expects nothing).
+func (rk *Rank) sendChunk(to, tag int, chunk []float32) error {
+	if len(chunk) == 0 {
 		return nil
 	}
-	pos := rk.groupPos(group)
-	root := group[0]
-	rk.f.stats[rk.r].CollOps.Add(1)
-	if pos == 0 {
-		for i := 1; i < g; i++ {
-			in, err := rk.recvColl(group[i], opGather+i)
-			if err != nil {
-				return err
-			}
-			rk.f.stats[rk.r].CollElements.Add(int64(len(in)))
-			for j := range buf {
-				buf[j] += in[j]
-			}
-			rk.f.bufs.Put(in)
-		}
-	} else {
-		out := rk.f.bufs.Get(len(buf))
-		copy(out, buf)
-		if err := rk.sendColl(root, opGather+pos, out); err != nil {
-			return err
-		}
-	}
-	return rk.broadcast(group, root, buf)
+	out := rk.f.bufs.Get(len(chunk))
+	copy(out, chunk)
+	return rk.sendColl(to, tag, out)
 }
 
-// Broadcast copies root's buf to every rank (binomial-tree free: simple
-// root-sends-all, adequate in-process).
-func (rk *Rank) Broadcast(group []int, root int, buf []float32) error {
-	start := time.Now()
-	err := rk.enterColl()
-	if err == nil {
-		err = rk.broadcast(group, root, buf)
-	}
-	rk.f.stats[rk.r].ExposedCollNanos.Add(time.Since(start).Nanoseconds())
-	return err
-}
-
-// broadcast is Broadcast without the collective-entry prologue, for reuse
-// inside AllReduceOrdered (one logical collective, one fault point).
-func (rk *Rank) broadcast(group []int, root int, buf []float32) error {
-	pos := rk.groupPos(group)
-	rootPos := -1
-	for i, g := range group {
-		if g == root {
-			rootPos = i
-			break
-		}
-	}
-	if rootPos < 0 {
-		panic("comm: broadcast root not in group")
-	}
-	if pos == rootPos {
-		for i, g := range group {
-			if i == rootPos {
-				continue
+// foldOwned receives every other rank's copy of the owned chunk and sums
+// the G contributions in group order into own. The running sum x₀ + … + x_q
+// builds in rank 0's received buffer until the rank's own contribution
+// joins, then in own; a + b == b + a in IEEE arithmetic, so adding the
+// partial sum into own gives the serial bits.
+func (rk *Rank) foldOwned(group []int, pos int, own []float32) error {
+	acc := own
+	for q, from := range group {
+		if q == pos {
+			if q > 0 {
+				addInto(own, acc)
+				rk.f.bufs.Put(acc)
+				acc = own
 			}
-			out := rk.f.bufs.Get(len(buf))
-			copy(out, buf)
-			if err := rk.sendColl(g, opBcast+i, out); err != nil {
-				return err
-			}
+			continue
 		}
-	} else {
-		in, err := rk.recvColl(root, opBcast+pos)
+		in, err := rk.recvColl(from, tagReduceScatter)
 		if err != nil {
 			return err
 		}
 		rk.f.stats[rk.r].CollElements.Add(int64(len(in)))
-		copy(buf, in)
+		if q == 0 {
+			acc = in
+			continue
+		}
+		addInto(acc, in)
 		rk.f.bufs.Put(in)
 	}
 	return nil
+}
+
+// addInto adds x into dst elementwise; len(x) == len(dst).
+func addInto(dst, x []float32) {
+	x = x[:len(dst)]
+	for i, v := range x {
+		dst[i] += v
+	}
 }
 
 // fillChunkBounds splits n elements into g nearly equal contiguous chunks,

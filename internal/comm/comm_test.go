@@ -107,32 +107,38 @@ func TestAllReduceRingSums(t *testing.T) {
 	}
 }
 
-func TestAllReduceOrderedMatchesSerialExactly(t *testing.T) {
-	n, sz := 5, 100
-	inputs := make([][]float32, n)
+func TestAllReduceMatchesSerialExactly(t *testing.T) {
+	// Sizes below n leave chunks empty; 100 and 4099 split unevenly for
+	// most n. Every rank must hold the serial rank-ordered sum, bit for bit.
 	rng := tensor.NewRNG(1)
-	for r := range inputs {
-		inputs[r] = make([]float32, sz)
-		for i := range inputs[r] {
-			inputs[r][i] = float32(rng.Norm())
-		}
-	}
-	want := make([]float32, sz)
-	for r := 0; r < n; r++ { // serial rank-ordered sum
-		for i := range want {
-			want[i] += inputs[r][i]
-		}
-	}
-	results := make([][]float32, n)
-	runGroup(n, func(rk *Rank) {
-		buf := append([]float32(nil), inputs[rk.ID()]...)
-		must(rk.AllReduceOrdered(group(n), buf))
-		results[rk.ID()] = buf
-	})
-	for r := 0; r < n; r++ {
-		for i := range want {
-			if results[r][i] != want[i] {
-				t.Fatalf("rank %d elem %d: %g != serial %g (must be bitwise)", r, i, results[r][i], want[i])
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
+		for _, sz := range []int{0, 1, n - 1, 100, 4099} {
+			inputs := make([][]float32, n)
+			for r := range inputs {
+				inputs[r] = make([]float32, sz)
+				for i := range inputs[r] {
+					inputs[r][i] = float32(rng.Norm())
+				}
+			}
+			want := append([]float32(nil), inputs[0]...)
+			for r := 1; r < n; r++ { // serial rank-ordered sum
+				for i := range want {
+					want[i] += inputs[r][i]
+				}
+			}
+			results := make([][]float32, n)
+			runGroup(n, func(rk *Rank) {
+				buf := append([]float32(nil), inputs[rk.ID()]...)
+				must(rk.AllReduce(group(n), buf))
+				results[rk.ID()] = buf
+			})
+			for r := 0; r < n; r++ {
+				for i := range want {
+					if math.Float32bits(results[r][i]) != math.Float32bits(want[i]) {
+						t.Fatalf("n=%d sz=%d rank %d elem %d: %g != serial %g (must be bitwise)",
+							n, sz, r, i, results[r][i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -155,24 +161,6 @@ func TestAllReduceSubgroupsConcurrently(t *testing.T) {
 	}
 	if results[1][0] != 6 || results[3][0] != 6 { // 2+4
 		t.Errorf("group {1,3}: %v %v", results[1], results[3])
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	n := 4
-	results := make([][]float32, n)
-	runGroup(n, func(rk *Rank) {
-		buf := []float32{0, 0}
-		if rk.ID() == 2 {
-			buf = []float32{5, 9}
-		}
-		must(rk.Broadcast(group(n), 2, buf))
-		results[rk.ID()] = buf
-	})
-	for r := 0; r < n; r++ {
-		if results[r][0] != 5 || results[r][1] != 9 {
-			t.Errorf("rank %d got %v", r, results[r])
-		}
 	}
 }
 
@@ -229,7 +217,7 @@ func TestCollectiveElementAccounting(t *testing.T) {
 		buf := make([]float32, sz)
 		must(rk.AllReduce(group(n), buf))
 	})
-	// Ring all-reduce receives 2·(G−1)/G·sz elements per rank.
+	// AllReduce receives 2·(G−1)/G·sz elements per rank.
 	perRank := f.Stats(0).CollElements.Load()
 	want := int64(2 * (n - 1) * sz / n)
 	if math.Abs(float64(perRank-want)) > float64(n) {
@@ -276,7 +264,7 @@ func TestBufferPoolBoundedAcrossFabrics(t *testing.T) {
 					buf[i] = float32(rk.ID() + i)
 				}
 				must(rk.AllReduce(g, buf))
-				must(rk.AllReduceOrdered(g, buf[:1]))
+				must(rk.AllReduce(g, buf[:1]))
 			}
 		})
 		if got := f.PooledBytes(); got > maxPoolFloats*4 {

@@ -72,11 +72,8 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 		if err := rk.AllReduce(group(3), nil); err != nil {
 			t.Errorf("rank %d: healthy zero-length AllReduce: %v", rk.ID(), err)
 		}
-		if err := rk.AllReduceOrdered(group(3), []float32{}); err != nil {
-			t.Errorf("rank %d: healthy zero-length ordered reduce: %v", rk.ID(), err)
-		}
-		if err := rk.Broadcast(group(3), 2, nil); err != nil {
-			t.Errorf("rank %d: healthy zero-length Broadcast: %v", rk.ID(), err)
+		if err := rk.AllReduce(group(3), []float32{}); err != nil {
+			t.Errorf("rank %d: healthy empty-slice AllReduce: %v", rk.ID(), err)
 		}
 		if err := rk.AllReduceAsync(group(3), nil).Wait(); err != nil {
 			t.Errorf("rank %d: healthy zero-length async AllReduce: %v", rk.ID(), err)
@@ -89,11 +86,8 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 		if err := rk.AllReduce(group(3), nil); !errors.Is(err, want) {
 			t.Errorf("rank %d: poisoned zero-length AllReduce: %v", rk.ID(), err)
 		}
-		if err := rk.AllReduceOrdered(group(3), []float32{1}); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned one-element ordered reduce: %v", rk.ID(), err)
-		}
-		if err := rk.Broadcast(group(3), 2, nil); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned zero-length Broadcast: %v", rk.ID(), err)
+		if err := rk.AllReduce(group(3), []float32{1}); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned one-element AllReduce: %v", rk.ID(), err)
 		}
 		if err := rk.AllReduceAsync(group(3), nil).Wait(); !errors.Is(err, want) {
 			t.Errorf("rank %d: poisoned zero-length async AllReduce: %v", rk.ID(), err)
@@ -102,7 +96,7 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 }
 
 func TestConcurrentPoisonVsInflightRings(t *testing.T) {
-	// -race stress: ranks hammer ring all-reduces while an outside goroutine
+	// -race stress: ranks hammer all-reduces while an outside goroutine
 	// poisons the fabric mid-flight. Every rank must unwind promptly with
 	// the poison error — no deadlock, no race on the poison state, and the
 	// error every rank sees is the same first-winner.
@@ -111,7 +105,7 @@ func TestConcurrentPoisonVsInflightRings(t *testing.T) {
 		want := &RankFailedError{Rank: 2, Step: trial}
 		go func() {
 			// No timer: scheduling jitter alone lands the poison at a
-			// different point in the ring each trial.
+			// different point in the all-reduce each trial.
 			f.Poison(want)
 		}()
 		waitAll(t, f, func(rk *Rank) {

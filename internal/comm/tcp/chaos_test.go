@@ -60,7 +60,7 @@ func runRanks(t *testing.T, ranks []*comm.Rank, fn func(rk *comm.Rank) error) []
 
 // TestChaosHardClosePeerMidCollective kills one endpoint's connections
 // (no poison frame — as a SIGKILLed process would) while every rank loops
-// ring all-reduces. Every survivor must unwind with a RankFailedError;
+// all-reduces. Every survivor must unwind with a RankFailedError;
 // the aborted endpoint's own ranks unwind too.
 func TestChaosHardClosePeerMidCollective(t *testing.T) {
 	_, ranks, trs := loopbackFabrics(t, 3)
@@ -213,9 +213,9 @@ func TestChaosStalledSocket(t *testing.T) {
 }
 
 // TestChaosAbortDuringBarrier drops an endpoint while the others wait in
-// a barrier — a one-element ordered all-reduce, the all-to-one-to-all
-// pattern most sensitive to a missing peer: both survivors must unwind
-// typed.
+// a barrier — a one-element all-reduce, which funnels through the owner of
+// the only non-empty chunk and so is the all-to-one-to-all pattern most
+// sensitive to a missing peer: both survivors must unwind typed.
 func TestChaosAbortDuringBarrier(t *testing.T) {
 	_, ranks, trs := loopbackFabrics(t, 3)
 	group := []int{0, 1, 2}
@@ -226,7 +226,7 @@ func TestChaosAbortDuringBarrier(t *testing.T) {
 			return errors.New("aborted")
 		}
 		for {
-			if err := rk.AllReduceOrdered(group, []float32{1}); err != nil {
+			if err := rk.AllReduce(group, []float32{1}); err != nil {
 				return err
 			}
 		}

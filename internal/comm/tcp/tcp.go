@@ -309,7 +309,8 @@ func readHandshake(c net.Conn) (int, error) {
 }
 
 // procBounds splits n ranks into nproc contiguous blocks (same arithmetic
-// as the fabric's ring chunks, so rank->process mapping is deterministic).
+// as the fabric's all-reduce chunks, so rank->process mapping is
+// deterministic).
 func procBounds(n, nproc int) []int {
 	b := make([]int, nproc+1)
 	base, rem := n/nproc, n%nproc
@@ -700,6 +701,18 @@ const (
 	poisonClosed     = byte(3)
 )
 
+// errMalformedPoison is what a poison frame outside its canonical encoding
+// decodes to: the peer still declared the fabric dead, but said nothing
+// this process can trust about why.
+var errMalformedPoison = errors.New("tcp: malformed poison frame")
+
+// peerError is an untyped failure carried by a peer's poison frame. It
+// re-encodes with its message unchanged, so a poison relayed from process
+// to process keeps one "tcp: " prefix.
+type peerError string
+
+func (e peerError) Error() string { return "tcp: " + string(e) }
+
 // encodePoison serializes a typed fabric error so the receiving process
 // reconstructs the same type — errors.As on RankFailedError/DeadlineError
 // works across the wire, which is what lets a remote engine's restart
@@ -718,7 +731,9 @@ func encodePoison(p *comm.Pool[byte], err error) []byte {
 		code = poisonClosed
 	}
 	msg := ""
-	if code == poisonOther && err != nil {
+	if pe, ok := err.(peerError); ok {
+		msg = string(pe)
+	} else if code == poisonOther && err != nil {
 		msg = err.Error()
 	}
 	n := 4 + 1 + 1 + 4 + 4 + 8 + 4 + len(msg)
@@ -734,29 +749,31 @@ func encodePoison(p *comm.Pool[byte], err error) []byte {
 	return buf[:n]
 }
 
+// decodePoison reconstructs the error a peer's poison frame carries. Only a
+// frame in the one encoding encodePoison gives its error decodes: exact
+// length, a known code, and zero in every field the code does not carry.
+// Any other poison frame yields errMalformedPoison.
 func decodePoison(buf []byte) error {
-	if len(buf) < 22 {
-		return errors.New("tcp: short poison frame")
+	if len(buf) < 22 || uint64(len(buf)) != 22+uint64(binary.LittleEndian.Uint32(buf[18:])) {
+		return errMalformedPoison
 	}
 	code := buf[1]
 	rank := int(int32(binary.LittleEndian.Uint32(buf[2:])))
 	step := int(int32(binary.LittleEndian.Uint32(buf[6:])))
 	timeout := time.Duration(binary.LittleEndian.Uint64(buf[10:]))
-	switch code {
-	case poisonRankFailed:
+	msg := string(buf[22:])
+	bare := rank == 0 && step == 0 && timeout == 0
+	switch {
+	case code == poisonRankFailed && timeout == 0 && msg == "":
 		return &comm.RankFailedError{Rank: rank, Step: step}
-	case poisonDeadline:
+	case code == poisonDeadline && msg == "":
 		return &comm.DeadlineError{Rank: rank, Step: step, Timeout: timeout}
-	case poisonClosed:
+	case code == poisonClosed && bare && msg == "":
 		return comm.ErrFabricClosed
-	default:
-		msgLen := int(binary.LittleEndian.Uint32(buf[18:]))
-		msg := "remote fabric poisoned"
-		if msgLen > 0 && len(buf) >= 22+msgLen {
-			msg = string(buf[22 : 22+msgLen])
-		}
-		return fmt.Errorf("tcp: %s", msg)
+	case code == poisonOther && bare && msg != "":
+		return peerError(msg)
 	}
+	return errMalformedPoison
 }
 
 func putFloats(dst []byte, src []float32) int {

@@ -17,10 +17,9 @@ package comm
 //     path (RankFailedError) and socket write timeouts onto the
 //     DeadlineError backstop.
 //
-// The collective algorithms (ring all-reduce, ordered reductions,
-// broadcast) run ABOVE the transport and are therefore identical
-// on both — the conformance suite pins their results bitwise-equal across
-// transports at every group size.
+// The all-reduce runs ABOVE the transport and is therefore identical on
+// both — the conformance suite pins its results bitwise-equal across
+// transports, and to the serial rank-ordered sum, at every group size.
 
 // CollFrame is one collective-plane message: a tagged chunk moving between
 // two ranks inside a collective. Data buffers come from the fabric's

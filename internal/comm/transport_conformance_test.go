@@ -121,39 +121,18 @@ func bitsOf(buf []float32) []uint32 {
 	return b
 }
 
-// collResult is one rank's outputs from the three data-parallel
-// collectives under test.
-type collResult struct {
-	allReduce []uint32
-	broadcast []uint32
-	ordered   []uint32
-}
-
-// runCollectives executes AllReduce, Broadcast (from the last rank) and
-// AllReduceOrdered on deterministic inputs and records the result bits.
-func runCollectives(t *testing.T, m *mesh, n, sz int) []collResult {
+// runAllReduce executes AllReduce on deterministic inputs and records each
+// rank's result bits.
+func runAllReduce(t *testing.T, m *mesh, n, sz int) [][]uint32 {
 	t.Helper()
 	group := groupAll(n)
-	out := make([]collResult, n)
+	out := make([][]uint32, n)
 	errs := runMesh(t, m, func(rk *comm.Rank) error {
-		r := rk.ID()
-		ar := testInput(r, sz)
-		if err := rk.AllReduce(group, ar); err != nil {
+		buf := testInput(rk.ID(), sz)
+		if err := rk.AllReduce(group, buf); err != nil {
 			return err
 		}
-		out[r].allReduce = bitsOf(ar)
-
-		bc := testInput(r, sz)
-		if err := rk.Broadcast(group, n-1, bc); err != nil {
-			return err
-		}
-		out[r].broadcast = bitsOf(bc)
-
-		ord := testInput(r, sz)
-		if err := rk.AllReduceOrdered(group, ord); err != nil {
-			return err
-		}
-		out[r].ordered = bitsOf(ord)
+		out[rk.ID()] = bitsOf(buf)
 		return nil
 	})
 	for r, err := range errs {
@@ -164,93 +143,70 @@ func runCollectives(t *testing.T, m *mesh, n, sz int) []collResult {
 	return out
 }
 
-// TestConformanceCollectivesBitwise pins AllReduce, Broadcast and
-// AllReduceOrdered results bitwise-identical across the two transports at
-// worker counts 1, 4 and 8 — float32 framing on the wire must be
-// bit-preserving, and the collective schedules must not depend on the
-// transport underneath.
+// TestConformanceCollectivesBitwise pins AllReduce results bitwise-identical
+// across the two transports at worker counts 1, 4 and 8 — float32 framing
+// on the wire must be bit-preserving, and the collective schedule must not
+// depend on the transport underneath.
 func TestConformanceCollectivesBitwise(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		for _, sz := range []int{1, 5, 1024, 4099} {
 			t.Run(fmt.Sprintf("n%d/sz%d", n, sz), func(t *testing.T) {
 				mLocal := newMesh(t, "local", n)
 				defer mLocal.closeAll()
-				want := runCollectives(t, mLocal, n, sz)
+				want := runAllReduce(t, mLocal, n, sz)
 
 				mTCP := newMesh(t, "tcp", n)
 				defer mTCP.closeAll()
-				got := runCollectives(t, mTCP, n, sz)
+				got := runAllReduce(t, mTCP, n, sz)
 
 				for r := 0; r < n; r++ {
-					check := func(kind string, w, g []uint32) {
-						if len(w) != len(g) {
-							t.Fatalf("rank %d %s: length %d vs %d", r, kind, len(w), len(g))
-						}
-						for i := range w {
-							if w[i] != g[i] {
-								t.Fatalf("rank %d %s[%d]: local bits %08x, tcp bits %08x",
-									r, kind, i, w[i], g[i])
-							}
+					if len(want[r]) != len(got[r]) {
+						t.Fatalf("rank %d: length %d vs %d", r, len(want[r]), len(got[r]))
+					}
+					for i := range want[r] {
+						if want[r][i] != got[r][i] {
+							t.Fatalf("rank %d elem %d: local bits %08x, tcp bits %08x",
+								r, i, want[r][i], got[r][i])
 						}
 					}
-					check("allreduce", want[r].allReduce, got[r].allReduce)
-					check("broadcast", want[r].broadcast, got[r].broadcast)
-					check("ordered", want[r].ordered, got[r].ordered)
 				}
 			})
 		}
 	}
 }
 
-// TestConformanceOrderedReduceMatchesSerial pins AllReduceOrdered to the
-// serial rank-order sum exactly, on both transports: bitwise
-// reproducibility of the ordered reduction is a cross-transport contract,
-// not a local-transport accident.
-func TestConformanceOrderedReduceMatchesSerial(t *testing.T) {
-	const n, sz = 4, 513
-	want := make([]float32, sz)
-	for r := 0; r < n; r++ {
-		in := testInput(r, sz)
-		for i := range want {
-			if r == 0 {
-				want[i] = in[i]
-			} else {
-				want[i] += in[i]
-			}
-		}
-	}
-	forEachTransport(t, n, func(t *testing.T, m *mesh) {
-		group := groupAll(n)
-		got := make([][]float32, n)
-		errs := runMesh(t, m, func(rk *comm.Rank) error {
-			buf := testInput(rk.ID(), sz)
-			if err := rk.AllReduceOrdered(group, buf); err != nil {
-				return err
-			}
-			got[rk.ID()] = buf
-			return nil
-		})
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
-			}
-		}
-		for r := 0; r < n; r++ {
-			for i := range want {
-				if math.Float32bits(got[r][i]) != math.Float32bits(want[i]) {
-					t.Fatalf("rank %d elem %d: got bits %08x, want %08x",
-						r, i, math.Float32bits(got[r][i]), math.Float32bits(want[i]))
+// TestConformanceAllReduceMatchesSerial pins AllReduce to the serial
+// rank-order sum exactly, on both transports and at group sizes whose
+// chunks split unevenly or come out empty: bitwise reproducibility is a
+// cross-transport contract, not a local-transport accident.
+func TestConformanceAllReduceMatchesSerial(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
+		forEachTransport(t, n, func(t *testing.T, m *mesh) {
+			for _, sz := range []int{n - 1, 513} {
+				want := testInput(0, sz)
+				for r := 1; r < n; r++ {
+					for i, v := range testInput(r, sz) {
+						want[i] += v
+					}
+				}
+				got := runAllReduce(t, m, n, sz)
+				for r := 0; r < n; r++ {
+					for i := range want {
+						if got[r][i] != math.Float32bits(want[i]) {
+							t.Fatalf("sz %d rank %d elem %d: got bits %08x, want %08x",
+								sz, r, i, got[r][i], math.Float32bits(want[i]))
+						}
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestConformanceConcurrentAsyncCollectives pins the async lane on both
 // transports: each rank launches a whole schedule of reduces — several
 // in-flight at once, on DISTINCT groups (evens and odds run disjoint
-// collectives concurrently), mixing the ring and rank-ordered algorithms —
-// then drains and runs one synchronous global reduce. Results must be
+// collectives concurrently) — then drains and runs one synchronous global reduce. Results must be
 // bitwise-identical to issuing the same schedule synchronously on the local
 // transport: async vs sync and local vs tcp may not change a single bit.
 func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
@@ -280,11 +236,7 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 				defer rk.CloseAsync()
 				handles := make([]*comm.ReduceHandle, len(bufs))
 				for i, buf := range bufs {
-					if i%2 == 0 {
-						handles[i] = rk.AllReduceAsync(group, buf)
-					} else {
-						handles[i] = rk.AllReduceOrderedAsync(group, buf)
-					}
+					handles[i] = rk.AllReduceAsync(group, buf)
 				}
 				for _, h := range handles {
 					if err := h.Wait(); err != nil {
@@ -292,14 +244,8 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 					}
 				}
 			} else {
-				for i, buf := range bufs {
-					var err error
-					if i%2 == 0 {
-						err = rk.AllReduce(group, buf)
-					} else {
-						err = rk.AllReduceOrdered(group, buf)
-					}
-					if err != nil {
+				for _, buf := range bufs {
+					if err := rk.AllReduce(group, buf); err != nil {
 						return err
 					}
 				}
@@ -307,7 +253,7 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 			// Drained: a synchronous global collective must now be safe —
 			// the engine's consensus-after-overlap pattern.
 			global := testInput(r+100, 64)
-			if err := rk.AllReduceOrdered(groupAll(n), global); err != nil {
+			if err := rk.AllReduce(groupAll(n), global); err != nil {
 				return err
 			}
 			res := make([][]uint32, 0, len(bufs)+1)

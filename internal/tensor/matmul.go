@@ -960,10 +960,3 @@ func transposeChunk(ctx any, lo, hi int) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

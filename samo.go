@@ -167,8 +167,9 @@
 // # Transport
 //
 // The fabric is split from the wire: Fabric owns the failure domain and the
-// collective algorithms (ring all-reduce, ordered reduce, broadcast), while
-// a pluggable Transport moves the bytes. The default is the in-process
+// one collective, an all-reduce that returns the serial rank-ordered sum
+// (reduce-scatter to chunk owners, all-gather of their sums), while a
+// pluggable Transport moves the bytes. The default is the in-process
 // channel mesh (goroutine ranks, zero-copy pooled buffers); the TCP
 // transport (internal/comm/tcp) runs the same fabric across OS
 // processes, each hosting a contiguous block of ranks. Frames are
