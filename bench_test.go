@@ -124,9 +124,10 @@ func BenchmarkAblationLinearIndex(b *testing.B) {
 }
 
 // BenchmarkAblationLayerGranular measures §III-C's layer-granular gradient
-// compression: peak dense-gradient residency is one layer, not the model.
-// The metric reported is the peak number of uncompressed gradient elements
-// alive at once under each policy.
+// compression: peak dense-gradient residency is one layer, not the model —
+// the state's gradient scratch is exactly the largest layer's. The metric
+// reported is the peak number of uncompressed gradient elements alive at
+// once under each policy.
 func BenchmarkAblationLayerGranular(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	model := nn.BuildMLP("ablate", []int{64, 128, 128, 64, 8}, rng)
@@ -149,7 +150,6 @@ func BenchmarkAblationLayerGranular(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.ZeroGrads()
 		y, caches := model.Forward(x, true)
 		_, g := nn.CrossEntropy(y, targets)
 		tensor.Scale(g, state.LossScale())

@@ -693,7 +693,8 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 
 	m := per / cfg.Microbatch
 	w.mCount = m
-	w.model.ZeroGrads()
+	// No gradient clear: capture leaves the state's gradient scratch zero,
+	// and a batch that aborts ends the attempt, whose worker Train rebuilds.
 
 	// Loss-gradient normalization: each microbatch's CrossEntropy gradient
 	// is a mean over its own rows; scaling by 1/(M·Gdata) makes the summed,

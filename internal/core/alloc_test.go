@@ -35,11 +35,16 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 }
 
 // TestModelStateResidentBytes measures the real bytes a dense Adam training
-// state holds per parameter on the bench MLP (256-768-768-768-32, 1 403 168
-// parameters): the live-heap growth, after GC, of building and warming its
-// ModelState over an already built model. The state owns four float32
-// vectors per element — θ32, ∇θ16 and Adam's m and v — 16 B; a stored ∇θ32
-// would make it 20. θ16 and the dense gradient accumulator are the model's.
+// run holds per parameter on the bench MLP (256-768-768-768-32, 1 403 168
+// parameters, the largest layer 590 592): the live-heap growth, after GC,
+// of building and warming a ModelState. The state owns four float32 vectors
+// per element — θ32, ∇θ16 and Adam's m and v — 16 B (a stored ∇θ32 would
+// make it 20), plus one gradient scratch the size of the largest layer. It
+// re-points every Param.Grad into that scratch, so the model keeps only θ16
+// (its Value tensors, 4 B). The first reading builds the state over an
+// already built model, whose dropped accumulators offset the scratch; the
+// second builds the model too, so a model-sized gradient accumulator (4 B
+// more per parameter) would show.
 func TestModelStateResidentBytes(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	live := func() uint64 {
@@ -48,22 +53,51 @@ func TestModelStateResidentBytes(t *testing.T) {
 		runtime.ReadMemStats(&s)
 		return s.HeapAlloc
 	}
-	m := nn.BuildMLP("resident", []int{256, 768, 768, 768, 32}, tensor.NewRNG(1))
-	before := live()
-	ms := NewModelState(m, optim.NewAdam(1e-3), Dense, nil)
-	for _, l := range m.Layers {
-		ms.GradHook().Capture(l)
+	sizes := []int{256, 768, 768, 768, 32}
+	warm := func(m *nn.Model) *ModelState {
+		ms := NewModelState(m, optim.NewAdam(1e-3), Dense, nil)
+		for _, l := range m.Layers {
+			ms.GradHook().Capture(l)
+		}
+		ms.Step() // allocates Adam's moments
+		return ms
 	}
-	ms.Step() // allocates Adam's moments
+	const slack = 0.5
+
+	m := nn.BuildMLP("resident", sizes, tensor.NewRNG(1))
+	before := live()
+	ms := warm(m)
 	grown := float64(live()) - float64(before)
 	runtime.KeepAlive(ms)
 	runtime.KeepAlive(m)
-
 	phi := float64(m.NumParams())
-	const want, slack = 16, 0.5
+	const want = 16
 	if perParam := grown / phi; perParam > want+slack {
 		t.Errorf("ModelState holds %.2f B per parameter (%.0f B over %.0f parameters), want ≤ %d + %.1f",
 			perParam, grown, phi, want, slack)
+	}
+
+	largest := 0
+	for _, l := range m.Layers {
+		n := 0
+		for _, p := range l.Params() {
+			n += p.Size()
+		}
+		largest = max(largest, n)
+	}
+	ms, m = nil, nil
+	before = live()
+	m = nn.BuildMLP("resident", sizes, tensor.NewRNG(1))
+	ms = warm(m)
+	grown = float64(live()) - float64(before)
+	runtime.KeepAlive(ms)
+	runtime.KeepAlive(m)
+	// θ16 (float32 Values, 4 B), the state's 16 B, and the scratch spread
+	// over every parameter: ≈ 21.7 B here.
+	wantAll := 4 + 16 + 4*float64(largest)/phi
+	if perParam := grown / phi; perParam > wantAll+slack {
+		t.Errorf("model and state hold %.2f B per parameter (%.0f B over %.0f parameters), want ≤ %.2f + %.1f",
+			perParam, grown, phi, wantAll, slack)
 	}
 }
 

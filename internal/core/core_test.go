@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/nn"
@@ -282,6 +283,136 @@ func TestGradHookClearsDenseGrads(t *testing.T) {
 				t.Fatalf("dense grad %s not cleared by hook", p.Name)
 			}
 		}
+	}
+}
+
+// gradScratch checks that every layer's gradient views are laid back to
+// back from one shared start, and returns the longest layer's span in
+// elements and that layer.
+func gradScratch(t *testing.T, m *nn.Model) (int, nn.Layer) {
+	t.Helper()
+	var base unsafe.Pointer
+	most, largest := 0, nn.Layer(nil)
+	for li, l := range m.Layers {
+		off := 0
+		for _, p := range l.Params() {
+			if p.Size() == 0 {
+				continue
+			}
+			at := unsafe.Pointer(unsafe.SliceData(p.Grad.Data()))
+			if base == nil {
+				base = at
+			}
+			if at != unsafe.Add(base, 4*off) {
+				t.Fatalf("layer %d: %s's gradient is not at offset %d of the shared scratch", li, p.Name, off)
+			}
+			off += p.Size()
+		}
+		if off > most {
+			most, largest = off, l
+		}
+	}
+	return most, largest
+}
+
+// gradsZero fails unless every parameter gradient of m is zero.
+func gradsZero(t *testing.T, when string, m *nn.Model) {
+	t.Helper()
+	for _, p := range m.Params() {
+		for i, g := range p.Grad.Data() {
+			if g != 0 {
+				t.Fatalf("%s: %s.Grad[%d] = %g, want 0", when, p.Name, i, g)
+			}
+		}
+	}
+}
+
+// TestGradScratchSharedAndZero pins the borrowed gradient. Every Param.Grad
+// of a state-wired SAMO GPT is a view into one scratch, each layer's views
+// laid from its start, so the scratch is as long as the largest layer: a
+// whole TransformerBlock. Capture leaves it zero after every layer and after
+// a full TrainStep, so the next layer accumulates from zero. On a
+// Sparsify'd MLP, every gradual prune event re-heads Wv.Grad to the shrunk
+// pattern in place.
+func TestGradScratchSharedAndZero(t *testing.T) {
+	cfg := nn.GPTConfig{Name: "scratch-gpt", Layers: 2, Hidden: 16, Heads: 2,
+		Seq: 8, Vocab: 32, BatchSize: 2}
+	m := nn.BuildGPT(cfg, tensor.NewRNG(43))
+	ms := stateFor(m, SAMO, 0.5)
+	most, largest := gradScratch(t, m)
+	if _, ok := largest.(*nn.TransformerBlock); !ok {
+		t.Fatalf("largest layer is %T, want *nn.TransformerBlock", largest)
+	}
+	if most >= m.NumParams() {
+		t.Fatalf("scratch of %d elements for %d parameters", most, m.NumParams())
+	}
+
+	drng := tensor.NewRNG(44)
+	tokens := make([]int, 2*cfg.Seq)
+	targets := make([]int, 2*cfg.Seq)
+	for i := range tokens {
+		tokens[i] = drng.Intn(cfg.Vocab)
+		targets[i] = drng.Intn(cfg.Vocab)
+	}
+	x := nn.TokensToTensor(tokens)
+	y, caches := m.Forward(x, true)
+	_, grad := nn.CrossEntropy(y, targets)
+	tensor.Scale(grad, ms.LossScale())
+	hook := ms.GradHook()
+	captured := 0
+	m.Backward(caches, grad, nn.GradHook{Capture: func(l nn.Layer) {
+		hook.Capture(l)
+		captured++
+		gradsZero(t, "after a layer's capture", m)
+	}})
+	if captured != len(m.Layers) {
+		t.Fatalf("%d captures for %d layers", captured, len(m.Layers))
+	}
+	tr := NewTrainer(ms)
+	for step := 0; step < 2; step++ {
+		tr.TrainStep(x, targets)
+		gradsZero(t, "after TrainStep", m)
+	}
+	if got, _ := gradScratch(t, m); got != most {
+		t.Fatalf("scratch span %d after training, was %d", got, most)
+	}
+
+	sm, sms := buildSparseExecSetup(0.5, 45)
+	gp, err := NewGradualPruner(sms, testSchedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sls []*nn.SparseLinear
+	for _, l := range sm.Layers {
+		if sl, ok := l.(*nn.SparseLinear); ok {
+			sls = append(sls, sl)
+		}
+	}
+	heads := make([]*float32, len(sls))
+	for i, sl := range sls {
+		heads[i] = &sl.Wv.Grad.Data()[0]
+	}
+	str := NewTrainer(sms)
+	events := 0
+	for step := 0; step < 10; step++ {
+		bx, bt := makeBatch(8, 16, 8, uint64(4500+step))
+		str.TrainStep(bx, bt)
+		if !gp.MaybePrune(step) {
+			continue
+		}
+		events++
+		gradsZero(t, "after a prune event", sm)
+		for i, sl := range sls {
+			if sl.Wv.Grad.Len() != sl.Wv.Value.Len() {
+				t.Fatalf("step %d: Wv.Grad has %d elements, Wv.Value %d", step, sl.Wv.Grad.Len(), sl.Wv.Value.Len())
+			}
+			if sl.Wv.Grad.Len() > 0 && &sl.Wv.Grad.Data()[0] != heads[i] {
+				t.Fatalf("step %d: layer %d's Wv.Grad moved off its scratch view", step, i)
+			}
+		}
+	}
+	if events == 0 {
+		t.Fatal("no prune event fired")
 	}
 }
 

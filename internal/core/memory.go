@@ -8,7 +8,9 @@
 //     COMPRESSED to the unpruned coordinates, all sharing one linearized
 //     int32 index tensor per layer;
 //   - compresses gradients at layer granularity during the backward pass, so
-//     dense gradients for the whole model never coexist;
+//     dense gradients for the whole model never coexist: ModelState holds
+//     every layer's dense gradient in one scratch sized to the largest layer,
+//     which the layers take turns to fill and capture;
 //   - runs the optimizer directly on the compressed vectors and "expands"
 //     the down-cast parameters back to dense θ16.
 //

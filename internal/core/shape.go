@@ -149,7 +149,8 @@ func (s *shape) patternOf(v []float32) []float32 {
 // capture drains the parameter's dense gradient accumulator into its ∇θ16
 // vector, one fused fp16 kernel per shape: accumulate (a pipelined schedule
 // captures once per microbatch), round onto the fp16 grid, and leave p.Grad
-// zero.
+// zero: p.Grad is a view into the state's one-layer scratch, and the next
+// layer's backward accumulates into the same bytes.
 func (s *shape) capture(grad16 []float32) {
 	g := s.p.Grad.Data()
 	switch {

@@ -46,7 +46,10 @@ type paramState struct {
 // without SAMO. It owns θ32 and ∇θ16 and drives the optimizer; the model's
 // nn.Param.Value tensors play the role of dense θ16 (values kept on the fp16
 // grid). There is no stored ∇θ32: for the length of an applied step, the
-// up-scale writes the fp32 gradient into ∇θ16's float32 slots.
+// up-scale writes the fp32 gradient into ∇θ16's float32 slots. Nor is there
+// a model-sized dense gradient: every nn.Param.Grad is a view into one
+// scratch the size of the largest layer (see borrowGrads), so a backward
+// over the model must run with GradHook.
 type ModelState struct {
 	Mode   Mode
 	Scaler *optim.LossScaler
@@ -105,14 +108,9 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 		ms.states = append(ms.states, st)
 		ms.byParam[sh.p] = st
 	}
-	ms.layerParams = make(map[nn.Layer][]*nn.Param)
+	ms.borrowGrads()
 	ms.hook = nn.GradHook{Capture: func(layer nn.Layer) {
-		ps, ok := ms.layerParams[layer]
-		if !ok {
-			ps = layer.Params()
-			ms.layerParams[layer] = ps
-		}
-		for _, p := range ps {
+		for _, p := range ms.layerParams[layer] {
 			st, ok := ms.byParam[p]
 			if !ok {
 				panic(fmt.Sprintf("core: gradient for unregistered parameter %s", p.Name))
@@ -125,16 +123,48 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 	return ms
 }
 
+// borrowGrads records each layer's parameters and re-points every
+// p.Grad into one scratch sized to the largest layer, each layer's views
+// from offset 0. The layers take turns: a layer's backward accumulates into
+// views that its capture leaves zero before the next layer's backward runs,
+// so one layer's dense gradients are all that ever exist (§III-C) and the
+// model's own accumulators become garbage. A pattern layer is sized at its
+// construction-time NNZ, which only shrinks.
+func (ms *ModelState) borrowGrads() {
+	ms.layerParams = make(map[nn.Layer][]*nn.Param, len(ms.model.Layers))
+	most := 0
+	for _, l := range ms.model.Layers {
+		ps := l.Params()
+		ms.layerParams[l] = ps
+		n := 0
+		for _, p := range ps {
+			n += p.Size()
+		}
+		most = max(most, n)
+	}
+	scratch := make([]float32, most)
+	for _, l := range ms.model.Layers {
+		off := 0
+		for _, p := range ms.layerParams[l] {
+			n := p.Size()
+			p.Grad = tensor.FromSlice(scratch[off:off+n:off+n], p.Value.Shape()...)
+			off += n
+		}
+	}
+}
+
 // LossScale returns the current dynamic loss scale to multiply into the
 // loss gradient before backward.
 func (ms *ModelState) LossScale() float32 { return float32(ms.Scaler.Scale) }
 
 // GradHook returns the backward-pass hook that captures (and under SAMO,
 // compresses) each layer's gradients the moment that layer's backward
-// finishes — §III-C's layer-granular compression. The dense accumulator is
-// cleared afterwards so whole-model dense gradients never coexist. The hook
-// is built once at construction (and memoizes each layer's parameter list),
-// so fetching and running it allocates nothing.
+// finishes — §III-C's layer-granular compression. Capture leaves the layer's
+// dense gradient views zero for the next layer's backward, which reuses the
+// same bytes, so whole-model dense gradients never coexist. A backward over
+// the model must therefore run this hook (or one that calls its Capture)
+// after every layer. It is built once at construction, with each layer's
+// parameter list, so fetching and running it allocates nothing.
 func (ms *ModelState) GradHook() nn.GradHook { return ms.hook }
 
 // ReduceBuffers exposes the captured fp16 gradient payload for data-parallel

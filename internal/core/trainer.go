@@ -12,7 +12,9 @@ import (
 // The trainer owns a tensor arena and a reusable cache slice, so after the
 // first batch every TrainStep runs with zero heap allocations: activations,
 // gradients and scratch all come from the arena and are reclaimed wholesale
-// when the step completes.
+// when the step completes. Parameter gradients need no clear between steps:
+// they live in the state's one-layer scratch, which each layer's capture
+// leaves zero.
 type Trainer struct {
 	State *ModelState
 
@@ -34,7 +36,6 @@ func (t *Trainer) TrainStep(x *tensor.Tensor, targets []int) (float64, bool) {
 	if len(t.caches) != len(m.Layers) {
 		t.caches = make([]any, len(m.Layers))
 	}
-	m.ZeroGrads()
 	y := m.ForwardArena(t.arena, x, true, t.caches)
 	loss, grad := nn.CrossEntropyArena(t.arena, y, targets)
 	tensor.Scale(grad, t.State.LossScale())

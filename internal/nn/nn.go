@@ -27,7 +27,13 @@ import (
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	// Grad is owned by the parameter (newParam) until a core.ModelState is
+	// built over the model. From then on it is a view into the state's
+	// one-layer scratch, shared with every other layer's gradients: it is
+	// valid only between its layer's Backward and the state's capture of
+	// that layer, so a backward over a state-wired model must run with the
+	// state's GradHook.
+	Grad *tensor.Tensor
 	// NoPrune excludes the parameter from pruning even if it is a matrix.
 	// Embedding tables set it: pruning them harms accuracy disproportionately
 	// and standard GPT pruning recipes (e.g. Cerebras' 90%-sparse GPT-3 runs
@@ -46,7 +52,8 @@ func newParam(name string, shape ...int) *Param {
 // Size returns the number of elements.
 func (p *Param) Size() int { return p.Value.Len() }
 
-// ZeroGrad clears the gradient accumulator.
+// ZeroGrad clears the gradient accumulator. A state-wired parameter needs
+// no clear: the state's capture leaves its view zero.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is a differentiable module. Forward computes the output and an
@@ -102,7 +109,9 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// ZeroGrads clears every gradient accumulator.
+// ZeroGrads clears every gradient accumulator: the clear between backward
+// passes of a model that owns its gradients. Under a core.ModelState the
+// accumulators are views its capture leaves zero, so training never calls it.
 func (m *Model) ZeroGrads() {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
@@ -131,10 +140,13 @@ func (m *Model) ForwardArena(a *tensor.Arena, x *tensor.Tensor, train bool, cach
 // GradHook observes the backward pass at layer boundaries. Capture is
 // called after each layer's backward with that layer — the exact point SAMO
 // compresses ∇θ16 at layer granularity so the whole model's dense gradients
-// never coexist in memory (§III-C). LayerDone then fires with the layer's
-// index, signalling that every parameter gradient owned by that layer is
-// final for this backward pass; the engine uses it to launch the layer's
-// bucketed all-reduce while earlier layers are still computing.
+// never coexist in memory (§III-C). core.ModelState's Capture also leaves
+// the layer's gradient views zero for the next layer, which writes the same
+// bytes, so its hook must run after every layer's backward. LayerDone then
+// fires with the layer's index, signalling that every parameter gradient
+// owned by that layer is final for this backward pass; the engine uses it
+// to launch the layer's bucketed all-reduce while earlier layers are still
+// computing.
 type GradHook struct {
 	Capture   func(layer Layer)
 	LayerDone func(layer int)

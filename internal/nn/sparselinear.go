@@ -215,16 +215,13 @@ func (l *SparseLinear) PatternIDs() []int32 { return l.W.LinearIDs() }
 
 // ShrinkPattern compacts the layer onto the kept pattern positions, in
 // place: W's CSR shrinks and Wv re-heads onto the compacted value prefix so
-// the optimizer state vectors can shrink in lockstep.
+// the optimizer state vectors can shrink in lockstep. Wv.Grad only re-heads
+// to the new NNZ: its values are not compacted, because a shrink runs
+// between steps, when the gradient is zero.
 // Weight values are untouched: kept weights keep their exact bits.
 func (l *SparseLinear) ShrinkPattern(keep []bool) {
 	if len(keep) != l.W.NNZ() {
 		panic(fmt.Sprintf("nn: ShrinkPattern keep length %d, want %d", len(keep), l.W.NNZ()))
-	}
-	if l.Wv.Grad != nil {
-		// Compact the gradient accumulator alongside the values (it is
-		// zero between steps, but mid-step callers keep a coherent view).
-		sparse.Compact(l.Wv.Grad.Data(), keep)
 	}
 	l.W.ShrinkTo(keep)
 	nnz := l.W.NNZ()
