@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) error {
 }
 
 // runSparseExec trains the same pruned MLP twice on this host — masked-dense
-// and through the first-class sparse layers — and reports per-step time,
+// and through CSR weights (Sparsify) — and reports per-step time,
 // speedup, loss parity and the model-state memory of each path.
 func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 	if steps < 1 {
@@ -113,7 +113,7 @@ func runSparseExec(out io.Writer, sparsity float64, steps int) error {
 	}
 	dense := build()
 	pr := samo.PruneMagnitude(dense, sparsity)
-	sparse := samo.Sparsify(build(), pr) // fresh twin: Sparsify shares unconverted layers
+	sparse := samo.Sparsify(build(), pr) // fresh twin: Sparsify converts in place
 
 	x := samo.NewTensor(batch, in)
 	samo.FillNormal(x, 1, samo.NewRNG(8))
@@ -226,7 +226,7 @@ func runScheduleStudy(out io.Writer, initial float64, steps int) error {
 	fmt.Fprintf(out, "%-14s %9.4f %10.3f %8.2fx %14d   (masked-dense reference)\n", "dense-ref", dloss, dms, 1.0, dbytes)
 	for _, e := range entries {
 		// Fresh pruning result per run: gradual pruning shrinks the state's
-		// private index clones, but the sparse layers own their patterns.
+		// private index clones, but the CSR weights own their patterns.
 		epr := samo.PruneMagnitude(build(), initial)
 		sm := samo.Sparsify(build(), epr)
 		ms, loss, bytes, err := train(sm, epr, e.sched)

@@ -137,9 +137,9 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 	}
 }
 
-// sparseMLPBuilder builds the test MLP with its Linears replaced by
-// first-class SparseLinear layers, so the engine's prune events exercise the
-// in-place CSR pattern shrink.
+// sparseMLPBuilder builds the test MLP with its Linears' weights stored as
+// CSRs (Sparsify), so the engine's prune events exercise the in-place CSR
+// pattern shrink.
 func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 	return func() *nn.Model {
 		m := nn.BuildMLP("mlp", []int{inDim, 10, 8, classes}, tensor.NewRNG(seed))
@@ -151,9 +151,8 @@ func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 	}
 }
 
-// TestGradualPruneSparseLayersBitwise runs the ramp over SparseLinear
-// pattern layers — CSR shrink and bucket compaction of the rank-1 weight
-// vectors — and pins overlap-on ≡ overlap-off as the ramp (0.3 → 0.8)
+// TestGradualPruneSparseLayersBitwise runs the ramp over CSR weights — CSR
+// shrink and bucket compaction of the rank-1 weight vectors — and pins overlap-on ≡ overlap-off as the ramp (0.3 → 0.8)
 // carries every layer from below to above half sparsity.
 func TestGradualPruneSparseLayersBitwise(t *testing.T) {
 	pr := pruneMLP(67, 0.3)

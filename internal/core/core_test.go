@@ -332,8 +332,8 @@ func gradsZero(t *testing.T, when string, m *nn.Model) {
 // laid from its start, so the scratch is as long as the largest layer: a
 // whole TransformerBlock. Capture leaves it zero after every layer and after
 // a full TrainStep, so the next layer accumulates from zero. On a
-// Sparsify'd MLP, every gradual prune event re-heads Wv.Grad to the shrunk
-// pattern in place.
+// Sparsify'd MLP, every gradual prune event re-heads a CSR weight's Grad to
+// the shrunk pattern in place.
 func TestGradScratchSharedAndZero(t *testing.T) {
 	cfg := nn.GPTConfig{Name: "scratch-gpt", Layers: 2, Hidden: 16, Heads: 2,
 		Seq: 8, Vocab: 32, BatchSize: 2}
@@ -382,15 +382,10 @@ func TestGradScratchSharedAndZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sls []*nn.SparseLinear
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sls = append(sls, sl)
-		}
-	}
-	heads := make([]*float32, len(sls))
-	for i, sl := range sls {
-		heads[i] = &sl.Wv.Grad.Data()[0]
+	ws := csrWeights(sm)
+	heads := make([]*float32, len(ws))
+	for i, w := range ws {
+		heads[i] = &w.Grad.Data()[0]
 	}
 	str := NewTrainer(sms)
 	events := 0
@@ -402,12 +397,12 @@ func TestGradScratchSharedAndZero(t *testing.T) {
 		}
 		events++
 		gradsZero(t, "after a prune event", sm)
-		for i, sl := range sls {
-			if sl.Wv.Grad.Len() != sl.Wv.Value.Len() {
-				t.Fatalf("step %d: Wv.Grad has %d elements, Wv.Value %d", step, sl.Wv.Grad.Len(), sl.Wv.Value.Len())
+		for i, w := range ws {
+			if w.Grad.Len() != w.Value.Len() {
+				t.Fatalf("step %d: %s's Grad has %d elements, Value %d", step, w.Name, w.Grad.Len(), w.Value.Len())
 			}
-			if sl.Wv.Grad.Len() > 0 && &sl.Wv.Grad.Data()[0] != heads[i] {
-				t.Fatalf("step %d: layer %d's Wv.Grad moved off its scratch view", step, i)
+			if w.Grad.Len() > 0 && &w.Grad.Data()[0] != heads[i] {
+				t.Fatalf("step %d: %s's Grad moved off its scratch view", step, w.Name)
 			}
 		}
 	}

@@ -24,8 +24,8 @@ import (
 // survivors with no extra communication.
 
 // shrinkOp names one parameter's keep mask for applyShrinks. keep is in
-// stored pattern order (ascending dense-view id for index-compressed
-// parameters, CSR order for pattern layers).
+// stored pattern order: ascending dense-view id, for index-compressed
+// parameters and CSR weights alike.
 type shrinkOp struct {
 	st   *paramState
 	keep []bool
@@ -60,7 +60,7 @@ func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 type GradualPruner struct {
 	sched   prune.Schedule
 	ms      *ModelState
-	targets []*paramState // index-compressed, masked-dense or pattern-layer params
+	targets []*paramState // index-compressed, masked-dense or CSR-weight params
 }
 
 // NewGradualPruner validates the schedule and binds it to the state's

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
 	"github.com/sparse-dl/samo/internal/tensor"
@@ -189,8 +188,8 @@ func TestGradualPruneGlobalPooledTarget(t *testing.T) {
 	}
 }
 
-// TestGradualPruneSparseExecLayers drives the ramp through first-class
-// SparseLinear layers: the CSR patterns shrink in place at each event
+// TestGradualPruneSparseExecLayers drives the ramp through Sparsify'd
+// Linears: the CSR patterns shrink in place at each event
 // (NNZ monotone, backed by the same arrays) and training — whose input
 // gradient walks the shrunk pattern in place — keeps reducing the loss
 // afterwards.
@@ -201,17 +200,12 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(gp.targets) == 0 {
-		t.Fatal("no pattern-layer targets after Sparsify")
+		t.Fatal("no CSR-weight targets after Sparsify")
 	}
-	var sls []*nn.SparseLinear
-	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			sls = append(sls, sl)
-		}
-	}
-	prev := make([]int, len(sls))
-	for i, sl := range sls {
-		prev[i] = sl.W.NNZ()
+	ws := csrWeights(sm)
+	prev := make([]int, len(ws))
+	for i, w := range ws {
+		prev[i] = w.CSR.NNZ()
 	}
 	tr := NewTrainer(ms)
 	shrinks := 0
@@ -221,20 +215,20 @@ func TestGradualPruneSparseExecLayers(t *testing.T) {
 		if gp.MaybePrune(step) {
 			shrinks++
 		}
-		for i, sl := range sls {
-			if sl.W.NNZ() > prev[i] {
-				t.Fatalf("step %d: layer %d NNZ grew %d -> %d", step, i, prev[i], sl.W.NNZ())
+		for i, w := range ws {
+			if w.CSR.NNZ() > prev[i] {
+				t.Fatalf("step %d: %s NNZ grew %d -> %d", step, w.Name, prev[i], w.CSR.NNZ())
 			}
-			prev[i] = sl.W.NNZ()
+			prev[i] = w.CSR.NNZ()
 		}
 	}
 	if shrinks < 3 {
 		t.Fatalf("only %d shrinking events fired, want ≥ 3", shrinks)
 	}
-	for _, sl := range sls {
-		full := sl.PatternFullLen()
-		if want := full - int(0.9*float64(full)); sl.W.NNZ() != want {
-			t.Errorf("layer NNZ %d, want %d at 90%% sparsity", sl.W.NNZ(), want)
+	for _, w := range ws {
+		full := w.CSR.Rows * w.CSR.Cols
+		if want := full - int(0.9*float64(full)); w.CSR.NNZ() != want {
+			t.Errorf("%s NNZ %d, want %d at 90%% sparsity", w.Name, w.CSR.NNZ(), want)
 		}
 	}
 	// Training still learns on the shrunk patterns.
@@ -277,7 +271,7 @@ func TestGradualPruneZeroAllocBetweenEvents(t *testing.T) {
 
 // shrinkShapes are the three parameter shapes a checkpoint can shrink on
 // load: SAMO-compressed, masked-dense (Dense mode over a pruning result) and
-// pattern layers (Sparsify'd SparseLinear on the CSR path). Each builds a
+// CSR weights (Sparsify'd Linears). Each builds a
 // training state and, from the same seed and pruning identity, a
 // forward-only one; in and classes size the model's batches.
 var shrinkShapes = []struct {
@@ -301,7 +295,7 @@ var shrinkShapes = []struct {
 }
 
 // offPatternZero fails unless every index-pruned parameter's θ16 reads
-// exactly zero off its current pattern (pattern layers store no such
+// exactly zero off its current pattern (CSR weights store no such
 // coordinates).
 func offPatternZero(t *testing.T, when string, ms *ModelState) {
 	t.Helper()

@@ -12,10 +12,10 @@ import (
 
 // InferenceState is the forward-only counterpart of ModelState: it holds a
 // model whose weights are fp16-grid dense tensors (or CSR values, for
-// SparseLinear layers) and NOTHING else — no gradient accumulators, no θ32
+// Sparsify'd Linears) and NOTHING else — no gradient accumulators, no θ32
 // master weights, no optimizer states, no reduce buffers. Construction
 // releases every Param.Grad tensor, so the resident footprint is the θ16
-// line of the §III-D ledger alone: 2φ plus any layer-owned sparse pattern
+// line of the §III-D ledger alone: 2φ plus any CSR weight's structure
 // bytes.
 //
 // The state is constructed with the same (model, optimizer, mode, pruning)
@@ -56,14 +56,14 @@ func NewInferenceState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prun
 func (s *InferenceState) Model() *nn.Model { return s.model }
 
 // Memory returns the forward-only ledger: dense θ16 at its logical 2-byte
-// width plus layer-owned index structure (SparseLinear CSR patterns). Every
+// width plus the CSR weights' structure (row pointers, column indices). Every
 // training-only component — gradients, master weights, optimizer states,
 // the down-cast temp copy — is zero by construction.
 func (s *InferenceState) Memory() MemoryBreakdown {
 	var b MemoryBreakdown
 	for _, sh := range s.shapes {
 		b.Theta16 += BytesTheta16 * int64(sh.p.Size())
-		b.Index += sh.p.MetaBytes
+		b.Index += sh.csrBytes()
 	}
 	return b
 }

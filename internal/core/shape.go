@@ -13,7 +13,7 @@ import (
 
 // shape is one parameter's storage shape, shared by ModelState and
 // InferenceState. It is the only code in this package that reads a
-// parameter's index, SAMO flag or pattern layer; every other file asks it.
+// parameter's index, SAMO flag or CSR; every other file asks it.
 // Four shapes exist:
 //
 //   - dense: unpruned; every state vector is parameter-length;
@@ -23,14 +23,15 @@ import (
 //     bit;
 //   - SAMO-compressed (pruned, SAMO mode): state vectors hold only the
 //     index's ids, and dense θ16 is their expansion with zeros between;
-//   - pattern layer (e.g. SparseLinear's Wv): the layer owns the pattern and
-//     the parameter itself is pattern-length, so its state vectors are too.
+//   - CSR weight (a Sparsify'd Linear's W, in either mode): the parameter
+//     owns its pattern, and its Value is the CSR's values in the SAMO
+//     index's id order, so its state vectors are pattern-length and in the
+//     order a SAMO-compressed shape over the same matrix would hold them.
 //
 // A new weight format is a new shape here; the states, the pruner and the
 // snapshot code read it only through these methods.
 type shape struct {
-	p  *nn.Param
-	pl nn.PatternLayer // non-nil for a pattern-layer parameter
+	p *nn.Param
 	// ix is the state's private clone of the parameter's pruning index
 	// (gradual pruning and shrink-on-load shrink it in place); compressed
 	// selects SAMO storage over it.
@@ -46,15 +47,9 @@ func shapesOf(model *nn.Model, mode Mode, pr *prune.Result) []*shape {
 	if mode == SAMO && pr == nil {
 		panic("core: SAMO mode requires a pruning result")
 	}
-	pls := make(map[*nn.Param]nn.PatternLayer)
-	for _, l := range model.Layers {
-		if pl, ok := l.(nn.PatternLayer); ok {
-			pls[pl.PatternParam()] = pl
-		}
-	}
 	var shapes []*shape
 	for _, p := range model.Params() {
-		s := &shape{p: p, pl: pls[p]}
+		s := &shape{p: p}
 		if pr != nil && nn.Prunable(p) {
 			if shared := pr.Index(p.Name); shared != nil {
 				s.ix = shared.Clone()
@@ -68,11 +63,11 @@ func shapesOf(model *nn.Model, mode Mode, pr *prune.Result) []*shape {
 	return shapes
 }
 
-// full is the pattern-independent element count: the dense view a pattern
-// layer addresses, the tensor size otherwise.
+// full is the pattern-independent element count: the dense matrix a CSR
+// weight stores, the tensor size otherwise.
 func (s *shape) full() int {
-	if s.pl != nil {
-		return s.pl.PatternFullLen()
+	if c := s.p.CSR; c != nil {
+		return c.Rows * c.Cols
 	}
 	return s.p.Size()
 }
@@ -88,10 +83,10 @@ func (s *shape) stored() int {
 
 // patternSized reports whether stored follows the pattern, so a shrink
 // compacts the state vectors; masked-dense vectors stay full-length.
-func (s *shape) patternSized() bool { return s.compressed || s.pl != nil }
+func (s *shape) patternSized() bool { return s.compressed || s.p.CSR != nil }
 
 // shrinkable reports whether the parameter has a pattern to prune.
-func (s *shape) shrinkable() bool { return s.ix != nil || s.pl != nil }
+func (s *shape) shrinkable() bool { return s.ix != nil || s.p.CSR != nil }
 
 // nnz is the current pattern length of a shrinkable parameter.
 func (s *shape) nnz() int {
@@ -102,16 +97,25 @@ func (s *shape) nnz() int {
 }
 
 // ids returns the stored pattern's ascending dense-view ids, nil for a
-// parameter without one. Freshly allocated for pattern layers; aliased for
+// parameter without one. Freshly allocated for a CSR weight; aliased for
 // index shapes (callers must not modify).
 func (s *shape) ids() []int32 {
-	if s.pl != nil {
-		return s.pl.PatternIDs()
+	if c := s.p.CSR; c != nil {
+		return c.LinearIDs()
 	}
 	if s.ix != nil {
 		return s.ix.IDs()
 	}
 	return nil
+}
+
+// csrBytes is a CSR weight's structure — row pointers and column indices —
+// which the ledger charges as index bytes; 0 for every other shape.
+func (s *shape) csrBytes() int64 {
+	if c := s.p.CSR; c != nil {
+		return 4 * int64(len(c.RowPtr)+len(c.ColIdx))
+	}
+	return 0
 }
 
 // samoBytes are the two ledger lines only SAMO storage has: the shared
@@ -183,13 +187,13 @@ func (s *shape) expand(theta32, drain []float32) {
 }
 
 // shrink drops the pattern positions where keep (in stored pattern order) is
-// false. A pattern layer compacts its own structures and re-heads p; an
+// false. A CSR weight compacts its CSR and re-heads p's Value and Grad; an
 // index shape zeroes θ16's dropped coordinates, and those of every
 // full-length vector in zero, then shrinks the index. The caller compacts
 // pattern-sized state vectors.
 func (s *shape) shrink(keep []bool, zero ...[]float32) {
-	if s.pl != nil {
-		s.pl.ShrinkPattern(keep)
+	if s.p.CSR != nil {
+		s.p.ShrinkPattern(keep)
 		return
 	}
 	if s.ix == nil {

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/nn"
@@ -10,9 +15,9 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// buildSparseExecSetup prunes an MLP and replaces its Linears with
-// first-class SparseLinear layers, wrapped in a SAMO-mode ModelState — the
-// sparse-execution training stack end to end.
+// buildSparseExecSetup prunes an MLP and stores its Linears' weights as
+// CSRs (Sparsify), wrapped in a SAMO-mode ModelState — the sparse-execution
+// training stack end to end.
 func buildSparseExecSetup(sparsity float64, seed uint64) (*nn.Model, *ModelState) {
 	sm, pr := sparsifiedModel(sparsity, seed)
 	return sm, NewModelState(sm, optim.NewAdam(0.01), SAMO, pr)
@@ -31,10 +36,21 @@ func sparsifiedModel(sparsity float64, seed uint64) (*nn.Model, *prune.Result) {
 	return nn.Sparsify(m, pr), pr
 }
 
+// csrWeights returns the model's CSR weights in parameter order.
+func csrWeights(m *nn.Model) []*nn.Param {
+	var ws []*nn.Param
+	for _, p := range m.Params() {
+		if p.CSR != nil {
+			ws = append(ws, p)
+		}
+	}
+	return ws
+}
+
 // TestSparseExecTrainStepZeroAlloc pins the sparse execution path's perf
-// contract: a full pruned-model TrainStep over SparseLinear layers — CSR
-// forward, SDDMM weight gradient, in-place CSR input gradient, rank-1
-// weight-vector capture and optimizer step — runs at zero steady-state
+// contract: a full pruned-model TrainStep over CSR weights — CSR forward,
+// SDDMM weight gradient, in-place CSR input gradient, rank-1 weight-vector
+// capture and optimizer step — runs at zero steady-state
 // allocations.
 func TestSparseExecTrainStepZeroAlloc(t *testing.T) {
 	_, ms := buildSparseExecSetup(0.9, 17)
@@ -60,7 +76,7 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 		dense := nn.NewLinear("fc", 64, 48, rng)
 		pr := prune.MagnitudePerLayer(
 			[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, sparsity)
-		sl := nn.NewSparseLinear("fc", dense.W.Value, pr.Index("fc.weight"))
+		sl := nn.Sparsify(&nn.Model{Layers: []nn.Layer{dense}}, pr).Layers[0]
 		x := tensor.New(32, 64)
 		tensor.FillNormal(x, 1, rng)
 		arena := tensor.NewArena()
@@ -73,7 +89,7 @@ func TestSparseLinearForwardBackwardZeroAlloc(t *testing.T) {
 			step()
 		}
 		if a := testing.AllocsPerRun(30, step); a != 0 {
-			t.Errorf("sparsity=%g: SparseLinear forward+backward allocates %.1f per step, want 0", sparsity, a)
+			t.Errorf("sparsity=%g: CSR Linear forward+backward allocates %.1f per step, want 0", sparsity, a)
 		}
 	}
 }
@@ -134,8 +150,8 @@ func TestSparseExecTrainStepDeterminism(t *testing.T) {
 
 // TestSparseExecMatchesMaskedDenseTraining checks the sparse execution
 // path's training math against the masked-dense reference the repo already
-// trusts: the same pruned MLP trained through SparseLinear layers and
-// through masked-dense Linear layers converges to the same parameters
+// trusts: the same pruned MLP trained through CSR weights and through
+// masked-dense Linear layers converges to the same parameters
 // within fp16-roundoff tolerance (the two paths sum in different orders, so
 // bitwise equality is not expected — unlike across worker counts).
 func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
@@ -161,39 +177,30 @@ func TestSparseExecMatchesMaskedDenseTraining(t *testing.T) {
 	if math.Abs(lastD-lastS) > 1e-3*(1+math.Abs(lastD)) {
 		t.Fatalf("sparse-exec loss %g diverged from masked-dense %g", lastS, lastD)
 	}
-	// Compare the sparse weight vectors against the masked-dense weights
-	// compressed onto the same indices.
-	for _, l := range sm.Layers {
-		sl, ok := l.(*nn.SparseLinear)
-		if !ok {
-			continue
-		}
-		name := sl.Wv.Name
+	// Compare the CSR values against the masked-dense weights compressed
+	// onto the same indices: both are in the index's order.
+	for _, w := range csrWeights(sm) {
 		var denseVal []float32
 		for _, p := range msD.Model().Params() {
-			if p.Name == name {
+			if p.Name == w.Name {
 				denseVal = p.Value.Data()
 			}
 		}
 		if denseVal == nil {
-			t.Fatalf("no masked-dense twin for %s", name)
+			t.Fatalf("no masked-dense twin for %s", w.Name)
 		}
-		ix := pr.Index(name)
+		ix := pr.Index(w.Name)
 		comp := make([]float32, ix.NNZ())
 		ix.Compress(comp, denseVal)
-		// Scatter the sparse values back through the (in,out) order.
-		got := make([]float32, ix.NNZ())
-		deq := tensor.Transpose(sl.W.Dense()) // the (in, out) dense weight
-		ix.Compress(got, deq.Data())
-		for i := range comp {
-			if d := math.Abs(float64(comp[i] - got[i])); d > 2e-2 {
-				t.Fatalf("%s[%d]: sparse-exec %g vs masked-dense %g", name, i, got[i], comp[i])
+		for i, got := range w.Value.Data() {
+			if d := math.Abs(float64(comp[i] - got)); d > 2e-2 {
+				t.Fatalf("%s[%d]: sparse-exec %g vs masked-dense %g", w.Name, i, got, comp[i])
 			}
 		}
 	}
 }
 
-// TestSparseExecMemoryLedger checks that the ledger sees the sparse layer
+// TestSparseExecMemoryLedger checks that the ledger sees a CSR weight
 // honestly: θ16 itself shrinks to the surviving coordinates (the paper
 // keeps θ16 dense only because it computes dense; under sparse execution it
 // compresses too) and the CSR structure is accounted as index bytes.
@@ -203,10 +210,10 @@ func TestSparseExecMemoryLedger(t *testing.T) {
 	var nnz, biases int64
 	var meta int64
 	for _, l := range sm.Layers {
-		if sl, ok := l.(*nn.SparseLinear); ok {
-			nnz += int64(sl.W.NNZ())
-			biases += int64(sl.B.Value.Len())
-			meta += sl.Wv.MetaBytes
+		if lin, ok := l.(*nn.Linear); ok && lin.W.CSR != nil {
+			nnz += int64(lin.W.CSR.NNZ())
+			biases += int64(lin.B.Value.Len())
+			meta += 4 * int64(len(lin.W.CSR.RowPtr)+len(lin.W.CSR.ColIdx))
 		}
 	}
 	if want := BytesTheta16 * (nnz + biases); b.Theta16 != want {
@@ -214,5 +221,142 @@ func TestSparseExecMemoryLedger(t *testing.T) {
 	}
 	if b.Index != meta {
 		t.Errorf("Index = %d, want %d (the CSR patterns)", b.Index, meta)
+	}
+}
+
+// TestSparseExecStateBitsPinned trains a Sparsify'd SAMO MLP at 50 % (the
+// windowed SDDMM) and at 90 % (the gathered one) for a few steps and
+// compares a hash of its checkpoint (θ32, Adam's moments, the pattern ids,
+// the loss scale) and of every step's loss to constants recorded on an amd64
+// host with FMA, at two worker counts. The batch of 60 runs the CSR
+// products' 48- and 8-lane kernels and the Go chain's rest of 4. The losses
+// are hashed as float32: the float64 mean's last bit follows math.Exp's FMA
+// path (one step of the 90 % run reads 1 ulp apart under
+// GODEBUG=cpu.fma=off), while the state hash holds on both.
+func TestSparseExecStateBitsPinned(t *testing.T) {
+	const steps = 6
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, tc := range []struct {
+		sparsity            float64
+		wantState, wantLoss uint64
+	}{
+		{0.5, 0x4592e180b9d892b2, 0x73550379db9a6369},
+		{0.9, 0x701ab48a53ae7aaa, 0x0f3172b84ae94d8b},
+	} {
+		for _, workers := range []int{1, 3} {
+			tensor.SetWorkers(workers)
+			rng := tensor.NewRNG(61)
+			m := nn.BuildMLP("pinned-smlp", []int{64, 96, 48, 40}, rng)
+			var layers []prune.Layer
+			for _, e := range m.PruneLayers() {
+				layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+			}
+			pr := prune.MagnitudePerLayer(layers, tc.sparsity)
+			ms := NewModelState(nn.Sparsify(m, pr), optim.NewAdam(0.01), SAMO, pr)
+			tr := NewTrainer(ms)
+			lossHash := fnv.New64a()
+			for step := 0; step < steps; step++ {
+				x, targets := makeBatch(60, 64, 40, uint64(62+step))
+				loss, _ := tr.TrainStep(x, targets)
+				binary.Write(lossHash, binary.LittleEndian, math.Float32bits(float32(loss)))
+			}
+			if ms.steps < steps/2 {
+				t.Fatalf("%g, %d workers: only %d of %d steps applied", tc.sparsity, workers, ms.steps, steps)
+			}
+			stateHash := fnv.New64a()
+			if _, err := ms.Save(stateHash); err != nil {
+				t.Fatal(err)
+			}
+			if got := stateHash.Sum64(); got != tc.wantState {
+				t.Errorf("%g, %d workers: state hash %#x, recorded %#x", tc.sparsity, workers, got, tc.wantState)
+			}
+			if got := lossHash.Sum64(); got != tc.wantLoss {
+				t.Errorf("%g, %d workers: loss hash %#x, recorded %#x", tc.sparsity, workers, got, tc.wantLoss)
+			}
+		}
+	}
+}
+
+// TestSparsifiedCheckpointCrossLoads pins that a CSR weight keeps its state
+// in the SAMO index's own order: a checkpoint of a Sparsify'd SAMO run loads
+// into a plain SAMO ModelState and InferenceState of the same model, and a
+// plain run's checkpoint into Sparsify'd ones, with θ32 equal bit for bit
+// and θ16 equal position for position — at 0 %, where every id is stored,
+// as well as at 50 % and 90 %.
+func TestSparsifiedCheckpointCrossLoads(t *testing.T) {
+	build := func(sparsity float64, sparsify bool) (*nn.Model, *prune.Result) {
+		m := nn.BuildMLP("xload", []int{16, 32, 8}, tensor.NewRNG(71))
+		var layers []prune.Layer
+		for _, e := range m.PruneLayers() {
+			layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+		}
+		pr := prune.MagnitudePerLayer(layers, sparsity)
+		if sparsify {
+			m = nn.Sparsify(m, pr)
+		}
+		return m, pr
+	}
+	// weights lists every FC weight's θ16 as its dense (in, out) matrix.
+	weights := func(m *nn.Model) [][]float32 {
+		var out [][]float32
+		for _, l := range m.Layers {
+			if l, ok := l.(*nn.Linear); ok {
+				if l.W.CSR != nil {
+					out = append(out, l.W.CSR.Dense().Data())
+				} else {
+					out = append(out, l.W.Value.Data())
+				}
+			}
+		}
+		return out
+	}
+	for _, sparsity := range []float64{0, 0.5, 0.9} {
+		for _, fromSparse := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%g%%/from-sparse=%v", 100*sparsity, fromSparse), func(t *testing.T) {
+				src, pr := build(sparsity, fromSparse)
+				ms := NewModelState(src, optim.NewAdam(0.01), SAMO, pr)
+				tr := NewTrainer(ms)
+				for step := 0; step < 3; step++ {
+					x, targets := makeBatch(8, 16, 8, uint64(72+step))
+					tr.TrainStep(x, targets)
+				}
+				var ckpt bytes.Buffer
+				if _, err := ms.Save(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				want := weights(src)
+
+				dst, dpr := build(sparsity, !fromSparse)
+				msD := NewModelState(dst, optim.NewAdam(0.01), SAMO, dpr)
+				if err := msD.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+					t.Fatalf("ModelState.Load: %v", err)
+				}
+				for i, st := range ms.states {
+					dt := msD.states[i]
+					if !slices.Equal(dt.ids(), st.ids()) {
+						t.Fatalf("%s's stored ids differ from the saved state's", st.p.Name)
+					}
+					for j := range st.theta32 {
+						if math.Float32bits(dt.theta32[j]) != math.Float32bits(st.theta32[j]) {
+							t.Fatalf("θ32 of %s differs at %d: %g, saved %g", st.p.Name, j, dt.theta32[j], st.theta32[j])
+						}
+					}
+				}
+				inf, ipr := build(sparsity, !fromSparse)
+				is := NewInferenceState(inf, optim.NewAdam(0.01), SAMO, ipr)
+				if err := is.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+					t.Fatalf("InferenceState.Load: %v", err)
+				}
+				for _, got := range [][][]float32{weights(dst), weights(inf)} {
+					for i := range want {
+						for j := range want[i] {
+							if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
+								t.Fatalf("θ16 of weight %d differs at %d: %g, saved %g", i, j, got[i][j], want[i][j])
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

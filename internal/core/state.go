@@ -128,7 +128,7 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 // from offset 0. The layers take turns: a layer's backward accumulates into
 // views that its capture leaves zero before the next layer's backward runs,
 // so one layer's dense gradients are all that ever exist (§III-C) and the
-// model's own accumulators become garbage. A pattern layer is sized at its
+// model's own accumulators become garbage. A CSR weight is sized at its
 // construction-time NNZ, which only shrinks.
 func (ms *ModelState) borrowGrads() {
 	ms.layerParams = make(map[nn.Layer][]*nn.Param, len(ms.model.Layers))
@@ -288,10 +288,9 @@ func (ms *ModelState) Memory() MemoryBreakdown {
 		b.Grad16 += BytesGrad16 * stored
 		b.Theta32 += BytesTheta32 * stored
 		b.OptStates += int64(ms.opt.StateBytesPerParam()) * stored
-		// Layer-owned structure (e.g. a SparseLinear's CSR patterns) rides
-		// with the parameter it indexes.
+		// A CSR weight's structure rides with the parameter it indexes.
 		index, tempCopy := st.samoBytes()
-		b.Index += index + st.p.MetaBytes
+		b.Index += index + st.csrBytes()
 		b.TempCopy += tempCopy
 	}
 	return b

@@ -22,8 +22,8 @@ type SparseExecRow struct {
 // SparseExec is the in-process, measured counterpart of Figure 1 — run on
 // this machine's CPU kernels instead of the calibrated Summit model. It
 // times one FC layer's forward+backward at the paper's pruned sparsities,
-// masked-dense (nn.Linear over weights with zeros) versus first-class
-// sparse execution (nn.SparseLinear, always the CSR kernels), and prints
+// masked-dense (nn.Linear over weights with zeros) versus sparse execution
+// (the same nn.Linear after nn.Sparsify, always the CSR kernels), and prints
 // the pruned-FLOPs speedup. The expected shape: at 30% sparsity the
 // 128-wide layer is faster masked-dense and the 256-wide one about level,
 // and CSR wins increasingly past 90%, where only (1−p)·flops survive.
@@ -41,8 +41,12 @@ func SparseExec(w io.Writer) []SparseExecRow {
 				[]prune.Layer{{Name: "fc.weight", Values: dense.W.Value.Data()}}, sparsity)
 			ix := pr.Index("fc.weight")
 			ix.Mask().Apply(dense.W.Value.Data())
-			sl := nn.NewSparseLinear("fc", dense.W.Value, ix)
-			copy(sl.B.Value.Data(), dense.B.Value.Data())
+			// The sparse twin: a copy of the masked layer, its weight
+			// converted to CSR by Sparsify.
+			sl := nn.NewLinear("fc", dim, dim, tensor.NewRNG(0))
+			sl.W.Value.CopyFrom(dense.W.Value)
+			sl.B.Value.CopyFrom(dense.B.Value)
+			nn.Sparsify(&nn.Model{Layers: []nn.Layer{sl}}, pr)
 
 			x := tensor.New(batch, dim)
 			tensor.FillNormal(x, 1, rng)

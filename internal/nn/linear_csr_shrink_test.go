@@ -8,53 +8,42 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-var _ PatternLayer = (*SparseLinear)(nil)
-
-// TestShrinkPatternMatchesFreshLayer shrinks a live layer in place and
+// TestShrinkPatternMatchesFreshLayer shrinks a live CSR weight in place and
 // compares every structure bitwise against a layer built directly from the
-// shrunk pattern: same CSR, same parameter values, same ledger bytes — and
-// the same backing arrays as before the shrink.
+// shrunk pattern: same CSR, same parameter values — and the same backing
+// arrays as before the shrink.
 func TestShrinkPatternMatchesFreshLayer(t *testing.T) {
 	_, sl, _ := sparsePair(12, 9, 0.5, 31)
-	nnz := sl.W.NNZ()
+	nnz := sl.W.CSR.NNZ()
 	keep := make([]bool, nnz)
 	for i := range keep {
 		keep[i] = i%3 != 0 // drop every third stored position
 	}
-	valHead := &sl.W.Val[0]
+	valHead := &sl.W.CSR.Val[0]
 
-	// Fresh reference: a layer built from the already-shrunk pattern.
-	denseW := tensor.Transpose(sl.W.Dense()) // (in, out) view
-	kept := sl.W.LinearIDs()
+	// Fresh reference: a layer built from the already-shrunk pattern. The
+	// stored ids are the (in, out) weight's own, as an index's are.
 	var keptIDs []int32
-	for i, k := range keep {
-		if k {
-			keptIDs = append(keptIDs, kept[i])
+	for i, id := range sl.W.CSR.LinearIDs() {
+		if keep[i] {
+			keptIDs = append(keptIDs, id)
 		}
 	}
-	// LinearIDs are (out, in)-view; NewSparseLinear wants (in, out)-view ids.
-	var inOutIDs []int32
-	for _, id := range keptIDs {
-		r, c := int(id)/12, int(id)%12 // (out, in) coords
-		inOutIDs = append(inOutIDs, int32(c*9+r))
-	}
-	want := NewSparseLinear("fc", denseW, sparse.IndexFromSlice(sortedInt32(inOutIDs), 12*9))
+	want := csrLinear(sl.W.CSR.Dense(), sparse.IndexFromSlice(keptIDs, 12*9))
 
-	sl.ShrinkPattern(keep)
+	sl.W.ShrinkPattern(keep)
 
-	if !reflect.DeepEqual(sl.W.RowPtr, want.W.RowPtr) ||
-		!reflect.DeepEqual(sl.W.ColIdx, want.W.ColIdx) ||
-		!reflect.DeepEqual(sl.W.Val, want.W.Val) {
+	if !reflect.DeepEqual(sl.W.CSR, want.W.CSR) {
 		t.Fatal("shrunk CSR differs from freshly built layer")
 	}
-	if sl.Wv.MetaBytes != want.Wv.MetaBytes {
-		t.Fatalf("shrunk layer's ledger bytes %d, fresh %d", sl.Wv.MetaBytes, want.Wv.MetaBytes)
-	}
-	if &sl.W.Val[0] != valHead {
+	if &sl.W.CSR.Val[0] != valHead {
 		t.Fatal("ShrinkPattern reallocated CSR backing arrays")
 	}
-	if sl.Wv.Value.Len() != len(sl.W.Val) || &sl.Wv.Value.Data()[0] != &sl.W.Val[0] {
-		t.Fatal("Wv.Value no longer aliases W.Val after shrink")
+	if sl.W.Value.Len() != len(sl.W.CSR.Val) || &sl.W.Value.Data()[0] != &sl.W.CSR.Val[0] {
+		t.Fatal("W.Value no longer aliases W.CSR.Val after shrink")
+	}
+	if sl.W.Grad.Len() != len(sl.W.CSR.Val) {
+		t.Fatalf("W.Grad has %d entries after shrink, want %d", sl.W.Grad.Len(), len(sl.W.CSR.Val))
 	}
 }
 
@@ -74,18 +63,18 @@ func TestShrinkPatternGradientsTrackPattern(t *testing.T) {
 	_, c := sl.Forward(nil, x, true)
 	sl.Backward(nil, c, gy)
 
-	keep := make([]bool, sl.W.NNZ())
+	keep := make([]bool, sl.W.CSR.NNZ())
 	for i := range keep {
 		keep[i] = i%2 == 0
 	}
-	sl.ShrinkPattern(keep)
+	sl.W.ShrinkPattern(keep)
 
-	sl.Wv.Grad.Zero()
+	sl.W.Grad.Zero()
 	sl.B.Grad.Zero()
 	y, c := sl.Forward(nil, x, true)
 	dx := sl.Backward(nil, c, gy)
 
-	wantY := tensor.MatMulT(x, sl.W.Dense())
+	wantY := tensor.MatMul(x, sl.W.CSR.Dense())
 	for i, b := range sl.B.Value.Data() {
 		for r := 0; r < 4; r++ {
 			wantY.Data()[r*8+i] += b
@@ -94,23 +83,23 @@ func TestShrinkPatternGradientsTrackPattern(t *testing.T) {
 	if d := tensor.MaxAbsDiff(y, wantY); d > 1e-4 {
 		t.Fatalf("forward after shrink differs from dense reference by %g", d)
 	}
-	wantDx := tensor.MatMul(gy, sl.W.Dense())
+	wantDx := tensor.MatMulT(gy, sl.W.CSR.Dense())
 	if d := tensor.MaxAbsDiff(dx, wantDx); d > 1e-4 {
 		t.Fatalf("input gradient after shrink differs by %g — stale pattern", d)
 	}
 }
 
-// TestShrinkPatternToEmpty drives the layer to a fully-pruned pattern and
+// TestShrinkPatternToEmpty drives the weight to a fully-pruned pattern and
 // runs a forward/backward through it: outputs are bias-only, the input
 // gradient is zero, nothing panics.
 func TestShrinkPatternToEmpty(t *testing.T) {
 	_, sl, _ := sparsePair(6, 5, 0.5, 51)
-	sl.ShrinkPattern(make([]bool, sl.W.NNZ()))
-	if sl.W.NNZ() != 0 {
-		t.Fatalf("NNZ = %d after full shrink", sl.W.NNZ())
+	sl.W.ShrinkPattern(make([]bool, sl.W.CSR.NNZ()))
+	if sl.W.CSR.NNZ() != 0 || sl.W.Size() != 0 {
+		t.Fatalf("NNZ = %d, parameter size %d after full shrink", sl.W.CSR.NNZ(), sl.W.Size())
 	}
-	if ids := sl.PatternIDs(); len(ids) != 0 {
-		t.Fatalf("PatternIDs = %v, want empty", ids)
+	if ids := sl.W.CSR.LinearIDs(); len(ids) != 0 {
+		t.Fatalf("LinearIDs = %v, want empty", ids)
 	}
 	x := tensor.New(3, 6)
 	tensor.FillNormal(x, 1, tensor.NewRNG(52))
@@ -130,14 +119,4 @@ func TestShrinkPatternToEmpty(t *testing.T) {
 			t.Fatalf("dx[%d] = %g through an empty pattern, want 0", i, v)
 		}
 	}
-}
-
-func sortedInt32(s []int32) []int32 {
-	out := append([]int32(nil), s...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -39,10 +40,13 @@ type Param struct {
 	// and standard GPT pruning recipes (e.g. Cerebras' 90%-sparse GPT-3 runs
 	// the paper cites) keep them dense.
 	NoPrune bool
-	// MetaBytes is layer-owned index/structure storage tied to this
-	// parameter that the memory ledger should account beyond Value/Grad —
-	// SparseLinear sets it to its CSR pattern bytes. Zero for dense layers.
-	MetaBytes int64
+	// CSR, when set, stores a pruned weight matrix by its surviving entries
+	// (Sparsify sets it on a Linear's (in, out) weight): its nonzeros are in
+	// ascending row-major id order, the order of the SAMO index over the
+	// same matrix, and Value is the rank-1, NNZ-long view of CSR.Val, so
+	// every state vector of the parameter is pattern-length and in that
+	// order. Grad is NNZ long too.
+	CSR *sparse.CSR
 }
 
 func newParam(name string, shape ...int) *Param {
@@ -51,6 +55,20 @@ func newParam(name string, shape ...int) *Param {
 
 // Size returns the number of elements.
 func (p *Param) Size() int { return p.Value.Len() }
+
+// ShrinkPattern drops a CSR weight's stored positions where keep (in stored
+// order) is false, in place — NNZ only decreases, so no array is reallocated
+// — and re-heads Value onto the compacted values and Grad onto as many of
+// its own. Grad's values are not compacted: a shrink runs between steps,
+// when the gradient is zero. Kept weights keep their exact bits.
+func (p *Param) ShrinkPattern(keep []bool) {
+	p.CSR.ShrinkTo(keep)
+	nnz := p.CSR.NNZ()
+	p.Value = tensor.FromSlice(p.CSR.Val, nnz)
+	if p.Grad != nil {
+		p.Grad = tensor.FromSlice(p.Grad.Data()[:nnz], nnz)
+	}
+}
 
 // ZeroGrad clears the gradient accumulator. A state-wired parameter needs
 // no clear: the state's capture leaves its view zero.
@@ -200,7 +218,8 @@ type PruneEntry struct {
 
 // Prunable reports whether a parameter participates in pruning: rank >= 2
 // (weight matrices and conv filters), not biases/affine vectors, and not
-// explicitly excluded (embedding tables).
+// explicitly excluded (embedding tables). A CSR weight is rank 1, so it is
+// not: its pattern is its own, and no index addresses its values.
 func Prunable(p *Param) bool { return p.Value.Rank() >= 2 && !p.NoPrune }
 
 // CrossEntropy computes the mean cross-entropy loss of logits (N, V) against

@@ -65,25 +65,6 @@ func (r *Result) Index(name string) *sparse.Index {
 	return r.Indices[name]
 }
 
-// MaterializeCSR turns one layer's pruning index into executable sparse
-// state: the CSR of the transpose of the layer's (rows, cols) matrix view —
-// (cols, rows), the (out, in) pattern a sparse FC layer executes for an
-// (in, out) weight — holding the surviving entries of values (the layer's
-// current dense parameters, in the same 1-D view the index addresses). This
-// is the bridge from "indices that compress storage" to "a matrix sparse
-// kernels can run on" — nil if the layer is not pruned.
-func (r *Result) MaterializeCSR(name string, values []float32, rows, cols int) *sparse.CSR {
-	ix := r.Index(name)
-	if ix == nil {
-		return nil
-	}
-	if len(values) != ix.FullLen() {
-		panic(fmt.Sprintf("prune: MaterializeCSR %s: %d values for a %d-element layer",
-			name, len(values), ix.FullLen()))
-	}
-	return sparse.TransposedCSR(ix, values, rows, cols)
-}
-
 // MagnitudePerLayer prunes the smallest |w| within each layer independently,
 // so every layer hits exactly the target sparsity (the uniform pruning the
 // paper's memory model assumes).

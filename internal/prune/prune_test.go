@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -158,31 +159,37 @@ func TestEarlyBirdObserveAfterConvergeStable(t *testing.T) {
 	}
 }
 
-// TestMaterializeCSR pins the index→CSR bridge: the materialized matrix is
-// the transpose of the layer's view and must hold exactly the surviving
-// values at their transposed (col, row) positions — its dense form is the
-// layer values with pruned entries zeroed, transposed — and unpruned layer
-// names return nil.
+// TestMaterializeCSR pins the bridge from a pruning result to executable
+// sparse state: sparse.CSRFromIndex over a layer's index is the layer's own
+// (rows, cols) view holding exactly the surviving values at their positions —
+// its dense form is the layer values with pruned entries zeroed — with the
+// nonzeros in the index's id order, and an unpruned layer name has no index.
 func TestMaterializeCSR(t *testing.T) {
 	layers := makeLayers([]int{6 * 4}, 33)
 	r := MagnitudePerLayer(layers, 0.5)
-	csr := r.MaterializeCSR(layerName(0), layers[0].Values, 6, 4)
-	if csr == nil {
-		t.Fatal("MaterializeCSR returned nil for a pruned layer")
-	}
 	ix := r.Index(layerName(0))
-	if csr.NNZ() != ix.NNZ() || csr.Rows != 4 || csr.Cols != 6 {
-		t.Fatalf("CSR %dx%d nnz=%d, want 4x6 nnz=%d", csr.Rows, csr.Cols, csr.NNZ(), ix.NNZ())
+	if ix == nil {
+		t.Fatal("no index for a pruned layer")
+	}
+	csr := sparse.CSRFromIndex(ix, layers[0].Values, 6, 4)
+	if csr.NNZ() != ix.NNZ() || csr.Rows != 6 || csr.Cols != 4 {
+		t.Fatalf("CSR %dx%d nnz=%d, want 6x4 nnz=%d", csr.Rows, csr.Cols, csr.NNZ(), ix.NNZ())
 	}
 	masked := append([]float32(nil), layers[0].Values...)
 	ix.Mask().Apply(masked)
 	dense := csr.Dense()
 	for i := range masked {
-		if got := dense.At(i%4, i/4); got != masked[i] {
+		if got := dense.At(i/4, i%4); got != masked[i] {
 			t.Fatalf("element %d: CSR %g, masked-dense %g", i, got, masked[i])
 		}
 	}
-	if r.MaterializeCSR("no-such-layer", layers[0].Values, 6, 4) != nil {
-		t.Error("unknown layer should materialize to nil")
+	ids := csr.LinearIDs()
+	for k, id := range ix.IDs() {
+		if ids[k] != id {
+			t.Fatalf("nonzero %d holds id %d, index id %d", k, ids[k], id)
+		}
+	}
+	if r.Index("no-such-layer") != nil {
+		t.Error("unknown layer should have no index")
 	}
 }

@@ -47,7 +47,8 @@ func tinyGPT(rng *tensor.RNG, n int) (*nn.Model, []*tensor.Tensor) {
 	return m, xs
 }
 
-// sparsifiedMLP builds a pruned MLP executing through SparseLinear layers.
+// sparsifiedMLP builds a pruned MLP whose Linears execute through CSR
+// weights (Sparsify).
 func sparsifiedMLP(rng *tensor.RNG, sparsity float64, dims []int) *nn.Model {
 	base := nn.BuildMLP("xmlp", dims, rng)
 	var layers []prune.Layer

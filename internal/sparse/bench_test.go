@@ -87,7 +87,7 @@ func BenchmarkSDDMM(b *testing.B) {
 // (640×640, batch 48) and at the paper's batch, at one worker, two ways:
 // "stored" refreshes a stored transpose's values through a permutation
 // gather and runs SpMMᵀ over it, writing dx directly; "inplace" walks W's
-// rows (TSpMMInto, what nn.SparseLinear runs) into dxᵀ and transposes that
+// rows (TSpMMInto) into dxᵀ and transposes that
 // into dx. The two give the same bits; the table above tspmmRun is their
 // batch-48 rows.
 func BenchmarkInputGrad(b *testing.B) {

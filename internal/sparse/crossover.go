@@ -2,9 +2,9 @@ package sparse
 
 // The sparse/dense crossover rule, kept only for bench/, which compiles
 // against these names (bench/probes.go reports sparse.xover_sparse_share
-// from them). It routes no layer: nn.SparseLinear runs its CSR kernels at
-// every density, and a weight meant to compute densely stays a masked
-// nn.Linear. The next benchmark PR deletes this file.
+// from them). It routes no layer: an nn.Linear whose weight has a CSR runs
+// the CSR kernels at every density, and a weight meant to compute densely
+// keeps no CSR (a masked nn.Linear). The next benchmark PR deletes this file.
 
 // XoverChoice is one execution path of a sparse-or-dense product.
 type XoverChoice uint8

@@ -19,39 +19,28 @@ type CSR struct {
 	Val        []float32
 }
 
-// TransposedCSR builds the (cols, rows) CSR of the transpose of a dense
-// layer's (rows, cols) view, holding exactly the indexed entries — the
-// bridge from a pruning index over an (in, out) weight to the (out, in)
-// pattern a sparse FC layer executes (stored zeros at indexed positions are
-// kept: the pattern is the index, not the values). A counting sort over the
-// view's columns: the ids ascend, so every row's columns do too. Shared by
-// prune.Result.MaterializeCSR and nn.NewSparseLinear.
-func TransposedCSR(ix *Index, dense []float32, rows, cols int) *CSR {
+// CSRFromIndex builds the (rows, cols) CSR of a dense row-major matrix
+// holding exactly the indexed entries (stored zeros at indexed positions are
+// kept: the pattern is the index, not the values). Ascending ids are
+// row-major order, so the nonzeros keep the index's own order — the order of
+// every SAMO state vector over the same matrix — and each row's columns
+// ascend. Sparsify builds a pruned FC weight's (in, out) CSR with it.
+func CSRFromIndex(ix *Index, dense []float32, rows, cols int) *CSR {
 	if rows*cols != ix.FullLen() || len(dense) != ix.FullLen() {
-		panic(fmt.Sprintf("sparse: TransposedCSR %dx%d over %d values, index of %d",
+		panic(fmt.Sprintf("sparse: CSRFromIndex %dx%d over %d values, index of %d",
 			rows, cols, len(dense), ix.FullLen()))
 	}
 	nnz := ix.NNZ()
-	m := &CSR{Rows: cols, Cols: rows, RowPtr: make([]int32, cols+1),
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1),
 		ColIdx: make([]int32, nnz), Val: make([]float32, nnz)}
-	ids := ix.IDs()
-	for _, id := range ids {
-		m.RowPtr[id%int32(cols)+1]++
+	for p, id := range ix.IDs() {
+		m.RowPtr[id/int32(cols)+1]++
+		m.ColIdx[p] = id % int32(cols)
+		m.Val[p] = dense[id]
 	}
-	for c := 0; c < cols; c++ {
-		m.RowPtr[c+1] += m.RowPtr[c]
+	for r := 0; r < rows; r++ {
+		m.RowPtr[r+1] += m.RowPtr[r]
 	}
-	// m.RowPtr[c] is row c's fill cursor; filling leaves it at row c+1's
-	// start, and one shift right restores the pointers.
-	next := m.RowPtr[:cols]
-	for _, id := range ids {
-		c := id % int32(cols)
-		m.ColIdx[next[c]] = id / int32(cols)
-		m.Val[next[c]] = dense[id]
-		next[c]++
-	}
-	copy(m.RowPtr[1:], next)
-	m.RowPtr[0] = 0
 	return m
 }
 
@@ -223,8 +212,8 @@ func spmmtChunk(ctx any, lo, hi int) {
 
 // SpMMTInto computes C = B·Sᵀ for dense B (n, k) and sparse S (rows, k) —
 // the transposed-CSR SpMM — into a caller-provided (n, rows) tensor without
-// allocating. It is a sparse FC layer's forward product: with the weight
-// stored (out, in), y = x·Wᵀ against W itself. The kernel reads B
+// allocating. With S an FC weight W stored (in, out), it is the input
+// gradient dx = dy·Wᵀ in sample-major form. The kernel reads B
 // feature-major, so B is transposed into pooled scratch first; a caller
 // that already holds Bᵀ calls TSpMMTInto instead.
 func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
@@ -244,11 +233,13 @@ func (m *CSR) SpMMTInto(c, b *tensor.Tensor) {
 
 // TSpMMTInto computes C = B·Sᵀ like SpMMTInto, from B's transpose bt (k, n)
 // — the feature-major operand the kernel reads — into a caller-provided
-// (n, rows) tensor without allocating. nn.SparseLinear calls it with the xᵀ
-// and dyᵀ its SDDMM needs anyway. Parallel over S rows (the columns of C):
-// each output has a single owner and the CSR's fixed p order, so the result
-// is bitwise-identical at every worker count — and at every batch height,
-// since a C row's bits depend on its own batch column of Bᵀ alone.
+// (n, rows) tensor without allocating. nn.Linear's backward over a CSR
+// weight W (in, out) calls it with the dyᵀ its SDDMM reads anyway, and it
+// writes the input gradient dx = dy·Wᵀ straight into (n, in). Parallel over
+// S rows (the columns of C): each output has a single owner and the CSR's
+// fixed p order, so the result is bitwise-identical at every worker count —
+// and at every batch height, since a C row's bits depend on its own batch
+// column of Bᵀ alone.
 func (m *CSR) TSpMMTInto(c, bt *tensor.Tensor) {
 	if bt.Rank() != 2 || bt.Dim(0) != m.Cols {
 		panic(fmt.Sprintf("sparse: TSpMMT dims %vᵀx(%d,%d)ᵀ", bt.Shape(), m.Rows, m.Cols))
@@ -275,9 +266,9 @@ func (m *CSR) spmmt(j *csrJob, c, bt *tensor.Tensor) {
 
 // TSpMMInto computes Cᵀ = Sᵀ·Bᵀ — C = B·S with both dense operands
 // feature-major — from bt (rows, n) into a caller-provided (cols, n) tensor
-// ct without allocating. It is a sparse FC layer's input gradient
-// dxᵀ = Wᵀ·dyᵀ read from the (out, in) weight in place: no transpose of S
-// is built or stored. Every output is one chain, ct[c, i] = 0 and then
+// ct without allocating. It is nn.Linear's forward over a CSR weight,
+// yᵀ = Wᵀ·xᵀ read from the (in, out) weight in place: no transpose of S is
+// built or stored. Every output is one chain, ct[c, i] = 0 and then
 // ct[c, i] += S[j, c]·bt[j, i] for the rows j storing column c in ascending
 // j, rounded after every multiply and every add — the chain row c of a
 // transposed copy of S would sum under TSpMMTInto, so the two give the same
@@ -544,9 +535,10 @@ func (m *CSR) sddmmWindowed(k int) bool {
 // pipelined backward pass needs). Parallel over rows: each row's value range
 // [RowPtr[i], RowPtr[i+1]) is disjoint, so workers write disjoint slices.
 //
-// A caller that also holds B's transpose (k, cols) — a layer's batch-major
-// input beside the feature-major xᵀ — passes it as bT: a pattern at least a
-// quarter dense then reads it through the windowed kernel (sddmmWinChunk).
+// A caller that also holds B's transpose (k, cols) — nn.Linear's batch-major
+// output gradient dy beside the feature-major dyᵀ — passes it as bT: a
+// pattern at least a quarter dense then reads it through the windowed kernel
+// (sddmmWinChunk).
 // The result bits are the same with or without it.
 func (m *CSR) SDDMMInto(dstVal []float32, a, b *tensor.Tensor, accumulate bool, bT ...*tensor.Tensor) {
 	m.sddmmCheck(a, b)
@@ -573,16 +565,15 @@ func (m *CSR) SDDMMInto(dstVal []float32, a, b *tensor.Tensor, accumulate bool, 
 }
 
 // Transposed is the transpose of a CSR as a view: it holds no pattern of
-// its own, and its product walks the viewed rows in place.
+// its own, and its product walks the viewed rows in place. Nothing builds
+// one; it stays only for nn.SparseLinear's shim (ROADMAP.md item 2).
 type Transposed struct{ m *CSR }
-
-// T returns m's transpose as a view.
-func (m *CSR) T() Transposed { return Transposed{m} }
 
 // SpMMTInto computes C = B·(Sᵀ)ᵀ = B·S for dense B (n, rows) into a
 // caller-provided (n, cols) tensor without allocating — the sample-major
-// form of a sparse FC layer's input gradient dx = dy·W. B is transposed into
-// pooled scratch, TSpMMInto runs, and Cᵀ is transposed back.
+// form of the input gradient dx = dy·W of an FC weight stored (out, in). B
+// is transposed into pooled scratch, TSpMMInto runs, and Cᵀ is transposed
+// back.
 func (t Transposed) SpMMTInto(c, b *tensor.Tensor) {
 	m := t.m
 	if b.Rank() != 2 || b.Dim(1) != m.Rows {

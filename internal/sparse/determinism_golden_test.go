@@ -24,7 +24,7 @@ func bitwiseEqualSlice(a, b []float32) (int, bool) {
 
 // TestSparseKernelsBitwiseDeterminism pins the whole sparse kernel family —
 // SDDMMInto, the transposed SpMMTInto on a pattern and the SpMM walking it
-// for the input gradient (TSpMMInto, the call nn.SparseLinear makes) — to one
+// transposed (TSpMMInto, the call nn.Linear's CSR forward makes) — to one
 // reference output BITWISE at every worker count the training stack uses, on
 // the paper's pruned FC shapes (batch 576, square weights at 90% and 99%
 // sparsity plus a rectangular layer, and at 50% and 70%, where SDDMM from the

@@ -70,7 +70,7 @@ func (ix *Index) ShrinkTo(keep []bool) { ix.ids = Compact(ix.ids, keep) }
 // Compact filters v to the positions where keep is true, in place, and
 // returns the shortened slice over the same backing array: the one
 // left-compaction every in-place shrink (index ids, state vectors, optimizer
-// moments, a pattern layer's gradient) runs. It panics when the lengths
+// moments) runs. It panics when the lengths
 // differ.
 func Compact[T any](v []T, keep []bool) []T {
 	if len(v) != len(keep) {

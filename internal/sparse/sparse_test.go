@@ -198,10 +198,12 @@ func TestSDDMMEqualsMaskedDense(t *testing.T) {
 	}
 }
 
-// TestCSRFromIndexMatchesFromDense pins TransposedCSR, the index-driven
-// builder of a layer's transposed pattern: its dense form is the layer's
-// transpose, its rows' columns ascend, and an indexed entry whose value is
-// zero stays stored — the pattern is the index, not the values.
+// TestCSRFromIndexMatchesFromDense pins CSRFromIndex, the index-driven
+// builder of a pruned layer's CSR: its dense form is the matrix itself, its
+// nonzeros are the index's ids in the index's order (what a SAMO state
+// vector over the same matrix holds), its rows' columns ascend, and an
+// indexed entry whose value is zero stays stored — the pattern is the
+// index, not the values.
 func TestCSRFromIndexMatchesFromDense(t *testing.T) {
 	a := randSparseTensor(8, 6, 0.7, 7)
 	mask := NewMask(a.Len())
@@ -212,12 +214,20 @@ func TestCSRFromIndexMatchesFromDense(t *testing.T) {
 	}
 	ix := NewIndex(mask)
 	a.Data()[ix.IDs()[0]] = 0 // an indexed zero
-	m := TransposedCSR(ix, a.Data(), 8, 6)
-	if m.Rows != 6 || m.Cols != 8 || m.NNZ() != ix.NNZ() {
-		t.Fatalf("TransposedCSR is %dx%d with %d stored, want 6x8 with %d", m.Rows, m.Cols, m.NNZ(), ix.NNZ())
+	m := CSRFromIndex(ix, a.Data(), 8, 6)
+	if m.Rows != 8 || m.Cols != 6 || m.NNZ() != ix.NNZ() {
+		t.Fatalf("CSRFromIndex is %dx%d with %d stored, want 8x6 with %d", m.Rows, m.Cols, m.NNZ(), ix.NNZ())
 	}
-	if d := tensor.MaxAbsDiff(m.Dense(), tensor.Transpose(a)); d != 0 {
-		t.Errorf("TransposedCSR mismatch %g", d)
+	if d := tensor.MaxAbsDiff(m.Dense(), a); d != 0 {
+		t.Errorf("CSRFromIndex mismatch %g", d)
+	}
+	if !reflect.DeepEqual(m.LinearIDs(), ix.IDs()) {
+		t.Errorf("stored ids %v, index ids %v", m.LinearIDs(), ix.IDs())
+	}
+	comp := make([]float32, ix.NNZ())
+	ix.Compress(comp, a.Data())
+	if !reflect.DeepEqual(m.Val, comp) {
+		t.Errorf("values %v, the index's compression %v", m.Val, comp)
 	}
 	for j := 0; j < m.Rows; j++ {
 		for p := m.RowPtr[j] + 1; p < m.RowPtr[j+1]; p++ {

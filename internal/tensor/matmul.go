@@ -29,9 +29,9 @@ const (
 
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. This is the dense kernel standing in for
-// cuBLAS: with MatMulT and TMatMul it runs every Linear, attention
-// projection and conv, and the masked-dense path of a SparseLinear whose
-// pattern is more than half dense (sparse kernels run the rest).
+// cuBLAS: with MatMulT and TMatMul it runs every Linear without a CSR
+// weight (masked-dense ones included), attention projection and conv; the
+// CSR kernels of internal/sparse run the rest.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)
 	c := New(m, n)

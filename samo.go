@@ -54,12 +54,14 @@
 // # Sparse execution
 //
 // Pruned fully connected layers can exploit their sparsity during
-// training, not just in storage: Sparsify replaces pruned Linear layers
-// with first-class sparse layers (nn.SparseLinear) whose weights live in
-// CSR, one pattern per layer. The forward pass is a transposed-CSR SpMM
-// (y = x·Wᵀ against the (out,in) pattern), the input gradient walks the
-// same pattern's rows in place (dxᵀ[c] += W[j,c]·dyᵀ[j] in ascending j, the
-// chain a stored transpose would sum, with no transpose stored), and the
+// training, not just in storage: Sparsify stores the weight of every pruned
+// Linear as a CSR of that same (in, out) matrix (nn.Param.CSR), its
+// nonzeros in ascending id order — the order of SAMO's index over the
+// weight, and so of θ32, ∇θ16, the optimizer states, the reduce buckets and
+// the checkpoint's pattern ids. The forward pass walks the CSR's rows in
+// place (yᵀ[c] += W[j,c]·xᵀ[j] in ascending j, the chain a stored transpose
+// would sum, with no transpose stored), the input gradient is a
+// transposed-CSR SpMM (dx = dy·Wᵀ, one chain over each weight row), and the
 // weight gradient is SDDMM sampled at the surviving pattern — gradient
 // entries for pruned weights are never materialized, so the whole model
 // state (capture, all-reduce, optimizer, and under sparse execution θ16
@@ -71,14 +73,14 @@
 //
 // On amd64 hosts with AVX2 (the same start-up probe as the GEMM kernel) the
 // CSR kernels run vector lanes where no sparsity structure is needed: the
-// forward SpMM holds one sparse row's outputs for 48 batch rows in YMM
-// accumulators and reads the dense operand feature-major, the input
-// gradient holds one weight row's dyᵀ segment in registers and adds it into
-// the dxᵀ rows its nonzeros name, one L1-sized block of features at a
-// time, and SDDMM runs
+// input-gradient SpMM holds one weight row's outputs for 48 batch rows in
+// YMM accumulators and reads dyᵀ feature-major, the forward holds one
+// weight row's xᵀ segment in registers and adds it into the yᵀ rows its
+// nonzeros name, one L1-sized block of features at a time, and SDDMM runs
 // sixteen of a row's nonzeros as gathered side-by-side chains — or, on a
 // pattern at least a quarter dense, forms two rows' dots against a
-// 32-column window of the batch-major input with contiguous loads. Each
+// 32-column window of the batch-major output gradient with contiguous
+// loads. Each
 // lane is one output executing the Go kernel's float32 sequence, unfused,
 // so the bits do not depend on the host or on which kernel ran.
 //
@@ -88,8 +90,8 @@
 // training step beats a masked-dense one on wide layers from 10% sparsity
 // (the grid in nn.Sparsify's doc). A sparsified layer runs its CSR kernels
 // at every density, one path with one set of bits; a pruned layer meant to
-// compute densely stays a Linear under a masked state (Dense or SAMO mode),
-// the paper's masked-dense path.
+// compute densely keeps no CSR and runs under a masked state (Dense or SAMO
+// mode), the paper's masked-dense path.
 // scripts/bench.sh gates the ≥90%-sparsity points of the BenchmarkSpMM
 // matrix at MIN_SPMM_SPEEDUP.
 //
@@ -236,7 +238,7 @@
 // masked-dense reference mode) shrink to the exact same pattern with no extra
 // communication, at any worker count, on either transport, with overlap on or
 // off. Every parameter has one of four storage shapes — dense, masked-dense,
-// SAMO-compressed or a pattern layer's CSR values — and
+// SAMO-compressed or a CSR weight's values — and
 // internal/core/shape.go is the one file that knows them, so a new weight
 // format touches that file rather than the state, pruner and snapshot code.
 // Checkpoints carry their pattern: one written after an event loads only
@@ -386,12 +388,10 @@ func NewGradualPruner(s *State, sched PruneSchedule) (*GradualPruner, error) {
 	return core.NewGradualPruner(s, sched)
 }
 
-// Sparsify replaces every pruned Linear layer of a model with a
-// first-class sparse-execution layer (nn.SparseLinear): CSR weights, SpMM
-// forward and input gradient, and an SDDMM weight gradient restricted to
-// the surviving pattern, at every sparsity (see "Sparse execution").
-// Unconverted layers are shared with the original model — train one model
-// or the other, not both.
+// Sparsify stores the weight of every pruned Linear layer of m as a CSR, in
+// place, and returns m: SpMM forward and input gradient, and an SDDMM weight
+// gradient restricted to the surviving pattern, at every sparsity (see
+// "Sparse execution"). Build the model's state after sparsifying it.
 func Sparsify(m *Model, pr *PruneResult) *Model { return nn.Sparsify(m, pr) }
 
 func pruneLayers(m *Model) []prune.Layer {
