@@ -1,4 +1,4 @@
-package comm
+package comm_test
 
 import (
 	"fmt"
@@ -7,55 +7,62 @@ import (
 
 // TestAllReduceZeroAlloc pins the steady state of AllReduce, and of
 // AllReduceAsync followed by Wait, to zero heap allocations at G = 2 and at
-// G = 3, where the chunks split unevenly: every chunk an owner receives and
-// every chunk it sends comes from the fabric's pool. Ranks are persistent
-// goroutines driven over channels, so one measured run is one fabric-wide
-// reduce and nothing else.
+// G = 3, where the chunks split unevenly, on both transports: every chunk a
+// rank receives comes from its fabric's pool — a local sender's copy, or the
+// TCP reader's straight off the socket — and a TCP send writes header and
+// chunk from reused memory. Ranks are persistent goroutines driven over
+// channels, so one measured run is one fabric-wide reduce and nothing else;
+// the count is process-wide, so it covers the TCP readers too.
 func TestAllReduceZeroAlloc(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("n%d/async=%v", n, async), func(t *testing.T) {
-				f := NewFabric(n)
-				g := group(n)
-				start := make([]chan struct{}, n)
-				done := make(chan error, n)
-				for r := range start {
-					start[r] = make(chan struct{})
-					go func(rk *Rank, start <-chan struct{}) {
-						defer rk.CloseAsync()
-						buf := make([]float32, 1000)
-						for range start {
-							if async {
-								done <- rk.AllReduceAsync(g, buf).Wait()
-							} else {
-								done <- rk.AllReduce(g, buf)
+				for _, transport := range []string{"local", "tcp"} {
+					t.Run(transport, func(t *testing.T) {
+						m := newMesh(t, transport, n)
+						defer m.closeAll()
+						g := groupAll(n)
+						start := make([]chan struct{}, n)
+						done := make(chan error, n)
+						for r, rk := range m.ranks {
+							start[r] = make(chan struct{})
+							go func(start <-chan struct{}) {
+								defer rk.CloseAsync()
+								buf := make([]float32, 1000)
+								for range start {
+									if async {
+										done <- rk.AllReduceAsync(g, buf).Wait()
+									} else {
+										done <- rk.AllReduce(g, buf)
+									}
+								}
+							}(start[r])
+						}
+						defer func() {
+							for _, c := range start {
+								close(c)
+							}
+						}()
+						var err error
+						step := func() {
+							for _, c := range start {
+								c <- struct{}{}
+							}
+							for range start {
+								if e := <-done; e != nil && err == nil {
+									err = e
+								}
 							}
 						}
-					}(f.Rank(r), start[r])
-				}
-				defer func() {
-					for _, c := range start {
-						close(c)
-					}
-				}()
-				var err error
-				step := func() {
-					for _, c := range start {
-						c <- struct{}{}
-					}
-					for range start {
-						if e := <-done; e != nil && err == nil {
-							err = e
+						step() // first reduce fills the pools, pending queues and async lanes
+						allocs := testing.AllocsPerRun(100, step)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-				}
-				step() // first reduce fills the pool, pending queues and async lane
-				allocs := testing.AllocsPerRun(100, step)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if allocs != 0 {
-					t.Errorf("steady-state reduce allocates %.1f times per run, want 0", allocs)
+						if allocs != 0 {
+							t.Errorf("steady-state reduce allocates %.1f times per run, want 0", allocs)
+						}
+					})
 				}
 			})
 		}

@@ -22,17 +22,17 @@ import (
 	"time"
 )
 
-// Pool recycles buffers in power-of-two capacity classes. It backs both
-// halves of a collective's data path: the fabric's float32 chunk buffers,
-// handed from sender to receiver zero-copy and returned here after the
-// receiver folds the payload in, and the TCP transport's wire byte buffers —
-// so steady-state collectives and framing allocate nothing.
+// Pool recycles buffers in power-of-two capacity classes. A fabric keeps its
+// float32 chunk buffers in one: every collective chunk a rank receives is
+// taken from it (a local sender's copy, or a wire transport's read straight
+// off the socket) and returned to it once the receiver folds the payload in,
+// so steady-state collectives allocate nothing.
 //
-// A pool is scoped to its owner (one Fabric, one tcp.Transport), not the
-// process: experiment sweeps create many fabrics with many distinct buffer
-// sizes, and a process-wide pool retained every one of them forever. A
-// fabric's pool is shared across that fabric's ranks (buffers migrate
-// between its goroutines by design) and dies with it.
+// A pool is scoped to its fabric, not the process: experiment sweeps create
+// many fabrics with many distinct buffer sizes, and a process-wide pool
+// retained every one of them forever. A fabric's pool is shared across that
+// fabric's ranks (buffers migrate between its goroutines by design) and dies
+// with it.
 //
 // Buffers are reused for any request the class capacity covers (Get
 // reslices), so nearly-equal sizes — all-reduce chunk boundaries differ by
@@ -435,10 +435,6 @@ func (rk *Rank) Recv() (Message, error) {
 // buffer lengths, in the same order. Internally they use a control-plane
 // channel with (from, tag) matching so concurrent groups cannot interfere.
 
-func (rk *Rank) sendColl(to, tag int, data []float32) error {
-	return rk.f.tr.SendColl(to, CollFrame{From: rk.r, Tag: tag, Data: data})
-}
-
 func (rk *Rank) recvColl(from, tag int) ([]float32, error) {
 	k := pendKey{from, tag}
 	if q := rk.pending[k]; q != nil {
@@ -565,15 +561,14 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 	return nil
 }
 
-// sendChunk sends a pooled copy of chunk to rank to; an empty chunk sends
-// nothing (its receiver expects nothing).
+// sendChunk sends chunk to rank to; an empty chunk sends nothing (its
+// receiver expects nothing). The transport borrows chunk only until it
+// returns (see Transport.SendColl), so the caller may overwrite it.
 func (rk *Rank) sendChunk(to, tag int, chunk []float32) error {
 	if len(chunk) == 0 {
 		return nil
 	}
-	out := rk.f.bufs.Get(len(chunk))
-	copy(out, chunk)
-	return rk.sendColl(to, tag, out)
+	return rk.f.tr.SendColl(to, CollFrame{From: rk.r, Tag: tag, Data: chunk})
 }
 
 // foldOwned receives every other rank's copy of the owned chunk and sums

@@ -274,8 +274,8 @@ func TestBufferPoolBoundedAcrossFabrics(t *testing.T) {
 }
 
 func TestBufferPoolCapacityReuse(t *testing.T) {
-	// One pool type, two instantiations: the fabric's float pool and the
-	// TCP transport's wire byte pool, each with its own bound.
+	// The fabric's float pool, and the type's class arithmetic held at a
+	// second element size.
 	t.Run("float32", func(t *testing.T) { testPoolCapacityReuse[float32](t, maxPoolFloats) })
 	t.Run("byte", func(t *testing.T) { testPoolCapacityReuse[byte](t, 8<<20) })
 }

@@ -7,8 +7,10 @@ package tcp
 // The per-scenario watchdog is itself the no-deadlock assertion.
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -127,69 +129,65 @@ func TestChaosHardCloseMidSend(t *testing.T) {
 	}
 }
 
-// TestChaosStalledSocket wires a fake peer that completes the handshake
-// and then never writes another byte — a stalled remote, not a dead one.
-// No connection error ever fires, so the fabric's deadline backstop must
-// unwind the blocked rank with a DeadlineError.
-func TestChaosStalledSocket(t *testing.T) {
-	// Fake peer: listener that accepts proc 0's dial, plus an outbound
-	// dial to proc 0 with a valid handshake. Both connections then go
-	// silent forever.
+// fakePeer connects a real endpoint, proc 0 of a two-process fabric of one
+// rank each, to a hand-driven proc 1: it accepts proc 0's outbound
+// connection and holds it silently, and returns the fabric of proc 0 and
+// proc 1's outbound connection, handshake written, for the test to write
+// frames on or to hold silent.
+func fakePeer(t *testing.T) (*comm.Fabric, net.Conn) {
+	t.Helper()
 	fakeLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("fake listener: %v", err)
 	}
-	defer fakeLn.Close()
-
+	t.Cleanup(func() { fakeLn.Close() })
 	realLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("real listener: %v", err)
 	}
 	addrs := []string{realLn.Addr().String(), fakeLn.Addr().String()}
 
-	var held []net.Conn
-	var heldMu sync.Mutex
-	defer func() {
-		heldMu.Lock()
-		for _, c := range held {
-			c.Close()
-		}
-		heldMu.Unlock()
+	accepted, dialed := make(chan net.Conn, 1), make(chan net.Conn, 1)
+	go func() {
+		c, _ := fakeLn.Accept()
+		accepted <- c
 	}()
 	go func() {
-		// Accept proc 0's outbound connection and hold it silently.
-		c, err := fakeLn.Accept()
-		if err != nil {
-			return
-		}
-		heldMu.Lock()
-		held = append(held, c)
-		heldMu.Unlock()
-	}()
-	go func() {
-		// Dial proc 0 as proc 1 with a valid handshake, then stall.
 		c, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
-		if err != nil {
-			return
-		}
-		if err := writeHandshake(c, 1); err != nil {
+		if err == nil && writeHandshake(c, 1) != nil {
 			c.Close()
-			return
+			c = nil
 		}
-		heldMu.Lock()
-		held = append(held, c)
-		heldMu.Unlock()
+		dialed <- c
 	}()
 
 	tr, err := Connect(Config{
 		Addrs: addrs, Proc: 0, Ranks: 2,
 		DialTimeout: 5 * time.Second, Listener: realLn,
 	})
+	out := <-dialed
+	if err != nil {
+		fakeLn.Close() // proc 0 may never have dialed: unblock the Accept
+	}
+	for _, c := range []net.Conn{out, <-accepted} {
+		if c != nil {
+			t.Cleanup(func() { c.Close() })
+		}
+	}
 	if err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	f := comm.NewFabricOver(tr)
-	defer f.Close()
+	t.Cleanup(f.Close)
+	return f, out
+}
+
+// TestChaosStalledSocket wires a fake peer that completes the handshake
+// and then never writes another byte — a stalled remote, not a dead one.
+// No connection error ever fires, so the fabric's deadline backstop must
+// unwind the blocked rank with a DeadlineError.
+func TestChaosStalledSocket(t *testing.T) {
+	f, _ := fakePeer(t)
 	f.SetDeadline(200 * time.Millisecond)
 
 	rk := f.Rank(0)
@@ -209,6 +207,57 @@ func TestChaosStalledSocket(t *testing.T) {
 		}
 	case <-time.After(chaosWatchdog):
 		t.Fatal("rank hung on stalled socket despite deadline backstop")
+	}
+}
+
+// TestMalformedHeaderFailsLinkTyped sends, for each check the reader makes,
+// a length prefix (claiming 256 MiB unless the check is on the prefix
+// itself) and a fixed header that fails that check, then stalls. The link
+// must fail typed — a RankFailedError for the peer's rank — and without the
+// reader taking a buffer for the claimed payload: the heap grows by less
+// than 1 MiB.
+func TestMalformedHeaderFailsLinkTyped(t *testing.T) {
+	le := binary.LittleEndian
+	coll := func(to, from int, n uint32) []byte {
+		b := appendInt32s([]byte{frameColl}, to, from, 1)
+		return le.AppendUint32(b, n)
+	}
+	const claim = maxFrameBytes
+	for _, tc := range []struct {
+		name   string
+		prefix uint32
+		hdr    []byte
+	}{
+		{"unknown kind", claim, []byte{7, 0, 0, 0, 0}},
+		{"to not local", claim, coll(1, 1, claim/4)},
+		{"from outside peer", claim, coll(0, 0, claim/4)},
+		{"length mismatch", claim, coll(0, 1, 4)},
+		{"too many elements", 17 + 4*(maxFrameBytes/4+1), coll(0, 1, maxFrameBytes/4+1)},
+		{"too many shape dims", claim, appendInt32s([]byte{frameData}, 0, 1, 0, 0, 0, maxShapeDims+1)},
+		{"poison message too long", claim, le.AppendUint32(append([]byte{framePoison}, make([]byte, 17)...), maxPoisonMsg+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, out := fakePeer(t)
+			sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+			metrics.Read(sample)
+			before := sample[0].Value.Uint64()
+			if _, err := out.Write(append(le.AppendUint32(nil, tc.prefix), tc.hdr...)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			select { // the peer now stalls
+			case <-f.Done():
+			case <-time.After(chaosWatchdog):
+				t.Error("link still open after a malformed header")
+			}
+			metrics.Read(sample)
+			if grew := sample[0].Value.Uint64() - before; grew >= 1<<20 {
+				t.Errorf("heap allocations grew by %d bytes for a malformed header", grew)
+			}
+			var rf *comm.RankFailedError
+			if err := f.Err(); !errors.As(err, &rf) || rf.Rank != 1 {
+				t.Fatalf("fabric poisoned with %v, want RankFailedError for rank 1", err)
+			}
+		})
 	}
 }
 

@@ -8,11 +8,14 @@
 //
 // Framing is length-prefixed little-endian: a u32 payload length, a kind
 // byte (data / collective / poison), then the fixed header fields and the
-// float32 payload (bit-preserving via math.Float32bits — collectives are
-// bitwise-identical to the in-process transport). Wire byte buffers come
-// from a comm.Pool[byte] — the fabric's power-of-two capacity-class pool
-// type, instantiated for bytes — so steady-state sends and receives are
-// allocation-free.
+// float32 payload, bit for bit — collectives are bitwise-identical to the
+// in-process transport. A send writes the header from a per-peer scratch
+// and the payload from the sender's own memory in one vectored write; a
+// receive reads the fixed header, validates it, and only then reads the
+// payload straight into its destination (a pooled fabric buffer for a
+// collective chunk, the message's own slice for a data frame). On a
+// little-endian host the payload is the float32 slice's own bytes, so
+// steady-state collectives copy nothing and allocate nothing on the wire.
 //
 // Failure mapping follows the fabric's poison model: a connection read or
 // write error poisons the local fabric with a RankFailedError attributed
@@ -30,11 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/sparse-dl/samo/internal/comm"
 )
@@ -45,9 +48,10 @@ const (
 	frameData         = byte(0)
 	frameColl         = byte(1)
 	framePoison       = byte(2)
-	maxFrameBytes     = 1 << 28 // defensive bound on a length prefix
+	maxFrameBytes     = 1 << 28 // bound on a frame's payload bytes
+	maxShapeDims      = 8       // bound on a data frame's tensor rank
+	maxPoisonMsg      = 1 << 12 // bound on a poison frame's message bytes
 	chanDepth         = 4096    // matches LocalTransport's eager buffering
-	maxPoolBytes      = 8 << 20 // retained-capacity bound of the wire byte pool
 	dialRetryEvery    = 25 * time.Millisecond
 	defaultDialBudget = 15 * time.Second
 	poisonWriteBudget = time.Second
@@ -75,12 +79,13 @@ type Config struct {
 }
 
 // peerConn is the two-connection link to one peer process: out is dialed
-// by us (writes serialized by mu), in is accepted from the peer (owned by
-// its reader goroutine).
+// by us (writes, and the frame writer's scratch, serialized by mu), in is
+// accepted from the peer (owned by its reader goroutine).
 type peerConn struct {
 	mu  sync.Mutex
 	out net.Conn
 	in  net.Conn
+	w   frameWriter
 }
 
 // Transport implements comm.Transport over TCP.
@@ -96,7 +101,6 @@ type Transport struct {
 	closed     atomic.Bool
 	poisonMu   sync.Mutex
 	poisonSent bool
-	bytes      comm.Pool[byte]
 }
 
 // Connect builds this process's endpoint: it listens on Addrs[Proc], dials
@@ -124,7 +128,6 @@ func Connect(cfg Config) (*Transport, error) {
 		peers:  make([]*peerConn, nproc),
 		data:   make([]chan comm.Message, cfg.Ranks),
 		coll:   make([]chan comm.CollFrame, cfg.Ranks),
-		bytes:  comm.Pool[byte]{Max: maxPoolBytes},
 	}
 	for r := t.bounds[cfg.Proc]; r < t.bounds[cfg.Proc+1]; r++ {
 		t.data[r] = make(chan comm.Message, chanDepth)
@@ -285,7 +288,7 @@ func dialPeer(addr string, proc int, deadline time.Time) (net.Conn, error) {
 	}
 }
 
-func writeHandshake(c net.Conn, proc int) error {
+func writeHandshake(c io.Writer, proc int) error {
 	var b [9]byte
 	binary.LittleEndian.PutUint32(b[0:4], handshakeMagic)
 	b[4] = wireVersion
@@ -294,7 +297,7 @@ func writeHandshake(c net.Conn, proc int) error {
 	return err
 }
 
-func readHandshake(c net.Conn) (int, error) {
+func readHandshake(c io.Reader) (int, error) {
 	var b [9]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
 		return -1, err
@@ -361,7 +364,7 @@ func (t *Transport) DataCh(r int) <-chan comm.Message { return t.data[r] }
 func (t *Transport) CollCh(r int) <-chan comm.CollFrame { return t.coll[r] }
 
 // SendData delivers a data-plane message: a channel send for a local
-// destination, an encoded frame for a remote one.
+// destination, a frame written from m's own memory for a remote one.
 func (t *Transport) SendData(to int, m comm.Message) error {
 	if t.IsLocal(to) {
 		select {
@@ -371,18 +374,17 @@ func (t *Transport) SendData(to int, m comm.Message) error {
 			return t.f.Err()
 		}
 	}
-	buf := encodeData(&t.bytes, to, m)
-	err := t.writePeer(t.procOf(to), buf)
-	t.bytes.Put(buf)
-	return err
+	return t.writePeer(t.procOf(to), &frame{kind: frameData, to: to, msg: m})
 }
 
-// SendColl delivers a collective frame. Remote sends serialize the payload
-// and return fr.Data to the fabric's float pool — the wire analogue of the
-// local receiver's fold-and-put, keeping steady-state collectives
-// allocation-free on both sides.
+// SendColl delivers a collective frame, borrowing fr.Data until it
+// returns: a local destination gets a copy in a pooled fabric buffer, a
+// remote one the payload written straight from fr.Data.
 func (t *Transport) SendColl(to int, fr comm.CollFrame) error {
 	if t.IsLocal(to) {
+		out := t.f.WireBuf(len(fr.Data))
+		copy(out, fr.Data)
+		fr.Data = out
 		select {
 		case t.coll[to] <- fr:
 			return nil
@@ -390,14 +392,10 @@ func (t *Transport) SendColl(to int, fr comm.CollFrame) error {
 			return t.f.Err()
 		}
 	}
-	buf := encodeColl(&t.bytes, to, fr)
-	err := t.writePeer(t.procOf(to), buf)
-	t.bytes.Put(buf)
-	t.f.RecycleWireBuf(fr.Data)
-	return err
+	return t.writePeer(t.procOf(to), &frame{kind: frameColl, to: to, coll: fr})
 }
 
-func (t *Transport) writePeer(proc int, buf []byte) error {
+func (t *Transport) writePeer(proc int, fr *frame) error {
 	if err := t.f.Err(); err != nil {
 		return err
 	}
@@ -408,7 +406,7 @@ func (t *Transport) writePeer(proc int, buf []byte) error {
 	} else {
 		p.out.SetWriteDeadline(time.Time{})
 	}
-	_, err := p.out.Write(buf)
+	err := p.w.write(p.out, fr)
 	p.mu.Unlock()
 	if err != nil {
 		return t.wireFailure(proc, err)
@@ -459,17 +457,16 @@ func (t *Transport) sendPoison(err error) {
 		return
 	}
 	t.poisonSent = true
-	buf := encodePoison(&t.bytes, err)
+	fr := frame{kind: framePoison, err: err}
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
 		p.mu.Lock()
 		p.out.SetWriteDeadline(time.Now().Add(poisonWriteBudget))
-		p.out.Write(buf) // best effort: the peer may already be gone
+		p.w.write(p.out, &fr) // best effort: the peer may already be gone
 		p.mu.Unlock()
 	}
-	t.bytes.Put(buf)
 }
 
 // Close tears down every connection. Idempotent; called by Fabric.Close
@@ -516,33 +513,35 @@ func (t *Transport) closeConns() {
 }
 
 // readLoop drains one peer's inbound connection, dispatching frames into
-// the local rank channels until the connection dies or the fabric is
-// poisoned.
+// the local rank channels until the connection dies, a frame fails
+// validation (both fail the link typed), or the fabric is poisoned.
 func (t *Transport) readLoop(proc int, c net.Conn) {
-	br := bufio.NewReaderSize(c, 1<<16)
-	var hdr [4]byte
+	rd := frameReader{
+		r:     bufio.NewReaderSize(c, 1<<16),
+		local: [2]int{t.bounds[t.cfg.Proc], t.bounds[t.cfg.Proc+1]},
+		peer:  [2]int{t.bounds[proc], t.bounds[proc+1]},
+		take:  t.take,
+	}
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		fr, err := rd.next()
+		if err != nil {
 			t.readFailure(proc, err)
 			return
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxFrameBytes {
-			t.readFailure(proc, fmt.Errorf("frame length %d out of range", n))
-			return
-		}
-		buf := t.bytes.Get(int(n))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			t.bytes.Put(buf)
-			t.readFailure(proc, err)
-			return
-		}
-		ok := t.dispatch(buf)
-		t.bytes.Put(buf)
-		if !ok {
+		if !t.dispatch(&fr) {
 			return
 		}
 	}
+}
+
+// take gives a received payload its destination: a collective chunk goes
+// into a buffer from the fabric's pool, which the folding collective
+// returns it to; a data message owns its slice.
+func (t *Transport) take(kind byte, n int) []float32 {
+	if kind == frameColl || n == 0 {
+		return t.f.WireBuf(n)
+	}
+	return make([]float32, n)
 }
 
 func (t *Transport) readFailure(proc int, err error) {
@@ -552,145 +551,210 @@ func (t *Transport) readFailure(proc int, err error) {
 	t.wireFailure(proc, err)
 }
 
-// dispatch decodes one frame and injects it into the destination rank's
-// channel, reporting false when the reader should stop (fabric poisoned).
-func (t *Transport) dispatch(buf []byte) bool {
-	switch buf[0] {
+// dispatch injects one frame into its destination rank's channel,
+// reporting false when the reader should stop (fabric poisoned).
+func (t *Transport) dispatch(fr *frame) bool {
+	switch fr.kind {
 	case frameData:
-		to, m, err := decodeData(buf)
-		if err != nil || !t.IsLocal(to) {
-			return true // malformed or misrouted: drop, the deadline detector is the remedy
-		}
 		select {
-		case t.data[to] <- m:
+		case t.data[fr.to] <- fr.msg:
 			return true
 		case <-t.f.Done():
 			return false
 		}
 	case frameColl:
-		to, fr, err := decodeColl(buf, t.f)
-		if err != nil || !t.IsLocal(to) {
-			return true
-		}
 		select {
-		case t.coll[to] <- fr:
+		case t.coll[fr.to] <- fr.coll:
 			return true
 		case <-t.f.Done():
 			return false
 		}
-	case framePoison:
-		t.f.Poison(decodePoison(buf))
+	default: // framePoison
+		t.f.Poison(fr.err)
 		return false
-	default:
-		return true
 	}
 }
 
-// --- Frame encoding ---------------------------------------------------------
+// --- Frames -----------------------------------------------------------------
 //
-// Layout (little-endian), after the u32 payload-length prefix:
+// Layout (little-endian), after the u32 length prefix, which counts every
+// byte from the kind on:
 //
 //	data:   kind u8 | to i32 | from i32 | tag i32 | mb i32 | seq i32 |
 //	        nshape u32 | shape i32... | n u32 | f32...
 //	coll:   kind u8 | to i32 | from i32 | tag i32 | n u32 | f32...
 //	poison: kind u8 | code u8 | rank i32 | step i32 | timeout i64 |
 //	        msglen u32 | msg bytes
+//
+// Everything before the f32s is the frame's fixed header; a poison frame is
+// all header.
 
-func encodeData(p *comm.Pool[byte], to int, m comm.Message) []byte {
-	n := 4 + 1 + 5*4 + 4 + 4*len(m.Shape) + 4 + 4*len(m.Data)
-	buf := p.Get(n)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
-	buf[4] = frameData
-	off := 5
-	for _, v := range []int{to, m.From, int(m.Tag), m.MB, m.Seq} {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(int32(v)))
-		off += 4
-	}
-	binary.LittleEndian.PutUint32(buf[off:], uint32(len(m.Shape)))
-	off += 4
-	for _, s := range m.Shape {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(int32(s)))
-		off += 4
-	}
-	off += putFloats(buf[off:], m.Data)
-	return buf[:off]
+// frame is one decoded wire frame: its kind, destination rank and the
+// payload of its kind.
+type frame struct {
+	kind byte
+	to   int
+	msg  comm.Message   // frameData
+	coll comm.CollFrame // frameColl
+	err  error          // framePoison
 }
 
-func decodeData(buf []byte) (int, comm.Message, error) {
-	var m comm.Message
-	if len(buf) < 1+5*4+4 {
-		return 0, m, errors.New("tcp: short data frame")
+// frameWriter writes frames to one connection: the header from a reused
+// scratch and the payload from the caller's own memory, in one vectored
+// write. It borrows the payload only until write returns.
+type frameWriter struct {
+	hdr  []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+func (w *frameWriter) write(c io.Writer, fr *frame) error {
+	b := append(w.hdr[:0], 0, 0, 0, 0, fr.kind) // length prefix filled below
+	var payload []float32
+	switch fr.kind {
+	case frameData:
+		m := &fr.msg
+		b = appendInt32s(b, fr.to, m.From, int(m.Tag), m.MB, m.Seq, len(m.Shape))
+		b = appendInt32s(b, m.Shape...)
+		b = appendInt32s(b, len(m.Data))
+		payload = m.Data
+	case frameColl:
+		b = appendInt32s(b, fr.to, fr.coll.From, fr.coll.Tag, len(fr.coll.Data))
+		payload = fr.coll.Data
+	case framePoison:
+		b = appendPoison(b, fr.err)
 	}
-	off := 1
-	geti := func() int {
-		v := int(int32(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
-		return v
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4+4*len(payload)))
+	w.hdr = b
+	p := floatBytes(payload)
+	swapOrder(p)
+	w.vec = [2][]byte{b, p}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(c)
+	swapOrder(p)
+	w.vec = [2][]byte{} // a failed write leaves the payload here: do not pin it
+	return err
+}
+
+func appendInt32s(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(v)))
 	}
-	to := geti()
-	m.From = geti()
-	m.Tag = comm.Tag(geti())
-	m.MB = geti()
-	m.Seq = geti()
-	nshape := geti()
-	if nshape < 0 || len(buf) < off+4*nshape+4 {
-		return 0, m, errors.New("tcp: bad data frame shape")
+	return b
+}
+
+// errBadFrame marks a frame whose fixed header failed a check: the reader
+// took no buffer for it, and the link it came on fails.
+var errBadFrame = errors.New("tcp: malformed frame header")
+
+// frameReader reads frames off one peer's inbound connection. It takes a
+// payload buffer only once the frame's whole fixed header has arrived and
+// passed every check — known kind, destination a local rank, source inside
+// the peer's rank block, length prefix equal to header plus payload exactly,
+// payload within maxFrameBytes — so a corrupt or hostile length prefix
+// costs nothing.
+type frameReader struct {
+	r     io.Reader
+	local [2]int // this process's rank block [lo, hi)
+	peer  [2]int // the rank block of the process at the other end
+	// take returns the destination of an n-element payload of a frame kind.
+	take func(kind byte, n int) []float32
+	hdr  [26 + maxPoisonMsg]byte // the longest fixed header: a poison frame's
+}
+
+func (r *frameReader) next() (frame, error) {
+	h := r.hdr[:]
+	le := binary.LittleEndian
+	i32 := func(off int) int { return int(int32(le.Uint32(h[off:]))) }
+	if _, err := io.ReadFull(r.r, h[:5]); err != nil {
+		return frame{}, err
 	}
-	if nshape > 0 {
-		m.Shape = make([]int, nshape)
-		for i := range m.Shape {
-			m.Shape[i] = geti()
+	size, fr := le.Uint32(h), frame{kind: h[4]}
+	have, hdrEnd := 5, 21 // header bytes read, and a collective's whole header
+	switch fr.kind {
+	case frameColl:
+	case frameData:
+		if _, err := io.ReadFull(r.r, h[5:29]); err != nil {
+			return fr, err
+		}
+		nshape := le.Uint32(h[25:])
+		if nshape > maxShapeDims {
+			return fr, fmt.Errorf("%w: %d shape dims", errBadFrame, nshape)
+		}
+		have, hdrEnd = 29, 29+4*int(nshape)+4
+	case framePoison:
+		if _, err := io.ReadFull(r.r, h[5:26]); err != nil {
+			return fr, err
+		}
+		msglen := le.Uint32(h[22:])
+		if msglen > maxPoisonMsg || uint64(size) != 22+uint64(msglen) {
+			return fr, fmt.Errorf("%w: poison length %d with a %d-byte message", errBadFrame, size, msglen)
+		}
+		if _, err := io.ReadFull(r.r, h[26:26+msglen]); err != nil {
+			return fr, err
+		}
+		fr.err = decodePoison(h[4 : 26+msglen])
+		return fr, nil
+	default:
+		return fr, fmt.Errorf("%w: kind %d", errBadFrame, fr.kind)
+	}
+	if _, err := io.ReadFull(r.r, h[have:hdrEnd]); err != nil {
+		return fr, err
+	}
+	fr.to = i32(5)
+	from, tag, n := i32(9), i32(13), le.Uint32(h[hdrEnd-4:])
+	switch {
+	case n > maxFrameBytes/4:
+		return fr, fmt.Errorf("%w: %d-element payload", errBadFrame, n)
+	case uint64(size) != uint64(hdrEnd-4)+4*uint64(n):
+		return fr, fmt.Errorf("%w: length %d for a %d-byte header and %d elements", errBadFrame, size, hdrEnd-4, n)
+	case fr.to < r.local[0] || fr.to >= r.local[1]:
+		return fr, fmt.Errorf("%w: rank %d is not local", errBadFrame, fr.to)
+	case from < r.peer[0] || from >= r.peer[1]:
+		return fr, fmt.Errorf("%w: rank %d is not the peer's", errBadFrame, from)
+	}
+	if fr.kind == frameColl {
+		fr.coll = comm.CollFrame{From: from, Tag: tag, Data: r.take(frameColl, int(n))}
+		return fr, r.readFloats(fr.coll.Data)
+	}
+	fr.msg = comm.Message{From: from, Tag: comm.Tag(tag), MB: i32(17), Seq: i32(21), Data: r.take(frameData, int(n))}
+	if nshape := (hdrEnd - 33) / 4; nshape > 0 {
+		fr.msg.Shape = make([]int, nshape)
+		for i := range fr.msg.Shape {
+			fr.msg.Shape[i] = i32(29 + 4*i)
 		}
 	}
-	nd := geti()
-	if nd < 0 || len(buf) != off+4*nd {
-		return 0, m, errors.New("tcp: bad data frame payload")
-	}
-	if nd > 0 {
-		m.Data = make([]float32, nd)
-		getFloats(buf[off:], m.Data)
-	}
-	return to, m, nil
+	return fr, r.readFloats(fr.msg.Data)
 }
 
-func encodeColl(p *comm.Pool[byte], to int, fr comm.CollFrame) []byte {
-	n := 4 + 1 + 3*4 + 4 + 4*len(fr.Data)
-	buf := p.Get(n)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
-	buf[4] = frameColl
-	off := 5
-	for _, v := range []int{to, fr.From, fr.Tag} {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(int32(v)))
-		off += 4
+func (r *frameReader) readFloats(dst []float32) error {
+	b := floatBytes(dst)
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		return err
 	}
-	off += putFloats(buf[off:], fr.Data)
-	return buf[:off]
+	swapOrder(b)
+	return nil
 }
 
-// decodeColl decodes a collective frame, pulling the payload buffer from
-// the fabric's float pool — the receiving collective returns it there, so
-// the wire receive path recycles like the local zero-copy handoff.
-func decodeColl(buf []byte, f *comm.Fabric) (int, comm.CollFrame, error) {
-	var fr comm.CollFrame
-	if len(buf) < 1+3*4+4 {
-		return 0, fr, errors.New("tcp: short coll frame")
+// littleEndian reports whether this host stores a float32 in the wire's
+// byte order, so a payload travels as its own bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views a float32 payload as its bytes, in place.
+func floatBytes(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
+}
+
+// swapOrder converts a payload between host and wire byte order in place:
+// nothing on a little-endian host; on a big-endian one it reverses every
+// 4-byte word, around a write and after a read.
+func swapOrder(b []byte) {
+	if littleEndian {
+		return
 	}
-	off := 1
-	geti := func() int {
-		v := int(int32(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
-		return v
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
 	}
-	to := geti()
-	fr.From = geti()
-	fr.Tag = geti()
-	nd := geti()
-	if nd < 0 || len(buf) != off+4*nd {
-		return 0, fr, errors.New("tcp: bad coll frame payload")
-	}
-	fr.Data = f.WireBuf(nd)
-	getFloats(buf[off:], fr.Data)
-	return to, fr, nil
 }
 
 // Poison frame error codes.
@@ -713,11 +777,12 @@ type peerError string
 
 func (e peerError) Error() string { return "tcp: " + string(e) }
 
-// encodePoison serializes a typed fabric error so the receiving process
-// reconstructs the same type — errors.As on RankFailedError/DeadlineError
-// works across the wire, which is what lets a remote engine's restart
-// loop classify a peer crash as recoverable.
-func encodePoison(p *comm.Pool[byte], err error) []byte {
+// appendPoison appends a poison frame's body after its kind byte: it
+// serializes a typed fabric error so the receiving process reconstructs the
+// same type — errors.As on RankFailedError/DeadlineError works across the
+// wire, which is what lets a remote engine's restart loop classify a peer
+// crash as recoverable. A message longer than maxPoisonMsg is cut there.
+func appendPoison(b []byte, err error) []byte {
 	code, rank, step := poisonOther, 0, 0
 	var timeout time.Duration
 	var rf *comm.RankFailedError
@@ -736,27 +801,21 @@ func encodePoison(p *comm.Pool[byte], err error) []byte {
 	} else if code == poisonOther && err != nil {
 		msg = err.Error()
 	}
-	n := 4 + 1 + 1 + 4 + 4 + 8 + 4 + len(msg)
-	buf := p.Get(n)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(n-4))
-	buf[4] = framePoison
-	buf[5] = code
-	binary.LittleEndian.PutUint32(buf[6:], uint32(int32(rank)))
-	binary.LittleEndian.PutUint32(buf[10:], uint32(int32(step)))
-	binary.LittleEndian.PutUint64(buf[14:], uint64(timeout))
-	binary.LittleEndian.PutUint32(buf[22:], uint32(len(msg)))
-	copy(buf[26:], msg)
-	return buf[:n]
+	msg = msg[:min(len(msg), maxPoisonMsg)]
+	le := binary.LittleEndian
+	b = append(b, code)
+	b = appendInt32s(b, rank, step)
+	b = le.AppendUint64(b, uint64(timeout))
+	b = le.AppendUint32(b, uint32(len(msg)))
+	return append(b, msg...)
 }
 
-// decodePoison reconstructs the error a peer's poison frame carries. Only a
-// frame in the one encoding encodePoison gives its error decodes: exact
-// length, a known code, and zero in every field the code does not carry.
-// Any other poison frame yields errMalformedPoison.
+// decodePoison reconstructs the error a poison frame's body (kind byte
+// first, length already checked by the reader) carries. Only a frame in the
+// one encoding appendPoison gives its error decodes: a known code, and zero
+// in every field the code does not carry. Any other poison frame yields
+// errMalformedPoison.
 func decodePoison(buf []byte) error {
-	if len(buf) < 22 || uint64(len(buf)) != 22+uint64(binary.LittleEndian.Uint32(buf[18:])) {
-		return errMalformedPoison
-	}
 	code := buf[1]
 	rank := int(int32(binary.LittleEndian.Uint32(buf[2:])))
 	step := int(int32(binary.LittleEndian.Uint32(buf[6:])))
@@ -774,22 +833,4 @@ func decodePoison(buf []byte) error {
 		return peerError(msg)
 	}
 	return errMalformedPoison
-}
-
-func putFloats(dst []byte, src []float32) int {
-	binary.LittleEndian.PutUint32(dst, uint32(len(src)))
-	off := 4
-	for _, v := range src {
-		binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
-		off += 4
-	}
-	return off
-}
-
-func getFloats(src []byte, dst []float32) {
-	off := 0
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[off:]))
-		off += 4
-	}
 }

@@ -8,13 +8,15 @@ package comm
 // Two implementations exist:
 //
 //   - LocalTransport (here): the original in-process channel mesh. Every
-//     rank is local, delivery is a zero-copy channel send, and payload
-//     buffers migrate sender→receiver without serialization.
+//     rank is local and delivery is a channel send: a data message's
+//     payload migrates sender→receiver zero-copy, a collective chunk as a
+//     copy in a buffer from the fabric's pool.
 //   - tcp.Transport (internal/comm/tcp): length-prefixed frames over TCP
-//     sockets, one endpoint per process, for multi-process training. Wire
-//     buffers come from power-of-two capacity-class pools so steady-state
-//     sends are allocation-free; connection errors map onto the poison
-//     path (RankFailedError) and socket write timeouts onto the
+//     sockets, one endpoint per process, for multi-process training. A
+//     frame goes out as one vectored write from the sender's own memory
+//     and comes in straight into its destination buffer, so steady-state
+//     collectives are allocation-free; connection errors map onto the
+//     poison path (RankFailedError) and socket write timeouts onto the
 //     DeadlineError backstop.
 //
 // The all-reduce runs ABOVE the transport and is therefore identical on
@@ -22,9 +24,9 @@ package comm
 // transports, and to the serial rank-ordered sum, at every group size.
 
 // CollFrame is one collective-plane message: a tagged chunk moving between
-// two ranks inside a collective. Data buffers come from the fabric's
-// capacity-class pool; the receiving collective folds the payload in and
-// returns the buffer to the pool.
+// two ranks inside a collective. A received frame's Data comes from the
+// fabric's capacity-class pool (Fabric.WireBuf); the receiving collective
+// folds the payload in and returns the buffer to the pool.
 type CollFrame struct {
 	From int
 	Tag  int
@@ -53,9 +55,11 @@ type Transport interface {
 	// Blocking deliveries must unwind with the fabric's poison error when
 	// the fabric dies.
 	SendData(to int, m Message) error
-	// SendColl delivers a collective frame to rank to. A wire transport
-	// serializes the payload and returns fr.Data to the fabric's buffer
-	// pool; a local transport hands it to the receiver zero-copy.
+	// SendColl delivers a collective frame to rank to. It borrows fr.Data
+	// only until it returns, so the caller may overwrite the chunk straight
+	// after: a transport that hands the payload to a goroutine of this
+	// process copies it into Fabric.WireBuf first, and a wire transport
+	// writes it to the socket from fr.Data itself.
 	SendColl(to int, fr CollFrame) error
 	// PropagatePoison tells remote peers the fabric died (best effort,
 	// must not block the caller indefinitely). Local transports no-op:
@@ -69,7 +73,7 @@ type Transport interface {
 // LocalTransport is the in-process channel mesh: the default transport,
 // and the reference semantics every wire transport must match. Buffered
 // channels model NCCL's eager protocol (sends are asynchronous until the
-// buffer fills); payloads are handed sender→receiver zero-copy.
+// buffer fills); data payloads are handed sender→receiver zero-copy.
 type LocalTransport struct {
 	f    *Fabric
 	data []chan Message
@@ -115,8 +119,11 @@ func (t *LocalTransport) SendData(to int, m Message) error {
 	}
 }
 
-// SendColl delivers fr to rank to zero-copy.
+// SendColl delivers a pooled copy of fr's payload to rank to.
 func (t *LocalTransport) SendColl(to int, fr CollFrame) error {
+	out := t.f.WireBuf(len(fr.Data))
+	copy(out, fr.Data)
+	fr.Data = out
 	select {
 	case t.coll[to] <- fr:
 		return nil
@@ -142,14 +149,11 @@ func (t *LocalTransport) Close() error { return nil }
 func (f *Fabric) Done() <-chan struct{} { return f.poisonCh }
 
 // WireBuf returns a pooled float32 buffer of length n from the fabric's
-// capacity-class pool — wire transports decode incoming collective
-// payloads into it, and the receiving collective returns it via the same
+// capacity-class pool: the destination of every collective chunk a rank of
+// this process receives — a local sender's copy, or a wire transport's read
+// straight off the socket. The receiving collective returns it to the same
 // pool, so steady-state receives recycle rather than allocate.
 func (f *Fabric) WireBuf(n int) []float32 { return f.bufs.Get(n) }
-
-// RecycleWireBuf returns a pooled buffer after a wire transport has
-// serialized it (the remote-send analogue of the receiver's fold-and-put).
-func (f *Fabric) RecycleWireBuf(b []float32) { f.bufs.Put(b) }
 
 // Deadline returns the configured blocking-receive deadline (0 = off).
 // Wire transports mirror it onto socket write deadlines so a peer that

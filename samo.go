@@ -172,12 +172,14 @@
 // one collective, an all-reduce that returns the serial rank-ordered sum
 // (reduce-scatter to chunk owners, all-gather of their sums), while a
 // pluggable Transport moves the bytes. The default is the in-process
-// channel mesh (goroutine ranks, zero-copy pooled buffers); the TCP
+// channel mesh (goroutine ranks, pooled chunk buffers); the TCP
 // transport (internal/comm/tcp) runs the same fabric across OS
 // processes, each hosting a contiguous block of ranks. Frames are
 // length-prefixed with a one-byte kind (p2p data, collective chunk, poison),
-// floats cross the wire bit-preserved, and wire buffers recycle through
-// power-of-two capacity classes so steady-state sends are allocation-free.
+// floats cross the wire bit-preserved, written from the sender's memory and
+// read straight into the receiver's pooled chunk buffer once the frame's
+// header has passed its checks, so steady-state collectives are
+// allocation-free on the wire too.
 // Connection errors map onto the same poison path as local failures — a dead
 // peer surfaces as comm.RankFailedError, a stalled socket trips the
 // CollectiveDeadline backstop as comm.DeadlineError — so a killed peer
@@ -255,9 +257,9 @@
 // each trainer or simulated rank owns a size-keyed tensor arena that
 // supplies activations, gradients and scratch buffers and reclaims them
 // wholesale after the optimizer step; layer caches and kernel job
-// descriptors recycle through typed pools, and the in-process collectives
-// hand pooled chunk buffers from sender to receiver zero-copy (pooled per
-// fabric, in power-of-two capacity classes under a hard retention bound).
+// descriptors recycle through typed pools, and every collective chunk a rank
+// receives lands in a pooled buffer (pooled per fabric, in power-of-two
+// capacity classes under a hard retention bound).
 // Run scripts/bench.sh to regenerate
 // BENCH_kernels.json, the kernel/throughput/allocation baseline the
 // benchmarks are tracked against; it fails if the shared-pack kernel
