@@ -212,7 +212,12 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 // StepGiven is Step with an externally supplied (e.g. globally reduced)
 // overflow verdict. Every pass over model state is one streaming sweep,
 // chunked on the worker pool from parallel.StreamGrain elements up, and no
-// gradient buffer besides ∇θ16 exists:
+// gradient buffer besides ∇θ16 exists. On an AVX2 host the dense sweeps —
+// the up-scale (tensor.ScaleSlice), Adam and the dense down-cast here, the
+// overflow scan and the dense capture before them — run vector kernels over
+// each chunk's multiple-of-8 body, bit-identical to the Go loops that stay
+// as every other host's path; the SAMO scatter and gather and SGD are Go
+// loops everywhere:
 //
 //   - up-scale in place: ∇θ16[i] ·= 1/scale, slab by slab;
 //   - optional global-norm clip over those values in state order (serial:
@@ -266,10 +271,7 @@ type upscaleJob struct {
 
 func upscaleChunk(ctx any, lo, hi int) {
 	j := ctx.(*upscaleJob)
-	g, inv := j.grad[lo:hi], j.inv
-	for i := range g {
-		g[i] *= inv
-	}
+	tensor.ScaleSlice(j.grad[lo:hi], j.inv)
 }
 
 // SkippedSteps returns how many steps were skipped due to fp16 overflow.

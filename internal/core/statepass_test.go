@@ -360,10 +360,20 @@ func TestStatePassZeroAlloc(t *testing.T) {
 // BenchmarkStatePass times the whole per-step state pass — gradient capture
 // of every layer, then Step (overflow scan, up-scale, optimizer, down-cast)
 // — on the bench MLP's state (256-768-768-768-32, the mlp_dp2_tcp_dense
-// model) dense and at SAMO 90 %. ns/elem is per stored state element.
+// model) dense and at SAMO 90 %, at the default worker count and, in the
+// _w1 forms, at one worker — the engine's per-rank setting. ns/elem is per
+// stored state element.
 func BenchmarkStatePass(b *testing.B) {
-	for _, mode := range []Mode{Dense, SAMO} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		mode    Mode
+		workers int // 0: the default
+	}{{Dense, 0}, {SAMO, 0}, {Dense, 1}, {SAMO, 1}} {
+		name, mode := c.mode.String(), c.mode
+		if c.workers == 1 {
+			name += "_w1"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer tensor.SetWorkers(tensor.SetWorkers(c.workers))
 			m := nn.BuildMLP("bench", []int{256, 768, 768, 768, 32}, tensor.NewRNG(1))
 			ms := stateFor(m, SAMO, 0.9) // Adam 1e-3, like the workload
 			if mode == Dense {

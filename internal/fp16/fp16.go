@@ -31,10 +31,17 @@
 // negative underflow stay −0.
 //
 // The slice kernels are the sweeps the training state runs over θ16 and
-// ∇θ16. Their loops carry the two finite ranges inline (roundFinite) and call
-// out only for Inf, NaN and overflow; from parallel.StreamGrain elements up they run
-// chunked on the worker pool. Each element is computed independently of
-// every other, so the result is bit-identical at every worker count.
+// ∇θ16. Their Go loops carry the two finite ranges inline (roundFinite) and
+// call out only for Inf, NaN and overflow; from parallel.StreamGrain elements
+// up they run chunked on the worker pool. Each element is computed
+// independently of every other, so the result is bit-identical at every
+// worker count. On an amd64 host with AVX2 and F16C (tensor.HostAVX2) the
+// dense kernels, RoundSlice and AccumRoundClear, run each chunk's
+// multiple-of-8 body through the hardware's own conversion (VCVTPS2PH with
+// round-to-nearest-even, then VCVTPH2PS, in round_amd64.s) at about 0.4–0.6
+// ns per element instead of 3.5; it equals Round on all 2³² inputs once NaNs
+// are rewritten to Round's quiet NaN. The indexed kernels (RoundScatter,
+// AccumRoundGather, AccumRoundAt) are Go loops on every host.
 package fp16
 
 import (
@@ -42,6 +49,7 @@ import (
 	"math"
 
 	"github.com/sparse-dl/samo/internal/parallel"
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 const (
@@ -78,6 +86,15 @@ func roundFinite(f float32) (r float32, ok bool) {
 	}
 	return math.Float32frombits(b&signBit | h), a < overflowAt
 }
+
+// roundVector reports whether RoundSlice and AccumRoundClear run the F16C
+// kernels of round_amd64.s over each chunk's multiple-of-8 body. It is
+// internal/tensor's start-up probe (tensor.HostAVX2), so the process asks the
+// CPU once and nothing a user sets chooses it. The Go loops stay as the path
+// of every other host (and of each chunk's last 0–7 elements) and as the
+// oracle the vector kernels are pinned to bit for bit. A variable so tests
+// can force the Go loops.
+var roundVector = tensor.HostAVX2()
 
 // job carries one kernel call's arguments to the worker pool, recycled so
 // the calls stay allocation-free on the train-step path.
@@ -117,6 +134,10 @@ func RoundSlice(dst, src, drain []float32) {
 func roundChunk(ctx any, lo, hi int) {
 	j := ctx.(*job)
 	dst, src := j.dst[lo:hi], j.src[lo:hi]
+	if n := len(src) &^ 7; roundVector && n > 0 {
+		roundAVX2(&dst[0], &src[0], n)
+		dst, src = dst[n:], src[n:]
+	}
 	for i, v := range src {
 		r, ok := roundFinite(v)
 		if !ok {
@@ -164,6 +185,10 @@ func AccumRoundClear(acc, g []float32) {
 func accumClearChunk(ctx any, lo, hi int) {
 	j := ctx.(*job)
 	acc, g := j.dst[lo:hi], j.src[lo:hi]
+	if n := len(g) &^ 7; roundVector && n > 0 {
+		accumRoundClearAVX2(&acc[0], &g[0], n)
+		acc, g = acc[n:], g[n:]
+	}
 	for i, v := range g {
 		s := acc[i] + v
 		r, ok := roundFinite(s)

@@ -354,36 +354,59 @@ func TestRoundMatchesOracleEdges(t *testing.T) {
 	}
 }
 
-// TestRoundMatchesOracleAll compares Round with the oracle on all 2³²
-// float32 bit patterns, split over GOMAXPROCS goroutines. It takes about
-// half a minute of CPU, so -short skips it, and race builds (an order of
-// magnitude slower) do too; CI runs it in a step of its own.
+// TestRoundMatchesOracleAll compares Round, and on a host that selected it
+// the F16C kernel behind RoundSlice, with the oracle on all 2³² float32 bit
+// patterns, split over GOMAXPROCS goroutines. It takes about half a minute
+// of CPU, so -short skips it, and race builds (an order of magnitude slower)
+// do too; CI runs it in a step of its own.
 func TestRoundMatchesOracleAll(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("full 2^32 sweep: skipped under -short and -race")
 	}
+	const block = 1 << 12
 	workers := runtime.GOMAXPROCS(0)
 	bad := make([]int64, workers) // first mismatching pattern per worker, -1 for none
+	badVec := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			bad[w] = -1
-			lo, hi := uint64(w)<<32/uint64(workers), uint64(w+1)<<32/uint64(workers)
-			for b := lo; b < hi; b++ {
-				f := math.Float32frombits(uint32(b))
-				if math.Float32bits(Round(f)) != math.Float32bits(roundOracle(f)) {
-					bad[w] = int64(b)
-					return
+			bad[w], badVec[w] = -1, -1
+			src, vec := make([]float32, block), make([]float32, block)
+			const blocks = 1 << 32 / block
+			for k := w * blocks / workers; k < (w+1)*blocks/workers; k++ {
+				base := int64(k) * block
+				for i := range src {
+					src[i] = math.Float32frombits(uint32(base) + uint32(i))
+				}
+				if roundVector {
+					roundAVX2(&vec[0], &src[0], block)
+				}
+				for i, f := range src {
+					want := math.Float32bits(roundOracle(f))
+					if math.Float32bits(Round(f)) != want {
+						bad[w] = base + int64(i)
+						return
+					}
+					if roundVector && math.Float32bits(vec[i]) != want && badVec[w] < 0 {
+						badVec[w] = base + int64(i)
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, b := range bad {
+	for w, b := range bad {
 		if b >= 0 {
 			checkRound(t, math.Float32frombits(uint32(b)))
+		}
+		if b := badVec[w]; b >= 0 {
+			src, dst := make([]float32, 8), make([]float32, 8)
+			f := math.Float32frombits(uint32(b))
+			src[0] = f
+			roundAVX2(&dst[0], &src[0], 8)
+			t.Errorf("F16C round(%#08x) = %#08x, oracle %#08x", uint32(b), math.Float32bits(dst[0]), math.Float32bits(roundOracle(f)))
 		}
 	}
 }

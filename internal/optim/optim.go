@@ -16,6 +16,7 @@ import (
 
 	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/sparse"
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // Optimizer updates one flat parameter vector from its gradient. Each
@@ -134,11 +135,33 @@ type Adam struct {
 // constant and condition of the update computed once per Step.
 type adamJob struct {
 	params, grads, m, v []float32
-	b1, b2, omb1, omb2  float32 // β and 1−β
-	c1, c2              float32 // bias corrections 1/(1−βᵗ)
-	lr, eps, wd, lrwd   float32
-	l2, decay           bool // weight decay folded into the gradient / decoupled
+	adamConsts
+	variant int // adamPlain, adamL2 or adamDecay
 }
+
+// adamConsts are the update's float32 constants, in the order adam_amd64.s
+// reads them.
+type adamConsts struct {
+	b1, b2, omb1, omb2 float32 // β and 1−β
+	c1, c2             float32 // bias corrections 1/(1−βᵗ)
+	lr, eps, wd, lrwd  float32
+}
+
+// The three forms of the update: no weight decay, decay folded into the
+// gradient (L2), and decoupled decay (AdamW).
+const (
+	adamPlain = iota
+	adamL2
+	adamDecay
+)
+
+// adamVector reports whether adamChunk runs the AVX2 kernel of adam_amd64.s
+// over each chunk's multiple-of-8 body. It is internal/tensor's start-up
+// probe (tensor.HostAVX2), so the process asks the CPU once and nothing a
+// user sets chooses it. The Go loop stays as the path of every other host
+// (and of each chunk's last 0–7 elements) and as the oracle the kernel is
+// pinned to bit for bit. A variable so tests can force the Go loop.
+var adamVector = tensor.HostAVX2()
 
 // NewAdam returns Adam with the usual defaults.
 func NewAdam(lr float64) *Adam {
@@ -168,22 +191,34 @@ func (a *Adam) Step(key string, params, grads []float32) {
 	t := a.t[key]
 	b1, b2 := float32(a.Beta1), float32(a.Beta2)
 	lr, wd := float32(a.LR), float32(a.WeightDecay)
-	a.job = adamJob{params: params, grads: grads, m: m, v: v,
-		b1: b1, b2: b2, omb1: 1 - b1, omb2: 1 - b2,
-		c1: 1 / (1 - float32(math.Pow(a.Beta1, float64(t)))),
-		c2: 1 / (1 - float32(math.Pow(a.Beta2, float64(t)))),
-		lr: lr, eps: float32(a.Eps), wd: wd, lrwd: lr * wd,
-		l2: wd != 0 && !a.Decoupled, decay: wd != 0 && a.Decoupled}
+	variant := adamPlain
+	if wd != 0 {
+		variant = adamL2
+		if a.Decoupled {
+			variant = adamDecay
+		}
+	}
+	a.job = adamJob{params: params, grads: grads, m: m, v: v, variant: variant,
+		adamConsts: adamConsts{b1: b1, b2: b2, omb1: 1 - b1, omb2: 1 - b2,
+			c1: 1 / (1 - float32(math.Pow(a.Beta1, float64(t)))),
+			c2: 1 / (1 - float32(math.Pow(a.Beta2, float64(t)))),
+			lr: lr, eps: float32(a.Eps), wd: wd, lrwd: lr * wd}}
 	parallel.Run(len(params), parallel.StreamGrain, &a.job, adamChunk)
 }
 
 // adamChunk updates one chunk from locals only. Every float32 expression
-// keeps the shape and order the bitwise goldens were recorded with.
+// keeps the shape and order the bitwise goldens were recorded with, and the
+// vector kernel runs the same sequence.
 func adamChunk(ctx any, lo, hi int) {
 	j := ctx.(*adamJob)
 	params, grads, m, v := j.params[lo:hi], j.grads[lo:hi], j.m[lo:hi], j.v[lo:hi]
+	if n := len(grads) &^ 7; adamVector && n > 0 {
+		adamAVX2(&params[0], &grads[0], &m[0], &v[0], n, &j.adamConsts, j.variant)
+		params, grads, m, v = params[n:], grads[n:], m[n:], v[n:]
+	}
 	b1, b2, omb1, omb2, c1, c2 := j.b1, j.b2, j.omb1, j.omb2, j.c1, j.c2
-	lr, eps, wd, lrwd, l2, decay := j.lr, j.eps, j.wd, j.lrwd, j.l2, j.decay
+	lr, eps, wd, lrwd := j.lr, j.eps, j.wd, j.lrwd
+	l2, decay := j.variant == adamL2, j.variant == adamDecay
 	for i, g := range grads {
 		if l2 {
 			g += wd * params[i]

@@ -295,3 +295,104 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 		}
 	}
 }
+
+// adamSpecials are the inputs TestAdamVectorMatchesGo plants among ordinary
+// values: signed zeros, subnormals, a gradient whose square overflows, and
+// infinities and NaNs of both signs.
+var adamSpecials = []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -1e-40,
+	3e19, -3e19, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(0xFFC00001)}
+
+// adamValues returns n values starting off elements into their backing
+// array (so the kernel meets addresses off a 32-byte boundary): ordinary
+// magnitudes, with one of adamSpecials at every eleventh position, chosen by
+// seed.
+func adamValues(n, off, seed int) []float32 {
+	s := make([]float32, off+n)[off:]
+	for i := range s {
+		if i%11 == 5 {
+			s[i] = adamSpecials[(i/11+seed)%len(adamSpecials)]
+		} else {
+			s[i] = float32((i*7+seed*13)%1013-506) / 997
+		}
+	}
+	return s
+}
+
+// sameAdamBits is bitwise equality except that any NaN equals any NaN: when
+// both operands of an add are NaN x86 keeps the first one's payload, and
+// which is first is the compiler's choice in the Go loop.
+func sameAdamBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s[%d] = %#08x, Go loop %#08x", what, i, math.Float32bits(g), math.Float32bits(w))
+		}
+	}
+}
+
+// TestAdamVectorMatchesGo holds the AVX2 Adam kernel to the Go loop it
+// replaces, bit for bit, in all three variants (plain, L2 and decoupled
+// decay), over 12 steps, at every length up to two vector bodies and a tail,
+// 8k±1 around a few more and lengths that chunk on the pool, from odd start
+// offsets, with adamSpecials in both the parameters and the gradients.
+func TestAdamVectorMatchesGo(t *testing.T) {
+	if !adamVector {
+		t.Skip("no AVX2 on this host: the Go loop is the only Adam it runs")
+	}
+	defer func() { adamVector = true }()
+	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	variants := map[string]func() *Adam{
+		"adam":  func() *Adam { return NewAdam(1e-2) },
+		"adamw": func() *Adam { return NewAdamW(1e-2, 0.01) },
+		"adam-l2": func() *Adam {
+			a := NewAdam(1e-2)
+			a.WeightDecay = 0.01
+			return a
+		},
+	}
+	lens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 255, 257,
+		parallel.StreamGrain + 1, 2*parallel.StreamGrain + 9} // the last two run chunked
+	for name, mk := range variants {
+		for _, n := range lens {
+			for _, off := range []int{0, 1, 3} {
+				goOpt, vecOpt := mk(), mk()
+				pGo, pVec := adamValues(n, off, 0), adamValues(n, off, 0)
+				for step := 1; step <= 12; step++ {
+					g := adamValues(n, off, step)
+					adamVector = false
+					goOpt.Step("k", pGo, g)
+					adamVector = true
+					vecOpt.Step("k", pVec, g)
+					what := fmt.Sprintf("%s/n%d/off%d/step%d", name, n, off, step)
+					sameAdamBits(t, what+" params", pVec, pGo)
+					for k, s := range vecOpt.States("k") {
+						sameAdamBits(t, fmt.Sprintf("%s state %d", what, k), s, goOpt.States("k")[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAdam times one Adam step over the bench MLP's 1 403 168
+// parameters (256-768-768-768-32, the mlp_dp2_tcp_dense model, as one
+// vector) at the default worker count.
+func BenchmarkAdam(b *testing.B) {
+	const n = 1403168
+	params, grads := make([]float32, n), make([]float32, n)
+	for i := range grads {
+		params[i] = float32(i%997-498) / 997
+		grads[i] = float32(i%1999-999) / 1e5
+	}
+	a := NewAdam(1e-3)
+	a.Step("k", params, grads) // allocates the moments, untimed
+	b.SetBytes(4 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Step("k", params, grads)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+}

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 package sparse
 
 // Implemented in csr_amd64.s: one sparse row's outputs for 48, 32 or 8

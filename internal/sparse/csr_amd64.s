@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // AVX2 CSR kernels (see csr_amd64.go for the Go declarations, and

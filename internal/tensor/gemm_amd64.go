@@ -1,8 +1,11 @@
+//go:build amd64 && !purego
+
 package tensor
 
-// hostAVX2 is the process's one CPU probe: AVX2 present and the OS saving
-// YMM state. It is decided once, here, from the CPU alone, and nothing a user
-// sets chooses it.
+// hostAVX2 is the process's one CPU probe: AVX2 and F16C (the half-precision
+// conversions internal/fp16's kernels round with) present and the OS saving
+// YMM state. Every CPU with AVX2 has F16C; the probe asks anyway. It is
+// decided once, here, from the CPU alone, and nothing a user sets chooses it.
 var hostAVX2 = cpuHasAVX2()
 
 // gemmVector reports whether the strip sweep runs the AVX2 micro-kernels of
@@ -12,8 +15,9 @@ var hostAVX2 = cpuHasAVX2()
 var gemmVector = hostAVX2
 
 // HostAVX2 reports the start-up probe above, for the vector kernels of other
-// packages (the CSR kernels of internal/sparse), so the process has one
-// answer to "may AVX2 run here".
+// packages (the CSR kernels of internal/sparse, the rounding kernels of
+// internal/fp16, Adam's in internal/optim), so the process has one answer to
+// "may AVX2 run here".
 func HostAVX2() bool { return hostAVX2 }
 
 func cpuHasAVX2() bool {
@@ -21,8 +25,8 @@ func cpuHasAVX2() bool {
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const osxsave, avx, f16c = 1 << 27, 1 << 28, 1 << 29
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 || ecx&f16c == 0 {
 		return false
 	}
 	if xgetbv0()&6 != 6 { // XCR0: the OS saves XMM and YMM state

@@ -1,3 +1,5 @@
+//go:build amd64 && !purego
+
 #include "textflag.h"
 
 // AVX2 strip micro-kernels for the GEMM family (see gemm_amd64.go for the

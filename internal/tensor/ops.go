@@ -27,10 +27,17 @@ func Mul(dst, src *Tensor) {
 }
 
 // Scale computes t *= a.
-func Scale(t *Tensor, a float32) {
-	d := t.data
-	for i := range d {
-		d[i] *= a
+func Scale(t *Tensor, a float32) { ScaleSlice(t.data, a) }
+
+// ScaleSlice computes s[i] *= a, serially on the caller — the loss-scale
+// up-scale runs it on each of its worker-pool chunks.
+func ScaleSlice(s []float32, a float32) {
+	if n := len(s) &^ 7; sweepVector && n > 0 {
+		scaleAVX2(&s[0], n, a)
+		s = s[n:]
+	}
+	for i := range s {
+		s[i] *= a
 	}
 }
 
@@ -180,7 +187,7 @@ var nonFiniteJobFree parallel.Pool[nonFiniteJob]
 // contract intact.
 func HasNonFiniteSlice(s []float32) bool {
 	if len(s) <= nonFiniteGrain {
-		return hasNonFiniteSerial(s)
+		return hasNonFinite(s)
 	}
 	j := nonFiniteJobFree.Get()
 	j.data = s
@@ -206,17 +213,24 @@ func hasNonFiniteChunk(ctx any, lo, hi int) {
 		if end > hi {
 			end = hi
 		}
-		if hasNonFiniteSerial(g.data[lo:end]) {
+		if hasNonFinite(g.data[lo:end]) {
 			g.found.Store(true)
 			return
 		}
 	}
 }
 
-// hasNonFiniteSerial is the serial reference scan (and the small-slice
-// path): a float32 is Inf or NaN exactly when its exponent bits are all
-// ones, one mask-compare per element.
-func hasNonFiniteSerial(s []float32) bool {
+// hasNonFinite scans s on the caller: a float32 is Inf or NaN exactly when
+// its exponent bits are all ones, one mask-compare per element — eight at a
+// time in the AVX2 kernel over the multiple-of-8 body, where the host has
+// it, and in the Go loop over the rest.
+func hasNonFinite(s []float32) bool {
+	if n := len(s) &^ 7; sweepVector && n > 0 {
+		if nonFiniteAVX2(&s[0], n) {
+			return true
+		}
+		s = s[n:]
+	}
 	for _, v := range s {
 		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			return true

@@ -279,6 +279,10 @@ func refHasNonFinite(s []float32) bool {
 // dispatch boundary, poison values (±Inf, NaN) planted at chunk edges and
 // interiors, and several worker counts.
 func TestHasNonFiniteParallelGolden(t *testing.T) {
+	bothSweepKernels(t, func() { hasNonFiniteParallelGolden(t) })
+}
+
+func hasNonFiniteParallelGolden(t *testing.T) {
 	defer SetWorkers(SetWorkers(0))
 	sizes := []int{0, 1, 100, nonFiniteGrain, nonFiniteGrain + 1, 3*nonFiniteGrain + 17, 8 * nonFiniteGrain}
 	for _, size := range sizes {
@@ -300,6 +304,87 @@ func TestHasNonFiniteParallelGolden(t *testing.T) {
 					if got := HasNonFiniteSlice(s); got != want {
 						t.Fatalf("size=%d pos=%d poison=%g workers=%d: got %v, want %v",
 							size, pos, poison, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bothSweepKernels runs f under the Go sweeps and then, on a host that
+// selected them at start-up, under the AVX2 ones. Not safe beside a
+// concurrent sweep: it flips the package's kernel selection.
+func bothSweepKernels(t *testing.T, f func()) {
+	t.Helper()
+	host, kernel := sweepVector, "go"
+	defer func() {
+		sweepVector = host
+		if t.Failed() {
+			t.Logf("sweep kernel under test: %s", kernel)
+		}
+	}()
+	sweepVector = false
+	f()
+	if !host {
+		return
+	}
+	sweepVector, kernel = true, "avx2"
+	f()
+}
+
+// sweepLens are every length up to two vector bodies and a tail, and 8k±1
+// around a few more bodies (the AVX2 scan takes 32 elements a round, then 8).
+var sweepLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 39, 41, 63, 65, 255, 257}
+
+// TestSweepVectorKernels holds the AVX2 non-finite scan and ScaleSlice to
+// the Go loops from odd start offsets: the scan with an Inf or a NaN of
+// either sign at every position (and, for the flagged bit patterns, the
+// largest finite values beside them), ScaleSlice bit for bit on signed
+// zeros, subnormals, overflowing products, infinities and NaNs.
+func TestSweepVectorKernels(t *testing.T) {
+	specials := []uint32{0, 0x80000000, 1, 0x80000001, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001}
+	host := sweepVector
+	defer func() { sweepVector = host }()
+	for _, n := range sweepLens {
+		for _, off := range []int{0, 1, 3} {
+			base := make([]float32, off+n)[off:]
+			for i := range base {
+				base[i] = float32(i%13-6) * 0.37
+				if i%5 == 2 {
+					base[i] = math.MaxFloat32 // largest finite: exponent one short of all ones
+				}
+			}
+			for pos := -1; pos < n; pos++ {
+				for _, b := range specials[6:] {
+					s := append(make([]float32, off, off+n), base...)[off:]
+					if pos >= 0 {
+						s[pos] = math.Float32frombits(b)
+					}
+					want := refHasNonFinite(s)
+					for _, vec := range []bool{false, host} {
+						sweepVector = vec
+						if got := hasNonFinite(s); got != want {
+							t.Fatalf("n=%d off=%d pos=%d %#08x vector=%v: got %v, want %v", n, off, pos, b, vec, got, want)
+						}
+					}
+				}
+			}
+			src := append(make([]float32, off, off+n), base...)[off:]
+			for i := range src {
+				if i%3 == 1 {
+					src[i] = math.Float32frombits(specials[(i/3)%len(specials)])
+				}
+			}
+			for _, a := range []float32{1.0 / 65536, -3, 1e30, float32(math.Copysign(0, -1))} {
+				want := append(make([]float32, off, off+n), src...)[off:]
+				got := append(make([]float32, off, off+n), src...)[off:]
+				sweepVector = false
+				ScaleSlice(want, a)
+				sweepVector = host
+				ScaleSlice(got, a)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("ScaleSlice n=%d off=%d a=%g [%d]: %#08x, Go loop %#08x", n, off, a, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 					}
 				}
 			}
