@@ -24,18 +24,18 @@
 
 // ROW loads the next nonzero: BX walks val, DX walks col, SI is Bᵀ at the
 // call's first batch row, R9 the Bᵀ row stride in elements, R10 = k. It
-// leaves the row segment's address in R12 and val[p] in every lane of Y15.
+// leaves the row segment's address in R12 and val[p] in every lane of Y6.
 #define ROW(bad) \
 	MOVL         (DX), R11          \
 	CMPQ         R11, R10           \
 	JAE          bad                \
 	IMULQ        R9, R11            \
 	LEAQ         (SI)(R11*4), R12   \
-	VBROADCASTSS (BX), Y15
+	VBROADCASTSS (BX), Y6
 
 // MAC(off, acc, tmp) adds val[p]·Bᵀ[col[p], off/4 : off/4+8] into acc.
 #define MAC(off, acc, tmp) \
-	VMULPS off(R12), Y15, tmp \
+	VMULPS off(R12), Y6, tmp \
 	VADDPS tmp, acc, acc
 
 // STORE8(acc, xacc) writes acc's eight lanes to C at DI, DI+ldc, …, stride
@@ -234,12 +234,13 @@ storeSD:
 // gather, no index: the caller has cut the window from inside x, and
 // lda = 0 runs one row twice.
 
-// MAC2(xr, acc0, acc1) adds Y12·xr into acc0 and Y13·xr into acc1.
+// MAC2(xr, acc0, acc1) adds Y12·xr into acc0 and Y13·xr into acc1, both
+// products through Y14.
 #define MAC2(xr, acc0, acc1) \
 	VMULPS xr, Y12, Y14 \
 	VADDPS Y14, acc0, acc0 \
-	VMULPS xr, Y13, Y15 \
-	VADDPS Y15, acc1, acc1
+	VMULPS xr, Y13, Y14 \
+	VADDPS Y14, acc1, acc1
 
 // func sddmmWin32AVX2(out *[64]float32, a *float32, lda int, x *float32, ldx, k int)
 TEXT ·sddmmWin32AVX2(SB), NOSPLIT, $0-48

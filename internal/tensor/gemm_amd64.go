@@ -38,15 +38,29 @@ func cpuHasAVX2() bool {
 }
 
 // Implemented in gemm_amd64.s. The pointers must come from Go slices of
-// exactly the extent the kernel touches (see gemmStripSweepChunk and
-// gemmDirectChunk): the assembly checks no bound. bStride is 8 for a packed
-// strip and n for B read in place.
+// exactly the extent the kernel touches (see gemmStripSweepChunk,
+// gemmDirectChunk, tGemmVecChunk and gemmPackStripNTChunk): the assembly
+// checks no bound. bStride is 8 for a packed strip and n for B read in
+// place.
 
 //go:noescape
 func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
 
 //go:noescape
 func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool)
+
+// tGemm4x8AVX2 adds one tiledKC block of C = Aᵀ·B into four C rows × cols
+// columns (a multiple of 8) for tGemmVecChunk: c and b row stride n, a row
+// stride m, kcur ≥ 1 k rows.
+//
+//go:noescape
+func tGemm4x8AVX2(c *float32, n int, a *float32, m int, b *float32, kcur int, cols int)
+
+// gemmPackNT8x8AVX2 packs one whole 8-wide strip of gemmNT's Bᵀ panel, blocks
+// 8×8 blocks of it, for gemmPackStripNTChunk: src has row stride k.
+//
+//go:noescape
+func gemmPackNT8x8AVX2(dst *float32, src *float32, k int, blocks int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

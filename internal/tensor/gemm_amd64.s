@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // AVX2 strip micro-kernels for the GEMM family (see gemm_amd64.go for the
-// Go declarations and gemmStrip8 in matmul.go for the scalar oracle).
+// Go declarations and gemmStrip8 in matmul.go for the scalar oracle), the
+// small-k weight gradient's twin of tGemmChunk and the NT pack's transpose.
 //
 // Bitwise contract: every lane executes exactly the scalar kernel's float32
 // sequence, `c += a0·b0 + a1·b1` per k pair and `c += a0·b0` for an odd last
@@ -136,6 +137,138 @@ tail1:
 
 store1:
 	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func tGemm4x8AVX2(c *float32, n int, a *float32, m int, b *float32, kcur int, cols int)
+// The small-k weight gradient C += Aᵀ·B (tGemmVecChunk) for four C rows and
+// cols columns, cols a positive multiple of 8, over one k block of kcur ≥ 1
+// A and B rows: a is Aᵀ's four rows at the block's first k (A row stride m),
+// b and c are at column 0 (row stride n). Per 8-column strip, lane j of
+// accumulator r is tGemmChunk's s for element (r, j): it starts at +0 and
+// adds a[kk·m + r]·b[kk·n + j] in plain k order, one VMULPS and one VADDPS
+// a step; then C += s. Four sums of a strip stay in Y0–Y3.
+TEXT ·tGemm4x8AVX2(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ n+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ m+24(FP), R9
+	MOVQ b+32(FP), BX
+	MOVQ kcur+40(FP), CX
+	MOVQ cols+48(FP), DX
+	SHLQ $2, R8                    // c and b row stride in bytes
+	SHLQ $2, R9                    // a row stride in bytes
+	LEAQ (R8)(R8*2), R12           // three c rows
+
+stripT:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   SI, R10
+	MOVQ   BX, R11
+	MOVQ   CX, AX
+
+kloopT:
+	VMOVUPS      (R11), Y4
+	VBROADCASTSS (R10), Y5
+	VBROADCASTSS 4(R10), Y6
+	VBROADCASTSS 8(R10), Y7
+	VBROADCASTSS 12(R10), Y8
+	VMULPS       Y4, Y5, Y5
+	VMULPS       Y4, Y6, Y6
+	VMULPS       Y4, Y7, Y7
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y5, Y0, Y0
+	VADDPS       Y6, Y1, Y1
+	VADDPS       Y7, Y2, Y2
+	VADDPS       Y8, Y3, Y3
+	ADDQ         R9, R10
+	ADDQ         R8, R11
+	DECQ         AX
+	JNZ          kloopT
+
+	VMOVUPS (DI), Y5
+	VMOVUPS (DI)(R8*1), Y6
+	VMOVUPS (DI)(R8*2), Y7
+	VMOVUPS (DI)(R12*1), Y8
+	VADDPS  Y0, Y5, Y5
+	VADDPS  Y1, Y6, Y6
+	VADDPS  Y2, Y7, Y7
+	VADDPS  Y3, Y8, Y8
+	VMOVUPS Y5, (DI)
+	VMOVUPS Y6, (DI)(R8*1)
+	VMOVUPS Y7, (DI)(R8*2)
+	VMOVUPS Y8, (DI)(R12*1)
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	SUBQ    $8, DX
+	JNZ     stripT
+	VZEROUPPER
+	RET
+
+// func gemmPackNT8x8AVX2(dst *float32, src *float32, k int, blocks int)
+// Packs one whole 8-wide strip of gemmNT's Bᵀ panel (gemmPackStripNTChunk),
+// blocks·8 k at a time: src is B's first strip row at the panel's first k
+// (row stride k), dst the strip at the same k. Per block, eight B row loads
+// of 8 k, an 8×8 transpose in 24 shuffles (unpack pairs of rows, shuffle
+// pairs of pairs, swap 128-bit halves) and eight contiguous stores, one
+// per k: the bytes the scalar scatter stores, moved by bit-exact shuffles.
+TEXT ·gemmPackNT8x8AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ k+16(FP), R8
+	MOVQ blocks+24(FP), CX
+	SHLQ $2, R8                    // B row stride in bytes
+	LEAQ (R8)(R8*2), R9            // three B rows
+	LEAQ (SI)(R8*4), R10           // B row 4
+
+packNT:
+	VMOVUPS    (SI), Y0
+	VMOVUPS    (SI)(R8*1), Y1
+	VMOVUPS    (SI)(R8*2), Y2
+	VMOVUPS    (SI)(R9*1), Y3
+	VMOVUPS    (R10), Y4
+	VMOVUPS    (R10)(R8*1), Y5
+	VMOVUPS    (R10)(R8*2), Y6
+	VMOVUPS    (R10)(R9*1), Y7
+	VUNPCKLPS  Y1, Y0, Y8          // rows 0,1 interleaved: k 0,1 | 4,5
+	VUNPCKHPS  Y1, Y0, Y9          // k 2,3 | 6,7
+	VUNPCKLPS  Y3, Y2, Y0          // rows 2,3
+	VUNPCKHPS  Y3, Y2, Y1
+	VUNPCKLPS  Y5, Y4, Y2          // rows 4,5
+	VUNPCKHPS  Y5, Y4, Y3
+	VUNPCKLPS  Y7, Y6, Y4          // rows 6,7
+	VUNPCKHPS  Y7, Y6, Y5
+	VSHUFPS    $0x44, Y0, Y8, Y6   // rows 0–3 at k 0 | 4
+	VSHUFPS    $0xEE, Y0, Y8, Y7   // k 1 | 5
+	VSHUFPS    $0x44, Y1, Y9, Y10  // k 2 | 6
+	VSHUFPS    $0xEE, Y1, Y9, Y11  // k 3 | 7
+	VSHUFPS    $0x44, Y4, Y2, Y12  // rows 4–7 at k 0 | 4
+	VSHUFPS    $0xEE, Y4, Y2, Y13  // k 1 | 5
+	VSHUFPS    $0x44, Y5, Y3, Y14  // k 2 | 6
+	VSHUFPS    $0xEE, Y5, Y3, Y8   // k 3 | 7
+	VPERM2F128 $0x20, Y12, Y6, Y0  // rows 0–7 at k 0
+	VPERM2F128 $0x20, Y13, Y7, Y1
+	VPERM2F128 $0x20, Y14, Y10, Y2
+	VPERM2F128 $0x20, Y8, Y11, Y3
+	VPERM2F128 $0x31, Y12, Y6, Y4  // rows 0–7 at k 4
+	VPERM2F128 $0x31, Y13, Y7, Y5
+	VPERM2F128 $0x31, Y14, Y10, Y6
+	VPERM2F128 $0x31, Y8, Y11, Y7
+	VMOVUPS    Y0, (DI)
+	VMOVUPS    Y1, 32(DI)
+	VMOVUPS    Y2, 64(DI)
+	VMOVUPS    Y3, 96(DI)
+	VMOVUPS    Y4, 128(DI)
+	VMOVUPS    Y5, 160(DI)
+	VMOVUPS    Y6, 192(DI)
+	VMOVUPS    Y7, 224(DI)
+	ADDQ       $32, SI
+	ADDQ       $32, R10
+	ADDQ       $256, DI
+	DECQ       CX
+	JNZ        packNT
 	VZEROUPPER
 	RET
 

@@ -150,3 +150,47 @@ func BenchmarkTMatMul(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBackwardSmallM times a data-parallel rank's dense backward at 4
+// rows — the per-rank microbatch of the TCP MLP benchmark workload (batch 8
+// over two data groups) — through its three layers, in×out 256×768, 768×768
+// and 768×32: the weight gradient dW += xᵀ·dy (TMatMulInto at k = 4, tGemm's
+// small path) and the input gradient dx = dy·Wᵀ (MatMulTInto at m = 4, the
+// NT pipeline, which packs W on every call). At one worker, the engine's
+// per-rank setting, and at GOMAXPROCS.
+func BenchmarkBackwardSmallM(b *testing.B) {
+	const m = 4
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
+	defer SetWorkers(SetWorkers(0))
+	for _, s := range [][2]int{{256, 768}, {768, 768}, {768, 32}} {
+		in, out := s[0], s[1]
+		x, dy, w := New(m, in), New(m, out), New(in, out)
+		dW, dx := New(in, out), New(m, in)
+		rng := NewRNG(12)
+		fillSeq(x, rng)
+		fillSeq(dy, rng)
+		fillSeq(w, rng)
+		flops := 2 * float64(m) * float64(in) * float64(out)
+		for _, wk := range workers {
+			for _, p := range []struct {
+				name string
+				run  func()
+			}{
+				{"dW", func() { TMatMulInto(dW, x, dy, true) }},
+				{"dx", func() { MatMulTInto(dx, dy, w, false) }},
+			} {
+				b.Run(fmt.Sprintf("%dx%d/%s/w%d", in, out, p.name, wk), func(b *testing.B) {
+					SetWorkers(wk)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p.run()
+					}
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+				})
+			}
+		}
+	}
+}

@@ -62,7 +62,13 @@ func sameBits(x, y float32) bool {
 // can pick runs under AVX2 against the Go kernel's first one, so for the
 // forward product the vector kernel at either stride is also held to the Go
 // kernel in place. (Worker counts are the worker-sweep goldens' business;
-// they run under both kernels too.)
+// they run under both kernels too.) tGemm's small path runs the same way,
+// tGemmVecChunk against tGemmChunk: every m from 1 to 9 (4-row bands, the
+// rows below them, and at 9 a chunk bound inside a band at two workers),
+// every n from 1 to 17 and 32 and 768 (whole strips, ragged columns, and a
+// weight's width), every k from 1 to 15, and k 40 and 513 (the second
+// crosses a tiledKC block) at n up to 32, with NaNs among the special
+// values, and once more on operands of ±0 and ±1 alone.
 func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 	if !gemmVector {
 		t.Skip("host has no AVX2: the Go strip kernel is the only kernel")
@@ -70,7 +76,7 @@ func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 	defer func() { gemmVector = true }()
 	specials := []float32{
 		float32(math.Copysign(0, -1)), 0, 1e-40, -1e-42, math.SmallestNonzeroFloat32,
-		float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38, 1e-30,
+		float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38, 1e-30, float32(math.NaN()),
 	}
 	rng := NewRNG(71)
 	// fill returns n floats starting off (odd) floats into a fresh allocation,
@@ -109,6 +115,55 @@ func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 											v, bl, m, k, n, accumulate, special, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 									}
 								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	defer SetWorkers(SetWorkers(2))
+	ns := []int{32, 768}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	// fillSigns draws operands from ±0 and ±1 alone, where sums of ±0
+	// products — and C += s onto a −0 — are common enough that a kernel
+	// starting s anywhere but at +0 shows.
+	signs := []float32{float32(math.Copysign(0, -1)), 0, 1, -1}
+	fillSigns := func(n, off int) []float32 {
+		s := make([]float32, n+off+8)[off : off+n]
+		for i := range s {
+			s[i] = signs[int(rng.Float64()*4)%4]
+		}
+		return s
+	}
+	for _, mode := range []string{"ordinary", "special", "signed zeros"} {
+		operand := func(n, off int) []float32 {
+			if mode == "signed zeros" {
+				return fillSigns(n, off)
+			}
+			return fill(n, off, mode == "special")
+		}
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 40, 513} {
+			for m := 1; m <= 9; m++ {
+				for _, n := range ns {
+					if k > 15 && n > 32 {
+						continue
+					}
+					for _, accumulate := range []bool{false, true} {
+						a, b, cSeed := operand(k*m, 1), operand(k*n, 3), operand(m*n, 5)
+						run := func(vec bool) []float32 {
+							gemmVector = vec
+							c := append(make([]float32, 5, 5+m*n), cSeed...)[5:]
+							tGemmSmall(c, a, b, m, k, n, accumulate)
+							return c
+						}
+						want, got := run(false), run(true)
+						for i := range want {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("small TN %dx%dx%d, accumulate=%v, %s: C[%d] = %x under AVX2, %x under Go",
+									m, k, n, accumulate, mode, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 							}
 						}
 					}

@@ -17,3 +17,11 @@ func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float
 func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool) {
 	panic("tensor: vector GEMM kernel called on a build without one")
 }
+
+func tGemm4x8AVX2(c *float32, n int, a *float32, m int, b *float32, kcur int, cols int) {
+	panic("tensor: vector GEMM kernel called on a build without one")
+}
+
+func gemmPackNT8x8AVX2(dst *float32, src *float32, k int, blocks int) {
+	panic("tensor: vector GEMM kernel called on a build without one")
+}

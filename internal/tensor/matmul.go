@@ -347,13 +347,44 @@ func gemmPackStripChunk(ctx any, lo, hi int) {
 // extent — a near-copy — and lands in strip jj/8 at within-strip offset
 // jj%8 (see gemmPackStripChunk for the strip layout), scattering with
 // stride 8. Chunks touch disjoint panel columns.
+//
+// With the vector kernel selected, each whole strip inside [lo,hi) is packed
+// 8 k at a time by gemmPackNT8x8AVX2 (8 B row loads, an 8×8 register
+// transpose, 8 contiguous stores) and its kcur mod 8 rest by the scatter.
+// A strip that a chunk bound or the ragged panel end cuts keeps the scatter,
+// so no two chunks store into one strip and no float the scatter leaves
+// unwritten is written. Either way the panel holds the same bytes.
 func gemmPackStripNTChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
 	b, pb := g.b, g.pb
 	k, k0, j0, kcur := g.k, g.k0, g.j0, g.kcur
+	if !gemmVector {
+		gemmPackNTScatter(b, pb, k, k0, j0, kcur, lo, hi, 0)
+		return
+	}
+	s0 := min((lo+7)&^7, hi) // first whole strip
+	s1 := max(hi&^7, s0)     // end of the whole strips
+	kv := kcur &^ 7
+	if kv > 0 {
+		for js := s0; js < s1; js += 8 {
+			src := b[(j0+js)*k+k0 : (j0+js+7)*k+k0+kv]
+			dst := pb[js*kcur : js*kcur+kv*8]
+			gemmPackNT8x8AVX2(&dst[0], &src[0], k, kv/8)
+		}
+	}
+	gemmPackNTScatter(b, pb, k, k0, j0, kcur, lo, s0, 0)
+	if kv < kcur {
+		gemmPackNTScatter(b, pb, k, k0, j0, kcur, s0, s1, kv)
+	}
+	gemmPackNTScatter(b, pb, k, k0, j0, kcur, s1, hi, 0)
+}
+
+// gemmPackNTScatter is the scalar NT pack of panel columns [lo,hi), panel
+// k-rows [kk0,kcur): each B row's run lands in its strip lane with stride 8.
+func gemmPackNTScatter(b, pb []float32, k, k0, j0, kcur, lo, hi, kk0 int) {
 	for jj := lo; jj < hi; jj++ {
-		brow := b[(j0+jj)*k+k0 : (j0+jj)*k+k0+kcur]
-		ps := pb[(jj&^7)*kcur+(jj&7):]
+		brow := b[(j0+jj)*k+k0+kk0 : (j0+jj)*k+k0+kcur]
+		ps := pb[(jj&^7)*kcur+kk0*8+(jj&7):]
 		for kk, v := range brow {
 			ps[kk*8] = v
 		}
@@ -650,8 +681,11 @@ func gemmT(c, a, b []float32, m, k, n int, accumulate bool) {
 }
 
 // gemmTChunk computes C rows [lo,hi) of C = A·Bᵀ with 4×4 register tiles:
-// both operands are read along contiguous k-rows, 16 fused multiply-adds
-// per 8 loads (the seed's dot kernel did 1 per 2). k is blocked so the
+// both operands are read along contiguous k-rows, 16 multiplies and 16 adds
+// per 8 loads, each rounded on its own (the seed's dot kernel did one of
+// each per 2; the row-invariance block above gemm forbids fusing them). Per
+// tiledKC block of k each element's sum starts at +0 and runs in plain k
+// order, then C += sum. k is blocked so the
 // four A rows and four B rows of a tile stay L1-resident. Kept as the
 // small-shape path and the benchmark baseline the shared-pack pipeline is
 // gated against (BenchmarkMatMulT/tiled).
@@ -791,101 +825,152 @@ func tGemm(c, a, b []float32, m, k, n int, accumulate bool) {
 		gemmV2(gemmTN, c, a, b, m, k, n, accumulate, gemmStrip)
 		return
 	}
+	tGemmSmall(c, a, b, m, k, n, accumulate)
+}
+
+// tGemmSmall is tGemm's small path (k < 16, m < 4 or n < 16; a weight
+// gradient at a per-rank batch below 16 rows takes it): tGemmVecChunk with
+// the vector kernel selected, else tGemmChunk. Both give the same bits.
+func tGemmSmall(c, a, b []float32, m, k, n int, accumulate bool) {
 	j := getGemmJob()
 	j.c, j.a, j.b = c, a, b
 	j.m, j.k, j.n = m, k, n
 	j.accumulate = accumulate
-	parallel.Run(m, gemmGrain, j, tGemmChunk)
+	chunk := tGemmChunk
+	if gemmVector {
+		chunk = tGemmVecChunk
+	}
+	parallel.Run(m, gemmGrain, j, chunk)
 	putGemmJob(j)
 }
 
-// tGemmChunk computes C rows [lo,hi) of C = Aᵀ·B with 4×4 register tiles.
-// For each k step the tile loads 4 contiguous A values and 4 contiguous B
-// values (both along the rows of the k-major operands) and performs 16
-// fused multiply-adds; k is blocked so a tile's A column slab stays cached
-// across the j sweep. Kept as the small-shape path and the benchmark
-// baseline the shared-pack pipeline is gated against (BenchmarkTMatMul/tiled).
-func tGemmChunk(ctx any, lo, hi int) {
+// tGemmVecChunk computes C rows [lo,hi) of C = Aᵀ·B as tGemmChunk does,
+// with each 4-row band's whole 8-column strips in tGemm4x8AVX2 (the band's
+// four sums of a strip in YMM registers) and the bands' ragged columns and
+// the rows below the last band in tGemmTiles. Every element sees
+// tGemmChunk's float32 sequence, so the two give the same bits
+// (TestGEMMVectorKernelMatchesGo).
+func tGemmVecChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmJob)
 	c, a, b := g.c, g.a, g.b
-	k, n := g.k, g.n
-	m := g.m
+	m, k, n := g.m, g.k, g.n
 	if !g.accumulate {
 		zeroSlice(c[lo*n : hi*n])
 	}
+	full := n &^ 7 // columns in whole strips
+	bands := lo    // end of the 4-row bands the vector kernel sweeps
+	if full > 0 {
+		bands += (hi - lo) &^ 3
+	}
 	for k0 := 0; k0 < k; k0 += tiledKC {
 		k1 := min(k0+tiledKC, k)
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			jj := 0
-			for ; jj+4 <= n; jj += 4 {
-				var s00, s01, s02, s03 float32
-				var s10, s11, s12, s13 float32
-				var s20, s21, s22, s23 float32
-				var s30, s31, s32, s33 float32
-				for kk := k0; kk < k1; kk++ {
-					ar := a[kk*m+i : kk*m+i+4]
-					br := b[kk*n+jj : kk*n+jj+4]
-					a0, a1, a2, a3 := ar[0], ar[1], ar[2], ar[3]
-					b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
-					s00 += a0 * b0
-					s01 += a0 * b1
-					s02 += a0 * b2
-					s03 += a0 * b3
-					s10 += a1 * b0
-					s11 += a1 * b1
-					s12 += a1 * b2
-					s13 += a1 * b3
-					s20 += a2 * b0
-					s21 += a2 * b1
-					s22 += a2 * b2
-					s23 += a2 * b3
-					s30 += a3 * b0
-					s31 += a3 * b1
-					s32 += a3 * b2
-					s33 += a3 * b3
-				}
-				c[i*n+jj] += s00
-				c[i*n+jj+1] += s01
-				c[i*n+jj+2] += s02
-				c[i*n+jj+3] += s03
-				c[(i+1)*n+jj] += s10
-				c[(i+1)*n+jj+1] += s11
-				c[(i+1)*n+jj+2] += s12
-				c[(i+1)*n+jj+3] += s13
-				c[(i+2)*n+jj] += s20
-				c[(i+2)*n+jj+1] += s21
-				c[(i+2)*n+jj+2] += s22
-				c[(i+2)*n+jj+3] += s23
-				c[(i+3)*n+jj] += s30
-				c[(i+3)*n+jj+1] += s31
-				c[(i+3)*n+jj+2] += s32
-				c[(i+3)*n+jj+3] += s33
-			}
-			for ; jj < n; jj++ {
-				var s0, s1, s2, s3 float32
-				for kk := k0; kk < k1; kk++ {
-					ar := a[kk*m+i : kk*m+i+4]
-					bv := b[kk*n+jj]
-					s0 += ar[0] * bv
-					s1 += ar[1] * bv
-					s2 += ar[2] * bv
-					s3 += ar[3] * bv
-				}
-				c[i*n+jj] += s0
-				c[(i+1)*n+jj] += s1
-				c[(i+2)*n+jj] += s2
-				c[(i+3)*n+jj] += s3
-			}
+		for i := lo; i < bands; i += 4 {
+			ct := c[i*n : (i+3)*n+full]
+			at := a[k0*m+i : (k1-1)*m+i+4]
+			bt := b[k0*n : (k1-1)*n+full]
+			tGemm4x8AVX2(&ct[0], n, &at[0], m, &bt[0], k1-k0, full)
 		}
-		for ; i < hi; i++ {
-			for jj := 0; jj < n; jj++ {
-				var s float32
-				for kk := k0; kk < k1; kk++ {
-					s += a[kk*m+i] * b[kk*n+jj]
-				}
-				c[i*n+jj] += s
+		tGemmTiles(g, k0, k1, lo, bands, full)
+		tGemmTiles(g, k0, k1, bands, hi, 0)
+	}
+}
+
+// tGemmChunk computes C rows [lo,hi) of C = Aᵀ·B: C zeroed first unless the
+// call accumulates, then tGemmTiles per tiledKC block of k. Kept as the Go
+// oracle of tGemmVecChunk, the small-shape path of hosts without it, and
+// the benchmark baseline the shared-pack pipeline is gated against
+// (BenchmarkTMatMul/tiled).
+func tGemmChunk(ctx any, lo, hi int) {
+	g := ctx.(*gemmJob)
+	if !g.accumulate {
+		zeroSlice(g.c[lo*g.n : hi*g.n])
+	}
+	for k0 := 0; k0 < g.k; k0 += tiledKC {
+		tGemmTiles(g, k0, min(k0+tiledKC, g.k), lo, hi, 0)
+	}
+}
+
+// tGemmTiles adds the k block [k0,k1) of C = Aᵀ·B into C rows [lo,hi) ×
+// columns [j0,n) with 4×4 register tiles. For each k step the tile loads 4
+// contiguous A values and 4 contiguous B values (both along the rows of the
+// k-major operands) and performs 16 multiplies and 16 adds, each rounded on
+// its own (no fusion: see the row-invariance block above gemm); the block
+// keeps a tile's A column slab cached across the j sweep. Every element —
+// tile, ragged column or remainder row — sums from s = +0 in plain k order,
+// then C += s: the sequence tGemm4x8AVX2 reproduces lane for lane.
+func tGemmTiles(g *gemmJob, k0, k1, lo, hi, j0 int) {
+	c, a, b := g.c, g.a, g.b
+	m, n := g.m, g.n
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		jj := j0
+		for ; jj+4 <= n; jj += 4 {
+			var s00, s01, s02, s03 float32
+			var s10, s11, s12, s13 float32
+			var s20, s21, s22, s23 float32
+			var s30, s31, s32, s33 float32
+			for kk := k0; kk < k1; kk++ {
+				ar := a[kk*m+i : kk*m+i+4]
+				br := b[kk*n+jj : kk*n+jj+4]
+				a0, a1, a2, a3 := ar[0], ar[1], ar[2], ar[3]
+				b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
+				s00 += a0 * b0
+				s01 += a0 * b1
+				s02 += a0 * b2
+				s03 += a0 * b3
+				s10 += a1 * b0
+				s11 += a1 * b1
+				s12 += a1 * b2
+				s13 += a1 * b3
+				s20 += a2 * b0
+				s21 += a2 * b1
+				s22 += a2 * b2
+				s23 += a2 * b3
+				s30 += a3 * b0
+				s31 += a3 * b1
+				s32 += a3 * b2
+				s33 += a3 * b3
 			}
+			c[i*n+jj] += s00
+			c[i*n+jj+1] += s01
+			c[i*n+jj+2] += s02
+			c[i*n+jj+3] += s03
+			c[(i+1)*n+jj] += s10
+			c[(i+1)*n+jj+1] += s11
+			c[(i+1)*n+jj+2] += s12
+			c[(i+1)*n+jj+3] += s13
+			c[(i+2)*n+jj] += s20
+			c[(i+2)*n+jj+1] += s21
+			c[(i+2)*n+jj+2] += s22
+			c[(i+2)*n+jj+3] += s23
+			c[(i+3)*n+jj] += s30
+			c[(i+3)*n+jj+1] += s31
+			c[(i+3)*n+jj+2] += s32
+			c[(i+3)*n+jj+3] += s33
+		}
+		for ; jj < n; jj++ {
+			var s0, s1, s2, s3 float32
+			for kk := k0; kk < k1; kk++ {
+				ar := a[kk*m+i : kk*m+i+4]
+				bv := b[kk*n+jj]
+				s0 += ar[0] * bv
+				s1 += ar[1] * bv
+				s2 += ar[2] * bv
+				s3 += ar[3] * bv
+			}
+			c[i*n+jj] += s0
+			c[(i+1)*n+jj] += s1
+			c[(i+2)*n+jj] += s2
+			c[(i+3)*n+jj] += s3
+		}
+	}
+	for ; i < hi; i++ {
+		for jj := j0; jj < n; jj++ {
+			var s float32
+			for kk := k0; kk < k1; kk++ {
+				s += a[kk*m+i] * b[kk*n+jj]
+			}
+			c[i*n+jj] += s
 		}
 	}
 }

@@ -309,34 +309,50 @@ var servingHeights = []int{1, 2, 3, 16, gemmDirectMaxM - 1, gemmDirectMaxM, gemm
 
 // TestMatMulSharedPanelRace hammers MatMulInto from many goroutines so
 // concurrent calls contend on the shared panel buffer pool and the worker
-// pool. Run under -race in CI; correctness of each
-// result is also checked.
+// pool, then MatMulTInto at two workers on a shape whose NT pack fans out
+// with its chunk bound inside a strip (panel columns 0–50 and 50–100:
+// strip 48–56 goes to the scatter on both sides, the whole strips to the
+// vector pack). Run under -race in CI; correctness of each result is also
+// checked.
 func TestMatMulSharedPanelRace(t *testing.T) {
 	old := SetWorkers(4)
 	defer SetWorkers(old)
 	rng := NewRNG(48)
-	shapes := [][3]int{{40, 300, 64}, {8, 512, 128}, {130, 96, 33}}
-	type prob struct {
-		a, b, want *Tensor
-	}
-	probs := make([]prob, len(shapes))
-	for i, s := range shapes {
+	var probs []racedProduct
+	for _, s := range [][3]int{{40, 300, 64}, {8, 512, 128}, {130, 96, 33}} {
 		a, b := New(s[0], s[1]), New(s[1], s[2])
 		fillSeq(a, rng)
 		fillSeq(b, rng)
-		probs[i] = prob{a: a, b: b, want: refMatMul(a, b)}
+		probs = append(probs, racedProduct{a, b, refMatMul(a, b), MatMulInto})
 	}
+	hammer(t, probs, 8, 25)
+	SetWorkers(2)
+	a, b := New(256, 300), New(100, 300)
+	fillSeq(a, rng)
+	fillSeq(b, rng)
+	hammer(t, []racedProduct{{a, b, refMatMulT(a, b), MatMulTInto}}, 4, 4)
+}
+
+// racedProduct is one product TestMatMulSharedPanelRace runs concurrently.
+type racedProduct struct {
+	a, b, want *Tensor
+	mul        func(c, a, b *Tensor, accumulate bool)
+}
+
+// hammer runs problem g mod len(probs) on each of goroutines goroutines,
+// iters times, checking every result against its reference.
+func hammer(t *testing.T, probs []racedProduct, goroutines, iters int) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 8; g++ {
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			p := probs[g%len(probs)]
-			m, n := p.a.shape[0], p.b.shape[1]
-			c := New(m, n)
-			for it := 0; it < 25; it++ {
-				MatMulInto(c, p.a, p.b, false)
+			c := New(p.want.shape[0], p.want.shape[1])
+			for it := 0; it < iters; it++ {
+				p.mul(c, p.a, p.b, false)
 				if d := MaxAbsDiff(c, p.want); d > tol(p.a.shape[1]) {
 					errs <- fmt.Errorf("goroutine %d iter %d: diff %g", g, it, d)
 					return
@@ -380,5 +396,16 @@ func TestMatMulIntoZeroAlloc(t *testing.T) {
 	TMatMulInto(c, aT, b, false)
 	if n := testing.AllocsPerRun(50, func() { TMatMulInto(c, aT, b, false) }); n != 0 {
 		t.Fatalf("TMatMulInto allocates %.1f per call, want 0", n)
+	}
+	// A data-parallel rank's backward at 4 rows through a 768² layer: the
+	// small-k weight gradient (accumulating) and the m = 4 input gradient.
+	x, dy, w, dW, dx := New(4, 768), New(4, 768), New(768, 768), New(768, 768), New(4, 768)
+	TMatMulInto(dW, x, dy, true)
+	if n := testing.AllocsPerRun(20, func() { TMatMulInto(dW, x, dy, true) }); n != 0 {
+		t.Fatalf("TMatMulInto(k=4) allocates %.1f per call, want 0", n)
+	}
+	MatMulTInto(dx, dy, w, false)
+	if n := testing.AllocsPerRun(20, func() { MatMulTInto(dx, dy, w, false) }); n != 0 {
+		t.Fatalf("MatMulTInto(m=4) allocates %.1f per call, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -178,5 +179,64 @@ func TestGemmPackATTiledGolden(t *testing.T) {
 		}
 		j.a, j.pa = nil, nil
 		gemmV2JobFree.Put(j)
+	}
+}
+
+// TestGemmPackNTVectorGolden holds the NT pack with the vector kernel
+// selected (gemmPackNT8x8AVX2's 8×8 transposes over whole strips) to the
+// scalar scatter byte for byte: over B of arbitrary bit patterns (NaN
+// payloads, subnormals), at ragged ncur, at kcur below 8 and not a multiple
+// of 8, at an offset panel (j0, k0), and for chunks of panel columns — what
+// parallel.Run hands one worker — whose bounds fall inside a strip. Each
+// chunk is packed alone into a panel filled with a sentinel, so a float
+// outside the chunk's columns, or a ragged strip's tail lane, must stay
+// unwritten: no two chunks may store into one strip.
+func TestGemmPackNTVectorGolden(t *testing.T) {
+	if !gemmVector {
+		t.Skip("host has no AVX2: the scalar scatter is the only pack")
+	}
+	defer func() { gemmVector = true }()
+	rng := NewRNG(62)
+	const sentinel = 0x7FC0DEAD
+	for _, s := range []struct{ n, k, j0, ncur, k0, kcur int }{
+		{20, 300, 0, 20, 0, 256},
+		{100, 300, 0, 100, 256, 44},
+		{130, 45, 128, 2, 0, 45},
+		{64, 64, 0, 64, 0, 64},
+		{37, 7, 5, 31, 0, 7},
+		{17, 19, 0, 17, 3, 16},
+		{768, 768, 640, 128, 512, 256},
+	} {
+		b := make([]float32, s.n*s.k)
+		for i := range b {
+			b[i] = math.Float32frombits(uint32(rng.Float64() * (1 << 32)))
+		}
+		pack := func(vec bool, lo, hi int) []float32 {
+			gemmVector = vec
+			pb := make([]float32, (s.ncur+7)&^7*s.kcur)
+			for i := range pb {
+				pb[i] = math.Float32frombits(sentinel)
+			}
+			j := gemmV2JobFree.Get()
+			j.b, j.pb = b, pb
+			j.k, j.k0, j.j0, j.kcur = s.k, s.k0, s.j0, s.kcur
+			gemmPackStripNTChunk(j, lo, hi)
+			j.b, j.pb = nil, nil
+			gemmV2JobFree.Put(j)
+			return pb
+		}
+		for _, c := range [][2]int{{0, s.ncur}, {3, s.ncur}, {8, s.ncur}, {0, 13}, {13, 21}, {1, 2}, {s.ncur / 2, s.ncur}, {5, 30}} {
+			lo, hi := c[0], min(c[1], s.ncur)
+			if lo >= hi {
+				continue
+			}
+			want, got := pack(false, lo, hi), pack(true, lo, hi)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%+v, chunk [%d,%d): panel[%d] = %#x under AVX2, %#x from the scatter",
+						s, lo, hi, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
 	}
 }
