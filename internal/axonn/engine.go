@@ -530,7 +530,7 @@ func (w *worker) onLayerDone(layer int) {
 		return
 	}
 	for n := w.state.BucketReady(layer); w.launched < n; w.launched++ {
-		w.handles = append(w.handles, w.rk.AllReduceAsync(w.stageGroup, w.buckets[w.launched].Data))
+		w.handles = append(w.handles, w.rk.AllReduceHalfAsync(w.stageGroup, w.buckets[w.launched].Data))
 	}
 }
 
@@ -749,7 +749,9 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	}
 
 	// Data-parallel phase: all-reduce the (compressed under SAMO) fp16
-	// gradient buckets across the stage group — §IV-A. With OverlapReduce
+	// gradient buckets across the stage group — §IV-A. The slabs hold
+	// fp16-grid values, so they go through AllReduceHalf, at the paper's two
+	// bytes per element when the group has 2 or 3 ranks. With OverlapReduce
 	// the backward hook already launched them in plan order; drain every
 	// handle (keeping the first error) so no operation is in flight when
 	// the consensus collective below reuses the rank's matching state.
@@ -766,7 +768,7 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 		}
 	} else {
 		for _, buf := range w.state.ReduceBuffers() {
-			if err := w.rk.AllReduce(w.stageGroup, buf); err != nil {
+			if err := w.rk.AllReduceHalf(w.stageGroup, buf); err != nil {
 				return 0, err
 			}
 		}

@@ -2,7 +2,9 @@ package axonn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	"github.com/sparse-dl/samo/internal/comm"
 	"github.com/sparse-dl/samo/internal/core"
+	"github.com/sparse-dl/samo/internal/nn"
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // Overlap determinism suite. The contract under test: Config.OverlapReduce
@@ -231,5 +235,61 @@ func TestCrashMidOverlappedReduce(t *testing.T) {
 			}
 			assertBitwiseEqual(t, golden, res)
 		})
+	}
+}
+
+// TestDP2OverTCPStateBitsPinned trains the dense data-parallel MLP's shape
+// (256-768-768-768-32, Adam, microbatch 4, Gdata 2) over TCP loopback, one
+// process per rank, with OverlapReduce off and on, and pins the losses and
+// the saved state to a hash recorded while the gradient all-reduce still
+// sent float32: exchanging the fp16 gradient as half words must not move a
+// bit. Its five buckets take every path of the half exchange's kernels,
+// including a 768-element bias and the 8-element-multiple bodies.
+func TestDP2OverTCPStateBitsPinned(t *testing.T) {
+	const want = uint64(0x0db326749ea440f7)
+	rng := tensor.NewRNG(46)
+	batches := make([]Batch, 4)
+	for i := range batches {
+		x := tensor.New(8, 256)
+		tensor.FillNormal(x, 1, rng)
+		targets := make([]int, 8)
+		for j := range targets {
+			targets[j] = rng.Intn(32)
+		}
+		batches[i] = Batch{Input: x, Targets: targets, SampleRows: 1, Samples: 8}
+	}
+	build := func() *nn.Model { return nn.BuildMLP("mlp", []int{256, 768, 768, 768, 32}, tensor.NewRNG(7)) }
+	for _, overlap := range []bool{false, true} {
+		cfg := Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense,
+			OverlapReduce: overlap, CollectiveDeadline: 30 * time.Second}
+		addrs := freeLoopbackAddrs(t, 2)
+		results := make([]Result, 2)
+		var wg sync.WaitGroup
+		for p := range results {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				c := cfg
+				c.Net = &NetConfig{Peers: addrs, Proc: p, DialTimeout: 30 * time.Second}
+				results[p] = Train(c, build, adamBuilder(), nil, batches)
+			}(p)
+		}
+		wg.Wait()
+		for p, r := range results {
+			if r.Fabric != nil {
+				defer r.Fabric.Close()
+			}
+			if r.Err != nil {
+				t.Fatalf("overlap %v: proc %d: %v", overlap, p, r.Err)
+			}
+		}
+		h := fnv.New64a()
+		for _, l := range results[0].Losses {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(l))
+		}
+		h.Write(results[0].StageStates[0])
+		if got := h.Sum64(); got != want {
+			t.Errorf("overlap %v: state and loss hash %#016x, want %#016x", overlap, got, want)
+		}
 	}
 }

@@ -5,18 +5,20 @@ import (
 	"testing"
 )
 
-// TestAllReduceZeroAlloc pins the steady state of AllReduce, and of
-// AllReduceAsync followed by Wait, to zero heap allocations at G = 2 and at
-// G = 3, where the chunks split unevenly, on both transports: every chunk a
-// rank receives comes from its fabric's pool — a local sender's copy, or the
-// TCP reader's straight off the socket — and a TCP send writes header and
-// chunk from reused memory. Ranks are persistent goroutines driven over
-// channels, so one measured run is one fabric-wide reduce and nothing else;
-// the count is process-wide, so it covers the TCP readers too.
+// TestAllReduceZeroAlloc pins the steady state of AllReduce, AllReduceHalf
+// and AllReduceHalfAsync followed by Wait (async=true: the async lane carries
+// the half reduce) to zero heap allocations at G = 2 and at G = 3, where the
+// chunks split unevenly, on both transports: every chunk a rank receives
+// comes from its fabric's pool — a local sender's copy, or the TCP reader's
+// straight off the socket — the half words of a rank's own buffer are packed
+// in place, and a TCP send writes header and chunk from reused memory. Ranks
+// are persistent goroutines driven over channels, so one measured run is one
+// fabric-wide reduce and nothing else; the count is process-wide, so it
+// covers the TCP readers too.
 func TestAllReduceZeroAlloc(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		for _, async := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n%d/async=%v", n, async), func(t *testing.T) {
+		for _, op := range []string{"async=false", "async=false/half", "async=true"} {
+			t.Run(fmt.Sprintf("n%d/%s", n, op), func(t *testing.T) {
 				for _, transport := range []string{"local", "tcp"} {
 					t.Run(transport, func(t *testing.T) {
 						m := newMesh(t, transport, n)
@@ -30,9 +32,12 @@ func TestAllReduceZeroAlloc(t *testing.T) {
 								defer rk.CloseAsync()
 								buf := make([]float32, 1000)
 								for range start {
-									if async {
-										done <- rk.AllReduceAsync(g, buf).Wait()
-									} else {
+									switch op {
+									case "async=true":
+										done <- rk.AllReduceHalfAsync(g, buf).Wait()
+									case "async=false/half":
+										done <- rk.AllReduceHalf(g, buf)
+									default:
 										done <- rk.AllReduce(g, buf)
 									}
 								}

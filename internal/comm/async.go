@@ -4,11 +4,14 @@ import "time"
 
 // Async collective lane.
 //
-// AllReduceAsync hands a reduce off to a per-Rank worker goroutine and
-// returns a handle immediately; the caller overlaps its own compute and
-// calls Wait when it needs the result. The worker executes queued
-// operations SERIALLY in launch order — that, plus every rank launching the
-// same operations in the same order, preserves the fabric's FIFO
+// AllReduceHalfAsync hands a gradient reduce off to a per-Rank worker
+// goroutine and returns a handle immediately; the caller overlaps its own
+// compute and calls Wait when it needs the result. The lane carries only
+// AllReduceHalf: the reduces worth hiding behind backward are the ∇θ16
+// buckets, and the rest (the overflow flag, the loss) are one-element
+// synchronous AllReduces. The worker executes queued operations SERIALLY
+// in launch order — that, plus every rank launching the same operations in
+// the same order, preserves the fabric's FIFO
 // (from, tag) matching invariant with no new wire protocol, and means
 // results are bitwise-identical to issuing the same calls synchronously.
 //
@@ -48,9 +51,9 @@ type ReduceHandle struct {
 	done chan error // buffered (cap 1): the worker never blocks completing
 }
 
-// AllReduceAsync launches AllReduce of buf over group on the async lane and
-// returns immediately. buf must stay untouched until Wait returns.
-func (rk *Rank) AllReduceAsync(group []int, buf []float32) *ReduceHandle {
+// AllReduceHalfAsync launches AllReduceHalf of buf over group on the async
+// lane and returns immediately. buf must stay untouched until Wait returns.
+func (rk *Rank) AllReduceHalfAsync(group []int, buf []float32) *ReduceHandle {
 	if rk.asyncCh == nil {
 		rk.asyncCh = make(chan asyncOp, asyncQueueDepth)
 		rk.asyncDone = make(chan struct{})
@@ -64,7 +67,7 @@ func (rk *Rank) AllReduceAsync(group []int, buf []float32) *ReduceHandle {
 func (rk *Rank) asyncWorker() {
 	defer close(rk.asyncDone)
 	for op := range rk.asyncCh {
-		op.h.done <- rk.allReduce(op.group, op.buf)
+		op.h.done <- rk.allReduceHalf(op.group, op.buf)
 	}
 }
 

@@ -5,8 +5,9 @@
 //   - asynchronous point-to-point messaging with a per-rank inbox (AxoNN's
 //     message-driven scheduling reads whatever activation/gradient arrives
 //     next, §II-E), used by inter-layer parallelism;
-//   - one collective, an all-reduce returning the serial rank-ordered sum,
-//     used by data parallelism.
+//   - an all-reduce returning the serial rank-ordered sum, used by data
+//     parallelism, with a twin for fp16-grid payloads (the gradient) that
+//     moves them at two bytes per element.
 //
 // The default transport is the in-process channel mesh (LocalTransport);
 // internal/comm/tcp supplies a multi-process wire transport with identical
@@ -16,10 +17,15 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"github.com/sparse-dl/samo/internal/fp16"
+	"github.com/sparse-dl/samo/internal/tensor"
 )
 
 // Pool recycles buffers in power-of-two capacity classes. A fabric keeps its
@@ -148,8 +154,9 @@ type Message struct {
 	Seq   int
 }
 
-// Stats counts a rank's traffic (bytes assume 4-byte elements unless the
-// caller scales; the engine accounts fp16 payloads at 2 bytes itself).
+// Stats counts a rank's traffic in elements, whatever their width on the
+// wire: AllReduce receives float32s at 4 bytes, AllReduceHalf's exchange
+// binary16 values at 2, and both count each element once.
 type Stats struct {
 	P2PMessages  atomic.Int64
 	P2PElements  atomic.Int64
@@ -485,23 +492,27 @@ func (rk *Rank) groupPos(group []int) int {
 	panic(fmt.Sprintf("comm: rank %d not in group %v", rk.r, group))
 }
 
-// Collective tags: one per all-reduce phase. Each rank sends a peer at most
-// one frame per phase, and frames between a pair arrive in order, so
-// back-to-back reduces match without a sequence number.
+// Collective tags: one per all-reduce phase (the half exchange is one
+// phase). Each rank sends a peer at most one frame per phase, and frames
+// between a pair arrive in order, so back-to-back reduces match without a
+// sequence number.
 const (
 	tagReduceScatter = 1<<20 + iota
 	tagAllGather
+	tagHalfExchange
 )
 
 // AllReduce sums buf across the group in place. Every rank ends with the
-// serial group-ordered sum x₀ + x₁ + … + x_{G−1}, bit for bit, at every
-// group size and buffer length: the rank at group position p owns chunk p
-// of the buffer, receives every other rank's copy of it, folds the G
+// serial group-ordered sum x₀ + x₁ + … + x_{G−1}, bit for bit (NaNs
+// included: each add returns its first operand's NaN, tensor.OrderedAdd),
+// at every group size and buffer length: the rank at group position p owns
+// chunk p of the buffer, receives every other rank's copy of it, folds the G
 // contributions in group order, and sends the sum back to every other rank.
 // Each rank receives 2·(G−1)/G of the buffer, as in a ring; an empty chunk
-// moves nothing. On a poisoned fabric (or when a fault fires) it unwinds
-// with the typed error; buf's contents are then unspecified and the caller
-// must not step on them.
+// moves nothing. AllReduceHalf is the same sum for a buffer on the binary16
+// grid; it exchanges half bits when G ≤ 3 and runs this path otherwise. On a
+// poisoned fabric (or when a fault fires) it unwinds with the typed error;
+// buf's contents are then unspecified and the caller must not step on them.
 func (rk *Rank) AllReduce(group []int, buf []float32) error {
 	start := time.Now()
 	err := rk.allReduce(group, buf)
@@ -510,7 +521,8 @@ func (rk *Rank) AllReduce(group []int, buf []float32) error {
 }
 
 // allReduce is AllReduce without the exposed-time accounting, shared with
-// the async lane (async hidden time must not count as exposed).
+// AllReduceHalf's other group sizes, async lane included (async hidden time
+// must not count as exposed).
 func (rk *Rank) allReduce(group []int, buf []float32) error {
 	if err := rk.enterColl(); err != nil {
 		return err
@@ -561,6 +573,109 @@ func (rk *Rank) allReduce(group []int, buf []float32) error {
 	return nil
 }
 
+// maxHalfGroup is the largest group AllReduceHalf exchanges half bits in.
+// A rank receives 2(G−1)·n bytes there against owner-folds' 8(G−1)/G·n:
+// half at G = 2, three quarters at G = 3, equal at G = 4, so from 4 up it
+// runs AllReduce. The bits are the same either way.
+const maxHalfGroup = 3
+
+// OffGridError reports an AllReduceHalf payload element that is not a
+// binary16 value widened: the half exchange never rounds, so the rank
+// fails instead, and the fabric with it.
+type OffGridError struct {
+	Index int    // the first such element of the rank's buffer
+	Bits  uint32 // its float32 bits
+}
+
+func (e *OffGridError) Error() string {
+	return fmt.Sprintf("comm: half all-reduce element %d (bits %#08x) is not on the binary16 grid", e.Index, e.Bits)
+}
+
+// AllReduceHalf is AllReduce for a buffer whose every element is a binary16
+// value widened to float32 — a ∇θ16 slab: every rank ends with the same
+// serial group-ordered sum, bit for bit. For G ∈ {2, 3} it exchanges the
+// payload at two bytes per element: each rank packs buf into half words over
+// buf's own front (fp16.PackHalves, which checks every element is on the
+// grid), sends them to every other rank in one frame, and folds the G
+// contributions itself in group order, widening as it reads — exact, so the
+// sum is the serial one. One phase and, per rank, 2(G−1)·n bytes received
+// into pooled buffers; the rank's own words need none. Any other G runs
+// AllReduce. An element off the grid fails the rank with an OffGridError,
+// and a peer's frame whose length does not match this rank's buffer fails
+// it too: the fabric is poisoned and every rank unwinds with a
+// RankFailedError. As with AllReduce, buf is unspecified after an error.
+func (rk *Rank) AllReduceHalf(group []int, buf []float32) error {
+	start := time.Now()
+	err := rk.allReduceHalf(group, buf)
+	rk.f.stats[rk.r].ExposedCollNanos.Add(time.Since(start).Nanoseconds())
+	return err
+}
+
+// allReduceHalf is AllReduceHalf without the exposed-time accounting,
+// shared with the async lane.
+func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
+	g := len(group)
+	if g == 1 || g > maxHalfGroup {
+		return rk.allReduce(group, buf)
+	}
+	if err := rk.enterColl(); err != nil {
+		return err
+	}
+	pos := rk.groupPos(group)
+	rk.f.stats[rk.r].CollOps.Add(1)
+	n := len(buf)
+	if n == 0 {
+		return nil
+	}
+	nw := fp16.Words(n)
+	own := buf[:nw]
+	if bad := fp16.PackHalves(words(own), buf); bad >= 0 {
+		return rk.Fail(&OffGridError{Index: bad, Bits: math.Float32bits(buf[bad])})
+	}
+	for q, to := range group {
+		if q != pos {
+			if err := rk.sendChunk(to, tagHalfExchange, own); err != nil {
+				return err
+			}
+		}
+	}
+	// Each rank's words in group order; the received ones go back to the
+	// pool however this returns.
+	var in [maxHalfGroup][]float32
+	defer func() {
+		for q, w := range in[:g] {
+			if q != pos {
+				rk.f.bufs.Put(w)
+			}
+		}
+	}()
+	in[pos] = own
+	for q, from := range group {
+		if q == pos {
+			continue
+		}
+		w, err := rk.recvColl(from, tagHalfExchange)
+		if err != nil {
+			return err
+		}
+		in[q] = w
+		if len(w) != nw {
+			return rk.Fail(fmt.Errorf("comm: half all-reduce frame of %d words from rank %d, want %d for %d elements",
+				len(w), from, nw, n))
+		}
+		rk.f.stats[rk.r].CollElements.Add(int64(n))
+	}
+	fp16.SumHalves(buf, words(in[0]), words(in[1]), words(in[2]))
+	return nil
+}
+
+// words views float32 memory as the half words it carries: a collective
+// buffer moves them bit for bit and is never read as floats. A nil buffer
+// gives nil words.
+func words(f []float32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
+}
+
 // sendChunk sends chunk to rank to; an empty chunk sends nothing (its
 // receiver expects nothing). The transport borrows chunk only until it
 // returns (see Transport.SendColl), so the caller may overwrite it.
@@ -574,14 +689,15 @@ func (rk *Rank) sendChunk(to, tag int, chunk []float32) error {
 // foldOwned receives every other rank's copy of the owned chunk and sums
 // the G contributions in group order into own. The running sum x₀ + … + x_q
 // builds in rank 0's received buffer until the rank's own contribution
-// joins, then in own; a + b == b + a in IEEE arithmetic, so adding the
-// partial sum into own gives the serial bits.
+// joins, then in own. Every add takes the running sum as its first operand,
+// own's join included (AddIntoRev), because the NaN an add returns is its
+// first operand's: the serial bits, NaN payloads and signs too.
 func (rk *Rank) foldOwned(group []int, pos int, own []float32) error {
 	acc := own
 	for q, from := range group {
 		if q == pos {
 			if q > 0 {
-				addInto(own, acc)
+				tensor.AddIntoRev(own, acc)
 				rk.f.bufs.Put(acc)
 				acc = own
 			}
@@ -596,18 +712,10 @@ func (rk *Rank) foldOwned(group []int, pos int, own []float32) error {
 			acc = in
 			continue
 		}
-		addInto(acc, in)
+		tensor.AddInto(acc, in)
 		rk.f.bufs.Put(in)
 	}
 	return nil
-}
-
-// addInto adds x into dst elementwise; len(x) == len(dst).
-func addInto(dst, x []float32) {
-	x = x[:len(dst)]
-	for i, v := range x {
-		dst[i] += v
-	}
 }
 
 // fillChunkBounds splits n elements into g nearly equal contiguous chunks,

@@ -45,6 +45,61 @@ func must1[T any](v T, err error) T {
 	return v
 }
 
+// specialBits are values whose sums the NaN rule decides, all on the
+// binary16 grid: both zeros, both infinities, and NaNs of both signs with
+// distinct payloads, signalling ones included.
+var specialBits = []uint32{0, 0x80000000, 0x7F800000, 0xFF800000,
+	0x7FC00000, 0xFFC00000, 0x7FC02000, 0xFFE00000, 0x7FA00000, 0xFF802000}
+
+// sprinkle overwrites even elements of buf with specials. Over the first
+// 2·L² elements (L specials) ranks 0 and 1 meet in every ordered pair, ranks
+// 2 and 3 likewise shifted by one; past them one rank in four holds a
+// special at each even element, so specials meet finite values too.
+func sprinkle(buf []float32, rank int) {
+	l := len(specialBits)
+	for i := 0; i < len(buf); i += 2 {
+		k := i / 2
+		if k >= l*l && k%4 != rank%4 {
+			continue
+		}
+		d := k % l
+		if rank%2 == 1 {
+			d = k / l % l
+		}
+		buf[i] = math.Float32frombits(specialBits[(d+rank/2)%l])
+	}
+}
+
+// serialAdd is one add of the serial sum: a NaN operand comes back quieted,
+// the first operand's before the second's (x86's rule, which a Go add may
+// not keep: the compiler may swap the operands); otherwise the float32 sum.
+func serialAdd(a, b float32) float32 {
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | 0x00400000)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | 0x00400000)
+	}
+	return a + b
+}
+
+// serialSum is the serial group-ordered sum x₀ + x₁ + … + x_{G−1}.
+func serialSum(inputs [][]float32) []float32 {
+	want := append([]float32(nil), inputs[0]...)
+	for _, in := range inputs[1:] {
+		for i, v := range in {
+			want[i] = serialAdd(want[i], v)
+		}
+	}
+	return want
+}
+
+// Exported to the conformance suite (package comm_test).
+var (
+	Sprinkle  = sprinkle
+	SerialSum = serialSum
+)
+
 func TestSendRecvBasic(t *testing.T) {
 	f := NewFabric(2)
 	s, r := f.Rank(0), f.Rank(1)
@@ -109,7 +164,9 @@ func TestAllReduceRingSums(t *testing.T) {
 
 func TestAllReduceMatchesSerialExactly(t *testing.T) {
 	// Sizes below n leave chunks empty; 100 and 4099 split unevenly for
-	// most n. Every rank must hold the serial rank-ordered sum, bit for bit.
+	// most n. Every rank must hold the serial rank-ordered sum, bit for bit,
+	// the NaN each add returns included: the owner of a chunk at group
+	// position p > 0 joins its own contribution after the partial sum.
 	rng := tensor.NewRNG(1)
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
 		for _, sz := range []int{0, 1, n - 1, 100, 4099} {
@@ -119,13 +176,9 @@ func TestAllReduceMatchesSerialExactly(t *testing.T) {
 				for i := range inputs[r] {
 					inputs[r][i] = float32(rng.Norm())
 				}
+				sprinkle(inputs[r], r)
 			}
-			want := append([]float32(nil), inputs[0]...)
-			for r := 1; r < n; r++ { // serial rank-ordered sum
-				for i := range want {
-					want[i] += inputs[r][i]
-				}
-			}
+			want := serialSum(inputs)
 			results := make([][]float32, n)
 			runGroup(n, func(rk *Rank) {
 				buf := append([]float32(nil), inputs[rk.ID()]...)
@@ -222,6 +275,27 @@ func TestCollectiveElementAccounting(t *testing.T) {
 	want := int64(2 * (n - 1) * sz / n)
 	if math.Abs(float64(perRank-want)) > float64(n) {
 		t.Errorf("per-rank collective elements %d, want ≈%d", perRank, want)
+	}
+	// The count is of elements received, whatever their width: at G = 2
+	// both paths receive exactly sz per rank — AllReduce two halves of the
+	// buffer at 4 bytes, AllReduceHalf all of it at 2.
+	for _, half := range []bool{false, true} {
+		f := runGroup(2, func(rk *Rank) {
+			buf := make([]float32, sz+1)
+			if half {
+				must(rk.AllReduceHalf(group(2), buf))
+			} else {
+				must(rk.AllReduce(group(2), buf))
+			}
+		})
+		for r := 0; r < 2; r++ {
+			if got := f.Stats(r).CollElements.Load(); got != int64(sz+1) {
+				t.Errorf("G = 2, half %v: rank %d received %d elements, want %d", half, r, got, sz+1)
+			}
+			if got := f.Stats(r).CollOps.Load(); got != 1 {
+				t.Errorf("G = 2, half %v: rank %d counted %d collectives, want 1", half, r, got)
+			}
+		}
 	}
 }
 

@@ -75,8 +75,11 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 		if err := rk.AllReduce(group(3), []float32{}); err != nil {
 			t.Errorf("rank %d: healthy empty-slice AllReduce: %v", rk.ID(), err)
 		}
-		if err := rk.AllReduceAsync(group(3), nil).Wait(); err != nil {
-			t.Errorf("rank %d: healthy zero-length async AllReduce: %v", rk.ID(), err)
+		if err := rk.AllReduceHalf(group(3), nil); err != nil {
+			t.Errorf("rank %d: healthy zero-length AllReduceHalf: %v", rk.ID(), err)
+		}
+		if err := rk.AllReduceHalfAsync(group(3), nil).Wait(); err != nil {
+			t.Errorf("rank %d: healthy zero-length async AllReduceHalf: %v", rk.ID(), err)
 		}
 	})
 	want := &RankFailedError{Rank: 1, Step: 0}
@@ -89,8 +92,11 @@ func TestZeroLengthCollectivesUnderAbort(t *testing.T) {
 		if err := rk.AllReduce(group(3), []float32{1}); !errors.Is(err, want) {
 			t.Errorf("rank %d: poisoned one-element AllReduce: %v", rk.ID(), err)
 		}
-		if err := rk.AllReduceAsync(group(3), nil).Wait(); !errors.Is(err, want) {
-			t.Errorf("rank %d: poisoned zero-length async AllReduce: %v", rk.ID(), err)
+		if err := rk.AllReduceHalf(group(3), []float32{1}); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned one-element AllReduceHalf: %v", rk.ID(), err)
+		}
+		if err := rk.AllReduceHalfAsync(group(3), nil).Wait(); !errors.Is(err, want) {
+			t.Errorf("rank %d: poisoned zero-length async AllReduceHalf: %v", rk.ID(), err)
 		}
 	})
 }

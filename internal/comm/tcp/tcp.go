@@ -8,8 +8,10 @@
 //
 // Framing is length-prefixed little-endian: a u32 payload length, a kind
 // byte (data / collective / poison), then the fixed header fields and the
-// float32 payload, bit for bit — collectives are bitwise-identical to the
-// in-process transport. A send writes the header from a per-peer scratch
+// payload of 32-bit words, bit for bit — float32 values, or the half words
+// of comm.Rank.AllReduceHalf (two binary16 values to a word, built
+// arithmetically, so the per-word byte order keeps them in place) — so
+// collectives are bitwise-identical to the in-process transport. A send writes the header from a per-peer scratch
 // and the payload from the sender's own memory in one vectored write; a
 // receive reads the fixed header, validates it, and only then reads the
 // payload straight into its destination (a pooled fabric buffer for a

@@ -24,9 +24,11 @@ package comm
 // transports, and to the serial rank-ordered sum, at every group size.
 
 // CollFrame is one collective-plane message: a tagged chunk moving between
-// two ranks inside a collective. A received frame's Data comes from the
-// fabric's capacity-class pool (Fabric.WireBuf); the receiving collective
-// folds the payload in and returns the buffer to the pool.
+// two ranks inside a collective. Data is 32-bit words moved bit for bit:
+// float32 values, or AllReduceHalf's binary16 values two to a word. A
+// received frame's Data comes from the fabric's capacity-class pool
+// (Fabric.WireBuf); the receiving collective folds the payload in and
+// returns the buffer to the pool.
 type CollFrame struct {
 	From int
 	Tag  int

@@ -17,6 +17,7 @@ import (
 
 	"github.com/sparse-dl/samo/internal/comm"
 	"github.com/sparse-dl/samo/internal/comm/tcp"
+	"github.com/sparse-dl/samo/internal/fp16"
 )
 
 // mesh is one fabric-per-rank view of a transport: on local all ranks
@@ -125,11 +126,26 @@ func bitsOf(buf []float32) []uint32 {
 // rank's result bits.
 func runAllReduce(t *testing.T, m *mesh, n, sz int) [][]uint32 {
 	t.Helper()
-	group := groupAll(n)
-	out := make([][]uint32, n)
+	inputs := make([][]float32, n)
+	for r := range inputs {
+		inputs[r] = testInput(r, sz)
+	}
+	return runReduce(t, m, inputs, false)
+}
+
+// runReduce runs AllReduce (AllReduceHalf when half) over the whole mesh,
+// rank r on a copy of inputs[r], and records each rank's result bits.
+func runReduce(t *testing.T, m *mesh, inputs [][]float32, half bool) [][]uint32 {
+	t.Helper()
+	group := groupAll(len(inputs))
+	out := make([][]uint32, len(inputs))
 	errs := runMesh(t, m, func(rk *comm.Rank) error {
-		buf := testInput(rk.ID(), sz)
-		if err := rk.AllReduce(group, buf); err != nil {
+		buf := append([]float32(nil), inputs[rk.ID()]...)
+		reduce := rk.AllReduce
+		if half {
+			reduce = rk.AllReduceHalf
+		}
+		if err := reduce(group, buf); err != nil {
 			return err
 		}
 		out[rk.ID()] = bitsOf(buf)
@@ -141,6 +157,61 @@ func runAllReduce(t *testing.T, m *mesh, n, sz int) [][]uint32 {
 		}
 	}
 	return out
+}
+
+// sameAsSerial fails unless every rank's result bits equal the serial
+// group-ordered sum of inputs.
+func sameAsSerial(t *testing.T, what string, got [][]uint32, inputs [][]float32) {
+	t.Helper()
+	want := comm.SerialSum(inputs)
+	for r := range got {
+		for i := range want {
+			if got[r][i] != math.Float32bits(want[i]) {
+				t.Fatalf("%s, %d elements: rank %d elem %d: got bits %08x, want %08x",
+					what, len(want), r, i, got[r][i], math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// widenHalf returns binary16 h widened to float32, exactly.
+func widenHalf(h uint16) float32 {
+	s := uint32(h&0x8000) << 16
+	a := uint32(h & 0x7FFF)
+	switch {
+	case a >= 0x7C00:
+		return math.Float32frombits(s | 0x7F800000 | (a&0x3FF)<<13)
+	case a >= 0x400:
+		return math.Float32frombits(s | ((a>>10)+112)<<23 | (a&0x3FF)<<13)
+	}
+	return math.Float32frombits(s | math.Float32bits(float32(a)/(1<<24)))
+}
+
+// gridInput is testInput rounded onto the binary16 grid, with specials
+// sprinkled in: what a ∇θ16 slab can hold.
+func gridInput(rank, n int) []float32 {
+	buf := testInput(rank, n)
+	for i, v := range buf {
+		buf[i] = fp16.Round(v)
+	}
+	comm.Sprinkle(buf, rank)
+	return buf
+}
+
+// allHalves returns every binary16 pattern widened, in an order fixed by
+// seed: ±0, subnormals, normals, ±Inf and every NaN payload of both signs.
+func allHalves(seed uint32) []float32 {
+	p := make([]float32, 1<<16)
+	for i := range p {
+		p[i] = widenHalf(uint16(i))
+	}
+	x := seed*2654435761 + 1
+	for i := len(p) - 1; i > 0; i-- {
+		x = x*1664525 + 1013904223
+		j := int(x>>8) % (i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }
 
 // TestConformanceCollectivesBitwise pins AllReduce results bitwise-identical
@@ -179,22 +250,52 @@ func TestConformanceCollectivesBitwise(t *testing.T) {
 // rank-order sum exactly, on both transports and at group sizes whose
 // chunks split unevenly or come out empty: bitwise reproducibility is a
 // cross-transport contract, not a local-transport accident.
+// Specials (±0, ±Inf, NaNs of both signs with distinct payloads) are
+// sprinkled in: the NaN each add returns is part of the contract.
 func TestConformanceAllReduceMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
 		forEachTransport(t, n, func(t *testing.T, m *mesh) {
 			for _, sz := range []int{n - 1, 513} {
-				want := testInput(0, sz)
-				for r := 1; r < n; r++ {
-					for i, v := range testInput(r, sz) {
-						want[i] += v
-					}
+				inputs := make([][]float32, n)
+				for r := range inputs {
+					inputs[r] = testInput(r, sz)
+					comm.Sprinkle(inputs[r], r)
 				}
-				got := runAllReduce(t, m, n, sz)
-				for r := 0; r < n; r++ {
-					for i := range want {
-						if got[r][i] != math.Float32bits(want[i]) {
-							t.Fatalf("sz %d rank %d elem %d: got bits %08x, want %08x",
-								sz, r, i, got[r][i], math.Float32bits(want[i]))
+				sameAsSerial(t, "AllReduce", runReduce(t, m, inputs, false), inputs)
+			}
+		})
+	}
+}
+
+// TestConformanceAllReduceHalfMatchesSerial pins AllReduceHalf to the serial
+// group-order sum, bit for bit, on both transports, at the group sizes that
+// exchange half bits (2, 3) and those that run AllReduce (1, 4, 5), and to
+// AllReduce on the same inputs: at every length to 17 and at 8k ± 1, and
+// with each rank's buffer its own permutation of all 2¹⁶ half patterns.
+func TestConformanceAllReduceHalfMatchesSerial(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5} {
+		forEachTransport(t, n, func(t *testing.T, m *mesh) {
+			perRank := func(input func(r int) []float32) [][]float32 {
+				in := make([][]float32, n)
+				for r := range in {
+					in[r] = input(r)
+				}
+				return in
+			}
+			var cases [][][]float32
+			for _, sz := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 8191, 8193} {
+				cases = append(cases, perRank(func(r int) []float32 { return gridInput(r, sz) }))
+			}
+			cases = append(cases, perRank(func(r int) []float32 { return allHalves(uint32(r + 1)) }))
+			for _, inputs := range cases {
+				half := runReduce(t, m, inputs, true)
+				sameAsSerial(t, "AllReduceHalf", half, inputs)
+				full := runReduce(t, m, inputs, false)
+				for r := range full {
+					for i := range full[r] {
+						if half[r][i] != full[r][i] {
+							t.Fatalf("%d elements: rank %d elem %d: AllReduceHalf bits %08x, AllReduce %08x",
+								len(full[r]), r, i, half[r][i], full[r][i])
 						}
 					}
 				}
@@ -203,12 +304,59 @@ func TestConformanceAllReduceMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestConformanceAllReduceHalfFailsTyped pins the half exchange's two
+// refusals on both transports, at G = 2 and 3: an element off the binary16
+// grid, which is never rounded, and a peer whose buffer length does not
+// match. Every rank unwinds with a RankFailedError (the type crosses the
+// wire) and none hangs; the rank holding the off-grid element also reports
+// it as an OffGridError.
+func TestConformanceAllReduceHalfFailsTyped(t *testing.T) {
+	for _, n := range []int{2, 3} {
+		forEachTransport(t, n, func(t *testing.T, m *mesh) {
+			errs := runMesh(t, m, func(rk *comm.Rank) error {
+				buf := gridInput(rk.ID(), 100)
+				if rk.ID() == 1 {
+					buf[37] = math.Float32frombits(0x3F800001) // 1 + 2⁻²³
+				}
+				return rk.AllReduceHalf(groupAll(n), buf)
+			})
+			for r, err := range errs {
+				var rf *comm.RankFailedError
+				if !errors.As(err, &rf) || rf.Rank != 1 {
+					t.Fatalf("off grid: rank %d: got %v, want RankFailedError of rank 1", r, err)
+				}
+			}
+			var og *comm.OffGridError
+			if !errors.As(errs[1], &og) || og.Index != 37 || og.Bits != 0x3F800001 {
+				t.Fatalf("off grid: rank 1: got %v, want OffGridError at 37", errs[1])
+			}
+		})
+		forEachTransport(t, n, func(t *testing.T, m *mesh) {
+			errs := runMesh(t, m, func(rk *comm.Rank) error {
+				sz := 100
+				if rk.ID() == 1 {
+					sz = 103 // 52 words, not 50
+				}
+				return rk.AllReduceHalf(groupAll(n), gridInput(rk.ID(), sz))
+			})
+			for r, err := range errs {
+				var rf *comm.RankFailedError
+				if !errors.As(err, &rf) {
+					t.Fatalf("length mismatch: rank %d: got %v, want RankFailedError", r, err)
+				}
+			}
+		})
+	}
+}
+
 // TestConformanceConcurrentAsyncCollectives pins the async lane on both
-// transports: each rank launches a whole schedule of reduces — several
-// in-flight at once, on DISTINCT groups (evens and odds run disjoint
-// collectives concurrently) — then drains and runs one synchronous global reduce. Results must be
-// bitwise-identical to issuing the same schedule synchronously on the local
-// transport: async vs sync and local vs tcp may not change a single bit.
+// transports: each rank launches a whole schedule of half reduces on
+// fp16-grid inputs — several in-flight at once, on DISTINCT groups (evens
+// and odds run disjoint collectives concurrently) — then drains and runs one
+// synchronous global reduce. Results must be bitwise-identical to issuing
+// the same schedule synchronously on the local transport, AllReduce and
+// AllReduceHalf alternating: async vs sync, half vs float32 and local vs tcp
+// may not change a single bit.
 func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 	const n = 4
 	szs := []int{3, 257, 1024, 33, 512, 65}
@@ -230,13 +378,13 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 			group := half(r % 2)
 			bufs := make([][]float32, len(szs))
 			for i, sz := range szs {
-				bufs[i] = testInput(r*17+i, sz)
+				bufs[i] = gridInput(r*17+i, sz)
 			}
 			if async {
 				defer rk.CloseAsync()
 				handles := make([]*comm.ReduceHandle, len(bufs))
 				for i, buf := range bufs {
-					handles[i] = rk.AllReduceAsync(group, buf)
+					handles[i] = rk.AllReduceHalfAsync(group, buf)
 				}
 				for _, h := range handles {
 					if err := h.Wait(); err != nil {
@@ -244,8 +392,12 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 					}
 				}
 			} else {
-				for _, buf := range bufs {
-					if err := rk.AllReduce(group, buf); err != nil {
+				for i, buf := range bufs {
+					reduce := rk.AllReduce
+					if i%2 == 1 {
+						reduce = rk.AllReduceHalf
+					}
+					if err := reduce(group, buf); err != nil {
 						return err
 					}
 				}
@@ -301,19 +453,21 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 // TestConformanceAsyncPoisonUnwinds pins async fault behaviour: a poisoned
 // fabric must unwind queued and in-flight async reduces with the same typed
 // error the synchronous path returns, on both transports, with Wait and
-// CloseAsync both terminating.
+// CloseAsync both terminating. The ranks reduce in pairs, so the half
+// exchange is what unwinds, and the pair without the poisoned rank learns
+// of it from the fabric.
 func TestConformanceAsyncPoisonUnwinds(t *testing.T) {
 	forEachTransport(t, 4, func(t *testing.T, m *mesh) {
-		group := groupAll(4)
 		go func() {
 			time.Sleep(20 * time.Millisecond)
 			m.fabs[1].Poison(&comm.RankFailedError{Rank: 1, Step: 9})
 		}()
 		errs := runMesh(t, m, func(rk *comm.Rank) error {
 			defer rk.CloseAsync()
-			buf := testInput(rk.ID(), 256)
+			group := []int{rk.ID() &^ 1, rk.ID() | 1}
+			buf := make([]float32, 256)
 			for {
-				h := rk.AllReduceAsync(group, buf)
+				h := rk.AllReduceHalfAsync(group, buf)
 				if err := h.Wait(); err != nil {
 					return err
 				}

@@ -22,7 +22,9 @@ import "fmt"
 // overlap-off bitwise-identical.
 
 // DefaultReduceBucketElems bounds each bucket's element count. 2^18 fp16
-// elements is 512 KiB on the wire — large enough to amortize per-collective
+// elements is 512 KiB at two bytes each, what comm.AllReduceHalf sends each
+// peer when 2 or 3 ranks reduce (larger groups move the bucket's 1 MiB
+// float32 form in chunks) — large enough to amortize per-collective
 // latency, small enough that a model of any size yields several buckets to
 // pipeline behind backward.
 const DefaultReduceBucketElems = 1 << 18

@@ -12,3 +12,11 @@ func roundAVX2(dst, src *float32, n int) {
 func accumRoundClearAVX2(acc, grad *float32, n int) {
 	panic("fp16: vector rounding kernel called on a build without one")
 }
+
+func packHalvesAVX2(dst *uint32, src *float32, n int) int {
+	panic("fp16: vector half-word kernel called on a build without one")
+}
+
+func sumHalvesAVX2(dst *float32, a, b, c *uint32, n int) {
+	panic("fp16: vector half-word kernel called on a build without one")
+}

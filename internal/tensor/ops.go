@@ -17,6 +17,55 @@ func Add(dst, src *Tensor) {
 	}
 }
 
+// OrderedAdd returns the float32 sum a + b with the NaN an amd64 add
+// returns for its first operand, whatever operand order the compiler emits
+// (it may swap them, and does in race builds): when a is a NaN the result is
+// a quieted, else when b is one it is b quieted; otherwise it is the
+// hardware sum. A fold written with it gives the serial sum's bits, NaN
+// payloads and signs included, on every build; the vector kernels, which
+// add with the running sum as the first source, agree with it.
+func OrderedAdd(a, b float32) float32 {
+	s := a + b
+	if s == s {
+		return s
+	}
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | 0x00400000)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | 0x00400000)
+	}
+	return s
+}
+
+// AddInto sets dst[i] = dst[i] + x[i] and AddIntoRev dst[i] = x[i] + dst[i],
+// each add an OrderedAdd: the first operand's NaN is the one a NaN sum
+// returns, so a group-order fold keeps the serial sum's bits whichever
+// buffer holds the running sum. Serial on the caller, the multiple-of-8
+// body through sweep_amd64.s where the host has AVX2. len(x) must be
+// len(dst).
+func AddInto(dst, x []float32) { addSlices(dst, x, false) }
+
+// AddIntoRev is AddInto with x as the first operand.
+func AddIntoRev(dst, x []float32) { addSlices(dst, x, true) }
+
+func addSlices(dst, x []float32, rev bool) {
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("tensor: add of %d elements into %d", len(x), len(dst)))
+	}
+	if n := len(dst) &^ 7; sweepVector && n > 0 {
+		addAVX2(&dst[0], &x[0], n, rev)
+		dst, x = dst[n:], x[n:]
+	}
+	for i, v := range x {
+		if rev {
+			dst[i] = OrderedAdd(v, dst[i])
+		} else {
+			dst[i] = OrderedAdd(dst[i], v)
+		}
+	}
+}
+
 // Mul computes dst *= src elementwise (Hadamard product).
 func Mul(dst, src *Tensor) {
 	binCheck(dst, src)

@@ -392,6 +392,80 @@ func TestSweepVectorKernels(t *testing.T) {
 	}
 }
 
+// orderedAddOracle is the serial sum's add by definition: a NaN operand
+// comes back quieted, the first operand's before the second's; otherwise the
+// float32 sum.
+func orderedAddOracle(a, b float32) float32 {
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | 0x00400000)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | 0x00400000)
+	}
+	return a + b
+}
+
+// addSpecials are the values whose sums the NaN rule decides: both zeros,
+// finite values, both infinities, and quiet and signalling NaNs of both
+// signs with distinct payloads.
+var addSpecials = []uint32{0, 0x80000000, 0x3F800000, 0xBF800000, 0x7F800000, 0xFF800000,
+	0x7FC00000, 0xFFC00000, 0x7FC12345, 0xFFD00001, 0x7F800001, 0xFF812345}
+
+func TestOrderedAddTakesTheFirstNaN(t *testing.T) {
+	for _, x := range addSpecials {
+		for _, y := range addSpecials {
+			a, b := math.Float32frombits(x), math.Float32frombits(y)
+			got, want := math.Float32bits(OrderedAdd(a, b)), math.Float32bits(orderedAddOracle(a, b))
+			if got != want {
+				t.Errorf("OrderedAdd(%#08x, %#08x) = %#08x, want %#08x", x, y, got, want)
+			}
+		}
+	}
+}
+
+// TestAddIntoMatchesOracle holds AddInto and AddIntoRev, under the Go loop
+// and the AVX2 kernel, to the oracle bit for bit from odd start offsets,
+// with every ordered pair of specials meeting in the first L² elements.
+func TestAddIntoMatchesOracle(t *testing.T) {
+	l := len(addSpecials)
+	for _, n := range append(sweepLens, l*l, l*l+5) {
+		for _, off := range []int{0, 1, 3} {
+			d0 := append(make([]float32, off, off+n), make([]float32, n)...)[off:]
+			x0 := append(make([]float32, off, off+n), make([]float32, n)...)[off:]
+			for i := range d0 {
+				d0[i], x0[i] = float32(i%13-6)*0.37, float32(i%7)*1.25e-3
+				if k := i % (l * l); i < l*l || i%3 == 0 {
+					d0[i] = math.Float32frombits(addSpecials[k%l])
+					x0[i] = math.Float32frombits(addSpecials[k/l])
+				}
+			}
+			for _, rev := range []bool{false, true} {
+				want := make([]float32, n)
+				for i := range want {
+					if rev {
+						want[i] = orderedAddOracle(x0[i], d0[i])
+					} else {
+						want[i] = orderedAddOracle(d0[i], x0[i])
+					}
+				}
+				bothSweepKernels(t, func() {
+					got := append(make([]float32, off, off+n), d0...)[off:]
+					if rev {
+						AddIntoRev(got, x0)
+					} else {
+						AddInto(got, x0)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("n=%d off=%d rev=%v [%d]: %#08x, want %#08x", n, off, rev, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestHasNonFiniteZeroAlloc pins the overflow check's dispatch: the fp16
 // training step calls it once per parameter per step inside a zero-alloc
 // contract.

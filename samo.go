@@ -169,14 +169,17 @@
 // # Transport
 //
 // The fabric is split from the wire: Fabric owns the failure domain and the
-// one collective, an all-reduce that returns the serial rank-ordered sum
-// (reduce-scatter to chunk owners, all-gather of their sums), while a
-// pluggable Transport moves the bytes. The default is the in-process
+// collectives, an all-reduce that returns the serial rank-ordered sum
+// (reduce-scatter to chunk owners, all-gather of their sums) and its twin
+// for the fp16 gradient, which at 2 or 3 ranks exchanges the payload as
+// half bits, 2 bytes per element as in the paper's §IV-A, and folds the
+// same sum on every rank; a pluggable Transport moves the bytes. The default is the in-process
 // channel mesh (goroutine ranks, pooled chunk buffers); the TCP
 // transport (internal/comm/tcp) runs the same fabric across OS
 // processes, each hosting a contiguous block of ranks. Frames are
 // length-prefixed with a one-byte kind (p2p data, collective chunk, poison),
-// floats cross the wire bit-preserved, written from the sender's memory and
+// payloads cross the wire as 32-bit words, bit-preserved (float32 values, or
+// two half bits to a word), written from the sender's memory and
 // read straight into the receiver's pooled chunk buffer once the frame's
 // header has passed its checks, so steady-state collectives are
 // allocation-free on the wire too.
@@ -199,7 +202,7 @@
 // ∇θ16 aliases a segment of exactly one contiguous slab, so gradient
 // capture writes straight into the reduce payload, and the engine —
 // via a per-layer completion hook on the backward pass — launches bucket
-// i's all-reduce on an async lane (comm.AllReduceAsync and a per-rank
+// i's all-reduce on an async lane (comm.AllReduceHalfAsync and a per-rank
 // serial worker goroutine) the moment the final microbatch's backward
 // crosses the bucket's lowest layer, while earlier layers are still
 // computing. The engine drains every in-flight handle before the
