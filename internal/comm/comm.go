@@ -22,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"github.com/sparse-dl/samo/internal/fp16"
 	"github.com/sparse-dl/samo/internal/tensor"
@@ -629,7 +628,7 @@ func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
 	}
 	nw := fp16.Words(n)
 	own := buf[:nw]
-	if bad := fp16.PackHalves(words(own), buf); bad >= 0 {
+	if bad := fp16.PackHalves(buf); bad >= 0 {
 		return rk.Fail(&OffGridError{Index: bad, Bits: math.Float32bits(buf[bad])})
 	}
 	for q, to := range group {
@@ -665,15 +664,8 @@ func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
 		}
 		rk.f.stats[rk.r].CollElements.Add(int64(n))
 	}
-	fp16.SumHalves(buf, words(in[0]), words(in[1]), words(in[2]))
+	fp16.SumHalves(buf, in[0], in[1], in[2])
 	return nil
-}
-
-// words views float32 memory as the half words it carries: a collective
-// buffer moves them bit for bit and is never read as floats. A nil buffer
-// gives nil words.
-func words(f []float32) []uint32 {
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
 }
 
 // sendChunk sends chunk to rank to; an empty chunk sends nothing (its

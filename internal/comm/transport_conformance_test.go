@@ -453,10 +453,20 @@ func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
 // TestConformanceAsyncPoisonUnwinds pins async fault behaviour: a poisoned
 // fabric must unwind queued and in-flight async reduces with the same typed
 // error the synchronous path returns, on both transports, with Wait and
-// CloseAsync both terminating. The ranks reduce in pairs, so the half
-// exchange is what unwinds, and the pair without the poisoned rank learns
-// of it from the fabric.
+// CloseAsync both terminating. Over all four ranks AllReduceHalfAsync runs
+// owner-folds' two phases.
 func TestConformanceAsyncPoisonUnwinds(t *testing.T) {
+	asyncPoisonUnwinds(t, func(int) []int { return groupAll(4) })
+}
+
+// TestConformanceAsyncHalfPoisonUnwinds is the same in pairs, where the half
+// exchange unwinds, and the pair without the poisoned rank learns of it from
+// the fabric.
+func TestConformanceAsyncHalfPoisonUnwinds(t *testing.T) {
+	asyncPoisonUnwinds(t, func(r int) []int { return []int{r &^ 1, r | 1} })
+}
+
+func asyncPoisonUnwinds(t *testing.T, groupOf func(rank int) []int) {
 	forEachTransport(t, 4, func(t *testing.T, m *mesh) {
 		go func() {
 			time.Sleep(20 * time.Millisecond)
@@ -464,7 +474,7 @@ func TestConformanceAsyncPoisonUnwinds(t *testing.T) {
 		}()
 		errs := runMesh(t, m, func(rk *comm.Rank) error {
 			defer rk.CloseAsync()
-			group := []int{rk.ID() &^ 1, rk.ID() | 1}
+			group := groupOf(rk.ID())
 			buf := make([]float32, 256)
 			for {
 				h := rk.AllReduceHalfAsync(group, buf)

@@ -44,9 +44,9 @@
 // AccumRoundGather, AccumRoundAt) are Go loops on every host.
 //
 // The package also carries a ∇θ16 payload's other storage form, the wire's:
-// PackHalves writes fp16-grid values as binary16 bits, two to a 32-bit word,
-// and SumHalves folds such words back into a float32 sum (halves.go), with
-// F16C kernels beside the rounding ones.
+// PackHalves rewrites a buffer of fp16-grid values as binary16 bits, two to a
+// 32-bit word over the buffer's front, and SumHalves folds such words back
+// into a float32 sum (halves.go), with F16C kernels beside the rounding ones.
 package fp16
 
 import (

@@ -2,6 +2,7 @@ package fp16
 
 import (
 	"math"
+	"unsafe"
 
 	"github.com/sparse-dl/samo/internal/tensor"
 )
@@ -16,12 +17,13 @@ import (
 // half is exact, so a sum folded from the words is the float32 sum of the
 // original elements, bit for bit.
 //
-// Both sweeps work in place: PackHalves may write the words over the front
-// of its own source, and SumHalves may read a contribution from the front of
-// its own destination. Word k carries elements 2k and 2k+1, so the pack runs
-// upwards (word k is written once elements 2k and 2k+1 are read) and the
-// fold downwards (element i overwrites word i, whose elements 2i and 2i+1
-// are already folded, or, for i = 0, read just before).
+// The words travel in float32 buffers, the collective's, and are never read
+// there as floats: PackHalves writes them over the front of the buffer it
+// packs, and SumHalves takes the frames as they arrive, one of which may be
+// the front of its own destination. Word k carries elements 2k and 2k+1, so
+// the pack runs upwards (word k is written once elements 2k and 2k+1 are
+// read) and the fold downwards (element i overwrites word i, whose elements
+// 2i and 2i+1 are already folded, or, for i = 0, read just before).
 //
 // On an amd64 host with AVX2 and F16C (tensor.HostAVX2) the multiple-of-8
 // body of a call runs through the hardware conversions (round_amd64.s); the
@@ -32,13 +34,19 @@ import (
 // Words returns the number of half words that carry n elements.
 func Words(n int) int { return (n + 1) / 2 }
 
-// PackHalves writes src's binary16 bits into dst, two to a word, and returns
-// the index of the first element that is not a widened binary16 value (its
-// half does not widen back to the same float32 bits; NaNs compare by their
-// bits), or -1 when every element is on the grid. len(dst) must be
-// Words(len(src)); dst may be the front of src's own memory. After a
-// non-negative return dst, and src where they share memory, are unspecified.
-func PackHalves(dst []uint32, src []float32) int {
+// PackHalves packs buf in place: on return buf[:Words(len(buf))] holds the
+// binary16 bits of buf's elements, two to a word, and the rest of buf is
+// unchanged. It returns the index of the first element that is not a
+// widened binary16 value (its half does not widen back to the same float32
+// bits; NaNs compare by their bits), or -1 when every element is on the
+// grid. After a non-negative return the words are unspecified.
+func PackHalves(buf []float32) int {
+	return packHalves(wordsOf(buf)[:Words(len(buf))], buf)
+}
+
+// packHalves is PackHalves with the words written to dst, which must hold
+// Words(len(src)) words and may be the front of src's own memory.
+func packHalves(dst []uint32, src []float32) int {
 	checkLen("PackHalves dst", len(dst), Words(len(src)))
 	done := 0
 	if n := len(src) &^ 7; roundVector && n > 0 {
@@ -108,12 +116,16 @@ func widen(w []uint32, i int) float32 {
 	return math.Float32frombits(widenBits(w[i/2] >> (16 * (i & 1)) & 0xFFFF))
 }
 
-// SumHalves folds half-word contributions into dst in group order: dst[i] =
-// a_i + b_i, or (a_i + b_i) + c_i when c is not nil, where a_i is element i
-// of the words a widened (likewise b and c); each add takes the running sum
-// as its first operand. Every operand must hold Words(len(dst)) words; any
-// of them may be the front of dst's own memory.
-func SumHalves(dst []float32, a, b, c []uint32) {
+// SumHalves folds half-word frames into dst in group order: dst[i] = a_i +
+// b_i, or (a_i + b_i) + c_i when c is not nil, where a_i is element i of the
+// words a carries widened (likewise b and c); each add takes the running sum
+// as its first operand. Every frame must hold Words(len(dst)) words; any of
+// them may be the front of dst's own memory.
+func SumHalves(dst []float32, a, b, c []float32) {
+	sumHalves(dst, wordsOf(a), wordsOf(b), wordsOf(c))
+}
+
+func sumHalves(dst []float32, a, b, c []uint32) {
 	nw := Words(len(dst))
 	checkLen("SumHalves a", len(a), nw)
 	checkLen("SumHalves b", len(b), nw)
@@ -140,4 +152,10 @@ func SumHalves(dst []float32, a, b, c []uint32) {
 		}
 		sumHalvesAVX2(&dst[0], &a[0], &b[0], c0, body)
 	}
+}
+
+// wordsOf views a float32 buffer's memory as the half words it carries. A
+// nil buffer gives nil words.
+func wordsOf(f []float32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
 }

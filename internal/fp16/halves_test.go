@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"unsafe"
 )
 
 // halfLens are every length up to two vector bodies and a tail, 8k±1 around
@@ -66,18 +65,13 @@ func wordsAt(off int, w []uint32) []uint32 {
 	return append(make([]uint32, off, off+len(w)), w...)[off:]
 }
 
-// wordsOf views a float32 buffer's memory as words, as a collective packs a
-// buffer in place.
-func wordsOf(f []float32) []uint32 {
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(f))), len(f))
-}
-
 // TestHalfKernelsMatchOracle checks PackHalves and SumHalves against the
 // test oracles, bit for bit, with the vector kernels forced off and (on a
 // host that has them) on, at every length and at start offsets that put the
-// operands off a 32-byte boundary — out of place, and in place the way a
-// collective runs them: packing over the source's own front, and folding
-// with each operand position in turn read from the destination's front. The
+// operands off a 32-byte boundary — the pack out of place and in place, and
+// the fold with its frames apart from the destination and with each frame
+// position in turn read from the destination's front, the way a collective
+// runs it. The
 // inputs are all 2¹⁶ half patterns, each operand in its own order, so every
 // NaN meets every value.
 func TestHalfKernelsMatchOracle(t *testing.T) {
@@ -105,12 +99,12 @@ func halfKernelsMatchOracle(t *testing.T, n, off int) {
 	nw := Words(n)
 
 	got := wordsAt(off, make([]uint32, nw))
-	if bad := PackHalves(got, at(off, vals[0])); bad != -1 {
-		t.Fatalf("PackHalves rejected element %d (%#08x), which is on the grid", bad, math.Float32bits(vals[0][bad]))
+	if bad := packHalves(got, at(off, vals[0])); bad != -1 {
+		t.Fatalf("packHalves rejected element %d (%#08x), which is on the grid", bad, math.Float32bits(vals[0][bad]))
 	}
-	sameWords(t, "PackHalves", got, words[0])
+	sameWords(t, "packHalves", got, words[0])
 	inPlace := at(off, vals[0])
-	if bad := PackHalves(wordsOf(inPlace)[:nw], inPlace); bad != -1 {
+	if bad := PackHalves(inPlace); bad != -1 {
 		t.Fatalf("PackHalves in place rejected element %d", bad)
 	}
 	sameWords(t, "PackHalves in place", wordsOf(inPlace)[:nw], words[0])
@@ -123,14 +117,14 @@ func halfKernelsMatchOracle(t *testing.T, n, off int) {
 				want[i] = addOracle(want[i], vals[2][i])
 			}
 		}
-		ops := func(own int, dst []float32) (a, b, c []uint32) {
-			var w [3][]uint32
+		ops := func(own int, dst []float32) (a, b, c []float32) {
+			var w [3][]float32
 			for k := range w {
-				w[k] = wordsAt(off, words[k])
+				w[k] = at(off, make([]float32, nw))
 				if k == own {
-					copy(wordsOf(dst), words[k])
-					w[k] = wordsOf(dst)[:nw]
+					w[k] = dst[:nw]
 				}
+				copy(wordsOf(w[k]), words[k])
 			}
 			if g == 2 {
 				w[2] = nil
@@ -188,12 +182,12 @@ func TestPackHalvesRejectsOffGrid(t *testing.T) {
 					if pos < n-1 {
 						src[n-1] = math.Float32frombits(0x3F800001) // a later bad element must not win
 					}
-					got := PackHalves(make([]uint32, Words(n)), at(1, src))
+					got := packHalves(make([]uint32, Words(n)), at(1, src))
 					if got != pos {
 						t.Fatalf("vec=%v n=%d: %#08x at %d reported at %d", vec, n, bad, pos, got)
 					}
 					in := at(1, src)
-					if got := PackHalves(wordsOf(in)[:Words(n)], in); got != pos {
+					if got := PackHalves(in); got != pos {
 						t.Fatalf("vec=%v n=%d in place: %#08x at %d reported at %d", vec, n, bad, pos, got)
 					}
 				}
@@ -202,7 +196,7 @@ func TestPackHalvesRejectsOffGrid(t *testing.T) {
 		snan := []float32{math.Float32frombits(0x7F802000), math.Float32frombits(0xFF800000 | 0x1FF<<13)}
 		src := append(make([]float32, 14), snan...)
 		w := make([]uint32, Words(len(src)))
-		if bad := PackHalves(w, src); bad != -1 || w[7] != 0x7C01|(0xFDFF<<16) {
+		if bad := packHalves(w, src); bad != -1 || w[7] != 0x7C01|(0xFDFF<<16) {
 			t.Fatalf("vec=%v: signalling NaNs packed as %#08x (bad %d), want 0xfdff7c01", vec, w[7], bad)
 		}
 	}
@@ -211,11 +205,11 @@ func TestPackHalvesRejectsOffGrid(t *testing.T) {
 func TestHalfKernelsRejectLengthMismatch(t *testing.T) {
 	f, w := make([]float32, 5), make([]uint32, 2)
 	for name, fn := range map[string]func(){
-		"PackHalves":   func() { PackHalves(w, f) },
-		"SumHalves a":  func() { SumHalves(f, w, make([]uint32, 3), nil) },
-		"SumHalves b":  func() { SumHalves(f, make([]uint32, 3), w, nil) },
-		"SumHalves c":  func() { SumHalves(f, make([]uint32, 3), make([]uint32, 3), w) },
-		"PackHalves 4": func() { PackHalves(make([]uint32, 3), f[:4]) },
+		"packHalves":   func() { packHalves(w, f) },
+		"SumHalves a":  func() { SumHalves(f, f[:2], f[:3], nil) },
+		"SumHalves b":  func() { SumHalves(f, f[:3], f[:2], nil) },
+		"SumHalves c":  func() { SumHalves(f, f[:3], f[:3], f[:2]) },
+		"packHalves 4": func() { packHalves(make([]uint32, 3), f[:4]) },
 	} {
 		func() {
 			defer func() {
@@ -241,9 +235,9 @@ func BenchmarkHalves(b *testing.B) {
 		name string
 		f    func()
 	}{
-		{"PackHalves", func() { PackHalves(w, src) }},
-		{"SumHalves", func() { SumHalves(dst, w, w, nil) }},
-		{"SumHalves3", func() { SumHalves(dst, w, w, w) }},
+		{"PackHalves", func() { packHalves(w, src) }},
+		{"SumHalves", func() { sumHalves(dst, w, w, nil) }},
+		{"SumHalves3", func() { sumHalves(dst, w, w, w) }},
 	} {
 		b.Run(k.name, func(b *testing.B) {
 			b.SetBytes(4 * n)

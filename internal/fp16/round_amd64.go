@@ -4,7 +4,7 @@ package fp16
 
 // Implemented in round_amd64.s: the F16C forms of roundChunk's and
 // accumClearChunk's loops, and of the half-word loops of halves.go
-// (packHalvesGo, SumHalves), over n elements, n a multiple of 8.
+// (packHalvesGo, sumHalves), over n elements, n a multiple of 8.
 // The callers have cut every pointer from a slice at least n long (n/2 for
 // the words).
 

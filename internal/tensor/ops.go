@@ -41,28 +41,26 @@ func OrderedAdd(a, b float32) float32 {
 // AddInto sets dst[i] = dst[i] + x[i] and AddIntoRev dst[i] = x[i] + dst[i],
 // each add an OrderedAdd: the first operand's NaN is the one a NaN sum
 // returns, so a group-order fold keeps the serial sum's bits whichever
-// buffer holds the running sum. Serial on the caller, the multiple-of-8
-// body through sweep_amd64.s where the host has AVX2. len(x) must be
+// buffer holds the running sum. Serial on the caller. len(x) must be
 // len(dst).
-func AddInto(dst, x []float32) { addSlices(dst, x, false) }
+func AddInto(dst, x []float32) {
+	addCheck(dst, x)
+	for i, v := range x {
+		dst[i] = OrderedAdd(dst[i], v)
+	}
+}
 
 // AddIntoRev is AddInto with x as the first operand.
-func AddIntoRev(dst, x []float32) { addSlices(dst, x, true) }
+func AddIntoRev(dst, x []float32) {
+	addCheck(dst, x)
+	for i, v := range x {
+		dst[i] = OrderedAdd(v, dst[i])
+	}
+}
 
-func addSlices(dst, x []float32, rev bool) {
+func addCheck(dst, x []float32) {
 	if len(x) != len(dst) {
 		panic(fmt.Sprintf("tensor: add of %d elements into %d", len(x), len(dst)))
-	}
-	if n := len(dst) &^ 7; sweepVector && n > 0 {
-		addAVX2(&dst[0], &x[0], n, rev)
-		dst, x = dst[n:], x[n:]
-	}
-	for i, v := range x {
-		if rev {
-			dst[i] = OrderedAdd(v, dst[i])
-		} else {
-			dst[i] = OrderedAdd(dst[i], v)
-		}
 	}
 }
 

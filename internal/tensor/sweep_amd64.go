@@ -2,8 +2,8 @@
 
 package tensor
 
-// sweepVector reports whether the element-wise sweeps — the non-finite scan,
-// ScaleSlice and AddInto — run the AVX2 kernels of sweep_amd64.s over their
+// sweepVector reports whether the element-wise sweeps — the non-finite scan
+// and ScaleSlice — run the AVX2 kernels of sweep_amd64.s over their
 // multiple-of-8 bodies. The Go loops stay as the path of every other host
 // (and of the last 0–7 elements) and as the oracle. A variable apart from
 // hostAVX2 so tests can force the Go loops.
@@ -17,6 +17,3 @@ func nonFiniteAVX2(s *float32, n int) bool
 
 //go:noescape
 func scaleAVX2(s *float32, n int, a float32)
-
-//go:noescape
-func addAVX2(dst, x *float32, n int, rev bool)

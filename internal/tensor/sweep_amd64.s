@@ -3,12 +3,11 @@
 #include "textflag.h"
 
 // AVX2 element-wise sweeps (see sweep_amd64.go for the Go declarations, and
-// hasNonFinite / ScaleSlice / addSlices in ops.go for the loops they
-// reproduce). The scale is one VMULPS per lane, the Go loop's float32
-// multiply; the add one VADDPS, its first source the operand OrderedAdd puts
-// first, whose NaN the sum returns. No instruction of the FMA family may
-// appear in this file (CI greps for their mnemonics), and the registers the
-// ABI reserves are never named (CI greps for those too).
+// hasNonFinite / ScaleSlice in ops.go for the loops they reproduce).
+// The scale is one VMULPS per lane, the Go loop's float32 multiply; no
+// instruction of the FMA family may appear in this file (CI greps for their
+// mnemonics), and the registers the ABI reserves are never named (CI greps
+// for those too).
 
 DATA expMask<>+0(SB)/4, $0x7F800000
 GLOBL expMask<>(SB), RODATA|NOPTR, $4
@@ -79,40 +78,5 @@ sloop:
 	JNZ     sloop
 
 sdone:
-	VZEROUPPER
-	RET
-
-// func addAVX2(dst, x *float32, n int, rev bool)
-// dst = dst + x, or x + dst when rev.
-TEXT ·addAVX2(SB), NOSPLIT, $0-25
-	MOVQ    dst+0(FP), DI
-	MOVQ    x+8(FP), SI
-	MOVQ    n+16(FP), CX
-	MOVBLZX rev+24(FP), AX
-	SHRQ    $3, CX
-	JZ      adone
-	TESTQ   AX, AX
-	JNZ     arev
-
-aloop:
-	VMOVUPS (DI), Y0
-	VADDPS  (SI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     aloop
-	JMP     adone
-
-arev:
-	VMOVUPS (SI), Y0
-	VADDPS  (DI), Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     arev
-
-adone:
 	VZEROUPPER
 	RET

@@ -14,7 +14,3 @@ func nonFiniteAVX2(s *float32, n int) bool {
 func scaleAVX2(s *float32, n int, a float32) {
 	panic("tensor: vector sweep kernel called on a build without one")
 }
-
-func addAVX2(dst, x *float32, n int, rev bool) {
-	panic("tensor: vector sweep kernel called on a build without one")
-}
