@@ -626,9 +626,8 @@ func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
 	if n == 0 {
 		return nil
 	}
-	nw := fp16.Words(n)
-	own := buf[:nw]
-	if bad := fp16.PackHalves(buf); bad >= 0 {
+	own, bad := fp16.PackHalves(buf)
+	if bad >= 0 {
 		return rk.Fail(&OffGridError{Index: bad, Bits: math.Float32bits(buf[bad])})
 	}
 	for q, to := range group {
@@ -658,9 +657,9 @@ func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
 			return err
 		}
 		in[q] = w
-		if len(w) != nw {
+		if len(w) != len(own) {
 			return rk.Fail(fmt.Errorf("comm: half all-reduce frame of %d words from rank %d, want %d for %d elements",
-				len(w), from, nw, n))
+				len(w), from, len(own), n))
 		}
 		rk.f.stats[rk.r].CollElements.Add(int64(n))
 	}

@@ -34,14 +34,16 @@ import (
 // Words returns the number of half words that carry n elements.
 func Words(n int) int { return (n + 1) / 2 }
 
-// PackHalves packs buf in place: on return buf[:Words(len(buf))] holds the
-// binary16 bits of buf's elements, two to a word, and the rest of buf is
-// unchanged. It returns the index of the first element that is not a
-// widened binary16 value (its half does not widen back to the same float32
-// bits; NaNs compare by their bits), or -1 when every element is on the
-// grid. After a non-negative return the words are unspecified.
-func PackHalves(buf []float32) int {
-	return packHalves(wordsOf(buf)[:Words(len(buf))], buf)
+// PackHalves packs buf in place and returns the packed front: on return
+// words = buf[:Words(len(buf))] holds the binary16 bits of buf's elements,
+// two to a word, and the rest of buf is unchanged. bad is the index of the
+// first element that is not a widened binary16 value (its half does not
+// widen back to the same float32 bits; NaNs compare by their bits), or -1
+// when every element is on the grid. After a non-negative bad the words are
+// unspecified, but buf[bad] still holds that element.
+func PackHalves(buf []float32) (words []float32, bad int) {
+	words = buf[:Words(len(buf))]
+	return words, packHalves(wordsOf(words), buf)
 }
 
 // packHalves is PackHalves with the words written to dst, which must hold

@@ -104,10 +104,14 @@ func halfKernelsMatchOracle(t *testing.T, n, off int) {
 	}
 	sameWords(t, "packHalves", got, words[0])
 	inPlace := at(off, vals[0])
-	if bad := PackHalves(inPlace); bad != -1 {
+	front, bad := PackHalves(inPlace)
+	if bad != -1 {
 		t.Fatalf("PackHalves in place rejected element %d", bad)
 	}
-	sameWords(t, "PackHalves in place", wordsOf(inPlace)[:nw], words[0])
+	if len(front) != nw || nw > 0 && &front[0] != &inPlace[0] {
+		t.Fatalf("PackHalves returned %d words, not the front %d of its buffer", len(front), nw)
+	}
+	sameWords(t, "PackHalves in place", wordsOf(front), words[0])
 
 	for g := 2; g <= 3; g++ {
 		want := make([]float32, n)
@@ -187,8 +191,8 @@ func TestPackHalvesRejectsOffGrid(t *testing.T) {
 						t.Fatalf("vec=%v n=%d: %#08x at %d reported at %d", vec, n, bad, pos, got)
 					}
 					in := at(1, src)
-					if got := PackHalves(in); got != pos {
-						t.Fatalf("vec=%v n=%d in place: %#08x at %d reported at %d", vec, n, bad, pos, got)
+					if _, got := PackHalves(in); got != pos || math.Float32bits(in[pos]) != bad {
+						t.Fatalf("vec=%v n=%d in place: %#08x at %d reported at %d, left as %#08x", vec, n, bad, pos, got, math.Float32bits(in[pos]))
 					}
 				}
 			}
