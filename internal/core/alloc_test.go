@@ -111,51 +111,6 @@ func stateFor(m *nn.Model, mode Mode, sparsity float64) *ModelState {
 	return NewModelState(m, optim.NewAdam(1e-3), mode, pr)
 }
 
-// TestCNNTrainStepZeroAlloc extends the zero-alloc contract to the CNN
-// path: im2col lowering, conv forward/backward, batch norm and pooling
-// must all run on pooled/arena state.
-func TestCNNTrainStepZeroAlloc(t *testing.T) {
-	rng := tensor.NewRNG(21)
-	m := nn.BuildVGG("allocvgg", []int{8, -1, 16, -1}, 3, 8, 4, rng)
-	tr := NewTrainer(stateFor(m, SAMO, 0.75))
-	x := tensor.New(4, 3, 8, 8)
-	tensor.FillNormal(x, 1, rng)
-	targets := []int{0, 1, 2, 3}
-	for i := 0; i < 3; i++ {
-		tr.TrainStep(x, targets)
-	}
-	if a := testing.AllocsPerRun(20, func() { tr.TrainStep(x, targets) }); a != 0 {
-		t.Errorf("CNN TrainStep allocates %.1f per step, want 0", a)
-	}
-}
-
-// TestConv2DForwardBackwardZeroAlloc pins the conv layer in isolation: a
-// steady-state forward+backward pair — im2col, the GEMM triple, and the
-// PARALLEL Col2Im gather in Backward — must run entirely on the arena and
-// the pooled kernel jobs. Workers are pinned above one so the test
-// exercises the pool-dispatch path of the parallel col2im, not the inline
-// fallback.
-func TestConv2DForwardBackwardZeroAlloc(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(4))
-	rng := tensor.NewRNG(31)
-	conv := nn.NewConv2d("alloc-conv", tensor.ConvSpec{
-		InC: 8, OutC: 16, Kernel: 3, Stride: 1, Pad: 1, InH: 12, InW: 12}, rng)
-	x := tensor.New(2, 8, 12, 12)
-	tensor.FillNormal(x, 1, rng)
-	arena := tensor.NewArena()
-	step := func() {
-		y, cache := conv.Forward(arena, x, true)
-		conv.Backward(arena, cache, y) // y has the gradient's shape; values are irrelevant here
-		arena.Reset()
-	}
-	for i := 0; i < 3; i++ {
-		step() // warm arena free lists, cache pools, worker pool
-	}
-	if a := testing.AllocsPerRun(30, step); a != 0 {
-		t.Errorf("Conv2d forward+backward allocates %.1f per step, want 0", a)
-	}
-}
-
 // TestGPTTrainStepZeroAlloc extends the zero-alloc contract to the GPT
 // path: embedding lookup, attention (whose per-head fan-out used closure
 // dispatch before this PR), layer norm, GELU MLP and the LM head.

@@ -216,8 +216,8 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 // the up-scale (tensor.ScaleSlice), Adam and the dense down-cast here, the
 // overflow scan and the dense capture before them — run vector kernels over
 // each chunk's multiple-of-8 body, bit-identical to the Go loops that stay
-// as every other host's path; the SAMO scatter and gather and SGD are Go
-// loops everywhere:
+// as every other host's path; the SAMO scatter and gather are Go loops
+// everywhere:
 //
 //   - up-scale in place: ∇θ16[i] ·= 1/scale, slab by slab;
 //   - optional global-norm clip over those values in state order (serial:

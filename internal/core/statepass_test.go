@@ -214,7 +214,6 @@ func TestStatePassMatchesReferenceLoops(t *testing.T) {
 	opts := map[string]func() optim.Optimizer{
 		"adam":  func() optim.Optimizer { return optim.NewAdam(1e-2) },
 		"adamw": func() optim.Optimizer { return optim.NewAdamW(1e-2, 0.01) },
-		"sgd":   func() optim.Optimizer { return optim.NewSGD(1e-2, 0.9, 1e-4) },
 	}
 	workerCounts := []int{1, 2, 3, 4, 8}
 	if testing.Short() {

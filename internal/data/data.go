@@ -1,5 +1,5 @@
 // Package data provides the deterministic synthetic datasets that stand in
-// for the paper's corpora (Wikitext-103 and BookCorpus) and image sets. The
+// for the paper's corpora (Wikitext-103 and BookCorpus). The
 // statistical-efficiency experiment (Figure 4) only needs a stationary
 // learnable distribution — it checks that pruned+SAMO training converges
 // like dense training, not what it converges to — so a Markov token source
@@ -102,53 +102,4 @@ func (c *Corpus) LMBatch(cursor, samples, seq int) (axonn.Batch, int) {
 		SampleRows: seq,
 		Samples:    samples,
 	}, cursor
-}
-
-// ImageSet is a deterministic synthetic labeled image collection: each class
-// is a distinct smooth template plus noise, linearly separable enough for a
-// small CNN to learn quickly.
-type ImageSet struct {
-	Name      string
-	Classes   int
-	C, H, W   int
-	templates []*tensor.Tensor
-	rng       *tensor.RNG
-}
-
-// SynthImages builds an image set with the given geometry.
-func SynthImages(name string, classes, c, h, w int, seed uint64) *ImageSet {
-	rng := tensor.NewRNG(seed)
-	s := &ImageSet{Name: name, Classes: classes, C: c, H: h, W: w, rng: rng}
-	for k := 0; k < classes; k++ {
-		t := tensor.New(c, h, w)
-		fx := float64(k%3 + 1)
-		fy := float64(k/3 + 1)
-		for ch := 0; ch < c; ch++ {
-			for y := 0; y < h; y++ {
-				for x := 0; x < w; x++ {
-					v := math.Sin(fx*float64(x)/float64(w)*math.Pi+float64(ch)) *
-						math.Cos(fy*float64(y)/float64(h)*math.Pi)
-					t.Set(float32(v), ch, y, x)
-				}
-			}
-		}
-		s.templates = append(s.templates, t)
-	}
-	return s
-}
-
-// Batch draws n labeled images (template + Gaussian noise).
-func (s *ImageSet) Batch(n int) (axonn.Batch, []int) {
-	x := tensor.New(n, s.C, s.H, s.W)
-	labels := make([]int, n)
-	for i := 0; i < n; i++ {
-		k := s.rng.Intn(s.Classes)
-		labels[i] = k
-		dst := x.Slice(i, i+1)
-		dst.CopyFrom(s.templates[k].Reshape(1, s.C, s.H, s.W))
-		for j := range dst.Data() {
-			dst.Data()[j] += float32(s.rng.Norm()) * 0.3
-		}
-	}
-	return axonn.Batch{Input: x, Targets: labels, SampleRows: 1, Samples: n}, labels
 }

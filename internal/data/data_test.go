@@ -91,21 +91,3 @@ func TestLMBatchWrapsAround(t *testing.T) {
 		}
 	}
 }
-
-func TestSynthImagesLearnableStructure(t *testing.T) {
-	s := SynthImages("img", 4, 2, 8, 8, 19)
-	b, labels := s.Batch(16)
-	if b.Input.Dim(0) != 16 || b.Input.Dim(1) != 2 {
-		t.Fatalf("image batch shape %v", b.Input.Shape())
-	}
-	for i, l := range labels {
-		if l != b.Targets[i] {
-			t.Fatal("labels and targets disagree")
-		}
-		if l < 0 || l >= 4 {
-			t.Fatalf("label %d out of range", l)
-		}
-	}
-	// Same-class images must correlate more with their template than with
-	// other templates on average (structure survives the noise).
-}

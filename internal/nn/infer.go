@@ -10,9 +10,8 @@ import "github.com/sparse-dl/samo/internal/tensor"
 //
 // InferLayer is the optional extension a layer implements when its
 // inference forward differs from Forward(train=false) in more than the
-// returned cache — LayerNorm skips the x̂ tensor entirely, Flatten copies
-// instead of aliasing (see below), Recompute unwraps. Everything else is
-// served by the generic fallback.
+// returned cache — LayerNorm skips the x̂ tensor entirely, Recompute
+// unwraps. Everything else is served by the generic fallback.
 
 // InferLayer is a Layer with a dedicated cache-free inference forward.
 //
@@ -54,10 +53,10 @@ func (m *Model) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 // the whole forward pass — there is no backward pass coming to read
 // step-lifetime caches, so nothing else needs to survive.
 //
-// Safe because InferLayer's contract forbids output/input aliasing (Flatten,
-// the only view-returning layer, copies in its Infer). Both arenas are
-// reset on entry — x must not be owned by either — and the returned tensor
-// lives in one of them: it is valid until either arena's next use.
+// Safe because no layer's inference forward returns a view of its input
+// (InferLayer's contract, which every eval Forward also keeps). Both arenas
+// are reset on entry — x must not be owned by either — and the returned
+// tensor lives in one of them: it is valid until either arena's next use.
 func (m *Model) InferWindowed(a, b *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	arenas := [2]*tensor.Arena{a, b}
 	a.Reset()

@@ -9,9 +9,9 @@ import (
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// inferTestModels builds one representative model per family — together
-// they cover every layer the repo ships (Linear, ReLU, GELU, LayerNorm,
-// Embedding, attention, Conv2d, BatchNorm2d, MaxPool, Flatten) — plus a
+// inferTestModels builds one representative model per family — an MLP
+// (Linear, ReLU), a GPT (Embedding, TransformerBlock with its attention and
+// GELU, LayerNorm, Linear) and a Sparsify'd MLP (the CSR Linear) — plus a
 // matching input batch.
 func inferTestModels() []struct {
 	name  string
@@ -23,9 +23,12 @@ func inferTestModels() []struct {
 	xMLP := tensor.New(6, 20)
 	tensor.FillNormal(xMLP, 1, rng)
 
-	cnn := BuildVGG("cnn", []int{8, -1, 16, -1}, 3, 8, 10, rng)
-	xCNN := tensor.New(2, 3, 8, 8)
-	tensor.FillNormal(xCNN, 1, rng)
+	base := BuildMLP("smlp", []int{20, 32, 10}, rng)
+	var layers []prune.Layer
+	for _, e := range base.PruneLayers() {
+		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
+	}
+	smlp := Sparsify(base, prune.MagnitudePerLayer(layers, 0.9))
 
 	gpt := BuildGPT(GPTConfig{Name: "gpt", Layers: 2, Hidden: 32, Heads: 4,
 		Seq: 8, Vocab: 30}, rng)
@@ -41,8 +44,8 @@ func inferTestModels() []struct {
 		x     *tensor.Tensor
 	}{
 		{"mlp", mlp, xMLP},
-		{"cnn", cnn, xCNN},
 		{"gpt", gpt, xGPT},
+		{"smlp", smlp, xMLP},
 	}
 }
 
@@ -138,37 +141,32 @@ func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	}
 }
 
-// TestInferNoAliasing pins the InferLayer no-aliasing contract on the one
-// layer whose eval Forward returns a view: Flatten.Infer must copy, so
-// InferWindowed's early arena reset cannot corrupt a result that flows
-// through it — including when Flatten is wrapped in Recompute.
+// TestInferNoAliasing pins InferLayer's no-aliasing contract on every
+// layer of inferTestModels, bare and wrapped in Recompute: InferForward's
+// output must not share storage with its input, or InferWindowed's early
+// arena reset would corrupt a result one layer later. Aliasing is probed by
+// overwriting the input after the call and checking the output kept its
+// bits.
 func TestInferNoAliasing(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	x := tensor.New(3, 2, 4, 4)
-	tensor.FillNormal(x, 1, rng)
-
-	var fl Flatten
-	a := tensor.NewArena()
-	y := fl.Infer(a, x)
-	if &y.Data()[0] == &x.Data()[0] {
-		t.Fatal("Flatten.Infer aliases its input")
-	}
-	if i, ok := bitwiseDiff(x.Data(), y.Data()); !ok {
-		t.Fatalf("Flatten.Infer copy differs at %d", i)
-	}
-	yr := (&Recompute{Inner: &fl}).Infer(a, x)
-	if &yr.Data()[0] == &x.Data()[0] {
-		t.Fatal("Recompute(Flatten).Infer aliases its input")
-	}
-
-	// End-to-end: a model whose tail flows through Flatten survives the
-	// windowed runner's ping-pong resets.
-	m := &Model{Name: "flat", Layers: []Layer{&fl, NewLinear("fc", 32, 4, rng)}}
-	refArena := tensor.NewArena()
-	ref := append([]float32(nil), m.ForwardArena(refArena, x, false, make([]any, 2)).Data()...)
-	yw := m.InferWindowed(tensor.NewArena(), tensor.NewArena(), x)
-	if i, ok := bitwiseDiff(ref, yw.Data()); !ok {
-		t.Fatalf("windowed result through Flatten differs at %d", i)
+	poison := math.Float32frombits(0x7fc0dead)
+	for _, tc := range inferTestModels() {
+		a := tensor.NewArena()
+		x := tc.x
+		for i, l := range tc.model.Layers {
+			for _, wrapped := range []Layer{l, Recompute{Inner: l}} {
+				y := InferForward(wrapped, a, x)
+				want := append([]float32(nil), y.Data()...)
+				saved := append([]float32(nil), x.Data()...)
+				for j := range x.Data() {
+					x.Data()[j] = poison
+				}
+				if j, ok := bitwiseDiff(want, y.Data()); !ok {
+					t.Errorf("%s layer %d (%T): output shares storage with its input (element %d)", tc.name, i, wrapped, j)
+				}
+				copy(x.Data(), saved)
+			}
+			x = InferForward(l, a, x)
+		}
 	}
 }
 

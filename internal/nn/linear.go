@@ -203,49 +203,3 @@ func (GELULayer) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *t
 
 // Params returns nil: GELU has no parameters.
 func (GELULayer) Params() []*Param { return nil }
-
-// Flatten reshapes (n, ...) to (n, rest), the CNN-to-classifier bridge.
-type Flatten struct{}
-
-type flattenCache struct{ shape []int }
-
-var flattenCaches parallel.Pool[flattenCache]
-
-// Forward flattens all but the leading dimension (a view: no copy).
-func (Flatten) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	rest := 1
-	for _, d := range x.Shape()[1:] {
-		rest *= d
-	}
-	y := a.ViewOf(x, x.Dim(0), rest)
-	if !train {
-		return y, nil
-	}
-	c := flattenCaches.Get()
-	c.shape = append(c.shape[:0], x.Shape()...)
-	return y, c
-}
-
-// Infer flattens into an owned copy instead of a view: the windowed
-// inference runner reclaims the input's arena one layer later, so the
-// output must not alias x's storage (InferLayer's no-aliasing contract).
-func (Flatten) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	rest := 1
-	for _, d := range x.Shape()[1:] {
-		rest *= d
-	}
-	y := a.Get(x.Dim(0), rest)
-	y.CopyFrom(x)
-	return y
-}
-
-// Backward restores the original shape (a view: no copy).
-func (Flatten) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
-	c := cache.(*flattenCache)
-	g := a.ViewOf(gradOut, c.shape...)
-	flattenCaches.Put(c)
-	return g
-}
-
-// Params returns nil: Flatten has no parameters.
-func (Flatten) Params() []*Param { return nil }

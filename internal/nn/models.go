@@ -77,7 +77,7 @@ func BuildGPT(c GPTConfig, rng *tensor.RNG) *Model {
 }
 
 // CNNConfig describes one of the paper's convolutional models for
-// accounting, with an architecture generator for runnable scaled variants.
+// accounting (the simulator's Figure 5 reads it).
 type CNNConfig struct {
 	Name      string
 	Params    int64 // Table I parameter count
@@ -101,32 +101,6 @@ var (
 // costs twice the forward pass).
 func (c CNNConfig) FlopsPerBatch(batch int) float64 {
 	return 3 * c.FlopsPerImage * float64(batch)
-}
-
-// BuildVGG constructs a runnable VGG-style network for images of size
-// (channels, dim, dim) with the given channel widths (one conv per entry,
-// 'M' encoded as -1 for max-pool) and class count. BuildVGG(SmallVGGPlan...)
-// is the test-scale stand-in for VGG-19.
-func BuildVGG(name string, plan []int, inC, dim, classes int, rng *tensor.RNG) *Model {
-	m := &Model{Name: name}
-	c, d := inC, dim
-	i := 0
-	for _, p := range plan {
-		if p == -1 {
-			m.Layers = append(m.Layers, MaxPool{})
-			d /= 2
-			continue
-		}
-		spec := tensor.ConvSpec{InC: c, OutC: p, Kernel: 3, Stride: 1, Pad: 1, InH: d, InW: d}
-		m.Layers = append(m.Layers, NewConv2d(fmt.Sprintf("conv%d", i), spec, rng))
-		m.Layers = append(m.Layers, NewBatchNorm2d(fmt.Sprintf("bn%d", i), p))
-		m.Layers = append(m.Layers, ReLULayer{})
-		c = p
-		i++
-	}
-	m.Layers = append(m.Layers, Flatten{})
-	m.Layers = append(m.Layers, NewLinear("fc", c*d*d, classes, rng))
-	return m
 }
 
 // BuildMLP constructs a plain multi-layer perceptron — the quickstart model.

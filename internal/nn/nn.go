@@ -1,6 +1,6 @@
 // Package nn is the neural-network substrate of the SAMO reproduction:
 // layers with explicit forward/backward passes, a parameter registry, loss
-// functions, builders for runnable MLP, VGG and GPT models, and the paper's
+// functions, builders for runnable MLP and GPT models, and the paper's
 // Table I configurations (VGG-19, WideResNet-101 and the GPT-3 family).
 //
 // Layers are stateless with respect to activations: Forward returns an
@@ -217,7 +217,7 @@ type PruneEntry struct {
 }
 
 // Prunable reports whether a parameter participates in pruning: rank >= 2
-// (weight matrices and conv filters), not biases/affine vectors, and not
+// (weight matrices), not biases/affine vectors, and not
 // explicitly excluded (embedding tables). A CSR weight is rank 1, so it is
 // not: its pattern is its own, and no index addresses its values.
 func Prunable(p *Param) bool { return p.Value.Rank() >= 2 && !p.NoPrune }

@@ -144,142 +144,3 @@ func (ln *LayerNorm) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor
 
 // Params returns γ and β.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
-
-// BatchNorm2d is per-channel batch normalization over NCHW tensors, used by
-// the CNN architectures (VGG with BN). Running statistics are
-// kept for evaluation mode.
-type BatchNorm2d struct {
-	Gamma, Beta     *Param
-	RunMean, RunVar []float32
-	Momentum        float32
-	c               int
-}
-
-// NewBatchNorm2d creates a BatchNorm over c channels.
-func NewBatchNorm2d(name string, c int) *BatchNorm2d {
-	bn := &BatchNorm2d{
-		Gamma: newParam(name+".gamma", c), Beta: newParam(name+".beta", c),
-		RunMean: make([]float32, c), RunVar: make([]float32, c),
-		Momentum: 0.1, c: c,
-	}
-	bn.Gamma.Value.Fill(1)
-	for i := range bn.RunVar {
-		bn.RunVar[i] = 1
-	}
-	return bn
-}
-
-type bnCache struct {
-	xhat   *tensor.Tensor
-	invStd []float32
-}
-
-var bnCaches parallel.Pool[bnCache]
-
-// Forward normalizes each channel using batch statistics (training) or
-// running statistics (eval).
-func (bn *BatchNorm2d) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
-	if x.Rank() != 4 || x.Dim(1) != bn.c {
-		panic(fmt.Sprintf("nn: BatchNorm2d(%d) got input %v", bn.c, x.Shape()))
-	}
-	n, c, h, w := x.Dim(0), bn.c, x.Dim(2), x.Dim(3)
-	hw := h * w
-	cnt := float64(n * hw)
-	y := a.Get(x.Shape()...)
-	g, b := bn.Gamma.Value.Data(), bn.Beta.Value.Data()
-
-	if !train {
-		for ch := 0; ch < c; ch++ {
-			is := float32(1 / math.Sqrt(float64(bn.RunVar[ch])+normEps))
-			mean := bn.RunMean[ch]
-			for img := 0; img < n; img++ {
-				off := (img*c + ch) * hw
-				for i := 0; i < hw; i++ {
-					y.Data()[off+i] = g[ch]*(x.Data()[off+i]-mean)*is + b[ch]
-				}
-			}
-		}
-		return y, nil
-	}
-
-	cc := bnCaches.Get()
-	cc.xhat = a.Get(x.Shape()...)
-	if cap(cc.invStd) < c {
-		cc.invStd = make([]float32, c)
-	}
-	cc.invStd = cc.invStd[:c]
-	xhat, invStd := cc.xhat, cc.invStd
-	for ch := 0; ch < c; ch++ {
-		var mean float64
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				mean += float64(x.Data()[off+i])
-			}
-		}
-		mean /= cnt
-		var varr float64
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				d := float64(x.Data()[off+i]) - mean
-				varr += d * d
-			}
-		}
-		varr /= cnt
-		is := float32(1 / math.Sqrt(varr+normEps))
-		invStd[ch] = is
-		bn.RunMean[ch] = (1-bn.Momentum)*bn.RunMean[ch] + bn.Momentum*float32(mean)
-		bn.RunVar[ch] = (1-bn.Momentum)*bn.RunVar[ch] + bn.Momentum*float32(varr)
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				xh := (x.Data()[off+i] - float32(mean)) * is
-				xhat.Data()[off+i] = xh
-				y.Data()[off+i] = g[ch]*xh + b[ch]
-			}
-		}
-	}
-	return y, cc
-}
-
-// Backward computes input and affine gradients from batch statistics.
-func (bn *BatchNorm2d) Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor {
-	cc := cache.(*bnCache)
-	n, c := gradOut.Dim(0), bn.c
-	hw := gradOut.Dim(2) * gradOut.Dim(3)
-	cnt := float64(n * hw)
-	dx := a.Get(gradOut.Shape()...)
-	g := bn.Gamma.Value.Data()
-	dg, db := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
-	for ch := 0; ch < c; ch++ {
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				dy := float64(gradOut.Data()[off+i])
-				sumDy += dy
-				sumDyXhat += dy * float64(cc.xhat.Data()[off+i])
-			}
-		}
-		dg[ch] += float32(sumDyXhat)
-		db[ch] += float32(sumDy)
-		m1 := sumDy / cnt
-		m2 := sumDyXhat / cnt
-		scale := g[ch] * cc.invStd[ch]
-		for img := 0; img < n; img++ {
-			off := (img*c + ch) * hw
-			for i := 0; i < hw; i++ {
-				dy := float64(gradOut.Data()[off+i])
-				xh := float64(cc.xhat.Data()[off+i])
-				dx.Data()[off+i] = scale * float32(dy-m1-xh*m2)
-			}
-		}
-	}
-	cc.xhat = nil
-	bnCaches.Put(cc)
-	return dx
-}
-
-// Params returns γ and β.
-func (bn *BatchNorm2d) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

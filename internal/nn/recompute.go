@@ -14,10 +14,10 @@ import (
 // (the 4/3 recompute factor in Narayanan et al.'s flop formula, which the
 // simulator's FwdFraction=0.25 split already assumes).
 //
-// The wrapped layer must be deterministic given its input and parameters.
-// BatchNorm2d in training mode is NOT safe to wrap: the recomputation would
-// update its running statistics a second time. Transformer blocks,
-// convolutions, LayerNorm and activations all qualify.
+// The wrapped layer must be deterministic given its input and parameters,
+// and its forward must update no state (a layer keeping running statistics
+// would update them a second time). Transformer blocks, Linear, LayerNorm
+// and activations all qualify.
 type Recompute struct {
 	Inner Layer
 }
@@ -52,7 +52,7 @@ func (r Recompute) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tens
 // Infer unwraps to the inner layer's inference forward: checkpointing only
 // exists to bound backward-pass memory, so forward-only execution sees
 // straight through it (and inherits the inner layer's no-aliasing
-// contract, e.g. a wrapped Flatten still copies).
+// contract).
 func (r Recompute) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return InferForward(r.Inner, a, x)
 }

@@ -125,8 +125,6 @@ func CacheBytes(cache any) int64 {
 	case *blockCache:
 		return CacheBytes(c.cLN1) + CacheBytes(c.cAttn) + CacheBytes(c.cLN2) +
 			CacheBytes(c.cFC1) + CacheBytes(c.cGELU) + CacheBytes(c.cFC2)
-	case *convCache:
-		return 4 * int64(c.cols.Len())
 	case *tensor.Tensor: // ReLU mask / GELU pre-activations
 		return 4 * int64(c.Len())
 	default:

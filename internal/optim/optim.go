@@ -1,6 +1,5 @@
-// Package optim implements the optimizers the paper trains with — SGD with
-// momentum for the CNNs, AdamW for the GPT models — plus dynamic loss
-// scaling for mixed precision.
+// Package optim implements Adam and AdamW — the paper trains its GPT models
+// with AdamW — plus dynamic loss scaling for mixed precision.
 //
 // Every optimizer operates on flat float32 slices (parameters, gradients,
 // states). This is deliberate: SAMO's compressed model states are flat
@@ -26,13 +25,13 @@ type Optimizer interface {
 	// Step applies one update to params given grads (same length).
 	Step(key string, params, grads []float32)
 	// StateBytesPerParam reports the optimizer-state footprint in bytes per
-	// parameter (Adam: 8 — two fp32 moments; SGD+momentum: 4).
+	// parameter (Adam: 8 — two fp32 moments).
 	StateBytesPerParam() int
 	// States returns the state vectors for a key (for SAMO to manage their
 	// storage); created lazily on first Step.
 	States(key string) [][]float32
 	// StepCount returns the per-key update count (Adam's bias-correction
-	// clock; 0 for stateless-in-time optimizers like SGD).
+	// clock).
 	StepCount(key string) int
 	// SetStepCount restores the per-key update count (checkpoint resume).
 	SetStepCount(key string, t int)
@@ -42,79 +41,6 @@ type Optimizer interface {
 	// shrink identically, entry for entry). A key with no state yet is a
 	// no-op.
 	CompactState(key string, keep []bool)
-}
-
-// SGD is stochastic gradient descent with classical momentum and optional
-// L2 regularization (the paper's CNN recipe).
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[string][]float32
-	job         sgdJob
-}
-
-// sgdJob carries one Step's vectors and constants to the worker pool: the
-// update is element-wise, so chunking it leaves every result bit-identical
-// at every worker count. Step is not safe for concurrent use (it grows the
-// state maps), so the optimizer owns a single job rather than pooling them.
-type sgdJob struct {
-	params, grads, v []float32
-	lr, mu, wd       float32
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[string][]float32)}
-}
-
-// Step applies v = μv + (g + λθ); θ -= lr·v.
-func (s *SGD) Step(key string, params, grads []float32) {
-	checkLens(key, params, grads)
-	v, ok := s.velocity[key]
-	if !ok {
-		v = make([]float32, len(params))
-		s.velocity[key] = v
-	}
-	s.job = sgdJob{params: params, grads: grads, v: v,
-		lr: float32(s.LR), mu: float32(s.Momentum), wd: float32(s.WeightDecay)}
-	parallel.Run(len(params), parallel.StreamGrain, &s.job, sgdChunk)
-}
-
-func sgdChunk(ctx any, lo, hi int) {
-	j := ctx.(*sgdJob)
-	params, grads, v := j.params[lo:hi], j.grads[lo:hi], j.v[lo:hi]
-	lr, mu, wd := j.lr, j.mu, j.wd
-	for i, g := range grads {
-		g += wd * params[i]
-		v[i] = mu*v[i] + g
-		params[i] -= lr * v[i]
-	}
-}
-
-// StateBytesPerParam returns 4 (one fp32 velocity).
-func (s *SGD) StateBytesPerParam() int { return 4 }
-
-// States returns the velocity vector.
-func (s *SGD) States(key string) [][]float32 {
-	if v, ok := s.velocity[key]; ok {
-		return [][]float32{v}
-	}
-	return nil
-}
-
-// StepCount returns 0: SGD's update rule is time-invariant.
-func (s *SGD) StepCount(string) int { return 0 }
-
-// SetStepCount is a no-op for SGD.
-func (s *SGD) SetStepCount(string, int) {}
-
-// CompactState shrinks the velocity vector onto the kept positions.
-func (s *SGD) CompactState(key string, keep []bool) {
-	if v, ok := s.velocity[key]; ok {
-		s.velocity[key] = sparse.Compact(v, keep)
-	}
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) — the paper's memory model

@@ -8,42 +8,6 @@ import (
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-func TestSGDPlainStep(t *testing.T) {
-	s := NewSGD(0.1, 0, 0)
-	p := []float32{1, 2}
-	g := []float32{10, -10}
-	s.Step("w", p, g)
-	if p[0] != 0 || p[1] != 3 {
-		t.Errorf("params = %v, want [0 3]", p)
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	s := NewSGD(1, 0.9, 0)
-	p := []float32{0}
-	s.Step("w", p, []float32{1}) // v=1, p=-1
-	s.Step("w", p, []float32{1}) // v=1.9, p=-2.9
-	if math.Abs(float64(p[0]+2.9)) > 1e-6 {
-		t.Errorf("p = %v, want -2.9", p[0])
-	}
-	if s.StateBytesPerParam() != 4 {
-		t.Error("SGD state bytes")
-	}
-	if len(s.States("w")) != 1 {
-		t.Error("SGD should expose one state vector")
-	}
-}
-
-func TestSGDWeightDecay(t *testing.T) {
-	s := NewSGD(0.1, 0, 0.5)
-	p := []float32{2}
-	s.Step("w", p, []float32{0})
-	// g_eff = 0 + 0.5*2 = 1; p = 2 - 0.1 = 1.9
-	if math.Abs(float64(p[0]-1.9)) > 1e-6 {
-		t.Errorf("p = %v", p[0])
-	}
-}
-
 func TestAdamFirstStepIsLR(t *testing.T) {
 	// With bias correction, the first Adam step moves by ≈ lr·sign(g).
 	a := NewAdam(0.01)
@@ -109,7 +73,7 @@ func TestLengthMismatchPanics(t *testing.T) {
 			t.Error("length mismatch should panic")
 		}
 	}()
-	NewSGD(0.1, 0, 0).Step("w", []float32{1, 2}, []float32{1})
+	NewAdam(0.1).Step("w", []float32{1, 2}, []float32{1})
 }
 
 func TestLossScalerHalvesOnOverflow(t *testing.T) {
@@ -213,9 +177,9 @@ func TestOptimizerWorksOnCompressedVectors(t *testing.T) {
 	}
 }
 
-// refAdamStep and refSGDStep are the update loops as they stood before the
-// constants and weight-decay conditions were hoisted and the sweep chunked
-// on the worker pool: the bitwise reference for TestStepMatchesReferenceLoops.
+// refAdamStep is the update loop as it stood before the constants and
+// weight-decay conditions were hoisted and the sweep chunked on the worker
+// pool: the bitwise reference for TestStepMatchesReferenceLoops.
 func refAdamStep(a *Adam, t int, params, grads, m, v []float32) {
 	b1, b2 := float32(a.Beta1), float32(a.Beta2)
 	c1 := 1 / (1 - float32(math.Pow(a.Beta1, float64(t))))
@@ -240,17 +204,6 @@ func refAdamStep(a *Adam, t int, params, grads, m, v []float32) {
 	}
 }
 
-func refSGDStep(s *SGD, params, grads, v []float32) {
-	lr := float32(s.LR)
-	mu := float32(s.Momentum)
-	wd := float32(s.WeightDecay)
-	for i := range params {
-		g := grads[i] + wd*params[i]
-		v[i] = mu*v[i] + g
-		params[i] -= lr * v[i]
-	}
-}
-
 func TestStepMatchesReferenceLoops(t *testing.T) {
 	l2Adam := NewAdam(1e-2)
 	l2Adam.WeightDecay = 0.01 // not decoupled: decay folded into the gradient
@@ -270,8 +223,8 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 			for i := range params {
 				params[i] = float32(i%997-498) / 997
 			}
-			for name, opt := range map[string]Optimizer{"adam": NewAdam(1e-2), "adamw": NewAdamW(1e-2, 0.01),
-				"adam-l2": l2Adam, "sgd": NewSGD(1e-2, 0.9, 1e-4), "sgd-plain": NewSGD(1e-2, 0, 0)} {
+			for name, opt := range map[string]*Adam{"adam": NewAdam(1e-2), "adamw": NewAdamW(1e-2, 0.01),
+				"adam-l2": l2Adam} {
 				key := fmt.Sprintf("%s/w%d/n%d", name, workers, n)
 				got, want := append([]float32(nil), params...), append([]float32(nil), params...)
 				refState := [][]float32{make([]float32, n), make([]float32, n)}
@@ -280,12 +233,7 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 						grads[i] = float32((i*step)%1013-506) / 5000
 					}
 					opt.Step(key, got, grads)
-					switch o := opt.(type) {
-					case *Adam:
-						refAdamStep(o, step, want, grads, refState[0], refState[1])
-					case *SGD:
-						refSGDStep(o, want, grads, refState[0])
-					}
+					refAdamStep(opt, step, want, grads, refState[0], refState[1])
 					sameBits(t, key+" params", got, want)
 					for k, vec := range opt.States(key) {
 						sameBits(t, fmt.Sprintf("%s state %d", key, k), vec, refState[k])

@@ -1,5 +1,5 @@
 // Package parallel provides the persistent worker pool that executes every
-// CPU kernel in the repository — dense GEMMs, im2col, and the sparse
+// CPU kernel in the repository — dense GEMMs and the sparse
 // compress/expand and SpMM/SDDMM hot paths all partition their iteration
 // spaces through Run.
 //

@@ -291,9 +291,6 @@ func TestServeBucketInvariant(t *testing.T) {
 		{"mlp", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
 			return nn.BuildMLP("imlp", []int{24, 48, 32, 6}, rng), normalSamples(rng, 8, 1, 24)
 		}},
-		{"cnn", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) {
-			return nn.BuildVGG("icnn", []int{8, -1, 16}, 3, 8, 5, rng), normalSamples(rng, 8, 1, 3, 8, 8)
-		}},
 		{"gpt", func(_ *testing.T, rng *tensor.RNG) (*nn.Model, []*tensor.Tensor) { return tinyGPT(rng, 8) }},
 		{"sparsified/auto30", sparsified(0.3)},
 		{"sparsified/auto50", sparsified(0.5)},

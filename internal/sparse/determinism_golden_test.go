@@ -34,7 +34,7 @@ func bitwiseEqualSlice(a, b []float32) (int, bool) {
 // a single owning worker and a fixed accumulation order (the CSR's p order;
 // ascending rows for the SpMM, whose reference is the SpMMᵀ of a stored
 // transpose, the chain it replaced), so resizing the pool can never perturb
-// sparse training — the same contract the GEMM family and Col2Im carry.
+// sparse training — the same contract the GEMM family carries.
 func TestSparseKernelsBitwiseDeterminism(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(0))
 	const batch = 576

@@ -189,7 +189,7 @@ func TestSDDMMEqualsMaskedDense(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		for j := 0; j < 10; j++ {
 			if pattern.At(i, j) == 0 {
-				full.Set(0, i, j)
+				full.Data()[i*10+j] = 0
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"testing"
 )
 
@@ -274,60 +273,4 @@ func seedTransposedCorpus(f *testing.F) {
 	f.Add(uint16(150), uint16(300), uint16(40), uint64(10), true) // tall m, two remainder rows
 	f.Add(uint16(300), uint16(319), uint16(66), uint64(11), true) // tallest folded m over two kc panels
 	f.Add(uint16(319), uint16(318), uint16(223), uint64(12), true)
-}
-
-// FuzzCol2ImAdjoint checks the defining property of the backward lowering —
-// <Im2Col(x), y> == <x, Col2Im(y)> for adjoint linear maps — over random
-// kernel/stride/pad geometry, through the forms the conv layers call
-// (Im2ColInto, Col2ImZeroInto), and pins the parallel Col2Im gather bitwise
-// to the serial scatter at several worker counts on every fuzzed geometry.
-func FuzzCol2ImAdjoint(f *testing.F) {
-	// Seeded degenerate corpus: 1×1 kernels, stride > kernel (gap rows),
-	// pad 0 and pad ≥ kernel, non-square inputs, minimum 1×1 output.
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint64(1))
-	f.Add(uint8(2), uint8(3), uint8(3), uint8(1), uint8(1), uint8(5), uint8(5), uint64(2))
-	f.Add(uint8(1), uint8(2), uint8(1), uint8(3), uint8(0), uint8(6), uint8(2), uint64(3)) // stride 3 > k: gap rows
-	f.Add(uint8(2), uint8(4), uint8(5), uint8(2), uint8(2), uint8(9), uint8(3), uint64(4))
-	f.Add(uint8(1), uint8(1), uint8(3), uint8(1), uint8(3), uint8(0), uint8(7), uint64(5)) // pad == k
-	f.Fuzz(func(t *testing.T, nr, cr, kr, sr, pr, hr, wr uint8, seed uint64) {
-		n := 1 + int(nr%2)
-		inC := 1 + int(cr%4)
-		k := 1 + int(kr%5)
-		stride := 1 + int(sr%3)
-		pad := int(pr % 4)
-		inH := k + int(hr%10)
-		inW := k + int(wr%10)
-		s := ConvSpec{InC: inC, OutC: 1, Kernel: k, Stride: stride, Pad: pad, InH: inH, InW: inW}
-		if s.OutH() < 1 || s.OutW() < 1 {
-			t.Skip("degenerate output")
-		}
-		rng := NewRNG(seed | 1)
-		x := New(n, inC, inH, inW)
-		fillSeq(x, rng)
-		cols := New(n*s.OutH()*s.OutW(), inC*k*k)
-		Im2ColInto(cols, x, s)
-		y := New(cols.Dim(0), cols.Dim(1))
-		fillSeq(y, rng)
-
-		lhs := Dot(cols, y)
-		back := New(n, inC, inH, inW)
-		Col2ImZeroInto(back, y, s, n)
-		rhs := Dot(x, back)
-		if scale := math.Abs(lhs) + math.Abs(rhs) + 1; math.Abs(lhs-rhs) > 1e-4*scale {
-			t.Fatalf("adjoint identity violated for %+v n=%d: <Im2Col(x),y>=%g vs <x,Col2Im(y)>=%g",
-				s, n, lhs, rhs)
-		}
-
-		ref := New(n, inC, inH, inW)
-		col2imSerial(ref.Data(), y.Data(), s, n)
-		defer SetWorkers(SetWorkers(0))
-		for _, w := range []int{1, 2, 3, 8} {
-			SetWorkers(w)
-			out := x.Clone() // stale contents the gather must overwrite
-			Col2ImZeroInto(out, y, s, n)
-			if i, ok := bitwiseEqual(out, ref); !ok {
-				t.Fatalf("workers=%d %+v: parallel Col2Im differs from serial at index %d", w, s, i)
-			}
-		}
-	})
 }

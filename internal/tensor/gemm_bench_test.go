@@ -43,6 +43,17 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
+func BenchmarkMatMul256(b *testing.B) {
+	x := randTensor([]int{256, 256}, 1)
+	y := randTensor([]int{256, 256}, 2)
+	c := New(256, 256)
+	b.SetBytes(2 * 256 * 256 * 256 * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulInto(c, x, y, false)
+	}
+}
+
 // BenchmarkGEMMSmallM times the forward product's two blockings against
 // each other at the heights a batch gives it — B read in place (gemmDirect)
 // and B packed in strips (gemmStrip) — over the benchmark workloads' weight

@@ -30,7 +30,7 @@ const (
 // MatMul computes C = A·B for A of shape (m,k) and B of shape (k,n),
 // returning a new (m,n) tensor. This is the dense kernel standing in for
 // cuBLAS: with MatMulT and TMatMul it runs every Linear without a CSR
-// weight (masked-dense ones included), attention projection and conv; the
+// weight (masked-dense ones included) and every attention projection; the
 // CSR kernels of internal/sparse run the rest.
 func MatMul(a, b *Tensor) *Tensor {
 	m, k, n := gemmDims(a, b)

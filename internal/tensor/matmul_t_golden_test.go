@@ -86,8 +86,8 @@ var transposedBackwardShapes = []struct {
 
 // TestTransposedGEMMBitwiseDeterminism pins MatMulT/TMatMul to one
 // reference output BITWISE at every worker count the training stack uses
-// and under both strip kernels — the same contract the forward GEMM and
-// col2im carry: resizing the pool or moving to another host can never
+// and under both strip kernels — the same contract the forward GEMM
+// carries: resizing the pool or moving to another host can never
 // perturb the backward passes. The reference is the Go kernel at one
 // worker; the public dispatcher is checked beside the rule's blocking.
 func TestTransposedGEMMBitwiseDeterminism(t *testing.T) {

@@ -117,22 +117,6 @@ func (a *Arena) SliceOf(t *Tensor, lo, hi int) *Tensor {
 	return v
 }
 
-// ViewOf returns an arena-tracked reshaped view of t's data — the
-// allocation-free counterpart of Tensor.Reshape (no -1 inference).
-func (a *Arena) ViewOf(t *Tensor, shape ...int) *Tensor {
-	if a == nil {
-		return t.Reshape(shape...)
-	}
-	if checkShape(shape) != len(t.data) {
-		panic("tensor: Arena.ViewOf changes element count")
-	}
-	v := a.header()
-	v.data = t.data
-	v.shape = append(v.shape[:0], shape...)
-	a.used = append(a.used, arenaSlot{t: v})
-	return v
-}
-
 func (a *Arena) header() *Tensor {
 	if l := len(a.headers); l > 0 {
 		t := a.headers[l-1]

@@ -60,10 +60,3 @@ func FillXavier(t *Tensor, fanIn, fanOut int, rng *RNG) {
 		t.data[i] = float32((2*rng.Float64() - 1) * limit)
 	}
 }
-
-// FillKaiming fills t with the He-normal distribution for the given fan-in,
-// the standard init for ReLU networks (VGG).
-func FillKaiming(t *Tensor, fanIn int, rng *RNG) {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	FillNormal(t, std, rng)
-}

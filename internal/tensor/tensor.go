@@ -1,7 +1,7 @@
 // Package tensor provides the dense tensor substrate used throughout the
 // SAMO reproduction: float32 tensors with shapes and views, a parallel
-// blocked GEMM, im2col convolution lowering, elementwise kernels, and a
-// half-precision (fp16-storage) tensor mirroring mixed-precision training.
+// blocked GEMM and elementwise kernels (half-precision storage lives in
+// internal/fp16).
 //
 // The package plays the role cuBLAS/cuDNN+PyTorch play in the paper: the
 // dense compute path that SAMO deliberately keeps — θ16 stays dense so the
@@ -81,9 +81,6 @@ func (t *Tensor) Data() []float32 { return t.data }
 // At returns the element at the given indices.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
 
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.shape)))
@@ -96,40 +93,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.shape[i] + ix
 	}
 	return off
-}
-
-// Reshape returns a view of t with a new shape (same backing data). One
-// dimension may be -1, in which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	// Copy into a fresh variable rather than reassigning the parameter:
-	// a reassigned variadic parameter is marked leaking by escape
-	// analysis, which would force every caller (Arena.ViewOf among them)
-	// to heap-allocate its shape literal on the non-panic path.
-	sh := make([]int, len(shape))
-	copy(sh, shape)
-	infer := -1
-	n := 1
-	for i, d := range sh {
-		if d == -1 {
-			if infer >= 0 {
-				panic("tensor: at most one -1 dimension in Reshape")
-			}
-			infer = i
-		} else {
-			n *= d
-		}
-	}
-	if infer >= 0 {
-		if n == 0 || len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, sh))
-		}
-		sh[infer] = len(t.data) / n
-		n *= sh[infer]
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: reshape %v to %v changes element count", t.shape, sh))
-	}
-	return &Tensor{shape: sh, data: t.data}
 }
 
 // Clone returns a deep copy of t.

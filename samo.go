@@ -22,8 +22,8 @@
 // # Compute substrate
 //
 // Every CPU kernel — the blocked GEMM micro-kernels behind MatMul and its
-// transposed variants, im2col/col2im, and the sparse compress/expand and
-// SpMM/SDDMM paths — executes on one persistent, process-wide worker pool
+// transposed variants, and the sparse compress/expand and SpMM/SDDMM
+// paths — executes on one persistent, process-wide worker pool
 // (internal/parallel) rather than spawning goroutines per call.
 // tensor.SetWorkers bounds the per-call fan-out atomically and is safe to
 // call mid-run; the pool itself is sized at GOMAXPROCS once.
@@ -43,14 +43,6 @@
 // CPUID (see GEMMKernel); it executes the Go kernel's float32 operations
 // lane for lane, unfused, so results do not depend on the host either.
 //
-// The conv backward lowering (Col2Im), previously the last serial kernel
-// in the stack, runs as a parallel gather over disjoint (image, input-row)
-// strips: each worker visits the contributions to its rows in the serial
-// scatter's exact per-element order, so the result is bitwise-identical to
-// the serial reference at every worker count — resizing the pool can never
-// change training results (pinned by the col2im determinism goldens and
-// the FuzzCol2ImAdjoint fuzz target).
-//
 // # Sparse execution
 //
 // Pruned fully connected layers can exploit their sparsity during
@@ -67,7 +59,7 @@
 // state (capture, all-reduce, optimizer, and under sparse execution θ16
 // itself) is sized fφ. Every sparse kernel gives each output element a
 // single owning worker and a fixed accumulation order, so results are
-// bitwise-identical at every worker count, matching the GEMM/Col2Im
+// bitwise-identical at every worker count, matching the GEMM
 // contract (pinned by determinism goldens and the FuzzSpMMTInto/
 // FuzzSDDMMInto targets).
 //
@@ -254,9 +246,9 @@
 // (samo-train's -prune-* flags); examples/scaling_study -schedule
 // sweeps schedules into an accuracy-proxy vs speedup frontier.
 //
-// Steady-state training steps are allocation-free across every model
-// family — MLP, CNN (im2col conv, batch norm, pooling) and GPT (embedding,
-// attention, layer norm, GELU MLP) — as are the compress/expand primitives:
+// Steady-state training steps are allocation-free across both model
+// families — MLP and GPT (embedding, attention, layer norm, GELU MLP) — as
+// are the compress/expand primitives:
 // each trainer or simulated rank owns a size-keyed tensor arena that
 // supplies activations, gradients and scratch buffers and reclaims them
 // wholesale after the optimizer step; layer caches and kernel job
@@ -266,10 +258,8 @@
 // Run scripts/bench.sh to regenerate
 // BENCH_kernels.json, the kernel/throughput/allocation baseline the
 // benchmarks are tracked against; it fails if the shared-pack kernel
-// regresses below 1.5x the seed GEMM on the Figure-1 shapes, if the parallel
-// Col2Im drops below 1.5x the serial scatter on the conv backward shapes (on
-// multi-core machines; see MIN_COL2IM_SPEEDUP), or if a gated benchmark
-// family is missing from the run.
+// regresses below 1.5x the seed GEMM on the Figure-1 shapes, or if a gated
+// benchmark family is missing from the run.
 package samo
 
 import (
@@ -370,11 +360,6 @@ var (
 	GPT3o13B = nn.GPT3_13B
 )
 
-// NewVGG builds a VGG-style CNN (see nn.BuildVGG for the plan format).
-func NewVGG(name string, plan []int, inC, dim, classes int, rng *RNG) *Model {
-	return nn.BuildVGG(name, plan, inC, dim, classes, rng)
-}
-
 // --- Pruning ----------------------------------------------------------------
 
 // PruneMagnitude prunes each prunable layer to the target sparsity by
@@ -418,16 +403,11 @@ func NewState(m *Model, opt Optimizer, mode Mode, pr *PruneResult) *State {
 // NewTrainer returns a single-process trainer over a state.
 func NewTrainer(s *State) *Trainer { return core.NewTrainer(s) }
 
-// NewAdam, NewAdamW and NewSGD construct the optimizers used in the paper.
+// NewAdam returns Adam without weight decay.
 func NewAdam(lr float64) Optimizer { return optim.NewAdam(lr) }
 
 // NewAdamW returns decoupled-weight-decay Adam (GPT recipe).
 func NewAdamW(lr, weightDecay float64) Optimizer { return optim.NewAdamW(lr, weightDecay) }
-
-// NewSGD returns SGD with momentum and L2 weight decay (CNN recipe).
-func NewSGD(lr, momentum, weightDecay float64) Optimizer {
-	return optim.NewSGD(lr, momentum, weightDecay)
-}
 
 // Train runs hybrid data + inter-layer parallel training on an in-process
 // fabric: cfg.Ginter pipeline stages × cfg.Gdata data-parallel replicas,

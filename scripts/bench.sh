@@ -7,7 +7,7 @@
 # Table2Throughput, EndToEndParallelStep, SerialTrainStep), then writes
 # BENCH_kernels.json at the repository root with ns/op, B/op and allocs/op
 # per benchmark, the speedup matrices (GEMM shared-vs-seed, transposed
-# shared-vs-tiled, col2im, SpMM/SDDMM) and the machine fingerprint.
+# shared-vs-tiled, SpMM/SDDMM) and the machine fingerprint.
 #
 # The script FAILS (non-zero exit) if the shared-pack kernel regresses
 # below MIN_GEMM_SPEEDUP (default 1.5x) over the seed kernel on any
@@ -15,7 +15,7 @@
 # same floor applies to the transposed backward products: the
 # shared-pack MatMulT/TMatMul must hold MIN_GEMM_SPEEDUP over the PR-1 4×4
 # register-tile kernels on every Figure-1 backward shape (warn-only on
-# single-CPU machines, like the col2im gate below).
+# single-CPU machines, like the SpMM gate below).
 # On AVX2 hosts the strip sweep's vector micro-kernel puts both ratios far
 # above the floor (committed baseline, two vCPUs: 5.5-8.9x over seed,
 # 5.4-12.8x over tiled), so there the gate catches a build or host that
@@ -40,15 +40,6 @@
 # FAILS in every mode (count-based smoke runs and single-CPU machines
 # included): a renamed or deleted benchmark family would otherwise pass
 # every floor vacuously.
-#
-# It also gates the conv backward lowering: the parallel Col2Im gather
-# (BenchmarkCol2Im/parallel, 8 workers) must hold MIN_COL2IM_SPEEDUP
-# (default 1.5x) over the serial scatter reference on every VGG /
-# WideResNet backward shape. The win comes from parallel fan-out, so on a
-# single-CPU machine — where the pool degrades to inline execution and
-# only the gather kernel's ~1.1-1.3x serial advantage remains — the gate
-# downgrades to a warning automatically; shared multi-core CI sets
-# MIN_COL2IM_SPEEDUP=1.2 for the same noise reasons as the GEMM floor.
 #
 # It also records the transport overhead: the same AllReduce and p2p
 # ping-pong workloads over the in-process channel mesh and the TCP loopback
@@ -78,7 +69,6 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-2s}"
 OUT="BENCH_kernels.json"
 MIN_GEMM_SPEEDUP="${MIN_GEMM_SPEEDUP:-1.5}"
-MIN_COL2IM_SPEEDUP="${MIN_COL2IM_SPEEDUP:-1.5}"
 MIN_SPMM_SPEEDUP="${MIN_SPMM_SPEEDUP:-1.5}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
@@ -89,7 +79,7 @@ echo "running kernel benchmarks (benchtime=$BENCHTIME, count=3)..." >&2
 # three runs is the honest kernel speed.
 # BenchmarkGEMM$ leaves out BenchmarkGEMMSmallM (gemmRule's line sweep,
 # 168 sub-benchmarks that gate nothing here).
-go test -run '^$' -bench 'BenchmarkGEMM$|BenchmarkMatMulT|BenchmarkTMatMul|BenchmarkCol2Im' \
+go test -run '^$' -bench 'BenchmarkGEMM$|BenchmarkMatMulT|BenchmarkTMatMul' \
     -benchmem -benchtime="$BENCHTIME" -count=3 ./internal/tensor/ | tee -a "$TMP" >&2
 
 echo "running sparse-execution benchmarks..." >&2
@@ -109,14 +99,13 @@ case "$BENCHTIME" in
     *x) GATE=0 ;; # count-based smoke runs are too noisy to gate on
 esac
 
-python3 - "$TMP" "$OUT" "$MIN_GEMM_SPEEDUP" "$GATE" "$MIN_COL2IM_SPEEDUP" "$MIN_SPMM_SPEEDUP" <<'EOF'
+python3 - "$TMP" "$OUT" "$MIN_GEMM_SPEEDUP" "$GATE" "$MIN_SPMM_SPEEDUP" <<'EOF'
 import json, os, re, subprocess, sys
 
 lines = open(sys.argv[1]).read().splitlines()
 min_speedup = float(sys.argv[3])
 gate = sys.argv[4] == "1"
-min_col2im = float(sys.argv[5])
-min_spmm = float(sys.argv[6])
+min_spmm = float(sys.argv[5])
 cpu = ""
 results = {}
 for ln in lines:
@@ -158,15 +147,6 @@ for name in list(results):
     table["gemm_%sx%s" % (dim, dim)] = ratio(
         "Benchmark%s/tiled/%s" % (bench, dim), "Benchmark%s/shared/%s" % (bench, dim))
 
-col2im = {}
-for name in list(results):
-    m = re.match(r"BenchmarkCol2Im/serial/(\S+)$", name)
-    if not m:
-        continue
-    shape = m.group(1)
-    col2im[shape] = ratio("BenchmarkCol2Im/serial/" + shape,
-                          "BenchmarkCol2Im/parallel/" + shape)
-
 spmm, sddmm = {}, {}
 for name in list(results):
     m = re.match(r"BenchmarkSpMM/dense/(\d+)x([\d.]+)$", name)
@@ -191,7 +171,6 @@ json.dump({
     "gemm_speedup_shared_vs_seed": shared_vs_seed,
     "matmult_speedup_shared_vs_tiled": matmult,
     "tmatmul_speedup_shared_vs_tiled": tmatmul,
-    "col2im_speedup_parallel_vs_serial": col2im,
     "spmm_speedup_sparse_vs_dense": spmm,
     "sddmm_speedup_sparse_vs_dense": sddmm,
     "benchmarks": dict(sorted(results.items())),
@@ -206,7 +185,6 @@ missing = []
 for label, table in (("GEMM shared-vs-seed", shared_vs_seed),
                      ("MatMulT shared-vs-tiled", matmult),
                      ("TMatMul shared-vs-tiled", tmatmul),
-                     ("col2im parallel-vs-serial", col2im),
                      ("SpMM sparse-vs-dense at >=90% sparsity", spmm_gated)):
     if not table:
         missing.append("%s: no benchmark rows matched" % label)
@@ -231,7 +209,7 @@ if failures:
 
 # Transposed-GEMM gate: the shared-pack backward products must hold the same
 # floor over the PR-1 tiled kernels on every Figure-1 backward shape.
-# Warn-only on a single CPU, like the col2im gate: the win holds even
+# Warn-only on a single CPU, like the SpMM gate: the win holds even
 # serially, but a one-core box leaves no headroom against scheduler noise.
 t_failures = []
 for label, table in (("MatMulT", matmult), ("TMatMul", tmatmul)):
@@ -249,30 +227,11 @@ if t_failures:
     reason = "single CPU" if (os.cpu_count() or 1) <= 1 else "count-based benchtime"
     print("WARNING (not gating, %s):\n%s" % (reason, msg))
 
-# Col2im gate: the parallel gather must hold the floor over the serial
-# scatter on every conv backward shape. The speedup is parallel fan-out,
-# so a single-CPU machine (pool degraded to inline execution) can only
-# warn — there is nothing to parallelize against.
-c_failures = []
-for shape, sp in sorted(col2im.items()):
-    if sp < min_col2im:
-        c_failures.append("parallel col2im on %s: %.3fx over serial, floor is %.2fx"
-                          % (shape, sp, min_col2im))
-if c_failures:
-    msg = ("Col2Im parallel regression vs serial reference:\n  " +
-           "\n  ".join(c_failures) +
-           "\n(the conv backward lowering was the last serial hot path; "
-           "do not ship it below the floor)")
-    if gate and (os.cpu_count() or 1) > 1:
-        sys.exit(msg)
-    reason = "single CPU" if (os.cpu_count() or 1) <= 1 else "count-based benchtime"
-    print("WARNING (not gating, %s):\n%s" % (reason, msg))
-
 # SpMM gate: at the high-sparsity points (>=90%) the transposed-CSR SpMM
 # must beat the dense-masked GEMM by the floor — there a vector CSR kernel
 # converts the pruned FLOPs into time even against a vector GEMM. The points
 # below are recorded but not gated (see the header). Warn-only on a single
-# CPU, like the other parallel-kernel gates.
+# CPU, like the transposed-GEMM gate.
 s_failures = []
 for key, sp in sorted(spmm_gated.items()):
     if sp < min_spmm:
