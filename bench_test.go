@@ -226,28 +226,20 @@ func itoa(n int) string {
 // cost: with the worker arenas, cache pools and pooled collective buffers
 // the engine settles at 0 allocs/op (setup amortizes away).
 func BenchmarkEndToEndParallelStep(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		overlap bool
-	}{{"serial", false}, {"overlap", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			build := func() *nn.Model {
-				return nn.BuildMLP("e2e", []int{64, 128, 64, 8}, tensor.NewRNG(5))
-			}
-			pr := samoPrune(build(), 0.9)
-			batch := benchBatch(64, 16, 8)
-			batches := make([]axonn.Batch, b.N)
-			for i := range batches {
-				batches[i] = batch
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			axonn.Train(axonn.Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO,
-				OverlapReduce: bc.overlap},
-				build, func() optim.Optimizer { return optim.NewAdam(1e-3) }, pr,
-				batches)
-		})
+	build := func() *nn.Model {
+		return nn.BuildMLP("e2e", []int{64, 128, 64, 8}, tensor.NewRNG(5))
 	}
+	pr := samoPrune(build(), 0.9)
+	batch := benchBatch(64, 16, 8)
+	batches := make([]axonn.Batch, b.N)
+	for i := range batches {
+		batches[i] = batch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	axonn.Train(axonn.Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO},
+		build, func() optim.Optimizer { return optim.NewAdam(1e-3) }, pr,
+		batches)
 }
 
 // BenchmarkSerialTrainStep times the single-process trainer on the same

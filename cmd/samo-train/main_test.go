@@ -13,7 +13,7 @@ func TestRunSmoke(t *testing.T) {
 	for _, args := range [][]string{
 		{"-iters", "3", "-ginter", "1", "-gdata", "1", "-hidden", "16", "-layers", "1"},
 		{"-iters", "3", "-ginter", "2", "-gdata", "1", "-hidden", "16", "-layers", "2", "-samo"},
-		{"-iters", "3", "-ginter", "1", "-gdata", "2", "-hidden", "16", "-layers", "1", "-overlap"},
+		{"-iters", "3", "-ginter", "1", "-gdata", "2", "-hidden", "16", "-layers", "1"},
 	} {
 		var buf strings.Builder
 		if err := run(args, &buf); err != nil {

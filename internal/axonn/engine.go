@@ -45,22 +45,10 @@ type Config struct {
 	Microbatch int
 	// Mode selects Dense mixed precision or SAMO-compressed model states.
 	Mode core.Mode
-	// OverlapReduce launches each gradient bucket's data-parallel all-reduce
-	// asynchronously the moment the bucket's last layer finishes its final
-	// backward, hiding communication behind the remaining backward compute
-	// (the paper's §IV-A overlap, at bucket granularity). All handles are
-	// drained before the overflow consensus. Off, the engine reduces the
-	// same buckets serially after backward. Both paths consume the identical
-	// bucket plan in the identical order, so losses are bitwise-identical
-	// with overlap on vs off — on every transport, at every worker count.
-	// Each reduce returns the serial data-group-ordered sum, so the bits do
-	// not depend on the bucket plan either.
+	// OverlapReduce is ignored. Each stage all-reduces its ∇θ16 slab once
+	// per step, after the shard's last backward; the field stays so that
+	// configurations which set it still compile.
 	OverlapReduce bool
-	// ReduceBucketElems caps each all-reduce bucket's element count,
-	// overriding core.DefaultReduceBucketElems when positive. Smaller
-	// buckets pipeline more aggressively behind backward; larger ones
-	// amortize per-collective latency.
-	ReduceBucketElems int
 	// ClipNorm forwards to core.ModelState (0 = off).
 	ClipNorm float64
 	// PruneSchedule, when non-nil, runs gradual magnitude pruning during
@@ -278,11 +266,6 @@ func Train(cfg Config, build Builder, optb OptBuilder, pr *prune.Result, batches
 			go func(r int) {
 				defer wg.Done()
 				rk := f.Rank(r)
-				// Wind down the async reduce lane when the rank finishes or
-				// fails. Registered BEFORE the recover defer (LIFO) so a
-				// panic poisons the fabric first — a worker blocked inside a
-				// collective then unwinds instead of deadlocking CloseAsync.
-				defer rk.CloseAsync()
 				// A panic anywhere in the stack must poison the fabric, or
 				// the surviving ranks deadlock on the dead one's messages.
 				defer func() {
@@ -450,14 +433,6 @@ type worker struct {
 	lossBuf     []float32     // loss-average payload
 	first, last bool
 
-	// Overlapped-reduce state. hook is the state's capture hook, with
-	// LayerDone wired to onLayerDone when OverlapReduce is on (bound once
-	// here — binding a method value per batch would allocate). buckets is
-	// the state's plan; handles is reused across batches.
-	hook    nn.GradHook
-	buckets []core.ReduceBucket
-	handles []*comm.ReduceHandle
-
 	// Per-batch state (reset by trainBatch; fields rather than closure
 	// captures so the steady-state batch loop does not allocate).
 	shardIn      *tensor.Tensor
@@ -468,8 +443,6 @@ type worker struct {
 	fwdDone      int
 	bwdDone      int
 	injected     int
-	launched     int  // buckets whose reduce is in flight this batch
-	finalBwd     bool // the currently running backward is the shard's last
 }
 
 func newWorker(cfg Config, rk *comm.Rank, build Builder, optb OptBuilder, pr *prune.Result) *worker {
@@ -502,36 +475,12 @@ func newWorker(cfg Config, rk *comm.Rank, build Builder, optb OptBuilder, pr *pr
 	for r := 0; r < cfg.GPUs(); r++ {
 		w.allRanks = append(w.allRanks, r)
 	}
-	if cfg.ReduceBucketElems > 0 {
-		state.PlanReduceBuckets(cfg.ReduceBucketElems)
-	}
-	w.hook = state.GradHook()
-	w.buckets = state.ReduceBuckets()
-	if cfg.OverlapReduce {
-		w.hook.LayerDone = w.onLayerDone
-	}
 	if cfg.PruneSchedule != nil {
 		// The schedule was validated with the config; a stage with no
 		// prunable parameters gets a no-op pruner.
 		w.pruner, _ = core.NewGradualPruner(state, *cfg.PruneSchedule)
 	}
 	return w
-}
-
-// onLayerDone fires from the backward hook after each layer's gradients are
-// captured. During the shard's FINAL microbatch backward every earlier
-// microbatch has already been fully accumulated, so once layer l completes,
-// each bucket whose lowest layer is ≥ l holds its final sum — launch those
-// reduces now, while backward still has layers < l to compute. The ready
-// set is a plan-order prefix, so launch order (hence accumulation order on
-// the wire) is fixed by the plan, never by timing.
-func (w *worker) onLayerDone(layer int) {
-	if !w.finalBwd {
-		return
-	}
-	for n := w.state.BucketReady(layer); w.launched < n; w.launched++ {
-		w.handles = append(w.handles, w.rk.AllReduceHalfAsync(w.stageGroup, w.buckets[w.launched].Data))
-	}
 }
 
 // partition splits n layers into g contiguous chunks (earlier chunks get
@@ -666,10 +615,7 @@ func (w *worker) backward(mb int, grad *tensor.Tensor) error {
 		return w.rk.Fail(fmt.Errorf("axonn: gradient for unknown microbatch %d on rank %d", mb, w.rk.ID()))
 	}
 	delete(w.caches, mb)
-	// Mark whether this is the shard's last backward before running it: the
-	// LayerDone hook only launches overlapped reduces on the final pass.
-	w.finalBwd = w.bwdDone == w.mCount-1
-	gin := w.model.BackwardArena(w.arena, caches, grad, w.hook)
+	gin := w.model.BackwardArena(w.arena, caches, grad, w.state.GradHook())
 	w.putCaches(caches)
 	if !w.first {
 		return w.rk.Send(w.rk.ID()-1, comm.TagGradient, mb, gin.Data(), gin.Shape()...)
@@ -702,8 +648,6 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 	w.gradScale = w.state.LossScale() / float32(m*cfg.Gdata)
 	w.batchLoss = 0
 	w.fwdDone, w.bwdDone, w.injected = 0, 0, 0
-	w.launched, w.finalBwd = 0, false
-	w.handles = w.handles[:0]
 	rowsPerMB := cfg.Microbatch * global.SampleRows
 
 	// Warmup: stage 0 injects up to Ginter forwards (1F1B's in-flight
@@ -748,30 +692,12 @@ func (w *worker) trainBatch(global Batch) (float64, error) {
 		}
 	}
 
-	// Data-parallel phase: all-reduce the (compressed under SAMO) fp16
-	// gradient buckets across the stage group — §IV-A. The slabs hold
-	// fp16-grid values, so they go through AllReduceHalf, at the paper's two
-	// bytes per element when the group has 2 or 3 ranks. With OverlapReduce
-	// the backward hook already launched them in plan order; drain every
-	// handle (keeping the first error) so no operation is in flight when
-	// the consensus collective below reuses the rank's matching state.
-	if cfg.OverlapReduce {
-		var err error
-		for _, h := range w.handles {
-			if werr := h.Wait(); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		w.handles = w.handles[:0]
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		for _, buf := range w.state.ReduceBuffers() {
-			if err := w.rk.AllReduceHalf(w.stageGroup, buf); err != nil {
-				return 0, err
-			}
-		}
+	// Data-parallel phase: all-reduce the (compressed under SAMO) ∇θ16 slab
+	// across the stage group in one call — §IV-A. It holds fp16-grid values,
+	// so it goes through AllReduceHalf, at the paper's two bytes per element
+	// when the group has 2 or 3 ranks.
+	if err := w.rk.AllReduceHalf(w.stageGroup, w.state.ReduceBuffer()); err != nil {
+		return 0, err
 	}
 
 	// Global overflow consensus so every rank agrees to step or skip. This

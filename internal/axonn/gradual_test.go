@@ -19,8 +19,8 @@ import (
 // arithmetic over (step, θ32), and θ32 is bitwise-identical on every replica
 // after the overflow consensus — so the same schedule produces identical
 // events, identical survivors and identical losses at every worker count,
-// on both transports, with the overlapped reducer on or off, and recovers
-// bitwise from a crash landing exactly on a prune event.
+// on both transports, and recovers bitwise from a crash landing exactly on a
+// prune event.
 
 // gradualSchedule fires events at steps 1, 3 and 5 of a 6-batch run,
 // ramping 0.3 → 0.8.
@@ -28,27 +28,34 @@ func gradualSchedule() *prune.Schedule {
 	return &prune.Schedule{Initial: 0.3, Final: 0.8, BeginStep: 1, EndStep: 5, Frequency: 2}
 }
 
-// TestGradualPruneOverlapBitwiseWorkerSweep pins overlap-on ≡ overlap-off
-// under an active pruning schedule at every acceptance worker count: the
-// in-place shrinks re-head the bucket slabs both reducers consume.
+// TestGradualPruneOverlapBitwiseWorkerSweep pins the engine's bits under an
+// active pruning schedule at every acceptance worker count, with the ignored
+// OverlapReduce field set: each prune event slides the ∇θ16 segments left
+// inside the slab the stage reduces. The hashes were recorded when the
+// engine still reduced 16-element buckets, overlapped and serial alike.
 func TestGradualPruneOverlapBitwiseWorkerSweep(t *testing.T) {
 	pr := pruneMLP(61, 0.3)
-	for _, gdata := range []int{1, 2, 3, 4, 8, 16} {
-		gdata := gdata
-		t.Run(fmt.Sprintf("gdata%d", gdata), func(t *testing.T) {
+	for _, c := range []struct {
+		gdata int
+		want  uint64
+	}{
+		{1, 0xa346dae285d88b68}, {2, 0x3cc1eae477a3b2a9}, {3, 0xa49b1371a15a89bf},
+		{4, 0xe80ba6c4f9cd42fd}, {8, 0xc0105824d388a0dc}, {16, 0xbaa07a2c4ecf58f6},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("gdata%d", c.gdata), func(t *testing.T) {
 			t.Parallel()
 			// 48 samples divide evenly by every gdata in the sweep.
-			batches := makeBatches(6, 48, uint64(7000+gdata))
+			batches := makeBatches(6, 48, uint64(7000+c.gdata))
 			cfg := Config{
-				Ginter: 1, Gdata: gdata, Microbatch: 1,
-				Mode:              core.SAMO,
-				ReduceBucketElems: overlapBucketElems,
-				PruneSchedule:     gradualSchedule(),
+				Ginter: 1, Gdata: c.gdata, Microbatch: 1,
+				Mode:          core.SAMO,
+				PruneSchedule: gradualSchedule(),
+				OverlapReduce: true,
 			}
-			off := Train(cfg, mlpBuilder(61), adamBuilder(), pr, batches)
-			cfg.OverlapReduce = true
-			on := Train(cfg, mlpBuilder(61), adamBuilder(), pr, batches)
-			assertTrainBitwise(t, fmt.Sprintf("gradual gdata=%d", gdata), off, on)
+			if h := stateHash(t, Train(cfg, mlpBuilder(61), adamBuilder(), pr, batches)); h != c.want {
+				t.Fatalf("state and loss hash %#016x, want %#016x", h, c.want)
+			}
 		})
 	}
 }
@@ -90,7 +97,6 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 			cfg := Config{
 				Ginter: 1, Gdata: gdata, Microbatch: 2,
 				Mode:               core.SAMO,
-				ReduceBucketElems:  overlapBucketElems,
 				CollectiveDeadline: 15 * time.Second,
 				PruneSchedule:      gradualSchedule(),
 			}
@@ -100,7 +106,6 @@ func TestGradualPruneOverTCPBitwise(t *testing.T) {
 				t.Fatalf("local golden: %v", golden.Err)
 			}
 
-			cfg.OverlapReduce = true
 			n := cfg.GPUs()
 			addrs := freeLoopbackAddrs(t, n)
 			results := make([]Result, n)
@@ -152,23 +157,24 @@ func sparseMLPBuilder(seed uint64, sparsity float64) Builder {
 }
 
 // TestGradualPruneSparseLayersBitwise runs the ramp over CSR weights — CSR
-// shrink and bucket compaction of the rank-1 weight vectors — and pins overlap-on ≡ overlap-off as the ramp (0.3 → 0.8)
-// carries every layer from below to above half sparsity.
+// shrink and ∇θ16 slab compaction of the rank-1 weight vectors — as it
+// carries every layer from below to above half sparsity (0.3 → 0.8), and pins
+// the bits to the hash recorded when the engine still reduced 16-element
+// buckets.
 func TestGradualPruneSparseLayersBitwise(t *testing.T) {
+	const want = uint64(0xd21ebfd517aeb748)
 	pr := pruneMLP(67, 0.3)
 	// Two batches more than the schedule's six: steps that run at the final
 	// 0.8.
 	batches := makeBatches(8, 16, 7300)
 	cfg := Config{
 		Ginter: 1, Gdata: 2, Microbatch: 1,
-		Mode:              core.SAMO,
-		ReduceBucketElems: overlapBucketElems,
-		PruneSchedule:     gradualSchedule(),
+		Mode:          core.SAMO,
+		PruneSchedule: gradualSchedule(),
 	}
-	off := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
-	cfg.OverlapReduce = true
-	on := Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)
-	assertTrainBitwise(t, "sparse-layer gradual", off, on)
+	if h := stateHash(t, Train(cfg, sparseMLPBuilder(67, 0.3), adamBuilder(), pr, batches)); h != want {
+		t.Fatalf("state and loss hash %#016x, want %#016x", h, want)
+	}
 }
 
 // TestCrashAtPruneEventRecoversBitwise is the recovery golden the schedule

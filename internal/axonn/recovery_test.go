@@ -103,10 +103,9 @@ func TestCrashMidBatchCollective(t *testing.T) {
 	if golden.Err != nil {
 		t.Fatalf("golden run: %v", golden.Err)
 	}
-	// Rank 1 (last stage, data group 0) enters 3 collectives per batch under
-	// the bucketed reduce plan — one bucket all-reduce, the overflow
-	// consensus, the loss average — so ops 0..14 span the 5 batches; 14 is
-	// the final batch's loss reduce.
+	// Rank 1 (last stage, data group 0) enters 3 collectives per batch —
+	// the gradient all-reduce, the overflow consensus, the loss average — so
+	// ops 0..14 span the 5 batches; 14 is the final batch's loss reduce.
 	for _, op := range []int{0, 3, 10, 14} {
 		op := op
 		t.Run(fmt.Sprintf("crash-op-%d", op), func(t *testing.T) {

@@ -161,11 +161,9 @@ type Stats struct {
 	P2PElements  atomic.Int64
 	CollOps      atomic.Int64
 	CollElements atomic.Int64
-	// ExposedCollNanos is wall time the rank's goroutine spent BLOCKED in
-	// collectives: the full duration of synchronous calls plus only the
-	// waiting tail of async ones (launch-to-completion time hidden behind
-	// compute is, by definition, not exposed). The overlap win is this
-	// counter shrinking while CollElements stays constant.
+	// ExposedCollNanos is wall time the rank's goroutine spent inside
+	// collective calls. Every collective is synchronous, so all of it sits
+	// on the rank's critical path.
 	ExposedCollNanos atomic.Int64
 }
 
@@ -335,14 +333,6 @@ type Rank struct {
 	step    int   // current engine step (BeginStep), for failure attribution
 	ops     int   // collective entries so far, for CrashAtOp fault points
 	bounds  []int // reusable chunk-boundary scratch for AllReduce
-
-	// Async collective lane (async.go). The worker goroutine executes
-	// queued operations serially, reusing this Rank's matching state —
-	// safe because the owner never runs a collective while handles are
-	// outstanding (the engine drains before any synchronous call).
-	asyncCh     chan asyncOp
-	asyncDone   chan struct{}
-	freeHandles []*ReduceHandle // owner-side handle pool (zero-alloc steady state)
 }
 
 // chunkBounds fills the rank's reusable boundary scratch (an all-reduce
@@ -520,8 +510,8 @@ func (rk *Rank) AllReduce(group []int, buf []float32) error {
 }
 
 // allReduce is AllReduce without the exposed-time accounting, shared with
-// AllReduceHalf's other group sizes, async lane included (async hidden time
-// must not count as exposed).
+// AllReduceHalf's other group sizes (their time is counted once, by
+// AllReduceHalf).
 func (rk *Rank) allReduce(group []int, buf []float32) error {
 	if err := rk.enterColl(); err != nil {
 		return err
@@ -610,8 +600,7 @@ func (rk *Rank) AllReduceHalf(group []int, buf []float32) error {
 	return err
 }
 
-// allReduceHalf is AllReduceHalf without the exposed-time accounting,
-// shared with the async lane.
+// allReduceHalf is AllReduceHalf without the exposed-time accounting.
 func (rk *Rank) allReduceHalf(group []int, buf []float32) error {
 	g := len(group)
 	if g == 1 || g > maxHalfGroup {

@@ -349,136 +349,21 @@ func TestConformanceAllReduceHalfFailsTyped(t *testing.T) {
 	}
 }
 
-// TestConformanceConcurrentAsyncCollectives pins the async lane on both
-// transports: each rank launches a whole schedule of half reduces on
-// fp16-grid inputs — several in-flight at once, on DISTINCT groups (evens
-// and odds run disjoint collectives concurrently) — then drains and runs one
-// synchronous global reduce. Results must be bitwise-identical to issuing
-// the same schedule synchronously on the local transport, AllReduce and
-// AllReduceHalf alternating: async vs sync, half vs float32 and local vs tcp
-// may not change a single bit.
-func TestConformanceConcurrentAsyncCollectives(t *testing.T) {
-	const n = 4
-	szs := []int{3, 257, 1024, 33, 512, 65}
-	half := func(parity int) []int {
-		var g []int
-		for r := parity; r < n; r += 2 {
-			g = append(g, r)
-		}
-		return g
-	}
-
-	// runSchedule executes the per-rank schedule and returns, for each rank,
-	// the result bits of every op (the K group reduces + the final global).
-	runSchedule := func(m *mesh, async bool) [][][]uint32 {
-		t.Helper()
-		out := make([][][]uint32, n)
-		errs := runMesh(t, m, func(rk *comm.Rank) error {
-			r := rk.ID()
-			group := half(r % 2)
-			bufs := make([][]float32, len(szs))
-			for i, sz := range szs {
-				bufs[i] = gridInput(r*17+i, sz)
-			}
-			if async {
-				defer rk.CloseAsync()
-				handles := make([]*comm.ReduceHandle, len(bufs))
-				for i, buf := range bufs {
-					handles[i] = rk.AllReduceHalfAsync(group, buf)
-				}
-				for _, h := range handles {
-					if err := h.Wait(); err != nil {
-						return err
-					}
-				}
-			} else {
-				for i, buf := range bufs {
-					reduce := rk.AllReduce
-					if i%2 == 1 {
-						reduce = rk.AllReduceHalf
-					}
-					if err := reduce(group, buf); err != nil {
-						return err
-					}
-				}
-			}
-			// Drained: a synchronous global collective must now be safe —
-			// the engine's consensus-after-overlap pattern.
-			global := testInput(r+100, 64)
-			if err := rk.AllReduce(groupAll(n), global); err != nil {
-				return err
-			}
-			res := make([][]uint32, 0, len(bufs)+1)
-			for _, buf := range bufs {
-				res = append(res, bitsOf(buf))
-			}
-			res = append(res, bitsOf(global))
-			out[r] = res
-			return nil
-		})
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("[%s async=%v] rank %d: %v", m.name, async, r, err)
-			}
-		}
-		return out
-	}
-
-	mRef := newMesh(t, "local", n)
-	defer mRef.closeAll()
-	want := runSchedule(mRef, false)
-
-	for _, transport := range []string{"local", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			m := newMesh(t, transport, n)
-			defer m.closeAll()
-			got := runSchedule(m, true)
-			for r := 0; r < n; r++ {
-				for op := range want[r] {
-					if len(got[r][op]) != len(want[r][op]) {
-						t.Fatalf("rank %d op %d: length %d vs %d", r, op, len(got[r][op]), len(want[r][op]))
-					}
-					for i := range want[r][op] {
-						if got[r][op][i] != want[r][op][i] {
-							t.Fatalf("rank %d op %d elem %d: async/%s bits %08x, sync/local bits %08x",
-								r, op, i, transport, got[r][op][i], want[r][op][i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConformanceAsyncPoisonUnwinds pins async fault behaviour: a poisoned
-// fabric must unwind queued and in-flight async reduces with the same typed
-// error the synchronous path returns, on both transports, with Wait and
-// CloseAsync both terminating. Over all four ranks AllReduceHalfAsync runs
-// owner-folds' two phases.
-func TestConformanceAsyncPoisonUnwinds(t *testing.T) {
-	asyncPoisonUnwinds(t, func(int) []int { return groupAll(4) })
-}
-
-// TestConformanceAsyncHalfPoisonUnwinds is the same in pairs, where the half
-// exchange unwinds, and the pair without the poisoned rank learns of it from
-// the fabric.
-func TestConformanceAsyncHalfPoisonUnwinds(t *testing.T) {
-	asyncPoisonUnwinds(t, func(r int) []int { return []int{r &^ 1, r | 1} })
-}
-
-func asyncPoisonUnwinds(t *testing.T, groupOf func(rank int) []int) {
+// TestConformanceHalfPoisonUnwinds poisons one rank's fabric while the
+// ranks loop on AllReduceHalf in pairs, where the half exchange runs: every
+// rank unwinds with the same typed RankFailedError, on both transports, and
+// the pair without the poisoned rank learns of it from the fabric.
+func TestConformanceHalfPoisonUnwinds(t *testing.T) {
 	forEachTransport(t, 4, func(t *testing.T, m *mesh) {
 		go func() {
 			time.Sleep(20 * time.Millisecond)
 			m.fabs[1].Poison(&comm.RankFailedError{Rank: 1, Step: 9})
 		}()
 		errs := runMesh(t, m, func(rk *comm.Rank) error {
-			defer rk.CloseAsync()
-			group := groupOf(rk.ID())
+			group := []int{rk.ID() &^ 1, rk.ID() | 1}
 			buf := make([]float32, 256)
 			for {
-				h := rk.AllReduceHalfAsync(group, buf)
-				if err := h.Wait(); err != nil {
+				if err := rk.AllReduceHalf(group, buf); err != nil {
 					return err
 				}
 			}

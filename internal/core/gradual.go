@@ -11,10 +11,9 @@ import (
 // In-training gradual magnitude pruning (Zhu & Gupta's cubic schedule,
 // prune.Schedule) over a live ModelState. The defining constraint is that
 // NNZ only ever DECREASES: every prune event compacts the existing storage
-// in place — CSR patterns, the shared indices,
-// θ32, optimizer state vectors and the grad16 reduce-bucket
-// slabs — so steady-state training between events stays allocation-free
-// and no backing array is ever reallocated.
+// in place — CSR patterns, the shared indices, θ32, optimizer state vectors
+// and the ∇θ16 slab — so steady-state training between events stays
+// allocation-free and no backing array is ever reallocated.
 //
 // Selection reads θ32 (the master weights). After the optimizer step that
 // precedes an event every data-parallel replica holds bitwise-identical
@@ -36,7 +35,7 @@ type shrinkOp struct {
 // pattern-sized vectors — θ32 and optimizer state — compact to the new
 // pattern length, while a masked-dense parameter's full-length vectors zero
 // the dropped coordinates, keeping the reference bitwise equal to SAMO.
-// The grad16 bucket slabs compact last (compactBuckets).
+// The ∇θ16 slab compacts last (compactGrad).
 func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 	segKeeps := make(map[*paramState][]bool, len(ops))
 	for _, op := range ops {
@@ -50,7 +49,34 @@ func (ms *ModelState) applyShrinks(ops []shrinkOp) {
 		ms.opt.CompactState(st.p.Name, keep)
 		segKeeps[st] = keep
 	}
-	ms.compactBuckets(segKeeps)
+	ms.compactGrad(segKeeps)
+}
+
+// compactGrad shrinks the ∇θ16 slab in place after a pattern shrink: every
+// segment slides leftward inside the slab, in state order. segKeeps holds
+// the keep mask of every parameter whose stored vectors compacted; the rest
+// (untouched parameters, and masked-dense ones whose storage stays
+// full-length) keep their length and only shift. Kept values move with
+// their positions, so a shrink never corrupts captured gradients, and
+// writes never pass reads because segments only shrink. No allocation
+// happens here.
+func (ms *ModelState) compactGrad(segKeeps map[*paramState][]bool) {
+	w := 0
+	for _, st := range ms.states {
+		seg, start := st.grad16, w
+		if keep, ok := segKeeps[st]; ok {
+			for i, k := range keep {
+				if k {
+					ms.grad[w] = seg[i]
+					w++
+				}
+			}
+		} else {
+			w += copy(ms.grad[w:], seg)
+		}
+		st.grad16 = ms.grad[start:w:w]
+	}
+	ms.grad = ms.grad[:w]
 }
 
 // GradualPruner drives a prune.Schedule over a live ModelState. Call

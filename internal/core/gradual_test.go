@@ -33,17 +33,12 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 	fp := ms.Fingerprint()
 
 	heads := make(map[*paramState]*float32)
-	slabHeads := make([]*float32, len(ms.reduceBufs))
 	for _, st := range gp.targets {
 		if st.compressed {
 			heads[st] = &st.theta32[0]
 		}
 	}
-	for bi, buf := range ms.reduceBufs {
-		if len(buf) > 0 {
-			slabHeads[bi] = &buf[0]
-		}
-	}
+	slabHead := &ms.grad[0]
 
 	nnzOf := func(st *paramState) int {
 		if st.ix != nil {
@@ -94,10 +89,8 @@ func TestGradualPruneNNZMonotoneAndInPlace(t *testing.T) {
 				}
 			}
 		}
-		for bi, buf := range ms.reduceBufs {
-			if slabHeads[bi] != nil && len(buf) > 0 && &buf[0] != slabHeads[bi] {
-				t.Fatalf("step %d: bucket %d slab reallocated", step, bi)
-			}
+		if &ms.grad[0] != slabHead {
+			t.Fatalf("step %d: ∇θ16 slab reallocated", step)
 		}
 		if got := ms.Fingerprint(); got != fp {
 			t.Fatalf("step %d: fingerprint changed %x -> %x across a prune event", step, fp, got)

@@ -66,23 +66,17 @@ type ModelState struct {
 	steps    int
 	skipped  int
 
-	// Steady-state scratch, built once so Step/ReduceBuffers/GradHook do
-	// not allocate per call.
+	// Steady-state scratch, built once so Step/GradHook do not allocate per
+	// call.
 	hook        nn.GradHook
 	layerParams map[nn.Layer][]*nn.Param
-	reduceBufs  [][]float32
-	clipBufs    [][]float32
 	upscale     upscaleJob
 
-	// Bucketed all-reduce plan (see buckets.go). Every paramState.grad16
-	// aliases a segment of exactly one bucket slab; the slabs, in backward
-	// order, ARE the reduce payload. bucketMembers records each bucket's
-	// member parameters in packing order — membership is FIXED at plan
-	// time; a prune event compacts segments inside their slab (see
-	// compactBuckets) rather than re-planning.
-	buckets       []ReduceBucket
-	bucketMembers [][]*paramState
-	readyAt       []int // readyAt[l] = #buckets final once layer l's backward is done
+	// grad is the ∇θ16 slab: every paramState.grad16 aliases one segment of
+	// it, back to back in state (Params) order, so gradient capture writes
+	// straight into the data-parallel reduce payload. A prune event slides
+	// the segments left inside it (compactGrad); it is never reallocated.
+	grad []float32
 }
 
 // NewModelState builds the state manager. For SAMO mode, pr must hold the
@@ -99,11 +93,16 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 		shapes:  shapesOf(model, mode, pr),
 		byParam: make(map[*nn.Param]*paramState),
 	}
+	total := 0
 	for _, sh := range ms.shapes {
-		// grad16 is not allocated here: planBuckets aliases it into the
-		// bucket slabs below, so the reduce payload is contiguous per bucket.
+		total += sh.stored()
+	}
+	ms.grad = make([]float32, total)
+	off := 0
+	for _, sh := range ms.shapes {
 		n := sh.stored()
-		st := &paramState{shape: sh, theta32: make([]float32, n)}
+		st := &paramState{shape: sh, theta32: make([]float32, n), grad16: ms.grad[off : off+n : off+n]}
+		off += n
 		sh.gather(st.theta32)
 		ms.states = append(ms.states, st)
 		ms.byParam[sh.p] = st
@@ -118,8 +117,6 @@ func NewModelState(model *nn.Model, opt optim.Optimizer, mode Mode, pr *prune.Re
 			st.capture(st.grad16)
 		}
 	}}
-	ms.clipBufs = make([][]float32, len(ms.states))
-	ms.planBuckets(DefaultReduceBucketElems)
 	return ms
 }
 
@@ -167,34 +164,34 @@ func (ms *ModelState) LossScale() float32 { return float32(ms.Scaler.Scale) }
 // parameter list, so fetching and running it allocates nothing.
 func (ms *ModelState) GradHook() nn.GradHook { return ms.hook }
 
-// ReduceBuffers exposes the captured fp16 gradient payload for data-parallel
-// all-reduce, one buffer per size-bounded bucket in backward order (the order
-// gradients become final — see planBuckets). Under SAMO these hold the
-// compressed vectors — the paper's collective-communication optimization:
-// message size drops from 2φ to 2fφ bytes with no extra copies. Both the
-// serial-barrier and the overlapped reduce paths consume exactly this list
-// in exactly this order, which is what makes them bitwise-identical. The
-// returned slice is owned by the state and reused across calls (do not
-// modify its structure).
-func (ms *ModelState) ReduceBuffers() [][]float32 { return ms.reduceBufs }
+// ReduceBuffer exposes the captured fp16 gradient payload for the
+// data-parallel all-reduce: the ∇θ16 slab, every parameter's segment back to
+// back in state order. Under SAMO it holds the compressed vectors — the
+// paper's collective-communication optimization: message size drops from 2φ
+// to 2fφ bytes with no gather copy. The slice is owned by the state; a prune
+// event shortens it, so fetch it again after one.
+func (ms *ModelState) ReduceBuffer() []float32 { return ms.grad }
+
+// ReduceBucket is a view of the all-reduce payload, kept for callers that
+// walk ReduceBuckets.
+type ReduceBucket struct {
+	Data []float32
+}
+
+// ReduceBuckets returns the payload as a one-entry list: the whole
+// ReduceBuffer slab.
+func (ms *ModelState) ReduceBuckets() []ReduceBucket { return []ReduceBucket{{Data: ms.grad}} }
 
 // Overflow scans the captured fp16 gradients for Inf/NaN — the per-step
-// overflow check behind dynamic loss scaling. It walks the bucket slabs,
-// which hold every ∇θ16 vector back to back, so the scan is a few long
-// sweeps chunked on the worker pool with an atomic early exit
+// overflow check behind dynamic loss scaling. It walks the ∇θ16 slab, which
+// holds every gradient vector back to back, so the scan is one long sweep
+// chunked on the worker pool with an atomic early exit
 // (tensor.HasNonFiniteSlice) rather than one call per parameter; it
 // allocates nothing, preserving the fp16 train-step zero-alloc contract. In
 // distributed training every rank must agree on the verdict (or their loss
 // scales and parameters diverge), so the engine reduces this flag globally
 // before calling StepGiven.
-func (ms *ModelState) Overflow() bool {
-	for _, slab := range ms.reduceBufs {
-		if tensor.HasNonFiniteSlice(slab) {
-			return true
-		}
-	}
-	return false
-}
+func (ms *ModelState) Overflow() bool { return tensor.HasNonFiniteSlice(ms.grad) }
 
 // Step runs the mixed-precision optimizer step (§III-C):
 //
@@ -219,8 +216,8 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 // as every other host's path; the SAMO scatter and gather are Go loops
 // everywhere:
 //
-//   - up-scale in place: ∇θ16[i] ·= 1/scale, slab by slab;
-//   - optional global-norm clip over those values in state order (serial:
+//   - up-scale in place: ∇θ16[i] ·= 1/scale, over the slab;
+//   - optional global-norm clip over the slab, which is state order (serial:
 //     its summation order is a numerics contract);
 //   - per parameter, the optimizer on θ32 and its up-scaled ∇θ16 segment,
 //     then the down-cast (shape.expand): dense parameters round θ32 into
@@ -228,31 +225,21 @@ func (ms *ModelState) Step() bool { return ms.StepGiven(ms.Overflow()) }
 //     coordinates, with no compressed half copy in between and no zero-fill
 //     of the dense tensor. The same chunk that rounds zeroes the ∇θ16
 //     segment, so the next capture starts from zero (a skipped step zeroes
-//     the bucket slabs instead).
+//     the slab instead).
 func (ms *ModelState) StepGiven(overflow bool) bool {
 	// Snapshot the scale the in-flight gradients were produced under:
 	// Scaler.Update may grow it for the NEXT step.
 	scaleUsed := ms.Scaler.Scale
 	if !ms.Scaler.Update(overflow) {
 		ms.skipped++
-		for _, slab := range ms.reduceBufs {
-			clear(slab)
-		}
+		clear(ms.grad)
 		return false
 	}
 	ms.upscale.inv = float32(1 / scaleUsed)
-	for _, slab := range ms.reduceBufs {
-		ms.upscale.grad = slab
-		parallel.Run(len(slab), parallel.StreamGrain, &ms.upscale, upscaleChunk)
-	}
+	ms.upscale.grad = ms.grad
+	parallel.Run(len(ms.grad), parallel.StreamGrain, &ms.upscale, upscaleChunk)
 	if ms.ClipNorm > 0 {
-		// The norm is a serial float64 sum, so it walks the segments in
-		// state order, not slab order. Aliased per step because a re-plan
-		// or a prune event moves them.
-		for i, st := range ms.states {
-			ms.clipBufs[i] = st.grad16
-		}
-		optim.ClipGradNorm(ms.clipBufs, ms.ClipNorm)
+		optim.ClipGradNorm([][]float32{ms.grad}, ms.ClipNorm)
 	}
 	for _, st := range ms.states {
 		ms.opt.Step(st.p.Name, st.theta32, st.grad16)

@@ -160,18 +160,13 @@ func (m *Model) ForwardArena(a *tensor.Arena, x *tensor.Tensor, train bool, cach
 // compresses ∇θ16 at layer granularity so the whole model's dense gradients
 // never coexist in memory (§III-C). core.ModelState's Capture also leaves
 // the layer's gradient views zero for the next layer, which writes the same
-// bytes, so its hook must run after every layer's backward. LayerDone then
-// fires with the layer's index, signalling that every parameter gradient
-// owned by that layer is final for this backward pass; the engine uses it
-// to launch the layer's bucketed all-reduce while earlier layers are still
-// computing.
+// bytes, so its hook must run after every layer's backward.
 type GradHook struct {
-	Capture   func(layer Layer)
-	LayerDone func(layer int)
+	Capture func(layer Layer)
 }
 
-// Backward runs the reverse pass from the output gradient, invoking the hook
-// callbacks (those that are non-nil) after each layer. Returns the gradient
+// Backward runs the reverse pass from the output gradient, invoking the
+// hook's Capture (when non-nil) after each layer. Returns the gradient
 // w.r.t. the model input.
 func (m *Model) Backward(caches []any, gradOut *tensor.Tensor, hook GradHook) *tensor.Tensor {
 	return m.BackwardArena(nil, caches, gradOut, hook)
@@ -188,9 +183,6 @@ func (m *Model) BackwardArena(a *tensor.Arena, caches []any, gradOut *tensor.Ten
 		g = m.Layers[i].Backward(a, caches[i], g)
 		if hook.Capture != nil {
 			hook.Capture(m.Layers[i])
-		}
-		if hook.LayerDone != nil {
-			hook.LayerDone(i)
 		}
 	}
 	return g

@@ -247,25 +247,13 @@ func TestGradHookFiresPerLayerInReverse(t *testing.T) {
 	y, caches := m.Forward(x, true)
 	_, g := CrossEntropy(y, []int{0, 1})
 	var order []Layer
-	var done []int
-	m.Backward(caches, g, GradHook{
-		Capture:   func(l Layer) { order = append(order, l) },
-		LayerDone: func(i int) { done = append(done, i) },
-	})
+	m.Backward(caches, g, GradHook{Capture: func(l Layer) { order = append(order, l) }})
 	if len(order) != len(m.Layers) {
 		t.Fatalf("hook fired %d times for %d layers", len(order), len(m.Layers))
 	}
 	for i := range order {
 		if order[i] != m.Layers[len(m.Layers)-1-i] {
 			t.Fatalf("hook order not reverse of layer order")
-		}
-	}
-	if len(done) != len(m.Layers) {
-		t.Fatalf("LayerDone fired %d times for %d layers", len(done), len(m.Layers))
-	}
-	for i, l := range done {
-		if l != len(m.Layers)-1-i {
-			t.Fatalf("LayerDone order = %v, want reverse layer indices", done)
 		}
 	}
 }

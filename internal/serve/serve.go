@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/sparse-dl/samo/internal/core"
@@ -106,8 +107,9 @@ type Engine struct {
 	closed bool
 	queue  chan *request
 
-	// Sample-shape contract, fixed by the first admitted request: every
-	// sample must share it, so batch buffers recycle by padded size alone.
+	// Sample-shape contract, fixed by the first batch that succeeds (the
+	// batching loop writes it): every later sample must share it, so batch
+	// buffers recycle by padded size alone.
 	shapeMu sync.Mutex
 	shape   []int
 
@@ -116,6 +118,9 @@ type Engine struct {
 	// Batching-loop state (single goroutine; no locks).
 	batchScratch []*request
 	inBufs       map[int]*tensor.Tensor // padded sample count -> input buffer
+	// next is a request gather took off the queue but left out of its
+	// batch, because its shape differs: it leads the next batch.
+	next *request
 
 	statMu sync.Mutex
 	stats  Stats
@@ -138,12 +143,13 @@ func New(st *core.InferenceState, cfg Config) *Engine {
 
 // Infer submits one sample and blocks until its outputs are ready. x is one
 // sample — for an MLP a (1, features) row, for a GPT model a (seq, 1)
-// token column, for a CNN a (1, c, h, w) image — and every sample the
-// engine ever sees must share one shape (the first request fixes it). The
-// caller must not mutate x until Infer returns; the returned tensor is
-// freshly allocated and owned by the caller, and its bits equal the offline
-// inference forward of x alone (Model.Infer, Inferencer.Forward), whatever
-// batch it rode in. A sample the model panics on fails its whole batch with
+// token column — and every sample must share one shape: the first batch
+// that succeeds fixes it, and from then on a sample of another shape is
+// refused. Until then samples of different shapes ride in different
+// batches, so a malformed first request fails alone. The caller must not
+// mutate x until Infer returns; the returned tensor is freshly allocated and
+// owned by the caller, and its bits equal the offline inference forward of x
+// alone (Model.Infer, Inferencer.Forward), whatever batch it rode in. A sample the model panics on fails its whole batch with
 // a *PanicError; the engine keeps serving.
 func (e *Engine) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x == nil || x.Rank() == 0 || x.Dim(0) < 1 {
@@ -172,21 +178,12 @@ func (e *Engine) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return r.resp, r.err
 }
 
+// checkShape refuses x if it does not match the committed sample shape.
 func (e *Engine) checkShape(x *tensor.Tensor) error {
 	e.shapeMu.Lock()
 	defer e.shapeMu.Unlock()
-	if e.shape == nil {
-		e.shape = append([]int(nil), x.Shape()...)
-		return nil
-	}
-	got := x.Shape()
-	if len(got) != len(e.shape) {
-		return fmt.Errorf("serve: sample shape %v does not match engine shape %v", got, e.shape)
-	}
-	for i, d := range e.shape {
-		if got[i] != d {
-			return fmt.Errorf("serve: sample shape %v does not match engine shape %v", got, e.shape)
-		}
+	if e.shape != nil && !slices.Equal(x.Shape(), e.shape) {
+		return fmt.Errorf("serve: sample shape %v does not match engine shape %v", x.Shape(), e.shape)
 	}
 	return nil
 }
@@ -217,14 +214,23 @@ func (e *Engine) Stats() Stats {
 
 func (e *Engine) loop() {
 	defer close(e.done)
-	for r := range e.queue {
+	for {
+		r := e.next
+		e.next = nil
+		if r == nil {
+			var ok bool
+			if r, ok = <-e.queue; !ok {
+				return
+			}
+		}
 		e.runBatch(e.gather(r))
 	}
 }
 
 // gather assembles one batch: the leading request plus whatever is already
-// queued, up to MaxBatch. It never waits on a clock (see the package
-// comment), but it yields the processor once first, so that callers who are
+// queued, up to MaxBatch, stopping at a request whose shape differs from the
+// leader's (it leads the next batch). It never waits on a clock (see the
+// package comment), but it yields the processor once first, so that callers who are
 // already runnable — in a closed loop, the ones the previous batch just
 // answered — submit before the queue is read and ride in this batch. Without
 // the yield the loop and the one caller that woke it trade the processor
@@ -238,7 +244,12 @@ func (e *Engine) gather(first *request) []*request {
 	// The loop is the queue's only receiver, so a non-empty queue cannot
 	// block the receive (a closed one still yields what it buffered).
 	for len(batch) < e.cfg.MaxBatch && len(e.queue) > 0 {
-		batch = append(batch, <-e.queue)
+		r := <-e.queue
+		if !slices.Equal(r.x.Shape(), first.x.Shape()) {
+			e.next = r
+			break
+		}
+		batch = append(batch, r)
 	}
 	e.batchScratch = batch
 	return batch
@@ -255,8 +266,14 @@ func ceilPow2(n int) int {
 // runBatch pads the gathered samples to their power-of-two bucket
 // (replicating the last sample, so padding rows exercise the exact kernels
 // real rows do), runs one windowed inference forward, and slices each
-// request's rows out of the batch output into its own response tensor.
+// request's rows out of the batch output into its own response tensor. The
+// first batch that succeeds commits its sample shape; a batch admitted
+// before that under another shape is then refused.
 func (e *Engine) runBatch(batch []*request) {
+	if err := e.checkShape(batch[0].x); err != nil {
+		e.fail(batch, err)
+		return
+	}
 	k := len(batch)
 	kPad := ceilPow2(k)
 	s0 := batch[0].x.Dim(0)
@@ -283,8 +300,20 @@ func (e *Engine) runBatch(batch []*request) {
 	}
 	if err != nil {
 		e.fail(batch, err)
+		// Until a shape is committed, the input buffers may be of this
+		// failed batch's shape.
+		e.shapeMu.Lock()
+		if e.shape == nil {
+			clear(e.inBufs)
+		}
+		e.shapeMu.Unlock()
 		return
 	}
+	e.shapeMu.Lock()
+	if e.shape == nil {
+		e.shape = append([]int(nil), batch[0].x.Shape()...)
+	}
+	e.shapeMu.Unlock()
 	// Counted before answered, so a caller holding its response reads
 	// Stats that include it.
 	e.statMu.Lock()

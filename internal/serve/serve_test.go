@@ -274,9 +274,9 @@ func gated(m *nn.Model) *gate {
 // deterministically: every sample rides in batches of 1, 2, 3 (padded to 4),
 // 4, 5 (padded to 8) and 8 — so through every bucket — and each response
 // equals the single-sample offline forward bit for bit. MLP (1,f) rows reach
-// the m ∈ {1,2,3} products that used to take a different kernel; the CNN
-// covers the A·Bᵀ products and both small-shape kernels; the Sparsify'd MLP
-// covers the CSR kernels at 30%, 50% and 90% sparsity.
+// the m ∈ {1,2,3} products that used to take a different kernel; the GPT
+// covers attention's A·Bᵀ products; the Sparsify'd MLP covers the CSR
+// kernels at 30%, 50% and 90% sparsity.
 func TestServeBucketInvariant(t *testing.T) {
 	type fixture func(*testing.T, *tensor.RNG) (*nn.Model, []*tensor.Tensor)
 	sparsified := func(sparsity float64) fixture {
@@ -459,8 +459,8 @@ func TestServeCloseDrains(t *testing.T) {
 }
 
 // TestServeShapeContract pins the fixed-shape admission rule: the first
-// request fixes the sample shape and later mismatches are rejected up
-// front, as is a nil or empty sample.
+// batch that succeeds fixes the sample shape and later mismatches are
+// rejected up front, as is a nil or empty sample.
 func TestServeShapeContract(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	m := nn.BuildMLP("cmlp", []int{8, 8, 3}, rng)
@@ -485,4 +485,90 @@ func TestServeShapeContract(t *testing.T) {
 	if _, err := e.Infer(x); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestServeMalformedFirstRequest: a malformed first request fails alone and
+// fixes nothing — the sample shape is committed by the first batch that
+// succeeds. Served one at a time, a (1, 17) sample to a 16-feature MLP panics,
+// the (1, 16) samples after it are served with the offline bits, and only
+// then is (1, 17) refused as a shape mismatch. Queued together behind a
+// parked forward, samples of different shapes ride in different batches.
+func TestServeMalformedFirstRequest(t *testing.T) {
+	rng := tensor.NewRNG(47)
+	m := nn.BuildMLP("fmlp", []int{16, 8, 3}, rng)
+	st := newInferenceState(m)
+	good := normalSamples(rng, 2, 1, 16)
+	refs := offlineRefs(m, good)
+	bad := tensor.New(1, 17)
+	var pe *PanicError
+
+	t.Run("sequential", func(t *testing.T) {
+		e := New(st, Config{MaxBatch: 4})
+		defer e.Close()
+		if _, err := e.Infer(bad); !errors.As(err, &pe) {
+			t.Fatalf("malformed first sample returned %v, want a *PanicError", err)
+		}
+		got := make([][]float32, len(good))
+		for i, x := range good {
+			y, err := e.Infer(x)
+			if err != nil {
+				t.Fatalf("well-formed sample %d after a malformed first one: %v", i, err)
+			}
+			got[i] = y.Data()
+		}
+		assertBitwise(t, refs, got)
+		if _, err := e.Infer(bad); err == nil || errors.As(err, &pe) {
+			t.Fatalf("malformed sample after a served batch returned %v, want a shape refusal", err)
+		}
+	})
+
+	t.Run("queued", func(t *testing.T) {
+		g := gated(m)
+		defer func() { m.Layers = m.Layers[1:] }()
+		e := New(st, Config{MaxBatch: 4})
+		defer e.Close()
+		release := sync.OnceFunc(func() { close(g.release) })
+		defer release() // before Close, should a check fail with the loop parked
+		errs := make([]chan error, 3)
+		var served []float32
+		submit := func(i int, x *tensor.Tensor) {
+			errs[i] = make(chan error, 1)
+			go func() {
+				y, err := e.Infer(x)
+				if err == nil {
+					served = y.Data()
+				}
+				errs[i] <- err
+			}()
+		}
+		waitQueued := func(n int) {
+			deadline := time.Now().Add(10 * time.Second)
+			for len(e.queue) < n {
+				if time.Now().After(deadline) {
+					t.Fatalf("queue holds %d requests, want %d", len(e.queue), n)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		submit(0, bad) // parks the loop in its forward
+		<-g.entered
+		submit(1, good[0])
+		waitQueued(1)
+		submit(2, bad)
+		waitQueued(2)
+		release()
+		if err := <-errs[0]; !errors.As(err, &pe) {
+			t.Fatalf("malformed first sample returned %v, want a *PanicError", err)
+		}
+		if err := <-errs[1]; err != nil {
+			t.Fatalf("well-formed sample queued behind it: %v", err)
+		}
+		assertBitwise(t, refs[:1], [][]float32{served})
+		if err := <-errs[2]; err == nil || errors.As(err, &pe) {
+			t.Fatalf("malformed sample queued after the well-formed one returned %v, want a shape refusal", err)
+		}
+		if s := e.Stats(); s.Requests != 1 || s.Batches != 1 || s.Failed != 2 {
+			t.Fatalf("stats %+v; want 1 request in 1 batch and 2 failed", s)
+		}
+	})
 }

@@ -3,7 +3,6 @@ package simulate
 import (
 	"fmt"
 
-	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/hw"
 )
 
@@ -80,29 +79,9 @@ type Result struct {
 	Feasible     bool
 }
 
-// Options tunes the schedule model beyond the paper's defaults.
-type Options struct {
-	// OverlapReduce models the engine's bucketed, backward-overlapped
-	// data-parallel all-reduce (Config.OverlapReduce): the gradient
-	// collective streams behind the final microbatch's backward compute,
-	// so only the non-hidden remainder stays on the critical path. The
-	// exposed time is max(tColl − tBwd, tColl/B): the last of the B buckets
-	// launches only when backward finishes, so at least one bucket's worth
-	// of wire time can never be hidden.
-	OverlapReduce bool
-	// ReduceBucketElems overrides core.DefaultReduceBucketElems for the
-	// bucket-count estimate when positive.
-	ReduceBucketElems int
-}
-
 // Run simulates one training iteration. sparsity applies to MethodSAMO and
 // MethodSputnik (the paper prunes to 0.9 everywhere).
 func Run(method Method, j Job, m hw.Machine, gpus int, sparsity float64) Result {
-	return RunWithOptions(method, j, m, gpus, sparsity, Options{})
-}
-
-// RunWithOptions is Run with schedule-model options.
-func RunWithOptions(method Method, j Job, m hw.Machine, gpus int, sparsity float64, opts Options) Result {
 	r := Result{Method: method, Job: j.Name, GPUs: gpus}
 	plan := planWithOverhead(method, j, m, gpus, sparsity)
 	if !plan.Feasible {
@@ -170,26 +149,6 @@ func RunWithOptions(method Method, j Job, m hw.Machine, gpus int, sparsity float
 	spanNodes := gpus > m.GPUsPerNode
 	hierarchical := shards == 1 // pure DP: whole nodes in one group
 	tColl := allReduce(m, gradBytes, plan.Gdata, spanNodes, hierarchical)
-
-	if opts.OverlapReduce && tColl > 0 {
-		// Only the gradient reduce overlaps (the engine launches it from
-		// the backward hook); DeepSpeed-3D's extra collectives below stay
-		// serial. The hidable window is the final microbatch's backward.
-		bucketElems := opts.ReduceBucketElems
-		if bucketElems <= 0 {
-			bucketElems = core.DefaultReduceBucketElems
-		}
-		bucketBytes := int64(2 * bucketElems) // fp16 payload
-		buckets := (gradBytes + bucketBytes - 1) / bucketBytes
-		if buckets < 1 {
-			buckets = 1
-		}
-		exposed := tColl - tb
-		if floor := tColl / float64(buckets); exposed < floor {
-			exposed = floor
-		}
-		tColl = exposed
-	}
 
 	if method == MethodDeepSpeed3D {
 		// ZeRO-1: all-gather updated fp16 parameters across the data group.

@@ -1,9 +1,6 @@
 package simulate
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/hw"
@@ -265,126 +262,6 @@ func TestSparsitySensitivity(t *testing.T) {
 	if s90.BatchTime > s80.BatchTime*1.02 {
 		t.Errorf("90%% sparsity (%.3fs) should be at least as fast as 80%% (%.3fs)",
 			s90.BatchTime, s80.BatchTime)
-	}
-}
-
-func TestOverlapReduceModelInvariants(t *testing.T) {
-	// The overlap-aware schedule model must (a) never be slower than the
-	// serial schedule, (b) never hide more than the backward window allows —
-	// at least one bucket's wire time stays exposed, and (c) change nothing
-	// but the collective term.
-	m := summit()
-	for _, j := range StandardJobs() {
-		for _, meth := range []Method{MethodAxoNN, MethodSAMO} {
-			for g := j.MinGPUs; g <= j.MaxGPUs; g *= 2 {
-				serial := Run(meth, j, m, g, 0.9)
-				over := RunWithOptions(meth, j, m, g, 0.9, Options{OverlapReduce: true})
-				if !serial.Feasible {
-					continue
-				}
-				if over.BatchTime > serial.BatchTime {
-					t.Errorf("%s/%s G=%d: overlap %.4fs slower than serial %.4fs",
-						j.Name, meth, g, over.BatchTime, serial.BatchTime)
-				}
-				if over.Collective > serial.Collective {
-					t.Errorf("%s/%s G=%d: overlap exposed collective %.4fs exceeds serial %.4fs",
-						j.Name, meth, g, over.Collective, serial.Collective)
-				}
-				if serial.Collective > 0 && over.Collective <= 0 {
-					t.Errorf("%s/%s G=%d: overlap cannot hide the entire collective (last bucket launches at backward end)",
-						j.Name, meth, g)
-				}
-				if over.Compute != serial.Compute || over.P2P != serial.P2P ||
-					over.Bubble != serial.Bubble || over.Other != serial.Other {
-					t.Errorf("%s/%s G=%d: overlap must only change the collective term", j.Name, meth, g)
-				}
-				if delta := serial.BatchTime - over.BatchTime; math.Abs(delta-(serial.Collective-over.Collective)) > 1e-12 {
-					t.Errorf("%s/%s G=%d: batch-time saving %.6g != collective saving %.6g",
-						j.Name, meth, g, delta, serial.Collective-over.Collective)
-				}
-			}
-		}
-	}
-}
-
-func TestOverlapReduceBucketSizeMonotonic(t *testing.T) {
-	// Smaller buckets lower the un-hidable floor (tColl/B), so exposure is
-	// non-increasing as the bucket bound shrinks; with one giant bucket
-	// nothing can pipeline and exposure equals the serial collective.
-	m := summit()
-	j := job27B()
-	serial := Run(MethodSAMO, j, m, 512, 0.9)
-	one := RunWithOptions(MethodSAMO, j, m, 512, 0.9, Options{OverlapReduce: true, ReduceBucketElems: 1 << 40})
-	if one.Collective != serial.Collective {
-		t.Errorf("single-bucket overlap exposed %.4fs, want serial %.4fs", one.Collective, serial.Collective)
-	}
-	prev := math.Inf(1)
-	for _, elems := range []int{1 << 24, 1 << 20, 1 << 16, 1 << 12} {
-		r := RunWithOptions(MethodSAMO, j, m, 512, 0.9, Options{OverlapReduce: true, ReduceBucketElems: elems})
-		if r.Collective > prev {
-			t.Errorf("bucket %d elems: exposure %.4fs rose above %.4fs", elems, r.Collective, prev)
-		}
-		prev = r.Collective
-	}
-}
-
-func TestOverlapNoCollectiveNoChange(t *testing.T) {
-	// Gdata == 1 has no data-parallel reduce: overlap must be a strict no-op.
-	m := summit()
-	j := job27B()
-	serial := Run(MethodAxoNN, j, m, 8, 0.9)
-	if !serial.Feasible || serial.Plan.Gdata != 1 {
-		t.Skipf("need a Gdata=1 plan, got Gdata=%d feasible=%v", serial.Plan.Gdata, serial.Feasible)
-	}
-	over := RunWithOptions(MethodAxoNN, j, m, 8, 0.9, Options{OverlapReduce: true})
-	if over.BatchTime != serial.BatchTime || over.Collective != serial.Collective {
-		t.Error("overlap with Gdata=1 must be bitwise-identical to serial")
-	}
-}
-
-func TestOverlapModelAgainstMeasuredBench(t *testing.T) {
-	// Validate the cost model against the measured overlap matrix in
-	// BENCH_comm.json (written by scripts/bench.sh). The model must agree
-	// directionally: it predicts overlap never loses, so a measured step-time
-	// speedup catastrophically below parity would falsify the model. The gate
-	// is deliberately loose — the CI box is often a single hardware thread,
-	// where overlap cannot win and scheduler noise dominates.
-	raw, err := os.ReadFile("../../BENCH_comm.json")
-	if err != nil {
-		t.Skip("BENCH_comm.json not present; run scripts/bench.sh")
-	}
-	var doc struct {
-		CPUs    int                `json:"cpus"`
-		Overlap map[string]float64 `json:"overlap_step_speedup"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("BENCH_comm.json: %v", err)
-	}
-	if len(doc.Overlap) == 0 {
-		t.Skip("no overlap_step_speedup matrix; regenerate with scripts/bench.sh")
-	}
-	m := summit()
-	j := job27B()
-	serial := Run(MethodSAMO, j, m, 512, 0.9)
-	over := RunWithOptions(MethodSAMO, j, m, 512, 0.9, Options{OverlapReduce: true})
-	model := serial.BatchTime / over.BatchTime
-	if model < 1 {
-		t.Fatalf("model predicts overlap slowdown %.3f; contradicts schedule invariant", model)
-	}
-	for name, sp := range doc.Overlap {
-		if sp <= 0 || math.IsNaN(sp) || math.IsInf(sp, 0) {
-			t.Errorf("measured overlap speedup %q = %v is not a positive finite ratio", name, sp)
-			continue
-		}
-		floor := 0.85
-		if doc.CPUs <= 1 {
-			floor = 0.5 // no parallelism: overlap is pure overhead + noise
-		}
-		if sp < floor {
-			t.Errorf("measured overlap speedup %q = %.3f below floor %.2f (model predicts %.3f)",
-				name, sp, floor, model)
-		}
-		t.Logf("overlap %s: measured %.3fx, model (SAMO 2.7B @512) %.3fx", name, sp, model)
 	}
 }
 

@@ -49,7 +49,7 @@
 // training, not just in storage: Sparsify stores the weight of every pruned
 // Linear as a CSR of that same (in, out) matrix (nn.Param.CSR), its
 // nonzeros in ascending id order — the order of SAMO's index over the
-// weight, and so of θ32, ∇θ16, the optimizer states, the reduce buckets and
+// weight, and so of θ32, ∇θ16, the optimizer states, the reduce slab and
 // the checkpoint's pattern ids. The forward pass walks the CSR's rows in
 // place (yᵀ[c] += W[j,c]·xᵀ[j] in ascending j, the chain a stored transpose
 // would sum, with no transpose stored), the input gradient is a
@@ -186,35 +186,19 @@
 // (NetConfig{Peers, Proc, DialTimeout}) or samo-train's
 // -transport tcp -peers host:port,host:port -proc N flags.
 //
-// # Overlapped communication
+// # Data-parallel reduce
 //
-// The data-parallel gradient all-reduce can run BEHIND the backward pass
-// instead of as a barrier after it. Gradients are laid out in size-bounded
-// buckets packed in backward order (core.ReduceBuckets): each parameter's
-// ∇θ16 aliases a segment of exactly one contiguous slab, so gradient
-// capture writes straight into the reduce payload, and the engine —
-// via a per-layer completion hook on the backward pass — launches bucket
-// i's all-reduce on an async lane (comm.AllReduceHalfAsync and a per-rank
-// serial worker goroutine) the moment the final microbatch's backward
-// crosses the bucket's lowest layer, while earlier layers are still
-// computing. The engine drains every in-flight handle before the
-// end-of-batch consensus, so the fabric's FIFO matching and fault
-// protocol are untouched.
-//
-// The determinism contract survives: the bucket plan is a pure function
-// of model structure and the size bound, both the overlapped and the
-// serial path consume the identical plan-ordered buffer list, and the
-// async lane executes launches serially in order — so overlap-on vs
-// overlap-off is bitwise-identical, at every worker count, on both
-// transports, under fault injection (pinned by a worker-sweep suite and a
-// crash-mid-overlapped-reduce recovery golden). Enable it with
-// ParallelConfig.OverlapReduce (samo-train -overlap); per-collective
-// exposed wall time — full duration for synchronous calls, only the
-// un-hidden blocking tail for overlapped ones — is tracked per rank and
-// surfaced via the fabric's stats and samo-train's final report, and
-// scripts/bench.sh records the serial-vs-overlapped step-time matrix in
-// BENCH_comm.json (overlap_step_speedup; the simulator's overlap-aware
-// cost model, simulate.RunWithOptions, is validated against it).
+// Every parameter's ∇θ16 is a segment of one contiguous slab per stage, in
+// state order (core.ModelState.ReduceBuffer), so gradient capture writes
+// straight into the reduce payload. After the shard's last backward each
+// stage all-reduces that slab in one AllReduceHalf call — at two bytes per
+// element for groups of 2 or 3 — and then the overflow flag. Each reduce
+// returns the serial data-group-ordered sum, so the bits are a function of
+// the data alone. The reduce does not overlap backward: on the
+// benchmark's hybrid and dp2 workloads a bucketed, overlapped reduce
+// measured no faster. ParallelConfig.OverlapReduce is accepted and ignored.
+// Every collective's wall time counts as exposed, per rank, in the fabric's
+// stats and samo-train's final report.
 //
 // # Pruning schedules
 //
@@ -226,18 +210,18 @@
 // until the final sparsity is reached, letting the network adapt between
 // events. The defining property of the implementation is that every event
 // shrinks the existing storage IN PLACE: CSR patterns, the compressed θ32
-// vectors, optimizer moments and the bucketed all-reduce slabs all compact
+// vectors, optimizer moments and the ∇θ16 all-reduce slab all compact
 // leftward inside their original backing arrays, so NNZ only ever
 // decreases, memory and communication volume ratchet down with the
 // schedule, and training between events stays allocation-free. Selection
 // reads the θ32 master weights after the global overflow consensus, where
 // every data-parallel replica is bitwise-identical — so all replicas (and the
 // masked-dense reference mode) shrink to the exact same pattern with no extra
-// communication, at any worker count, on either transport, with overlap on or
-// off. Every parameter has one of four storage shapes — dense, masked-dense,
-// SAMO-compressed or a CSR weight's values — and
-// internal/core/shape.go is the one file that knows them, so a new weight
-// format touches that file rather than the state, pruner and snapshot code.
+// communication, at any worker count, on either transport. Every parameter
+// has one of four storage shapes — dense, masked-dense, SAMO-compressed or a
+// CSR weight's values — and internal/core/shape.go is the one file that
+// knows them, so a new weight format touches that file rather than the
+// state, pruner and snapshot code.
 // Checkpoints carry their pattern: one written after an event loads only
 // into states whose pattern it is a subset of (shrinking them on load),
 // and crash recovery around a prune event is bitwise-identical to an

@@ -313,59 +313,6 @@ if bad:
 EOF
 rm -f "$COMM_TMP"
 
-echo "running overlap step benchmarks (serial vs overlapped reduce)..." >&2
-# Serial-barrier vs backward-overlapped bucket reduce, full engine step, on
-# both transports. Merged into BENCH_comm.json as overlap_step_speedup.
-# Warn-only (MIN_OVERLAP_SPEEDUP, default 1.0): on a single hardware thread
-# the async lane has no spare core to overlap onto, so the ratio measures
-# goroutine-scheduler overhead, not the communication schedule; even on
-# multi-core boxes step time is engine-dominated at this tiny model size, so
-# the gate flags a pathological async lane rather than enforcing a win.
-MIN_OVERLAP_SPEEDUP="${MIN_OVERLAP_SPEEDUP:-1.0}"
-OVERLAP_TMP="$(mktemp)"
-go test -run '^$' -bench 'BenchmarkOverlapStep' -benchmem \
-    -benchtime="$BENCHTIME" ./internal/axonn/ | tee "$OVERLAP_TMP" >&2
-
-python3 - "$OVERLAP_TMP" "$COMM_OUT" "$MIN_OVERLAP_SPEEDUP" <<'EOF'
-import json, os, re, sys
-
-lines = open(sys.argv[1]).read().splitlines()
-min_speedup = float(sys.argv[3])
-results = {}
-for ln in lines:
-    m = re.match(r"^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op", ln)
-    if not m:
-        continue
-    name = re.sub(r"-\d+$", "", m.group(1))
-    entry = {"iters": int(m.group(2)), "ns_per_op": float(m.group(3))}
-    for val, unit in re.findall(r"([\d.]+) (B/op|allocs/op)", ln):
-        entry[unit.replace("/", "_per_")] = float(val)
-    if name not in results or entry["ns_per_op"] < results[name]["ns_per_op"]:
-        results[name] = entry
-
-speedup = {}
-for transport in ("local", "tcp"):
-    serial = results.get("BenchmarkOverlapStep/%s/serial" % transport)
-    overlap = results.get("BenchmarkOverlapStep/%s/overlap" % transport)
-    if serial and overlap:
-        speedup[transport] = round(serial["ns_per_op"] / overlap["ns_per_op"], 3)
-
-doc = json.load(open(sys.argv[2]))
-doc["overlap_step_speedup"] = speedup
-doc["benchmarks"].update(results)
-doc["benchmarks"] = dict(sorted(doc["benchmarks"].items()))
-json.dump(doc, open(sys.argv[2], "w"), indent=2)
-print("merged overlap matrix into", sys.argv[2], speedup)
-
-bad = ["%s: overlapped step %.3fx vs serial, floor %.2fx" % (k, v, min_speedup)
-       for k, v in sorted(speedup.items()) if v < min_speedup]
-if bad:
-    reason = ("single CPU — nothing to overlap onto"
-              if (os.cpu_count() or 1) <= 1 else "warn-only gate")
-    print("WARNING (not gating, %s):\n  " % reason + "\n  ".join(bad))
-EOF
-rm -f "$OVERLAP_TMP"
-
 echo "running serving smoke + load test..." >&2
 SERVE_OUT="BENCH_serving.json"
 MAX_SERVE_P99_MS="${MAX_SERVE_P99_MS:-25}"
