@@ -187,10 +187,9 @@ func attnForwardChunk(ctx any, lo, hi int) {
 					maxv = s
 				}
 			}
+			tensor.ExpShifted(row[:i+1], maxv)
 			var sum float64
-			for j := 0; j <= i; j++ {
-				e := float32(math.Exp(float64(row[j] - maxv)))
-				row[j] = e
+			for _, e := range row[:i+1] {
 				sum += float64(e)
 			}
 			inv := float32(1 / sum)

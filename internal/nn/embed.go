@@ -107,6 +107,19 @@ func (e *Embedding) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
+// CheckIDs returns an error unless every element of x is a token id this
+// table holds: an integer in [0, vocab). A forward panics on a NaN or an
+// out-of-vocab id and truncates a fractional one, so a server checks a
+// sample with it before batching the sample with others.
+func (e *Embedding) CheckIDs(x *tensor.Tensor) error {
+	for _, v := range x.Data() {
+		if !(v >= 0 && v < float32(e.vocab) && v == float32(int(v))) {
+			return fmt.Errorf("nn: token id %v is not an integer in [0, %d)", v, e.vocab)
+		}
+	}
+	return nil
+}
+
 // Backward scatter-adds gradients into the embedding tables. The returned
 // input gradient is zero-shaped (token ids are not differentiable) but keeps
 // the pipeline's gradient message chain intact.

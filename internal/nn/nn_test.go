@@ -358,3 +358,32 @@ func TestEvalModeNoCaches(t *testing.T) {
 		}
 	}
 }
+
+// TestAttentionForwardZeroAlloc pins attention allocation-free in steady
+// state — the eval forward (the serving path, whose softmax rows run
+// tensor.ExpShifted) and a training forward + backward — with the arena
+// reset between runs as the engines reset theirs.
+func TestAttentionForwardZeroAlloc(t *testing.T) {
+	const d, heads, seq, batch = 32, 4, 16, 2
+	rng := tensor.NewRNG(17)
+	att := NewCausalSelfAttention("att", d, heads, seq, rng)
+	x := randInput([]int{batch * seq, d}, 3)
+	ar := tensor.NewArena()
+	eval := func() {
+		ar.Reset()
+		att.Forward(ar, x, false)
+	}
+	train := func() {
+		ar.Reset()
+		y, c := att.Forward(ar, x, true)
+		att.Backward(ar, c, y)
+	}
+	for name, f := range map[string]func(){"eval": eval, "train": train} {
+		for i := 0; i < 3; i++ { // warm the arena and the job and cache pools
+			f()
+		}
+		if n := testing.AllocsPerRun(20, f); n != 0 {
+			t.Errorf("attention %s: %.1f allocs per run, want 0", name, n)
+		}
+	}
+}

@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"github.com/sparse-dl/samo/internal/core"
+	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -42,11 +43,17 @@ var (
 	ErrOverloaded = errors.New("serve: admission queue full")
 	// ErrClosed is returned by Infer after Close has begun draining.
 	ErrClosed = errors.New("serve: engine closed")
+	// ErrInvalidSample wraps Infer's refusal of a sample it admits to no
+	// batch: no tensor, a NaN or ±Inf element, or a token id the model's
+	// embedding does not hold.
+	ErrInvalidSample = errors.New("serve: invalid sample")
 )
 
 // PanicError is what every request of a batch gets when the model's forward
-// panicked on it (an out-of-vocabulary token id, say): the batch fails, the
-// engine keeps serving. Value is the recovered panic value.
+// panicked on it (a first sample of the wrong width, say): the batch fails,
+// the engine keeps serving. Value is the recovered panic value. Infer
+// refuses the samples it can tell are bad before they join a batch
+// (ErrInvalidSample), so those fail alone.
 type PanicError struct{ Value any }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("serve: forward panicked: %v", e.Value) }
@@ -102,6 +109,9 @@ type request struct {
 type Engine struct {
 	inf *core.Inferencer
 	cfg Config
+	// tokens is the model's token embedding, whose ids Infer checks; nil
+	// for a model that takes features.
+	tokens *nn.Embedding
 
 	mu     sync.RWMutex // closed/queue lifecycle; RLock on the submit path
 	closed bool
@@ -137,6 +147,12 @@ func New(st *core.InferenceState, cfg Config) *Engine {
 		done:   make(chan struct{}),
 		inBufs: make(map[int]*tensor.Tensor),
 	}
+	for _, l := range st.Model().Layers {
+		if emb, ok := l.(*nn.Embedding); ok {
+			e.tokens = emb
+			break
+		}
+	}
 	go e.loop()
 	return e
 }
@@ -149,14 +165,25 @@ func New(st *core.InferenceState, cfg Config) *Engine {
 // batches, so a malformed first request fails alone. The caller must not
 // mutate x until Infer returns; the returned tensor is freshly allocated and
 // owned by the caller, and its bits equal the offline inference forward of x
-// alone (Model.Infer, Inferencer.Forward), whatever batch it rode in. A sample the model panics on fails its whole batch with
-// a *PanicError; the engine keeps serving.
+// alone (Model.Infer, Inferencer.Forward), whatever batch it rode in.
+// A sample holding a NaN or ±Inf, or, for a token model, an element that is
+// not an id of its embedding, is refused before it joins a batch
+// (ErrInvalidSample). A sample the model still panics on fails its whole
+// batch with a *PanicError; the engine keeps serving.
 func (e *Engine) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if x == nil || x.Rank() == 0 || x.Dim(0) < 1 {
-		return nil, fmt.Errorf("serve: invalid sample tensor")
+		return nil, fmt.Errorf("%w: no sample tensor", ErrInvalidSample)
 	}
 	if err := e.checkShape(x); err != nil {
 		return nil, err
+	}
+	if tensor.HasNonFiniteSlice(x.Data()) {
+		return nil, fmt.Errorf("%w: NaN or ±Inf element", ErrInvalidSample)
+	}
+	if e.tokens != nil {
+		if err := e.tokens.CheckIDs(x); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidSample, err)
+		}
 	}
 	r := &request{x: x, done: make(chan struct{})}
 	e.mu.RLock()

@@ -329,20 +329,42 @@ func TestServeArenaBytesBounded(t *testing.T) {
 	t.Logf("bucket 8 alone %d bytes, every bucket %d (%.2fx)", top, all, float64(all)/float64(top))
 }
 
-// TestServePanicIsolated: a sample the model panics on (a token id outside
-// the vocabulary) fails its own request with a *PanicError and nothing else —
-// requests before and after it are answered with the right bits.
+// poison is a pass-through first layer that panics on any sample whose
+// first token is id: a forward defect on an input admission accepts.
+type poison struct{ id float32 }
+
+func (p poison) Forward(_ *tensor.Arena, x *tensor.Tensor, _ bool) (*tensor.Tensor, any) {
+	for i := 0; i < x.Len(); i += 6 { // tinyGPT's samples are 6 tokens
+		if x.Data()[i] == p.id {
+			panic(fmt.Sprintf("poison: sample starts with token %v", p.id))
+		}
+	}
+	return x, nil
+}
+
+func (poison) Backward(*tensor.Arena, any, *tensor.Tensor) *tensor.Tensor {
+	panic("poison: forward-only")
+}
+
+func (poison) Params() []*nn.Param { return nil }
+
+// TestServePanicIsolated: a sample the model panics on (one that starts
+// with a token a poisoned first layer rejects; admission cannot see it, as it
+// sees a NaN or an out-of-vocab id) fails its own request with a *PanicError
+// and nothing else — requests before and after it are answered with the
+// right bits.
 func TestServePanicIsolated(t *testing.T) {
 	m, good := tinyGPT(tensor.NewRNG(53), 6)
 	st := newInferenceState(m)
 	refs := offlineRefs(m, good)
+	m.Layers = append([]nn.Layer{poison{19}}, m.Layers...) // no good sample starts with 19
 	e := New(st, Config{MaxBatch: 4})
 	defer e.Close()
 
 	got := make([][]float32, len(good))
 	for i, x := range good {
 		if i == len(good)/2 {
-			_, err := e.Infer(nn.TokensToTensor([]int{0, 1, 99, 3, 4, 5}))
+			_, err := e.Infer(nn.TokensToTensor([]int{19, 1, 2, 3, 4, 5}))
 			var pe *PanicError
 			if !errors.As(err, &pe) || pe.Value == nil {
 				t.Fatalf("poisoned sample returned %v, want a *PanicError carrying the panic value", err)
@@ -571,4 +593,75 @@ func TestServeMalformedFirstRequest(t *testing.T) {
 			t.Fatalf("stats %+v; want 1 request in 1 batch and 2 failed", s)
 		}
 	})
+}
+
+// TestServeBadSampleFailsAlone: a sample the model would panic on or read
+// wrong — a NaN token id, an id out of vocab, a fractional id, a ±Inf
+// feature — is refused at admission with ErrInvalidSample, so it never
+// joins a batch. Queued while the loop is parked in a forward, each bad
+// request fails alone and at once, and the well-formed requests queued
+// around it ride the next batch together and are answered with the offline
+// bits.
+func TestServeBadSampleFailsAlone(t *testing.T) {
+	rng := tensor.NewRNG(53)
+	m, good := tinyGPT(rng, 4)
+	st := newInferenceState(m)
+	refs := offlineRefs(m, good)
+	badIDs := func(v float32) *tensor.Tensor {
+		x := good[0].Clone()
+		x.Data()[3] = v
+		return x
+	}
+	bads := []*tensor.Tensor{badIDs(float32(math.NaN())), badIDs(20), badIDs(-1), badIDs(2.5), badIDs(float32(math.Inf(1)))}
+
+	g := gated(m)
+	defer func() { m.Layers = m.Layers[1:] }()
+	e := New(st, Config{MaxBatch: 8}) // the five batch-mates ride one batch
+	defer e.Close()
+	release := sync.OnceFunc(func() { close(g.release) })
+	defer release()
+	type result struct {
+		y   *tensor.Tensor
+		err error
+	}
+	submit := func(x *tensor.Tensor) chan result {
+		c := make(chan result, 1)
+		go func() {
+			y, err := e.Infer(x)
+			c <- result{y, err}
+		}()
+		return c
+	}
+	first := submit(good[0]) // parks the loop in its forward
+	<-g.entered
+	var mates []chan result
+	for i, x := range bads {
+		mates = append(mates, submit(good[1+i%3]))
+		if r := <-submit(x); !errors.Is(r.err, ErrInvalidSample) {
+			t.Fatalf("bad sample %d (%v) returned %v, want ErrInvalidSample", i, x.Data(), r.err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(e.queue) < len(mates) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d requests, want %d", len(e.queue), len(mates))
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	release()
+	if r := <-first; r.err != nil {
+		t.Fatalf("first sample: %v", r.err)
+	} else {
+		assertBitwise(t, refs[:1], [][]float32{r.y.Data()})
+	}
+	for i, c := range mates {
+		r := <-c
+		if r.err != nil {
+			t.Fatalf("well-formed sample %d queued beside the bad ones: %v", i, r.err)
+		}
+		assertBitwise(t, refs[1+i%3:2+i%3], [][]float32{r.y.Data()})
+	}
+	if s := e.Stats(); s.Failed != 0 || s.Requests != int64(1+len(mates)) {
+		t.Fatalf("stats %+v; want %d requests and none failed", s, 1+len(mates))
+	}
 }

@@ -173,11 +173,12 @@ func Run(method Method, j Job, m hw.Machine, gpus int, sparsity float64) Result 
 	}
 
 	// Optimizer step (+ SAMO expansion): streaming over the per-GPU states.
-	r.Other = m.MemBoundTime(3 * float64(plan.StateBytesPerGPU) / memOverheadFactor)
+	opt := m.MemBoundTime(3 * float64(plan.StateBytesPerGPU) / memOverheadFactor)
 	if method == MethodSAMO {
-		r.Other += m.MemBoundTime(float64(2*j.Phi) / float64(plan.Ginter)) // expand into θ16
+		opt += m.MemBoundTime(float64(2*j.Phi) / float64(plan.Ginter)) // expand into θ16
 	}
-	r.BatchTime += r.Other
+	r.Other += opt
+	r.BatchTime += opt
 
 	r.PeakFraction = j.FlopsPerBatch / (r.BatchTime * float64(gpus) * m.PeakHalfFlops)
 	return r

@@ -275,3 +275,29 @@ func TestResultString(t *testing.T) {
 		t.Error("infeasible result must still render")
 	}
 }
+
+// TestPhasesSumToBatchTime holds the Figure 8 attribution to the batch
+// time it splits: Compute + P2P + Bubble + Collective + Other equals
+// BatchTime, to the rounding of a different summation order, for every job,
+// method and GPU count the figures and tables price, at the sparsities they
+// and the sensitivity sweep use. The CNN jobs' fixed framework time is part
+// of Other.
+func TestPhasesSumToBatchTime(t *testing.T) {
+	m := summit()
+	for _, j := range StandardJobs() {
+		for _, meth := range []Method{MethodSputnik, MethodDeepSpeed3D, MethodAxoNN, MethodSAMO} {
+			for g := j.MinGPUs; g <= j.MaxGPUs; g *= 2 {
+				for _, sp := range []float64{0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95} {
+					r := Run(meth, j, m, g, sp)
+					if !r.Feasible {
+						continue
+					}
+					sum := r.Compute + r.P2P + r.Bubble + r.Collective + r.Other
+					if d := sum - r.BatchTime; d > 1e-12*r.BatchTime || d < -1e-12*r.BatchTime {
+						t.Errorf("%s %v %d GPUs sparsity %g: phases sum to %.9f s, batch time %.9f s", j.Name, meth, g, sp, sum, r.BatchTime)
+					}
+				}
+			}
+		}
+	}
+}

@@ -174,9 +174,30 @@ func ReLUInPlace(t *Tensor) {
 }
 
 // GELUInPlace applies GELU to t without saving its derivative (eval mode).
+// On an AVX2 host (tensor.HostAVX2) the multiple-of-4 body runs
+// geluEvalAVX2 (exp_amd64.s), a four-lane float64 twin of math.Tanh over the
+// non-FMA sequence of Go's math.Exp; the Go loop geluEval is its oracle and
+// runs the 0–3 element tail, any group of four holding an Inf or a NaN, every
+// other host and the purego build. Both give the same bits: the tests sweep
+// every float32 input whose tanh reaches the exponential, and CI's "GELU and
+// softmax exp, every float32 input" step all 2³² of them.
 func GELUInPlace(t *Tensor) {
-	for i, x := range t.data {
-		t.data[i] = geluScalar(x)
+	d := t.data
+	i := 0
+	if n := len(d) &^ 3; expVector {
+		for i < n {
+			if i += geluEvalAVX2(&d[i], n-i); i < n {
+				geluEval(d[i : i+4])
+				i += 4
+			}
+		}
+	}
+	geluEval(d[i:])
+}
+
+func geluEval(d []float32) {
+	for i, x := range d {
+		d[i] = geluScalar(x)
 	}
 }
 
@@ -184,14 +205,31 @@ func GELUInPlace(t *Tensor) {
 // in place and writes dGELU/dx at each input, rounded to float32, into the
 // caller-provided tensor, so the backward is one Mul, as ReLU's is with its
 // mask. Both come from the one float64 tanh the forward evaluates anyway.
+// The kernel split is GELUInPlace's: geluDerivAVX2 over the multiple-of-4
+// body on an AVX2 host, the Go loop geluDeriv everywhere else and as its
+// oracle, bit for bit.
 func GELUWithDeriv(t, deriv *Tensor) {
 	binCheck(t, deriv)
-	d := deriv.data
-	for i, x := range t.data {
-		x64 := float64(x)
+	x, d := t.data, deriv.data
+	i := 0
+	if n := len(x) &^ 3; expVector {
+		for i < n {
+			if i += geluDerivAVX2(&x[i], &d[i], n-i); i < n {
+				geluDeriv(x[i:i+4], d[i:i+4])
+				i += 4
+			}
+		}
+	}
+	geluDeriv(x[i:], d[i:])
+}
+
+func geluDeriv(x, d []float32) {
+	d = d[:len(x)]
+	for i, v := range x {
+		x64 := float64(v)
 		th := geluTanh(x64)
 		du := geluC * (1 + 3*0.044715*x64*x64)
-		t.data[i] = float32(0.5 * x64 * (1 + th))
+		x[i] = float32(0.5 * x64 * (1 + th))
 		d[i] = float32(0.5*(1+th) + 0.5*x64*(1-th*th)*du)
 	}
 }
@@ -207,6 +245,34 @@ func geluTanh(x64 float64) float64 {
 func geluScalar(x float32) float32 {
 	x64 := float64(x)
 	return float32(0.5 * x64 * (1 + geluTanh(x64)))
+}
+
+// ExpShifted sets s[j] = float32(math.Exp(float64(s[j]-shift))) for every j:
+// the exponent pass of a softmax row whose maximum is shift. On an AVX2 host
+// the multiple-of-4 body runs expShiftedAVX2 (exp_amd64.s, the non-FMA
+// sequence of Go's math.Exp in four float64 lanes); the Go loop expShifted
+// is its oracle and runs the 0–3 element tail, any group of four with an
+// argument outside [−708, 708] (NaNs and infinities included), every other
+// host and the purego build, with the same bits: TestExpKernelsEveryFloat32
+// (CI's "GELU and softmax exp, every float32 input" step) runs all 2³²
+// float32 arguments through both.
+func ExpShifted(s []float32, shift float32) {
+	i := 0
+	if n := len(s) &^ 3; expVector {
+		for i < n {
+			if i += expShiftedAVX2(&s[i], n-i, shift); i < n {
+				expShifted(s[i:i+4], shift)
+				i += 4
+			}
+		}
+	}
+	expShifted(s[i:], shift)
+}
+
+func expShifted(s []float32, shift float32) {
+	for j, v := range s {
+		s[j] = float32(math.Exp(float64(v - shift)))
+	}
 }
 
 // nonFiniteGrain is the minimum elements per parallel chunk of the
@@ -227,11 +293,11 @@ var nonFiniteJobFree parallel.Pool[nonFiniteJob]
 
 // HasNonFiniteSlice reports whether s contains an Inf or NaN — the overflow
 // check that drives dynamic loss scaling, which the mixed-precision state
-// manager calls once per parameter per step on the captured fp16
-// gradients. Large slices are scanned in chunks on the worker pool with an
-// early exit through a shared atomic flag; the scan is allocation-free
-// (pooled job, pooled dispatch), which keeps the fp16 train-step zero-alloc
-// contract intact.
+// (core.ModelState.Overflow) calls once per step over the whole ∇θ16 slab.
+// Large slices are scanned in chunks on the worker pool with an early exit
+// through a shared atomic flag; the scan is allocation-free (pooled job,
+// pooled dispatch), which keeps the fp16 train-step zero-alloc contract
+// intact.
 func HasNonFiniteSlice(s []float32) bool {
 	if len(s) <= nonFiniteGrain {
 		return hasNonFinite(s)
