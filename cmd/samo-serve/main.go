@@ -1,21 +1,11 @@
 // samo-serve runs the end-to-end serving path: train briefly, hand the
 // checkpoint to a forward-only InferenceState (no gradients, no optimizer
-// state), and serve concurrent single-sample requests through the dynamic
-// micro-batching engine.
-//
-// Two modes:
-//
-//	samo-serve -mode smoke     # serve N concurrent requests, drain, and
-//	                           # verify every response is bitwise-identical
-//	                           # to the offline inference forward of its
-//	                           # sample alone
-//	samo-serve -mode loadtest  # drive the engine under concurrency and
-//	                           # write p50/p99 latency + throughput JSON
-//	                           # (BENCH_serving.json) to -out
+// state), serve concurrent single-sample requests through the dynamic
+// micro-batching engine, drain, and verify every response is
+// bitwise-identical to the offline inference forward of its sample alone.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,7 +38,6 @@ func run(args []string, out io.Writer) error {
 	// Parse errors are returned (main prints them once, to stderr);
 	// -h gets the usage on the success writer and a clean exit.
 	fs.SetOutput(io.Discard)
-	mode := fs.String("mode", "smoke", "smoke (verify served outputs against the offline forward) or loadtest (write a latency/throughput report)")
 	modelKind := fs.String("model", "gpt", "model family: gpt or mlp")
 	hidden := fs.Int("hidden", 32, "model width")
 	layers := fs.Int("layers", 1, "transformer blocks (gpt)")
@@ -60,7 +49,6 @@ func run(args []string, out io.Writer) error {
 	maxBatch := fs.Int("max-batch", 8, "most samples per forward (what is queued, padded to the next power of two)")
 	queueDepth := fs.Int("queue", 0, "admission queue depth (0 = 4x max-batch)")
 	ckptDir := fs.String("checkpoint-dir", "", "checkpoint handoff directory (empty = a temp dir)")
-	outPath := fs.String("out", "", "loadtest report file (empty = stdout)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(out)
@@ -68,9 +56,6 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 		return err
-	}
-	if *mode != "smoke" && *mode != "loadtest" {
-		return fmt.Errorf("samo-serve: -mode %q: want smoke or loadtest", *mode)
 	}
 
 	// --- Build, train, checkpoint. ------------------------------------------
@@ -147,11 +132,7 @@ func run(args []string, out io.Writer) error {
 		float64(mem.Total())/(1<<20), float64(state.Memory().Total())/(1<<20), samo.GEMMKernel())
 
 	// --- Deterministic request samples. --------------------------------------
-	nSamples := *requests
-	if *mode == "loadtest" && nSamples > 64 {
-		nSamples = 64 // loadtest cycles a fixed pool; smoke verifies each
-	}
-	samples := make([]*tensor.Tensor, nSamples)
+	samples := make([]*tensor.Tensor, *requests)
 	sCursor := 0
 	sRNG := samo.NewRNG(11)
 	for i := range samples {
@@ -168,34 +149,7 @@ func run(args []string, out io.Writer) error {
 
 	engine := serve.New(infState, serve.Config{MaxBatch: *maxBatch, QueueDepth: *queueDepth})
 
-	if *mode == "loadtest" {
-		rep, err := serve.LoadTest(engine, tag, func(i int) *tensor.Tensor {
-			return samples[i%len(samples)]
-		}, *requests, *concurrency)
-		if cerr := engine.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if *outPath == "" {
-			_, err = out.Write(blob)
-			return err
-		}
-		if err := os.WriteFile(*outPath, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "loadtest: %d requests x%d concurrency: p50 %.3f ms, p99 %.3f ms, %.0f req/s -> %s\n",
-			rep.Requests, rep.Concurrency, rep.P50Ms, rep.P99Ms, rep.ThroughputRPS, *outPath)
-		return nil
-	}
-
-	// --- Smoke: serve concurrently, drain, verify bitwise. -------------------
+	// --- Serve concurrently, drain, verify bitwise. --------------------------
 	// Offline references come from the TRAINED state's inference forward of
 	// each sample alone. A pass certifies the checkpoint handoff and the
 	// batching engine at once — ckpt-loaded weights match trained weights,

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -14,7 +11,7 @@ import (
 // verification against the offline forward.
 func TestSmokeMLP(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-mode", "smoke", "-model", "mlp", "-hidden", "16",
+	err := run([]string{"-model", "mlp", "-hidden", "16",
 		"-requests", "12", "-concurrency", "4", "-max-batch", "4",
 		"-train-iters", "2", "-checkpoint-dir", t.TempDir()}, &out)
 	if err != nil {
@@ -28,7 +25,7 @@ func TestSmokeMLP(t *testing.T) {
 // TestSmokeGPTSAMO exercises the compressed-checkpoint handoff.
 func TestSmokeGPTSAMO(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-mode", "smoke", "-samo", "-hidden", "16",
+	err := run([]string{"-samo", "-hidden", "16",
 		"-requests", "8", "-concurrency", "2", "-max-batch", "2",
 		"-train-iters", "1", "-checkpoint-dir", t.TempDir()}, &out)
 	if err != nil {
@@ -39,36 +36,9 @@ func TestSmokeGPTSAMO(t *testing.T) {
 	}
 }
 
-// TestLoadtestReport checks the report lands where -out points, with the
-// fields the bench gate reads.
-func TestLoadtestReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
-	var out bytes.Buffer
-	err := run([]string{"-mode", "loadtest", "-model", "mlp", "-hidden", "16",
-		"-requests", "24", "-concurrency", "4", "-max-batch", "4",
-		"-train-iters", "1", "-out", path}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"p50_ms", "p99_ms", "throughput_rps", "requests"} {
-		if _, ok := rep[key]; !ok {
-			t.Fatalf("report missing %q:\n%s", key, blob)
-		}
-	}
-}
-
-// TestBadFlags pins the error paths: unknown mode, model and flag.
+// TestBadFlags pins the error paths: unknown model and flag.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-mode", "nope"},
 		{"-model", "nope"},
 		{"-not-a-flag"},
 	} {
@@ -81,7 +51,7 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-h"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "-mode") {
+	if !strings.Contains(out.String(), "-model") {
 		t.Fatal("usage output missing flags")
 	}
 }

@@ -37,9 +37,11 @@ import (
 )
 
 // State is what the manager checkpoints: core.ModelState satisfies it.
+// Load receives the data file's bytes, already checked against the
+// manifest's length and CRC.
 type State interface {
 	Save(w io.Writer) (int64, error)
-	Load(r io.Reader) error
+	Load(raw []byte) error
 	Fingerprint() uint64
 }
 
@@ -221,11 +223,16 @@ func verifyData(path string, man *Manifest) error {
 	if err != nil {
 		return err
 	}
+	return checkSum(path, n, crc.Sum32(), man)
+}
+
+// checkSum compares a data file's length n and CRC with its manifest's.
+func checkSum(path string, n int64, crc uint32, man *Manifest) error {
 	if n != man.Bytes {
 		return fmt.Errorf("%s: %d bytes, manifest says %d", path, n, man.Bytes)
 	}
-	if got := crc.Sum32(); got != man.CRC {
-		return fmt.Errorf("%s: CRC %#x, manifest says %#x", path, got, man.CRC)
+	if crc != man.CRC {
+		return fmt.Errorf("%s: CRC %#x, manifest says %#x", path, crc, man.CRC)
 	}
 	return nil
 }
@@ -314,7 +321,9 @@ func (m *Manager) LatestStep() (step int, warnings []string, ok bool) {
 
 // Load restores shard's state from step. The manifest's fingerprint must
 // match the live state's: a checkpoint from a different model, optimizer or
-// pruning configuration is refused before any bytes are parsed.
+// pruning configuration is refused before any bytes are parsed. The data
+// file is read once; its length and CRC are checked against the manifest
+// on those bytes, and the same bytes go to st.Load.
 func (m *Manager) Load(step, shard int, st State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -327,15 +336,14 @@ func (m *Manager) Load(step, shard int, st State) error {
 			step, shard, man.Fingerprint, st.Fingerprint())
 	}
 	path := filepath.Join(m.opts.Dir, man.File)
-	if err := verifyData(path, man); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	defer f.Close()
-	if err := st.Load(f); err != nil {
+	if err := checkSum(path, int64(len(raw)), crc32.ChecksumIEEE(raw), man); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	if err := st.Load(raw); err != nil {
 		return fmt.Errorf("ckpt: load step %d shard %d: %w", step, shard, err)
 	}
 	return nil

@@ -21,11 +21,7 @@ func (s *fakeState) Save(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-func (s *fakeState) Load(r io.Reader) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
+func (s *fakeState) Load(raw []byte) error {
 	s.payload = raw
 	return nil
 }
@@ -100,6 +96,11 @@ func TestCorruptLatestFallsBackWithWarning(t *testing.T) {
 	if len(warns) != 1 || !strings.Contains(warns[0], "step 2") {
 		t.Fatalf("fallback must surface a warning naming step 2, got %v", warns)
 	}
+	// Load itself refuses the flipped shard before the state sees it.
+	st := &fakeState{fp: 0}
+	if err := m.Load(2, 0, st); err == nil || !strings.Contains(err.Error(), "CRC") || st.payload != nil {
+		t.Fatalf("Load of the corrupt shard: %v, payload %q; want a CRC refusal", err, st.payload)
+	}
 }
 
 func TestKillPointTruncationAlwaysLeavesLoadable(t *testing.T) {
@@ -126,6 +127,9 @@ func TestKillPointTruncationAlwaysLeavesLoadable(t *testing.T) {
 			t.Fatalf("cut=%d: truncated step %d passed verification", cut, step)
 		}
 		st := &fakeState{fp: 0}
+		if err := m.Load(2, 0, st); err == nil || st.payload != nil {
+			t.Fatalf("cut=%d: Load of the truncated shard: %v, payload %q; want a refusal", cut, err, st.payload)
+		}
 		if err := m.Load(step, 0, st); err != nil {
 			t.Fatalf("cut=%d: loading fallback: %v", cut, err)
 		}

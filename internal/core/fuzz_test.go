@@ -69,8 +69,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 			binary.LittleEndian.PutUint32(fixed[len(payload):], crc32.ChecksumIEEE(payload))
 			data = fixed
 		}
-		err := ms.Load(bytes.NewReader(data))
-		ierr := is.Load(bytes.NewReader(data))
+		err := ms.Load(data)
+		ierr := is.Load(data)
 		if (err == nil) != (ierr == nil) {
 			t.Fatalf("ModelState.Load: %v; InferenceState.Load: %v", err, ierr)
 		}

@@ -337,7 +337,7 @@ func TestGradualCheckpointShrinkOnLoad(t *testing.T) {
 			}
 
 			msB := sh.train(56) // fresh: initial 50% pattern
-			if err := msB.Load(bytes.NewReader(ckpt)); err != nil {
+			if err := msB.Load(ckpt); err != nil {
 				t.Fatalf("shrink-on-load failed: %v", err)
 			}
 			offPatternZero(t, "after load", msB)
@@ -388,7 +388,7 @@ func TestGradualCheckpointNonSubsetRefused(t *testing.T) {
 	if !gp.MaybePrune(0) {
 		t.Fatal("one-shot event did not shrink")
 	}
-	err = msNarrow.Load(bytes.NewReader(buf.Bytes()))
+	err = msNarrow.Load(buf.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "pattern") {
 		t.Fatalf("pre-shrink checkpoint loaded into post-shrink state: %v", err)
 	}
@@ -422,7 +422,7 @@ func TestGradualInferenceLoadsPostShrinkCheckpoint(t *testing.T) {
 			if ms.Fingerprint() != is.Fingerprint() {
 				t.Fatal("fingerprints diverged across a prune event")
 			}
-			if err := is.Load(bytes.NewReader(ckpt)); err != nil {
+			if err := is.Load(ckpt); err != nil {
 				t.Fatalf("inference shrink-on-load failed: %v", err)
 			}
 			x, _ := makeBatch(8, sh.in, sh.classes, 6900)
@@ -436,7 +436,7 @@ func TestGradualInferenceLoadsPostShrinkCheckpoint(t *testing.T) {
 						i, want[i], got[i])
 				}
 			}
-			err = is.Load(bytes.NewReader(early))
+			err = is.Load(early)
 			if err == nil || !strings.Contains(err.Error(), "pattern") {
 				t.Fatalf("pre-shrink checkpoint loaded into a post-shrink inference state: %v", err)
 			}

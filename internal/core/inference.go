@@ -88,11 +88,7 @@ func (s *InferenceState) Save(io.Writer) (int64, error) {
 // is quantized onto the fp16 grid and expanded into the dense weights.
 // Scaler state, step counts and optimizer vectors are validated but
 // discarded — inference has no consumer for them.
-func (s *InferenceState) Load(r io.Reader) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
+func (s *InferenceState) Load(raw []byte) error {
 	stg, err := parseSnapshot(raw, s.Mode, s.optBytes, s.shapes)
 	if err != nil {
 		return err

@@ -102,7 +102,7 @@ func TestInferenceCheckpointRoundTrip(t *testing.T) {
 			rng := tensor.NewRNG(3)
 			m2 := nn.BuildMLP("mlp", []int{8, 16, 4}, rng)
 			is := NewInferenceState(m2, optim.NewAdam(0.01), mode, pr)
-			if err := is.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			if err := is.Load(buf.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := is.Save(&bytes.Buffer{}); err == nil {
@@ -145,7 +145,7 @@ func TestInferenceLoadTransactional(t *testing.T) {
 	for _, p := range m2.Params() {
 		before[p.Name] = append([]float32(nil), p.Value.Data()...)
 	}
-	if err := is.Load(bytes.NewReader(raw)); err == nil {
+	if err := is.Load(raw); err == nil {
 		t.Fatal("corrupt snapshot loaded without error")
 	}
 	for _, p := range m2.Params() {

@@ -136,14 +136,10 @@ type snapParam struct {
 // Load restores a checkpoint written by Save into a structurally matching
 // ModelState (same model, same mode, same pruning result, same optimizer
 // type). Dense θ16 is reconstructed by expanding the restored θ32. The whole
-// checkpoint is read into memory to verify the CRC trailer, then parsed in
-// full, before any state is touched (checkpoints are small by construction —
-// that is the point): on error the ModelState is bitwise unchanged.
-func (ms *ModelState) Load(r io.Reader) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
+// checkpoint raw has its CRC trailer verified and is parsed in full before
+// any state is touched (checkpoints are small by construction — that is the
+// point): on error the ModelState is bitwise unchanged. raw is only read.
+func (ms *ModelState) Load(raw []byte) error {
 	stg, err := parseSnapshot(raw, ms.Mode, ms.opt.StateBytesPerParam(), ms.shapes)
 	if err != nil {
 		return err

@@ -37,7 +37,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 
 	_, msB, _ := buildTestSetup(SAMO, 0.7, 77)
-	if err := msB.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := msB.Load(buf.Bytes()); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	trB := NewTrainer(msB)
@@ -69,7 +69,7 @@ func TestCheckpointRestoresScalerAndCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ms2, _ := buildTestSetup(SAMO, 0.5, 79)
-	if err := ms2.Load(&buf); err != nil {
+	if err := ms2.Load(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if ms2.Scaler.Scale != ms.Scaler.Scale {
@@ -121,23 +121,23 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 	_, ms2, _ := buildTestSetup(SAMO, 0.5, 83)
-	if err := ms2.Load(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if err := ms2.Load(corrupt); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("corruption not detected: %v", err)
 	}
 	// Truncation must be caught too.
 	_, ms3, _ := buildTestSetup(SAMO, 0.5, 83)
-	if err := ms3.Load(bytes.NewReader(raw[:len(raw)-10])); err == nil {
+	if err := ms3.Load(raw[:len(raw)-10]); err == nil {
 		t.Error("truncation not detected")
 	}
 	// Wrong mode must be rejected.
 	_, msD, _ := buildTestSetup(Dense, 0.5, 83)
-	if err := msD.Load(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "mode") {
+	if err := msD.Load(raw); err == nil || !strings.Contains(err.Error(), "mode") {
 		t.Errorf("mode mismatch not detected: %v", err)
 	}
 	// Garbage must be rejected by magic.
 	_, ms4, _ := buildTestSetup(SAMO, 0.5, 83)
 	junk := append([]byte("notasamocheckpointbutlongenough"), 0, 0, 0, 0)
-	if err := ms4.Load(bytes.NewReader(junk)); err == nil {
+	if err := ms4.Load(junk); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestCheckpointFreshStateLoad(t *testing.T) {
 	}
 
 	_, fresh, _ := buildTestSetup(SAMO, 0.6, 87) // never stepped
-	if err := fresh.Load(&buf); err != nil {
+	if err := fresh.Load(buf.Bytes()); err != nil {
 		t.Fatalf("Load into fresh state: %v", err)
 	}
 	pa, pb := ms.Model().Params(), fresh.Model().Params()

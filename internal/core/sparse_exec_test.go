@@ -328,7 +328,7 @@ func TestSparsifiedCheckpointCrossLoads(t *testing.T) {
 
 				dst, dpr := build(sparsity, !fromSparse)
 				msD := NewModelState(dst, optim.NewAdam(0.01), SAMO, dpr)
-				if err := msD.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+				if err := msD.Load(ckpt.Bytes()); err != nil {
 					t.Fatalf("ModelState.Load: %v", err)
 				}
 				for i, st := range ms.states {
@@ -344,7 +344,7 @@ func TestSparsifiedCheckpointCrossLoads(t *testing.T) {
 				}
 				inf, ipr := build(sparsity, !fromSparse)
 				is := NewInferenceState(inf, optim.NewAdam(0.01), SAMO, ipr)
-				if err := is.Load(bytes.NewReader(ckpt.Bytes())); err != nil {
+				if err := is.Load(ckpt.Bytes()); err != nil {
 					t.Fatalf("InferenceState.Load: %v", err)
 				}
 				for _, got := range [][][]float32{weights(dst), weights(inf)} {

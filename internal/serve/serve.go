@@ -44,8 +44,8 @@ var (
 	// ErrClosed is returned by Infer after Close has begun draining.
 	ErrClosed = errors.New("serve: engine closed")
 	// ErrInvalidSample wraps Infer's refusal of a sample it admits to no
-	// batch: no tensor, a NaN or ±Inf element, or a token id the model's
-	// embedding does not hold.
+	// batch: no tensor, a shape other than the engine's, a NaN or ±Inf
+	// element, or a token id the model's embedding does not hold.
 	ErrInvalidSample = errors.New("serve: invalid sample")
 )
 
@@ -161,12 +161,12 @@ func New(st *core.InferenceState, cfg Config) *Engine {
 // sample — for an MLP a (1, features) row, for a GPT model a (seq, 1)
 // token column — and every sample must share one shape: the first batch
 // that succeeds fixes it, and from then on a sample of another shape is
-// refused. Until then samples of different shapes ride in different
-// batches, so a malformed first request fails alone. The caller must not
-// mutate x until Infer returns; the returned tensor is freshly allocated and
-// owned by the caller, and its bits equal the offline inference forward of x
-// alone (Model.Infer, Inferencer.Forward), whatever batch it rode in.
-// A sample holding a NaN or ±Inf, or, for a token model, an element that is
+// refused (ErrInvalidSample). Until then samples of different shapes ride
+// in different batches, so a malformed first request fails alone. The
+// caller must not mutate x until Infer returns; the returned tensor is
+// freshly allocated and owned by the caller, and its bits equal the
+// offline inference forward of x alone (Model.Infer, Inferencer.Forward),
+// whatever batch it rode in. A sample holding a NaN or ±Inf, or, for a token model, an element that is
 // not an id of its embedding, is refused before it joins a batch
 // (ErrInvalidSample). A sample the model still panics on fails its whole
 // batch with a *PanicError; the engine keeps serving.
@@ -210,7 +210,7 @@ func (e *Engine) checkShape(x *tensor.Tensor) error {
 	e.shapeMu.Lock()
 	defer e.shapeMu.Unlock()
 	if e.shape != nil && !slices.Equal(x.Shape(), e.shape) {
-		return fmt.Errorf("serve: sample shape %v does not match engine shape %v", x.Shape(), e.shape)
+		return fmt.Errorf("%w: shape %v does not match engine shape %v", ErrInvalidSample, x.Shape(), e.shape)
 	}
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,25 +71,31 @@ func offlineRefs(m *nn.Model, samples []*tensor.Tensor) [][]float32 {
 	return refs
 }
 
-// serveAll drives the engine with `concurrency` goroutines over all samples,
-// retrying backpressure rejections, and returns each response's data.
-func serveAll(t *testing.T, e *Engine, samples []*tensor.Tensor, concurrency int) [][]float32 {
+// serveAll has clients goroutines issue n single-sample requests in all,
+// request i serving samples[i%len(samples)], and returns each response's
+// data and each request's round trip from its first submit to its response.
+// An overload rejection is retried after a backoff that doubles from 50 µs
+// up to 6.4 ms: the engine is measured under saturation, not shed.
+func serveAll(t *testing.T, e *Engine, samples []*tensor.Tensor, n, clients int) ([][]float32, []time.Duration) {
 	t.Helper()
-	got := make([][]float32, len(samples))
-	errs := make([]error, concurrency)
+	got := make([][]float32, n)
+	lat := make([]time.Duration, n)
+	errs := make([]error, clients)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < concurrency; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(samples) {
+				if i >= n {
 					return
 				}
+				backoff := 50 * time.Microsecond
+				t0 := time.Now()
 				for {
-					y, err := e.Infer(samples[i])
+					y, err := e.Infer(samples[i%len(samples)])
 					if err == nil {
 						got[i] = y.Data()
 						break
@@ -95,8 +104,12 @@ func serveAll(t *testing.T, e *Engine, samples []*tensor.Tensor, concurrency int
 						errs[c] = fmt.Errorf("request %d: %w", i, err)
 						return
 					}
-					time.Sleep(50 * time.Microsecond)
+					time.Sleep(backoff)
+					if backoff < 5*time.Millisecond {
+						backoff *= 2
+					}
 				}
+				lat[i] = time.Since(t0)
 			}
 		}(c)
 	}
@@ -106,7 +119,7 @@ func serveAll(t *testing.T, e *Engine, samples []*tensor.Tensor, concurrency int
 			t.Fatal(err)
 		}
 	}
-	return got
+	return got, lat
 }
 
 func assertBitwise(t *testing.T, refs, got [][]float32) {
@@ -146,7 +159,7 @@ func TestServeBitwiseMatchesOffline(t *testing.T) {
 			st := newInferenceState(tc.model)
 			refs := offlineRefs(tc.model, tc.samples)
 			e := New(st, Config{MaxBatch: 4})
-			got := serveAll(t, e, tc.samples, 6)
+			got, _ := serveAll(t, e, tc.samples, len(tc.samples), 6)
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +187,7 @@ func TestServeSparsifiedBitwise(t *testing.T) {
 		st := newInferenceState(m) // quantizes in place; refs must follow
 		refs := offlineRefs(m, samples)
 		e := New(st, Config{MaxBatch: 4})
-		got := serveAll(t, e, samples, 5)
+		got, _ := serveAll(t, e, samples, len(samples), 5)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -663,5 +676,53 @@ func TestServeBadSampleFailsAlone(t *testing.T) {
 	}
 	if s := e.Stats(); s.Failed != 0 || s.Requests != int64(1+len(mates)) {
 		t.Fatalf("stats %+v; want %d requests and none failed", s, 1+len(mates))
+	}
+}
+
+// p99Floor is the most TestServeP99Floor lets a served request's p99 round
+// trip take.
+const p99Floor = 25 * time.Millisecond
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestServeP99Floor is the floor under serving latency: samo-serve's default
+// GPT (hidden 32, one block, seq 12, vocab 48) behind a default engine, 400
+// requests from 12 closed-loop clients. The engine never holds a request
+// back, so a p99 round trip over p99Floor means requests queue behind
+// forwards. The fastest p99 of three runs is gated (2 vCPUs: 0.9–1.3 ms).
+// It skips under -race and -short, and on one CPU, where the engine and its
+// clients contend for one core and latency measures the scheduler.
+func TestServeP99Floor(t *testing.T) {
+	if testing.Short() || raceBuild() || runtime.NumCPU() < 2 {
+		t.Skip("the latency floor needs two CPUs and an optimized, full-length run")
+	}
+	const seq, vocab, requests, clients = 12, 48, 400, 12
+	m := nn.BuildGPT(nn.GPTConfig{Name: "serve", Layers: 1, Hidden: 32, Heads: 4, Seq: seq, Vocab: vocab}, tensor.NewRNG(1))
+	samples := make([]*tensor.Tensor, 64)
+	for i := range samples {
+		ids := make([]int, seq)
+		for j := range ids {
+			ids[j] = (i*7 + j*5) % vocab
+		}
+		samples[i] = nn.TokensToTensor(ids)
+	}
+	e := New(newInferenceState(m), Config{})
+	defer e.Close()
+	best := time.Duration(math.MaxInt64)
+	for run := 0; run < 3; run++ {
+		_, lat := serveAll(t, e, samples, requests, clients)
+		slices.Sort(lat)
+		p50, p99 := lat[requests/2-1], lat[requests*99/100-1] // nearest rank
+		t.Logf("run %d: p50 %v, p99 %v", run, p50, p99)
+		best = min(best, p99)
+	}
+	st := e.Stats()
+	t.Logf("p99 %v (floor %v); %d batches, mean batch %.2f", best, p99Floor, st.Batches, st.MeanBatch())
+	if best > p99Floor {
+		t.Errorf("served p99 %v over the %v floor: requests are queueing behind forwards", best, p99Floor)
 	}
 }

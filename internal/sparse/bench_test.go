@@ -2,41 +2,125 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
-// BenchmarkSpMM is the sparse-vs-dense kernel matrix: the FC forward
-// product y = x·Wᵀ at the paper's batch (576) computed by the dense GEMM
-// over the masked-dense weight versus the transposed-CSR SpMM (SpMMTInto,
-// its operand transpose included), across the evaluation's sparsity range.
-// With both kernels vectorised the two are level at 50% and CSR wins from
-// 75% (2 vCPUs: 0.9–1.0× at 50%, 1.4× at 75%, 2.0–2.5× at 90%, 2.0–2.9× at
-// 95%, 2.6–3.2× at 99%); scripts/bench.sh gates the ≥ 90% points at
-// MIN_SPMM_SPEEDUP and records the full matrix in BENCH_kernels.json. This
-// is one product at the largest batch; nn.Sparsify's doc grids a whole
-// layer step below half sparsity at batch 48 and 576.
+// spmmBatch, spmmDims and spmmSparsities span the sparse-vs-dense FC
+// forward matrix: BenchmarkSpMM times all of it and TestSpMMFloor gates its
+// points at spmmGated sparsity and above.
+const spmmBatch = 576
+
+var (
+	spmmDims       = []int{256, 512}
+	spmmSparsities = []float64{0.5, 0.75, 0.9, 0.95, 0.99}
+)
+
+// spmmGated is the least sparsity TestSpMMFloor gates, and spmmFloor the
+// least speedup the CSR forward must hold there over the masked-dense GEMM.
+const spmmGated, spmmFloor = 0.9, 1.5
+
+// spmmSides returns the FC forward product at the paper's batch over a
+// dim×dim weight W of the given sparsity — the same work whichever side of
+// W it multiplies — computed three ways: dense, x·Wᵀ by the GEMM over the
+// masked-dense W (MatMulTInto); spmmt, x·Wᵀ by the transposed-CSR SpMM on
+// sample-major x (SpMMTInto, its operand transpose included); and tspmm,
+// (x·W)ᵀ by TSpMMInto on the feature-major xᵀ — the product nn.Linear's
+// forward runs over a CSR weight.
+func spmmSides(dim int, sparsity float64) (dense, spmmt, tspmm func()) {
+	w, denseW := randMaskedCSR(dim, dim, 1-sparsity, uint64(dim)+uint64(sparsity*100))
+	x := randDense(spmmBatch, dim, uint64(dim)+1)
+	xT := tensor.Transpose(x)
+	y, yT := tensor.New(spmmBatch, dim), tensor.New(dim, spmmBatch)
+	return func() { tensor.MatMulTInto(y, x, denseW, false) },
+		func() { w.SpMMTInto(y, x) },
+		func() { w.TSpMMInto(yT, xT) }
+}
+
+// BenchmarkSpMM is the sparse-vs-dense kernel matrix over the evaluation's
+// sparsity range, as dense/, spmmt/ and tspmm/<dim>x<sparsity> (see
+// spmmSides). With every kernel vectorised, CSR is level with the GEMM or
+// ahead from 50% (2 vCPUs over dense — spmmt: 0.9–1.4× at 50%, 1.7–1.9× at
+// 75%, 1.7–4.8× at 90–99%; tspmm: 1.4–1.6× at 50%, 2.1–2.7× at 75%,
+// 4.9–5.4× at 90%, 7.7–17× at 95–99%). This is one product at the largest
+// batch; nn.Sparsify's doc grids a whole layer step below half sparsity at
+// batch 48 and 576.
 func BenchmarkSpMM(b *testing.B) {
-	const batch = 576
-	for _, dim := range []int{256, 512} {
-		for _, sparsity := range []float64{0.5, 0.75, 0.9, 0.95, 0.99} {
-			w, denseW := randMaskedCSR(dim, dim, 1-sparsity, uint64(dim)+uint64(sparsity*100))
-			x := randDense(batch, dim, uint64(dim)+1)
-			y := tensor.New(batch, dim)
-			b.Run(fmt.Sprintf("dense/%dx%.2f", dim, sparsity), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tensor.MatMulTInto(y, x, denseW, false)
-				}
-			})
-			b.Run(fmt.Sprintf("sparse/%dx%.2f", dim, sparsity), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					w.SpMMTInto(y, x)
-				}
-			})
+	for _, dim := range spmmDims {
+		for _, sparsity := range spmmSparsities {
+			dense, spmmt, tspmm := spmmSides(dim, sparsity)
+			for _, side := range []struct {
+				name string
+				run  func()
+			}{{"dense", dense}, {"spmmt", spmmt}, {"tspmm", tspmm}} {
+				b.Run(fmt.Sprintf("%s/%dx%.2f", side.name, dim, sparsity), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						side.run()
+					}
+				})
+			}
 		}
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestSpMMFloor is the floor under the sparse execution path where the paper
+// says it can win: at spmmGated sparsity and above, on every dimension of
+// the matrix, TSpMMInto must run spmmFloor× faster than the masked-dense
+// GEMM, each side's fastest of five back-to-back runs against the other's
+// (2 vCPUs: 3.6–5.4× at 90%). Below spmmGated BenchmarkSpMM records the
+// ratio ungated: at 50% it sits near the floor. It skips where the host has no AVX2, under -race and
+// -short, and on one CPU, where scheduler noise leaves no headroom.
+func TestSpMMFloor(t *testing.T) {
+	if testing.Short() || raceBuild() || !tensor.HostAVX2() || runtime.NumCPU() < 2 {
+		t.Skip("kernel floors need an AVX2 host with two CPUs and an optimized, full-length run")
+	}
+	gated := 0
+	for _, dim := range spmmDims {
+		for _, sparsity := range spmmSparsities {
+			if sparsity < spmmGated {
+				continue
+			}
+			gated++
+			dense, _, tspmm := spmmSides(dim, sparsity)
+			tDense, tSparse := fastest(5, dense, tspmm)
+			ratio := float64(tDense) / float64(tSparse)
+			t.Logf("%dx%.2f: TSpMM %.2f× over dense-masked (%v vs %v)", dim, sparsity, ratio, tSparse, tDense)
+			if ratio < spmmFloor {
+				t.Errorf("%dx%.2f: TSpMM %.2f× over dense-masked, floor %.1f×", dim, sparsity, ratio, spmmFloor)
+			}
+		}
+	}
+	if gated == 0 {
+		t.Fatalf("no point of the matrix is at %.2f sparsity or above", spmmGated)
+	}
+}
+
+// fastest runs slow and fast back to back n times and returns each side's
+// fastest run: noise, and the first run's cold pools and caches, only ever
+// add time.
+func fastest(n int, slow, fast func()) (tSlow, tFast time.Duration) {
+	tSlow, tFast = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < n; i++ {
+		t0 := time.Now()
+		slow()
+		t1 := time.Now()
+		fast()
+		tSlow, tFast = min(tSlow, t1.Sub(t0)), min(tFast, time.Since(t1))
+	}
+	return tSlow, tFast
 }
 
 // BenchmarkSDDMM times the weight-gradient kernel the sparse backward pass

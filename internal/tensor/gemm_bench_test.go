@@ -2,44 +2,138 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/sparse-dl/samo/internal/parallel"
 )
 
-// BenchmarkGEMM times the dense kernel at the paper's Figure 1 FC shapes
-// (batch 576, square weights): "seed" is the saxpy kernel the repository
-// started with and "shared" the shared-pack pipeline that
-// dispatch now uses. The seed/shared ratio is the kernel-path speedup
-// recorded in BENCH_kernels.json (scripts/bench.sh gates on it).
-func BenchmarkGEMM(b *testing.B) {
-	const batch = 576
-	for _, dim := range []int{128, 256, 512, 1024} {
-		a, w, c := New(batch, dim), New(dim, dim), New(batch, dim)
-		rng := NewRNG(7)
+// fig1Batch and fig1Dims are the paper's Figure 1 FC shapes (batch 576,
+// square weights dim×dim): BenchmarkGEMM, BenchmarkMatMulT, BenchmarkTMatMul
+// and TestGEMMFloor all time this one list.
+const fig1Batch = 576
+
+var fig1Dims = []int{128, 256, 512, 1024}
+
+// gemmFloor is the least speedup the shared-pack pipeline must hold over
+// the kernel it replaced, per product, on every Figure-1 shape.
+const gemmFloor = 1.5
+
+// gemmSides returns one Figure-1 product at width dim, computed two ways:
+// base, the kernel dispatch used before the shared-pack port — the seed
+// saxpy kernel for the forward GEMM, the 4×4 register-tile kernels for
+// the input gradient dX = G·Wᵀ (MatMulT) and the weight gradient dW = Xᵀ·G
+// (TMatMul) — and shared, the pipeline dispatch runs now.
+func gemmSides(family string, dim int) (base, shared func()) {
+	rng := NewRNG(7)
+	switch family {
+	case "GEMM":
+		a, w, c := New(fig1Batch, dim), New(dim, dim), New(fig1Batch, dim)
 		fillSeq(a, rng)
 		fillSeq(w, rng)
-		flops := 2 * float64(batch) * float64(dim) * float64(dim)
-		b.Run(fmt.Sprintf("seed/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := getGemmJob()
-				j.c, j.a, j.b = c.data, a.data, w.data
-				j.m, j.k, j.n = batch, dim, dim
-				j.accumulate = false
-				parallel.Run(batch, gemmGrain, j, gemmSaxpyChunk)
-				putGemmJob(j)
+		return func() { runChunked(gemmSaxpyChunk, fig1Batch, c, a, w, fig1Batch, dim, dim) },
+			func() { gemm(c.data, a.data, w.data, fig1Batch, dim, dim, false) }
+	case "MatMulT":
+		g, w, c := New(fig1Batch, dim), New(dim, dim), New(fig1Batch, dim)
+		fillSeq(g, rng)
+		fillSeq(w, rng)
+		return func() { runChunked(gemmTChunk, fig1Batch, c, g, w, fig1Batch, dim, dim) },
+			func() { MatMulTInto(c, g, w, false) }
+	case "TMatMul":
+		x, g, c := New(fig1Batch, dim), New(fig1Batch, dim), New(dim, dim)
+		fillSeq(x, rng)
+		fillSeq(g, rng)
+		return func() { runChunked(tGemmChunk, dim, c, x, g, dim, fig1Batch, dim) },
+			func() { TMatMulInto(c, x, g, false) }
+	}
+	panic("tensor: no GEMM family " + family)
+}
+
+// runChunked runs a pre-shared-pack kernel over rows [0, rows) on the
+// worker pool, as dispatch did.
+func runChunked(kernel func(any, int, int), rows int, c, a, b *Tensor, m, k, n int) {
+	j := getGemmJob()
+	j.c, j.a, j.b = c.data, a.data, b.data
+	j.m, j.k, j.n = m, k, n
+	j.accumulate = false
+	parallel.Run(rows, gemmGrain, j, kernel)
+	putGemmJob(j)
+}
+
+// benchGEMMSides times a family's two sides at every Figure-1 shape, as
+// <base>/<dim> and shared/<dim>.
+func benchGEMMSides(b *testing.B, family, baseName string) {
+	for _, dim := range fig1Dims {
+		base, shared := gemmSides(family, dim)
+		flops := 2 * float64(fig1Batch) * float64(dim) * float64(dim)
+		for _, side := range []struct {
+			name string
+			run  func()
+		}{{baseName, base}, {"shared", shared}} {
+			b.Run(fmt.Sprintf("%s/%d", side.name, dim), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					side.run()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
+	}
+}
+
+// BenchmarkGEMM times the dense forward kernel at the Figure-1 shapes: "seed"
+// is the saxpy kernel the repository started with and "shared" the
+// shared-pack pipeline that dispatch now uses. TestGEMMFloor gates the
+// seed/shared ratio.
+func BenchmarkGEMM(b *testing.B) { benchGEMMSides(b, "GEMM", "seed") }
+
+// fastest runs base and shared back to back n times and returns each side's
+// fastest run: noise, and the first run's cold pools and caches, only ever
+// add time.
+func fastest(n int, base, shared func()) (tBase, tShared time.Duration) {
+	tBase, tShared = time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < n; i++ {
+		t0 := time.Now()
+		base()
+		t1 := time.Now()
+		shared()
+		tBase, tShared = min(tBase, t1.Sub(t0)), min(tShared, time.Since(t1))
+	}
+	return tBase, tShared
+}
+
+// TestGEMMFloor is the floor under the dense GEMM, the paper's lever on
+// throughput (Figure 1): on every Figure-1 shape the shared-pack forward
+// GEMM must run gemmFloor× faster than the seed kernel, and the shared-pack
+// MatMulT and TMatMul gemmFloor× faster than the tiled kernels, each side's
+// fastest of three back-to-back runs against the other's. On AVX2 the vector
+// micro-kernel puts every ratio far above the floor (2 vCPUs: 6.7–14×), so
+// a failure means a build or host that lost the kernel. It skips where the
+// host has no AVX2 (the Go kernels read 1.15–2.2× there, too close to the
+// floor to gate on a shared machine) and under -race and -short. It gates
+// the transposed products only on more than one CPU: a one-core box leaves
+// no headroom against scheduler noise.
+func TestGEMMFloor(t *testing.T) {
+	if testing.Short() || raceBuild || !HostAVX2() {
+		t.Skip("kernel floors need an AVX2 host and an optimized, full-length run")
+	}
+	families := []string{"GEMM", "MatMulT", "TMatMul"}
+	if runtime.NumCPU() < 2 {
+		t.Log("one CPU: MatMulT and TMatMul not gated")
+		families = families[:1]
+	}
+	for _, family := range families {
+		for _, dim := range fig1Dims {
+			base, shared := gemmSides(family, dim)
+			tBase, tShared := fastest(3, base, shared)
+			ratio := float64(tBase) / float64(tShared)
+			t.Logf("%s/%d: shared %.2f× over base (%v vs %v)", family, dim, ratio, tShared, tBase)
+			if ratio < gemmFloor {
+				t.Errorf("%s/%d: shared-pack kernel %.2f× over base, floor %.1f×", family, dim, ratio, gemmFloor)
 			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				gemm(c.data, a.data, w.data, batch, dim, dim, false)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		}
 	}
 }
 
@@ -95,72 +189,14 @@ func BenchmarkGEMMSmallM(b *testing.B) {
 }
 
 // BenchmarkMatMulT times the input-gradient product dX = G·Wᵀ at the
-// Figure-1 FC backward shapes (batch 576, square weights): "tiled" is the
-// PR-1 4×4 register-tile kernel the dispatcher used before the shared-pack
-// port, "shared" the v2/v3 pipeline it uses now. The
-// tiled/shared ratio is the MatMulT speedup matrix in BENCH_kernels.json,
-// gated by MIN_GEMM_SPEEDUP in scripts/bench.sh.
-func BenchmarkMatMulT(b *testing.B) {
-	const batch = 576
-	for _, dim := range []int{128, 256, 512, 1024} {
-		g, w, c := New(batch, dim), New(dim, dim), New(batch, dim)
-		rng := NewRNG(8)
-		fillSeq(g, rng)
-		fillSeq(w, rng)
-		flops := 2 * float64(batch) * float64(dim) * float64(dim)
-		b.Run(fmt.Sprintf("tiled/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := getGemmJob()
-				j.c, j.a, j.b = c.data, g.data, w.data
-				j.m, j.k, j.n = batch, dim, dim
-				j.accumulate = false
-				parallel.Run(batch, gemmGrain, j, gemmTChunk)
-				putGemmJob(j)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulTInto(c, g, w, false)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-	}
-}
+// Figure-1 backward shapes: "tiled" is the 4×4 register-tile kernel
+// dispatch used before the shared-pack port, "shared" the pipeline it uses
+// now. TestGEMMFloor gates the tiled/shared ratio.
+func BenchmarkMatMulT(b *testing.B) { benchGEMMSides(b, "MatMulT", "tiled") }
 
 // BenchmarkTMatMul times the weight-gradient product dW = Xᵀ·G at the same
-// Figure-1 backward shapes; "tiled" vs "shared" as in BenchmarkMatMulT.
-func BenchmarkTMatMul(b *testing.B) {
-	const batch = 576
-	for _, dim := range []int{128, 256, 512, 1024} {
-		x, g, c := New(batch, dim), New(batch, dim), New(dim, dim)
-		rng := NewRNG(9)
-		fillSeq(x, rng)
-		fillSeq(g, rng)
-		flops := 2 * float64(batch) * float64(dim) * float64(dim)
-		b.Run(fmt.Sprintf("tiled/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := getGemmJob()
-				j.c, j.a, j.b = c.data, x.data, g.data
-				j.m, j.k, j.n = dim, batch, dim
-				j.accumulate = false
-				parallel.Run(dim, gemmGrain, j, tGemmChunk)
-				putGemmJob(j)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-		b.Run(fmt.Sprintf("shared/%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				TMatMulInto(c, x, g, false)
-			}
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-	}
-}
+// shapes; "tiled" vs "shared" as in BenchmarkMatMulT.
+func BenchmarkTMatMul(b *testing.B) { benchGEMMSides(b, "TMatMul", "tiled") }
 
 // BenchmarkBackwardSmallM times a data-parallel rank's dense backward at 4
 // rows — the per-rank microbatch of the TCP MLP benchmark workload (batch 8
