@@ -1,18 +1,17 @@
-// Benchmarks regenerating each of the paper's tables and figures (one bench
-// per experiment — `go test -bench Figure6` re-times the GPT-3 XL/2.7B
-// scaling study), plus ablation benches for the paper's §III design
-// decisions. Custom metrics report the quantity the paper plots (seconds of
-// simulated batch time, bytes of state, elements communicated) alongside the
-// harness's own ns/op.
+// Ablation benches for the paper's §III design decisions, and the real
+// engine's training step, serial and hybrid-parallel. Custom metrics report
+// the quantity the paper argues with (bytes of state, elements
+// communicated, simulated pipeline span) alongside the harness's own ns/op.
+// The paper's figures and tables come from cmd/samo-experiments, their
+// shapes are asserted in internal/experiments' tests, and bench/run.sh is
+// the end-to-end benchmark.
 package samo_test
 
 import (
-	"io"
 	"testing"
 
 	"github.com/sparse-dl/samo/internal/axonn"
 	"github.com/sparse-dl/samo/internal/core"
-	"github.com/sparse-dl/samo/internal/experiments"
 	"github.com/sparse-dl/samo/internal/hw"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
@@ -21,70 +20,6 @@ import (
 	"github.com/sparse-dl/samo/internal/sparse"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
-
-func BenchmarkFigure1Kernels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure1(io.Discard)
-	}
-}
-
-func BenchmarkFigure2Memory(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure2(io.Discard)
-	}
-}
-
-func BenchmarkFigure3Schedule(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure3(io.Discard)
-	}
-}
-
-func BenchmarkFigure4Training(b *testing.B) {
-	// One full dense-vs-SAMO convergence comparison at reduced length.
-	for i := 0; i < b.N; i++ {
-		experiments.Figure4(io.Discard, 20)
-	}
-}
-
-func BenchmarkFigure5CNNScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure5(io.Discard)
-	}
-}
-
-func BenchmarkFigure6GPTScaling(b *testing.B) {
-	var last map[string]map[simulate.Method][]simulate.Result
-	for i := 0; i < b.N; i++ {
-		last = experiments.Figure6(io.Discard)
-	}
-	if r := last["GPT-3 2.7B"][simulate.MethodSAMO]; len(r) > 0 {
-		b.ReportMetric(r[len(r)-1].BatchTime, "sim-s/iter@512")
-	}
-}
-
-func BenchmarkFigure7LargeGPT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.Figure7(io.Discard)
-	}
-}
-
-func BenchmarkFigure8Breakdown(b *testing.B) {
-	var last map[int][2]simulate.Result
-	for i := 0; i < b.N; i++ {
-		last = experiments.Figure8(io.Discard)
-	}
-	pair := last[128]
-	b.ReportMetric(100*(pair[0].BatchTime-pair[1].BatchTime)/pair[0].BatchTime, "speedup-%@128")
-}
-
-func BenchmarkTable2Throughput(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2(io.Discard)
-	}
-	b.ReportMetric(rows[len(rows)-1].SAMO, "samo-%peak@2048")
-}
 
 // --- Ablation benches (the paper's §III design decisions) -------------------
 
@@ -296,7 +231,7 @@ func benchBatch(inDim, samples, classes int) axonn.Batch {
 	tensor.FillNormal(x, 1, rng)
 	targets := make([]int, samples)
 	for i := range targets {
-		targets[i] = rng.Intn(classes)
+		targets[i] = int(rng.Uint64() % uint64(classes))
 	}
 	return axonn.Batch{Input: x, Targets: targets, SampleRows: 1, Samples: samples}
 }

@@ -17,17 +17,32 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunSparseExec drives the measured sparse-execution experiment — the
-// cmd's sparse-execution mode — and checks the comparison table arrives.
-func TestRunSparseExec(t *testing.T) {
+// TestRunMemoryPlan prints the memory experiment and checks its order:
+// the plan table's header, one row per Table I model, then the 2.7B
+// headline and the break-even line.
+func TestRunMemoryPlan(t *testing.T) {
 	var buf strings.Builder
-	if err := run([]string{"-exp", "sparseexec"}, &buf); err != nil {
+	if err := run([]string{"-exp", "memory"}, &buf); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"Sparse execution", "speedup"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("output missing %q", want)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	want := []string{"Memory plan", "model", "WideResnet-101", "VGG-19", "GPT-3 XL", "GPT-3 2.7B ",
+		"GPT-3 6.7B", "GPT-3 13B", "GPT-3 2.7B model states", "analytical break-even sparsity"}
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], w)
 		}
+	}
+}
+
+// TestRunRejectsBadFlag pins the error path for unknown flags.
+func TestRunRejectsBadFlag(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"-no-such-flag"}, &buf); err == nil {
+		t.Fatal("expected flag parse error")
 	}
 }
 

@@ -62,14 +62,30 @@ func run(args []string, out io.Writer) error {
 	const seq, vocab, mlpIn, mlpClasses = 12, 48, 24, 10
 	gptCfg := samo.GPTConfig{Name: "serve", Layers: *layers, Hidden: *hidden,
 		Heads: 4, Seq: seq, Vocab: vocab}
+	// Validate before any model is built: the builders panic on a bad shape
+	// (their contract is validated input), and a run that serves nothing
+	// must not report a verified smoke.
+	switch {
+	case *modelKind != "gpt" && *modelKind != "mlp":
+		return fmt.Errorf("samo-serve: -model %q: want gpt or mlp", *modelKind)
+	case *hidden < 1:
+		return fmt.Errorf("samo-serve: -hidden %d: want >= 1", *hidden)
+	case *modelKind == "gpt" && *hidden%gptCfg.Heads != 0:
+		return fmt.Errorf("samo-serve: -hidden %d: want a multiple of the %d attention heads", *hidden, gptCfg.Heads)
+	case *layers < 0:
+		return fmt.Errorf("samo-serve: -layers %d: want >= 0", *layers)
+	case *trainIters < 0:
+		return fmt.Errorf("samo-serve: -train-iters %d: want >= 0", *trainIters)
+	case *requests < 1:
+		return fmt.Errorf("samo-serve: -requests %d: want >= 1", *requests)
+	case *concurrency < 1:
+		return fmt.Errorf("samo-serve: -concurrency %d: want >= 1", *concurrency)
+	}
 	build := func() *samo.Model {
 		if *modelKind == "mlp" {
 			return samo.NewMLP("serve", []int{mlpIn, *hidden, mlpClasses}, samo.NewRNG(1))
 		}
 		return samo.NewGPT(gptCfg, samo.NewRNG(1))
-	}
-	if *modelKind != "gpt" && *modelKind != "mlp" {
-		return fmt.Errorf("samo-serve: -model %q: want gpt or mlp", *modelKind)
 	}
 
 	var pr *samo.PruneResult

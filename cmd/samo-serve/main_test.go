@@ -36,11 +36,23 @@ func TestSmokeGPTSAMO(t *testing.T) {
 	}
 }
 
-// TestBadFlags pins the error paths: unknown model and flag.
+// TestBadFlags pins the error paths: unknown model and flag, model shapes
+// the builders would panic on (a width the 4 heads do not divide, a zero
+// width, a negative depth), and runs that would serve nothing or panic on a
+// negative count, each refused before any model is built.
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-model", "nope"},
 		{"-not-a-flag"},
+		{"-hidden", "30"},
+		{"-hidden", "0"},
+		{"-model", "mlp", "-hidden", "0"},
+		{"-layers", "-1"},
+		{"-model", "mlp", "-layers", "-1"},
+		{"-requests", "-1"},
+		{"-requests", "0"},
+		{"-concurrency", "0"},
+		{"-train-iters", "-1"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v: expected an error", args)

@@ -64,8 +64,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	// Validate the model's shape before any model is built: the builders
+	// panic on it (their contract is validated input).
 	cfg := samo.GPTConfig{Name: "cli", Layers: *layers, Hidden: *hidden,
 		Heads: 4, Seq: 12, Vocab: 48}
+	if *hidden < 1 || *hidden%cfg.Heads != 0 {
+		return fmt.Errorf("-hidden %d: want a positive multiple of the %d attention heads", *hidden, cfg.Heads)
+	}
+	if *layers < 0 {
+		return fmt.Errorf("-layers %d: want >= 0", *layers)
+	}
 	build := func() *samo.Model { return samo.NewGPT(cfg, samo.NewRNG(1)) }
 
 	var ticket *samo.PruneResult

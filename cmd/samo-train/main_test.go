@@ -41,13 +41,23 @@ func TestRunHelp(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadLayout pins the error path: more pipeline stages than
-// layers must fail with an error, not exit the process.
+// TestRunRejectsBadLayout pins the error paths of the model's layout: more
+// pipeline stages than layers, a width the 4 heads do not divide, a zero
+// width and a negative depth must each fail with an error, not a panic or
+// an exit.
 func TestRunRejectsBadLayout(t *testing.T) {
-	var buf strings.Builder
-	err := run([]string{"-iters", "1", "-ginter", "5", "-layers", "1", "-hidden", "16"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("expected ginter-exceeds-layers error, got %v", err)
+	for _, tc := range []struct{ args, want string }{
+		{"-iters 1 -ginter 5 -layers 1 -hidden 16", "exceeds"},
+		{"-iters 1 -hidden 30", "-hidden 30"},
+		{"-iters 1 -hidden 0", "-hidden 0"},
+		{"-iters 1 -samo -hidden 30", "-hidden 30"},
+		{"-iters 1 -layers -1", "-layers -1"},
+	} {
+		var buf strings.Builder
+		err := run(strings.Fields(tc.args), &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%s): got %v, want error containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 

@@ -1,5 +1,6 @@
 // Quickstart: prune a small network, enable SAMO, train, and inspect the
-// memory ledger — the five-minute tour of the public API.
+// memory ledger; then run the pruned network through CSR kernels and prune
+// it further while it trains — the five-minute tour of the public API.
 package main
 
 import (
@@ -82,5 +83,32 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "final loss: %.4f (pruned coordinates stayed exactly zero throughout)\n",
 		trainer.EvalLoss(x, targets))
+
+	// 5. Compute sparsely and prune further while training. Sparsify stores
+	// each pruned weight as a CSR, so the kernels touch only the surviving
+	// weights; a gradual pruner then ramps 90 -> 95% along Zhu & Gupta's
+	// cubic schedule, and every prune event shrinks the state in place.
+	sparseModel := samo.NewMLP("quickstart-csr", []int{16, 64, 64, 4}, samo.NewRNG(42))
+	sparseTicket := samo.PruneMagnitude(sparseModel, 0.9)
+	sparseState := samo.NewState(samo.Sparsify(sparseModel, sparseTicket), samo.NewAdam(0.005),
+		samo.ModeSAMO, sparseTicket)
+	ramp := samo.PruneSchedule{Initial: 0.9, Final: 0.95, BeginStep: 0, EndStep: 20, Frequency: 5}
+	pruner, err := samo.NewGradualPruner(sparseState, ramp)
+	if err != nil {
+		return err
+	}
+	ledger := func(when string) {
+		m := sparseState.Memory()
+		fmt.Fprintf(out, "CSR model state %s: %d bytes (θ16 %d, ∇θ16 %d, θ32 %d, Adam %d, index %d)\n",
+			when, m.Total(), m.Theta16, m.Grad16, m.Theta32, m.OptStates, m.Index+m.TempCopy)
+	}
+	ledger("at 90%")
+	sparseTrainer := samo.NewTrainer(sparseState)
+	for step := 0; step <= ramp.EndStep; step++ {
+		sparseTrainer.TrainStep(x, targets)
+		pruner.MaybePrune(step)
+	}
+	ledger("after the ramp to 95%")
+	fmt.Fprintf(out, "CSR loss after the ramp: %.4f\n", sparseTrainer.EvalLoss(x, targets))
 	return nil
 }

@@ -35,7 +35,7 @@ func makeBatches(n, samples int, seed uint64) []Batch {
 		tensor.FillNormal(x, 1, rng)
 		targets := make([]int, samples)
 		for j := range targets {
-			targets[j] = rng.Intn(classes)
+			targets[j] = int(rng.Uint64() % uint64(classes))
 		}
 		out = append(out, Batch{Input: x, Targets: targets, SampleRows: 1, Samples: samples})
 	}
@@ -187,8 +187,8 @@ func TestGPTPipelineTrains(t *testing.T) {
 	tokens := make([]int, samples*cfg.Seq)
 	targets := make([]int, samples*cfg.Seq)
 	for i := range tokens {
-		tokens[i] = rng.Intn(cfg.Vocab)
-		targets[i] = rng.Intn(cfg.Vocab)
+		tokens[i] = int(rng.Uint64() % uint64(cfg.Vocab))
+		targets[i] = int(rng.Uint64() % uint64(cfg.Vocab))
 	}
 	b := Batch{Input: nn.TokensToTensor(tokens), Targets: targets, SampleRows: cfg.Seq, Samples: samples}
 	var batches []Batch

@@ -128,7 +128,7 @@ func TestOneGradientReducePerStage(t *testing.T) {
 		tensor.FillNormal(x, 1, rng)
 		targets := make([]int, 8)
 		for j := range targets {
-			targets[j] = rng.Intn(32)
+			targets[j] = int(rng.Uint64() % 32)
 		}
 		batches[i] = Batch{Input: x, Targets: targets, SampleRows: 1, Samples: 8}
 	}
@@ -272,7 +272,7 @@ func TestDP2OverTCPStateBitsPinned(t *testing.T) {
 		tensor.FillNormal(x, 1, rng)
 		targets := make([]int, 8)
 		for j := range targets {
-			targets[j] = rng.Intn(32)
+			targets[j] = int(rng.Uint64() % 32)
 		}
 		batches[i] = Batch{Input: x, Targets: targets, SampleRows: 1, Samples: 8}
 	}

@@ -124,8 +124,8 @@ func TestGPTTrainStepZeroAlloc(t *testing.T) {
 	targets := make([]int, 2*cfg.Seq)
 	drng := tensor.NewRNG(24)
 	for i := range tokens {
-		tokens[i] = drng.Intn(cfg.Vocab)
-		targets[i] = drng.Intn(cfg.Vocab)
+		tokens[i] = int(drng.Uint64() % uint64(cfg.Vocab))
+		targets[i] = int(drng.Uint64() % uint64(cfg.Vocab))
 	}
 	x := nn.TokensToTensor(tokens)
 	defer tensor.SetWorkers(tensor.SetWorkers(1))

@@ -103,7 +103,7 @@ func makeBatch(n, in, classes int, seed uint64) (*tensor.Tensor, []int) {
 	tensor.FillNormal(x, 1, rng)
 	targets := make([]int, n)
 	for i := range targets {
-		targets[i] = rng.Intn(classes)
+		targets[i] = int(rng.Uint64() % uint64(classes))
 	}
 	return x, targets
 }
@@ -346,8 +346,8 @@ func TestGradScratchSharedAndZero(t *testing.T) {
 	tokens := make([]int, 2*cfg.Seq)
 	targets := make([]int, 2*cfg.Seq)
 	for i := range tokens {
-		tokens[i] = drng.Intn(cfg.Vocab)
-		targets[i] = drng.Intn(cfg.Vocab)
+		tokens[i] = int(drng.Uint64() % uint64(cfg.Vocab))
+		targets[i] = int(drng.Uint64() % uint64(cfg.Vocab))
 	}
 	x := nn.TokensToTensor(tokens)
 	y, caches := m.Forward(x, true)

@@ -432,8 +432,8 @@ func TestGPTStateBitsPinned(t *testing.T) {
 		lossHash := fnv.New64a()
 		for step := 0; step < steps; step++ {
 			for i := range tokens {
-				tokens[i] = drng.Intn(cfg.Vocab)
-				targets[i] = drng.Intn(cfg.Vocab)
+				tokens[i] = int(drng.Uint64() % uint64(cfg.Vocab))
+				targets[i] = int(drng.Uint64() % uint64(cfg.Vocab))
 			}
 			loss, _ := tr.TrainStep(nn.TokensToTensor(tokens), targets)
 			binary.Write(lossHash, binary.LittleEndian, math.Float64bits(loss))

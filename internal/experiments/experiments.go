@@ -244,13 +244,54 @@ func Table2(w io.Writer) []Table2Row {
 	return rows
 }
 
-// MemoryReport prints the §VI-C headline: GPT-3 2.7B model-state memory
-// drops 74% under SAMO.
-func MemoryReport(w io.Writer) (dense, samo int64) {
+// planGPUs is the GPU count of the memory plan, clamped to each job's
+// Table I range.
+const planGPUs = 512
+
+// PlanRow is one Table I model's memory plan: model-state bytes dense and
+// under SAMO, and the layout each needs (a zero Plan when it does not fit).
+type PlanRow struct {
+	Job                 string
+	Dense, SAMO         int64
+	DensePlan, SAMOPlan simulate.Plan
+}
+
+// MemoryReport prints the §IV-B mechanism by which memory savings become
+// communication savings: every Table I model's state bytes and the
+// Ginter×Gdata it needs on planGPUs Summit GPUs, dense and under SAMO (GPT-3
+// 2.7B goes from Ginter 8 to 2). Then the §VI-C headline for GPT-3 2.7B and
+// the §III-D break-even sparsity.
+func MemoryReport(w io.Writer) []PlanRow {
+	m := hw.Summit()
+	fmt.Fprintf(w, "Memory plan: model states at sparsity %.2f on %s (%d GPUs, %.0f GB each)\n",
+		Sparsity, m.Name, planGPUs, float64(m.MemoryBytes)/(1<<30))
+	fmt.Fprintf(w, "%-16s %12s %12s %10s %14s %14s\n",
+		"model", "dense(GB)", "SAMO(GB)", "saved", "dense layout", "SAMO layout")
+	layout := func(p simulate.Plan) string {
+		if !p.Feasible {
+			return "OOM"
+		}
+		return fmt.Sprintf("Gi=%d Gd=%d", p.Ginter, p.Gdata)
+	}
+	var rows []PlanRow
+	for _, j := range simulate.StandardJobs() {
+		g := min(max(planGPUs, j.MinGPUs), j.MaxGPUs)
+		r := PlanRow{Job: j.Name,
+			Dense:     core.DefaultModelStateBytes(j.Phi),
+			SAMO:      core.SAMOModelStateBytes(j.Phi, Sparsity),
+			DensePlan: simulate.Run(simulate.MethodAxoNN, j, m, g, Sparsity).Plan,
+			SAMOPlan:  simulate.Run(simulate.MethodSAMO, j, m, g, Sparsity).Plan,
+		}
+		rows = append(rows, r)
+		fmt.Fprintf(w, "%-16s %12.2f %12.2f %9.0f%% %14s %14s\n",
+			r.Job, core.GiB(r.Dense), core.GiB(r.SAMO), 100*(1-float64(r.SAMO)/float64(r.Dense)),
+			layout(r.DensePlan), layout(r.SAMOPlan))
+	}
 	phi := nn.GPT3_2B7.NumParams()
-	dense = core.DefaultModelStateBytes(phi)
-	samo = core.SAMOModelStateBytes(phi, Sparsity)
+	dense, samo := core.DefaultModelStateBytes(phi), core.SAMOModelStateBytes(phi, Sparsity)
 	fmt.Fprintf(w, "GPT-3 2.7B model states: dense %.2f GB -> SAMO %.2f GB (%.0f%% reduction)\n",
 		core.GiB(dense), core.GiB(samo), 100*(1-float64(samo)/float64(dense)))
-	return dense, samo
+	fmt.Fprintf(w, "analytical break-even sparsity: %.2f (below it SAMO costs memory)\n",
+		core.BreakEvenSparsity)
+	return rows
 }

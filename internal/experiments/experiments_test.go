@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -184,10 +185,44 @@ func TestTable2Shape(t *testing.T) {
 
 func TestMemoryReportHeadline(t *testing.T) {
 	var buf bytes.Buffer
-	dense, samo := MemoryReport(&buf)
-	red := 100 * (1 - float64(samo)/float64(dense))
+	r := MemoryReport(&buf)[3]
+	red := 100 * (1 - float64(r.SAMO)/float64(r.Dense))
 	// Abstract: 74% reduction for GPT-3 2.7B.
-	if red < 70 || red > 80 {
-		t.Errorf("2.7B reduction %.1f%%, paper reports 74%%", red)
+	if r.Job != "GPT-3 2.7B" || red < 70 || red > 80 {
+		t.Errorf("%s reduction %.1f%%, paper reports 74%% for GPT-3 2.7B", r.Job, red)
+	}
+	tail := fmt.Sprintf("GPT-3 2.7B model states: dense %.2f GB -> SAMO %.2f GB (%.0f%% reduction)\n"+
+		"analytical break-even sparsity: 0.25 (below it SAMO costs memory)\n",
+		float64(r.Dense)/(1<<30), float64(r.SAMO)/(1<<30), red)
+	if !strings.HasSuffix(buf.String(), tail) {
+		t.Errorf("report does not end with the headline and break-even lines:\n%s", buf.String())
+	}
+}
+
+// TestMemoryPlanRows pins the memory plan: one row per Table I job in
+// order, and §IV-B's mechanism on GPT-3 2.7B at 512 GPUs — the dense state
+// needs Ginter 8 × Gdata 64, SAMO's fits Ginter 2 × Gdata 256.
+func TestMemoryPlanRows(t *testing.T) {
+	rows := MemoryReport(io.Discard)
+	jobs := simulate.StandardJobs()
+	if len(rows) != len(jobs) {
+		t.Fatalf("%d rows, want %d", len(rows), len(jobs))
+	}
+	for i, r := range rows {
+		if r.Job != jobs[i].Name {
+			t.Errorf("row %d is %q, want %q", i, r.Job, jobs[i].Name)
+		}
+		if !r.DensePlan.Feasible || !r.SAMOPlan.Feasible || r.SAMO >= r.Dense {
+			t.Errorf("%s: %+v", r.Job, r)
+		}
+		if r.SAMOPlan.Ginter > r.DensePlan.Ginter {
+			t.Errorf("%s: SAMO Ginter %d above dense %d", r.Job, r.SAMOPlan.Ginter, r.DensePlan.Ginter)
+		}
+	}
+	r := rows[3]
+	if r.Job != "GPT-3 2.7B" || r.DensePlan.Ginter != 8 || r.DensePlan.Gdata != 64 ||
+		r.SAMOPlan.Ginter != 2 || r.SAMOPlan.Gdata != 256 {
+		t.Errorf("2.7B plan: dense Gi=%d Gd=%d, SAMO Gi=%d Gd=%d; want 8x64 and 2x256",
+			r.DensePlan.Ginter, r.DensePlan.Gdata, r.SAMOPlan.Ginter, r.SAMOPlan.Gdata)
 	}
 }

@@ -141,12 +141,12 @@ func TestInferSparsifiedMatchesEvalForward(t *testing.T) {
 	}
 }
 
-// TestInferNoAliasing pins InferLayer's no-aliasing contract on every
-// layer of inferTestModels, bare and wrapped in Recompute: InferForward's
-// output must not share storage with its input, or InferWindowed's early
-// arena reset would corrupt a result one layer later. Aliasing is probed by
-// overwriting the input after the call and checking the output kept its
-// bits.
+// TestInferNoAliasing pins Layer's no-aliasing contract for the eval
+// forward on every layer of inferTestModels, bare and wrapped in Recompute:
+// Forward(a, x, false)'s output must not share storage with its input, or
+// InferWindowed's early arena reset would corrupt a result one layer later.
+// Aliasing is probed by overwriting the input after the call and checking
+// the output kept its bits.
 func TestInferNoAliasing(t *testing.T) {
 	poison := math.Float32frombits(0x7fc0dead)
 	for _, tc := range inferTestModels() {
@@ -154,7 +154,10 @@ func TestInferNoAliasing(t *testing.T) {
 		x := tc.x
 		for i, l := range tc.model.Layers {
 			for _, wrapped := range []Layer{l, Recompute{Inner: l}} {
-				y := InferForward(wrapped, a, x)
+				y, cache := wrapped.Forward(a, x, false)
+				if cache != nil {
+					t.Errorf("%s layer %d (%T): eval forward returned a cache", tc.name, i, wrapped)
+				}
 				want := append([]float32(nil), y.Data()...)
 				saved := append([]float32(nil), x.Data()...)
 				for j := range x.Data() {
@@ -165,7 +168,7 @@ func TestInferNoAliasing(t *testing.T) {
 				}
 				copy(x.Data(), saved)
 			}
-			x = InferForward(l, a, x)
+			x, _ = l.Forward(a, x, false)
 		}
 	}
 }

@@ -86,11 +86,15 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // optimizer step that consumed them. Backward consumes the cache exactly
 // once (cache structs are recycled through per-type pools).
 //
-// Forward with train=false is contractually cache-free: it returns a nil
-// cache and must not touch the cache pools at all — no Get that eval
-// discards, no compensating Put. Inference passes (Model.Infer, EvalLoss,
-// the serving engine) therefore leave the pools untouched; see infer.go
-// for the forward-only extension built on this contract.
+// Forward with train=false is each layer's one eval forward, and is
+// contractually cache-free: it returns a nil cache and must not touch the
+// cache pools at all — no Get that eval discards, no compensating Put —
+// so an inference pass (Model.Infer, EvalLoss, the serving engine) leaves
+// the pools exactly as it found them and a serving process can run
+// forwards forever without growing or draining training-side free lists.
+// Its output must not alias x's storage (own data from a, or layer-owned):
+// that is what lets Model.InferWindowed reclaim the arena holding x one
+// layer later.
 type Layer interface {
 	Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (y *tensor.Tensor, cache any)
 	Backward(a *tensor.Arena, cache any, gradOut *tensor.Tensor) *tensor.Tensor

@@ -51,14 +51,14 @@ func gradCheck(t *testing.T, name string, l Layer, x *tensor.Tensor, seed uint64
 	// Sample input coordinates.
 	n := x.Len()
 	for s := 0; s < 8 && s < n; s++ {
-		i := rng.Intn(n)
+		i := int(rng.Uint64() % uint64(n))
 		checkCoord(x.Data(), i, dx.Data()[i], "input")
 	}
 	// Sample parameter coordinates.
 	for _, p := range l.Params() {
 		pn := p.Size()
 		for s := 0; s < 6 && s < pn; s++ {
-			i := rng.Intn(pn)
+			i := int(rng.Uint64() % uint64(pn))
 			checkCoord(p.Value.Data(), i, p.Grad.Data()[i], "param "+p.Name)
 		}
 	}
@@ -226,7 +226,7 @@ func TestModelEndToEndGradient(t *testing.T) {
 	const eps = 1e-2
 	rng2 := tensor.NewRNG(42)
 	for s := 0; s < 8; s++ {
-		i := rng2.Intn(p.Size())
+		i := int(rng2.Uint64() % uint64(p.Size()))
 		orig := p.Value.Data()[i]
 		p.Value.Data()[i] = orig + eps
 		lp := loss()

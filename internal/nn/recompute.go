@@ -37,8 +37,9 @@ type recomputeCache struct {
 
 var recomputeCaches parallel.Pool[recomputeCache]
 
-// Forward runs the inner layer and discards its cache, keeping only the
-// input.
+// Forward runs the inner layer's eval forward, keeping only the input when
+// training: checkpointing exists to bound backward-pass memory, so an eval
+// forward sees straight through it.
 func (r Recompute) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tensor.Tensor, any) {
 	y, _ := r.Inner.Forward(a, x, false) // eval-mode forward: no cache is built
 	if !train {
@@ -47,14 +48,6 @@ func (r Recompute) Forward(a *tensor.Arena, x *tensor.Tensor, train bool) (*tens
 	c := recomputeCaches.Get()
 	c.x = x
 	return y, c
-}
-
-// Infer unwraps to the inner layer's inference forward: checkpointing only
-// exists to bound backward-pass memory, so forward-only execution sees
-// straight through it (and inherits the inner layer's no-aliasing
-// contract).
-func (r Recompute) Infer(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	return InferForward(r.Inner, a, x)
 }
 
 // Backward re-runs the inner forward in training mode to rebuild the cache,

@@ -3,9 +3,8 @@
 package optim
 
 // Implemented in adam_amd64.s: adamChunk's loop over n elements, n a
-// multiple of 8, for one of the three variants (adamPlain, adamL2,
-// adamDecay). The callers have cut p, grad, m and v from slices at least n
-// long.
+// multiple of 8, with decoupled weight decay when decay is set. The callers
+// have cut p, grad, m and v from slices at least n long.
 //
 //go:noescape
-func adamAVX2(p, grad, m, v *float32, n int, k *adamConsts, variant int)
+func adamAVX2(p, grad, m, v *float32, n int, k *adamConsts, decay bool)

@@ -24,12 +24,11 @@
 #define K_C2 20
 #define K_LR 24
 #define K_EPS 28
-#define K_WD 32
-#define K_LRWD 36
+#define K_LRWD 32
 
 // UPDATE takes g in Y0, writes m and v back and leaves
 // upd = lr·(m·c1) / (sqrt(v·c2) + eps) in Y1. SI, DI, R8 and R9 point at
-// θ, g, m and v; Y5–Y14 hold the constants.
+// θ, g, m and v; Y5–Y13 hold the constants.
 #define UPDATE \
 	VMULPS  (R8), Y5, Y1  \
 	VMULPS  Y0, Y7, Y2    \
@@ -54,15 +53,15 @@
 	ADDQ $32, R9 \
 	DECQ CX
 
-// func adamAVX2(p, grad, m, v *float32, n int, k *adamConsts, variant int)
-TEXT ·adamAVX2(SB), NOSPLIT, $0-56
+// func adamAVX2(p, grad, m, v *float32, n int, k *adamConsts, decay bool)
+TEXT ·adamAVX2(SB), NOSPLIT, $0-49
 	MOVQ         p+0(FP), SI
 	MOVQ         grad+8(FP), DI
 	MOVQ         m+16(FP), R8
 	MOVQ         v+24(FP), R9
 	MOVQ         n+32(FP), CX
 	MOVQ         k+40(FP), AX
-	MOVQ         variant+48(FP), BX
+	MOVBLZX      decay+48(FP), BX
 	VBROADCASTSS K_B1(AX), Y5
 	VBROADCASTSS K_B2(AX), Y6
 	VBROADCASTSS K_OMB1(AX), Y7
@@ -71,13 +70,11 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSS K_C2(AX), Y10
 	VBROADCASTSS K_LR(AX), Y11
 	VBROADCASTSS K_EPS(AX), Y12
-	VBROADCASTSS K_WD(AX), Y13
-	VBROADCASTSS K_LRWD(AX), Y14
+	VBROADCASTSS K_LRWD(AX), Y13
 	SHRQ         $3, CX
 	JZ           done
-	CMPQ         BX, $1
-	JEQ          l2
-	JGT          decay
+	TESTL        BX, BX
+	JNZ          decay
 
 // θ -= upd
 plain:
@@ -90,24 +87,12 @@ plain:
 	JNZ     plain
 	JMP     done
 
-// g += wd·θ, then as plain
-l2:
-	VMOVUPS (SI), Y4
-	VMULPS  Y4, Y13, Y0
-	VADDPS  (DI), Y0, Y0
-	UPDATE
-	VSUBPS  Y1, Y4, Y4
-	VMOVUPS Y4, (SI)
-	NEXT
-	JNZ     l2
-	JMP     done
-
 // upd += lr·wd·θ, then θ -= upd
 decay:
 	VMOVUPS (DI), Y0
 	UPDATE
 	VMOVUPS (SI), Y2
-	VMULPS  Y2, Y14, Y4
+	VMULPS  Y2, Y13, Y4
 	VADDPS  Y4, Y1, Y1
 	VSUBPS  Y1, Y2, Y2
 	VMOVUPS Y2, (SI)

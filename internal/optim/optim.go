@@ -47,10 +47,10 @@ type Optimizer interface {
 // assumes it: two fp32 states per parameter, the 8φ term in M_default.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	// WeightDecay, when set with Decoupled, gives AdamW (Loshchilov &
-	// Hutter), the paper's optimizer for GPT models.
+	// WeightDecay, when nonzero, gives AdamW (Loshchilov & Hutter):
+	// decay decoupled from the gradient, the paper's optimizer for GPT
+	// models.
 	WeightDecay float64
-	Decoupled   bool
 
 	m, v map[string][]float32
 	t    map[string]int
@@ -62,7 +62,7 @@ type Adam struct {
 type adamJob struct {
 	params, grads, m, v []float32
 	adamConsts
-	variant int // adamPlain, adamL2 or adamDecay
+	decay bool // AdamW: WeightDecay != 0
 }
 
 // adamConsts are the update's float32 constants, in the order adam_amd64.s
@@ -70,16 +70,8 @@ type adamJob struct {
 type adamConsts struct {
 	b1, b2, omb1, omb2 float32 // β and 1−β
 	c1, c2             float32 // bias corrections 1/(1−βᵗ)
-	lr, eps, wd, lrwd  float32
+	lr, eps, lrwd      float32
 }
-
-// The three forms of the update: no weight decay, decay folded into the
-// gradient (L2), and decoupled decay (AdamW).
-const (
-	adamPlain = iota
-	adamL2
-	adamDecay
-)
 
 // adamVector reports whether adamChunk runs the AVX2 kernel of adam_amd64.s
 // over each chunk's multiple-of-8 body. It is internal/tensor's start-up
@@ -99,7 +91,6 @@ func NewAdam(lr float64) *Adam {
 func NewAdamW(lr, weightDecay float64) *Adam {
 	a := NewAdam(lr)
 	a.WeightDecay = weightDecay
-	a.Decoupled = true
 	return a
 }
 
@@ -117,18 +108,11 @@ func (a *Adam) Step(key string, params, grads []float32) {
 	t := a.t[key]
 	b1, b2 := float32(a.Beta1), float32(a.Beta2)
 	lr, wd := float32(a.LR), float32(a.WeightDecay)
-	variant := adamPlain
-	if wd != 0 {
-		variant = adamL2
-		if a.Decoupled {
-			variant = adamDecay
-		}
-	}
-	a.job = adamJob{params: params, grads: grads, m: m, v: v, variant: variant,
+	a.job = adamJob{params: params, grads: grads, m: m, v: v, decay: wd != 0,
 		adamConsts: adamConsts{b1: b1, b2: b2, omb1: 1 - b1, omb2: 1 - b2,
 			c1: 1 / (1 - float32(math.Pow(a.Beta1, float64(t)))),
 			c2: 1 / (1 - float32(math.Pow(a.Beta2, float64(t)))),
-			lr: lr, eps: float32(a.Eps), wd: wd, lrwd: lr * wd}}
+			lr: lr, eps: float32(a.Eps), lrwd: lr * wd}}
 	parallel.Run(len(params), parallel.StreamGrain, &a.job, adamChunk)
 }
 
@@ -139,16 +123,12 @@ func adamChunk(ctx any, lo, hi int) {
 	j := ctx.(*adamJob)
 	params, grads, m, v := j.params[lo:hi], j.grads[lo:hi], j.m[lo:hi], j.v[lo:hi]
 	if n := len(grads) &^ 7; adamVector && n > 0 {
-		adamAVX2(&params[0], &grads[0], &m[0], &v[0], n, &j.adamConsts, j.variant)
+		adamAVX2(&params[0], &grads[0], &m[0], &v[0], n, &j.adamConsts, j.decay)
 		params, grads, m, v = params[n:], grads[n:], m[n:], v[n:]
 	}
 	b1, b2, omb1, omb2, c1, c2 := j.b1, j.b2, j.omb1, j.omb2, j.c1, j.c2
-	lr, eps, wd, lrwd := j.lr, j.eps, j.wd, j.lrwd
-	l2, decay := j.variant == adamL2, j.variant == adamDecay
+	lr, eps, lrwd, decay := j.lr, j.eps, j.lrwd, j.decay
 	for i, g := range grads {
-		if l2 {
-			g += wd * params[i]
-		}
 		m[i] = b1*m[i] + omb1*g
 		v[i] = b2*v[i] + omb2*g*g
 		mh := m[i] * c1

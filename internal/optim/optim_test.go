@@ -189,15 +189,12 @@ func refAdamStep(a *Adam, t int, params, grads, m, v []float32) {
 	wd := float32(a.WeightDecay)
 	for i := range params {
 		g := grads[i]
-		if wd != 0 && !a.Decoupled {
-			g += wd * params[i]
-		}
 		m[i] = b1*m[i] + (1-b1)*g
 		v[i] = b2*v[i] + (1-b2)*g*g
 		mh := m[i] * c1
 		vh := v[i] * c2
 		upd := lr * mh / (float32(math.Sqrt(float64(vh))) + eps)
-		if wd != 0 && a.Decoupled {
+		if wd != 0 {
 			upd += lr * wd * params[i]
 		}
 		params[i] -= upd
@@ -205,8 +202,6 @@ func refAdamStep(a *Adam, t int, params, grads, m, v []float32) {
 }
 
 func TestStepMatchesReferenceLoops(t *testing.T) {
-	l2Adam := NewAdam(1e-2)
-	l2Adam.WeightDecay = 0.01 // not decoupled: decay folded into the gradient
 	sameBits := func(t *testing.T, what string, got, want []float32) {
 		t.Helper()
 		for i := range want {
@@ -223,8 +218,7 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 			for i := range params {
 				params[i] = float32(i%997-498) / 997
 			}
-			for name, opt := range map[string]*Adam{"adam": NewAdam(1e-2), "adamw": NewAdamW(1e-2, 0.01),
-				"adam-l2": l2Adam} {
+			for name, opt := range map[string]*Adam{"adam": NewAdam(1e-2), "adamw": NewAdamW(1e-2, 0.01)} {
 				key := fmt.Sprintf("%s/w%d/n%d", name, workers, n)
 				got, want := append([]float32(nil), params...), append([]float32(nil), params...)
 				refState := [][]float32{make([]float32, n), make([]float32, n)}
@@ -281,10 +275,10 @@ func sameAdamBits(t *testing.T, what string, got, want []float32) {
 }
 
 // TestAdamVectorMatchesGo holds the AVX2 Adam kernel to the Go loop it
-// replaces, bit for bit, in all three variants (plain, L2 and decoupled
-// decay), over 12 steps, at every length up to two vector bodies and a tail,
-// 8k±1 around a few more and lengths that chunk on the pool, from odd start
-// offsets, with adamSpecials in both the parameters and the gradients.
+// replaces, bit for bit, in both variants (plain and decoupled decay), over
+// 12 steps, at every length up to two vector bodies and a tail, 8k±1 around
+// a few more and lengths that chunk on the pool, from odd start offsets,
+// with adamSpecials in both the parameters and the gradients.
 func TestAdamVectorMatchesGo(t *testing.T) {
 	if !adamVector {
 		t.Skip("no AVX2 on this host: the Go loop is the only Adam it runs")
@@ -294,11 +288,6 @@ func TestAdamVectorMatchesGo(t *testing.T) {
 	variants := map[string]func() *Adam{
 		"adam":  func() *Adam { return NewAdam(1e-2) },
 		"adamw": func() *Adam { return NewAdamW(1e-2, 0.01) },
-		"adam-l2": func() *Adam {
-			a := NewAdam(1e-2)
-			a.WeightDecay = 0.01
-			return a
-		},
 	}
 	lens := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 255, 257,
 		parallel.StreamGrain + 1, 2*parallel.StreamGrain + 9} // the last two run chunked

@@ -5,7 +5,10 @@
 // spMM/SDDMM kernels standing in for Sputnik/cuSPARSE.
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Mask is a bitset over the linearized (1-D view) elements of a parameter
 // tensor: bit i set means parameter i is *unpruned* (non-zero). The paper
@@ -64,18 +67,9 @@ func (m *Mask) check(i int) {
 func (m *Mask) Count() int {
 	c := 0
 	for _, w := range m.bits {
-		c += popcount(w)
+		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // Indices returns the sorted linearized indices of unpruned elements as
@@ -86,21 +80,12 @@ func (m *Mask) Indices() []int32 {
 	for w, word := range m.bits {
 		for word != 0 {
 			b := word & (-word)
-			i := w*64 + trailingZeros(word)
+			i := w*64 + bits.TrailingZeros64(word)
 			idx = append(idx, int32(i))
 			word ^= b
 		}
 	}
 	return idx
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // HammingDistance returns the number of positions where the two masks
@@ -115,7 +100,7 @@ func HammingDistance(a, b *Mask) float64 {
 	}
 	d := 0
 	for i := range a.bits {
-		d += popcount(a.bits[i] ^ b.bits[i])
+		d += bits.OnesCount64(a.bits[i] ^ b.bits[i])
 	}
 	return float64(d) / float64(a.n)
 }

@@ -26,14 +26,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Intn returns a uniform value in [0,n).
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("tensor: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Norm returns a standard normal variate (Box–Muller; one value per call for
 // simplicity — initialization is not a hot path).
 func (r *RNG) Norm() float64 {

@@ -15,9 +15,11 @@
 //     parallel engine (Train), which also compresses the data-parallel
 //     gradient all-reduce.
 //
-// The companion Summit performance simulator (EstimateGPT) answers "what
-// would this buy me at N GPUs" with the paper's calibrated hardware model,
-// and MemorySavingsPercent gives the §III-D closed-form saving.
+// The companion Summit performance simulator (internal/simulate over the
+// paper's calibrated hardware model) answers "what would this buy me at N
+// GPUs": cmd/samo-experiments prints the paper's figures and tables from
+// it, and its memory experiment the Ginter×Gdata each model's state needs.
+// MemorySavingsPercent gives the §III-D closed-form saving.
 //
 // # Compute substrate
 //
@@ -227,8 +229,8 @@
 // and crash recovery around a prune event is bitwise-identical to an
 // uninterrupted run. Drive it with NewGradualPruner (single-process,
 // call MaybePrune after each trainer step) or ParallelConfig.PruneSchedule
-// (samo-train's -prune-* flags); examples/scaling_study -schedule
-// sweeps schedules into an accuracy-proxy vs speedup frontier.
+// (samo-train's -prune-* flags); examples/quickstart ramps a Sparsify'd
+// MLP from 90 to 95% and prints its ledger before and after.
 //
 // Steady-state training steps are allocation-free across both model
 // families — MLP and GPT (embedding, attention, layer norm, GELU MLP) — as
@@ -252,11 +254,9 @@ import (
 	"github.com/sparse-dl/samo/internal/axonn"
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/experiments"
-	"github.com/sparse-dl/samo/internal/hw"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
-	"github.com/sparse-dl/samo/internal/simulate"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
 
@@ -295,10 +295,6 @@ type (
 	// Peers lists every process's listen address, Proc is this process's
 	// index, and ranks split into contiguous blocks across processes.
 	NetConfig = axonn.NetConfig
-	// Machine is a cluster hardware profile for the simulator.
-	Machine = hw.Machine
-	// Estimate is one simulated (framework, model, GPU-count) outcome.
-	Estimate = simulate.Result
 )
 
 // Storage modes.
@@ -334,15 +330,6 @@ func NewGPT(cfg GPTConfig, rng *RNG) *Model { return nn.BuildGPT(cfg, rng) }
 
 // GPTConfig describes a GPT-family model.
 type GPTConfig = nn.GPTConfig
-
-// The paper's Table I transformer configurations (for accounting and
-// simulation; build tiny variants for in-process training).
-var (
-	GPT3XL   = nn.GPT3XL
-	GPT3o2B7 = nn.GPT3_2B7
-	GPT3o6B7 = nn.GPT3_6B7
-	GPT3o13B = nn.GPT3_13B
-)
 
 // --- Pruning ----------------------------------------------------------------
 
@@ -406,24 +393,10 @@ func Train(cfg ParallelConfig, build func() *Model, optb func() Optimizer, pr *P
 // MemorySavingsPercent returns the relative saving 100·(24p−6)/20.
 func MemorySavingsPercent(sparsity float64) float64 { return core.SavingsPercent(sparsity) }
 
-// --- Performance estimation (Summit simulator) ------------------------------
-
-// Summit returns the paper's testbed profile.
-func Summit() Machine { return hw.Summit() }
-
-// EstimateGPT simulates one training iteration of a Table I GPT config on
-// the machine at the given GPU count. samoEnabled selects AxoNN+SAMO versus
-// plain AxoNN; sparsity is the pruned fraction.
-func EstimateGPT(cfg GPTConfig, m Machine, gpus int, samoEnabled bool, sparsity float64) Estimate {
-	method := simulate.MethodAxoNN
-	if samoEnabled {
-		method = simulate.MethodSAMO
-	}
-	return simulate.Run(method, simulate.TransformerJob(cfg), m, gpus, sparsity)
-}
+// --- Experiments (Summit simulator and Figure 4 training) -------------------
 
 // RunExperiment regenerates one of the paper's tables or figures into w.
-// Valid names: fig1..fig8, table1, table2, memory.
+// It returns false for a name ExperimentNames does not list.
 func RunExperiment(name string, w io.Writer, trainIters int) bool {
 	switch name {
 	case "fig1":
@@ -450,8 +423,6 @@ func RunExperiment(name string, w io.Writer, trainIters int) bool {
 		experiments.MemoryReport(w)
 	case "sweep":
 		experiments.SparsitySweep(w)
-	case "sparseexec":
-		experiments.SparseExec(w)
 	default:
 		return false
 	}
@@ -461,5 +432,5 @@ func RunExperiment(name string, w io.Writer, trainIters int) bool {
 // ExperimentNames lists the experiments RunExperiment accepts: the paper's
 // figures and tables in order, then the extension studies.
 func ExperimentNames() []string {
-	return []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "memory", "sweep", "sparseexec"}
+	return []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "memory", "sweep"}
 }

@@ -47,18 +47,6 @@ func TestMemoryModelFacade(t *testing.T) {
 	}
 }
 
-func TestEstimateGPTFacade(t *testing.T) {
-	m := samo.Summit()
-	ax := samo.EstimateGPT(samo.GPT3o2B7, m, 512, false, 0.9)
-	sa := samo.EstimateGPT(samo.GPT3o2B7, m, 512, true, 0.9)
-	if !ax.Feasible || !sa.Feasible {
-		t.Fatal("2.7B on 512 GPUs must be feasible")
-	}
-	if sa.BatchTime >= ax.BatchTime {
-		t.Errorf("SAMO estimate %.3fs not faster than AxoNN %.3fs", sa.BatchTime, ax.BatchTime)
-	}
-}
-
 func TestRunExperimentDispatch(t *testing.T) {
 	for _, name := range samo.ExperimentNames() {
 		if name == "fig4" {
