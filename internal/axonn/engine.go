@@ -49,8 +49,6 @@ type Config struct {
 	// per step, after the shard's last backward; the field stays so that
 	// configurations which set it still compile.
 	OverlapReduce bool
-	// ClipNorm forwards to core.ModelState (0 = off).
-	ClipNorm float64
 	// PruneSchedule, when non-nil, runs gradual magnitude pruning during
 	// training (core.GradualPruner): at each schedule event — evaluated on
 	// the global batch index, after the step's overflow consensus — every
@@ -177,7 +175,7 @@ type Result struct {
 	Warnings []string
 	// StageStates holds each pipeline stage's serialized ModelState
 	// (core snapshot bytes) at the end of a successful run, from the
-	// data-group-0 replica. Recovery goldens compare these bitwise.
+	// data-group-0 replica: what a checkpoint of the last step holds.
 	StageStates [][]byte
 }
 
@@ -377,9 +375,6 @@ func validate(cfg Config, batches []Batch) error {
 		return fmt.Errorf("axonn: bad config: Ginter=%d Gdata=%d Microbatch=%d (all must be ≥1)",
 			cfg.Ginter, cfg.Gdata, cfg.Microbatch)
 	}
-	if cfg.ClipNorm < 0 {
-		return fmt.Errorf("axonn: negative ClipNorm %g", cfg.ClipNorm)
-	}
 	if cfg.PruneSchedule != nil {
 		if err := cfg.PruneSchedule.Validate(); err != nil {
 			return fmt.Errorf("axonn: %w", err)
@@ -396,17 +391,6 @@ func validate(cfg Config, batches []Batch) error {
 	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return fmt.Errorf("axonn: Resume requires CheckpointDir")
-	}
-	if net := cfg.Net; net != nil {
-		if len(net.Peers) < 1 {
-			return fmt.Errorf("axonn: Net.Peers is empty")
-		}
-		if net.Proc < 0 || net.Proc >= len(net.Peers) {
-			return fmt.Errorf("axonn: Net.Proc %d outside [0,%d)", net.Proc, len(net.Peers))
-		}
-		if cfg.GPUs() < len(net.Peers) {
-			return fmt.Errorf("axonn: %d ranks cannot cover %d processes", cfg.GPUs(), len(net.Peers))
-		}
 	}
 	return nil
 }
@@ -453,7 +437,6 @@ func newWorker(cfg Config, rk *comm.Rank, build Builder, optb OptBuilder, pr *pr
 	lo, hi := partition(len(full.Layers), cfg.Ginter, stage)
 	stageModel := &nn.Model{Name: fmt.Sprintf("%s[%d:%d]", full.Name, lo, hi), Layers: full.Layers[lo:hi]}
 	state := core.NewModelState(stageModel, optb(), cfg.Mode, pr)
-	state.ClipNorm = cfg.ClipNorm
 	if cfg.InitialLossScale > 0 {
 		state.Scaler.Scale = cfg.InitialLossScale
 	}

@@ -1,16 +1,22 @@
 package axonn
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"github.com/sparse-dl/samo/internal/comm"
 	"github.com/sparse-dl/samo/internal/core"
 	"github.com/sparse-dl/samo/internal/nn"
 	"github.com/sparse-dl/samo/internal/optim"
 	"github.com/sparse-dl/samo/internal/prune"
 	"github.com/sparse-dl/samo/internal/tensor"
 )
+
+// The engine's bitwise contract lives in matrix_test.go. The tests here pin
+// what is not a bit: layouts that only track the serial run closely,
+// training that learns, communication volumes and schedules, and errors.
 
 const (
 	inDim   = 6
@@ -28,10 +34,16 @@ func adamBuilder() OptBuilder {
 }
 
 func makeBatches(n, samples int, seed uint64) []Batch {
+	return randomBatches(n, samples, inDim, classes, seed)
+}
+
+// randomBatches draws n batches of normal inputs `in` wide with uniform
+// targets over `classes`.
+func randomBatches(n, samples, in, classes int, seed uint64) []Batch {
 	rng := tensor.NewRNG(seed)
 	var out []Batch
 	for i := 0; i < n; i++ {
-		x := tensor.New(samples, inDim)
+		x := tensor.New(samples, in)
 		tensor.FillNormal(x, 1, rng)
 		targets := make([]int, samples)
 		for j := range targets {
@@ -42,8 +54,27 @@ func makeBatches(n, samples int, seed uint64) []Batch {
 	return out
 }
 
-func pruneMLP(seed uint64, sparsity float64) *prune.Result {
-	m := mlpBuilder(seed)()
+// repeatBatch trains one fixed batch n times: a run that learns must lower
+// its loss.
+func repeatBatch(b Batch, n int) []Batch {
+	out := make([]Batch, n)
+	for i := range out {
+		out[i] = b
+	}
+	return out
+}
+
+func assertLearns(t *testing.T, res Result) {
+	t.Helper()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if first, last := res.Losses[0], res.Losses[len(res.Losses)-1]; last >= first {
+		t.Errorf("loss did not decrease: %g -> %g", first, last)
+	}
+}
+
+func pruneModel(m *nn.Model, sparsity float64) *prune.Result {
 	var layers []prune.Layer
 	for _, e := range m.PruneLayers() {
 		layers = append(layers, prune.Layer{Name: e.Name, Values: e.Param.Value.Data()})
@@ -51,79 +82,36 @@ func pruneMLP(seed uint64, sparsity float64) *prune.Result {
 	return prune.MagnitudePerLayer(layers, sparsity)
 }
 
-// serialLosses trains the reference single-rank configuration.
-func serialLosses(seed uint64, pr *prune.Result, mode core.Mode, batches []Batch) ([]float64, *core.ModelState) {
-	m := mlpBuilder(seed)()
-	ms := core.NewModelState(m, optim.NewAdam(0.01), mode, pr)
-	tr := core.NewTrainer(ms)
-	var losses []float64
-	for _, b := range batches {
-		l, _ := tr.TrainStep(b.Input, b.Targets)
-		losses = append(losses, l)
-	}
-	return losses, ms
+func pruneMLP(seed uint64, sparsity float64) *prune.Result {
+	return pruneModel(mlpBuilder(seed)(), sparsity)
 }
 
-func TestPipelineMatchesSerialBitwise(t *testing.T) {
-	// Ginter=2, Gdata=1, one microbatch per batch: the pipeline splits the
-	// model across two ranks but performs the identical arithmetic, so
-	// losses and final parameters must match the serial run exactly.
-	batches := makeBatches(6, 8, 100)
-	want, refState := serialLosses(7, nil, core.Dense, batches)
-
-	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 8, Mode: core.Dense},
-		mlpBuilder(7), adamBuilder(), nil, batches)
+// assertCloseToSerial trains cfg and the serial reference on the same data:
+// several microbatches or data groups change only the float summation
+// order, so losses track the serial run to fp16-accumulation tolerance.
+func assertCloseToSerial(t *testing.T, cfg Config, seed uint64, batches []Batch) {
+	t.Helper()
+	want := serialTrain(&identity{build: mlpBuilder(seed), batches: batches}, core.Dense).Losses
+	res := Train(cfg, mlpBuilder(seed), adamBuilder(), nil, batches)
 	for i := range want {
-		if res.Losses[i] != want[i] {
-			t.Fatalf("batch %d: pipeline loss %.9f != serial %.9f", i, res.Losses[i], want[i])
+		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
+			t.Errorf("batch %d: loss %g vs serial %g", i, res.Losses[i], want[i])
 		}
 	}
-	_ = refState
 }
 
 func TestPipelineWithMicrobatchesMatchesSerialClosely(t *testing.T) {
-	// Several microbatches change only float summation order; losses track
-	// the serial reference to fp16-accumulation tolerance.
-	batches := makeBatches(5, 8, 200)
-	want, _ := serialLosses(9, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: 2, Mode: core.Dense},
-		mlpBuilder(9), adamBuilder(), nil, batches)
-	for i := range want {
-		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
-			t.Errorf("batch %d: loss %g vs serial %g", i, res.Losses[i], want[i])
-		}
-	}
+	assertCloseToSerial(t, Config{Ginter: 2, Gdata: 1, Microbatch: 2, Mode: core.Dense}, 9, makeBatches(5, 8, 200))
 }
 
 func TestDataParallelMatchesSerialClosely(t *testing.T) {
-	batches := makeBatches(5, 8, 300)
-	want, _ := serialLosses(11, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense},
-		mlpBuilder(11), adamBuilder(), nil, batches)
-	for i := range want {
-		if math.Abs(res.Losses[i]-want[i]) > 5e-3*(1+math.Abs(want[i])) {
-			t.Errorf("batch %d: loss %g vs serial %g", i, res.Losses[i], want[i])
-		}
-	}
+	assertCloseToSerial(t, Config{Ginter: 1, Gdata: 2, Microbatch: 4, Mode: core.Dense}, 11, makeBatches(5, 8, 300))
 }
 
-func TestSAMOMatchesDenseInParallel(t *testing.T) {
-	// The paper's correctness claim under full hybrid parallelism: SAMO
-	// storage changes nothing about the arithmetic. With identical
-	// layouts, losses must match the masked-dense run bit for bit.
-	pr := pruneMLP(13, 0.7)
-	batches := makeBatches(6, 8, 400)
-	cfgDense := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense}
-	cfgSAMO := cfgDense
-	cfgSAMO.Mode = core.SAMO
-
-	d := Train(cfgDense, mlpBuilder(13), adamBuilder(), pr, batches)
-	s := Train(cfgSAMO, mlpBuilder(13), adamBuilder(), pr, batches)
-	for i := range d.Losses {
-		if d.Losses[i] != s.Losses[i] {
-			t.Fatalf("batch %d: SAMO loss %.9f != masked-dense %.9f", i, s.Losses[i], d.Losses[i])
-		}
-	}
+// TestSingleRankWithMicrobatching exercises the inline forward+backward
+// warm path: one stage, several microbatches, no pipeline messages at all.
+func TestSingleRankWithMicrobatching(t *testing.T) {
+	assertCloseToSerial(t, Config{Ginter: 1, Gdata: 1, Microbatch: 2, Mode: core.Dense}, 53, makeBatches(3, 8, 1200))
 }
 
 func TestCompressedAllReduceMovesFewerElements(t *testing.T) {
@@ -150,75 +138,129 @@ func TestCompressedAllReduceMovesFewerElements(t *testing.T) {
 func TestHybridParallelTrainingLearns(t *testing.T) {
 	// End to end: 2×2 hybrid SAMO training must reduce the loss on a fixed
 	// dataset.
-	pr := pruneMLP(19, 0.5)
-	batch := makeBatches(1, 16, 600)[0]
-	var batches []Batch
-	for i := 0; i < 30; i++ {
-		batches = append(batches, batch)
-	}
-	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO},
-		mlpBuilder(19), adamBuilder(), pr, batches)
-	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
-		t.Errorf("loss did not decrease: %g -> %g", res.Losses[0], res.Losses[len(res.Losses)-1])
-	}
+	assertLearns(t, Train(Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.SAMO},
+		mlpBuilder(19), adamBuilder(), pruneMLP(19, 0.5), repeatBatch(makeBatches(1, 16, 600)[0], 30)))
 }
 
-func TestFourStagePipeline(t *testing.T) {
-	// Deeper pipeline (one layer per stage) still matches serial.
-	batches := makeBatches(4, 4, 700)
-	want, _ := serialLosses(23, nil, core.Dense, batches)
-	res := Train(Config{Ginter: 4, Gdata: 1, Microbatch: 4, Mode: core.Dense},
-		mlpBuilder(23), adamBuilder(), nil, batches)
-	for i := range want {
-		if res.Losses[i] != want[i] {
-			t.Fatalf("batch %d: %g != %g", i, res.Losses[i], want[i])
-		}
-	}
+func TestAsymmetricLayout4x2(t *testing.T) {
+	// Deep pipeline with data parallelism: 4 stages × 2 groups = 8 ranks.
+	assertLearns(t, Train(Config{Ginter: 4, Gdata: 2, Microbatch: 2, Mode: core.SAMO},
+		mlpBuilder(57), adamBuilder(), pruneMLP(57, 0.6), repeatBatch(makeBatches(1, 16, 1300)[0], 12)))
 }
 
 func TestGPTPipelineTrains(t *testing.T) {
 	// A tiny transformer through the hybrid engine: exercises embedding,
 	// attention, blocks and LM head across stage boundaries.
-	cfg := nn.GPTConfig{Name: "tiny", Layers: 2, Hidden: 16, Heads: 2, Seq: 4, Vocab: 11}
-	build := func() *nn.Model { return nn.BuildGPT(cfg, tensor.NewRNG(31)) }
+	id := gptIdentity()
+	assertLearns(t, Train(Config{Ginter: 2, Gdata: 2, Microbatch: 1, Mode: core.Dense},
+		id.build, adamBuilder(), nil, repeatBatch(id.batches[0], 12)))
+}
 
-	rng := tensor.NewRNG(32)
-	const samples = 4
-	tokens := make([]int, samples*cfg.Seq)
-	targets := make([]int, samples*cfg.Seq)
-	for i := range tokens {
-		tokens[i] = int(rng.Uint64() % uint64(cfg.Vocab))
-		targets[i] = int(rng.Uint64() % uint64(cfg.Vocab))
+func TestLossScaleRecoveryDuringTraining(t *testing.T) {
+	// Start with an absurd loss scale: the first step(s) overflow and are
+	// skipped, the scaler halves until gradients fit, then training
+	// proceeds and learns.
+	cfg := Config{Ginter: 2, Gdata: 2, Microbatch: 4, Mode: core.Dense,
+		InitialLossScale: 1e9}
+	res := Train(cfg, mlpBuilder(63), adamBuilder(), nil, repeatBatch(makeBatches(1, 16, 1600)[0], 25))
+	if res.SkippedSteps == 0 {
+		t.Error("expected overflow skips with a 1e9 scale")
 	}
-	b := Batch{Input: nn.TokensToTensor(tokens), Targets: targets, SampleRows: cfg.Seq, Samples: samples}
-	var batches []Batch
-	for i := 0; i < 12; i++ {
-		batches = append(batches, b)
+	if res.SkippedSteps > 20 {
+		t.Errorf("scaler failed to recover: %d skips", res.SkippedSteps)
 	}
-	res := Train(Config{Ginter: 2, Gdata: 2, Microbatch: 1, Mode: core.Dense},
-		build, adamBuilder(), nil, batches)
-	if res.Losses[len(res.Losses)-1] >= res.Losses[0] {
-		t.Errorf("GPT loss did not decrease: %g -> %g", res.Losses[0], res.Losses[len(res.Losses)-1])
+	assertLearns(t, res)
+}
+
+func TestP2PVolumeScalesWithMicrobatches(t *testing.T) {
+	// Eq. 9's mechanism on the real fabric: halving the microbatch size
+	// doubles the message count at constant total bytes.
+	batches := makeBatches(1, 8, 1400)
+	countMsgs := func(mbs int) (int64, int64) {
+		res := Train(Config{Ginter: 2, Gdata: 1, Microbatch: mbs, Mode: core.Dense},
+			mlpBuilder(59), adamBuilder(), nil, batches)
+		var msgs, elems int64
+		for r := 0; r < 2; r++ {
+			msgs += res.Fabric.Stats(r).P2PMessages.Load()
+			elems += res.Fabric.Stats(r).P2PElements.Load()
+		}
+		return msgs, elems
+	}
+	m4, e4 := countMsgs(4) // 2 microbatches
+	m2, e2 := countMsgs(2) // 4 microbatches
+	if m2 != 2*m4 {
+		t.Errorf("message count %d vs %d: halving mbs must double messages", m2, m4)
+	}
+	if e2 != e4 {
+		t.Errorf("total elements changed with mbs: %d vs %d", e2, e4)
 	}
 }
 
-func TestOverflowConsensusSkipsEverywhere(t *testing.T) {
-	// Force an overflow via a huge loss scale: the step must be skipped on
-	// every rank.
-	batches := makeBatches(1, 8, 800)
-	res := trainWithScale(t, mlpBuilder(37), batches, 1e30)
-	if res.SkippedSteps != 1 {
-		t.Errorf("skipped steps = %d, want 1", res.SkippedSteps)
+// TestOneGradientReducePerStage pins the reduce schedule: per step, every
+// rank enters one gradient all-reduce, the overflow consensus and — on the
+// last stage — the loss average, whatever the stage's size. Each stage here
+// holds more than 2^18 gradient elements, which a bucketed reduce would cut
+// into several collectives.
+func TestOneGradientReducePerStage(t *testing.T) {
+	const steps = 3
+	build := func() *nn.Model { return nn.BuildMLP("mlp", []int{128, 768, 768, 32}, tensor.NewRNG(3)) }
+	batches := randomBatches(steps, 8, 128, 32, 4)
+	for _, ginter := range []int{1, 2} {
+		cfg := Config{Ginter: ginter, Gdata: 2, Microbatch: 2, Mode: core.Dense}
+		res := Train(cfg, build, adamBuilder(), nil, batches)
+		if res.Err != nil {
+			t.Fatalf("ginter %d: %v", ginter, res.Err)
+		}
+		for r := 0; r < cfg.GPUs(); r++ {
+			want := int64(2 * steps) // gradient + overflow flag
+			if r%ginter == ginter-1 {
+				want += steps // loss average
+			}
+			if got := res.Fabric.Stats(r).CollOps.Load(); got != want {
+				t.Errorf("ginter %d rank %d: %d collectives in %d steps, want %d", ginter, r, got, steps, want)
+			}
+		}
 	}
 }
 
-// trainWithScale runs one batch with a custom initial loss scale. A scale
-// of 1e30 guarantees fp16 overflow in the scaled gradients.
-func trainWithScale(t *testing.T, build Builder, batches []Batch, scale float64) Result {
-	t.Helper()
-	cfg := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense,
-		InitialLossScale: scale}
-	return Train(cfg, build, adamBuilder(), nil, batches)
+// TestGradualPruneScheduleShrinksState checks the ramp actually bites in
+// the engine: the final stage state of a scheduled run serializes smaller
+// than the unscheduled run's.
+func TestGradualPruneScheduleShrinksState(t *testing.T) {
+	pr := pruneMLP(63, 0.3)
+	batches := makeBatches(6, 8, 7100)
+	cfg := Config{Ginter: 1, Gdata: 2, Microbatch: 1, Mode: core.SAMO}
+	plain := Train(cfg, mlpBuilder(63), adamBuilder(), pr, batches)
+	if plain.Err != nil {
+		t.Fatalf("unscheduled run: %v", plain.Err)
+	}
+	cfg.PruneSchedule = gradualSchedule()
+	ramped := Train(cfg, mlpBuilder(63), adamBuilder(), pr, batches)
+	if ramped.Err != nil {
+		t.Fatalf("scheduled run: %v", ramped.Err)
+	}
+	if len(ramped.StageStates[0]) >= len(plain.StageStates[0]) {
+		t.Fatalf("ramped state %d bytes not smaller than unscheduled %d",
+			len(ramped.StageStates[0]), len(plain.StageStates[0]))
+	}
+}
+
+func TestAbortWithoutRecoverySurfacesTypedError(t *testing.T) {
+	// MaxRestarts<0 disables recovery: the injected crash must surface as a
+	// typed RankFailedError on Result.Err — promptly, with no deadlock.
+	cfg := Config{Ginter: 2, Gdata: 2, Microbatch: 2, Mode: core.Dense, CheckpointDir: t.TempDir(),
+		Fault: &comm.FaultPlan{CrashAtStep: map[int]int{1: 1}}, MaxRestarts: -1}
+	res := Train(cfg, mlpBuilder(15), adamBuilder(), nil, makeBatches(4, 8, 1500))
+	var rf *comm.RankFailedError
+	if !errors.As(res.Err, &rf) {
+		t.Fatalf("Err = %v, want RankFailedError", res.Err)
+	}
+	if rf.Rank != 1 || rf.Step != 1 {
+		t.Fatalf("RankFailedError{%d,%d}, want {1,1}", rf.Rank, rf.Step)
+	}
+	if res.Restarts != 0 {
+		t.Fatalf("restarts = %d with recovery disabled", res.Restarts)
+	}
 }
 
 func TestPartition(t *testing.T) {
@@ -263,12 +305,12 @@ func TestBadConfigSurfacesAsError(t *testing.T) {
 		{"zero ginter", Config{Ginter: 0, Gdata: 1, Microbatch: 1}, good, "bad config"},
 		{"zero gdata", Config{Ginter: 1, Gdata: 0, Microbatch: 1}, good, "bad config"},
 		{"zero microbatch", Config{Ginter: 1, Gdata: 1, Microbatch: 0}, good, "bad config"},
-		{"negative clipnorm", Config{Ginter: 1, Gdata: 1, Microbatch: 1, ClipNorm: -1}, good, "ClipNorm"},
 		{"indivisible by gdata", Config{Ginter: 1, Gdata: 2, Microbatch: 1}, makeBatches(1, 7, 900), "not divisible by Gdata"},
 		{"indivisible by microbatch", Config{Ginter: 1, Gdata: 1, Microbatch: 3}, good, "not divisible by microbatch"},
 		{"resume without dir", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Resume: true}, good, "Resume requires"},
 		{"samo without pruning", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Mode: core.SAMO}, good, "pruning result"},
 		{"more stages than layers", Config{Ginter: 64, Gdata: 1, Microbatch: 1}, good, "pipeline stages"},
+		{"proc outside peers", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Net: &NetConfig{Peers: []string{"127.0.0.1:0"}, Proc: 1}}, good, "outside"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

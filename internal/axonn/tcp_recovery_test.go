@@ -1,19 +1,13 @@
 package axonn
 
-// Recovery-over-TCP goldens. Two levels:
-//
-//   - TestTrainOverTCPBitwise runs one Train per "process" (goroutines in
-//     this test binary, one rank each over TCP loopback) and requires the
-//     merged result to be bitwise-identical to the single-process local
-//     fabric run — losses, stage states, and skip counts.
-//
-//   - TestTCPRecoverKilledPeerProcess is the real thing: two OS processes
-//     (this test binary re-exec'd via TestMain), data-parallel over TCP.
-//     The non-saver process SIGKILLs itself mid-run once a durable
-//     checkpoint exists; the survivor aborts with a typed wire error,
-//     rebuilds the mesh, and waits while the test restarts the dead
-//     process with Resume. The recovered run's losses must be
-//     bitwise-equal to an uninterrupted local run.
+// Recovery over TCP across real OS processes. TestTCPRecoverKilledPeerProcess
+// runs two processes (this test binary re-exec'd via TestMain),
+// data-parallel over TCP. The non-saver process SIGKILLs itself mid-run once
+// a durable checkpoint exists; the survivor aborts with a typed wire error,
+// rebuilds the mesh, and waits while the test restarts the dead process with
+// Resume. The recovered run's losses must be bitwise-equal to an
+// uninterrupted local run. (TCP runs within one process are cells of
+// TestEngineBitsMatrix.)
 //
 // The worker side lives in tcpWorkerMain, dispatched by TestMain when the
 // SAMO_TCP_WORKER environment variable carries a JSON spec.
@@ -27,7 +21,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -283,68 +276,5 @@ func TestTCPRecoverKilledPeerProcess(t *testing.T) {
 	}
 	if rep.Skipped != golden.SkippedSteps {
 		t.Fatalf("skipped steps = %d, golden %d", rep.Skipped, golden.SkippedSteps)
-	}
-}
-
-// TestTrainOverTCPBitwise pins transport neutrality end-to-end: the same
-// pipeline+data-parallel run, split one rank per TCP endpoint, must produce
-// bitwise-identical losses and stage states to the local-fabric run.
-func TestTrainOverTCPBitwise(t *testing.T) {
-	cfg := Config{
-		Ginter: 2, Gdata: 2, Microbatch: 2,
-		Mode:               core.Dense,
-		CollectiveDeadline: 15 * time.Second,
-	}
-	batches := makeBatches(4, 8, 901)
-
-	golden := Train(cfg, mlpBuilder(tcpModelSeed), adamBuilder(), nil, batches)
-	if golden.Err != nil {
-		t.Fatalf("local golden failed: %v", golden.Err)
-	}
-
-	n := cfg.GPUs() // one rank per endpoint: every p2p hop and collective crosses the wire
-	addrs := freeLoopbackAddrs(t, n)
-	results := make([]Result, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			c := cfg
-			c.Net = &NetConfig{Peers: addrs, Proc: p, DialTimeout: 30 * time.Second}
-			results[p] = Train(c, mlpBuilder(tcpModelSeed), adamBuilder(), nil, batches)
-		}(p)
-	}
-	wg.Wait()
-	for p := range results {
-		if results[p].Err != nil {
-			t.Fatalf("proc %d: %v", p, results[p].Err)
-		}
-		if results[p].Fabric != nil {
-			defer results[p].Fabric.Close()
-		}
-	}
-
-	// Rank layout is rank = dgrp*Ginter + stage with one rank per process,
-	// so data-group-0 stage s is hosted by process s; the loss writer
-	// (data-group-0 last stage) is process Ginter-1.
-	loss := results[cfg.Ginter-1]
-	for i := range golden.Losses {
-		if math.Float64bits(loss.Losses[i]) != math.Float64bits(golden.Losses[i]) {
-			t.Fatalf("loss[%d] = %x over tcp, golden %x", i,
-				math.Float64bits(loss.Losses[i]), math.Float64bits(golden.Losses[i]))
-		}
-	}
-	if loss.SkippedSteps != golden.SkippedSteps {
-		t.Fatalf("skipped = %d over tcp, golden %d", loss.SkippedSteps, golden.SkippedSteps)
-	}
-	for s := 0; s < cfg.Ginter; s++ {
-		st := results[s].StageStates[s]
-		if st == nil {
-			t.Fatalf("proc %d missing its stage %d state", s, s)
-		}
-		if !bytes.Equal(st, golden.StageStates[s]) {
-			t.Fatalf("stage %d state differs between tcp and local fabrics", s)
-		}
 	}
 }

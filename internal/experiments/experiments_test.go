@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -185,15 +184,12 @@ func TestTable2Shape(t *testing.T) {
 
 func TestMemoryReportHeadline(t *testing.T) {
 	var buf bytes.Buffer
-	r := MemoryReport(&buf)[3]
-	red := 100 * (1 - float64(r.SAMO)/float64(r.Dense))
-	// Abstract: 74% reduction for GPT-3 2.7B.
-	if r.Job != "GPT-3 2.7B" || red < 70 || red > 80 {
-		t.Errorf("%s reduction %.1f%%, paper reports 74%% for GPT-3 2.7B", r.Job, red)
-	}
-	tail := fmt.Sprintf("GPT-3 2.7B model states: dense %.2f GB -> SAMO %.2f GB (%.0f%% reduction)\n"+
-		"analytical break-even sparsity: 0.25 (below it SAMO costs memory)\n",
-		float64(r.Dense)/(1<<30), float64(r.SAMO)/(1<<30), red)
+	MemoryReport(&buf)
+	// Abstract: 74% reduction for GPT-3 2.7B, whose embedding tables, biases
+	// and norms the engine leaves dense; §III-D's uniform formula gives 78%.
+	tail := "GPT-3 2.7B model states: dense 51.79 GB -> SAMO 13.35 GB (74% reduction; " +
+		"11.39 GB, 78%, with every parameter pruned as in §III-D)\n" +
+		"analytical break-even sparsity: 0.25 (below it SAMO costs memory)\n"
 	if !strings.HasSuffix(buf.String(), tail) {
 		t.Errorf("report does not end with the headline and break-even lines:\n%s", buf.String())
 	}

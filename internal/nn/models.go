@@ -21,14 +21,18 @@ type GPTConfig struct {
 	MaxGPUs   int
 }
 
-// NumParams returns the parameter count: 12·L·h² for the blocks
-// (QKV 3h², proj h², MLP 8h²), plus LayerNorms, embeddings and the LM head.
+// NumParams returns the parameter count: the prunable weights, the norms
+// and biases (≈ 13h per block, 2h final) and the two embedding tables.
 func (c GPTConfig) NumParams() int64 {
-	L, h := int64(c.Layers), int64(c.Hidden)
-	block := 12*h*h + 13*h // 4 LN vectors + qkv/proj/fc biases ≈ 13h
-	embed := int64(c.Vocab)*h + int64(c.Seq)*h
-	head := int64(c.Vocab) * h
-	return L*block + embed + head + 2*h
+	h := int64(c.Hidden)
+	return c.PrunableParams() + int64(c.Layers)*13*h + 2*h + int64(c.Vocab+c.Seq)*h
+}
+
+// PrunableParams returns the weights Prunable selects: 12·L·h² for the
+// blocks (QKV 3h², proj h², MLP 8h²) and the LM head.
+func (c GPTConfig) PrunableParams() int64 {
+	h := int64(c.Hidden)
+	return int64(c.Layers)*12*h*h + int64(c.Vocab)*h
 }
 
 // FlopsPerBatch returns the floating point operations for one training batch

@@ -322,6 +322,13 @@ func TestTinyGPTForwardShapes(t *testing.T) {
 	if m.NumParams() == 0 {
 		t.Error("no params")
 	}
+	var prunable int64
+	for _, e := range m.PruneLayers() {
+		prunable += int64(e.Param.Value.Len())
+	}
+	if prunable != cfg.PrunableParams() {
+		t.Errorf("built model prunes %d params, PrunableParams says %d", prunable, cfg.PrunableParams())
+	}
 }
 
 func TestPrunableSelection(t *testing.T) {

@@ -30,7 +30,7 @@ var reachAllow = map[string]string{
 	"internal/nn.CrossEntropy":            "allocating loss: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestCrossEntropyValueAndGrad",
 	"internal/nn.Model.Forward":           "arena-less forward: core TestGradHookClearsDenseGrads, root BenchmarkAblationLayerGranular, nn TestModelEndToEndGradient",
 	"internal/nn.Model.Backward":          "arena-less backward: same tests as Model.Forward",
-	"internal/nn.WithRecompute":           "DELIBERATE EXCEPTION, no entry point wires it: AxoNN §II-E activation checkpointing, which the simulator's 4/3 flop factor assumes; axonn TestEngineWithRecomputeLayers pins it bitwise in the engine. Wiring it is a knob for a later PR",
+	"internal/nn.WithRecompute":           "DELIBERATE EXCEPTION, no entry point wires it: AxoNN §II-E activation checkpointing, which the simulator's 4/3 flop factor assumes; axonn TestEngineBitsMatrix pins it bitwise in the engine (every twin cell, e.g. mlp-d1m8/g2-dense-w2-overlap-recompute). Wiring it is a knob for a later PR",
 	"internal/sparse.CSR.Dense":           "nn TestShrinkPatternMatchesFreshLayer and TestSparseLinearOptimizerAliasing, core TestSparsifiedCheckpointCrossLoads",
 	"internal/core.SAMOBreakdown":         "§III-D analytic reference for the live ledger: root BenchmarkAblationSharedIndex, core TestMemoryLedgerMatchesAnalyticModel",
 	"internal/core.DefaultBreakdown":      "dense half of the same reference: core TestMemoryLedgerMatchesAnalyticModel, TestBreakdownMatchesClosedForm",

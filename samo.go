@@ -155,10 +155,12 @@
 // surfaced warning. On a fabric abort, Train tears the fabric down
 // (draining its pooled buffers), rebuilds ranks, reloads the newest
 // durable checkpoint and replays the remaining batches — the recovered
-// run's losses and θ32 are bitwise-identical to an uninterrupted run
-// (pinned by crash-at-every-step goldens under -race). ParallelConfig
-// wires it up: CheckpointDir/Every/Keep, Resume, CollectiveDeadline,
-// MaxRestarts and the test-only Fault plan.
+// run's losses and θ32 are bitwise-identical to an uninterrupted run.
+// internal/axonn's TestEngineBitsMatrix pins the split: seed, Gdata,
+// Microbatch, prune schedule and loss scale define a run's bits; Ginter and
+// the stage split, transport, kernel workers, storage mode and the crash or
+// resume point do not. ParallelConfig wires it up: CheckpointDir/Every/Keep,
+// Resume, CollectiveDeadline, MaxRestarts and the test-only Fault plan.
 //
 // # Transport
 //
@@ -182,11 +184,11 @@
 // CollectiveDeadline backstop as comm.DeadlineError — so a killed peer
 // process is just another recoverable abort: the survivor rebuilds the mesh
 // (waiting up to the dial timeout for the peer to be restarted) and resumes
-// from the newest durable checkpoint. A conformance suite pins collectives
-// bitwise-identical across transports, so a multi-process run reproduces the
-// single-process run exactly. Select it with ParallelConfig.Net
-// (NetConfig{Peers, Proc, DialTimeout}) or samo-train's
-// -transport tcp -peers host:port,host:port -proc N flags.
+// from the newest durable checkpoint. A conformance suite pins collectives,
+// and the matrix whole runs, bitwise-identical across transports, so a
+// multi-process run reproduces the single-process run exactly. Select it
+// with ParallelConfig.Net (NetConfig{Peers, Proc, DialTimeout}) or
+// samo-train's -transport tcp -peers host:port,host:port -proc N flags.
 //
 // # Data-parallel reduce
 //
