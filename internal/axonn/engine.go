@@ -379,6 +379,9 @@ func validate(cfg Config, batches []Batch) error {
 		if err := cfg.PruneSchedule.Validate(); err != nil {
 			return fmt.Errorf("axonn: %w", err)
 		}
+		if cfg.PruneSchedule.Global && cfg.Ginter > 1 {
+			return fmt.Errorf("axonn: a global prune schedule needs Ginter=1, not %d: each pipeline stage ranks only its own weights, so the pattern would depend on the stage split", cfg.Ginter)
+		}
 	}
 	for i, b := range batches {
 		if b.Samples%cfg.Gdata != 0 {

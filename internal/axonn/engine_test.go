@@ -310,6 +310,8 @@ func TestBadConfigSurfacesAsError(t *testing.T) {
 		{"resume without dir", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Resume: true}, good, "Resume requires"},
 		{"samo without pruning", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Mode: core.SAMO}, good, "pruning result"},
 		{"more stages than layers", Config{Ginter: 64, Gdata: 1, Microbatch: 1}, good, "pipeline stages"},
+		{"global schedule across stages", Config{Ginter: 2, Gdata: 1, Microbatch: 1,
+			PruneSchedule: &prune.Schedule{Initial: 0.3, Final: 0.8, BeginStep: 1, EndStep: 5, Frequency: 2, Global: true}}, good, "ranks only its own weights"},
 		{"proc outside peers", Config{Ginter: 1, Gdata: 1, Microbatch: 1, Net: &NetConfig{Peers: []string{"127.0.0.1:0"}, Proc: 1}}, good, "outside"},
 	}
 	for _, tc := range cases {

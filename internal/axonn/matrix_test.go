@@ -149,9 +149,11 @@ func identities() []*identity {
 			gdata: 2, mb: 2, want: 0xce690d901c235887},
 		{name: "mlp-d2m2-gradual", build: mlpBuilder(69), pr: pruneMLP(69, 0.3), sched: gradualSchedule(),
 			batches: makeBatches(6, 8, 7400), gdata: 2, mb: 2, chaos: true, want: 0x2f83f66ee2583c8f},
-		// A 1e30 loss scale overflows fp16: the one step is skipped everywhere.
-		{name: "mlp-overflow", build: mlpBuilder(37), batches: makeBatches(1, 8, 800),
-			gdata: 2, mb: 2, scale: 1e30, skips: 1, want: 0xf9f4ab3a0aab5a5e},
+		// A 1e30 loss scale overflows fp16: both steps are skipped
+		// everywhere, and the checkpoints hold an optimizer that never
+		// stepped.
+		{name: "mlp-overflow", build: mlpBuilder(37), batches: makeBatches(2, 8, 800),
+			gdata: 2, mb: 2, scale: 1e30, skips: 2, want: 0x8255b70c74295164},
 		gdata3Identity(),
 		{name: "mlp-csr-gradual", build: sparseMLPBuilder(67, 0.3), pr: pruneMLP(67, 0.3), sched: gradualSchedule(),
 			batches: makeBatches(8, 16, 7300), gdata: 2, mb: 1, want: 0xdba57358ed0fa1d0,
@@ -422,12 +424,6 @@ func lossHash(r Result) hash.Hash64 {
 func (id *identity) fingerprint(c cell, r Result) (uint64, error) {
 	h := lossHash(r)
 	binary.Write(h, binary.LittleEndian, int64(r.SkippedSteps))
-	if r.SkippedSteps == len(r.Losses) {
-		// No step was applied, so the optimizer saved no moments, and a
-		// snapshot without them does not load: the weights are the
-		// initial ones, and the state-bytes check covers the rest.
-		return h.Sum64(), nil
-	}
 	full := id.build()
 	g := max(c.ginter, 1)
 	for s := 0; s < g; s++ {
@@ -634,6 +630,13 @@ func TestRecoveredRunKeepsSAMOCompression(t *testing.T) {
 func TestResumeAcrossProcesses(t *testing.T) {
 	view(t, "mlp-d2m2", cell{ginter: 2},
 		cell{ginter: 2, ckpt: true, resume: 3}, cell{ginter: 2, ckpt: true, resume: 6})
+}
+
+// TestResumeFromAllOverflowCheckpoint resumes from the checkpoint of a
+// one-batch run whose only step overflowed, written before the optimizer
+// held any state.
+func TestResumeFromAllOverflowCheckpoint(t *testing.T) {
+	view(t, "mlp-overflow", cell{ginter: 2}, cell{ginter: 2, ckpt: true, resume: 1})
 }
 
 // TestGradualPruneResumeFromPreAndPostShrinkCheckpoints resumes from the

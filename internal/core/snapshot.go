@@ -86,6 +86,17 @@ func (ms *ModelState) Save(w io.Writer) (int64, error) {
 			return 0, err
 		}
 		opt := ms.opt.States(st.p.Name)
+		if opt == nil {
+			// No step applied yet (every one so far overflowed): the
+			// optimizer holds no vectors. Write the zero ones Load primes in
+			// their place, so the checkpoint carries the footprint
+			// parseSnapshot demands and loads like any other.
+			zero := make([]float32, len(st.theta32))
+			opt = make([][]float32, ms.opt.StateBytesPerParam()/4)
+			for k := range opt {
+				opt[k] = zero
+			}
+		}
 		if err := put(uint32(len(opt))); err != nil {
 			return 0, err
 		}

@@ -60,21 +60,43 @@ type attnJob struct {
 
 var attnJobFree parallel.Pool[attnJob]
 
-// attnScratch is the per-chunk dp row buffer of the backward pass,
-// recycled through a pool so backward chunks allocate nothing in steady
-// state.
-type attnScratch struct{ dp []float32 }
+// attnScratch is one chunk's scratch: the transposed keys (forward) or
+// values (backward) of the (batch, head) pair it is on, dh rows of T, and
+// the backward's dp row. Recycled through a pool so chunks allocate nothing
+// in steady state.
+type attnScratch struct{ t, dp []float32 }
 
 var attnScratchFree parallel.Pool[attnScratch]
 
-func getAttnScratch(n int) *attnScratch {
+func getAttnScratch(T, dh int) *attnScratch {
 	s := attnScratchFree.Get()
-	if cap(s.dp) < n {
-		s.dp = make([]float32, n)
+	if cap(s.t) < T*dh {
+		s.t = make([]float32, T*dh)
 	}
-	s.dp = s.dp[:n]
+	if cap(s.dp) < T {
+		s.dp = make([]float32, T)
+	}
+	s.t, s.dp = s.t[:T*dh], s.dp[:T]
 	return s
 }
+
+// transposeHead writes the dh columns of T rows stride floats apart (one
+// head's keys or values) into t as dh rows of T: t[c·T + j] = rows[j·stride
+// + c]. tensor.DotsInto then reads each coordinate of every key contiguously.
+func transposeHead(t, rows []float32, T, dh, stride int) {
+	rows = rows[:(T-1)*stride+dh]
+	for c := 0; c < dh; c++ {
+		tc := t[c*T : c*T+T]
+		for j := range tc {
+			tc[j] = rows[j*stride+c]
+		}
+	}
+}
+
+// keyBlock is how many scores row i computes: its i+1 causal keys rounded
+// up to whole 8-key groups, so tensor.DotsInto runs them in its vector body;
+// the scores past i are overwritten (forward) or never read (backward).
+func keyBlock(i, T int) int { return min((i+8)&^7, T) }
 
 // Forward computes attention over x of shape (batch·seq, d). The per-head
 // score/softmax/value loop runs in parallel over (batch, head) pairs on the
@@ -157,31 +179,34 @@ func (a *CausalSelfAttention) Params() []*Param {
 
 // attnForwardChunk computes scores, causal softmax and head outputs for
 // (batch, head) pairs [lo,hi). Each pair touches disjoint slices of probs
-// and disjoint columns of the head output.
+// and disjoint columns of the head output. Per query row the scores are one
+// tensor.DotsInto over the pair's transposed keys and the output one
+// tensor.AddWeightedRows over its value rows (a zero probability skipped):
+// the scalar loops' float32 sequence per element, in vector lanes.
 func attnForwardChunk(ctx any, lo, hi int) {
 	g := ctx.(*attnJob)
 	qd, probs, hd := g.qd, g.probs, g.hd
 	T, H, dh, d := g.T, g.H, g.dh, g.d
 	scale := g.scale
 	stride := 3 * d
+	sc := getAttnScratch(T, dh)
+	kt := sc.t
 	for bh := lo; bh < hi; bh++ {
 		b, h := bh/H, bh%H
 		qOff := h * dh
 		kOff := d + h*dh
 		vOff := 2*d + h*dh
 		pBase := bh * T * T
+		rows := qd[b*T*stride:]
+		transposeHead(kt, rows[kOff:], T, dh, stride)
 		// scores + softmax row by row (causal: j <= i).
 		for i := 0; i < T; i++ {
-			qi := qd[(b*T+i)*stride+qOff : (b*T+i)*stride+qOff+dh]
+			qi := rows[i*stride+qOff : i*stride+qOff+dh]
 			row := probs[pBase+i*T : pBase+i*T+T]
+			tensor.DotsInto(row[:keyBlock(i, T)], qi, kt, T)
 			maxv := float32(math.Inf(-1))
 			for j := 0; j <= i; j++ {
-				kj := qd[(b*T+j)*stride+kOff : (b*T+j)*stride+kOff+dh]
-				var s float32
-				for c := 0; c < dh; c++ {
-					s += qi[c] * kj[c]
-				}
-				s *= scale
+				s := row[j] * scale
 				row[j] = s
 				if s > maxv {
 					maxv = s
@@ -192,80 +217,57 @@ func attnForwardChunk(ctx any, lo, hi int) {
 			for _, e := range row[:i+1] {
 				sum += float64(e)
 			}
-			inv := float32(1 / sum)
-			for j := 0; j <= i; j++ {
-				row[j] *= inv
-			}
-			for j := i + 1; j < T; j++ {
-				row[j] = 0
-			}
+			tensor.ScaleSlice(row[:i+1], float32(1/sum))
+			clear(row[i+1:])
 			// out_i = Σ_j p_ij v_j
 			oi := hd[(b*T+i)*d+h*dh : (b*T+i)*d+h*dh+dh]
-			for j := 0; j <= i; j++ {
-				p := row[j]
-				if p == 0 {
-					continue
-				}
-				vj := qd[(b*T+j)*stride+vOff : (b*T+j)*stride+vOff+dh]
-				for c := 0; c < dh; c++ {
-					oi[c] += p * vj[c]
-				}
-			}
+			tensor.AddWeightedRows(oi, row[:i+1], rows[vOff:], stride)
 		}
 	}
+	attnScratchFree.Put(sc)
 }
 
 // attnBackwardChunk propagates through attention weights for (batch, head)
 // pairs [lo,hi): every write — dQKV column bands, probs slices — is
-// disjoint across pairs.
+// disjoint across pairs. Per query row: dV += p·doᵀ and dK += ds·qᵀ are
+// tensor.AddOuterRows, dp one tensor.DotsInto over the pair's transposed
+// values, and dQ one tensor.AddWeightedRows over its keys (a zero ds
+// skipped in both, as the scalar loop did).
 func attnBackwardChunk(ctx any, lo, hi int) {
 	g := ctx.(*attnJob)
 	qd, probs, hd, dqd := g.qd, g.probs, g.hd, g.dqd
 	T, H, dh, d := g.T, g.H, g.dh, g.d
 	scale := g.scale
 	stride := 3 * d
-	sc := getAttnScratch(T)
-	dp := sc.dp
+	sc := getAttnScratch(T, dh)
+	vt, dp := sc.t, sc.dp
 	for bh := lo; bh < hi; bh++ {
 		b, h := bh/H, bh%H
 		qOff := h * dh
 		kOff := d + h*dh
 		vOff := 2*d + h*dh
 		pBase := bh * T * T
+		rows, drows := qd[b*T*stride:], dqd[b*T*stride:]
+		transposeHead(vt, rows[vOff:], T, dh, stride)
 		for i := 0; i < T; i++ {
 			do := hd[(b*T+i)*d+h*dh : (b*T+i)*d+h*dh+dh]
-			row := probs[pBase+i*T : pBase+i*T+T]
+			row := probs[pBase+i*T : pBase+i*T+i+1]
 			// dV_j += p_ij * do ; dp_ij = do · v_j
-			for j := 0; j <= i; j++ {
-				p := row[j]
-				vj := qd[(b*T+j)*stride+vOff : (b*T+j)*stride+vOff+dh]
-				dvj := dqd[(b*T+j)*stride+vOff : (b*T+j)*stride+vOff+dh]
-				var s float32
-				for cc := 0; cc < dh; cc++ {
-					dvj[cc] += p * do[cc]
-					s += do[cc] * vj[cc]
-				}
-				dp[j] = s
-			}
-			// Softmax backward: ds_j = p_j (dp_j - Σ_k p_k dp_k).
+			tensor.AddOuterRows(drows[vOff:], stride, row, do, false)
+			tensor.DotsInto(dp[:keyBlock(i, T)], do, vt, T)
+			// Softmax backward: ds_j = p_j (dp_j - Σ_k p_k dp_k), into dp.
 			var dot float32
-			for j := 0; j <= i; j++ {
-				dot += row[j] * dp[j]
+			for j, p := range row {
+				dot += p * dp[j]
 			}
-			qi := qd[(b*T+i)*stride+qOff : (b*T+i)*stride+qOff+dh]
-			dqi := dqd[(b*T+i)*stride+qOff : (b*T+i)*stride+qOff+dh]
-			for j := 0; j <= i; j++ {
-				ds := row[j] * (dp[j] - dot) * scale
-				if ds == 0 {
-					continue
-				}
-				kj := qd[(b*T+j)*stride+kOff : (b*T+j)*stride+kOff+dh]
-				dkj := dqd[(b*T+j)*stride+kOff : (b*T+j)*stride+kOff+dh]
-				for cc := 0; cc < dh; cc++ {
-					dqi[cc] += ds * kj[cc]
-					dkj[cc] += ds * qi[cc]
-				}
+			ds := dp[:i+1]
+			for j, p := range row {
+				ds[j] = p * (ds[j] - dot) * scale
 			}
+			qi := rows[i*stride+qOff : i*stride+qOff+dh]
+			dqi := drows[i*stride+qOff : i*stride+qOff+dh]
+			tensor.AddWeightedRows(dqi, ds, rows[kOff:], stride)
+			tensor.AddOuterRows(drows[kOff:], stride, ds, qi, true)
 		}
 	}
 	attnScratchFree.Put(sc)

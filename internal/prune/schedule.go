@@ -29,9 +29,10 @@ type Schedule struct {
 	// window (≥ 1).
 	Frequency int
 	// Global ranks all prunable parameters in one magnitude pool instead
-	// of pruning each parameter to the target independently. Under
-	// pipeline parallelism the pool is per stage: each stage ranks the
-	// parameters it hosts (exactly global for a single stage).
+	// of pruning each parameter to the target independently. A pruner
+	// ranks the parameters of the state it was built over, so a pipeline
+	// stage would rank only its own: the parallel engine refuses a global
+	// schedule at Ginter > 1.
 	Global bool
 }
 

@@ -14,6 +14,13 @@ var hostAVX2 = cpuHasAVX2()
 // variable apart from hostAVX2 so tests can force the Go kernel.
 var gemmVector = hostAVX2
 
+// gemmWide reports whether the strip sweep runs gemmStrip4x16AVX512 over
+// every whole 16-column strip, and the packs lay those strips out 16 wide;
+// decided once, from the CPU alone, beside hostAVX2. Both widths give the
+// same bits. A variable so tests can force the 8-lane kernels on a host that
+// has the wide one.
+var gemmWide = hostAVX2 && cpuHasAVX512F()
+
 // HostAVX2 reports the start-up probe above, for the vector kernels of other
 // packages (the CSR kernels of internal/sparse, the rounding kernels of
 // internal/fp16, Adam's in internal/optim), so the process has one answer to
@@ -37,14 +44,31 @@ func cpuHasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// cpuHasAVX512F reports AVX512F (CPUID leaf 7, EBX bit 16) with the OS
+// saving the opmask and all 512 bits of the 32 vector registers besides XMM
+// and YMM state (XCR0 & 0xE6); the wide kernel uses AVX512F instructions
+// only. Asked only once cpuHasAVX2 holds, which has checked that leaf 7
+// exists and that XGETBV may run.
+func cpuHasAVX512F() bool {
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return xgetbv0()&0xE6 == 0xE6 && ebx&avx512f != 0
+}
+
 // Implemented in gemm_amd64.s. The pointers must come from Go slices of
 // exactly the extent the kernel touches (see gemmStripSweepChunk,
 // gemmDirectChunk, tGemmVecChunk and gemmPackStripNTChunk): the assembly
-// checks no bound. bStride is 8 for a packed strip and n for B read in
-// place.
+// checks no bound. bStride is the strip width (8, or 16 for the wide
+// kernel's strips) for a packed strip and n for B read in place.
 
 //go:noescape
 func gemmStrip4x8AVX2(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
+
+// gemmStrip4x16AVX512 is gemmStrip4x8AVX2 over one 16-wide strip, in ZMM
+// registers.
+//
+//go:noescape
+func gemmStrip4x16AVX512(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
 
 //go:noescape
 func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int, seed bool)
@@ -56,11 +80,12 @@ func gemmStrip1x8AVX2(c *float32, a *float32, b *float32, bStride int, kcur int,
 //go:noescape
 func tGemm4x8AVX2(c *float32, n int, a *float32, m int, b *float32, kcur int, cols int)
 
-// gemmPackNT8x8AVX2 packs one whole 8-wide strip of gemmNT's Bᵀ panel, blocks
-// 8×8 blocks of it, for gemmPackStripNTChunk: src has row stride k.
+// gemmPackNT8x8AVX2 packs eight whole columns of gemmNT's Bᵀ panel, blocks
+// 8×8 blocks of them, for gemmPackStripNTChunk: src has row stride k, dst
+// row stride dstStride (the width of the strip the columns land in).
 //
 //go:noescape
-func gemmPackNT8x8AVX2(dst *float32, src *float32, k int, blocks int)
+func gemmPackNT8x8AVX2(dst *float32, dstStride int, src *float32, k int, blocks int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

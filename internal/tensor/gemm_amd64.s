@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 strip micro-kernels for the GEMM family (see gemm_amd64.go for the
-// Go declarations and gemmStrip8 in matmul.go for the scalar oracle), the
-// small-k weight gradient's twin of tGemmChunk and the NT pack's transpose.
+// AVX2 strip micro-kernels for the GEMM family and their 16-lane AVX-512 twin
+// (see gemm_amd64.go for the Go declarations and gemmStrip8 in matmul.go for
+// the scalar oracle), the small-k weight gradient's twin of tGemmChunk and
+// the NT pack's transpose.
 //
 // Bitwise contract: every lane executes exactly the scalar kernel's float32
 // sequence, `c += a0·b0 + a1·b1` per k pair and `c += a0·b0` for an odd last
@@ -14,9 +15,16 @@
 // appear in this file (CI greps for their mnemonics).
 //
 // The callers have sliced every operand in Go, so all addresses touched here
-// are already bound-checked: c rows are 8 floats, a rows kcur floats, and b
-// is kcur rows of 8 floats, bStride floats apart — 8 for a k-major packed
-// strip, n for eight columns of a row-major B read in place.
+// are already bound-checked: c rows are 8 floats (16 for the ZMM kernel), a
+// rows kcur floats, and b is kcur rows of 8 (16) floats, bStride floats apart
+// — the strip width for a k-major packed strip, n for columns of a row-major
+// B read in place.
+//
+// The ZMM kernel uses AVX512F instructions only (registers are zeroed with
+// VPXORD: VXORPS on Z registers needs AVX512DQ). Every TEXT block that names
+// a Y or Z register ends its vector work with VZEROUPPER before RET (CI
+// checks it): a dirty upper state slows every SSE instruction the Go runtime
+// runs after the kernel.
 //
 // Registers: the g register, the dynamic-linking scratch register and the
 // zero vector register of the register ABI are never named (CI greps for
@@ -98,6 +106,85 @@ store4:
 	VMOVUPS Y1, (DI)(R8*1)
 	VMOVUPS Y2, (DI)(R8*2)
 	VMOVUPS Y3, (R13)
+	VZEROUPPER
+	RET
+
+// STEPZ and TAILZ are STEP and TAIL over 16 lanes: Z4/Z5 hold the strip's
+// two B rows; same instructions, same operand order, so every lane runs the
+// 8-lane kernel's sequence (NaN payloads included).
+#define STEPZ(arow, acc) \
+	VBROADCASTSS (arow)(DX*4), Z6   \
+	VBROADCASTSS 4(arow)(DX*4), Z7  \
+	VMULPS       Z4, Z6, Z6         \
+	VMULPS       Z5, Z7, Z7         \
+	VADDPS       Z7, Z6, Z6         \
+	VADDPS       Z6, acc, acc
+
+#define TAILZ(arow, acc) \
+	VBROADCASTSS (arow)(DX*4), Z6 \
+	VMULPS       Z4, Z6, Z6       \
+	VADDPS       Z6, acc, acc
+
+// func gemmStrip4x16AVX512(c *float32, cStride int, a *float32, aStride int, b *float32, bStride int, kcur int, seed bool)
+// gemmStrip4x8AVX2 over one 16-wide strip: four C rows in Z0–Z3.
+TEXT ·gemmStrip4x16AVX512(SB), NOSPLIT, $0-57
+	MOVQ    c+0(FP), DI
+	MOVQ    cStride+8(FP), R8
+	MOVQ    a+16(FP), SI
+	MOVQ    aStride+24(FP), R9
+	MOVQ    b+32(FP), BX
+	MOVQ    bStride+40(FP), AX
+	MOVQ    kcur+48(FP), CX
+	SHLQ    $2, R8
+	SHLQ    $2, R9
+	SHLQ    $2, AX
+	LEAQ    (SI)(R9*1), R10        // a row 1
+	LEAQ    (SI)(R9*2), R11        // a row 2
+	LEAQ    (R11)(R9*1), R12       // a row 3
+	LEAQ    (DI)(R8*2), R13
+	ADDQ    R8, R13                // c row 3
+	VPXORD  Z0, Z0, Z0
+	VPXORD  Z1, Z1, Z1
+	VPXORD  Z2, Z2, Z2
+	VPXORD  Z3, Z3, Z3
+	CMPB    seed+56(FP), $0
+	JEQ     init16
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(R8*1), Z1
+	VMOVUPS (DI)(R8*2), Z2
+	VMOVUPS (R13), Z3
+
+init16:
+	XORQ DX, DX
+	SUBQ $1, CX                    // pairs run while DX < kcur-1
+	JLE  tail16
+
+pair16:
+	VMOVUPS (BX), Z4
+	VMOVUPS (BX)(AX*1), Z5
+	STEPZ(SI, Z0)
+	STEPZ(R10, Z1)
+	STEPZ(R11, Z2)
+	STEPZ(R12, Z3)
+	LEAQ (BX)(AX*2), BX
+	ADDQ $2, DX
+	CMPQ DX, CX
+	JLT  pair16
+
+tail16:
+	CMPQ DX, CX                    // DX == kcur-1: one k left
+	JNE  store16
+	VMOVUPS (BX), Z4
+	TAILZ(SI, Z0)
+	TAILZ(R10, Z1)
+	TAILZ(R11, Z2)
+	TAILZ(R12, Z3)
+
+store16:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, (DI)(R8*1)
+	VMOVUPS Z2, (DI)(R8*2)
+	VMOVUPS Z3, (R13)
 	VZEROUPPER
 	RET
 
@@ -207,21 +294,25 @@ kloopT:
 	VZEROUPPER
 	RET
 
-// func gemmPackNT8x8AVX2(dst *float32, src *float32, k int, blocks int)
-// Packs one whole 8-wide strip of gemmNT's Bᵀ panel (gemmPackStripNTChunk),
-// blocks·8 k at a time: src is B's first strip row at the panel's first k
-// (row stride k), dst the strip at the same k. Per block, eight B row loads
-// of 8 k, an 8×8 transpose in 24 shuffles (unpack pairs of rows, shuffle
-// pairs of pairs, swap 128-bit halves) and eight contiguous stores, one
+// func gemmPackNT8x8AVX2(dst *float32, dstStride int, src *float32, k int, blocks int)
+// Packs eight whole columns of gemmNT's Bᵀ panel (gemmPackStripNTChunk),
+// blocks·8 k at a time: src is B's row of the first column at the panel's
+// first k (row stride k), dst the columns' first lane in their strip at the
+// same k (row stride dstStride: 8, or 16 in a wide strip). Per block, eight
+// B row loads of 8 k, an 8×8 transpose in 24 shuffles (unpack pairs of rows,
+// shuffle pairs of pairs, swap 128-bit halves) and eight 8-float stores, one
 // per k: the bytes the scalar scatter stores, moved by bit-exact shuffles.
-TEXT ·gemmPackNT8x8AVX2(SB), NOSPLIT, $0-32
+TEXT ·gemmPackNT8x8AVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ k+16(FP), R8
-	MOVQ blocks+24(FP), CX
+	MOVQ dstStride+8(FP), R11
+	MOVQ src+16(FP), SI
+	MOVQ k+24(FP), R8
+	MOVQ blocks+32(FP), CX
 	SHLQ $2, R8                    // B row stride in bytes
 	LEAQ (R8)(R8*2), R9            // three B rows
 	LEAQ (SI)(R8*4), R10           // B row 4
+	SHLQ $2, R11                   // dst row stride in bytes
+	LEAQ (R11)(R11*2), R12         // three dst rows
 
 packNT:
 	VMOVUPS    (SI), Y0
@@ -256,17 +347,18 @@ packNT:
 	VPERM2F128 $0x31, Y13, Y7, Y5
 	VPERM2F128 $0x31, Y14, Y10, Y6
 	VPERM2F128 $0x31, Y8, Y11, Y7
+	LEAQ       (DI)(R11*4), R13    // dst row 4
 	VMOVUPS    Y0, (DI)
-	VMOVUPS    Y1, 32(DI)
-	VMOVUPS    Y2, 64(DI)
-	VMOVUPS    Y3, 96(DI)
-	VMOVUPS    Y4, 128(DI)
-	VMOVUPS    Y5, 160(DI)
-	VMOVUPS    Y6, 192(DI)
-	VMOVUPS    Y7, 224(DI)
+	VMOVUPS    Y1, (DI)(R11*1)
+	VMOVUPS    Y2, (DI)(R11*2)
+	VMOVUPS    Y3, (DI)(R12*1)
+	VMOVUPS    Y4, (R13)
+	VMOVUPS    Y5, (R13)(R11*1)
+	VMOVUPS    Y6, (R13)(R11*2)
+	VMOVUPS    Y7, (R13)(R12*1)
 	ADDQ       $32, SI
 	ADDQ       $32, R10
-	ADDQ       $256, DI
+	LEAQ       (DI)(R11*8), DI
 	DECQ       CX
 	JNZ        packNT
 	VZEROUPPER

@@ -5,27 +5,33 @@ import (
 	"testing"
 )
 
-// bothGemmKernels runs f under the Go strip kernel and then, on a host that
-// selected it at start-up, under the vector one — the hook through which the
-// GEMM goldens and fuzz targets hold both kernels to the same bits. State f
-// keeps outside itself (a reference product) carries from the Go half into
-// the vector half. Not safe beside a concurrent GEMM: it flips the
-// package's kernel selection.
+// bothGemmKernels runs f under the Go strip kernel, then, on a host that
+// selected it at start-up, under the AVX2 one with 8-wide strips only, and
+// on an AVX-512 host once more with the 16-lane kernel and 16-wide strips —
+// the hook through which the GEMM goldens and fuzz targets hold every kernel
+// and strip width to the same bits. State f keeps outside itself (a
+// reference product) carries from the Go run into the vector ones. Not safe
+// beside a concurrent GEMM: it flips the package's kernel selection.
 func bothGemmKernels(t *testing.T, f func()) {
 	t.Helper()
-	host, kernel := gemmVector, "go"
+	host, hostWide, kernel := gemmVector, gemmWide, "go"
 	defer func() {
-		gemmVector = host
+		gemmVector, gemmWide = host, hostWide
 		if t.Failed() {
 			t.Logf("strip kernel under test: %s", kernel)
 		}
 	}()
-	gemmVector = false
+	gemmVector, gemmWide = false, false
 	f()
 	if !host {
 		return // no AVX2 here: the Go kernel is all this host ever runs
 	}
 	gemmVector, kernel = true, "avx2"
+	f()
+	if !hostWide {
+		return
+	}
+	gemmWide, kernel = true, "avx512"
 	f()
 }
 
@@ -47,22 +53,99 @@ func sameBits(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
 }
 
+// gemmTwinSpecials are the operand values that show a kernel's float32
+// sequence: signed zeros, subnormals, infinities, overflowing magnitudes and
+// a NaN.
+var gemmTwinSpecials = []float32{
+	float32(math.Copysign(0, -1)), 0, 1e-40, -1e-42, math.SmallestNonzeroFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38, 1e-30, float32(math.NaN()),
+}
+
+// gemmTwinFill returns n floats starting off (odd) floats into a fresh
+// allocation, which is at least 8-byte aligned: the operand's address is
+// 4 mod 8, never a multiple of 32. With special set, about one value in 20
+// is one of gemmTwinSpecials.
+func gemmTwinFill(rng *RNG, n, off int, special bool) []float32 {
+	s := make([]float32, n+off+8)[off : off+n]
+	for i := range s {
+		s[i] = float32(rng.Float64()*2 - 1)
+		if special && rng.Float64() < 0.05 {
+			s[i] = gemmTwinSpecials[int(rng.Float64()*float64(len(gemmTwinSpecials)))%len(gemmTwinSpecials)]
+		}
+	}
+	return s
+}
+
+// gemmStripTwins holds the vector strip kernels — the 8-lane AVX2 ones alone
+// (wide false) or with the 16-lane AVX-512 kernel over the whole 16-column
+// strips (wide true) — to the Go kernel bit for bit, through the three
+// variants' shared sweep at every B row stride: the strip width of a packed
+// panel (every variant's gemmStrip; 16-wide strips then 8-wide ones when
+// wide) and n (B in place: the forward product's gemmDirect). m runs 1–9
+// (4-row tiles plus every 0–3 remainder, and m below a tile), 16 and 128; k a
+// lone k, one pair, odd and even lengths and 255/256/257 around kc = 256; n
+// 8, 15, 16, 17, 24, 31, 32, 48 and 192 (whole 16- and 8-wide strips, ragged
+// tails, a 16-wide strip followed by an 8-wide one, and more than one nc
+// panel); accumulators seeded from C and from zero; operands at addresses
+// that are not 32-byte aligned, once on ordinary values and once with
+// gemmTwinSpecials mixed in, where a flushed subnormal, a lost zero sign or
+// a fused rounding would show; at one worker and at three, whose chunk
+// bounds fall inside a 4-row tile. The reference is the Go kernel on
+// 8-wide strips at one worker, in the variant's first blocking.
+func gemmStripTwins(t *testing.T, wide bool) {
+	host, hostWide := gemmVector, gemmWide
+	defer func() { gemmVector, gemmWide = host, hostWide }()
+	defer SetWorkers(SetWorkers(1))
+	rng := NewRNG(71)
+	for _, special := range []bool{false, true} {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 128} {
+			for _, k := range []int{1, 2, 7, 16, 255, 256, 257} {
+				for _, n := range []int{8, 15, 16, 17, 24, 31, 32, 48, 192} {
+					for _, accumulate := range []bool{false, true} {
+						for _, v := range []gemmVariant{gemmNN, gemmNT, gemmTN} {
+							a, b, cSeed := gemmTwinFill(rng, m*k, 1, special), gemmTwinFill(rng, k*n, 3, special), gemmTwinFill(rng, m*n, 5, special)
+							run := func(vec, wide bool, workers int, bl gemmBlocking) []float32 {
+								gemmVector, gemmWide = vec, wide
+								SetWorkers(workers)
+								c := append(make([]float32, 5, 5+m*n), cSeed...)[5:]
+								gemmV2(v, c, a, b, m, k, n, accumulate, bl)
+								return c
+							}
+							bls := ruleBlockings(v)
+							want := run(false, false, 1, bls[0])
+							for _, workers := range []int{1, 3} {
+								for _, bl := range bls {
+									got := run(true, wide, workers, bl)
+									for i := range want {
+										if !sameBits(got[i], want[i]) {
+											t.Fatalf("variant %d, %+v, %dx%dx%d, accumulate=%v, special=%v, wide=%v, workers=%d: C[%d] = %x under the vector kernels, %x under Go",
+												v, bl, m, k, n, accumulate, special, wide, workers, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMWideKernelMatchesGo is gemmStripTwins with the AVX-512 kernel
+// forced on: the 16-lane strips, packed 16 wide or read in place, against
+// the Go kernel.
+func TestGEMMWideKernelMatchesGo(t *testing.T) {
+	if !gemmWide {
+		t.Skip("host has no AVX-512F (or the OS does not save ZMM state): the 8-lane kernels are the only vector kernels")
+	}
+	gemmStripTwins(t, true)
+}
+
 // TestGEMMVectorKernelMatchesGo is the differential test of the AVX2 strip
-// micro-kernels against the Go kernel they replace, bit for bit, through the
-// three variants' shared sweep at both B row strides — 8 (a packed strip:
-// every variant's gemmStrip) and n (B in place: the forward product's
-// gemmDirect): k of every length class (a lone k, one pair, a pair and an
-// odd tail, both sides of one kc = 256 panel and two whole panels),
-// accumulators seeded from C and from zero, every m mod 4 (4-row tiles plus
-// 0–3 remainder rows, and m below a tile), every n mod 8 (whole strips plus
-// the scalar ragged tail), operands at addresses that are not 32-byte
-// aligned — once on ordinary values and once with signed zeros, subnormals,
-// infinities and overflowing magnitudes mixed in, where a flushed subnormal,
-// a lost zero sign or a fused rounding would show. Every blocking the rule
-// can pick runs under AVX2 against the Go kernel's first one, so for the
-// forward product the vector kernel at either stride is also held to the Go
-// kernel in place. (Worker counts are the worker-sweep goldens' business;
-// they run under both kernels too.) tGemm's small path runs the same way,
+// micro-kernels against the Go kernel they replace: gemmStripTwins with the
+// wide kernel forced off, so an AVX-512 host keeps covering the 8-lane path
+// on every strip. tGemm's small path runs the same way,
 // tGemmVecChunk against tGemmChunk: every m from 1 to 9 (4-row bands, the
 // rows below them, and at 9 a chunk bound inside a band at two workers),
 // every n from 1 to 17 and 32 and 768 (whole strips, ragged columns, and a
@@ -73,55 +156,10 @@ func TestGEMMVectorKernelMatchesGo(t *testing.T) {
 	if !gemmVector {
 		t.Skip("host has no AVX2: the Go strip kernel is the only kernel")
 	}
+	gemmStripTwins(t, false)
 	defer func() { gemmVector = true }()
-	specials := []float32{
-		float32(math.Copysign(0, -1)), 0, 1e-40, -1e-42, math.SmallestNonzeroFloat32,
-		float32(math.Inf(1)), float32(math.Inf(-1)), 3e38, -3e38, 1e-30, float32(math.NaN()),
-	}
-	rng := NewRNG(71)
-	// fill returns n floats starting off (odd) floats into a fresh allocation,
-	// which is at least 8-byte aligned: the operand's address is 4 mod 8,
-	// never a multiple of 32.
-	fill := func(n, off int, special bool) []float32 {
-		s := make([]float32, n+off+8)[off : off+n]
-		for i := range s {
-			s[i] = float32(rng.Float64()*2 - 1)
-			if special && rng.Float64() < 0.05 {
-				s[i] = specials[int(rng.Float64()*float64(len(specials)))%len(specials)]
-			}
-		}
-		return s
-	}
-	for _, special := range []bool{false, true} {
-		for _, k := range []int{1, 2, 3, 255, 256, 511, 512} {
-			for _, m := range []int{2, 4, 5, 6, 7, 11} {
-				for n := 16; n < 24; n++ {
-					for _, accumulate := range []bool{false, true} {
-						for _, v := range []gemmVariant{gemmNN, gemmNT, gemmTN} {
-							a, b, cSeed := fill(m*k, 1, special), fill(k*n, 3, special), fill(m*n, 5, special)
-							run := func(vec bool, bl gemmBlocking) []float32 {
-								gemmVector = vec
-								c := append(make([]float32, 5, 5+m*n), cSeed...)[5:]
-								gemmV2(v, c, a, b, m, k, n, accumulate, bl)
-								return c
-							}
-							bls := ruleBlockings(v)
-							want := run(false, bls[0])
-							for _, bl := range bls {
-								got := run(true, bl)
-								for i := range want {
-									if !sameBits(got[i], want[i]) {
-										t.Fatalf("variant %d, %+v, %dx%dx%d, accumulate=%v, special=%v: C[%d] = %x under AVX2, %x under Go",
-											v, bl, m, k, n, accumulate, special, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	rng := NewRNG(72)
+	fill := func(n, off int, special bool) []float32 { return gemmTwinFill(rng, n, off, special) }
 	defer SetWorkers(SetWorkers(2))
 	ns := []int{32, 768}
 	for n := 1; n <= 17; n++ {

@@ -125,10 +125,11 @@ const (
 // pick B in place or packed (gemmRule), but only between paths with
 // identical bits. Both run one sweep (stripSweep) and accumulate k in one
 // pairwise order (`c += a0·b0 + a1·b1`, every kc even) whether the row rides
-// a 4-row vector tile, the 1-row vector remainder, the Go strip kernel or
-// its scalar ragged-strip tail, and whether B is read from a packed strip
-// (row stride 8) or in place (row stride n): each is the same sequence of
-// float32 multiplies and adds per C element, rounded after every operation.
+// a 4-row vector tile of 8 or 16 lanes, the 1-row vector remainder, the Go
+// strip kernel or its scalar ragged-strip tail, and whether B is read from a
+// packed strip (row stride the strip's width, 8 or 16) or in place (row
+// stride n): each is the same sequence of float32 multiplies and adds per C
+// element, rounded after every operation.
 // That is why the vector kernel may never use a fused multiply-add — one
 // rounding where the Go kernel has two — however much faster it would be:
 // the bits would then depend on the host. Below the gate every row takes
@@ -192,19 +193,20 @@ var gemmV2JobFree parallel.Pool[gemmV2Job]
 // row ranges over it. Packing a panel once per *worker* instead is pure
 // duplicated memory traffic as soon as a call fans out; the shared pack
 // removes it, which is exactly the win when rows-per-worker is small (the
-// Figure-1 FC backward shapes). The panel is packed in 8-wide column strips
-// (each strip k-major and contiguous) and swept by the strip kernel, which
-// keeps a strip of C in registers across the whole k sweep and streams B
-// sequentially: on AVX2 hosts four C rows at a time in YMM accumulators
-// (gemm_amd64.s), elsewhere one row in eight scalars.
+// Figure-1 FC backward shapes). The panel is packed in column strips (each
+// strip k-major and contiguous; 16 wide where the host runs the AVX-512
+// kernel, else 8 wide) and swept by the strip kernel, which keeps a strip of
+// C in registers across the whole k sweep and streams B sequentially: on
+// AVX-512 hosts four C rows at a time in ZMM accumulators, on AVX2 hosts in
+// YMM ones (gemm_amd64.s), elsewhere one row in eight scalars.
 //
 // Pack only what is swept more than once: a blocking with strip=false
 // (gemmDirect, forward products only) runs the same sweep over B in place —
-// a strip is then eight columns of kcur B rows n floats apart instead of 8
-// — and packs nothing. A packed panel is read once by the pack and once per
-// 4-row tile, so at small m the pack is most of the traffic; with no pack
-// there is also no barrier, and each worker sweeps its own rows over all
-// of B.
+// a strip is then 16 or eight columns of kcur B rows n floats apart instead
+// of the strip's width — and packs nothing. A packed panel is read once by
+// the pack and once per 4-row tile, so at small m the pack is most of the
+// traffic; with no pack there is also no barrier, and each worker sweeps its
+// own rows over all of B.
 //
 // Every path accumulates each C element in the same pairwise k order, and
 // every kc is even, so both blockings give identical bits
@@ -297,10 +299,15 @@ func gemmV2(v gemmVariant, c, a, b []float32, m, k, n int, accumulate bool, bl g
 }
 
 // GEMMKernel names the strip micro-kernel this process selected at start-up:
-// "avx2" (gemm_amd64.s) or "go". Both produce the same bits; the name is for
-// reading two runs' step times knowing what produced them.
+// "avx512" (the 16-lane ZMM kernel of gemm_amd64.s over whole 16-column
+// strips, the AVX2 one over the rest), "avx2" or "go". All produce the same
+// bits; the name is for reading two runs' step times knowing what produced
+// them.
 func GEMMKernel() string {
-	if gemmVector {
+	switch {
+	case gemmVector && gemmWide:
+		return "avx512"
+	case gemmVector:
 		return "avx2"
 	}
 	return "go"
@@ -313,7 +320,10 @@ func GEMMKernel() string {
 // in ≈ 12 µs — below the wake-up the chunk was sized against — so under it
 // eight multiply-adds count as one and a chunk carries ≈ 0.1 ms again
 // (mlp_sparse_50, 10 interleaved pairs: 24.8 → 21.9 ms/step, 10/10;
-// serve_gpt_open_loop unchanged). A grain moves no bit.
+// serve_gpt_open_loop unchanged). The AVX-512 kernel keeps the AVX2 divisor:
+// it runs only the whole 16-column strips, at 1.7–2.4× the AVX2 kernel's
+// speed there, so a chunk still carries ≈ 0.05–0.1 ms, above a wake-up. A
+// grain moves no bit.
 func gemmWorkGrain(floor, perItem int) int {
 	if gemmVector {
 		perItem = max(perItem/8, 1)
@@ -322,71 +332,104 @@ func gemmWorkGrain(floor, perItem int) int {
 }
 
 // gemmPackStripChunk packs panel k-rows [lo,hi) (relative to k0) in the v3
-// strip layout: the kc×nc panel is stored as a sequence of 8-wide column
-// strips, each strip k-major and contiguous — strip js/8 occupies
-// pb[js·kcur : js·kcur + kcur·8], element (kk, jj) at offset kk·8 + jj. The
-// strip sweep then streams B strictly sequentially. A ragged final strip
-// (ncur not a multiple of 8) keeps stride 8; its tail floats are left
-// unwritten and never read. Chunks touch disjoint panel rows.
+// strip layout: the kc×nc panel is stored as a sequence of column strips,
+// each strip k-major and contiguous — the strip of width w starting at
+// column js occupies pb[js·kcur : js·kcur + kcur·w], element (kk, jj) at
+// offset kk·w + jj. The first wideCols(ncur) columns form 16-wide strips,
+// the rest 8-wide ones (stripAt). The strip sweep then streams B strictly
+// sequentially. A ragged final strip (ncur not a multiple of 8) keeps stride
+// 8; its tail floats are left unwritten and never read. Chunks touch
+// disjoint panel rows.
 func gemmPackStripChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
 	b, pb := g.b, g.pb
 	n, k0, j0, ncur, kcur := g.n, g.k0, g.j0, g.ncur, g.kcur
+	wide := wideCols(ncur)
 	for kk := lo; kk < hi; kk++ {
 		brow := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+ncur]
-		for js := 0; js < ncur; js += 8 {
+		for js := 0; js < wide; js += 16 {
+			copy(pb[js*kcur+kk*16:js*kcur+kk*16+16], brow[js:js+16])
+		}
+		for js := wide; js < ncur; js += 8 {
 			w := min(8, ncur-js)
 			copy(pb[js*kcur+kk*8:js*kcur+kk*8+w], brow[js:js+w])
 		}
 	}
 }
 
+// wideCols is the number of a panel's ncur columns that form 16-wide strips:
+// every whole 16 where the host runs the AVX-512 kernel, none elsewhere.
+func wideCols(ncur int) int {
+	if gemmWide {
+		return ncur &^ 15
+	}
+	return 0
+}
+
+// stripAt locates panel column jj in the strip layout of gemmPackStripChunk
+// for a panel of kcur k-rows whose first wide columns form 16-wide strips:
+// the column's offset at k-row 0 (its strip's start plus its lane) and the
+// strip's width, which is its row stride.
+func stripAt(jj, wide, kcur int) (off, width int) {
+	if jj < wide {
+		return (jj&^15)*kcur + jj&15, 16
+	}
+	return (jj&^7)*kcur + jj&7, 8
+}
+
 // gemmPackStripNTChunk packs panel columns [lo,hi) (relative to j0) of the
 // effective Bᵀ panel for gemmNT: element (kk, jj) of the panel is
 // B[(j0+jj)·k + k0+kk], so each B row is read contiguously along its k
-// extent — a near-copy — and lands in strip jj/8 at within-strip offset
-// jj%8 (see gemmPackStripChunk for the strip layout), scattering with
-// stride 8. Chunks touch disjoint panel columns.
+// extent — a near-copy — and lands in its strip lane (stripAt; see
+// gemmPackStripChunk for the strip layout), scattering with the strip's
+// width as stride. Chunks touch disjoint panel columns.
 //
-// With the vector kernel selected, each whole strip inside [lo,hi) is packed
-// 8 k at a time by gemmPackNT8x8AVX2 (8 B row loads, an 8×8 register
-// transpose, 8 contiguous stores) and its kcur mod 8 rest by the scatter.
-// A strip that a chunk bound or the ragged panel end cuts keeps the scatter,
-// so no two chunks store into one strip and no float the scatter leaves
-// unwritten is written. Either way the panel holds the same bytes.
+// With the vector kernel selected, each aligned group of eight columns
+// inside [lo,hi) — a whole 8-wide strip or either half of a 16-wide one — is
+// packed 8 k at a time by gemmPackNT8x8AVX2 (8 B row loads, an 8×8 register
+// transpose, 8 stores of the group's eight lanes) and its kcur mod 8 rest by
+// the scatter. A group that a chunk bound or the ragged panel end cuts keeps
+// the scatter, so no two chunks store into one group's lanes and no float
+// the scatter leaves unwritten is written. Either way the panel holds the
+// same bytes.
 func gemmPackStripNTChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
 	b, pb := g.b, g.pb
 	k, k0, j0, kcur := g.k, g.k0, g.j0, g.kcur
+	wide := wideCols(g.ncur)
 	if !gemmVector {
-		gemmPackNTScatter(b, pb, k, k0, j0, kcur, lo, hi, 0)
+		gemmPackNTScatter(b, pb, k, k0, j0, kcur, wide, lo, hi, 0)
 		return
 	}
-	s0 := min((lo+7)&^7, hi) // first whole strip
-	s1 := max(hi&^7, s0)     // end of the whole strips
+	s0 := min((lo+7)&^7, hi) // first whole group
+	s1 := max(hi&^7, s0)     // end of the whole groups
 	kv := kcur &^ 7
 	if kv > 0 {
 		for js := s0; js < s1; js += 8 {
+			off, w := stripAt(js, wide, kcur)
 			src := b[(j0+js)*k+k0 : (j0+js+7)*k+k0+kv]
-			dst := pb[js*kcur : js*kcur+kv*8]
-			gemmPackNT8x8AVX2(&dst[0], &src[0], k, kv/8)
+			dst := pb[off : off+(kv-1)*w+8]
+			gemmPackNT8x8AVX2(&dst[0], w, &src[0], k, kv/8)
 		}
 	}
-	gemmPackNTScatter(b, pb, k, k0, j0, kcur, lo, s0, 0)
+	gemmPackNTScatter(b, pb, k, k0, j0, kcur, wide, lo, s0, 0)
 	if kv < kcur {
-		gemmPackNTScatter(b, pb, k, k0, j0, kcur, s0, s1, kv)
+		gemmPackNTScatter(b, pb, k, k0, j0, kcur, wide, s0, s1, kv)
 	}
-	gemmPackNTScatter(b, pb, k, k0, j0, kcur, s1, hi, 0)
+	gemmPackNTScatter(b, pb, k, k0, j0, kcur, wide, s1, hi, 0)
 }
 
 // gemmPackNTScatter is the scalar NT pack of panel columns [lo,hi), panel
-// k-rows [kk0,kcur): each B row's run lands in its strip lane with stride 8.
-func gemmPackNTScatter(b, pb []float32, k, k0, j0, kcur, lo, hi, kk0 int) {
+// k-rows [kk0,kcur), of a panel whose first wide columns form 16-wide
+// strips: each B row's run lands in its strip lane, strided by the strip's
+// width.
+func gemmPackNTScatter(b, pb []float32, k, k0, j0, kcur, wide, lo, hi, kk0 int) {
 	for jj := lo; jj < hi; jj++ {
 		brow := b[(j0+jj)*k+k0+kk0 : (j0+jj)*k+k0+kcur]
-		ps := pb[(jj&^7)*kcur+kk0*8+(jj&7):]
+		off, w := stripAt(jj, wide, kcur)
+		ps := pb[off+kk0*w:]
 		for kk, v := range brow {
-			ps[kk*8] = v
+			ps[kk*w] = v
 		}
 	}
 }
@@ -433,12 +476,12 @@ func gemmStripSweepChunk(ctx any, lo, hi int) {
 	i := g.i0 + lo
 	stripSweep(g.c[i*g.n+g.j0:], g.n, hi-lo, g.ncur,
 		g.as[(i-g.aBase)*g.aStride+g.aOff:], g.aStride, g.kcur,
-		g.pb, g.kcur, 8, g.accumulate || g.k0 > 0)
+		g.pb, true, g.accumulate || g.k0 > 0)
 }
 
 // gemmDirectChunk computes C rows [lo,hi) reading B in place: per kc panel
 // of k it runs the same strip sweep as the packed pipeline over all n
-// columns, with B's row stride n where a packed strip has 8. Nothing is
+// columns, with B's row stride n where a packed strip has its width. Nothing is
 // packed or shared, so the rows fan out with no barrier between panels.
 func gemmDirectChunk(ctx any, lo, hi int) {
 	g := ctx.(*gemmV2Job)
@@ -446,46 +489,63 @@ func gemmDirectChunk(ctx any, lo, hi int) {
 	for k0 := 0; k0 < k; k0 += g.kc {
 		kcur := min(g.kc, k-k0)
 		stripSweep(g.c[lo*n:], n, hi-lo, n, g.a[lo*k+k0:], k, kcur,
-			g.b[k0*n:(k0+kcur)*n], 1, n, g.accumulate || k0 > 0)
+			g.b[k0*n:(k0+kcur)*n], false, g.accumulate || k0 > 0)
 	}
 }
 
 // stripSweep is the one sweep body of the GEMM family: it updates rows × ncur
 // of C (row r at c[r·n:]) from A rows of kcur values aStride apart and a
-// kcur × ncur panel of B whose 8-wide column strip js starts at
-// bp[js·stripStep] and steps bStride floats per k. A packed panel has
-// stripStep kcur and bStride 8; B read in place has stripStep 1 and bStride
-// n. Per strip the accumulators live in registers across the whole k sweep
-// and C round-trips through memory once per panel.
+// kcur × ncur panel of B, packed (the strip layout of gemmPackStripChunk: a
+// strip starting at column js starts at bp[js·kcur] and steps its width per
+// k) or read in place (column js at bp[js], stepping n per k). Per strip the
+// accumulators live in registers across the whole k sweep and C round-trips
+// through memory once per panel.
 //
 // With the vector kernel selected, rows go four at a time through
-// gemmStrip4x8AVX2 and the last rows mod 4 one at a time through
-// gemmStrip1x8AVX2; otherwise every row goes through gemmStrip8. The ragged
-// last strip (ncur mod 8 columns) is always gemmStripTail's. The assembly
-// checks no bound: each call is handed pointers into slices cut here to
-// exactly the extent it touches (a tile's C rows, its A rows, one strip).
+// gemmStrip4x16AVX512 over the whole 16-column strips (AVX-512 hosts,
+// wideCols) and gemmStrip4x8AVX2 over the other whole 8-column ones, and the
+// last rows mod 4 one at a time through gemmStrip1x8AVX2, twice per 16-wide
+// strip; otherwise every row goes through gemmStrip8. The ragged last strip
+// (ncur mod 8 columns) is always gemmStripTail's. The assembly checks no
+// bound: each call is handed pointers into slices cut here to exactly the
+// extent it touches (a tile's C rows, its A rows, one strip).
 //
 // Bitwise contract: every kernel updates an accumulator with the same
 // `c += a0·b0 + a1·b1` pairwise expression, one float32 rounding per
 // operation, so each element sees the identical sequence of operations
 // whichever kernel, tile row, lane or B addressing it rides — staging the
 // partial sum in a register instead of memory does not change its value.
-func stripSweep(c []float32, n, rows, ncur int, as []float32, aStride, kcur int, bp []float32, stripStep, bStride int, seed bool) {
+func stripSweep(c []float32, n, rows, ncur int, as []float32, aStride, kcur int, bp []float32, packed, seed bool) {
 	vec := gemmVector
 	full := ncur &^ 7 // columns in whole strips
-	span := (kcur-1)*bStride + 8
+	wide := wideCols(ncur)
+	// strip returns where column js starts in bp and the row stride of the
+	// strip holding it.
+	strip := func(js int) (off, bStride int) {
+		if packed {
+			return stripAt(js, wide, kcur)
+		}
+		return js, n
+	}
 	i := 0
 	if vec {
 		for ; i+gemmMR <= rows; i += gemmMR {
 			ct := c[i*n : (i+gemmMR-1)*n+ncur]
 			at := as[i*aStride : (i+gemmMR-1)*aStride+kcur]
-			for js := 0; js < full; js += 8 {
-				bs := bp[js*stripStep : js*stripStep+span]
-				gemmStrip4x8AVX2(&ct[js], n, &at[0], aStride, &bs[0], bStride, kcur, seed)
+			for js := 0; js < wide; js += 16 {
+				o, st := strip(js)
+				bs := bp[o : o+(kcur-1)*st+16]
+				gemmStrip4x16AVX512(&ct[js], n, &at[0], aStride, &bs[0], st, kcur, seed)
+			}
+			for js := wide; js < full; js += 8 {
+				o, st := strip(js)
+				bs := bp[o : o+(kcur-1)*st+8]
+				gemmStrip4x8AVX2(&ct[js], n, &at[0], aStride, &bs[0], st, kcur, seed)
 			}
 			if full < ncur {
+				o, st := strip(full)
 				for r := 0; r < gemmMR; r++ {
-					gemmStripTail(ct[r*n+full:r*n+ncur], at[r*aStride:r*aStride+kcur], bp[full*stripStep:], bStride, kcur, seed)
+					gemmStripTail(ct[r*n+full:r*n+ncur], at[r*aStride:r*aStride+kcur], bp[o:], st, kcur, seed)
 				}
 			}
 		}
@@ -494,15 +554,17 @@ func stripSweep(c []float32, n, rows, ncur int, as []float32, aStride, kcur int,
 		ai := as[i*aStride : i*aStride+kcur]
 		ci := c[i*n : i*n+ncur]
 		for js := 0; js < full; js += 8 {
-			bs := bp[js*stripStep : js*stripStep+span]
+			o, st := strip(js)
+			bs := bp[o : o+(kcur-1)*st+8]
 			if vec {
-				gemmStrip1x8AVX2(&ci[js : js+8][0], &ai[0], &bs[0], bStride, kcur, seed)
+				gemmStrip1x8AVX2(&ci[js : js+8][0], &ai[0], &bs[0], st, kcur, seed)
 			} else {
-				gemmStrip8(ci[js:js+8], ai, bs, bStride, kcur, seed)
+				gemmStrip8(ci[js:js+8], ai, bs, st, kcur, seed)
 			}
 		}
 		if full < ncur {
-			gemmStripTail(ci[full:], ai, bp[full*stripStep:], bStride, kcur, seed)
+			o, st := strip(full)
+			gemmStripTail(ci[full:], ai, bp[o:], st, kcur, seed)
 		}
 	}
 }

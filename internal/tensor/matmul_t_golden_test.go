@@ -183,19 +183,21 @@ func TestGemmPackATTiledGolden(t *testing.T) {
 }
 
 // TestGemmPackNTVectorGolden holds the NT pack with the vector kernel
-// selected (gemmPackNT8x8AVX2's 8×8 transposes over whole strips) to the
-// scalar scatter byte for byte: over B of arbitrary bit patterns (NaN
+// selected (gemmPackNT8x8AVX2's 8×8 transposes over whole 8-column groups)
+// to the scalar scatter byte for byte, in the 8-wide strip layout and, on an
+// AVX-512 host, in the 16-wide one: over B of arbitrary bit patterns (NaN
 // payloads, subnormals), at ragged ncur, at kcur below 8 and not a multiple
 // of 8, at an offset panel (j0, k0), and for chunks of panel columns — what
 // parallel.Run hands one worker — whose bounds fall inside a strip. Each
 // chunk is packed alone into a panel filled with a sentinel, so a float
 // outside the chunk's columns, or a ragged strip's tail lane, must stay
-// unwritten: no two chunks may store into one strip.
+// unwritten: no two chunks may store into one group's lanes.
 func TestGemmPackNTVectorGolden(t *testing.T) {
 	if !gemmVector {
 		t.Skip("host has no AVX2: the scalar scatter is the only pack")
 	}
-	defer func() { gemmVector = true }()
+	hostWide := gemmWide
+	defer func() { gemmVector, gemmWide = true, hostWide }()
 	rng := NewRNG(62)
 	const sentinel = 0x7FC0DEAD
 	for _, s := range []struct{ n, k, j0, ncur, k0, kcur int }{
@@ -219,22 +221,25 @@ func TestGemmPackNTVectorGolden(t *testing.T) {
 			}
 			j := gemmV2JobFree.Get()
 			j.b, j.pb = b, pb
-			j.k, j.k0, j.j0, j.kcur = s.k, s.k0, s.j0, s.kcur
+			j.k, j.k0, j.j0, j.ncur, j.kcur = s.k, s.k0, s.j0, s.ncur, s.kcur
 			gemmPackStripNTChunk(j, lo, hi)
 			j.b, j.pb = nil, nil
 			gemmV2JobFree.Put(j)
 			return pb
 		}
-		for _, c := range [][2]int{{0, s.ncur}, {3, s.ncur}, {8, s.ncur}, {0, 13}, {13, 21}, {1, 2}, {s.ncur / 2, s.ncur}, {5, 30}} {
-			lo, hi := c[0], min(c[1], s.ncur)
-			if lo >= hi {
-				continue
-			}
-			want, got := pack(false, lo, hi), pack(true, lo, hi)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%+v, chunk [%d,%d): panel[%d] = %#x under AVX2, %#x from the scatter",
-						s, lo, hi, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		for _, wide := range []bool{false, hostWide} {
+			gemmWide = wide
+			for _, c := range [][2]int{{0, s.ncur}, {3, s.ncur}, {8, s.ncur}, {0, 13}, {13, 21}, {1, 2}, {s.ncur / 2, s.ncur}, {5, 30}, {16, 40}} {
+				lo, hi := c[0], min(c[1], s.ncur)
+				if lo >= hi {
+					continue
+				}
+				want, got := pack(false, lo, hi), pack(true, lo, hi)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%+v, wide=%v, chunk [%d,%d): panel[%d] = %#x under AVX2, %#x from the scatter",
+							s, wide, lo, hi, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
 				}
 			}
 		}

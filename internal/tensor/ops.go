@@ -11,9 +11,22 @@ import (
 // Add computes dst += src elementwise.
 func Add(dst, src *Tensor) {
 	binCheck(dst, src)
-	d, s := dst.data, src.data
-	for i := range d {
-		d[i] += s[i]
+	addRow(dst.data, src.data)
+}
+
+// addRow sets dst[i] += src[i] for every i < len(dst), serially on the
+// caller: addAVX2 over the multiple-of-8 body where sweepVector holds, the
+// Go loop over the rest (and everywhere else, and as the kernel's oracle).
+// Each element is one float32 add with dst's value as the first operand, so
+// both give the same bits.
+func addRow(dst, src []float32) {
+	src = src[:len(dst)]
+	if n := len(dst) &^ 7; sweepVector && n > 0 {
+		addAVX2(&dst[0], &src[0], n)
+		dst, src = dst[n:], src[n:]
+	}
+	for i := range dst {
+		dst[i] += src[i]
 	}
 }
 
@@ -94,23 +107,21 @@ func binCheck(dst, src *Tensor) {
 	}
 }
 
-// AddBias adds a length-n bias vector to every row of an (m,n) tensor.
+// AddBias adds a length-n bias vector to every row of an (m,n) tensor, one
+// addRow a row (AVX2 where the host has it, bit for bit the Go loop).
 func AddBias(t, bias *Tensor) {
 	if t.Rank() != 2 || bias.Rank() != 1 || t.shape[1] != bias.shape[0] {
 		panic("tensor: AddBias requires (m,n) tensor and length-n bias")
 	}
 	n := t.shape[1]
-	b := bias.data
 	for i := 0; i < t.shape[0]; i++ {
-		row := t.data[i*n : (i+1)*n]
-		for j := range row {
-			row[j] += b[j]
-		}
+		addRow(t.data[i*n:(i+1)*n], bias.data)
 	}
 }
 
 // SumRowsInto accumulates the rows of an (m,n) tensor into a length-n dst
-// without allocating. If accumulate is false dst is overwritten.
+// without allocating, in row order, one addRow a row. If accumulate is false
+// dst is overwritten.
 func SumRowsInto(dst, t *Tensor, accumulate bool) {
 	if t.Rank() != 2 || len(dst.data) != t.shape[1] {
 		panic("tensor: SumRowsInto requires (m,n) tensor and length-n dst")
@@ -121,11 +132,7 @@ func SumRowsInto(dst, t *Tensor, accumulate bool) {
 		zeroSlice(d)
 	}
 	for i := 0; i < t.shape[0]; i++ {
-		row := t.data[i*n : (i+1)*n]
-		_ = d[len(row)-1]
-		for j := range row {
-			d[j] += row[j]
-		}
+		addRow(d, t.data[i*n:(i+1)*n])
 	}
 }
 

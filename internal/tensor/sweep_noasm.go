@@ -14,3 +14,7 @@ func nonFiniteAVX2(s *float32, n int) bool {
 func scaleAVX2(s *float32, n int, a float32) {
 	panic("tensor: vector sweep kernel called on a build without one")
 }
+
+func addAVX2(dst, src *float32, n int) {
+	panic("tensor: vector sweep kernel called on a build without one")
+}

@@ -41,9 +41,13 @@
 // kernels and differing only in packing: MatMulT transpose-packs B
 // panels, TMatMul transpose-packs A blocks. The blocking is a rule,
 // described under "GEMM blocking" below. On amd64 hosts with AVX2 the strip
-// sweep runs a four-row vector micro-kernel, selected once at start-up from
-// CPUID (see GEMMKernel); it executes the Go kernel's float32 operations
-// lane for lane, unfused, so results do not depend on the host either.
+// sweep runs a four-row vector micro-kernel, and on hosts with AVX-512F a
+// 16-lane twin of it over every whole 16-column strip, both selected once at
+// start-up from CPUID (see GEMMKernel); they execute the Go kernel's float32
+// operations lane for lane, unfused, so results do not depend on the host
+// either. Attention's per-head products (scores against the keys, the
+// probability-weighted sum of values and the backward's rank-1 updates) run
+// tensor's AVX2 row kernels under the same rule.
 //
 // # Sparse execution
 //
@@ -92,9 +96,11 @@
 // # GEMM blocking
 //
 // Every GEMM runs one strip kernel (four C rows × eight columns in
-// registers, AVX2 where the host has it). A forward product of at most 128
-// rows sweeps the row-major weight in place, kc 256 rows of B at a time;
-// every other GEMM first packs kc 256 × nc 128 panels in 8-wide strips —
+// registers, AVX2 where the host has it; four rows × sixteen columns in ZMM
+// registers over whole 16-column strips where it has AVX-512F). A forward
+// product of at most 128 rows sweeps the row-major weight in place, kc 256
+// rows of B at a time; every other GEMM first packs kc 256 × nc 128 panels
+// in strips, 16 wide on AVX-512 hosts and 8 wide elsewhere —
 // a pack pays only once enough 4-row tiles sweep it, and up to 128 rows
 // the in-place sweep is 0.1–1.0× the packed one's time. No copy of a
 // weight is kept in any kernel layout, so serving and training hold
@@ -232,7 +238,11 @@
 // uninterrupted run. Drive it with NewGradualPruner (single-process,
 // call MaybePrune after each trainer step) or ParallelConfig.PruneSchedule
 // (samo-train's -prune-* flags); examples/quickstart ramps a Sparsify'd
-// MLP from 90 to 95% and prints its ledger before and after.
+// MLP from 90 to 95% and prints its ledger before and after. The global
+// scope ranks the weights of the state its pruner was built over, and each
+// pipeline stage builds its own, ranking only the weights it hosts: the
+// engine therefore refuses a global schedule at Ginter > 1, where the
+// pattern would depend on the stage split.
 //
 // Steady-state training steps are allocation-free across both model
 // families — MLP and GPT (embedding, attention, layer norm, GELU MLP) — as
@@ -312,8 +322,9 @@ const (
 func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
 
 // GEMMKernel names the dense GEMM micro-kernel this process selected at
-// start-up, "avx2" or "go". Results are bitwise-identical under both; the
-// cmds print it so step times can be compared knowing what produced them.
+// start-up, "avx512", "avx2" or "go". Results are bitwise-identical under
+// all three; the cmds print it so step times can be compared knowing what
+// produced them.
 func GEMMKernel() string { return tensor.GEMMKernel() }
 
 // NewTensor returns a zero-filled tensor with the given shape.
